@@ -15,7 +15,8 @@
 #                    the panic-free lang/opt gate, and the perf
 #                    regression gate against the committed BENCH_8.json
 #                    baseline (which now includes the serve/load/*
-#                    latency family)
+#                    latency family), and the end-to-end benchmark
+#                    crate's own build and tests
 set -eux
 
 FULL=0
@@ -86,6 +87,11 @@ test "$FULL" -eq 1 || exit 0
 # --workspace pulls in the member crates' own test targets (the engine
 # suites live in crates/engine/tests/, outside the root package).
 cargo test --release --workspace -q
+
+# The end-to-end benchmark is its own Cargo workspace, so --workspace
+# above never compiles it; build and test it here so a public API change
+# in a member crate cannot break `bash benchmark/run.sh` unnoticed.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
 
 # Concurrent-serving smoke: a short bench-serve batch on two workers with
 # a pinned seed must finish clean — every job accounted for, no worker

@@ -561,7 +561,10 @@ impl<'a> Checker<'a> {
     /// `time`.  On success the RU map is updated and the selection is
     /// returned; on failure the RU map is left unchanged.
     ///
-    /// Every call counts as one *scheduling attempt* in `stats`.
+    /// Every call counts as one *scheduling attempt* in `stats`.  A
+    /// convenience wrapper over [`Checker::try_reserve_into`] for callers
+    /// that keep the [`Choice`] to unschedule later; schedulers that place
+    /// many operations append into one buffer instead.
     #[inline]
     pub fn try_reserve(
         &self,
@@ -570,30 +573,73 @@ impl<'a> Checker<'a> {
         time: i32,
         stats: &mut CheckStats,
     ) -> Option<Choice> {
+        let mut selected = Vec::with_capacity(self.mdes.class(class).or_trees.len());
+        self.try_reserve_into(ru, class, time, stats, &mut selected)
+            .then_some(Choice {
+                class,
+                time,
+                selected,
+            })
+    }
+
+    /// The allocation-free reservation query: like
+    /// [`Checker::try_reserve`], but the selection goes into a
+    /// caller-owned buffer.
+    ///
+    /// On success the RU map is updated, one compiled-option index per
+    /// OR-tree of `class` (in the class's OR-tree order) is appended to
+    /// `out`, and `true` is returned.  On failure the RU map is rolled
+    /// back, `out` is truncated to its length on entry, and `false` is
+    /// returned.  Once `out` has spare capacity for the class's OR-trees
+    /// the call performs no heap allocation.
+    #[inline]
+    pub fn try_reserve_into(
+        &self,
+        ru: &mut RuMap,
+        class: ClassId,
+        time: i32,
+        stats: &mut CheckStats,
+        out: &mut Vec<u32>,
+    ) -> bool {
+        self.reserve_into(ru, class, time, stats, out, |checker, ru, tree, stats| {
+            checker.try_or_tree(ru, tree, time, stats)
+        })
+    }
+
+    /// The one reservation loop behind every `try_reserve*` entry point:
+    /// walks the class's OR-trees in order, asking `pick` for each tree's
+    /// option, reserving progressively and rolling back on the first
+    /// tree with no free option.
+    #[inline(always)]
+    fn reserve_into(
+        &self,
+        ru: &mut RuMap,
+        class: ClassId,
+        time: i32,
+        stats: &mut CheckStats,
+        out: &mut Vec<u32>,
+        mut pick: impl FnMut(&Self, &RuMap, u32, &mut CheckStats) -> Option<u32>,
+    ) -> bool {
         stats.begin_attempt();
-        let compiled = self.mdes.class(class);
-        let mut selected: Vec<u32> = Vec::with_capacity(compiled.or_trees.len());
-        for &tree_idx in &compiled.or_trees {
-            match self.try_or_tree(ru, tree_idx, time, stats) {
+        let start = out.len();
+        for &tree_idx in &self.mdes.class(class).or_trees {
+            match pick(self, ru, tree_idx, stats) {
                 Some(opt_idx) => {
                     self.apply_option(ru, opt_idx, time, true);
-                    selected.push(opt_idx);
+                    out.push(opt_idx);
                 }
                 None => {
-                    for &opt_idx in &selected {
+                    for &opt_idx in &out[start..] {
                         self.apply_option(ru, opt_idx, time, false);
                     }
+                    out.truncate(start);
                     stats.end_attempt(false);
-                    return None;
+                    return false;
                 }
             }
         }
         stats.end_attempt(true);
-        Some(Choice {
-            class,
-            time,
-            selected,
-        })
+        true
     }
 
     /// Releases a previous reservation (unscheduling).
@@ -736,29 +782,30 @@ impl<'a> Checker<'a> {
         stats: &mut CheckStats,
         hints: &mut OptionHints,
     ) -> Option<Choice> {
-        stats.begin_attempt();
-        let compiled = self.mdes.class(class);
-        let mut selected: Vec<u32> = Vec::with_capacity(compiled.or_trees.len());
-        for &tree_idx in &compiled.or_trees {
-            match self.try_or_tree_hinted(ru, tree_idx, time, stats, hints) {
-                Some(opt_idx) => {
-                    self.apply_option(ru, opt_idx, time, true);
-                    selected.push(opt_idx);
-                }
-                None => {
-                    for &opt_idx in &selected {
-                        self.apply_option(ru, opt_idx, time, false);
-                    }
-                    stats.end_attempt(false);
-                    return None;
-                }
-            }
-        }
-        stats.end_attempt(true);
-        Some(Choice {
-            class,
-            time,
-            selected,
+        let mut selected = Vec::with_capacity(self.mdes.class(class).or_trees.len());
+        self.try_reserve_hinted_into(ru, class, time, stats, hints, &mut selected)
+            .then_some(Choice {
+                class,
+                time,
+                selected,
+            })
+    }
+
+    /// [`Checker::try_reserve_into`] with hint-first option ordering (see
+    /// [`Checker::try_reserve_hinted`]): appends the selection to `out` on
+    /// success, truncates `out` back on failure.
+    #[inline]
+    pub fn try_reserve_hinted_into(
+        &self,
+        ru: &mut RuMap,
+        class: ClassId,
+        time: i32,
+        stats: &mut CheckStats,
+        hints: &mut OptionHints,
+        out: &mut Vec<u32>,
+    ) -> bool {
+        self.reserve_into(ru, class, time, stats, out, |checker, ru, tree, stats| {
+            checker.try_or_tree_hinted(ru, tree, time, stats, hints)
         })
     }
 

@@ -10,7 +10,11 @@
 //!   what the `mdes-opt` transformations rewrite;
 //! * the compiled low-level [`compile::CompiledMdes`] with scalar or
 //!   bit-vector usage encodings, and the [`compile::Checker`] that answers
-//!   "can this operation issue at cycle *t*" against a [`rumap::RuMap`];
+//!   "can this operation issue at cycle *t*" against a [`rumap::RuMap`].
+//!   Its hot path, [`compile::Checker::try_reserve_into`] (and the hinted
+//!   twin), appends the selected options to a caller-owned buffer and
+//!   allocates nothing per attempt; [`compile::Checker::try_reserve`]
+//!   wraps it in a [`compile::Choice`] for callers that unschedule;
 //! * [`stats::CheckStats`] counters matching the paper's metrics (options
 //!   checked and resource checks per scheduling attempt, Figure-2
 //!   histograms);

@@ -56,8 +56,8 @@ mod modulo;
 pub use diff::{differential_gap, loops_from_blocks, modulo_differential, GapReport};
 pub use modulo::IiOutcome;
 
-use mdes_core::{CheckStats, Checker, Choice, ClassId, CompiledMdes, RuMap};
-use mdes_sched::{Block, DepGraph, ListScheduler, Schedule, ScheduledOp};
+use mdes_core::{CheckStats, Checker, ClassId, CompiledMdes, RuMap};
+use mdes_sched::{selection_bounds, Block, DepGraph, ListScheduler, Schedule, ScheduledOp};
 
 /// Sentinel for "operation not placed yet" during search.
 const UNPLACED: i32 = i32::MIN;
@@ -200,6 +200,14 @@ impl<'a> OracleScheduler<'a> {
         }
 
         let classes: Vec<ClassId> = block.ops.iter().map(|op| op.class).collect();
+        // Each operation's selection has a fixed slot in one flat buffer
+        // (index order), overwritten in place as the search re-places it.
+        let bounds = selection_bounds(self.mdes, block);
+        let mut best_sel = vec![0; bounds[n] as usize];
+        for i in 0..n {
+            best_sel[bounds[i] as usize..bounds[i + 1] as usize]
+                .copy_from_slice(incumbent.selection(i));
+        }
         let preds: Vec<Vec<(usize, i32)>> = graph
             .preds
             .iter()
@@ -214,14 +222,11 @@ impl<'a> OracleScheduler<'a> {
             preds,
             est_buf: vec![0; n],
             cycles: vec![UNPLACED; n],
-            sel: vec![Vec::new(); n],
+            sel: vec![0; best_sel.len()],
+            sel_start: bounds,
             best_len: incumbent.length,
             best_cycles: incumbent.cycles(),
-            best_sel: incumbent
-                .ops
-                .iter()
-                .map(|s| s.choice.selected.clone())
-                .collect(),
+            best_sel,
             root_lb,
             nodes: 0,
             node_limit: self.node_limit,
@@ -236,18 +241,18 @@ impl<'a> OracleScheduler<'a> {
         let proved = !search.bailed;
         let schedule = if improved {
             let length = search.best_len;
+            let bounds = &search.sel_start;
             let ops: Vec<ScheduledOp> = (0..n)
                 .map(|i| ScheduledOp {
                     cycle: search.best_cycles[i],
-                    choice: Choice {
-                        class: block.ops[i].class,
-                        time: search.best_cycles[i],
-                        selected: search.best_sel[i].clone(),
-                    },
+                    class: search.classes[i],
+                    sel_start: bounds[i],
+                    sel_len: bounds[i + 1] - bounds[i],
                 })
                 .collect();
             Schedule {
                 ops,
+                selected: search.best_sel,
                 attempts: vec![1; n],
                 length,
             }
@@ -360,10 +365,14 @@ struct Search<'a, 'b> {
     preds: Vec<Vec<(usize, i32)>>,
     est_buf: Vec<i32>,
     cycles: Vec<i32>,
-    sel: Vec<Vec<u32>>,
+    /// Selected options of the current partial placement: operation
+    /// `op`'s live in `sel[sel_start[op]..sel_start[op + 1]]`.
+    sel: Vec<u32>,
+    sel_start: Vec<u32>,
     best_len: i32,
     best_cycles: Vec<i32>,
-    best_sel: Vec<Vec<u32>>,
+    /// The incumbent's selections, laid out like `sel`.
+    best_sel: Vec<u32>,
     root_lb: i32,
     nodes: u64,
     node_limit: u64,
@@ -396,9 +405,7 @@ impl Search<'_, '_> {
             if makespan < self.best_len {
                 self.best_len = makespan;
                 self.best_cycles.copy_from_slice(&self.cycles);
-                for (dst, src) in self.best_sel.iter_mut().zip(&self.sel) {
-                    dst.clone_from(src);
-                }
+                self.best_sel.copy_from_slice(&self.sel);
             }
             return;
         }
@@ -476,9 +483,8 @@ impl Search<'_, '_> {
             }
             if self.checker.option_fits(&self.ru, opt, cycle, self.stats) {
                 self.checker.apply_option_at(&mut self.ru, opt, cycle, true);
-                self.sel[op].push(opt);
+                self.sel[self.sel_start[op] as usize + tree_pos] = opt;
                 self.enter(pos, op, cycle, tree_pos + 1, makespan);
-                self.sel[op].pop();
                 self.checker
                     .apply_option_at(&mut self.ru, opt, cycle, false);
             }

@@ -15,7 +15,7 @@
 //! bound, not a proof (see `docs/oracle.md`).
 
 use mdes_core::{CheckStats, CompiledMdes, RuMap};
-use mdes_sched::{DepGraph, LoopBlock, ModuloSchedule, ModuloScheduler};
+use mdes_sched::{selection_bounds, DepGraph, LoopBlock, ModuloSchedule, ModuloScheduler};
 
 use crate::{OracleScheduler, UNPLACED};
 
@@ -64,6 +64,7 @@ impl<'a> OracleScheduler<'a> {
             .map(|edges| edges.iter().map(|e| (e.from, e.latency)).collect())
             .collect();
 
+        let bounds = selection_bounds(self.mdes, &looped.body);
         let mut nodes = 0u64;
         let mut exact = true;
         for ii in mii..production.ii {
@@ -74,7 +75,8 @@ impl<'a> OracleScheduler<'a> {
                 ii,
                 ru: RuMap::new(),
                 cycles: vec![UNPLACED; n],
-                sel: vec![Vec::new(); n],
+                sel: vec![0; bounds[n] as usize],
+                bounds: &bounds,
                 nodes: 0,
                 node_limit: self.node_limit,
                 bailed: false,
@@ -89,7 +91,8 @@ impl<'a> OracleScheduler<'a> {
                 let schedule = ModuloSchedule {
                     ii,
                     cycles: search.cycles,
-                    selections: search.sel,
+                    selected: search.sel,
+                    bounds,
                 };
                 return Some(IiOutcome {
                     mii,
@@ -125,7 +128,10 @@ struct ModSearch<'a, 'b> {
     ii: i32,
     ru: RuMap,
     cycles: Vec<i32>,
-    sel: Vec<Vec<u32>>,
+    /// Flat selections, laid out by `bounds` (see
+    /// [`mdes_sched::selection_bounds`]).
+    sel: Vec<u32>,
+    bounds: &'a [u32],
     nodes: u64,
     node_limit: u64,
     bailed: bool,
@@ -193,11 +199,10 @@ impl ModSearch<'_, '_> {
             }
             if self.option_fits_modulo(opt, cycle) {
                 self.apply_modulo(opt, cycle, true);
-                self.sel[index].push(opt);
+                self.sel[self.bounds[index] as usize + tree_pos] = opt;
                 if self.options(index, cycle, tree_pos + 1) {
                     return true;
                 }
-                self.sel[index].pop();
                 self.apply_modulo(opt, cycle, false);
             }
             if self.bailed {

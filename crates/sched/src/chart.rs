@@ -53,7 +53,7 @@ pub fn occupancy_chart(
     let mut grid = vec![vec![' '; width]; num_resources];
     for (index, placed) in schedule.ops.iter().enumerate() {
         let label = op_label(index);
-        for &opt_idx in &placed.choice.selected {
+        for &opt_idx in schedule.selection(index) {
             for check in mdes.option_checks(opt_idx as usize) {
                 let column = (placed.cycle + check.time - min_cycle) as usize;
                 for bit in 0..64 {
@@ -140,8 +140,8 @@ pub fn resource_utilization(mdes: &CompiledMdes, schedule: &Schedule) -> Vec<f64
     let width = (max_cycle - min_cycle + 1) as usize;
 
     let mut busy = vec![vec![false; width]; num_resources];
-    for placed in &schedule.ops {
-        for &opt_idx in &placed.choice.selected {
+    for (index, placed) in schedule.ops.iter().enumerate() {
+        for &opt_idx in schedule.selection(index) {
             for check in mdes.option_checks(opt_idx as usize) {
                 let column = (placed.cycle + check.time - min_cycle) as usize;
                 for (bit, row) in busy.iter_mut().enumerate().take(64) {
@@ -227,11 +227,7 @@ mod tests {
     #[test]
     fn empty_block_renders_placeholder() {
         let (spec, mdes) = machine();
-        let schedule = Schedule {
-            ops: Vec::new(),
-            attempts: Vec::new(),
-            length: 0,
-        };
+        let schedule = Schedule::default();
         assert_eq!(
             occupancy_chart(&spec, &mdes, &Block::new(), &schedule),
             "(empty block)\n"
@@ -261,11 +257,7 @@ mod tests {
     #[test]
     fn utilization_of_empty_schedule_is_zero() {
         let (_, mdes) = machine();
-        let schedule = Schedule {
-            ops: Vec::new(),
-            attempts: Vec::new(),
-            length: 0,
-        };
+        let schedule = Schedule::default();
         assert_eq!(resource_utilization(&mdes, &schedule), vec![0.0; 3]);
     }
 

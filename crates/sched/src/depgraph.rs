@@ -96,14 +96,14 @@ impl DepGraph {
             // read/write-time model: the consumer reads its sources
             // `src` cycles after issue, so the required issue separation
             // is producer write time minus consumer read time.
-            for src in &op.srcs {
+            for src in op.srcs() {
                 if let Some(&writer) = last_writer.get(src) {
                     let latency = mdes.flow_latency(block.ops[writer].class, op.class);
                     graph.add(writer, i, latency, DepKind::Flow);
                 }
                 readers_since_write.entry(*src).or_default().push(i);
             }
-            for dest in &op.dests {
+            for dest in op.dests() {
                 if let Some(&writer) = last_writer.get(dest) {
                     graph.add(writer, i, 1, DepKind::Output);
                 }

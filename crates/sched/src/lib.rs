@@ -1,7 +1,8 @@
 //! MDES-driven schedulers: the "generic, high-quality scheduler … that can
 //! be quickly targeted to a new processor" of the paper's introduction.
 //!
-//! * [`operation`] — the operation / basic-block model;
+//! * [`operation`] — the operation / basic-block model (an [`Op`] keeps
+//!   its destination and source registers in one boxed slice);
 //! * [`depgraph`] — dependence-DAG construction with MDES latencies;
 //! * [`list`] — the forward (and backward) cycle-driven list scheduler
 //!   whose attempt counting matches the paper's statistics;
@@ -13,6 +14,15 @@
 //! * [`simulate`] — an in-order issue simulator that measures the
 //!   "unexpected execution cycles" of scheduling with an inaccurate
 //!   description (the paper's introduction).
+//!
+//! The schedulers place operations through
+//! [`mdes_core::Checker::try_reserve_into`], which appends each
+//! successful selection to a caller-owned buffer and truncates it again
+//! on failure, so an attempt allocates nothing.  A [`Schedule`] keeps
+//! every operation's selection in one flat `selected` buffer; a
+//! [`ScheduledOp`] is 16 bytes (cycle, class, and its slice of that
+//! buffer, read with [`Schedule::selection`]).  [`ModuloSchedule`] uses
+//! the same flat layout with one fixed slot per operation.
 //!
 //! # Example
 //!
@@ -50,7 +60,7 @@ pub mod simulate;
 
 pub use chart::{occupancy_chart, resource_utilization};
 pub use depgraph::{DepGraph, DepKind, Edge};
-pub use list::{ListScheduler, Priority, SchedScratch, Schedule, ScheduledOp};
+pub use list::{selection_bounds, ListScheduler, Priority, SchedScratch, Schedule, ScheduledOp};
 pub use mdes_core::CheckStats;
 pub use modulo::{LoopBlock, ModuloSchedule, ModuloScheduler};
 pub use operation::{Block, Op, Reg};

@@ -11,28 +11,40 @@
 //! supplying a different compiled MDES, which is the portability claim of
 //! the two-tier model.
 
-use mdes_core::{Checker, Choice, CompiledMdes, OptionHints, RuMap};
+use mdes_core::{Checker, ClassId, CompiledMdes, OptionHints, RuMap};
 
 use crate::depgraph::DepGraph;
 use crate::operation::Block;
 use crate::CheckStats;
 
-/// Where one operation landed.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Where one operation landed: 16 bytes with no heap block of its own.
+///
+/// The reservation selection lives in the owning [`Schedule`]'s flat
+/// [`Schedule::selected`] buffer (read it with [`Schedule::selection`]);
+/// together with the cycle and class it is what unscheduling needs — the
+/// capability finite-state-automata approaches lack (Section 10).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ScheduledOp {
     /// Issue cycle.
     pub cycle: i32,
-    /// The reservation selection (kept so the operation can be
-    /// unscheduled — the capability finite-state-automata approaches
-    /// lack, Section 10).
-    pub choice: Choice,
+    /// The operation's MDES class.
+    pub class: ClassId,
+    /// Offset of this operation's selection in [`Schedule::selected`].
+    pub sel_start: u32,
+    /// Length of the selection: one option per OR-tree of `class`.
+    pub sel_len: u32,
 }
 
 /// A complete schedule of one basic block.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Schedule {
     /// Per-operation placement, indexed like `Block::ops`.
     pub ops: Vec<ScheduledOp>,
+    /// Every operation's selected compiled-option indices (one per
+    /// OR-tree of its class, in the class's OR-tree order), concatenated
+    /// in placement order; [`Schedule::selection`] slices out one
+    /// operation's.
+    pub selected: Vec<u32>,
     /// Scheduling attempts spent on each operation (1 = first try
     /// succeeded).  Feeds the per-class attempt breakdowns of the
     /// paper's Tables 1–4.
@@ -47,8 +59,22 @@ impl Schedule {
         self.ops.iter().map(|s| s.cycle).collect()
     }
 
-    /// Checks that the schedule satisfies every dependence of `graph` and
-    /// reserves resources without conflict under `mdes`.
+    /// The compiled options operation `i` reserved, one per OR-tree of
+    /// its class.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range or the operation's selection lies
+    /// outside [`Schedule::selected`].
+    pub fn selection(&self, i: usize) -> &[u32] {
+        let placed = &self.ops[i];
+        let start = placed.sel_start as usize;
+        &self.selected[start..start + placed.sel_len as usize]
+    }
+
+    /// Checks that the schedule satisfies every dependence of `graph`,
+    /// that every operation reserved exactly one option of each OR-tree of
+    /// its class, and that those reservations never conflict under `mdes`.
     ///
     /// # Examples
     ///
@@ -92,7 +118,14 @@ impl Schedule {
         // Replay all reservations and ensure no resource is claimed twice.
         let mut ru = RuMap::new();
         for (index, placed) in self.ops.iter().enumerate() {
-            for &opt_idx in &placed.choice.selected {
+            let start = placed.sel_start as usize;
+            let selection = self
+                .selected
+                .get(start..start + placed.sel_len as usize)
+                .ok_or_else(|| format!("operation {index}: selection out of range"))?;
+            check_selection(mdes, placed.class, selection)
+                .map_err(|why| format!("operation {index} {why}"))?;
+            for &opt_idx in selection {
                 for check in mdes.option_checks(opt_idx as usize) {
                     let cycle = placed.cycle + check.time;
                     if !ru.is_free(cycle, check.mask) {
@@ -106,6 +139,70 @@ impl Schedule {
             }
         }
         Ok(())
+    }
+}
+
+/// Checks that `selection` holds exactly one option of each OR-tree of
+/// `class`, in the class's OR-tree order — what every successful
+/// reservation of that class appends.
+pub(crate) fn check_selection(
+    mdes: &CompiledMdes,
+    class: ClassId,
+    selection: &[u32],
+) -> Result<(), String> {
+    let Some(compiled) = mdes.classes().get(class.index()) else {
+        return Err(format!("has unknown class {class:?}"));
+    };
+    if selection.len() != compiled.or_trees.len() {
+        return Err(format!(
+            "selects {} option(s) for {} OR-tree(s)",
+            selection.len(),
+            compiled.or_trees.len()
+        ));
+    }
+    for (k, (&tree, &opt_idx)) in compiled.or_trees.iter().zip(selection).enumerate() {
+        if !mdes.or_trees()[tree as usize].options.contains(&opt_idx) {
+            return Err(format!("selects option {opt_idx}, not in its OR-tree {k}"));
+        }
+    }
+    Ok(())
+}
+
+/// The fixed-slot selection layout of `block`: `n + 1` prefix sums of
+/// each operation's OR-tree count, so operation `i` owns
+/// `bounds[i]..bounds[i + 1]` of a flat selection buffer.  Searches that
+/// re-place operations (the modulo scheduler, the exact oracle) overwrite
+/// those slots in place instead of keeping a `Vec` per operation.
+pub fn selection_bounds(mdes: &CompiledMdes, block: &Block) -> Vec<u32> {
+    let mut bounds = Vec::with_capacity(block.ops.len() + 1);
+    let mut end = 0u32;
+    bounds.push(end);
+    for op in &block.ops {
+        end += mdes.class(op.class).or_trees.len() as u32;
+        bounds.push(end);
+    }
+    bounds
+}
+
+/// Total selection length of `block`: one entry per OR-tree of each
+/// operation's class.  Sizing a schedule's [`Schedule::selected`] with it
+/// up front means appends never reallocate, however many attempts fail.
+fn selection_len(mdes: &CompiledMdes, block: &Block) -> usize {
+    block
+        .ops
+        .iter()
+        .map(|op| mdes.class(op.class).or_trees.len())
+        .sum()
+}
+
+/// The placement of an operation of `class` at `cycle` whose selection
+/// occupies `selected[start..]`.
+fn placed_at(cycle: i32, class: ClassId, start: usize, selected: &[u32]) -> ScheduledOp {
+    ScheduledOp {
+        cycle,
+        class,
+        sel_start: start as u32,
+        sel_len: (selected.len() - start) as u32,
     }
 }
 
@@ -297,11 +394,7 @@ impl<'a> ListScheduler<'a> {
     ) -> Schedule {
         let n = block.ops.len();
         if n == 0 {
-            return Schedule {
-                ops: Vec::new(),
-                attempts: Vec::new(),
-                length: 0,
-            };
+            return Schedule::default();
         }
         let checker = Checker::new(self.mdes);
         let heights = graph.heights();
@@ -335,6 +428,7 @@ impl<'a> ListScheduler<'a> {
         };
 
         let mut attempts: Vec<u32> = vec![0; n];
+        let mut selected: Vec<u32> = Vec::with_capacity(selection_len(self.mdes, block));
         let mut remaining = n;
         let mut cycle = 0i32;
 
@@ -359,13 +453,16 @@ impl<'a> ListScheduler<'a> {
                 }
                 let class = block.ops[op].class;
                 attempts[op] += 1;
-                let choice = match hints.as_deref_mut() {
-                    Some(h) => checker.try_reserve_hinted(ru, class, cycle, stats, h),
-                    None => checker.try_reserve(ru, class, cycle, stats),
+                let start = selected.len();
+                let reserved = match hints.as_deref_mut() {
+                    Some(h) => {
+                        checker.try_reserve_hinted_into(ru, class, cycle, stats, h, &mut selected)
+                    }
+                    None => checker.try_reserve_into(ru, class, cycle, stats, &mut selected),
                 };
-                if let Some(choice) = choice {
+                if reserved {
                     stats.count_operation();
-                    placed[op] = Some(ScheduledOp { cycle, choice });
+                    placed[op] = Some(placed_at(cycle, class, start, &selected));
                     remaining -= 1;
                     for edge in &graph.succs[op] {
                         unscheduled_preds[edge.to] -= 1;
@@ -380,6 +477,7 @@ impl<'a> ListScheduler<'a> {
         let length = ops.iter().map(|s| s.cycle).max().unwrap_or(-1) + 1;
         Schedule {
             ops,
+            selected,
             attempts,
             length,
         }
@@ -402,17 +500,14 @@ impl<'a> ListScheduler<'a> {
         let graph = DepGraph::build(block, self.mdes);
         let n = block.ops.len();
         if n == 0 {
-            return Schedule {
-                ops: Vec::new(),
-                attempts: Vec::new(),
-                length: 0,
-            };
+            return Schedule::default();
         }
         let checker = Checker::new(self.mdes);
         let heights = graph.heights();
 
         let mut placed: Vec<Option<ScheduledOp>> = vec![None; n];
         let mut attempts: Vec<u32> = vec![0; n];
+        let mut selected: Vec<u32> = Vec::with_capacity(selection_len(self.mdes, block));
         let mut unscheduled_preds: Vec<usize> = graph.preds.iter().map(Vec::len).collect();
         let mut ru = RuMap::new();
         let span = (self.mdes.max_check_time() - self.mdes.min_check_time() + 1).max(1);
@@ -430,20 +525,21 @@ impl<'a> ListScheduler<'a> {
                 .max()
                 .unwrap_or(0);
             let class = block.ops[op].class;
+            let start = selected.len();
             let mut cycle = est;
-            let choice = loop {
+            loop {
                 assert!(
                     cycle <= est + limit_per_op,
                     "operation scheduling wedged: some operation can never issue"
                 );
                 attempts[op] += 1;
-                if let Some(choice) = checker.try_reserve(&mut ru, class, cycle, stats) {
-                    break choice;
+                if checker.try_reserve_into(&mut ru, class, cycle, stats, &mut selected) {
+                    break;
                 }
                 cycle += 1;
-            };
+            }
             stats.count_operation();
-            placed[op] = Some(ScheduledOp { cycle, choice });
+            placed[op] = Some(placed_at(cycle, class, start, &selected));
             for edge in &graph.succs[op] {
                 unscheduled_preds[edge.to] -= 1;
             }
@@ -453,6 +549,7 @@ impl<'a> ListScheduler<'a> {
         let length = ops.iter().map(|s| s.cycle).max().unwrap_or(-1) + 1;
         Schedule {
             ops,
+            selected,
             attempts,
             length,
         }
@@ -466,11 +563,7 @@ impl<'a> ListScheduler<'a> {
         let graph = DepGraph::build(block, self.mdes);
         let n = block.ops.len();
         if n == 0 {
-            return Schedule {
-                ops: Vec::new(),
-                attempts: Vec::new(),
-                length: 0,
-            };
+            return Schedule::default();
         }
         let checker = Checker::new(self.mdes);
         let heights = graph.heights();
@@ -478,6 +571,7 @@ impl<'a> ListScheduler<'a> {
 
         let mut placed: Vec<Option<ScheduledOp>> = vec![None; n];
         let mut attempts: Vec<u32> = vec![0; n];
+        let mut selected: Vec<u32> = Vec::with_capacity(selection_len(self.mdes, block));
         let mut unscheduled_succs: Vec<usize> = graph.succs.iter().map(Vec::len).collect();
         // Latest cycle each op may occupy, given placed successors.
         let mut deadline: Vec<i32> = vec![horizon; n];
@@ -505,9 +599,10 @@ impl<'a> ListScheduler<'a> {
                 }
                 let class = block.ops[op].class;
                 attempts[op] += 1;
-                if let Some(choice) = checker.try_reserve(&mut ru, class, cycle, stats) {
+                let start = selected.len();
+                if checker.try_reserve_into(&mut ru, class, cycle, stats, &mut selected) {
                     stats.count_operation();
-                    placed[op] = Some(ScheduledOp { cycle, choice });
+                    placed[op] = Some(placed_at(cycle, class, start, &selected));
                     remaining -= 1;
                     for edge in &graph.preds[op] {
                         unscheduled_succs[edge.from] -= 1;
@@ -529,13 +624,13 @@ impl<'a> ListScheduler<'a> {
             .map(|s| {
                 let mut s = s.unwrap();
                 s.cycle -= min_cycle;
-                s.choice.time -= min_cycle;
                 s
             })
             .collect();
         let length = ops.iter().map(|s| s.cycle).max().unwrap_or(-1) + 1;
         Schedule {
             ops,
+            selected,
             attempts,
             length,
         }
@@ -737,6 +832,59 @@ mod tests {
         // Corrupt the schedule: consumer before producer completes.
         schedule.ops[1].cycle = 0;
         assert!(schedule.verify(&graph, &mdes).is_err());
+    }
+
+    #[test]
+    fn verify_rejects_an_operation_that_reserved_nothing() {
+        let mdes = two_issue();
+        let mut block = Block::new();
+        block.push(Op::new(class(&mdes, "load"), vec![Reg(1)], vec![Reg(0)]));
+        block.push(Op::new(class(&mdes, "alu"), vec![Reg(2)], vec![]));
+        let mut stats = CheckStats::new();
+        let mut schedule = ListScheduler::new(&mdes).schedule(&block, &mut stats);
+        let graph = DepGraph::build(&block, &mdes);
+        schedule.verify(&graph, &mdes).unwrap();
+        // Empty op 1's selection: it no longer holds a decoder or an ALU.
+        schedule.ops[1].sel_len = 0;
+        let err = schedule.verify(&graph, &mdes).unwrap_err();
+        assert!(err.contains("operation 1 selects 0 option(s)"), "{err}");
+    }
+
+    #[test]
+    fn verify_rejects_an_option_from_another_tree() {
+        let mdes = two_issue();
+        let mut block = Block::new();
+        block.push(Op::new(class(&mdes, "alu"), vec![Reg(1)], vec![]));
+        let mut stats = CheckStats::new();
+        let mut schedule = ListScheduler::new(&mdes).schedule(&block, &mut stats);
+        let graph = DepGraph::build(&block, &mdes);
+        schedule.verify(&graph, &mdes).unwrap();
+        // The alu class is (ALU tree, decoder tree); swap its ALU option
+        // for the memory unit's, which no ALU tree offers.  The replay
+        // alone would accept it: nothing else holds M.
+        let load_trees = &mdes.class(class(&mdes, "load")).or_trees;
+        let m_option = mdes.or_trees()[load_trees[0] as usize].options[0];
+        let start = schedule.ops[0].sel_start as usize;
+        schedule.selected[start] = m_option;
+        let err = schedule.verify(&graph, &mdes).unwrap_err();
+        assert!(err.contains("not in its OR-tree 0"), "{err}");
+    }
+
+    #[test]
+    fn selections_hold_one_option_per_tree() {
+        let mdes = two_issue();
+        let mut block = Block::new();
+        for i in 0..3 {
+            block.push(Op::new(class(&mdes, "load"), vec![Reg(i + 1)], vec![]));
+        }
+        let mut stats = CheckStats::new();
+        let schedule = ListScheduler::new(&mdes).schedule(&block, &mut stats);
+        // Failed attempts (the loads contend for M) leave nothing behind.
+        assert!(stats.attempts > stats.operations);
+        assert_eq!(schedule.selected.len(), 3 * 2);
+        for i in 0..3 {
+            assert_eq!(schedule.selection(i).len(), 2);
+        }
     }
 
     #[test]

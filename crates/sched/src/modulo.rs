@@ -16,6 +16,7 @@
 use mdes_core::{ClassId, CompiledMdes, RuMap};
 
 use crate::depgraph::{DepGraph, Edge};
+use crate::list::{check_selection, selection_bounds};
 use crate::operation::Block;
 use crate::CheckStats;
 
@@ -37,11 +38,27 @@ pub struct ModuloSchedule {
     pub ii: i32,
     /// Issue cycle of each operation within the flat schedule.
     pub cycles: Vec<i32>,
-    /// Selected compiled-option index per OR-tree per operation.
-    pub selections: Vec<Vec<u32>>,
+    /// Selected compiled-option index per OR-tree per operation, all
+    /// operations concatenated in index order; [`ModuloSchedule::selection`]
+    /// slices out one operation's.
+    pub selected: Vec<u32>,
+    /// Selection offsets: operation `op` owns
+    /// `selected[bounds[op]..bounds[op + 1]]` (see
+    /// [`crate::selection_bounds`]).
+    pub bounds: Vec<u32>,
 }
 
 impl ModuloSchedule {
+    /// The compiled options operation `op` reserved, one per OR-tree of
+    /// its class.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is out of range.
+    pub fn selection(&self, op: usize) -> &[u32] {
+        &self.selected[self.bounds[op] as usize..self.bounds[op + 1] as usize]
+    }
+
     /// Verifies dependences (including carried ones at this II) and
     /// modulo resource usage.
     ///
@@ -68,9 +85,17 @@ impl ModuloSchedule {
                 ));
             }
         }
-        // Modulo resource check.
+        // Every operation holds one option per OR-tree of its class, and
+        // the options never collide modulo II.
         let mut mrt = RuMap::new();
-        for (op, selection) in self.selections.iter().enumerate() {
+        for (op, body_op) in looped.body.ops.iter().enumerate() {
+            let selection = match (self.bounds.get(op), self.bounds.get(op + 1)) {
+                (Some(&lo), Some(&hi)) => self.selected.get(lo as usize..hi as usize),
+                _ => None,
+            }
+            .ok_or_else(|| format!("operation {op}: selection out of range"))?;
+            check_selection(mdes, body_op.class, selection)
+                .map_err(|why| format!("operation {op} {why}"))?;
             for &opt_idx in selection {
                 for check in mdes.option_checks(opt_idx as usize) {
                     let slot = (self.cycles[op] + check.time).rem_euclid(self.ii);
@@ -249,14 +274,16 @@ impl<'a> ModuloScheduler<'a> {
             return Some(ModuloSchedule {
                 ii,
                 cycles: Vec::new(),
-                selections: Vec::new(),
+                selected: Vec::new(),
+                bounds: vec![0],
             });
         }
         let graph = DepGraph::build(body, self.mdes);
         let heights = graph.heights();
 
         let mut cycles: Vec<Option<i32>> = vec![None; n];
-        let mut selections: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let bounds = selection_bounds(self.mdes, body);
+        let mut selected: Vec<u32> = vec![0; bounds[n] as usize];
         let mut last_forced: Vec<i32> = vec![-1; n];
         let mut mrt = RuMap::new();
         let mut budget = self.budget_per_op * n;
@@ -271,7 +298,8 @@ impl<'a> ModuloScheduler<'a> {
                 let schedule = ModuloSchedule {
                     ii,
                     cycles,
-                    selections,
+                    selected,
+                    bounds,
                 };
                 debug_assert!(schedule.verify(looped, self.mdes).is_ok());
                 return Some(schedule);
@@ -285,14 +313,20 @@ impl<'a> ModuloScheduler<'a> {
 
             // Try every slot in one II window.
             let mut placed = false;
+            let own = bounds[op] as usize..bounds[op + 1] as usize;
             for slot in est..est + ii {
                 stats.begin_attempt();
-                if let Some(selection) =
-                    self.try_reserve_modulo(&mut mrt, body.ops[op].class, slot, ii, stats)
-                {
+                let class = body.ops[op].class;
+                if self.try_reserve_modulo(
+                    &mut mrt,
+                    class,
+                    slot,
+                    ii,
+                    stats,
+                    &mut selected[own.clone()],
+                ) {
                     stats.end_attempt(true);
                     cycles[op] = Some(slot);
-                    selections[op] = selection;
                     placed = true;
                     break;
                 }
@@ -304,7 +338,16 @@ impl<'a> ModuloScheduler<'a> {
                 // the unscheduling that reservation tables make possible.
                 let slot = est.max(last_forced[op] + 1);
                 last_forced[op] = slot;
-                self.force_place(op, slot, ii, body, &mut mrt, &mut cycles, &mut selections);
+                self.force_place(
+                    op,
+                    slot,
+                    ii,
+                    body,
+                    &mut mrt,
+                    &mut cycles,
+                    &mut selected,
+                    &bounds,
+                );
                 cycles[op] = Some(slot);
             }
 
@@ -337,7 +380,7 @@ impl<'a> ModuloScheduler<'a> {
             }
             for victim in evict {
                 if victim != op {
-                    self.unschedule(victim, ii, &mut mrt, &mut cycles, &mut selections);
+                    self.unschedule(victim, ii, &mut mrt, &mut cycles, &selected, &bounds);
                 }
             }
         }
@@ -373,7 +416,10 @@ impl<'a> ModuloScheduler<'a> {
     }
 
     /// Modulo-wrapped variant of the core checker: probes and reserves in
-    /// MRT slots `(time + check.time) mod ii`.
+    /// MRT slots `(time + check.time) mod ii`, writing the option chosen
+    /// for OR-tree `k` of `class` into `out[k]` (`out` holds exactly one
+    /// entry per tree).  On failure the MRT is rolled back and `false`
+    /// returned; `out` is then unspecified.
     fn try_reserve_modulo(
         &self,
         mrt: &mut RuMap,
@@ -381,10 +427,10 @@ impl<'a> ModuloScheduler<'a> {
         time: i32,
         ii: i32,
         stats: &mut CheckStats,
-    ) -> Option<Vec<u32>> {
+        out: &mut [u32],
+    ) -> bool {
         let compiled = self.mdes.class(class);
-        let mut selected: Vec<u32> = Vec::with_capacity(compiled.or_trees.len());
-        for &tree_idx in &compiled.or_trees {
+        for (k, &tree_idx) in compiled.or_trees.iter().enumerate() {
             let tree = &self.mdes.or_trees()[tree_idx as usize];
             let mut found = None;
             'options: for &opt_idx in &tree.options {
@@ -401,17 +447,17 @@ impl<'a> ModuloScheduler<'a> {
             match found {
                 Some(opt_idx) => {
                     self.apply_modulo(mrt, opt_idx, time, ii, true);
-                    selected.push(opt_idx);
+                    out[k] = opt_idx;
                 }
                 None => {
-                    for &opt_idx in &selected {
+                    for &opt_idx in &out[..k] {
                         self.apply_modulo(mrt, opt_idx, time, ii, false);
                     }
-                    return None;
+                    return false;
                 }
             }
         }
-        Some(selected)
+        true
     }
 
     fn apply_modulo(&self, mrt: &mut RuMap, opt_idx: u32, time: i32, ii: i32, set: bool) {
@@ -437,19 +483,21 @@ impl<'a> ModuloScheduler<'a> {
         body: &Block,
         mrt: &mut RuMap,
         cycles: &mut [Option<i32>],
-        selections: &mut [Vec<u32>],
+        selected: &mut [u32],
+        bounds: &[u32],
     ) {
-        // The forced selection: highest-priority option of every tree.
+        // The forced selection: highest-priority option of every tree,
+        // written into the op's own slot.
+        let own = bounds[op] as usize..bounds[op + 1] as usize;
         let compiled = self.mdes.class(body.ops[op].class);
-        let forced: Vec<u32> = compiled
-            .or_trees
-            .iter()
-            .map(|&t| self.mdes.or_trees()[t as usize].options[0])
-            .collect();
+        for (dst, &t) in selected[own.clone()].iter_mut().zip(&compiled.or_trees) {
+            *dst = self.mdes.or_trees()[t as usize].options[0];
+        }
+        let forced = &selected[own.clone()];
 
         // Evict conflicting ops.
         let conflicts = |selection: &[u32], at: i32| -> bool {
-            for &mine in &forced {
+            for &mine in forced {
                 for my_check in self.mdes.option_checks(mine as usize) {
                     let my_slot = (slot + my_check.time).rem_euclid(ii);
                     for &theirs in selection {
@@ -464,34 +512,34 @@ impl<'a> ModuloScheduler<'a> {
             }
             false
         };
+        let selection = |i: usize| &selected[bounds[i] as usize..bounds[i + 1] as usize];
         let victims: Vec<usize> = (0..cycles.len())
-            .filter(|&i| {
-                i != op && cycles[i].is_some() && conflicts(&selections[i], cycles[i].unwrap())
-            })
+            .filter(|&i| i != op && cycles[i].is_some_and(|at| conflicts(selection(i), at)))
             .collect();
         for victim in victims {
-            self.unschedule(victim, ii, mrt, cycles, selections);
+            self.unschedule(victim, ii, mrt, cycles, selected, bounds);
         }
 
-        for &opt_idx in &forced {
+        for &opt_idx in &selected[own] {
             self.apply_modulo(mrt, opt_idx, slot, ii, true);
         }
-        selections[op] = forced;
     }
 
+    /// Releases `op`'s reservations and marks it unplaced; its slot in
+    /// `selected` is simply overwritten when it is placed again.
     fn unschedule(
         &self,
         op: usize,
         ii: i32,
         mrt: &mut RuMap,
         cycles: &mut [Option<i32>],
-        selections: &mut [Vec<u32>],
+        selected: &[u32],
+        bounds: &[u32],
     ) {
         if let Some(cycle) = cycles[op].take() {
-            for &opt_idx in &selections[op] {
+            for &opt_idx in &selected[bounds[op] as usize..bounds[op + 1] as usize] {
                 self.apply_modulo(mrt, opt_idx, cycle, ii, false);
             }
-            selections[op].clear();
         }
     }
 }
@@ -617,6 +665,21 @@ mod tests {
         let schedule = scheduler.schedule(&looped, &mut stats);
         assert_eq!(schedule.ii, 1);
         assert!(schedule.cycles.is_empty());
+    }
+
+    #[test]
+    fn selections_are_flat_and_verified_per_tree() {
+        let mdes = pipe_mdes();
+        let looped = simple_loop(&mdes, 2, 2);
+        let mut stats = CheckStats::new();
+        let mut schedule = ModuloScheduler::new(&mdes).schedule(&looped, &mut stats);
+        assert_eq!(schedule.bounds, vec![0, 1, 2, 3, 4]);
+        assert_eq!(schedule.selection(3).len(), 1);
+        schedule.verify(&looped, &mdes).unwrap();
+        // A load holding an ALU option reserved nothing it needed.
+        schedule.selected[0] = schedule.selection(2)[0];
+        let err = schedule.verify(&looped, &mdes).unwrap_err();
+        assert!(err.contains("not in its OR-tree 0"), "{err}");
     }
 
     #[test]

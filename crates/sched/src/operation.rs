@@ -6,6 +6,8 @@
 //! the scheduler needs to know about *how* the operation executes lives in
 //! the machine description — that is the point of the MDES model.
 
+use std::fmt;
+
 use mdes_core::ClassId;
 
 /// A virtual or architectural register number.
@@ -13,33 +15,71 @@ use mdes_core::ClassId;
 pub struct Reg(pub u32);
 
 /// One operation of a basic block.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Stored compactly: destinations and sources share one boxed register
+/// slice (destinations first), and the mnemonic is a `Box<str>`, so an
+/// operation is 40 bytes plus at most two heap blocks — one when it has no
+/// mnemonic, none when it also has no operands.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Op {
     /// MDES operation class.
     pub class: ClassId,
-    /// Destination registers (written).
-    pub dests: Vec<Reg>,
-    /// Source registers (read).
-    pub srcs: Vec<Reg>,
+    /// How many leading entries of `regs` are destinations.
+    num_dests: u32,
+    /// Destination registers, then source registers.
+    regs: Box<[Reg]>,
     /// Mnemonic for diagnostics (does not affect scheduling).
-    pub mnemonic: String,
+    mnemonic: Box<str>,
 }
 
 impl Op {
     /// Creates an operation.
     pub fn new(class: ClassId, dests: Vec<Reg>, srcs: Vec<Reg>) -> Op {
+        Op::from_regs(class, &dests, &srcs)
+    }
+
+    /// Creates an operation from borrowed register lists, with one
+    /// exactly-sized allocation for the operands (none when both lists
+    /// are empty).
+    pub fn from_regs(class: ClassId, dests: &[Reg], srcs: &[Reg]) -> Op {
         Op {
             class,
-            dests,
-            srcs,
-            mnemonic: String::new(),
+            num_dests: dests.len() as u32,
+            regs: dests.iter().chain(srcs).copied().collect(),
+            mnemonic: Box::default(),
         }
     }
 
     /// Attaches a mnemonic for diagnostics.
     pub fn with_mnemonic(mut self, mnemonic: impl Into<String>) -> Op {
-        self.mnemonic = mnemonic.into();
+        self.mnemonic = mnemonic.into().into_boxed_str();
         self
+    }
+
+    /// Destination registers (written).
+    pub fn dests(&self) -> &[Reg] {
+        &self.regs[..self.num_dests as usize]
+    }
+
+    /// Source registers (read).
+    pub fn srcs(&self) -> &[Reg] {
+        &self.regs[self.num_dests as usize..]
+    }
+
+    /// Mnemonic for diagnostics; empty when none was attached.
+    pub fn mnemonic(&self) -> &str {
+        &self.mnemonic
+    }
+}
+
+impl fmt::Debug for Op {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Op")
+            .field("class", &self.class)
+            .field("dests", &self.dests())
+            .field("srcs", &self.srcs())
+            .field("mnemonic", &self.mnemonic())
+            .finish()
     }
 }
 
@@ -110,7 +150,19 @@ mod tests {
         let class = ClassId::from_index(0);
         let plain = Op::new(class, vec![], vec![Reg(0)]);
         let named = plain.clone().with_mnemonic("ld");
-        assert_eq!(named.mnemonic, "ld");
+        assert_eq!(named.mnemonic(), "ld");
         assert_eq!(named.class, plain.class);
+    }
+
+    #[test]
+    fn operands_split_back_into_dests_and_srcs() {
+        let class = ClassId::from_index(0);
+        let op = Op::new(class, vec![Reg(1)], vec![Reg(2), Reg(3)]);
+        assert_eq!(op.dests(), &[Reg(1)]);
+        assert_eq!(op.srcs(), &[Reg(2), Reg(3)]);
+        assert_eq!(op, Op::from_regs(class, &[Reg(1)], &[Reg(2), Reg(3)]));
+        // The split point is part of equality: same registers, other roles.
+        assert_ne!(op, Op::new(class, vec![Reg(1), Reg(2)], vec![Reg(3)]));
+        assert!(Op::new(class, vec![], vec![]).srcs().is_empty());
     }
 }

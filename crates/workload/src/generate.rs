@@ -326,6 +326,14 @@ pub fn uniform_config(total_ops: usize) -> WorkloadConfig {
     }
 }
 
+/// Most source or destination operands one generated operation carries;
+/// every mix template and region shape stays within it.
+const MAX_OPERANDS: usize = 4;
+
+/// Generates one operation with `srcs` sources and `dests` destinations
+/// (each at most [`MAX_OPERANDS`]).  The operands are drawn into stack
+/// buffers, so the operation's single register allocation is its only
+/// heap traffic.
 pub(crate) fn make_op(
     class: ClassId,
     srcs: usize,
@@ -335,8 +343,8 @@ pub(crate) fn make_op(
     recent: &mut Vec<Reg>,
     next_reg: &mut u32,
 ) -> Op {
-    let mut sources = Vec::with_capacity(srcs);
-    for _ in 0..srcs {
+    let mut sources = [Reg(0); MAX_OPERANDS];
+    for source in &mut sources[..srcs] {
         let roll = rng.gen_f64();
         let reg = if !recent.is_empty() && roll < config.dependence_density {
             recent[rng.gen_range(recent.len() as u32) as usize]
@@ -347,19 +355,19 @@ pub(crate) fn make_op(
         } else {
             Reg(rng.gen_range(config.registers))
         };
-        sources.push(reg);
+        *source = reg;
     }
-    let mut dest_regs = Vec::with_capacity(dests);
-    for _ in 0..dests {
+    let mut dest_regs = [Reg(0); MAX_OPERANDS];
+    for dest in &mut dest_regs[..dests] {
         let reg = Reg(*next_reg % config.registers);
         *next_reg = next_reg.wrapping_add(1);
-        dest_regs.push(reg);
+        *dest = reg;
         recent.push(reg);
         if recent.len() > 6 {
             recent.remove(0);
         }
     }
-    Op::new(class, dest_regs, sources)
+    Op::from_regs(class, &dest_regs[..dests], &sources[..srcs])
 }
 
 #[cfg(test)]
@@ -529,8 +537,8 @@ mod tests {
                 if spec.class(op.class).name.starts_with("cascade") {
                     continue; // scheduler-internal classes have no opcodes
                 }
-                assert!(!op.mnemonic.is_empty());
-                assert_eq!(spec.opcode_class(&op.mnemonic), Some(op.class));
+                assert!(!op.mnemonic().is_empty());
+                assert_eq!(spec.opcode_class(op.mnemonic()), Some(op.class));
             }
         }
         // And the default stays mnemonic-free (identical stream shape).
@@ -542,7 +550,7 @@ mod tests {
         assert!(plain
             .blocks
             .iter()
-            .all(|b| b.ops.iter().all(|o| o.mnemonic.is_empty())));
+            .all(|b| b.ops.iter().all(|o| o.mnemonic().is_empty())));
     }
 
     #[test]
@@ -559,8 +567,8 @@ mod tests {
                     .chain(crate::mix::end_mix(machine))
                     .find(|t| t.class == *name)
                     .unwrap();
-                assert_eq!(op.srcs.len(), template.srcs);
-                assert_eq!(op.dests.len(), template.dests);
+                assert_eq!(op.srcs().len(), template.srcs);
+                assert_eq!(op.dests().len(), template.dests);
             }
         }
     }

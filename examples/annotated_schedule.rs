@@ -33,12 +33,13 @@ fn main() {
                 .filter(|&i| schedule.ops[i].cycle == cycle)
                 .map(|i| {
                     let op = &block.ops[i];
-                    let dests: Vec<String> = op.dests.iter().map(|r| format!("r{}", r.0)).collect();
-                    let srcs: Vec<String> = op.srcs.iter().map(|r| format!("r{}", r.0)).collect();
-                    let name = if op.mnemonic.is_empty() {
+                    let dests: Vec<String> =
+                        op.dests().iter().map(|r| format!("r{}", r.0)).collect();
+                    let srcs: Vec<String> = op.srcs().iter().map(|r| format!("r{}", r.0)).collect();
+                    let name = if op.mnemonic().is_empty() {
                         spec.class(op.class).name.clone()
                     } else {
-                        op.mnemonic.clone()
+                        op.mnemonic().to_string()
                     };
                     match (dests.is_empty(), srcs.is_empty()) {
                         (false, false) => format!("{name} {}, {}", dests.join(","), srcs.join(",")),

@@ -95,7 +95,7 @@ fn main() {
     for cycle in 0..schedule.length {
         let word: Vec<&str> = (0..block.len())
             .filter(|&i| schedule.ops[i].cycle == cycle)
-            .map(|i| block.ops[i].mnemonic.as_str())
+            .map(|i| block.ops[i].mnemonic())
             .collect();
         println!("{cycle:>5} | {}", word.join("  ||  "));
     }

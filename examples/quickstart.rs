@@ -58,7 +58,7 @@ fn main() {
     let mut order: Vec<usize> = (0..block.len()).collect();
     order.sort_by_key(|&i| schedule.ops[i].cycle);
     for i in order {
-        println!("{:>5} | {}", schedule.ops[i].cycle, block.ops[i].mnemonic);
+        println!("{:>5} | {}", schedule.ops[i].cycle, block.ops[i].mnemonic());
     }
     println!(
         "\nschedule length: {} cycles; {} scheduling attempts, {:.2} resource checks/attempt",
