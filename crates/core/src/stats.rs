@@ -18,10 +18,17 @@
 /// Histogram of a per-attempt quantity (e.g. options checked).
 ///
 /// Buckets are exact counts; values beyond the configured capacity saturate
-/// into the last bucket.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// into the last bucket.  The buckets are allocated once, up front; the
+/// histogram also tracks how many leading buckets have ever been recorded
+/// into, so [`Histogram::reset`] and [`Histogram::merge`] touch only that
+/// prefix instead of every bucket — a per-job histogram of a short region
+/// costs a handful of bucket writes, not a walk of the full capacity.
+#[derive(Clone, Debug)]
 pub struct Histogram {
     buckets: Vec<u64>,
+    /// One past the highest bucket recorded into; every bucket at or
+    /// beyond it is zero.
+    used: usize,
 }
 
 impl Histogram {
@@ -29,13 +36,20 @@ impl Histogram {
     pub fn new(max: usize) -> Histogram {
         Histogram {
             buckets: vec![0; max + 1],
+            used: 0,
         }
+    }
+
+    /// The buckets that may be non-zero.
+    fn live(&self) -> &[u64] {
+        &self.buckets[..self.used]
     }
 
     /// Records one observation of `value`.
     pub fn record(&mut self, value: usize) {
         let idx = value.min(self.buckets.len() - 1);
         self.buckets[idx] += 1;
+        self.used = self.used.max(idx + 1);
     }
 
     /// Number of observations of exactly `value` (saturating bucket for the
@@ -46,7 +60,7 @@ impl Histogram {
 
     /// Total observations.
     pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
+        self.live().iter().sum()
     }
 
     /// Fraction of observations equal to `value`, or 0 when empty.
@@ -65,26 +79,28 @@ impl Histogram {
         if total == 0 {
             return 0.0;
         }
-        let sum: u64 = (lo..=hi.min(self.buckets.len() - 1))
-            .map(|i| self.buckets[i])
-            .sum();
+        let live = self.live();
+        let sum: u64 = live
+            .get(lo..=hi.min(live.len().saturating_sub(1)))
+            .map_or(0, |range| range.iter().sum());
         sum as f64 / total as f64
     }
 
     /// Iterates over `(value, count)` pairs with non-zero counts.
     pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets
+        self.live()
             .iter()
             .enumerate()
             .filter(|(_, &c)| c != 0)
             .map(|(i, &c)| (i, c))
     }
 
-    /// Zeroes every bucket in place, keeping the capacity — a reset
-    /// histogram compares equal to a freshly constructed one of the same
-    /// capacity without reallocating.
+    /// Zeroes the recorded buckets in place, keeping the capacity — a
+    /// reset histogram compares equal to a freshly constructed one of the
+    /// same capacity without reallocating.
     pub fn reset(&mut self) {
-        self.buckets.fill(0);
+        self.buckets[..self.used].fill(0);
+        self.used = 0;
     }
 
     /// Merges another histogram into this one.
@@ -98,11 +114,22 @@ impl Histogram {
             other.buckets.len(),
             "histogram capacities differ"
         );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+        for (a, b) in self.buckets.iter_mut().zip(other.live()) {
             *a += b;
         }
+        self.used = self.used.max(other.used);
     }
 }
+
+/// Equal capacity and equal counts; buckets never recorded into are zero
+/// on both sides, so only the recorded prefixes are compared.
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Histogram) -> bool {
+        self.buckets.len() == other.buckets.len() && self.live() == other.live()
+    }
+}
+
+impl Eq for Histogram {}
 
 impl Default for Histogram {
     fn default() -> Histogram {
@@ -452,6 +479,65 @@ mod tests {
         h.record(7);
         let items: Vec<(usize, u64)> = h.iter().collect();
         assert_eq!(items, vec![(2, 2), (7, 1)]);
+    }
+
+    #[test]
+    fn reset_after_a_high_value_clears_every_recorded_bucket() {
+        let mut h = Histogram::new(1024);
+        h.record(1);
+        h.record(700);
+        h.record(5000); // saturates into the last bucket
+        h.reset();
+        assert_eq!(h, Histogram::new(1024));
+        assert_eq!(h.total(), 0);
+        assert_eq!((h.count(700), h.count(1024)), (0, 0));
+        assert_eq!(h.iter().count(), 0);
+
+        // Recording again after the reset starts from a clean slate.
+        h.record(2);
+        let mut fresh = Histogram::new(1024);
+        fresh.record(2);
+        assert_eq!(h, fresh);
+    }
+
+    #[test]
+    fn merging_histograms_with_different_high_water_marks() {
+        let mut low = Histogram::new(16);
+        low.record(1);
+        low.record(2);
+        let mut high = Histogram::new(16);
+        high.record(2);
+        high.record(9);
+        high.record(40);
+
+        // Merge in both directions: the result is the same either way.
+        let mut a = low.clone();
+        a.merge(&high);
+        let mut b = high.clone();
+        b.merge(&low);
+        assert_eq!(a, b);
+        let items: Vec<(usize, u64)> = a.iter().collect();
+        assert_eq!(items, vec![(1, 1), (2, 2), (9, 1), (16, 1)]);
+        assert_eq!(a.total(), 5);
+        assert!((a.fraction_range(9, 100) - 0.4).abs() < 1e-12);
+
+        // Merging an empty histogram changes nothing, and a merged-then-
+        // reset histogram equals a fresh one.
+        a.merge(&Histogram::new(16));
+        assert_eq!(a, b);
+        a.reset();
+        assert_eq!(a, Histogram::new(16));
+    }
+
+    #[test]
+    fn histograms_compare_by_capacity_and_counts() {
+        let mut a = Histogram::new(8);
+        let mut b = Histogram::new(8);
+        a.record(3);
+        assert_ne!(a, b);
+        b.record(3);
+        assert_eq!(a, b);
+        assert_ne!(Histogram::new(8), Histogram::new(9));
     }
 
     #[test]

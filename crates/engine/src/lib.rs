@@ -23,8 +23,12 @@
 //!   panic is caught and surfaced rather than tearing the batch down.
 //! * [`Engine`] — the scheduling front: [`Engine::schedule_batch`] runs
 //!   the list scheduler over a batch of regions (basic blocks) against
-//!   borrowed per-worker scratch ([`mdes_sched::SchedScratch`]) and
-//!   returns index-aligned schedules plus folded statistics.
+//!   per-worker scratch ([`WorkerScratch`]) and returns index-aligned
+//!   schedules plus folded statistics. [`Engine::schedule_serial`] runs a
+//!   batch inline on the calling thread against scratch the caller owns,
+//!   for callers that are themselves long-lived workers (the daemon's
+//!   shard workers): no thread spawn and, once warm, no allocation of
+//!   scratch or statistics.
 //!
 //! ## Determinism contract
 //!
@@ -44,8 +48,10 @@
 //!    per-worker accumulators equals folding per-job stats in job-index
 //!    order, whatever the job-to-worker assignment was.
 //!
-//! Only wall-clock measurements (queue wait, busy time, jobs/sec, steal
-//! counts) vary run to run. See `docs/concurrency.md`.
+//! [`Engine::schedule_serial`] is the same computation on one worker, so
+//! its schedules and folded statistics equal `schedule_batch`'s at any
+//! worker count. Only wall-clock measurements (queue wait, busy time,
+//! jobs/sec, steal counts) vary run to run. See `docs/concurrency.md`.
 //!
 //! # Example
 //!
@@ -85,7 +91,38 @@ use mdes_core::{CheckStats, CompiledMdes};
 use mdes_sched::{Block, ListScheduler, Priority, SchedScratch, Schedule};
 use mdes_telemetry::Telemetry;
 
+use pool::run_serial;
 pub use pool::{chunk_size, run_batch, run_batch_stateful, PoolOutcome, WorkerLoad};
+
+/// One worker's reusable scheduling state: the [`SchedScratch`] every job
+/// schedules against (RU map, placement buffers, hint table), the
+/// [`CheckStats`] of the job in flight, and the accumulator finished jobs
+/// fold into.
+///
+/// Build one per long-lived thread. Every job resets what it reads on
+/// entry, so after warm-up a scratch is reused indefinitely and never
+/// reallocated — the histograms inside the two [`CheckStats`] are
+/// allocated once, here.
+#[derive(Debug, Default)]
+pub struct WorkerScratch {
+    sched: SchedScratch,
+    job: CheckStats,
+    acc: CheckStats,
+}
+
+impl WorkerScratch {
+    /// Creates an empty scratch; its buffers grow on first use.
+    pub fn new() -> WorkerScratch {
+        WorkerScratch::default()
+    }
+
+    /// Statistics folded over the jobs completed since the last
+    /// [`Engine::schedule_serial`] call began. A panicked job contributes
+    /// nothing.
+    pub fn stats(&self) -> &CheckStats {
+        &self.acc
+    }
+}
 
 /// A scheduling engine: one shared, immutable compiled MDES serving
 /// batches of region-scheduling jobs across a worker pool.
@@ -128,55 +165,45 @@ impl Engine {
         &self.mdes
     }
 
+    /// Schedules one block against `scratch` and folds its stats into
+    /// the scratch's accumulator.
+    fn run_job(&self, scratch: &mut WorkerScratch, block: &Block) -> Schedule {
+        let scheduler = ListScheduler::new(&self.mdes)
+            .with_priority(self.priority)
+            .with_hints(self.hints);
+        // Reset on entry: a panicked predecessor may have left the job
+        // stats (and the scheduling scratch) mid-flight.
+        scratch.job.reset();
+        let schedule = scheduler.schedule_reusing(block, &mut scratch.sched, &mut scratch.job);
+        // Fold only after the fallible part is done, so a panicked job
+        // contributes nothing to the accumulator.
+        scratch.acc.merge(&scratch.job);
+        schedule
+    }
+
     /// Schedules every block in `blocks` across `jobs` workers (clamped
     /// to at least one) and returns index-aligned results plus folded
     /// statistics.
     ///
     /// Workers share the compiled MDES read-only; each worker owns one
-    /// long-lived [`SchedScratch`] (RU map, placement buffers, hint
-    /// table) and one [`CheckStats`] scratch that are *reset* — not
-    /// reallocated — at the start of every job, so the result for block
-    /// *i* is independent of worker count and assignment (see the
-    /// crate-level determinism contract). A job that panics leaves a
-    /// `None` at its own index in [`BatchOutcome::schedules`] — results
-    /// are written in place by job index, never shifted — and is counted
-    /// in [`BatchOutcome::worker_panics`]; the rest of the batch
+    /// [`WorkerScratch`] for the whole batch whose scheduling buffers and
+    /// job [`CheckStats`] are *reset* — not reallocated — at the start of
+    /// every job, so the result for block *i* is independent of worker
+    /// count and assignment (see the crate-level determinism contract).
+    /// With `jobs == 1` the batch runs inline on the calling thread. A
+    /// job that panics leaves a `None` at its own index in
+    /// [`BatchOutcome::schedules`] — results are written in place by job
+    /// index, never shifted — and is counted in
+    /// [`BatchOutcome::worker_panics`]; the rest of the batch
     /// completes, and the panicked job's partial [`CheckStats`] are
     /// discarded (a job's stats fold into its worker's accumulator only
     /// after the job returns).
     pub fn schedule_batch(&self, blocks: &[Block], jobs: usize) -> BatchOutcome {
-        let mdes = &*self.mdes;
-        let priority = self.priority;
-        let hints = self.hints;
-
-        struct WorkerState {
-            scratch: SchedScratch,
-            acc: CheckStats,
-            job_stats: CheckStats,
-        }
-
         let (raw, states) = run_batch_stateful(
             blocks,
             jobs,
-            |_| WorkerState {
-                scratch: SchedScratch::new(),
-                acc: CheckStats::new(),
-                job_stats: CheckStats::new(),
-            },
-            |state, _, _, block| {
-                let scheduler = ListScheduler::new(mdes)
-                    .with_priority(priority)
-                    .with_hints(hints);
-                // Reset on entry: a panicked predecessor may have left
-                // job_stats (and the scratch) mid-flight.
-                state.job_stats.reset();
-                let schedule =
-                    scheduler.schedule_reusing(block, &mut state.scratch, &mut state.job_stats);
-                // Fold only after the fallible part is done, so a panicked
-                // job contributes nothing to the accumulator.
-                state.acc.merge(&state.job_stats);
-                schedule
-            },
+            |_| WorkerScratch::new(),
+            |scratch, _, _, block| self.run_job(scratch, block),
         );
 
         // The batch total is the fold of the per-worker accumulators.
@@ -205,6 +232,75 @@ impl Engine {
             workers,
             elapsed_nanos: raw.elapsed_nanos,
         }
+    }
+
+    /// Schedules every block in index order on the calling thread against
+    /// caller-owned `scratch`: the one-worker form of
+    /// [`Engine::schedule_batch`], with the same schedules, the same
+    /// folded statistics, and the same per-job panic isolation.
+    ///
+    /// Nothing is spawned, and the statistics stay in the scratch
+    /// ([`WorkerScratch::stats`], reset when this call begins) instead of
+    /// being copied into the outcome, so a warm scratch schedules a batch
+    /// without allocating any statistics. This is the entry point for
+    /// callers that already are long-lived workers, such as the daemon's
+    /// shard workers.
+    pub fn schedule_serial(&self, blocks: &[Block], scratch: &mut WorkerScratch) -> SerialOutcome {
+        scratch.acc.reset();
+        let mut raw = run_serial(blocks, scratch, |scratch, _, block| {
+            self.run_job(scratch, block)
+        });
+        SerialOutcome {
+            schedules: raw.results,
+            load: raw.workers.pop().unwrap_or_default(),
+        }
+    }
+}
+
+/// Jobs that completed (their slots are `Some`).
+fn completed(schedules: &[Option<Schedule>]) -> usize {
+    schedules.iter().filter(|s| s.is_some()).count()
+}
+
+/// Total schedule length over completed jobs, in cycles.
+fn total_cycles(schedules: &[Option<Schedule>]) -> i64 {
+    schedules
+        .iter()
+        .flatten()
+        .map(|s| i64::from(s.length))
+        .sum()
+}
+
+/// The result of one [`Engine::schedule_serial`] call. Its statistics
+/// live in the caller's [`WorkerScratch`], so the outcome owns none.
+#[derive(Clone, Debug)]
+pub struct SerialOutcome {
+    /// Per-block schedules, index-aligned with the input; `None` marks a
+    /// job that panicked mid-schedule.
+    pub schedules: Vec<Option<Schedule>>,
+    /// Timing and job counts of the one (calling) worker.
+    pub load: WorkerLoad,
+}
+
+impl SerialOutcome {
+    /// Jobs that completed.
+    pub fn completed(&self) -> usize {
+        completed(&self.schedules)
+    }
+
+    /// Jobs lost to a panic (their result slots are `None`).
+    pub fn worker_panics(&self) -> u64 {
+        self.load.panics
+    }
+
+    /// Whether every job completed without a panic.
+    pub fn is_clean(&self) -> bool {
+        self.worker_panics() == 0 && self.schedules.iter().all(Option::is_some)
+    }
+
+    /// Total schedule length over completed jobs, in cycles.
+    pub fn total_cycles(&self) -> i64 {
+        total_cycles(&self.schedules)
     }
 }
 
@@ -235,7 +331,7 @@ pub struct BatchOutcome {
 impl BatchOutcome {
     /// Jobs that completed.
     pub fn completed(&self) -> usize {
-        self.schedules.iter().filter(|s| s.is_some()).count()
+        completed(&self.schedules)
     }
 
     /// Jobs lost to a panic (their result slots are `None`).
@@ -256,11 +352,7 @@ impl BatchOutcome {
 
     /// Total schedule length over completed jobs, in cycles.
     pub fn total_cycles(&self) -> i64 {
-        self.schedules
-            .iter()
-            .flatten()
-            .map(|s| i64::from(s.length))
-            .sum()
+        total_cycles(&self.schedules)
     }
 
     /// Completed jobs per wall-clock second.
@@ -409,6 +501,64 @@ mod tests {
         }
         // The panicked job's partial stats were discarded from the fold.
         assert_eq!(outcome.stats, serial);
+    }
+
+    #[test]
+    fn serial_matches_the_batch_and_reuses_its_scratch() {
+        let mdes = two_alu_machine();
+        let engine = Engine::new(Arc::clone(&mdes));
+        let batch = blocks(&mdes, 7, 5);
+        let wide = engine.schedule_batch(&batch, 3);
+
+        let mut scratch = WorkerScratch::new();
+        for round in 0..2 {
+            let caller = std::thread::current().id();
+            let serial = engine.schedule_serial(&batch, &mut scratch);
+            assert_eq!(std::thread::current().id(), caller);
+            assert!(serial.is_clean(), "round {round}");
+            assert_eq!(serial.schedules, wide.schedules, "round {round}");
+            assert_eq!(serial.total_cycles(), wide.total_cycles());
+            assert_eq!(serial.completed(), 7);
+            // Stats restart with every call rather than accumulating
+            // across calls on the same scratch.
+            assert_eq!(scratch.stats(), &wide.stats, "round {round}");
+        }
+    }
+
+    #[test]
+    fn a_panicked_serial_job_leaves_none_and_no_stats() {
+        let mdes = two_alu_machine();
+        let engine = Engine::new(Arc::clone(&mdes));
+        let mut batch = blocks(&mdes, 5, 3);
+        let clean = engine.schedule_batch(&batch, 1);
+        batch[2] = {
+            let mut block = Block::new();
+            block.push(Op::new(
+                mdes_core::ClassId::from_index(999),
+                vec![Reg(0)],
+                vec![],
+            ));
+            block
+        };
+        let mut scratch = WorkerScratch::new();
+        let outcome = engine.schedule_serial(&batch, &mut scratch);
+        assert!(!outcome.is_clean());
+        assert_eq!(outcome.worker_panics(), 1);
+        assert!(outcome.schedules[2].is_none());
+        assert_eq!(outcome.completed(), 4);
+        let scheduler = ListScheduler::new(&mdes);
+        let mut serial = CheckStats::new();
+        for index in [0, 1, 3, 4] {
+            let want = scheduler.schedule(&batch[index], &mut serial);
+            assert_eq!(outcome.schedules[index].as_ref(), Some(&want));
+        }
+        assert_eq!(scratch.stats(), &serial);
+        // The scratch is left as the panic left it; the next call still
+        // matches a clean run.
+        batch[2] = blocks(&mdes, 5, 3).swap_remove(2);
+        let again = engine.schedule_serial(&batch, &mut scratch);
+        assert_eq!(again.schedules, clean.schedules);
+        assert_eq!(scratch.stats(), &clean.stats);
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //! index-aligned slots after all workers join, so output order never
 //! depends on thread interleaving, chunk size, or who stole what.
 //!
+//! A one-thread batch skips all of it: `run_serial` drains the slice in
+//! index order on the calling thread, with no scope, no spawn and no
+//! queue, and [`run_batch_stateful`] takes that path whenever `threads`
+//! is one. `Engine::schedule_serial` calls `run_serial` directly with
+//! caller-owned state that outlives the batch (a daemon worker's).
+//!
 //! The range word packs `start << 32 | end` (batches are capped at
 //! `u32::MAX` jobs). Pops advance `start` by CAS; steals move `end` down
 //! by CAS; the owner installs a fresh range only while its word is empty.
@@ -256,6 +262,9 @@ where
 /// allocating per job: `work` resets the scratch on entry and the state
 /// survives across every job the worker claims or steals.
 ///
+/// With one thread the batch runs inline on the caller: no scope is
+/// opened and no thread is spawned.
+///
 /// # Panic contract
 ///
 /// A panicking job leaves the worker's state exactly as the panic left
@@ -279,6 +288,13 @@ where
     F: Fn(&mut S, usize, usize, &T) -> R + Sync,
 {
     let threads = threads.max(1);
+    if threads == 1 {
+        let mut state = init(0);
+        let outcome = run_serial(items, &mut state, |state, index, item| {
+            work(state, 0, index, item)
+        });
+        return (outcome, vec![state]);
+    }
     let queue = StealQueue::new(items.len(), threads);
     let started = Instant::now();
 
@@ -351,6 +367,50 @@ where
     )
 }
 
+/// Runs `work` over every item of `items` in index order on the calling
+/// thread, as worker 0, against caller-owned `state`.
+///
+/// This is the one-thread form of [`run_batch_stateful`], which delegates
+/// here: no thread is spawned and nothing is shared, so a caller that
+/// already runs on a long-lived thread keeps its state across batches
+/// (reset on entry by `work`, never reallocated). `work` receives
+/// `(state, job_index, item)`. The contract is the pool's: each job runs
+/// under [`catch_unwind`], a panicking job leaves `None` at its own index
+/// and bumps the worker's `panics`, and the state is left as the panic
+/// left it.
+pub(crate) fn run_serial<T, R, S, F>(items: &[T], state: &mut S, work: F) -> PoolOutcome<R>
+where
+    F: Fn(&mut S, usize, &T) -> R,
+{
+    let started = Instant::now();
+    let mut load = WorkerLoad::default();
+    let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
+    let mut assigned: Vec<Option<usize>> = Vec::with_capacity(items.len());
+    for (index, item) in items.iter().enumerate() {
+        let busy_started = Instant::now();
+        let result = catch_unwind(AssertUnwindSafe(|| work(state, index, item)));
+        load.busy_nanos += busy_started.elapsed().as_nanos();
+        match result {
+            Ok(value) => {
+                load.jobs += 1;
+                results.push(Some(value));
+                assigned.push(Some(0));
+            }
+            Err(_) => {
+                load.panics += 1;
+                results.push(None);
+                assigned.push(None);
+            }
+        }
+    }
+    PoolOutcome {
+        results,
+        assigned,
+        workers: vec![load],
+        elapsed_nanos: started.elapsed().as_nanos(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,6 +477,71 @@ mod tests {
         assert_eq!(completed, 19);
         let panics: u64 = outcome.workers.iter().map(|w| w.panics).sum();
         assert_eq!(panics, 1);
+    }
+
+    #[test]
+    fn one_thread_runs_every_job_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..40).collect();
+        let outcome = run_batch(&items, 1, |worker, _, item| {
+            assert_eq!(std::thread::current().id(), caller);
+            assert_eq!(worker, 0);
+            *item
+        });
+        assert_eq!(outcome.results.iter().flatten().count(), 40);
+        assert_eq!(outcome.workers.len(), 1);
+        assert_eq!(outcome.workers[0].jobs, 40);
+        assert_eq!(outcome.workers[0].steals, 0);
+    }
+
+    #[test]
+    fn a_panicking_job_on_one_thread_leaves_none_at_its_own_index() {
+        let items: Vec<usize> = (0..20).collect();
+        let outcome = run_batch(&items, 1, |_, index, item| {
+            assert!(index != 11, "deliberate test panic");
+            *item
+        });
+        for (index, result) in outcome.results.iter().enumerate() {
+            if index == 11 {
+                assert!(result.is_none());
+                assert!(outcome.assigned[index].is_none());
+            } else {
+                assert_eq!(*result, Some(index), "job {index}");
+                assert_eq!(outcome.assigned[index], Some(0));
+            }
+        }
+        assert_eq!(outcome.workers[0].panics, 1);
+        assert_eq!(outcome.workers[0].jobs, 19);
+    }
+
+    #[test]
+    fn one_thread_still_returns_worker_state() {
+        let items: Vec<usize> = (0..50).collect();
+        let (outcome, states) = run_batch_stateful(
+            &items,
+            1,
+            |worker| (worker, 0u64),
+            |state, worker, _, item| {
+                assert_eq!(worker, 0);
+                state.1 += *item as u64;
+                *item
+            },
+        );
+        assert_eq!(states, vec![(0, (0..50).sum::<u64>())]);
+        assert_eq!(outcome.results.iter().flatten().count(), 50);
+    }
+
+    #[test]
+    fn serial_state_is_the_callers_and_outlives_the_batch() {
+        let mut seen = Vec::new();
+        for batch in [[1u32, 2], [3, 4]] {
+            let outcome = run_serial(&batch, &mut seen, |seen, index, item| {
+                seen.push(*item);
+                index
+            });
+            assert_eq!(outcome.results, vec![Some(0), Some(1)]);
+        }
+        assert_eq!(seen, vec![1, 2, 3, 4]);
     }
 
     #[test]

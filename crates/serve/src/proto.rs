@@ -133,7 +133,9 @@ pub struct WorkParams {
     pub mean_ops: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Engine workers for this request.
+    /// Parallelism hint, range-checked against [`MAX_JOBS`].  The daemon
+    /// runs every request on the one shard worker that pops it, so the
+    /// hint never adds threads or changes a reply.
     pub jobs: usize,
 }
 

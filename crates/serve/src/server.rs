@@ -5,7 +5,14 @@
 //!
 //! One accept thread, a reader *and* a writer thread per connection, and
 //! per shard a fixed pool of request workers draining that shard's
-//! [`AdmissionQueue`].  The reader frames requests, answers the cheap
+//! [`AdmissionQueue`] — `1 + shards × workers + 2 × connections` threads
+//! in all, whatever the requests ask for.  A request runs start to finish
+//! on the worker that pops it, against [`WorkerScratch`] that worker
+//! builds once and reuses for its whole life; the request's `jobs` field
+//! is a hint the daemon does not turn into threads, since the shard pools
+//! already run requests in parallel.  Every daemon thread is named
+//! (`serve-accept`, `serve-worker`, `serve-reader`, `serve-writer`).
+//! The reader frames requests, answers the cheap
 //! verbs (`query`, `stats`, `reload`, `shutdown`) through the writer,
 //! and for work verbs (`schedule`, `verify`, `poison`) captures the
 //! target shard's serving image and pushes a job.  The writer serializes
@@ -55,7 +62,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mdes_engine::Engine;
+use mdes_engine::{Engine, WorkerScratch};
 use mdes_sched::DepGraph;
 use mdes_telemetry::json::Json;
 use mdes_telemetry::{LatencyRecorder, Telemetry};
@@ -79,7 +86,7 @@ pub enum BindAddr {
 /// Daemon tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Request worker threads.
+    /// Request worker threads per shard.
     pub workers: usize,
     /// Admission queue bound; pushes past it shed.
     pub queue_capacity: usize,
@@ -622,7 +629,7 @@ pub fn serve_sharded(
         .flat_map(|shard_index| (0..shared.config.workers.max(1)).map(move |_| shard_index))
         .map(|shard_index| {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || worker_loop(&shared, shard_index))
+            spawn_named("serve-worker", move || worker_loop(&shared, shard_index))
         })
         .collect();
 
@@ -631,7 +638,9 @@ pub fn serve_sharded(
         let shared = Arc::clone(&shared);
         let connections = Arc::clone(&connections);
         let accept_addr = addr.clone();
-        std::thread::spawn(move || accept_loop(listener, &accept_addr, &shared, &connections))
+        spawn_named("serve-accept", move || {
+            accept_loop(listener, &accept_addr, &shared, &connections)
+        })
     };
 
     Ok(ServerHandle {
@@ -641,6 +650,16 @@ pub fn serve_sharded(
         workers,
         connections,
     })
+}
+
+/// Spawns a daemon thread under `name`, so `/proc/<pid>/task/*/comm`
+/// and debuggers tell the daemon's threads apart.  Panics, as
+/// [`std::thread::spawn`] does, if the OS cannot create the thread.
+fn spawn_named(name: &str, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(body)
+        .expect("failed to spawn daemon thread")
 }
 
 fn accept_loop(
@@ -662,8 +681,9 @@ fn accept_loop(
                 shared.stats.connections.fetch_add(1, Ordering::Relaxed);
                 let shared = Arc::clone(shared);
                 let conn_addr = addr.clone();
-                let handle =
-                    std::thread::spawn(move || connection_loop(stream, &shared, &conn_addr));
+                let handle = spawn_named("serve-reader", move || {
+                    connection_loop(stream, &shared, &conn_addr)
+                });
                 connections.lock().unwrap().push(handle);
             }
             Err(_) => {
@@ -690,7 +710,7 @@ fn connection_loop(stream: Stream, shared: &Arc<Shared>, addr: &BindAddr) {
         Err(_) => return,
     };
     let (out, out_rx) = mpsc::channel::<String>();
-    let writer = std::thread::spawn(move || writer_loop(write_half, out_rx));
+    let writer = spawn_named("serve-writer", move || writer_loop(write_half, out_rx));
     read_loop(stream, &out, shared, addr);
     // Dropping the reader's sender lets the writer exit once every
     // still-running pipelined job has delivered (or dropped) its reply;
@@ -1003,8 +1023,12 @@ fn admit(
     }
 }
 
+/// One shard worker: pops jobs until the queue closes and drains.  The
+/// scheduling scratch lives as long as the thread, so no request
+/// allocates a scheduler scratch or statistics of its own.
 fn worker_loop(shared: &Arc<Shared>, shard_index: usize) {
     let shard = &shared.shards[shard_index];
+    let mut scratch = WorkerScratch::new();
     while let Some(job) = shard.queue.pop() {
         let line = if job
             .deadline
@@ -1025,7 +1049,7 @@ fn worker_loop(shared: &Arc<Shared>, shard_index: usize) {
                 None,
             )
         } else {
-            execute(&job, &shared.stats, &shard.stats)
+            execute(&job, &mut scratch, &shared.stats, &shard.stats)
         };
         let latency_us = job.admitted_at.elapsed().as_micros() as u64;
         shared.stats.latency.record(latency_us);
@@ -1038,12 +1062,18 @@ fn worker_loop(shared: &Arc<Shared>, shard_index: usize) {
     }
 }
 
-/// Runs one job inside the panic-isolation boundary.
-fn execute(job: &Job, global: &ServeStats, shard: &ServeStats) -> String {
+/// Runs one job inside the panic-isolation boundary.  A panic may leave
+/// `scratch` mid-flight; the engine resets it on entry to the next job.
+fn execute(
+    job: &Job,
+    scratch: &mut WorkerScratch,
+    global: &ServeStats,
+    shard: &ServeStats,
+) -> String {
     let outcome = catch_unwind(AssertUnwindSafe(|| match &job.kind {
         JobKind::Poison => panic!("poison verb"),
         JobKind::Work { params, verify } => {
-            run_work(job.id, *params, *verify, &job.image, global, shard)
+            run_work(job.id, *params, *verify, &job.image, scratch, global, shard)
         }
     }));
     match outcome {
@@ -1061,11 +1091,22 @@ fn execute(job: &Job, global: &ServeStats, shard: &ServeStats) -> String {
     }
 }
 
-fn run_work(
+/// Answers one `schedule` (or, with `verify`, `verify`) request on the
+/// calling thread and returns its reply line: generates the request's
+/// regions against `image`, schedules them against the caller's
+/// long-lived `scratch`, and — for `verify` — replays every schedule
+/// through [`mdes_sched::Schedule::verify`] against its dependence graph.
+///
+/// `params.jobs` is only a hint: the request runs on this one thread, and
+/// by the engine's determinism contract the reply is byte-identical for
+/// every `jobs` value.  Engine panics are counted in both `global` and
+/// `shard`.
+pub fn run_work(
     id: u64,
     params: WorkParams,
     verify: bool,
     image: &ServeImage,
+    scratch: &mut WorkerScratch,
     global: &ServeStats,
     shard: &ServeStats,
 ) -> String {
@@ -1074,7 +1115,7 @@ fn run_work(
         .with_seed(params.seed);
     let workload = generate_compiled_regions(&image.mdes, &config);
     let engine = Engine::new(Arc::clone(&image.mdes));
-    let outcome = engine.schedule_batch(&workload.blocks, params.jobs);
+    let outcome = engine.schedule_serial(&workload.blocks, scratch);
     global
         .engine_panics
         .fetch_add(outcome.worker_panics(), Ordering::Relaxed);
@@ -1111,7 +1152,7 @@ fn run_work(
             ("regions", Json::Num(outcome.completed() as f64)),
             ("ops", Json::Num(workload.total_ops as f64)),
             ("cycles", Json::Num(outcome.total_cycles() as f64)),
-            ("attempts", Json::Num(outcome.stats.attempts as f64)),
+            ("attempts", Json::Num(scratch.stats().attempts as f64)),
             ("verified", Json::Bool(verify)),
         ]),
     )

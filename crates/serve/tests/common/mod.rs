@@ -97,14 +97,20 @@ impl TestConn {
         let _ = self.reader.get_mut().write_all(bytes);
     }
 
-    /// Reads one response line.
-    pub fn read_reply(&mut self) -> Result<Reply, String> {
+    /// Reads one response line, exactly as the daemon wrote it (newline
+    /// included).
+    pub fn read_line(&mut self) -> Result<String, String> {
         let mut line = String::new();
         match self.reader.read_line(&mut line) {
             Ok(0) => Err("connection closed".to_string()),
-            Ok(_) => parse_reply(line.trim_end()),
+            Ok(_) => Ok(line),
             Err(e) => Err(format!("read: {e}")),
         }
+    }
+
+    /// Reads one response line.
+    pub fn read_reply(&mut self) -> Result<Reply, String> {
+        parse_reply(self.read_line()?.trim_end())
     }
 
     /// One request line out, one reply back.
