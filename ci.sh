@@ -2,7 +2,8 @@
 # CI gate. Run from the repo root.
 #
 #   ./ci.sh          fast tier-1 gate: release build, dev-profile tests
-#                    (debug assertions on), formatting
+#                    (debug assertions on), the scheduler and workload
+#                    allocation gates, formatting
 #   ./ci.sh --full   everything above plus the release-profile workspace
 #                    suites, the bench-serve concurrency smokes, the
 #                    daemon serving smokes (a v1 serial client and a
@@ -76,6 +77,12 @@ cargo build --release
 # Functional tests run under the dev profile, with debug assertions
 # enabled, so internal invariants are checked rather than compiled out.
 cargo test -q
+
+# The root package's tests leave out member crates' own test targets.
+# The two allocation gates take under a second and guard the layouts the
+# benchmark's memory figures depend on: a heap-free `Op`, one allocation
+# per generated region, and allocation-free reservation attempts.
+cargo test -q -p mdes-sched -p mdes-workload --test allocations
 
 cargo fmt --check
 

@@ -247,7 +247,7 @@ pub fn loops_from_blocks(mdes: &CompiledMdes, blocks: &[Block]) -> Vec<LoopBlock
                 if flags.branch || flags.serial {
                     continue;
                 }
-                body.push(op.clone());
+                body.push(*op);
             }
             let n = body.ops.len();
             if n == 0 {

@@ -1,8 +1,8 @@
 //! MDES-driven schedulers: the "generic, high-quality scheduler … that can
 //! be quickly targeted to a new processor" of the paper's introduction.
 //!
-//! * [`operation`] — the operation / basic-block model (an [`Op`] keeps
-//!   its destination and source registers in one boxed slice);
+//! * [`operation`] — the operation / basic-block model (an [`Op`] is a
+//!   24-byte `Copy` value holding its registers inline);
 //! * [`depgraph`] — dependence-DAG construction with MDES latencies;
 //! * [`list`] — the forward (and backward) cycle-driven list scheduler
 //!   whose attempt counting matches the paper's statistics;

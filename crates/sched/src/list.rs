@@ -102,6 +102,13 @@ impl Schedule {
     ///
     /// Returns a description of the first violation found.
     pub fn verify(&self, graph: &DepGraph, mdes: &CompiledMdes) -> Result<(), String> {
+        if self.ops.len() != graph.num_ops {
+            return Err(format!(
+                "schedule places {} operation(s) but the block has {}",
+                self.ops.len(),
+                graph.num_ops
+            ));
+        }
         for edges in &graph.succs {
             for edge in edges {
                 let from = self.ops[edge.from].cycle;
@@ -832,6 +839,35 @@ mod tests {
         // Corrupt the schedule: consumer before producer completes.
         schedule.ops[1].cycle = 0;
         assert!(schedule.verify(&graph, &mdes).is_err());
+    }
+
+    #[test]
+    fn verify_rejects_schedules_that_leave_operations_out() {
+        let mdes = two_issue();
+        let alu = class(&mdes, "alu");
+        // Three independent ops, and a three-op dependence chain.
+        let independent: Block = (0..3).map(|i| Op::new(alu, vec![Reg(i)], vec![])).collect();
+        let chain: Block = (0..3)
+            .map(|i| Op::new(alu, vec![Reg(i + 1)], vec![Reg(i)]))
+            .collect();
+        let graph = DepGraph::build(&independent, &mdes);
+        let err = Schedule::default().verify(&graph, &mdes).unwrap_err();
+        assert!(
+            err.contains("places 0 operation(s) but the block has 3"),
+            "{err}"
+        );
+
+        for block in [independent, chain] {
+            let graph = DepGraph::build(&block, &mdes);
+            let mut schedule = ListScheduler::new(&mdes).schedule(&block, &mut CheckStats::new());
+            schedule.verify(&graph, &mdes).unwrap();
+            schedule.ops.pop();
+            let err = schedule.verify(&graph, &mdes).unwrap_err();
+            assert!(
+                err.contains("places 2 operation(s) but the block has 3"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -66,6 +66,31 @@ impl ModuloSchedule {
     ///
     /// Returns a description of the first violation.
     pub fn verify(&self, looped: &LoopBlock, mdes: &CompiledMdes) -> Result<(), String> {
+        let n = looped.body.len();
+        if self.ii < 1 {
+            return Err(format!("II {} is not positive", self.ii));
+        }
+        if self.cycles.len() != n {
+            return Err(format!(
+                "schedule places {} operation(s) but the body has {n}",
+                self.cycles.len()
+            ));
+        }
+        if self.bounds.len() != n + 1 {
+            return Err(format!(
+                "schedule has {} selection bound(s) for {n} operation(s)",
+                self.bounds.len()
+            ));
+        }
+        if let Some(&(from, to, ..)) = looped
+            .carried
+            .iter()
+            .find(|&&(from, to, ..)| from >= n || to >= n)
+        {
+            return Err(format!(
+                "carried dependence {from}→{to} names an operation outside the {n}-op body"
+            ));
+        }
         let graph = DepGraph::build(&looped.body, mdes);
         for edges in &graph.succs {
             for edge in edges {
@@ -680,6 +705,49 @@ mod tests {
         schedule.selected[0] = schedule.selection(2)[0];
         let err = schedule.verify(&looped, &mdes).unwrap_err();
         assert!(err.contains("not in its OR-tree 0"), "{err}");
+    }
+
+    #[test]
+    fn verify_rejects_schedules_shaped_unlike_the_body() {
+        let mdes = pipe_mdes();
+        let mut looped = simple_loop(&mdes, 2, 1);
+        looped.carried.push((2, 0, 1, 1));
+        let schedule = ModuloScheduler::new(&mdes).schedule(&looped, &mut CheckStats::new());
+        schedule.verify(&looped, &mdes).unwrap();
+        let rejects = |broken: &ModuloSchedule, looped: &LoopBlock, expected: &str| {
+            let err = broken.verify(looped, &mdes).unwrap_err();
+            assert!(err.contains(expected), "{err}");
+        };
+
+        let mut short = schedule.clone();
+        short.cycles.pop();
+        rejects(&short, &looped, "places 2 operation(s) but the body has 3");
+        let mut long = schedule.clone();
+        long.cycles.push(0);
+        rejects(&long, &looped, "places 4 operation(s) but the body has 3");
+        let mut unbounded = schedule.clone();
+        unbounded.bounds.pop();
+        rejects(
+            &unbounded,
+            &looped,
+            "3 selection bound(s) for 3 operation(s)",
+        );
+        unbounded.bounds.clear();
+        rejects(
+            &unbounded,
+            &looped,
+            "0 selection bound(s) for 3 operation(s)",
+        );
+        for ii in [0, -2] {
+            let mut stalled = schedule.clone();
+            stalled.ii = ii;
+            rejects(&stalled, &looped, "is not positive");
+        }
+        for carried in [(3, 0, 1, 1), (0, 7, 1, 1)] {
+            let mut stray = looped.clone();
+            stray.carried.push(carried);
+            rejects(&schedule, &stray, "outside the 3-op body");
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The operation and basic-block model the schedulers consume.
 //!
 //! An operation is deliberately minimal: an MDES class (which carries the
-//! resource constraint, latency and semantic flags), destination and
-//! source registers, and an optional mnemonic for diagnostics.  Everything
-//! the scheduler needs to know about *how* the operation executes lives in
-//! the machine description — that is the point of the MDES model.
+//! resource constraint, latency and semantic flags) plus destination and
+//! source registers.  Everything the scheduler needs to know about *how*
+//! the operation executes lives in the machine description — that is the
+//! point of the MDES model.
 
 use std::fmt;
 
@@ -16,61 +16,79 @@ pub struct Reg(pub u32);
 
 /// One operation of a basic block.
 ///
-/// Stored compactly: destinations and sources share one boxed register
-/// slice (destinations first), and the mnemonic is a `Box<str>`, so an
-/// operation is 40 bytes plus at most two heap blocks — one when it has no
-/// mnemonic, none when it also has no operands.
-#[derive(Clone, PartialEq, Eq)]
+/// A 24-byte `Copy` value: destinations and sources share one inline
+/// array of [`Op::MAX_OPERANDS`] registers (destinations first), so
+/// building, copying or dropping an operation never touches the heap.
+/// Equality and `Debug` see only the class, destinations and sources.
+#[derive(Copy, Clone)]
 pub struct Op {
     /// MDES operation class.
     pub class: ClassId,
     /// How many leading entries of `regs` are destinations.
-    num_dests: u32,
-    /// Destination registers, then source registers.
-    regs: Box<[Reg]>,
-    /// Mnemonic for diagnostics (does not affect scheduling).
-    mnemonic: Box<str>,
+    num_dests: u8,
+    /// How many leading entries of `regs` are operands at all.
+    num_regs: u8,
+    /// Destination registers, then source registers, then unused slots.
+    regs: [Reg; Op::MAX_OPERANDS],
 }
 
 impl Op {
+    /// Most operands (destinations plus sources) one operation holds.
+    pub const MAX_OPERANDS: usize = 4;
+
     /// Creates an operation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dests` and `srcs` hold more than [`Op::MAX_OPERANDS`]
+    /// registers together.
     pub fn new(class: ClassId, dests: Vec<Reg>, srcs: Vec<Reg>) -> Op {
         Op::from_regs(class, &dests, &srcs)
     }
 
-    /// Creates an operation from borrowed register lists, with one
-    /// exactly-sized allocation for the operands (none when both lists
-    /// are empty).
+    /// Creates an operation from borrowed register lists; allocates
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dests` and `srcs` hold more than [`Op::MAX_OPERANDS`]
+    /// registers together.
     pub fn from_regs(class: ClassId, dests: &[Reg], srcs: &[Reg]) -> Op {
+        let num_regs = dests.len() + srcs.len();
+        assert!(
+            num_regs <= Op::MAX_OPERANDS,
+            "an operation holds at most {} operands, got {num_regs}",
+            Op::MAX_OPERANDS
+        );
+        let mut regs = [Reg(0); Op::MAX_OPERANDS];
+        regs[..dests.len()].copy_from_slice(dests);
+        regs[dests.len()..num_regs].copy_from_slice(srcs);
         Op {
             class,
-            num_dests: dests.len() as u32,
-            regs: dests.iter().chain(srcs).copied().collect(),
-            mnemonic: Box::default(),
+            num_dests: dests.len() as u8,
+            num_regs: num_regs as u8,
+            regs,
         }
-    }
-
-    /// Attaches a mnemonic for diagnostics.
-    pub fn with_mnemonic(mut self, mnemonic: impl Into<String>) -> Op {
-        self.mnemonic = mnemonic.into().into_boxed_str();
-        self
     }
 
     /// Destination registers (written).
     pub fn dests(&self) -> &[Reg] {
-        &self.regs[..self.num_dests as usize]
+        &self.regs[..usize::from(self.num_dests)]
     }
 
     /// Source registers (read).
     pub fn srcs(&self) -> &[Reg] {
-        &self.regs[self.num_dests as usize..]
-    }
-
-    /// Mnemonic for diagnostics; empty when none was attached.
-    pub fn mnemonic(&self) -> &str {
-        &self.mnemonic
+        &self.regs[usize::from(self.num_dests)..usize::from(self.num_regs)]
     }
 }
+
+impl PartialEq for Op {
+    fn eq(&self, other: &Op) -> bool {
+        self.class == other.class && self.dests() == other.dests() && self.srcs() == other.srcs()
+    }
+}
+
+impl Eq for Op {}
 
 impl fmt::Debug for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -78,7 +96,6 @@ impl fmt::Debug for Op {
             .field("class", &self.class)
             .field("dests", &self.dests())
             .field("srcs", &self.srcs())
-            .field("mnemonic", &self.mnemonic())
             .finish()
     }
 }
@@ -94,6 +111,14 @@ impl Block {
     /// Creates an empty block.
     pub fn new() -> Block {
         Block::default()
+    }
+
+    /// Creates an empty block with room for `ops` operations, so a block
+    /// built to a known length is one allocation.
+    pub fn with_capacity(ops: usize) -> Block {
+        Block {
+            ops: Vec::with_capacity(ops),
+        }
     }
 
     /// Appends an operation and returns its index.
@@ -146,23 +171,49 @@ mod tests {
     }
 
     #[test]
-    fn mnemonic_is_cosmetic() {
-        let class = ClassId::from_index(0);
-        let plain = Op::new(class, vec![], vec![Reg(0)]);
-        let named = plain.clone().with_mnemonic("ld");
-        assert_eq!(named.mnemonic(), "ld");
-        assert_eq!(named.class, plain.class);
+    fn every_operand_split_round_trips() {
+        let class = ClassId::from_index(3);
+        let regs: Vec<Reg> = (10..10 + Op::MAX_OPERANDS as u32).map(Reg).collect();
+        for total in 0..=Op::MAX_OPERANDS {
+            for num_dests in 0..=total {
+                let (dests, srcs) = regs[..total].split_at(num_dests);
+                let op = Op::from_regs(class, dests, srcs);
+                assert_eq!(op.class, class);
+                assert_eq!(
+                    (op.dests(), op.srcs()),
+                    (dests, srcs),
+                    "{total}/{num_dests}"
+                );
+                assert_eq!(op, Op::new(class, dests.to_vec(), srcs.to_vec()));
+            }
+        }
     }
 
     #[test]
-    fn operands_split_back_into_dests_and_srcs() {
+    #[should_panic(expected = "at most 4 operands, got 5")]
+    fn five_operands_panic() {
+        let class = ClassId::from_index(0);
+        Op::new(class, vec![Reg(1), Reg(2)], vec![Reg(3), Reg(4), Reg(5)]);
+    }
+
+    #[test]
+    fn equality_sees_class_dests_and_srcs_only() {
         let class = ClassId::from_index(0);
         let op = Op::new(class, vec![Reg(1)], vec![Reg(2), Reg(3)]);
-        assert_eq!(op.dests(), &[Reg(1)]);
-        assert_eq!(op.srcs(), &[Reg(2), Reg(3)]);
         assert_eq!(op, Op::from_regs(class, &[Reg(1)], &[Reg(2), Reg(3)]));
         // The split point is part of equality: same registers, other roles.
         assert_ne!(op, Op::new(class, vec![Reg(1), Reg(2)], vec![Reg(3)]));
+        assert_ne!(op, Op::new(class, vec![Reg(1)], vec![Reg(2)]));
+        assert_ne!(
+            op,
+            Op::new(ClassId::from_index(1), vec![Reg(1)], vec![Reg(2), Reg(3)])
+        );
+        // Whatever an unused slot holds never shows.
+        let mut stale = op;
+        stale.regs[Op::MAX_OPERANDS - 1] = Reg(99);
+        assert_eq!(stale, op);
+        assert_eq!(format!("{stale:?}"), format!("{op:?}"));
+        assert!(!format!("{stale:?}").contains("99"));
         assert!(Op::new(class, vec![], vec![]).srcs().is_empty());
     }
 }

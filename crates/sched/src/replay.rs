@@ -55,16 +55,16 @@ pub fn replay_blocks(num_classes: usize, config: &ReplayConfig) -> Vec<Block> {
     (0..config.blocks)
         .map(|b| {
             let mut rng = ProbeRng::new(config.seed, 0x1000 + u64::from(b));
-            let mut block = Block::new();
-            for i in 0..config.ops_per_block {
-                let class = ClassId::from_index(rng.gen_range(classes) as usize);
-                let mut srcs = Vec::new();
-                if i > 0 && rng.gen_range(100) < config.dep_percent {
-                    srcs.push(Reg(rng.gen_range(i)));
-                }
-                block.push(Op::new(class, vec![Reg(i)], srcs));
-            }
-            block
+            (0..config.ops_per_block)
+                .map(|i| {
+                    let class = ClassId::from_index(rng.gen_range(classes) as usize);
+                    if i > 0 && rng.gen_range(100) < config.dep_percent {
+                        Op::from_regs(class, &[Reg(i)], &[Reg(rng.gen_range(i))])
+                    } else {
+                        Op::from_regs(class, &[Reg(i)], &[])
+                    }
+                })
+                .collect::<Block>()
         })
         .collect()
 }

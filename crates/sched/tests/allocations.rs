@@ -8,7 +8,8 @@
 //!   buffer has capacity — successful or failed, plain or hinted;
 //! * scheduling a block against warm scratch makes a fixed number of
 //!   allocations, however many attempts the block needs;
-//! * operations and placements stay compact.
+//! * operations and placements stay compact, and an operation is a
+//!   heap-free `Copy` value.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -193,10 +194,16 @@ fn block_allocations_do_not_depend_on_attempt_count() {
     }
 }
 
+// An operation is plain data: copying one never clones a heap block.
+const _: fn() = || {
+    fn is_copy<T: Copy>() {}
+    is_copy::<Op>();
+};
+
 #[test]
 fn operations_and_placements_stay_compact() {
     assert!(
-        std::mem::size_of::<Op>() <= 40,
+        std::mem::size_of::<Op>() <= 24,
         "{}",
         std::mem::size_of::<Op>()
     );
@@ -205,10 +212,10 @@ fn operations_and_placements_stay_compact() {
         "{}",
         std::mem::size_of::<ScheduledOp>()
     );
-    // One operand allocation per operation, none for the mnemonic slot.
+    // The operands live inline: building an operation allocates nothing.
     let class = mdes_core::ClassId::from_index(0);
     let (allocations, op) = allocations_in(|| Op::from_regs(class, &[Reg(1)], &[Reg(2), Reg(3)]));
-    assert_eq!(allocations, 1);
+    assert_eq!(allocations, 0);
     assert_eq!(
         (op.dests(), op.srcs()),
         (&[Reg(1)][..], &[Reg(2), Reg(3)][..])

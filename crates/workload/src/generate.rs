@@ -33,11 +33,6 @@ pub struct WorkloadConfig {
     /// operand carrying no register dependence (high for x86, where many
     /// operations take memory operands).
     pub free_operand_fraction: f64,
-    /// Attach a concrete opcode mnemonic (drawn from the machine's `op`
-    /// vocabulary) to every operation.  Off by default: mnemonics cost
-    /// an allocation per operation and only matter for human-readable
-    /// output.
-    pub mnemonics: bool,
     /// Block-length multiplier modeling the compiler's ILP-optimization
     /// level (1.0 = the calibrated SPEC CINT92 mix; superblock/hyperblock
     /// formation and inlining produce proportionally longer blocks).
@@ -64,7 +59,6 @@ impl WorkloadConfig {
             registers,
             dependence_density,
             free_operand_fraction,
-            mnemonics: false,
             ilp_scale,
         }
     }
@@ -80,12 +74,6 @@ impl WorkloadConfig {
             "ilp_scale must be positive"
         );
         self.ilp_scale = scale;
-        self
-    }
-
-    /// Enables opcode mnemonics on generated operations.
-    pub fn with_mnemonics(mut self) -> WorkloadConfig {
-        self.mnemonics = true;
         self
     }
 
@@ -139,16 +127,6 @@ pub fn generate(machine: Machine, spec: &MdesSpec, config: &WorkloadConfig) -> W
             .unwrap_or_else(|| panic!("mix references unknown class `{}`", template.class));
         (id, template.srcs, template.dests)
     };
-    // Per-class opcode lists for mnemonic annotation.
-    let vocabulary: Vec<Vec<String>> = spec
-        .class_ids()
-        .map(|id| {
-            spec.opcodes_of_class(id)
-                .into_iter()
-                .map(str::to_string)
-                .collect()
-        })
-        .collect();
     let body: Vec<(ClassId, usize, usize)> = body_mix(machine).iter().map(resolve).collect();
     let body_weights: Vec<f64> = body_mix(machine).iter().map(|t| t.weight).collect();
     let ends: Vec<(ClassId, usize, usize)> = end_mix(machine).iter().map(resolve).collect();
@@ -170,13 +148,13 @@ pub fn generate(machine: Machine, spec: &MdesSpec, config: &WorkloadConfig) -> W
         let span = (2.0 * mean_body_len - 1.0).max(1.0) as u32;
         let body_len = 1 + rng.gen_range(span) as usize;
 
-        let mut block = Block::new();
-        let mut recent: Vec<Reg> = Vec::with_capacity(8);
+        let mut block = Block::with_capacity(body_len + 1);
+        let mut recent = Recent::new();
 
         for _ in 0..body_len {
             let pick = rng.pick_weighted(&body_weights);
             let (class, srcs, dests) = body[pick];
-            let op = make_op(
+            block.push(make_op(
                 class,
                 srcs,
                 dests,
@@ -184,13 +162,12 @@ pub fn generate(machine: Machine, spec: &MdesSpec, config: &WorkloadConfig) -> W
                 &mut rng,
                 &mut recent,
                 &mut next_reg,
-            );
-            block.push(annotate(op, config, &vocabulary, &mut rng));
+            ));
         }
         // Terminator.
         let pick = rng.pick_weighted(&end_weights);
         let (class, srcs, dests) = ends[pick];
-        let op = make_op(
+        block.push(make_op(
             class,
             srcs,
             dests,
@@ -198,8 +175,7 @@ pub fn generate(machine: Machine, spec: &MdesSpec, config: &WorkloadConfig) -> W
             &mut rng,
             &mut recent,
             &mut next_reg,
-        );
-        block.push(annotate(op, config, &vocabulary, &mut rng));
+        ));
 
         emitted += block.len();
         blocks.push(block);
@@ -209,19 +185,6 @@ pub fn generate(machine: Machine, spec: &MdesSpec, config: &WorkloadConfig) -> W
         blocks,
         total_ops: emitted,
     }
-}
-
-/// Attaches a random opcode of the op's class when mnemonics are on.
-fn annotate(op: Op, config: &WorkloadConfig, vocabulary: &[Vec<String>], rng: &mut Pcg32) -> Op {
-    if !config.mnemonics {
-        return op;
-    }
-    let opcodes = &vocabulary[op.class.index()];
-    if opcodes.is_empty() {
-        return op;
-    }
-    let pick = rng.gen_range(opcodes.len() as u32) as usize;
-    op.with_mnemonic(opcodes[pick].clone())
 }
 
 /// Converts a workload into software-pipelinable loop bodies: each block
@@ -277,8 +240,8 @@ pub fn generate_uniform(spec: &MdesSpec, config: &WorkloadConfig) -> Workload {
     let mut next_reg = 0u32;
     while emitted < config.total_ops {
         let body_len = 3 + rng.gen_range(10) as usize;
-        let mut block = Block::new();
-        let mut recent: Vec<Reg> = Vec::with_capacity(8);
+        let mut block = Block::with_capacity(body_len + usize::from(!ends.is_empty()));
+        let mut recent = Recent::new();
         for _ in 0..body_len {
             let class = body[rng.gen_range(body.len() as u32) as usize];
             let dests = usize::from(!spec.class(class).flags.store);
@@ -321,33 +284,70 @@ pub fn uniform_config(total_ops: usize) -> WorkloadConfig {
         registers: 16,
         dependence_density: 0.30,
         free_operand_fraction: 0.25,
-        mnemonics: false,
         ilp_scale: 1.0,
     }
 }
 
-/// Most source or destination operands one generated operation carries;
-/// every mix template and region shape stays within it.
-const MAX_OPERANDS: usize = 4;
+/// The destinations a block wrote last, oldest first: the pool that
+/// sources draw flow dependences from.  Held inline, so generating a
+/// block allocates nothing besides the block itself.
+pub(crate) struct Recent {
+    regs: [Reg; Recent::DEPTH],
+    len: usize,
+}
 
-/// Generates one operation with `srcs` sources and `dests` destinations
-/// (each at most [`MAX_OPERANDS`]).  The operands are drawn into stack
-/// buffers, so the operation's single register allocation is its only
-/// heap traffic.
+impl Recent {
+    /// How many of the latest destinations stay eligible.
+    const DEPTH: usize = 6;
+
+    pub(crate) fn new() -> Recent {
+        Recent {
+            regs: [Reg(0); Recent::DEPTH],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, reg: Reg) {
+        if self.len == Recent::DEPTH {
+            self.regs.copy_within(1.., 0);
+            self.len -= 1;
+        }
+        self.regs[self.len] = reg;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[Reg] {
+        &self.regs[..self.len]
+    }
+}
+
+/// Generates one operation with `srcs` sources and `dests` destinations.
+///
+/// # Panics
+///
+/// Panics if `srcs + dests` exceeds [`Op::MAX_OPERANDS`]; every mix
+/// template and region shape stays within it.
 pub(crate) fn make_op(
     class: ClassId,
     srcs: usize,
     dests: usize,
     config: &WorkloadConfig,
     rng: &mut Pcg32,
-    recent: &mut Vec<Reg>,
+    recent: &mut Recent,
     next_reg: &mut u32,
 ) -> Op {
-    let mut sources = [Reg(0); MAX_OPERANDS];
-    for source in &mut sources[..srcs] {
+    assert!(
+        srcs + dests <= Op::MAX_OPERANDS,
+        "operation shape {dests} dest(s) + {srcs} src(s) exceeds {} operands",
+        Op::MAX_OPERANDS
+    );
+    // Destinations first, as `Op` stores them; sources are drawn first.
+    let mut regs = [Reg(0); Op::MAX_OPERANDS];
+    for source in &mut regs[dests..dests + srcs] {
         let roll = rng.gen_f64();
-        let reg = if !recent.is_empty() && roll < config.dependence_density {
-            recent[rng.gen_range(recent.len() as u32) as usize]
+        let pool = recent.as_slice();
+        *source = if !pool.is_empty() && roll < config.dependence_density {
+            pool[rng.gen_range(pool.len() as u32) as usize]
         } else if roll < config.dependence_density + config.free_operand_fraction {
             // Immediate / memory operand: a fresh register id above the
             // pool that no operation ever writes, hence no dependence.
@@ -355,19 +355,14 @@ pub(crate) fn make_op(
         } else {
             Reg(rng.gen_range(config.registers))
         };
-        *source = reg;
     }
-    let mut dest_regs = [Reg(0); MAX_OPERANDS];
-    for dest in &mut dest_regs[..dests] {
-        let reg = Reg(*next_reg % config.registers);
+    for dest in &mut regs[..dests] {
+        *dest = Reg(*next_reg % config.registers);
         *next_reg = next_reg.wrapping_add(1);
-        *dest = reg;
-        recent.push(reg);
-        if recent.len() > 6 {
-            recent.remove(0);
-        }
+        recent.push(*dest);
     }
-    Op::from_regs(class, &dest_regs[..dests], &sources[..srcs])
+    let (dests, srcs) = regs[..dests + srcs].split_at(dests);
+    Op::from_regs(class, dests, srcs)
 }
 
 #[cfg(test)]
@@ -522,35 +517,6 @@ mod tests {
                 assert!(*count > 0, "class `{name}` never generated");
             }
         }
-    }
-
-    #[test]
-    fn mnemonics_come_from_the_machine_vocabulary() {
-        let machine = Machine::SuperSparc;
-        let spec = machine.spec();
-        let config = WorkloadConfig::paper_default(machine)
-            .with_total_ops(300)
-            .with_mnemonics();
-        let workload = generate(machine, &spec, &config);
-        for block in &workload.blocks {
-            for op in &block.ops {
-                if spec.class(op.class).name.starts_with("cascade") {
-                    continue; // scheduler-internal classes have no opcodes
-                }
-                assert!(!op.mnemonic().is_empty());
-                assert_eq!(spec.opcode_class(op.mnemonic()), Some(op.class));
-            }
-        }
-        // And the default stays mnemonic-free (identical stream shape).
-        let plain = generate(
-            machine,
-            &spec,
-            &WorkloadConfig::paper_default(machine).with_total_ops(300),
-        );
-        assert!(plain
-            .blocks
-            .iter()
-            .all(|b| b.ops.iter().all(|o| o.mnemonic().is_empty())));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! lean on.
 
 use mdes_core::{ClassId, CompiledMdes, MdesSpec};
-use mdes_sched::{Block, Reg};
+use mdes_sched::Block;
 
-use crate::generate::{make_op, Workload, WorkloadConfig};
+use crate::generate::{make_op, Recent, Workload, WorkloadConfig};
 use crate::rng::Pcg32;
 
 /// Parameters of a synthetic region stream.
@@ -144,7 +144,8 @@ fn generate_region(
 
 /// The shared region builder: everything machine-specific arrives through
 /// the class partition and the `is_store` predicate, so the spec-level and
-/// compiled-level entry points generate identical streams.
+/// compiled-level entry points generate identical streams.  The block is
+/// sized before the first push, so a region is one allocation.
 fn region_at(
     config: &RegionConfig,
     index: u64,
@@ -156,8 +157,8 @@ fn region_at(
     let span = (2 * config.mean_ops - 1).max(1) as u32;
     let body_len = 1 + rng.gen_range(span) as usize;
 
-    let mut block = Block::new();
-    let mut recent: Vec<Reg> = Vec::with_capacity(8);
+    let mut block = Block::with_capacity(body_len + usize::from(!ends.is_empty()));
+    let mut recent = Recent::new();
     let mut next_reg = 0u32;
     for _ in 0..body_len {
         let class = body[rng.gen_range(body.len() as u32) as usize];

@@ -1,5 +1,6 @@
 //! Schedule a real-looking SPARC basic block and print the cycle-by-cycle
-//! result with opcode mnemonics from the machine's `op` vocabulary.
+//! result, naming each operation by the first opcode the machine's `op`
+//! vocabulary maps to its class.
 //!
 //! Run with: `cargo run --example annotated_schedule`
 
@@ -15,9 +16,7 @@ fn main() {
     let mdes = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
     let scheduler = ListScheduler::new(&mdes);
 
-    let config = WorkloadConfig::paper_default(machine)
-        .with_total_ops(120)
-        .with_mnemonics();
+    let config = WorkloadConfig::paper_default(machine).with_total_ops(120);
     let workload = generate(machine, &spec, &config);
 
     let mut stats = CheckStats::new();
@@ -36,10 +35,10 @@ fn main() {
                     let dests: Vec<String> =
                         op.dests().iter().map(|r| format!("r{}", r.0)).collect();
                     let srcs: Vec<String> = op.srcs().iter().map(|r| format!("r{}", r.0)).collect();
-                    let name = if op.mnemonic().is_empty() {
-                        spec.class(op.class).name.clone()
-                    } else {
-                        op.mnemonic().to_string()
+                    // Scheduler-internal classes have no opcode.
+                    let name = match spec.opcodes_of_class(op.class).first() {
+                        Some(opcode) => opcode.to_string(),
+                        None => spec.class(op.class).name.clone(),
                     };
                     match (dests.is_empty(), srcs.is_empty()) {
                         (false, false) => format!("{name} {}, {}", dests.join(","), srcs.join(",")),

@@ -73,20 +73,28 @@ fn main() {
 
     let mut block = Block::new();
     // Cluster 0 computes an address, loads, and ships the value across.
-    block.push(Op::new(class("alu0"), vec![Reg(1)], vec![Reg(0)]).with_mnemonic("add0 r1,r0"));
-    block.push(Op::new(class("load0"), vec![Reg(2)], vec![Reg(1)]).with_mnemonic("ld0 r2,[r1]"));
-    block.push(
-        Op::new(class("xcopy"), vec![Reg(32)], vec![Reg(2)]).with_mnemonic("xcopy c1:r32,r2"),
-    );
+    block.push(Op::new(class("alu0"), vec![Reg(1)], vec![Reg(0)]));
+    block.push(Op::new(class("load0"), vec![Reg(2)], vec![Reg(1)]));
+    block.push(Op::new(class("xcopy"), vec![Reg(32)], vec![Reg(2)]));
     // Cluster 1 works independently, then combines.
-    block.push(Op::new(class("alu1"), vec![Reg(33)], vec![Reg(34)]).with_mnemonic("add1 r33,r34"));
-    block
-        .push(Op::new(class("load1"), vec![Reg(35)], vec![Reg(33)]).with_mnemonic("ld1 r35,[r33]"));
-    block.push(
-        Op::new(class("alu1"), vec![Reg(36)], vec![Reg(32), Reg(35)])
-            .with_mnemonic("add1 r36,r32,r35"),
-    );
-    block.push(Op::new(class("br"), vec![], vec![Reg(36)]).with_mnemonic("brnz r36"));
+    block.push(Op::new(class("alu1"), vec![Reg(33)], vec![Reg(34)]));
+    block.push(Op::new(class("load1"), vec![Reg(35)], vec![Reg(33)]));
+    block.push(Op::new(
+        class("alu1"),
+        vec![Reg(36)],
+        vec![Reg(32), Reg(35)],
+    ));
+    block.push(Op::new(class("br"), vec![], vec![Reg(36)]));
+    // Assembly text for the listing, indexed like the block.
+    let labels = [
+        "add0 r1,r0",
+        "ld0 r2,[r1]",
+        "xcopy c1:r32,r2",
+        "add1 r33,r34",
+        "ld1 r35,[r33]",
+        "add1 r36,r32,r35",
+        "brnz r36",
+    ];
 
     let mut stats = CheckStats::new();
     let schedule = ListScheduler::new(&mdes).schedule(&block, &mut stats);
@@ -95,7 +103,7 @@ fn main() {
     for cycle in 0..schedule.length {
         let word: Vec<&str> = (0..block.len())
             .filter(|&i| schedule.ops[i].cycle == cycle)
-            .map(|i| block.ops[i].mnemonic())
+            .map(|i| labels[i])
             .collect();
         println!("{cycle:>5} | {}", word.join("  ||  "));
     }

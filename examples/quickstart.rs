@@ -42,12 +42,21 @@ fn main() {
     let store = mdes.class_by_name("store").unwrap();
 
     // 4. A little block: two loads feed two adds, results are stored.
+    //    The scheduler sees classes and registers; the assembly text is
+    //    the example's own, indexed like the block.
     let mut block = Block::new();
-    block.push(Op::new(load, vec![Reg(1)], vec![Reg(10)]).with_mnemonic("ld r1,[r10]"));
-    block.push(Op::new(load, vec![Reg(2)], vec![Reg(11)]).with_mnemonic("ld r2,[r11]"));
-    block.push(Op::new(alu, vec![Reg(3)], vec![Reg(1), Reg(2)]).with_mnemonic("add r3,r1,r2"));
-    block.push(Op::new(alu, vec![Reg(4)], vec![Reg(3), Reg(2)]).with_mnemonic("add r4,r3,r2"));
-    block.push(Op::new(store, vec![], vec![Reg(4), Reg(12)]).with_mnemonic("st [r12],r4"));
+    block.push(Op::new(load, vec![Reg(1)], vec![Reg(10)]));
+    block.push(Op::new(load, vec![Reg(2)], vec![Reg(11)]));
+    block.push(Op::new(alu, vec![Reg(3)], vec![Reg(1), Reg(2)]));
+    block.push(Op::new(alu, vec![Reg(4)], vec![Reg(3), Reg(2)]));
+    block.push(Op::new(store, vec![], vec![Reg(4), Reg(12)]));
+    let labels = [
+        "ld r1,[r10]",
+        "ld r2,[r11]",
+        "add r3,r1,r2",
+        "add r4,r3,r2",
+        "st [r12],r4",
+    ];
 
     // 5. Schedule and report.
     let mut stats = CheckStats::new();
@@ -58,7 +67,7 @@ fn main() {
     let mut order: Vec<usize> = (0..block.len()).collect();
     order.sort_by_key(|&i| schedule.ops[i].cycle);
     for i in order {
-        println!("{:>5} | {}", schedule.ops[i].cycle, block.ops[i].mnemonic());
+        println!("{:>5} | {}", schedule.ops[i].cycle, labels[i]);
     }
     println!(
         "\nschedule length: {} cycles; {} scheduling attempts, {:.2} resource checks/attempt",

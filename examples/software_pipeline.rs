@@ -30,11 +30,19 @@ fn main() {
     // The loop body:  a[i] = a[i] * 3 + 1  (load; two ALU ops; store),
     // with the address increment carried to the next iteration.
     let mut body = Block::new();
-    let ld = body.push(Op::new(load, vec![Reg(1)], vec![Reg(0)]).with_mnemonic("ld r1,[r0]"));
-    let mul = body.push(Op::new(alu, vec![Reg(2)], vec![Reg(1)]).with_mnemonic("mul r2,r1,3"));
-    let add = body.push(Op::new(alu, vec![Reg(3)], vec![Reg(2)]).with_mnemonic("add r3,r2,1"));
-    let st = body.push(Op::new(store, vec![], vec![Reg(3), Reg(0)]).with_mnemonic("st [r0],r3"));
-    let inc = body.push(Op::new(alu, vec![Reg(0)], vec![Reg(0)]).with_mnemonic("add r0,r0,4"));
+    let ld = body.push(Op::new(load, vec![Reg(1)], vec![Reg(0)]));
+    body.push(Op::new(alu, vec![Reg(2)], vec![Reg(1)]));
+    body.push(Op::new(alu, vec![Reg(3)], vec![Reg(2)]));
+    let st = body.push(Op::new(store, vec![], vec![Reg(3), Reg(0)]));
+    let inc = body.push(Op::new(alu, vec![Reg(0)], vec![Reg(0)]));
+    // Assembly text for the listing, indexed like the body.
+    let labels = [
+        "ld r1,[r0]",
+        "mul r2,r1,3",
+        "add r3,r2,1",
+        "st [r0],r3",
+        "add r0,r0,4",
+    ];
 
     let looped = LoopBlock {
         body,
@@ -58,15 +66,7 @@ fn main() {
     println!("achieved II = {}\n", schedule.ii);
     println!("op                  cycle  MRT slot (cycle mod II)");
     println!("------------------  -----  -----------------------");
-    let names = [
-        "ld r1,[r0]",
-        "mul r2,r1,3",
-        "add r3,r2,1",
-        "st [r0],r3",
-        "add r0,r0,4",
-    ];
-    for (i, name) in names.iter().enumerate() {
-        let _ = (ld, mul, add, st); // indices documented above
+    for (i, name) in labels.iter().enumerate() {
         println!(
             "{name:<18}  {:>5}  {:>6}",
             schedule.cycles[i],
