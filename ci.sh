@@ -9,7 +9,9 @@
 #                    daemon serving smokes (a v1 serial client and a
 #                    pipelined multi-shard client, each verified
 #                    closed-loop with a hot reload and an
-#                    injected-corrupt reload), the exact-scheduler
+#                    injected-corrupt reload: non-LMDES text for the
+#                    v1 client, a truncated LMDES image for the
+#                    multi-shard one), the exact-scheduler
 #                    oracle smoke and fleet fuzz (docs/oracle.md), the
 #                    static-analysis lint smoke and defect-recall gate
 #                    (docs/analysis.md), the workspace clippy gate plus
@@ -124,18 +126,23 @@ METRICS8="$ART/bench-serve-w8.json"
 expect '"engine/jobs_completed":2000' "$METRICS8"
 expect '"engine/worker_panics":0' "$METRICS8"
 
-# Shared images for both serving smokes: a good reload target (compiled
-# from a bundled description) and a corrupt one the daemon must reject.
+# Shared images for both serving smokes: good reload targets (compiled
+# from bundled descriptions) and two corrupt ones the daemon must
+# reject.  BAD_IMG is neither LMDES nor valid HMDL, so it fails in the
+# HMDL front end; TRUNC_IMG is a real image cut after 40 bytes, so it
+# fails in the LMDES decoder (MD103).
 GOOD_HMDL="$ART/pentium.hmdl"
 GOOD_IMG="$ART/pentium.lmdes"
 SPARC_HMDL="$ART/supersparc.hmdl"
 SPARC_IMG="$ART/supersparc.lmdes"
 BAD_IMG="$ART/corrupt.lmdes"
+TRUNC_IMG="$ART/truncated.lmdes"
 ./target/release/mdesc bundled pentium >"$GOOD_HMDL"
 ./target/release/mdesc compile "$GOOD_HMDL" -o "$GOOD_IMG"
 ./target/release/mdesc bundled supersparc >"$SPARC_HMDL"
 ./target/release/mdesc compile "$SPARC_HMDL" -o "$SPARC_IMG"
 printf 'not an lmdes image and not hmdl either {' >"$BAD_IMG"
+head -c 40 "$GOOD_IMG" >"$TRUNC_IMG"
 
 # Serving smoke, v1 serial client: boot a single-shard daemon, then
 # drive a verified closed-loop client through 2000 requests with one
@@ -167,7 +174,8 @@ expect '"engine/worker_panics":0' "$SERVE_METRICS"
 # Pentium as independent shards, driven by a pipelined client (8
 # requests in flight per connection) spraying requests across both
 # shards, with a good hot reload targeted at the Pentium shard and a
-# corrupt reload targeted at K5 fired mid-run.  The per-shard counters
+# truncated-image reload targeted at K5 fired mid-run, so the daemon's
+# LMDES rejection runs end to end.  The per-shard counters
 # then prove reload isolation: Pentium swapped images exactly once, K5
 # rejected its corrupt image and swapped nothing, and neither shard
 # dropped a request.
@@ -180,7 +188,7 @@ wait_for_socket "$SHARD_SOCK"
 ./target/release/mdesc serve-load --socket "$SHARD_SOCK" \
     --machines k5,pentium --pipeline 8 --requests 2000 --connections 4 \
     --reload-at "700@pentium:$SPARC_IMG" \
-    --reload-corrupt-at "1400@k5:$BAD_IMG" \
+    --reload-corrupt-at "1400@k5:$TRUNC_IMG" \
     --shutdown
 wait "$SERVE_PID"
 SERVE_PID=""

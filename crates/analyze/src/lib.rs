@@ -8,16 +8,16 @@
 //! and reports what it proves as structured [`Diagnostic`]s with stable
 //! `MDnnn` codes and fatal/warn/info severities.  No scheduler ever runs.
 //!
-//! Two entry points:
+//! The entry point is [`analyze_spec`], the mid-level analysis over an
+//! [`MdesSpec`]: semantic dominance (collision-vector difference sets,
+//! strictly more powerful than the syntactic superset check of
+//! `mdes-opt`), unsatisfiable AND-trees, unreferenced/dead items,
+//! latency-window overflow, and missed-transformation lints.
 //!
-//! * [`analyze_spec`] — the mid-level analysis over an [`MdesSpec`]:
-//!   semantic dominance (collision-vector difference sets, strictly more
-//!   powerful than the syntactic superset check of `mdes-opt`),
-//!   unsatisfiable AND-trees, unreferenced/dead items, latency-window
-//!   overflow, and missed-transformation lints;
-//! * [`analyze_image`] — the format-level analysis over raw LMDES image
-//!   bytes, classifying each corruption family into its own code so the
-//!   guard's image-fault classes map 1:1 onto diagnostics.
+//! The image codes `MD101`–`MD106` in [`CODE_REGISTRY`] are not produced
+//! here: the LMDES decoder (`mdes_core::lmdes`) names the fault class of
+//! every image it rejects, and this registry only documents them
+//! alongside the spec codes.
 //!
 //! The dominance analysis carries a soundness contract the dynamic side
 //! referees: an option reported dead by [`Analysis::dead_options`] is
@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 mod dominance;
-mod image;
 mod unsat;
 
 use std::fmt;
@@ -54,8 +53,6 @@ use mdes_core::spec::{Constraint, MdesSpec};
 use mdes_opt::sortzero::unsorted_options;
 use mdes_opt::timeshift::{shift_constants, Direction};
 use mdes_telemetry::Telemetry;
-
-pub use image::analyze_image;
 
 /// Largest |check time| the serving layer accepts (cycles relative to
 /// issue).  The RU map's window is conceptually infinite — reads outside

@@ -40,11 +40,12 @@ pub struct CompiledCheck {
 
 /// A compiled reservation-table option: probes in check order.
 ///
-/// This is the *construction-time* form (used by [`CompiledMdes::from_parts`]
-/// and the LMDES loader).  Inside a [`CompiledMdes`] the per-option check
-/// lists are flattened into one contiguous arena so the checker's inner loop
-/// walks a dense slice instead of chasing one heap allocation per option;
-/// read them back through [`CompiledMdes::option_checks`].
+/// This is the *construction-time* form (used by
+/// [`CompiledMdes::from_parts`]).  Inside a [`CompiledMdes`] the
+/// per-option check lists are flattened into one contiguous arena so the
+/// checker's inner loop walks a dense slice instead of chasing one heap
+/// allocation per option; read them back through
+/// [`CompiledMdes::option_checks`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompiledOption {
     /// The probes, in the order the checker performs them.
@@ -174,6 +175,19 @@ pub struct CompiledMdes {
     min_time: i32,
     /// Most positive check time across all options (≥ 0).
     max_time: i32,
+}
+
+/// A description's pools in [`CompiledMdes`]'s flat layout.  Whoever
+/// fills one vouches for what [`CompiledMdes::from_parts`] checks: every
+/// stored index is in range, every OR class lists exactly one tree, and
+/// `option_bounds` delimits `checks` (0 first, one more entry per option).
+#[derive(Default)]
+pub(crate) struct Pools {
+    pub(crate) checks: Vec<CompiledCheck>,
+    pub(crate) option_bounds: Vec<u32>,
+    pub(crate) or_trees: Vec<CompiledOrTree>,
+    pub(crate) classes: Vec<CompiledClass>,
+    pub(crate) bypasses: Vec<(u32, u32, i32)>,
 }
 
 impl CompiledMdes {
@@ -333,8 +347,7 @@ impl CompiledMdes {
         &self.bypasses
     }
 
-    /// Reassembles a compiled MDES from raw parts (used by the binary
-    /// LMDES loader).
+    /// Reassembles a compiled MDES from raw parts.
     ///
     /// # Errors
     ///
@@ -375,17 +388,42 @@ impl CompiledMdes {
             }
         }
         let (checks, option_bounds) = flatten_options(&options);
-        Ok(CompiledMdes {
-            encoding,
-            num_resources,
+        let pools = Pools {
             checks,
             option_bounds,
             or_trees,
             classes,
             bypasses,
+        };
+        Ok(CompiledMdes::from_pools(
+            encoding,
+            num_resources,
+            pools,
             min_time,
             max_time,
-        })
+        ))
+    }
+
+    /// Assembles a compiled MDES from pools already in its layout (see
+    /// [`Pools`] for what the caller vouches for).
+    pub(crate) fn from_pools(
+        encoding: UsageEncoding,
+        num_resources: usize,
+        pools: Pools,
+        min_time: i32,
+        max_time: i32,
+    ) -> CompiledMdes {
+        CompiledMdes {
+            encoding,
+            num_resources,
+            checks: pools.checks,
+            option_bounds: pools.option_bounds,
+            or_trees: pools.or_trees,
+            classes: pools.classes,
+            bypasses: pools.bypasses,
+            min_time,
+            max_time,
+        }
     }
 
     /// The usage encoding this MDES was compiled with.

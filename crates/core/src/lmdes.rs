@@ -26,36 +26,238 @@
 //! num_bypasses                 u32
 //!   per bypass: producer u32, consumer u32, latency i32
 //! ```
+//!
+//! One walker reads this layout.  [`scan`] runs it without building
+//! anything and [`read`] (or [`LmdesScan::materialize`]) runs it while
+//! building the pools, so the field order, byte bounds and count bound
+//! are written once.  The walk stops at the first defect with an
+//! [`LmdesError`] whose [`code`](LmdesError::code) names a stable fault
+//! class, the same `MD10x` vocabulary the static analyzer registers:
+//!
+//! | code  | variant           | defect                                            | typical cause (`ImageFault`) |
+//! |-------|-------------------|---------------------------------------------------|------------------------------|
+//! | MD101 | `BadMagic`        | magic/version prefix wrong                        | `smash-magic`                |
+//! | MD102 | `TruncatedHeader` | image shorter than the fixed 19-byte header       | `truncate-header`            |
+//! | MD103 | `Truncated`       | structure runs past the end of the image          | `truncate-body`              |
+//! | MD104 | `HugeCount`       | element count above 2^24 in a length field        | `huge-count`                 |
+//! | MD105 | `TrailingBytes`   | bytes remain after a complete structure           | `garbage-tail`               |
+//! | MD106 | `InvalidField`    | field value outside its domain, or dangling index | bit rot, tampering           |
+
+use std::fmt;
 
 use crate::compile::{
-    CompiledCheck, CompiledClass, CompiledMdes, CompiledOption, CompiledOrTree, ConstraintKind,
+    CompiledCheck, CompiledClass, CompiledMdes, CompiledOrTree, ConstraintKind, Pools,
     UsageEncoding,
 };
+use crate::resource::MAX_RESOURCES;
 use crate::spec::{Latency, OpFlags};
 
 /// Magic prefix identifying an LMDES file (includes a format version).
 pub const MAGIC: &[u8; 6] = b"LMDES\x02";
 
-/// Errors produced while decoding an LMDES image.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Fixed bytes before the first section: magic (6) + encoding (1) +
+/// resource count (4) + min/max check time (8).
+const HEADER_LEN: usize = 19;
+
+/// Element counts above this are tampered length fields (MD104) rather
+/// than truncation: no realistic description holds sixteen million
+/// items, but a bit-flipped or spliced count easily does.
+const MAX_COUNT: u32 = 1 << 24;
+
+/// Why an LMDES image does not load: one variant per fault class.
+///
+/// Each variant carries the field and byte counts its message names and
+/// nothing on the heap, so rejecting an image allocates nothing either.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LmdesError {
-    /// The magic prefix (or version) did not match.
+    /// MD101: the magic/version prefix does not match (wrong file or
+    /// format version).
     BadMagic,
-    /// The image ended before the structure was complete.
-    Truncated,
-    /// A stored index points outside its pool.
-    DanglingIndex,
-    /// A field holds a value outside its domain.
-    InvalidField(&'static str),
+    /// MD102: the prefix matches but the image ends inside the fixed
+    /// header (an interrupted write).
+    TruncatedHeader {
+        /// Length of the image in bytes.
+        len: usize,
+    },
+    /// MD103: the structure runs past the end of the image.
+    Truncated {
+        /// The field being read.
+        field: &'static str,
+        /// Byte offset of the field.
+        offset: usize,
+        /// For a length field, the element count it claims.
+        count: Option<u32>,
+        /// Bytes the field (or the elements it counts) needs.
+        need: usize,
+        /// Bytes left in the image.
+        have: usize,
+    },
+    /// MD104: a length field claims more than 2^24 elements.
+    HugeCount {
+        /// The length field.
+        field: &'static str,
+        /// Byte offset of the field.
+        offset: usize,
+        /// The element count it claims.
+        count: u32,
+    },
+    /// MD105: bytes remain after a complete structure.
+    TrailingBytes {
+        /// Length of the complete structure.
+        structure: usize,
+        /// Bytes after it.
+        trailing: usize,
+    },
+    /// MD106: a field holds a value outside its domain.
+    InvalidField(FieldFault),
 }
 
-impl std::fmt::Display for LmdesError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+/// The value an MD106 [`LmdesError::InvalidField`] rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldFault {
+    /// An encoding byte other than 0 (scalar) or 1 (bit-vector).
+    Encoding(u8),
+    /// A resource count above [`MAX_RESOURCES`].
+    ResourceCount(u32),
+    /// An or-tree's option index past the end of the option pool.
+    OptionIndex {
+        /// The stored index.
+        index: u32,
+        /// Options in the pool.
+        pool: usize,
+    },
+    /// A class name that is not UTF-8.
+    ClassName,
+    /// A constraint-kind byte other than 0 (OR) or 1 (AND/OR).
+    ConstraintKind(u8),
+    /// A flags byte with bits set outside the four defined flags.
+    Flags(u8),
+    /// A class's or-tree index past the end of the or-tree pool.
+    TreeIndex {
+        /// The stored index.
+        index: u32,
+        /// Or-trees in the pool.
+        pool: usize,
+    },
+    /// An OR-constraint class that does not list exactly one tree.
+    OrTreeCount(usize),
+    /// A bypass endpoint past the end of the class pool.
+    BypassClass {
+        /// `bypass producer` or `bypass consumer`.
+        field: &'static str,
+        /// The stored index.
+        index: u32,
+        /// Classes in the pool.
+        pool: usize,
+    },
+}
+
+impl LmdesError {
+    /// The stable fault-class code, `MD101`–`MD106`.
+    pub fn code(&self) -> &'static str {
         match self {
-            LmdesError::BadMagic => write!(f, "not an LMDES image (bad magic or version)"),
-            LmdesError::Truncated => write!(f, "unexpected end of LMDES image"),
-            LmdesError::DanglingIndex => write!(f, "LMDES image contains a dangling index"),
-            LmdesError::InvalidField(field) => write!(f, "invalid value in field `{field}`"),
+            LmdesError::BadMagic => "MD101",
+            LmdesError::TruncatedHeader { .. } => "MD102",
+            LmdesError::Truncated { .. } => "MD103",
+            LmdesError::HugeCount { .. } => "MD104",
+            LmdesError::TrailingBytes { .. } => "MD105",
+            LmdesError::InvalidField(_) => "MD106",
+        }
+    }
+}
+
+impl From<FieldFault> for LmdesError {
+    fn from(fault: FieldFault) -> LmdesError {
+        LmdesError::InvalidField(fault)
+    }
+}
+
+impl fmt::Display for LmdesError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            LmdesError::BadMagic => f.write_str(
+                "magic/version prefix does not match LMDES format 2 (wrong file or format version)",
+            ),
+            LmdesError::TruncatedHeader { len } => write!(
+                f,
+                "image is {len} byte(s) but the fixed LMDES header is {HEADER_LEN} (interrupted write)"
+            ),
+            LmdesError::Truncated {
+                field,
+                offset,
+                count: None,
+                need,
+                have,
+            } => write!(
+                f,
+                "image ends inside {field}: need {need} byte(s) at offset {offset}, have {have}"
+            ),
+            LmdesError::Truncated {
+                field,
+                offset,
+                count: Some(count),
+                need,
+                have,
+            } => write!(
+                f,
+                "{field} at offset {offset} claims {count} element(s) needing ≥{need} byte(s), \
+                 but only {have} remain (truncated image)"
+            ),
+            LmdesError::HugeCount {
+                field,
+                offset,
+                count,
+            } => write!(
+                f,
+                "{field} at offset {offset} claims {count} element(s) — a tampered or \
+                 bit-rotted length field"
+            ),
+            LmdesError::TrailingBytes {
+                structure,
+                trailing,
+            } => write!(
+                f,
+                "{trailing} byte(s) of trailing garbage after a complete {structure}-byte structure"
+            ),
+            LmdesError::InvalidField(fault) => fault.fmt(f),
+        }
+    }
+}
+
+impl fmt::Display for FieldFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            FieldFault::Encoding(byte) => write!(
+                f,
+                "encoding byte {byte} is outside its domain (0 = scalar, 1 = bit-vector)"
+            ),
+            FieldFault::ResourceCount(count) => write!(
+                f,
+                "resource count {count} exceeds the pool limit {MAX_RESOURCES}"
+            ),
+            FieldFault::OptionIndex { index, pool } => write!(
+                f,
+                "or-tree references option #{index} of a {pool}-option pool"
+            ),
+            FieldFault::ClassName => f.write_str("class name is not UTF-8"),
+            FieldFault::ConstraintKind(byte) => write!(
+                f,
+                "constraint kind {byte} is outside its domain (0 = OR, 1 = AND/OR)"
+            ),
+            FieldFault::Flags(byte) => {
+                write!(f, "flags byte {byte:#04x} sets bits outside its domain")
+            }
+            FieldFault::TreeIndex { index, pool } => {
+                write!(f, "class references or-tree #{index} of a {pool}-tree pool")
+            }
+            FieldFault::OrTreeCount(count) => write!(
+                f,
+                "OR-constraint class lists {count} trees (must be exactly 1)"
+            ),
+            FieldFault::BypassClass { field, index, pool } => write!(
+                f,
+                "{field} references class #{index} of a {pool}-class pool"
+            ),
         }
     }
 }
@@ -127,9 +329,7 @@ pub fn write(mdes: &CompiledMdes) -> Vec<u8> {
 /// structural validity: reload vetting and content-hash admission can
 /// accept or reject an image on the scan alone, and only pay for
 /// [`LmdesScan::materialize`] (the allocating decode) when the image is
-/// actually promoted to serving.  The scan records where each section
-/// starts so materialization seeks straight to the data instead of
-/// re-deriving the layout.
+/// actually promoted to serving.
 #[derive(Debug, Clone, Copy)]
 pub struct LmdesScan<'a> {
     bytes: &'a [u8],
@@ -138,13 +338,9 @@ pub struct LmdesScan<'a> {
     min_time: i32,
     max_time: i32,
     num_options: usize,
-    options_at: usize,
     num_or_trees: usize,
-    or_trees_at: usize,
     num_classes: usize,
-    classes_at: usize,
     num_bypasses: usize,
-    bypasses_at: usize,
 }
 
 impl<'a> LmdesScan<'a> {
@@ -178,203 +374,191 @@ impl<'a> LmdesScan<'a> {
         self.num_bypasses
     }
 
-    /// Materializes the scanned sections into a [`CompiledMdes`].
+    /// Materializes the scanned image into a [`CompiledMdes`].
     ///
-    /// This is the allocating half of the decode.  The scan already
-    /// proved every length, index, and enumerated field valid, so the
-    /// walk here seeks to each recorded section offset and builds the
-    /// pools directly; errors are still propagated (never unwrapped)
-    /// but cannot occur for a scan produced by [`scan`].
+    /// This is the allocating half of the decode: the same walk as
+    /// [`scan`], building the pools as it goes.
     ///
     /// # Errors
     ///
     /// Returns an [`LmdesError`] if the underlying bytes do not decode;
     /// unreachable for a scan obtained from [`scan`] on the same bytes.
     pub fn materialize(&self) -> Result<CompiledMdes, LmdesError> {
-        let mut r = Reader {
-            bytes: self.bytes,
-            pos: self.options_at,
-        };
-        let mut options = Vec::with_capacity(self.num_options);
-        for _ in 0..self.num_options {
-            let num_checks = r.count(12)?;
-            let mut checks = Vec::with_capacity(num_checks);
-            for _ in 0..num_checks {
-                let time = r.i32()?;
-                let mask = r.u64()?;
-                checks.push(CompiledCheck { time, mask });
-            }
-            options.push(CompiledOption { checks });
-        }
-
-        r.pos = self.or_trees_at;
-        let mut or_trees = Vec::with_capacity(self.num_or_trees);
-        for _ in 0..self.num_or_trees {
-            let count = r.count(4)?;
-            let mut tree_options = Vec::with_capacity(count);
-            for _ in 0..count {
-                let idx = r.u32()?;
-                if idx as usize >= options.len() {
-                    return Err(LmdesError::DanglingIndex);
-                }
-                tree_options.push(idx);
-            }
-            or_trees.push(CompiledOrTree {
-                options: tree_options,
-            });
-        }
-
-        r.pos = self.classes_at;
-        let mut classes = Vec::with_capacity(self.num_classes);
-        for _ in 0..self.num_classes {
-            let name_len = r.count(1)?;
-            let name = String::from_utf8(r.take(name_len)?.to_vec())
-                .map_err(|_| LmdesError::InvalidField("class name"))?;
-            let kind = match r.u8()? {
-                0 => ConstraintKind::Or,
-                1 => ConstraintKind::AndOr,
-                _ => return Err(LmdesError::InvalidField("constraint kind")),
-            };
-            let and_or_index = r.u32()?;
-            let latency = {
-                let dest = r.i32()?;
-                let src = r.i32()?;
-                let mem = r.i32()?;
-                Latency::with_mem(dest, mem).with_src(src)
-            };
-            let flags = flags_from_byte(r.u8()?)?;
-            let count = r.count(4)?;
-            let mut class_trees = Vec::with_capacity(count);
-            for _ in 0..count {
-                let idx = r.u32()?;
-                if idx as usize >= or_trees.len() {
-                    return Err(LmdesError::DanglingIndex);
-                }
-                class_trees.push(idx);
-            }
-            if kind == ConstraintKind::Or && class_trees.len() != 1 {
-                return Err(LmdesError::InvalidField("OR class tree count"));
-            }
-            classes.push(CompiledClass {
-                name,
-                kind,
-                or_trees: class_trees,
-                and_or_index,
-                latency,
-                flags,
-            });
-        }
-
-        r.pos = self.bypasses_at;
-        let mut bypasses = Vec::with_capacity(self.num_bypasses);
-        for _ in 0..self.num_bypasses {
-            let p = r.u32()?;
-            let c = r.u32()?;
-            let latency = r.i32()?;
-            if p as usize >= classes.len() || c as usize >= classes.len() {
-                return Err(LmdesError::DanglingIndex);
-            }
-            bypasses.push((p, c, latency));
-        }
-
-        CompiledMdes::from_parts(
-            self.encoding,
-            self.num_resources,
-            options,
-            or_trees,
-            classes,
-            bypasses,
-            self.min_time,
-            self.max_time,
-        )
-        .map_err(|_| LmdesError::InvalidField("structure"))
+        read(self.bytes)
     }
 }
 
 /// Validates an LMDES image in a single allocation-free pass.
 ///
-/// Every check [`read`] performs — magic, length bounds, index bounds,
-/// enumerated bytes, name UTF-8, trailing bytes — runs here too, so
-/// `scan(bytes).is_ok()` exactly when `read(bytes).is_ok()`.  The
-/// returned [`LmdesScan`] records the section layout for a later
-/// [`LmdesScan::materialize`].
+/// This is the walk [`read`] runs, minus the building, so
+/// `scan(bytes)` fails exactly when `read(bytes)` does, with the same
+/// error.  The returned [`LmdesScan`] materializes later on demand.
 ///
 /// # Errors
 ///
-/// Returns an [`LmdesError`] describing the first malformation found.
+/// Returns an [`LmdesError`] naming the first defect and its class.
 pub fn scan(bytes: &[u8]) -> Result<LmdesScan<'_>, LmdesError> {
-    let mut r = Reader { bytes, pos: 0 };
-    if r.take(MAGIC.len())? != MAGIC.as_slice() {
+    walk::<false>(bytes).map(|(scan, _)| scan)
+}
+
+/// Decodes a binary image back into a compiled MDES.
+///
+/// Equivalent to [`scan`] followed by [`LmdesScan::materialize`], in
+/// one walk; use the two halves separately when validity is needed
+/// before (or without) the allocating decode.
+///
+/// # Errors
+///
+/// Returns an [`LmdesError`] on malformed input; a successful decode
+/// always yields a structurally valid MDES (all indices in range).
+pub fn read(bytes: &[u8]) -> Result<CompiledMdes, LmdesError> {
+    let (scan, pools) = walk::<true>(bytes)?;
+    Ok(CompiledMdes::from_pools(
+        scan.encoding,
+        scan.num_resources,
+        pools,
+        scan.min_time,
+        scan.max_time,
+    ))
+}
+
+/// The one reader of the layout ([`write`] is its mirror).
+///
+/// Checks every field in layout order and stops at the first defect.
+/// With `BUILD` it also decodes each item into the pools; without, it
+/// touches no pool, and an untouched `Vec` owns no allocation, which
+/// keeps [`scan`] allocation-free.
+fn walk<const BUILD: bool>(bytes: &[u8]) -> Result<(LmdesScan<'_>, Pools), LmdesError> {
+    // A short image whose bytes still agree with the magic prefix was
+    // cut mid-header; any disagreeing byte means this was never (this
+    // version of) an LMDES image.
+    let prefix = bytes.len().min(MAGIC.len());
+    if bytes[..prefix] != MAGIC[..prefix] {
         return Err(LmdesError::BadMagic);
     }
-    let encoding = match r.u8()? {
+    if bytes.len() < HEADER_LEN {
+        return Err(LmdesError::TruncatedHeader { len: bytes.len() });
+    }
+    let mut r = Reader {
+        bytes,
+        pos: MAGIC.len(),
+    };
+    let mut pools = Pools::default();
+
+    let encoding = match r.u8("encoding")? {
         0 => UsageEncoding::Scalar,
         1 => UsageEncoding::BitVector,
-        _ => return Err(LmdesError::InvalidField("encoding")),
+        byte => return Err(FieldFault::Encoding(byte).into()),
     };
-    let num_resources = r.u32()? as usize;
-    if num_resources > crate::resource::MAX_RESOURCES {
-        return Err(LmdesError::InvalidField("num_resources"));
+    let num_resources = r.u32("num_resources")?;
+    if num_resources as usize > MAX_RESOURCES {
+        return Err(FieldFault::ResourceCount(num_resources).into());
     }
-    let min_time = r.i32()?;
-    let max_time = r.i32()?;
+    let min_time = r.i32("min_check_time")?;
+    let max_time = r.i32("max_check_time")?;
 
-    let num_options = r.count(4)?;
-    let options_at = r.pos;
+    let num_options = r.count("option count", 4)?;
+    if BUILD {
+        pools.option_bounds.reserve_exact(num_options + 1);
+        pools.option_bounds.push(0);
+    }
     for _ in 0..num_options {
-        let num_checks = r.count(12)?;
-        r.take(num_checks.checked_mul(12).ok_or(LmdesError::Truncated)?)?;
+        let num_checks = r.count("check count", 12)?;
+        let checks = r.take(num_checks * 12, "reservation checks")?;
+        if BUILD {
+            pools
+                .checks
+                .extend(checks.chunks_exact(12).map(|check| CompiledCheck {
+                    time: i32::from_le_bytes(le(&check[..4])),
+                    mask: u64::from_le_bytes(le(&check[4..])),
+                }));
+            pools.option_bounds.push(pools.checks.len() as u32);
+        }
     }
 
-    let num_or_trees = r.count(4)?;
-    let or_trees_at = r.pos;
+    let num_or_trees = r.count("or-tree count", 4)?;
+    if BUILD {
+        pools.or_trees.reserve_exact(num_or_trees);
+    }
     for _ in 0..num_or_trees {
-        let count = r.count(4)?;
+        let count = r.count("or-tree option count", 4)?;
+        let mut options = Vec::with_capacity(if BUILD { count } else { 0 });
         for _ in 0..count {
-            let idx = r.u32()?;
-            if idx as usize >= num_options {
-                return Err(LmdesError::DanglingIndex);
+            let index = r.u32("option index")?;
+            if index as usize >= num_options {
+                let pool = num_options;
+                return Err(FieldFault::OptionIndex { index, pool }.into());
+            }
+            if BUILD {
+                options.push(index);
             }
         }
+        if BUILD {
+            pools.or_trees.push(CompiledOrTree { options });
+        }
     }
 
-    let num_classes = r.count(26)?;
-    let classes_at = r.pos;
+    let num_classes = r.count("class count", 26)?;
+    if BUILD {
+        pools.classes.reserve_exact(num_classes);
+    }
     for _ in 0..num_classes {
-        let name_len = r.count(1)?;
-        if std::str::from_utf8(r.take(name_len)?).is_err() {
-            return Err(LmdesError::InvalidField("class name"));
-        }
-        let kind = match r.u8()? {
+        let name_len = r.count("class name length", 1)?;
+        let name = std::str::from_utf8(r.take(name_len, "class name")?)
+            .map_err(|_| FieldFault::ClassName)?;
+        let kind = match r.u8("constraint kind")? {
             0 => ConstraintKind::Or,
             1 => ConstraintKind::AndOr,
-            _ => return Err(LmdesError::InvalidField("constraint kind")),
+            byte => return Err(FieldFault::ConstraintKind(byte).into()),
         };
-        let _and_or_index = r.u32()?;
-        let _dest = r.i32()?;
-        let _src = r.i32()?;
-        let _mem = r.i32()?;
-        flags_from_byte(r.u8()?)?;
-        let count = r.count(4)?;
+        let and_or_index = r.u32("and_or_index")?;
+        let dest = r.i32("dest latency")?;
+        let src = r.i32("src latency")?;
+        let mem = r.i32("mem latency")?;
+        let flags = flags_from_byte(r.u8("flags")?)?;
+        let count = r.count("class tree count", 4)?;
+        let mut or_trees = Vec::with_capacity(if BUILD { count } else { 0 });
         for _ in 0..count {
-            let idx = r.u32()?;
-            if idx as usize >= num_or_trees {
-                return Err(LmdesError::DanglingIndex);
+            let index = r.u32("tree index")?;
+            if index as usize >= num_or_trees {
+                let pool = num_or_trees;
+                return Err(FieldFault::TreeIndex { index, pool }.into());
+            }
+            if BUILD {
+                or_trees.push(index);
             }
         }
         if kind == ConstraintKind::Or && count != 1 {
-            return Err(LmdesError::InvalidField("OR class tree count"));
+            return Err(FieldFault::OrTreeCount(count).into());
+        }
+        if BUILD {
+            pools.classes.push(CompiledClass {
+                name: name.to_string(),
+                kind,
+                or_trees,
+                and_or_index,
+                latency: Latency::with_mem(dest, mem).with_src(src),
+                flags,
+            });
         }
     }
 
-    let num_bypasses = r.count(12)?;
-    let bypasses_at = r.pos;
+    let num_bypasses = r.count("bypass count", 12)?;
+    if BUILD {
+        pools.bypasses.reserve_exact(num_bypasses);
+    }
     for _ in 0..num_bypasses {
-        let p = r.u32()?;
-        let c = r.u32()?;
-        let _latency = r.i32()?;
-        if p as usize >= num_classes || c as usize >= num_classes {
-            return Err(LmdesError::DanglingIndex);
+        let mut ends = [0; 2];
+        for (end, field) in ends.iter_mut().zip(["bypass producer", "bypass consumer"]) {
+            *end = r.u32(field)?;
+            if *end as usize >= num_classes {
+                let (index, pool) = (*end, num_classes);
+                return Err(FieldFault::BypassClass { field, index, pool }.into());
+            }
+        }
+        let latency = r.i32("bypass latency")?;
+        if BUILD {
+            pools.bypasses.push((ends[0], ends[1], latency));
         }
     }
 
@@ -382,38 +566,24 @@ pub fn scan(bytes: &[u8]) -> Result<LmdesScan<'_>, LmdesError> {
     // mean the payload was corrupted (or is not the image it claims to
     // be), so reject rather than silently ignore them.
     if r.pos != bytes.len() {
-        return Err(LmdesError::InvalidField("trailing bytes"));
+        return Err(LmdesError::TrailingBytes {
+            structure: r.pos,
+            trailing: bytes.len() - r.pos,
+        });
     }
 
-    Ok(LmdesScan {
+    let scan = LmdesScan {
         bytes,
         encoding,
-        num_resources,
+        num_resources: num_resources as usize,
         min_time,
         max_time,
         num_options,
-        options_at,
         num_or_trees,
-        or_trees_at,
         num_classes,
-        classes_at,
         num_bypasses,
-        bypasses_at,
-    })
-}
-
-/// Decodes a binary image back into a compiled MDES.
-///
-/// Equivalent to [`scan`] followed by [`LmdesScan::materialize`]; use
-/// the two halves separately when validity is needed before (or
-/// without) the allocating decode.
-///
-/// # Errors
-///
-/// Returns an [`LmdesError`] on malformed input; a successful decode
-/// always yields a structurally valid MDES (all indices in range).
-pub fn read(bytes: &[u8]) -> Result<CompiledMdes, LmdesError> {
-    scan(bytes)?.materialize()
+    };
+    Ok((scan, pools))
 }
 
 fn flags_byte(flags: OpFlags) -> u8 {
@@ -423,9 +593,9 @@ fn flags_byte(flags: OpFlags) -> u8 {
         | (flags.serial as u8) << 3
 }
 
-fn flags_from_byte(byte: u8) -> Result<OpFlags, LmdesError> {
+fn flags_from_byte(byte: u8) -> Result<OpFlags, FieldFault> {
     if byte & !0b1111 != 0 {
-        return Err(LmdesError::InvalidField("flags"));
+        return Err(FieldFault::Flags(byte));
     }
     Ok(OpFlags {
         load: byte & 1 != 0,
@@ -443,65 +613,93 @@ fn put_i32(out: &mut Vec<u8>, value: i32) {
     out.extend_from_slice(&value.to_le_bytes());
 }
 
+/// The `N` bytes of a slice [`Reader::take`] cut to length `N`.
+fn le<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    let mut out = [0; N];
+    out.copy_from_slice(bytes);
+    out
+}
+
+/// The walk's cursor.  Every read names its field, so a short image
+/// reports what it was cut inside of.  The reads are forced inline: as
+/// calls, each one returns its `Result`, wide with the error's field and
+/// byte counts, through memory, and that made [`scan`] about twice as
+/// slow.
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], LmdesError> {
-        let end = self.pos.checked_add(n).ok_or(LmdesError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(LmdesError::Truncated);
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    #[inline(always)]
+    fn take(&mut self, need: usize, field: &'static str) -> Result<&'a [u8], LmdesError> {
+        let have = self.remaining();
+        if need > have {
+            return Err(LmdesError::Truncated {
+                field,
+                offset: self.pos,
+                count: None,
+                need,
+                have,
+            });
         }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
+        let slice = &self.bytes[self.pos..self.pos + need];
+        self.pos += need;
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, LmdesError> {
-        Ok(self.take(1)?[0])
+    #[inline(always)]
+    fn u8(&mut self, field: &'static str) -> Result<u8, LmdesError> {
+        Ok(self.take(1, field)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, LmdesError> {
-        let bytes = self
-            .take(4)?
-            .try_into()
-            .map_err(|_| LmdesError::Truncated)?;
-        Ok(u32::from_le_bytes(bytes))
+    #[inline(always)]
+    fn u32(&mut self, field: &'static str) -> Result<u32, LmdesError> {
+        Ok(u32::from_le_bytes(le(self.take(4, field)?)))
     }
 
-    /// A u32 used as an element count, where each element occupies at
-    /// least `min_element_bytes` in the image.  The count is bounded by
-    /// the bytes actually remaining: a bit-flipped length field can then
-    /// never drive `Vec::with_capacity` beyond what the image could
-    /// possibly encode, so adversarial images fail with
-    /// [`LmdesError::Truncated`] instead of over-allocating.
-    fn count(&mut self, min_element_bytes: usize) -> Result<usize, LmdesError> {
-        let value = self.u32()? as usize;
-        let need = value
-            .checked_mul(min_element_bytes.max(1))
-            .ok_or(LmdesError::Truncated)?;
-        if need > self.bytes.len() - self.pos {
-            return Err(LmdesError::Truncated);
+    #[inline(always)]
+    fn i32(&mut self, field: &'static str) -> Result<i32, LmdesError> {
+        Ok(i32::from_le_bytes(le(self.take(4, field)?)))
+    }
+
+    /// A u32 element count, where each element occupies at least
+    /// `min_element_bytes` in the image.  A count above [`MAX_COUNT`] is
+    /// a tampered field (MD104, checked first so `u32::MAX` is not
+    /// mistaken for truncation); any other count must fit in the bytes
+    /// remaining (MD103).  Either way a bit-flipped length field can
+    /// never drive an allocation beyond what the image could encode.
+    #[inline(always)]
+    fn count(
+        &mut self,
+        field: &'static str,
+        min_element_bytes: usize,
+    ) -> Result<usize, LmdesError> {
+        let offset = self.pos;
+        let count = self.u32(field)?;
+        if count > MAX_COUNT {
+            return Err(LmdesError::HugeCount {
+                field,
+                offset,
+                count,
+            });
         }
-        Ok(value)
-    }
-
-    fn i32(&mut self) -> Result<i32, LmdesError> {
-        let bytes = self
-            .take(4)?
-            .try_into()
-            .map_err(|_| LmdesError::Truncated)?;
-        Ok(i32::from_le_bytes(bytes))
-    }
-
-    fn u64(&mut self) -> Result<u64, LmdesError> {
-        let bytes = self
-            .take(8)?
-            .try_into()
-            .map_err(|_| LmdesError::Truncated)?;
-        Ok(u64::from_le_bytes(bytes))
+        let need = count as usize * min_element_bytes;
+        let have = self.remaining();
+        if need > have {
+            return Err(LmdesError::Truncated {
+                field,
+                offset,
+                count: Some(count),
+                need,
+                have,
+            });
+        }
+        Ok(count as usize)
     }
 }
 
@@ -577,14 +775,20 @@ mod tests {
 
     #[test]
     fn truncated_images_are_rejected_at_every_length() {
+        // A cut inside the fixed header is an interrupted write (MD102);
+        // anywhere later the structure runs off the end (MD103).  The
+        // validating scan classifies every cut exactly as the decode.
         let bytes = write(&sample());
         for len in 0..bytes.len() {
-            let result = read(&bytes[..len]);
-            assert!(
-                result.is_err(),
-                "prefix of length {len} unexpectedly decoded"
-            );
+            let want = if len < HEADER_LEN { "MD102" } else { "MD103" };
+            let err = read(&bytes[..len]).unwrap_err();
+            assert_eq!(err.code(), want, "prefix {len}: {err}");
+            assert_eq!(scan(&bytes[..len]).map(|_| ()), Err(err), "prefix {len}");
         }
+        // A short prefix is judged by the bytes it has: agreeing ones
+        // were cut mid-header, a disagreeing one is the wrong file.
+        assert_eq!(read(b"LMD").unwrap_err().code(), "MD102");
+        assert_eq!(read(b"XYZ").unwrap_err().code(), "MD101");
     }
 
     #[test]
@@ -593,7 +797,10 @@ mod tests {
         bytes.push(0);
         assert_eq!(
             read(&bytes),
-            Err(LmdesError::InvalidField("trailing bytes"))
+            Err(LmdesError::TrailingBytes {
+                structure: bytes.len() - 1,
+                trailing: 1,
+            })
         );
         let mut bytes = write(&sample());
         bytes.extend_from_slice(b"garbage after a valid image");
@@ -635,16 +842,71 @@ mod tests {
 
     #[test]
     fn huge_length_fields_are_rejected_without_allocating() {
-        // The option-count field sits right after the 19-byte header.
-        // A bit-flipped count must fail with Truncated: the reader bounds
-        // every count by the bytes remaining, so u32::MAX can never reach
-        // Vec::with_capacity.
+        // The option-count field sits right after the 19-byte header.  A
+        // count above 2^24 is a tampered field (MD104); one at 2^24 fails
+        // the bytes-remaining bound (MD103).  Either way the count is
+        // rejected before it can reach Vec::with_capacity.
         let bytes = write(&sample());
-        for huge in [u32::MAX, u32::MAX / 2, 1 << 24] {
+        for (huge, code) in [
+            (u32::MAX, "MD104"),
+            (u32::MAX / 2, "MD104"),
+            (1 << 24, "MD103"),
+        ] {
             let mut corrupt = bytes.clone();
-            splice_u32(&mut corrupt, 19, huge);
-            assert_eq!(read(&corrupt), Err(LmdesError::Truncated), "count {huge}");
+            splice_u32(&mut corrupt, HEADER_LEN, huge);
+            let err = read(&corrupt).unwrap_err();
+            assert_eq!(err.code(), code, "count {huge}: {err}");
+            assert_eq!(scan(&corrupt).map(|_| ()), Err(err), "count {huge}");
         }
+    }
+
+    #[test]
+    fn messages_name_the_field_and_byte_counts() {
+        let bytes = write(&sample());
+        let message = |image: &[u8]| read(image).unwrap_err().to_string();
+        assert_eq!(
+            message(b"XYZ"),
+            "magic/version prefix does not match LMDES format 2 (wrong file or format version)"
+        );
+        assert_eq!(
+            message(&bytes[..10]),
+            "image is 10 byte(s) but the fixed LMDES header is 19 (interrupted write)"
+        );
+        assert_eq!(
+            message(&bytes[..21]),
+            "image ends inside option count: need 4 byte(s) at offset 19, have 2"
+        );
+        let mut corrupt = bytes.clone();
+        splice_u32(&mut corrupt, HEADER_LEN, u32::MAX);
+        assert_eq!(
+            message(&corrupt),
+            "option count at offset 19 claims 4294967295 element(s) — a tampered or \
+             bit-rotted length field"
+        );
+        splice_u32(&mut corrupt, HEADER_LEN, 1 << 24);
+        assert_eq!(
+            message(&corrupt),
+            format!(
+                "option count at offset 19 claims 16777216 element(s) needing ≥67108864 \
+                 byte(s), but only {} remain (truncated image)",
+                bytes.len() - 23
+            )
+        );
+        let mut tail = bytes.clone();
+        tail.extend_from_slice(b"junk");
+        assert_eq!(
+            message(&tail),
+            format!(
+                "4 byte(s) of trailing garbage after a complete {}-byte structure",
+                bytes.len()
+            )
+        );
+        let mut encoding = bytes.clone();
+        encoding[MAGIC.len()] = 7;
+        assert_eq!(
+            message(&encoding),
+            "encoding byte 7 is outside its domain (0 = scalar, 1 = bit-vector)"
+        );
     }
 
     #[test]
@@ -689,9 +951,10 @@ mod tests {
 
     #[test]
     fn scan_accepts_exactly_what_read_accepts() {
-        // The admission fast path trusts scan() alone, so its verdict
-        // must agree with the full decode on every corruption the
-        // splice sweep can produce — same accept/reject, same error.
+        // A caller may accept an image on scan() alone and materialize
+        // it later, so its verdict must agree with the full decode on
+        // every corruption the splice sweep can produce — same
+        // accept/reject, same error.
         let bytes = write(&sample());
         for pos in 0..bytes.len().saturating_sub(4) {
             let mut corrupt = bytes.clone();
@@ -703,28 +966,6 @@ mod tests {
                 (Err(e), Err(f)) => assert_eq!(e, f, "offset {pos}"),
                 (got, want) => panic!("offset {pos}: scan path {got:?} vs read {want:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn scan_rejects_truncation_at_every_length() {
-        let bytes = write(&sample());
-        for len in 0..bytes.len() {
-            assert!(scan(&bytes[..len]).is_err(), "prefix {len} scanned");
-        }
-    }
-
-    #[test]
-    fn scan_rejects_huge_length_fields_without_allocating() {
-        let bytes = write(&sample());
-        for huge in [u32::MAX, u32::MAX / 2, 1 << 24] {
-            let mut corrupt = bytes.clone();
-            splice_u32(&mut corrupt, 19, huge);
-            assert_eq!(
-                scan(&corrupt).map(|_| ()),
-                Err(LmdesError::Truncated),
-                "count {huge}"
-            );
         }
     }
 

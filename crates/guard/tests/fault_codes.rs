@@ -1,12 +1,12 @@
-//! Every fatal image-corruption class maps to a distinct static code.
+//! Every fatal image-corruption class maps to a distinct fault code.
 //!
 //! `guard`'s rollback tests prove the five fatal [`ImageFault`] classes
-//! are *rejected*; this table proves they are rejected **statically and
-//! distinguishably** — `mdes_analyze::analyze_image` classifies each
-//! class into its own stable `MD10x` diagnostic, across many corruption
-//! seeds, on every bundled machine image.
+//! are *rejected*; this table proves they are rejected
+//! **distinguishably** — the LMDES decoder names each class with its own
+//! stable `MD10x` code, across many corruption seeds, on every bundled
+//! machine image, and each code is a registered fatal diagnostic.
 
-use mdes_analyze::analyze_image;
+use mdes_analyze::{Severity, CODE_REGISTRY};
 use mdes_core::compile::{CompiledMdes, UsageEncoding};
 use mdes_core::lmdes;
 use mdes_guard::{corrupt_image, ImageFault};
@@ -46,16 +46,10 @@ fn every_fatal_fault_class_gets_its_own_code() {
         for (fault, code) in EXPECTED {
             for seed in 0..32u64 {
                 let corrupt = corrupt_image(&image, fault, seed);
-                let analysis = analyze_image(&corrupt);
-                assert!(
-                    analysis.has_fatal(),
-                    "{machine}/{fault}/seed {seed}: corruption passed triage"
-                );
-                assert_eq!(
-                    analysis.diagnostics[0].code, code,
-                    "{machine}/{fault}/seed {seed}: {:?}",
-                    analysis.diagnostics
-                );
+                let Err(err) = lmdes::read(&corrupt) else {
+                    panic!("{machine}/{fault}/seed {seed}: corruption decoded");
+                };
+                assert_eq!(err.code(), code, "{machine}/{fault}/seed {seed}: {err}");
             }
         }
     }
@@ -76,22 +70,21 @@ fn expected_table_covers_exactly_the_fatal_classes() {
     }
 }
 
-/// The sixth class, `BitFlip`, may produce an image that still decodes;
-/// triage must agree with the decoder either way — never accept what the
-/// loader rejects, never invent a defect the loader accepts.
 #[test]
-fn bit_flips_triage_exactly_as_the_decoder_decides() {
-    for (machine, image) in bundled_images() {
-        for seed in 0..64u64 {
-            let corrupt = corrupt_image(&image, ImageFault::BitFlip, seed);
-            let decoded = lmdes::read(&corrupt);
-            let analysis = analyze_image(&corrupt);
-            assert_eq!(
-                decoded.is_err(),
-                analysis.has_fatal(),
-                "{machine}/seed {seed}: decoder {decoded:?} vs triage {:?}",
-                analysis.diagnostics
-            );
-        }
+fn every_fault_code_is_a_registered_fatal_diagnostic() {
+    // The five fault classes plus MD106, a field outside its domain
+    // (here an encoding byte of 7).
+    let (_, image) = &bundled_images()[0];
+    let mut bad_field = image.clone();
+    bad_field[lmdes::MAGIC.len()] = 7;
+    let md106 = lmdes::read(&bad_field).map(drop).unwrap_err().code();
+    assert_eq!(md106, "MD106");
+    for code in EXPECTED.iter().map(|&(_, code)| code).chain([md106]) {
+        assert!(
+            CODE_REGISTRY
+                .iter()
+                .any(|&(c, severity, _)| c == code && severity == Severity::Fatal),
+            "{code} is not registered as fatal"
+        );
     }
 }

@@ -1,7 +1,9 @@
-//! Hand-rolled JSON emit/parse for [`Report`] — the container image has
-//! no crates.io access, so the machine-readable report format is kept
-//! small enough to do by hand: objects, arrays, strings without exotic
-//! escapes, integers and floats.
+//! JSON emit/parse for [`Report`].  Emission is hand-formatted (stable
+//! key order, one bench per line) so the committed `BENCH_8.json` diffs
+//! cleanly; parsing goes through the workspace's one JSON parser,
+//! [`mdes_telemetry::json::Json`].
+
+use mdes_telemetry::json::Json;
 
 use crate::{Report, Sample};
 
@@ -61,9 +63,8 @@ impl Report {
     ///
     /// Returns a description of the first syntax or schema problem.
     pub fn from_json(text: &str) -> Result<Report, String> {
-        let value = Parser::new(text).parse()?;
-        let top = value.as_object("top level")?;
-        let schema = get(top, "schema")?.as_u64("schema")? as u32;
+        let top = Json::parse(text)?;
+        let schema = field(&top, "schema", Json::as_u64)? as u32;
         // Schema 4 added `serve_p50_us`/`serve_p99_us` and the
         // `serve/load/*` family (schema 3 added `oracle_gap_hinted` and
         // the `oracle/bnb/*` family; schema 2 added `batch_scaling` and
@@ -72,255 +73,38 @@ impl Report {
         if schema != 4 {
             return Err(format!("unsupported report schema {schema}"));
         }
-        let seed = get(top, "seed")?.as_u64("seed")?;
-        let checker_speedup = get(top, "checker_speedup")?.as_f64("checker_speedup")?;
-        let batch_scaling = get(top, "batch_scaling")?.as_f64("batch_scaling")?;
-        let oracle_gap_hinted = get(top, "oracle_gap_hinted")?.as_f64("oracle_gap_hinted")?;
-        let serve_p50_us = get(top, "serve_p50_us")?.as_f64("serve_p50_us")?;
-        let serve_p99_us = get(top, "serve_p99_us")?.as_f64("serve_p99_us")?;
         let mut benches = Vec::new();
-        for (i, entry) in get(top, "benches")?.as_array("benches")?.iter().enumerate() {
-            let obj = entry.as_object(&format!("benches[{i}]"))?;
+        for entry in field(&top, "benches", Json::as_arr)? {
             benches.push(Sample {
-                name: get(obj, "name")?.as_str("name")?.to_string(),
-                iters: get(obj, "iters")?.as_u64("iters")?,
-                reps: get(obj, "reps")?.as_u64("reps")?,
-                ops: get(obj, "ops")?.as_u64("ops")?,
-                median_ns: get(obj, "median_ns")?.as_u64("median_ns")? as u128,
-                min_ns: get(obj, "min_ns")?.as_u64("min_ns")? as u128,
+                name: field(entry, "name", Json::as_str)?.to_string(),
+                iters: field(entry, "iters", Json::as_u64)?,
+                reps: field(entry, "reps", Json::as_u64)?,
+                ops: field(entry, "ops", Json::as_u64)?,
+                median_ns: field(entry, "median_ns", Json::as_u64)?.into(),
+                min_ns: field(entry, "min_ns", Json::as_u64)?.into(),
             });
         }
         Ok(Report {
             schema,
-            seed,
+            seed: field(&top, "seed", Json::as_u64)?,
             benches,
-            checker_speedup,
-            batch_scaling,
-            oracle_gap_hinted,
-            serve_p50_us,
-            serve_p99_us,
+            checker_speedup: field(&top, "checker_speedup", Json::as_f64)?,
+            batch_scaling: field(&top, "batch_scaling", Json::as_f64)?,
+            oracle_gap_hinted: field(&top, "oracle_gap_hinted", Json::as_f64)?,
+            serve_p50_us: field(&top, "serve_p50_us", Json::as_f64)?,
+            serve_p99_us: field(&top, "serve_p99_us", Json::as_f64)?,
         })
     }
 }
 
-fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing key {key:?}"))
-}
-
-/// A parsed JSON value (only the shapes the report format uses).
-enum Value {
-    Null,
-    Bool,
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn as_object(&self, what: &str) -> Result<&[(String, Value)], String> {
-        match self {
-            Value::Obj(entries) => Ok(entries),
-            _ => Err(format!("{what}: expected an object")),
-        }
-    }
-
-    fn as_array(&self, what: &str) -> Result<&[Value], String> {
-        match self {
-            Value::Arr(items) => Ok(items),
-            _ => Err(format!("{what}: expected an array")),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Value::Str(s) => Ok(s),
-            _ => Err(format!("{what}: expected a string")),
-        }
-    }
-
-    fn as_f64(&self, what: &str) -> Result<f64, String> {
-        match self {
-            Value::Num(n) => Ok(*n),
-            _ => Err(format!("{what}: expected a number")),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, String> {
-        let n = self.as_f64(what)?;
-        if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-            return Err(format!("{what}: expected a non-negative integer, got {n}"));
-        }
-        Ok(n as u64)
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn parse(mut self) -> Result<Value, String> {
-        let value = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", self.pos));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek()? != byte {
-            return Err(format!("expected {:?} at byte {}", byte as char, self.pos));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Value::Str(self.string()?)),
-            b't' => self.keyword("true", Value::Bool),
-            b'f' => self.keyword("false", Value::Bool),
-            b'n' => self.keyword("null", Value::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad keyword at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Obj(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            entries.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(entries));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    let escaped = *self.bytes.get(self.pos + 1).ok_or("unterminated escape")?;
-                    out.push(match escaped {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        other => {
-                            return Err(format!("unsupported escape \\{}", other as char));
-                        }
-                    });
-                    self.pos += 2;
-                }
-                Some(&byte) => {
-                    // Bench names are ASCII; pass other UTF-8 through
-                    // byte-by-byte via the str slice.
-                    let start = self.pos;
-                    while !matches!(self.bytes.get(self.pos), None | Some(b'"' | b'\\')) {
-                        self.pos += 1;
-                    }
-                    let _ = byte;
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| "invalid UTF-8 in string")?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("bad number at byte {start}"))
-    }
+/// The object field `key` of `obj`, read as one type.
+fn field<'a, T>(
+    obj: &'a Json,
+    key: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, String> {
+    let value = obj.get(key).ok_or_else(|| format!("missing key {key:?}"))?;
+    read(value).ok_or_else(|| format!("{key}: unexpected value type"))
 }
 
 #[cfg(test)]
@@ -372,6 +156,13 @@ mod tests {
             let text = report().to_json().replace("\"schema\": 4", old);
             assert!(Report::from_json(&text).unwrap_err().contains("schema"));
         }
+    }
+
+    #[test]
+    fn committed_baseline_round_trips_byte_identically() {
+        let committed = include_str!("../../../BENCH_8.json");
+        let report = Report::from_json(committed).unwrap();
+        assert_eq!(report.to_json(), committed);
     }
 
     #[test]

@@ -113,30 +113,8 @@ pub enum ReloadOutcome {
 /// state.  Pure in `(bytes, seed)`.
 pub fn compile_source(bytes: &[u8], seed: u64) -> Result<Arc<CompiledMdes>, ReloadError> {
     let mdes = if bytes.starts_with(lmdes::MAGIC) {
-        // Fast path: one allocation-free validating scan replaces the
-        // old double walk (full static triage followed by a full
-        // decode).  The static triage still runs whenever the scan
-        // rejects — it classifies *why* the bytes are bad (truncation
-        // vs tampered length vs trailing garbage) with a stable MD10x
-        // code, where the scanner only says "no" — and for images large
-        // enough (>= 2^24 bytes) that triage's MD104 plausibility bound
-        // could fire on a count the byte-bounded scan accepts.
-        let scanned = match lmdes::scan(bytes) {
-            Ok(scanned) if bytes.len() < (1 << 24) => scanned,
-            other => {
-                let triage = mdes_analyze::analyze_image(bytes);
-                if let Some(diag) = triage.first_fatal() {
-                    return Err(ReloadError::Parse(format!(
-                        "bad LMDES image [{}]: {}",
-                        diag.code, diag.message
-                    )));
-                }
-                other.map_err(|e| ReloadError::Parse(format!("bad LMDES image: {e}")))?
-            }
-        };
-        scanned
-            .materialize()
-            .map_err(|e| ReloadError::Parse(format!("bad LMDES image: {e}")))?
+        lmdes::read(bytes)
+            .map_err(|e| ReloadError::Parse(format!("bad LMDES image [{}]: {e}", e.code())))?
     } else {
         let source = std::str::from_utf8(bytes)
             .map_err(|_| ReloadError::Parse("source is neither LMDES nor UTF-8 HMDL".into()))?;
@@ -389,8 +367,8 @@ mod tests {
         assert!(err.message().contains("MD001"), "{err:?}");
         assert!(err.message().contains("line"), "span missing: {err:?}");
 
-        // An LMDES image with trailing garbage: triaged as MD105 before
-        // the decoder even runs.
+        // An LMDES image with trailing garbage: the decoder names the
+        // fault class (MD105).
         let mut tail = image_of(Machine::Pentium);
         tail.extend_from_slice(b"junk");
         let err = store.reload_bytes(&tail, "tail.lmdes").unwrap_err();

@@ -4,13 +4,17 @@
 //! scheduling scratch it owns for life, so after warm-up a request's
 //! allocations are the request's own data — regions, schedules, the
 //! reply — never per-request scratch, statistics histograms, or worker
-//! threads.  A counting global allocator (no dependencies) tallies this
-//! thread's allocations and their largest size.
+//! threads.  The LMDES validating scan a reload's image goes through
+//! allocates nothing at all, accepting or rejecting.  A counting global
+//! allocator (no dependencies) tallies this thread's allocations and
+//! their largest size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use mdes_core::{lmdes, CompiledMdes, UsageEncoding};
 use mdes_engine::WorkerScratch;
+use mdes_guard::{corrupt_image, ImageFault};
 use mdes_machines::Machine;
 use mdes_serve::server::run_work;
 use mdes_serve::{compile_machine, ImageStore, ServeStats, WorkParams};
@@ -120,4 +124,30 @@ fn the_gate_sees_the_histograms_a_request_must_not_allocate() {
     // size bound above would catch if a request built them.
     let (tally, _scratch) = allocations_in(WorkerScratch::new);
     assert!(tally.largest >= LARGE, "{tally:?}");
+}
+
+#[test]
+fn the_lmdes_scan_allocates_nothing_accepting_or_rejecting() {
+    let specs = Machine::all().map(|m| m.spec()).into_iter().chain([
+        mdes_machines::pentium_pro(),
+        mdes_machines::approximate_superspark(),
+    ]);
+    let mut corpus = Vec::new();
+    for spec in specs {
+        let image = lmdes::write(&CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap());
+        for fault in ImageFault::fatal() {
+            for seed in 0..32 {
+                corpus.push(corrupt_image(&image, fault, seed));
+            }
+        }
+        corpus.push(image);
+    }
+    let (tally, accepted) = allocations_in(|| {
+        corpus
+            .iter()
+            .filter(|bytes| lmdes::scan(bytes).is_ok())
+            .count()
+    });
+    assert_eq!(accepted, 6, "only the six clean images scan");
+    assert_eq!(tally.allocations, 0, "{tally:?}");
 }

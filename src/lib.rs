@@ -4,7 +4,7 @@
 //! See the individual crates for full documentation:
 //!
 //! * [`analyze`] — the static diagnostics engine (stable `MD` codes,
-//!   semantic dominance proofs, unsatisfiable classes, image triage);
+//!   semantic dominance proofs, unsatisfiable classes);
 //! * [`core`] — representations, checker, RU map, stats, memory model;
 //! * [`lang`] — the high-level machine-description language (HMDL);
 //! * [`opt`] — the MDES transformation pipeline;
