@@ -3,7 +3,8 @@
 #
 #   ./ci.sh          fast tier-1 gate: release build, dev-profile tests
 #                    (debug assertions on), the scheduler and workload
-#                    allocation gates, formatting
+#                    allocation gates, the engine pool's suites,
+#                    formatting
 #   ./ci.sh --full   everything above plus the release-profile workspace
 #                    suites, the bench-serve concurrency smokes, the
 #                    daemon serving smokes (a v1 serial client and a
@@ -86,6 +87,12 @@ cargo test -q
 # per generated region, and allocation-free reservation attempts.
 cargo test -q -p mdes-sched -p mdes-workload --test allocations
 
+# The engine's suites take a few seconds: every job runs exactly once,
+# a panicked job leaves `None` at its own index, a blocked job never
+# strands a later one, and a skewed batch schedules byte-identically at
+# 1, 4 and 16 workers.
+cargo test -q -p mdes-engine
+
 cargo fmt --check
 
 test "$FULL" -eq 1 || exit 0
@@ -118,7 +125,7 @@ if grep -qi 'poison' "$METRICS"; then
 fi
 
 # The same smoke at eight workers: oversubscribed relative to most CI
-# boxes, so the chunked/stealing hand-off and per-worker state reuse get
+# boxes, so the shared job cursor and per-worker state reuse get
 # exercised under real contention — and must still lose zero jobs.
 METRICS8="$ART/bench-serve-w8.json"
 ./target/release/mdesc bench-serve --jobs 8 --regions 2000 --seed 42 \

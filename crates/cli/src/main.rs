@@ -817,13 +817,11 @@ fn bench_serve_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     );
     for worker in &outcome.workers {
         println!(
-            "  worker{}: {} jobs, {} steals, {} checks, busy {:.3}ms, queue wait {:.3}ms",
+            "  worker{}: {} jobs, {} checks, busy {:.3}ms",
             worker.load.worker,
             worker.load.jobs,
-            worker.load.steals,
             worker.stats.resource_checks,
             worker.load.busy_nanos as f64 / 1e6,
-            worker.load.queue_wait_nanos as f64 / 1e6,
         );
     }
     if !outcome.is_clean() {

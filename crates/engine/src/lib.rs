@@ -11,16 +11,15 @@
 //! (reset on entry, never reallocated).
 //!
 //! The crate has **zero external dependencies**; the pool is built from
-//! [`std::thread::scope`], a chunked atomic dispenser, and per-worker
-//! range words that idle workers steal from.
+//! [`std::thread::scope`] and one atomic job cursor.
 //!
 //! ## Model
 //!
-//! * [`pool::run_batch_stateful`] — the generic thread pool: workers claim
-//!   contiguous chunks of the shared job slice (one `fetch_add` amortized
-//!   over a whole chunk), steal half-chunks from each other when idle, and
-//!   carry one long-lived state value across all their jobs. Each job's
-//!   panic is caught and surfaced rather than tearing the batch down.
+//! * [`pool::run_batch_stateful`] — the generic thread pool: each free
+//!   worker claims the next job of the shared slice with one `fetch_add`,
+//!   so no job waits behind a running one, and carries one long-lived
+//!   state value across all its jobs. Each job's panic is caught and
+//!   surfaced rather than tearing the batch down.
 //! * [`Engine`] — the scheduling front: [`Engine::schedule_batch`] runs
 //!   the list scheduler over a batch of regions (basic blocks) against
 //!   per-worker scratch ([`WorkerScratch`]) and returns index-aligned
@@ -34,7 +33,8 @@
 //!
 //! The same region batch with the same shared MDES produces byte-identical
 //! schedules and identical folded [`CheckStats`] regardless of the worker
-//! count, chunk size, or steal interleaving. Two facts carry the argument:
+//! count or of which worker claims which job. Two facts carry the
+//! argument:
 //!
 //! 1. **Each job is a pure function of its block.** A job schedules
 //!    against per-worker scratch that is *reset on entry* to a state
@@ -50,8 +50,8 @@
 //!
 //! [`Engine::schedule_serial`] is the same computation on one worker, so
 //! its schedules and folded statistics equal `schedule_batch`'s at any
-//! worker count. Only wall-clock measurements (queue wait, busy time,
-//! jobs/sec, steal counts) vary run to run. See `docs/concurrency.md`.
+//! worker count. Only wall-clock measurements (busy time, jobs/sec) and
+//! the per-worker job split vary run to run. See `docs/concurrency.md`.
 //!
 //! # Example
 //!
@@ -92,7 +92,7 @@ use mdes_sched::{Block, ListScheduler, Priority, SchedScratch, Schedule};
 use mdes_telemetry::Telemetry;
 
 use pool::run_serial;
-pub use pool::{chunk_size, run_batch, run_batch_stateful, PoolOutcome, WorkerLoad};
+pub use pool::{run_batch_stateful, PoolOutcome, WorkerLoad};
 
 /// One worker's reusable scheduling state: the [`SchedScratch`] every job
 /// schedules against (RU map, placement buffers, hint table), the
@@ -185,9 +185,10 @@ impl Engine {
     /// to at least one) and returns index-aligned results plus folded
     /// statistics.
     ///
-    /// Workers share the compiled MDES read-only; each worker owns one
-    /// [`WorkerScratch`] for the whole batch whose scheduling buffers and
-    /// job [`CheckStats`] are *reset* — not reallocated — at the start of
+    /// Workers share the compiled MDES read-only and claim blocks one at
+    /// a time off a shared cursor; each worker owns one [`WorkerScratch`]
+    /// for the whole batch whose scheduling buffers and job
+    /// [`CheckStats`] are *reset* — not reallocated — at the start of
     /// every job, so the result for block *i* is independent of worker
     /// count and assignment (see the crate-level determinism contract).
     /// With `jobs == 1` the batch runs inline on the calling thread. A
@@ -208,7 +209,7 @@ impl Engine {
 
         // The batch total is the fold of the per-worker accumulators.
         // CheckStats::merge is pure addition, so this equals the job-index
-        // -order fold of per-job stats regardless of how the queue
+        // -order fold of per-job stats regardless of how the claims
         // partitioned jobs across workers.
         let mut stats = CheckStats::new();
         let workers: Vec<WorkerReport> = raw
@@ -308,7 +309,7 @@ impl SerialOutcome {
 /// statistics of the jobs it executed.
 #[derive(Clone, Debug)]
 pub struct WorkerReport {
-    /// Queue/busy timing and job counts from the pool.
+    /// Busy time and job counts from the pool.
     pub load: WorkerLoad,
     /// Folded [`CheckStats`] of this worker's jobs.
     pub stats: CheckStats,
@@ -339,10 +340,11 @@ impl BatchOutcome {
         self.workers.iter().map(|w| w.load.panics).sum()
     }
 
-    /// Half-chunk steals performed across the batch (load-balance
-    /// telemetry; varies run to run and never affects results).
+    /// Always 0: the pool claims every job off one cursor, so nothing is
+    /// ever stolen. Kept only because the end-to-end benchmark
+    /// (`benchmark/src/batch.rs`) reads it for its `engine.steals` metric.
     pub fn steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.load.steals).sum()
+        0
     }
 
     /// Whether every job completed without a panic.
@@ -367,22 +369,19 @@ impl BatchOutcome {
     /// `engine`): the folded scheduling counters under `{prefix}/sched`,
     /// a `jobs_per_sec` gauge, a `worker_panics` counter (always present,
     /// zero on clean runs, so metrics consumers can gate on it), and a
-    /// per-worker breakdown — `queue_wait`/`busy` spans via the
-    /// thread-safe [`Telemetry::record_span`] path plus job and
-    /// check/reserve counters.
+    /// per-worker breakdown — a `busy` span via the thread-safe
+    /// [`Telemetry::record_span`] path plus job and check/reserve
+    /// counters.
     pub fn publish(&self, tel: &Telemetry, prefix: &str) {
         self.stats.publish(tel, &format!("{prefix}/sched"));
         tel.counter_add(&format!("{prefix}/jobs_completed"), self.completed() as u64);
         tel.counter_add(&format!("{prefix}/worker_panics"), self.worker_panics());
         tel.gauge_set(&format!("{prefix}/jobs_per_sec"), self.jobs_per_sec());
         tel.gauge_set(&format!("{prefix}/workers"), self.workers.len() as f64);
-        tel.counter_add(&format!("{prefix}/steals"), self.steals());
         for worker in &self.workers {
             let base = format!("{prefix}/worker{}", worker.load.worker);
-            tel.record_span(&format!("{base}/queue_wait"), worker.load.queue_wait_nanos);
             tel.record_span(&format!("{base}/busy"), worker.load.busy_nanos);
             tel.counter_add(&format!("{base}/jobs"), worker.load.jobs);
-            tel.counter_add(&format!("{base}/steals"), worker.load.steals);
             tel.counter_add(&format!("{base}/attempts"), worker.stats.attempts);
             tel.counter_add(
                 &format!("{base}/resource_checks"),
@@ -582,6 +581,6 @@ mod tests {
         assert_eq!(report.counter("engine/jobs_completed"), Some(3));
         assert!(report.gauge("engine/jobs_per_sec").is_some());
         assert!(report.span("engine/worker0/busy").is_some());
-        assert!(report.span("engine/worker1/queue_wait").is_some());
+        assert!(report.span("engine/worker1/busy").is_some());
     }
 }

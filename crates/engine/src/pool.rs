@@ -1,34 +1,24 @@
 //! The generic worker pool: scoped threads draining a shared job slice
-//! through chunked hand-off with work-stealing.
+//! through one atomic cursor.
 //!
-//! The queue is the job slice itself plus one [`AtomicUsize`] chunk
-//! dispenser and one packed [`AtomicU64`] range per worker — there is no
-//! channel, no allocation per job, and no lock on the hot path. Each
-//! worker claims a contiguous chunk of job indices with a single
-//! `fetch_add` (the chunk amortizes the synchronized claim across many
-//! jobs), keeps the chunk in its own range word, and pops indices off the
-//! front locally. When the dispenser runs dry an idle worker scans the
-//! other workers' range words and steals the back half of a victim's
-//! remaining range with one CAS, so a skewed batch (one giant job among
-//! many tiny ones) cannot strand the tail of a chunk behind a long job.
+//! The queue is the job slice itself plus one [`AtomicUsize`] cursor. A
+//! worker claims its next job with a single `fetch_add(1)` and runs it:
+//! there is no channel, no allocation per job, no lock and no retry loop.
+//! A job is claimed only by a worker that is free to run it, so no
+//! unclaimed job is ever parked behind a running one — a long job holds
+//! up only itself while the other workers keep drawing from the cursor.
 //!
 //! Determinism does not depend on any of this: results are merged into
 //! index-aligned slots after all workers join, so output order never
-//! depends on thread interleaving, chunk size, or who stole what.
+//! depends on thread interleaving or on which worker claimed which job.
 //!
-//! A one-thread batch skips all of it: `run_serial` drains the slice in
-//! index order on the calling thread, with no scope, no spawn and no
-//! queue, and [`run_batch_stateful`] takes that path whenever `threads`
-//! is one. `Engine::schedule_serial` calls `run_serial` directly with
+//! A one-thread batch opens no scope and spawns nothing: `run_serial`
+//! drains the slice in index order on the calling thread, and
+//! [`run_batch_stateful`] takes that path whenever `threads` is one.
+//! `Engine::schedule_serial` calls `run_serial` directly with
 //! caller-owned state that outlives the batch (a daemon worker's).
 //!
-//! The range word packs `start << 32 | end` (batches are capped at
-//! `u32::MAX` jobs). Pops advance `start` by CAS; steals move `end` down
-//! by CAS; the owner installs a fresh range only while its word is empty.
-//! The ABA problem cannot arise: chunk starts come off a monotonically
-//! increasing dispenser and a popped index never re-enters any range, so
-//! a stale `(start, end)` bit pattern can never reappear in a slot.
-//!
+//! Spawned workers and `run_serial` run the same claim–run–record loop.
 //! A panic inside one job is caught ([`std::panic::catch_unwind`]) and
 //! recorded in the claiming worker's [`WorkerLoad::panics`]; the worker
 //! moves on to the next job and the batch completes with a `None` in the
@@ -38,7 +28,7 @@
 //! contract below.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Per-worker load measurements.
@@ -50,217 +40,75 @@ pub struct WorkerLoad {
     pub jobs: u64,
     /// Jobs claimed by this worker that panicked.
     pub panics: u64,
-    /// Successful half-chunk steals performed by this worker.
-    pub steals: u64,
-    /// Nanoseconds spent claiming work from the queue.
-    pub queue_wait_nanos: u128,
     /// Nanoseconds spent executing jobs.
     pub busy_nanos: u128,
 }
 
-/// The raw result of [`run_batch`] / [`run_batch_stateful`].
+/// The raw result of [`run_batch_stateful`].
 #[derive(Debug)]
 pub struct PoolOutcome<R> {
     /// Job results, index-aligned with the input slice; `None` marks a
     /// panicked job.
     pub results: Vec<Option<R>>,
-    /// Which worker executed each job (`None` for panicked jobs).
-    pub assigned: Vec<Option<usize>>,
     /// Per-worker load, indexed by worker id.
     pub workers: Vec<WorkerLoad>,
     /// Wall-clock nanoseconds from first spawn to last join.
     pub elapsed_nanos: u128,
 }
 
-/// Chunk size for a batch: large enough that one dispenser `fetch_add`
-/// amortizes over many jobs, small enough that every worker sees several
-/// chunks (load balance) and a steal still has something to take.
-///
-/// `jobs / (threads * 8)` aims for ~8 chunks per worker, clamped to
-/// `[1, 64]` so tiny batches still hand out work and huge batches do not
-/// concentrate too much in one claim.
-pub fn chunk_size(jobs: usize, threads: usize) -> usize {
-    (jobs / (threads.max(1) * 8)).clamp(1, 64)
-}
-
-#[inline]
-fn pack(start: u32, end: u32) -> u64 {
-    (u64::from(start) << 32) | u64::from(end)
-}
-
-#[inline]
-fn unpack(word: u64) -> (u32, u32) {
-    ((word >> 32) as u32, word as u32)
-}
-
-/// The shared queue state: a chunk dispenser plus one packed range word
-/// per worker.
-struct StealQueue {
-    cursor: AtomicUsize,
-    /// `start << 32 | end` per worker; `start == end` means empty.
-    ranges: Vec<AtomicU64>,
-    len: usize,
-    chunk: usize,
-    /// Jobs finished (completed or panicked); workers exit only once this
-    /// reaches `len`, so late-appearing steal targets are never missed.
-    done: AtomicUsize,
-}
-
-impl StealQueue {
-    fn new(len: usize, threads: usize) -> StealQueue {
-        assert!(len <= u32::MAX as usize, "batch too large for range words");
-        StealQueue {
-            cursor: AtomicUsize::new(0),
-            ranges: (0..threads).map(|_| AtomicU64::new(pack(0, 0))).collect(),
-            len,
-            chunk: chunk_size(len, threads),
-            done: AtomicUsize::new(0),
-        }
-    }
-
-    /// Pops the front index of `worker`'s own range, if any.
-    fn pop_own(&self, worker: usize) -> Option<usize> {
-        let slot = &self.ranges[worker];
-        let mut current = slot.load(Ordering::Acquire);
-        loop {
-            let (start, end) = unpack(current);
-            if start >= end {
-                return None;
+/// The claim–run–record loop every worker runs, spawned or inline: claims
+/// the next job index off `cursor` until the slice is exhausted, runs the
+/// job under [`catch_unwind`], and hands each completed result to
+/// `record` with its index.
+fn drain<T, R, S>(
+    items: &[T],
+    cursor: &AtomicUsize,
+    worker: usize,
+    state: &mut S,
+    work: impl Fn(&mut S, usize, &T) -> R,
+    mut record: impl FnMut(usize, R),
+) -> WorkerLoad {
+    let mut load = WorkerLoad {
+        worker,
+        ..WorkerLoad::default()
+    };
+    loop {
+        // Relaxed is enough: the read-modify-write alone makes every
+        // claimed index distinct, the items were published to the worker
+        // when it was spawned, and results travel back through its join.
+        let index = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(index) else {
+            return load;
+        };
+        let started = Instant::now();
+        let result = catch_unwind(AssertUnwindSafe(|| work(state, index, item)));
+        load.busy_nanos += started.elapsed().as_nanos();
+        match result {
+            Ok(value) => {
+                load.jobs += 1;
+                record(index, value);
             }
-            match slot.compare_exchange_weak(
-                current,
-                pack(start + 1, end),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(start as usize),
-                Err(seen) => current = seen,
-            }
-        }
-    }
-
-    /// Claims the next chunk off the dispenser, installs its tail into
-    /// `worker`'s (empty) range word, and returns the chunk's first index.
-    fn claim_chunk(&self, worker: usize) -> Option<usize> {
-        let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
-        if start >= self.len {
-            return None;
-        }
-        let end = (start + self.chunk).min(self.len) as u32;
-        let start = start as u32;
-        if start + 1 < end {
-            // Only the owner stores fresh ranges, and only while the word
-            // is empty; concurrent steal CASes on the stale empty value
-            // simply fail and reload.
-            self.ranges[worker].store(pack(start + 1, end), Ordering::Release);
-        }
-        Some(start as usize)
-    }
-
-    /// Scans the other workers' ranges and steals the back half of the
-    /// first non-empty one found: the victim keeps `[start, mid)`, the
-    /// thief takes `[mid, end)`, runs `mid` immediately and parks the rest
-    /// in its own range word. A single-job range is taken whole.
-    fn steal(&self, worker: usize, load: &mut WorkerLoad) -> Option<usize> {
-        let threads = self.ranges.len();
-        for offset in 1..threads {
-            let victim = (worker + offset) % threads;
-            let slot = &self.ranges[victim];
-            let mut current = slot.load(Ordering::Acquire);
-            loop {
-                let (start, end) = unpack(current);
-                let remaining = end.saturating_sub(start);
-                if remaining == 0 {
-                    break; // next victim
-                }
-                // A single-job range is popped off the front whole (the
-                // back-half split would be empty); otherwise the victim
-                // keeps the (larger) front half so its next local pops
-                // stay cache-warm and sequential.
-                let (replacement, taken) = if remaining == 1 {
-                    (pack(start + 1, end), start)
-                } else {
-                    let mid = start + remaining.div_ceil(2);
-                    (pack(start, mid), mid)
-                };
-                match slot.compare_exchange_weak(
-                    current,
-                    replacement,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        load.steals += 1;
-                        if remaining > 1 && taken + 1 < end {
-                            self.ranges[worker].store(pack(taken + 1, end), Ordering::Release);
-                        }
-                        return Some(taken as usize);
-                    }
-                    Err(seen) => current = seen,
-                }
-            }
-        }
-        None
-    }
-
-    /// Claims the next job for `worker`: own range first, then a fresh
-    /// chunk, then stealing. Returns `None` only when every job in the
-    /// batch has finished, so a worker never exits while unexecuted jobs
-    /// are parked in another worker's range.
-    fn next_job(&self, worker: usize, load: &mut WorkerLoad) -> Option<usize> {
-        loop {
-            if let Some(index) = self.pop_own(worker) {
-                return Some(index);
-            }
-            if let Some(index) = self.claim_chunk(worker) {
-                return Some(index);
-            }
-            if let Some(index) = self.steal(worker, load) {
-                return Some(index);
-            }
-            if self.done.load(Ordering::Acquire) >= self.len {
-                return None;
-            }
-            // Work may still appear (a chunk mid-install, a long job whose
-            // owner holds unstolen tail jobs); yield rather than spin so a
-            // busy sibling on the same core gets the cycles.
-            std::thread::yield_now();
+            Err(_) => load.panics += 1,
         }
     }
 }
 
 /// Runs `work` over every item of `items` on `threads` workers (clamped
-/// to at least one) and returns index-aligned results.
+/// to at least one) and returns index-aligned results. Each worker owns a
+/// long-lived state value built once by `init(worker_id)` and borrowed
+/// mutably by every job the worker executes. The final per-worker states
+/// are returned alongside the outcome, indexed by worker id.
 ///
-/// `work` receives `(worker_id, job_index, item)`. It must not assume
-/// anything about which worker runs which job: assignment is chunked
-/// first-come first-served with stealing. Results are merged by job
-/// index, so they are deterministic whenever `work` itself is a pure
-/// function of `(job_index, item)`.
-pub fn run_batch<T, R, F>(items: &[T], threads: usize, work: F) -> PoolOutcome<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, usize, &T) -> R + Sync,
-{
-    let (outcome, _states) = run_batch_stateful(
-        items,
-        threads,
-        |_| (),
-        |(), worker, index, item| work(worker, index, item),
-    );
-    outcome
-}
-
-/// Like [`run_batch`], but each worker owns a long-lived state value
-/// built once by `init(worker_id)` and borrowed mutably by every job the
-/// worker executes. The final per-worker states are returned alongside
-/// the outcome, indexed by worker id.
+/// `work` receives `(state, worker_id, job_index, item)`. It must not
+/// assume anything about which worker runs which job: each free worker
+/// claims the next unclaimed index. Results are merged by job index, so
+/// they are deterministic whenever `work` itself is a pure function of
+/// `(job_index, item)`.
 ///
 /// This is how the engine keeps one reusable scheduler scratch (RU map,
 /// placement buffers, stats accumulator) per worker instead of
 /// allocating per job: `work` resets the scratch on entry and the state
-/// survives across every job the worker claims or steals.
+/// survives across every job the worker claims.
 ///
 /// With one thread the batch runs inline on the caller: no scope is
 /// opened and no thread is spawned.
@@ -295,51 +143,35 @@ where
         });
         return (outcome, vec![state]);
     }
-    let queue = StealQueue::new(items.len(), threads);
+    let cursor = AtomicUsize::new(0);
     let started = Instant::now();
 
     let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let mut assigned: Vec<Option<usize>> = vec![None; items.len()];
     let mut workers: Vec<WorkerLoad> = Vec::with_capacity(threads);
-    let mut states: Vec<(usize, S)> = Vec::with_capacity(threads);
+    let mut states: Vec<S> = Vec::with_capacity(threads);
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|worker| {
-                let queue = &queue;
-                let init = &init;
-                let work = &work;
+                let (cursor, init, work) = (&cursor, &init, &work);
                 scope.spawn(move || {
-                    let mut load = WorkerLoad {
-                        worker,
-                        ..WorkerLoad::default()
-                    };
                     let mut state = init(worker);
                     let mut produced: Vec<(usize, R)> =
                         Vec::with_capacity(items.len() / threads + 1);
-                    loop {
-                        let wait_started = Instant::now();
-                        let claimed = queue.next_job(worker, &mut load);
-                        load.queue_wait_nanos += wait_started.elapsed().as_nanos();
-                        let Some(index) = claimed else { break };
-                        let busy_started = Instant::now();
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            work(&mut state, worker, index, &items[index])
-                        }));
-                        load.busy_nanos += busy_started.elapsed().as_nanos();
-                        match result {
-                            Ok(value) => {
-                                load.jobs += 1;
-                                produced.push((index, value));
-                            }
-                            Err(_) => load.panics += 1,
-                        }
-                        queue.done.fetch_add(1, Ordering::AcqRel);
-                    }
+                    let load = drain(
+                        items,
+                        cursor,
+                        worker,
+                        &mut state,
+                        |state, index, item| work(state, worker, index, item),
+                        |index, value| produced.push((index, value)),
+                    );
                     (load, produced, state)
                 })
             })
             .collect();
+        // Joined in spawn order, so `workers` and `states` come out
+        // indexed by worker id.
         for handle in handles {
             // Per-job panics are caught inside the worker, so join can
             // only fail if the pool bookkeeping itself panicked; there is
@@ -347,24 +179,18 @@ where
             let (load, produced, state) = handle.join().expect("pool worker bookkeeping panicked");
             for (index, value) in produced {
                 results[index] = Some(value);
-                assigned[index] = Some(load.worker);
             }
-            states.push((load.worker, state));
             workers.push(load);
+            states.push(state);
         }
     });
-    workers.sort_by_key(|load| load.worker);
-    states.sort_by_key(|(worker, _)| *worker);
 
-    (
-        PoolOutcome {
-            results,
-            assigned,
-            workers,
-            elapsed_nanos: started.elapsed().as_nanos(),
-        },
-        states.into_iter().map(|(_, state)| state).collect(),
-    )
+    let outcome = PoolOutcome {
+        results,
+        workers,
+        elapsed_nanos: started.elapsed().as_nanos(),
+    };
+    (outcome, states)
 }
 
 /// Runs `work` over every item of `items` in index order on the calling
@@ -383,29 +209,17 @@ where
     F: Fn(&mut S, usize, &T) -> R,
 {
     let started = Instant::now();
-    let mut load = WorkerLoad::default();
-    let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
-    let mut assigned: Vec<Option<usize>> = Vec::with_capacity(items.len());
-    for (index, item) in items.iter().enumerate() {
-        let busy_started = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| work(state, index, item)));
-        load.busy_nanos += busy_started.elapsed().as_nanos();
-        match result {
-            Ok(value) => {
-                load.jobs += 1;
-                results.push(Some(value));
-                assigned.push(Some(0));
-            }
-            Err(_) => {
-                load.panics += 1;
-                results.push(None);
-                assigned.push(None);
-            }
-        }
-    }
+    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    let load = drain(
+        items,
+        &AtomicUsize::new(0),
+        0,
+        state,
+        work,
+        |index, value| results[index] = Some(value),
+    );
     PoolOutcome {
         results,
-        assigned,
         workers: vec![load],
         elapsed_nanos: started.elapsed().as_nanos(),
     }
@@ -416,11 +230,26 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
 
+    /// A stateless batch: `work(worker_id, job_index, item)`.
+    fn run<T: Sync, R: Send>(
+        items: &[T],
+        threads: usize,
+        work: impl Fn(usize, usize, &T) -> R + Sync,
+    ) -> PoolOutcome<R> {
+        let (outcome, _) = run_batch_stateful(
+            items,
+            threads,
+            |_| (),
+            |(), worker, index, item| work(worker, index, item),
+        );
+        outcome
+    }
+
     #[test]
     fn results_are_index_aligned_regardless_of_threads() {
         let items: Vec<u64> = (0..100).collect();
         for threads in [1, 2, 7] {
-            let outcome = run_batch(&items, threads, |_, index, item| item * 2 + index as u64);
+            let outcome = run(&items, threads, |_, index, item| item * 2 + index as u64);
             let values: Vec<u64> = outcome.results.into_iter().map(Option::unwrap).collect();
             let expected: Vec<u64> = items.iter().map(|i| i * 3).collect();
             assert_eq!(values, expected, "{threads} threads");
@@ -434,7 +263,7 @@ mod tests {
     fn every_job_runs_exactly_once() {
         let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
         let items: Vec<usize> = (0..64).collect();
-        run_batch(&items, 8, |_, index, _| {
+        run(&items, 8, |_, index, _| {
             hits[index].fetch_add(1, Ordering::Relaxed);
         });
         for (index, hit) in hits.iter().enumerate() {
@@ -443,14 +272,14 @@ mod tests {
     }
 
     #[test]
-    fn every_job_runs_exactly_once_across_chunk_sizes() {
-        // Batch sizes straddling chunk boundaries: smaller than one chunk
-        // per worker, exactly chunked, and with a ragged final chunk.
+    fn every_job_runs_exactly_once_across_batch_and_pool_sizes() {
+        // Batches smaller than the pool, equal to it, and many times
+        // larger, so workers run dry both before and after claiming.
         for jobs in [1usize, 3, 8, 65, 100, 513] {
             for threads in [1usize, 2, 5, 16] {
                 let hits: Vec<AtomicUsize> = (0..jobs).map(|_| AtomicUsize::new(0)).collect();
                 let items: Vec<usize> = (0..jobs).collect();
-                run_batch(&items, threads, |_, index, _| {
+                run(&items, threads, |_, index, _| {
                     hits[index].fetch_add(1, Ordering::Relaxed);
                 });
                 for (index, hit) in hits.iter().enumerate() {
@@ -467,12 +296,11 @@ mod tests {
     #[test]
     fn a_panicking_job_is_surfaced_and_the_rest_complete() {
         let items: Vec<usize> = (0..20).collect();
-        let outcome = run_batch(&items, 3, |_, index, item| {
+        let outcome = run(&items, 3, |_, index, item| {
             assert!(index != 11, "deliberate test panic");
             *item
         });
         assert!(outcome.results[11].is_none());
-        assert!(outcome.assigned[11].is_none());
         let completed = outcome.results.iter().flatten().count();
         assert_eq!(completed, 19);
         let panics: u64 = outcome.workers.iter().map(|w| w.panics).sum();
@@ -483,7 +311,7 @@ mod tests {
     fn one_thread_runs_every_job_on_the_callers_thread() {
         let caller = std::thread::current().id();
         let items: Vec<usize> = (0..40).collect();
-        let outcome = run_batch(&items, 1, |worker, _, item| {
+        let outcome = run(&items, 1, |worker, _, item| {
             assert_eq!(std::thread::current().id(), caller);
             assert_eq!(worker, 0);
             *item
@@ -491,23 +319,20 @@ mod tests {
         assert_eq!(outcome.results.iter().flatten().count(), 40);
         assert_eq!(outcome.workers.len(), 1);
         assert_eq!(outcome.workers[0].jobs, 40);
-        assert_eq!(outcome.workers[0].steals, 0);
     }
 
     #[test]
     fn a_panicking_job_on_one_thread_leaves_none_at_its_own_index() {
         let items: Vec<usize> = (0..20).collect();
-        let outcome = run_batch(&items, 1, |_, index, item| {
+        let outcome = run(&items, 1, |_, index, item| {
             assert!(index != 11, "deliberate test panic");
             *item
         });
         for (index, result) in outcome.results.iter().enumerate() {
             if index == 11 {
                 assert!(result.is_none());
-                assert!(outcome.assigned[index].is_none());
             } else {
                 assert_eq!(*result, Some(index), "job {index}");
-                assert_eq!(outcome.assigned[index], Some(0));
             }
         }
         assert_eq!(outcome.workers[0].panics, 1);
@@ -546,18 +371,9 @@ mod tests {
 
     #[test]
     fn empty_batches_are_fine() {
-        let outcome = run_batch(&[] as &[u8], 4, |_, _, _| ());
+        let outcome = run(&[] as &[u8], 4, |_, _, _| ());
         assert!(outcome.results.is_empty());
         assert_eq!(outcome.workers.len(), 4);
-    }
-
-    #[test]
-    fn chunk_size_is_bounded_and_nonzero() {
-        assert_eq!(chunk_size(0, 4), 1);
-        assert_eq!(chunk_size(7, 4), 1);
-        assert_eq!(chunk_size(64, 4), 2);
-        assert_eq!(chunk_size(1 << 20, 4), 64);
-        assert_eq!(chunk_size(100, 0), 12); // zero threads clamps to one
     }
 
     #[test]
@@ -584,12 +400,10 @@ mod tests {
     }
 
     #[test]
-    fn a_blocked_chunk_is_stolen_by_an_idle_worker() {
-        // 1024 jobs on 2 threads gives 64-job chunks, so whichever worker
-        // claims the first chunk runs job 0 — which blocks until job 5
-        // (parked in that same chunk) has run. Only the other worker can
-        // run job 5, and only by stealing it out of the blocked worker's
-        // range, so the batch completing proves the steal path works.
+    fn a_blocked_job_never_strands_a_later_one() {
+        // Whichever worker claims job 0 blocks in it until job 5 has run,
+        // so only the other worker can run job 5. The batch completing
+        // proves that no unclaimed job waits behind a running one.
         let released = AtomicBool::new(false);
         let items: Vec<usize> = (0..1024).collect();
         let (outcome, _) = run_batch_stateful(
@@ -600,7 +414,7 @@ mod tests {
                 if index == 0 {
                     let deadline = Instant::now() + std::time::Duration::from_secs(30);
                     while !released.load(Ordering::Acquire) {
-                        assert!(Instant::now() < deadline, "job 5 was never stolen");
+                        assert!(Instant::now() < deadline, "job 5 never ran");
                         std::thread::yield_now();
                     }
                 } else if index == 5 {
@@ -609,7 +423,5 @@ mod tests {
             },
         );
         assert_eq!(outcome.results.iter().flatten().count(), 1024);
-        let steals: u64 = outcome.workers.iter().map(|w| w.steals).sum();
-        assert!(steals >= 1, "expected at least one steal, got {steals}");
     }
 }

@@ -1,8 +1,7 @@
 //! The engine's determinism contract: worker count must be invisible in
 //! the results. Same seed, `--jobs 1` vs `--jobs 8` vs `--jobs 16`
 //! produce byte-identical schedules and identical folded `CheckStats`
-//! counters — under the chunked work-stealing queue, whatever got stolen
-//! by whom.
+//! counters, whichever worker claimed which job off the shared cursor.
 
 use std::sync::Arc;
 
@@ -48,12 +47,11 @@ fn one_eight_and_sixteen_workers_produce_byte_identical_results() {
 }
 
 #[test]
-fn a_skewed_workload_is_stolen_without_breaking_the_fold() {
-    // One giant region buried at the front of a batch of tiny ones: the
-    // worker that claims the first chunk is stuck scheduling the giant
-    // block while the tiny jobs parked behind it in the same chunk can
-    // only be run by other workers stealing them. The batch must still be
-    // byte-identical to the single-worker run — stealing moves work, not
+fn a_skewed_workload_keeps_the_fold_at_any_worker_count() {
+    // One giant region at the front of a batch of tiny ones: the worker
+    // that claims job 0 is stuck scheduling the giant block while the
+    // other workers claim and run every tiny job. The batch must still be
+    // byte-identical to the single-worker run — the split moves work, not
     // results.
     let machine = Machine::Pa7100;
     let spec = machine.spec();
@@ -79,14 +77,6 @@ fn a_skewed_workload_is_stolen_without_breaking_the_fold() {
         assert!(outcome.is_clean(), "{jobs} workers");
         assert_eq!(outcome.schedules, serial.schedules, "{jobs} workers");
         assert_eq!(outcome.stats, serial.stats, "{jobs} workers");
-        // The giant job pins its worker for far longer than the rest of
-        // the batch takes, so the tiny jobs parked in its chunk must have
-        // been stolen for the batch to complete — and the fold above
-        // proves the steals changed nothing.
-        assert!(
-            outcome.steals() >= 1,
-            "{jobs} workers: expected the blocked chunk's tail to be stolen"
-        );
     }
 }
 
@@ -126,7 +116,7 @@ fn hinted_engine_is_deterministic_and_schedules_stay_valid() {
 #[test]
 fn worker_assignment_never_leaks_into_the_fold() {
     // The per-worker splits differ run to run (first-come first-served
-    // queue), but their fold is pinned to the jobs-order total.
+    // claims), but their fold is pinned to the jobs-order total.
     let machine = Machine::SuperSparc;
     let spec = machine.spec();
     let compiled = Arc::new(CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap());

@@ -119,10 +119,15 @@ fn a_panicked_job_costs_only_its_own_counts() {
     // surviving results must equal a serial fold that skips the same job
     // — a panic cannot corrupt or drop other workers' counters.
     let items: Vec<u64> = (0..24).collect();
-    let outcome = mdes_engine::run_batch(&items, 3, |_, index, &item| {
-        assert!(index != 7, "deliberate test panic");
-        fragment(item + 1, 2)
-    });
+    let (outcome, _) = mdes_engine::run_batch_stateful(
+        &items,
+        3,
+        |_| (),
+        |(), _, index, &item| {
+            assert!(index != 7, "deliberate test panic");
+            fragment(item + 1, 2)
+        },
+    );
     let panics: u64 = outcome.workers.iter().map(|w| w.panics).sum();
     assert_eq!(panics, 1);
 

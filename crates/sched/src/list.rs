@@ -359,26 +359,6 @@ impl<'a> ListScheduler<'a> {
         self.schedule_with_graph_reusing(block, &graph, scratch, stats)
     }
 
-    /// [`ListScheduler::schedule`] with a `sched/list` timing span and
-    /// this run's counters published into `tel` under `sched/list/…`
-    /// (the run is still merged into `stats`, so existing accounting is
-    /// unchanged).
-    pub fn schedule_with_telemetry(
-        &self,
-        block: &Block,
-        stats: &mut CheckStats,
-        tel: &mdes_telemetry::Telemetry,
-    ) -> Schedule {
-        let mut run = CheckStats::new();
-        let schedule = {
-            let _span = tel.span("sched/list");
-            self.schedule(block, &mut run)
-        };
-        run.publish(tel, "sched/list");
-        stats.merge(&run);
-        schedule
-    }
-
     /// Schedules `block` with a pre-built dependence graph.
     pub fn schedule_with_graph(
         &self,
@@ -711,26 +691,6 @@ mod tests {
         assert_eq!(stats.operations, 4);
         let graph = DepGraph::build(&block, &mdes);
         schedule.verify(&graph, &mdes).unwrap();
-    }
-
-    #[test]
-    fn telemetry_variant_matches_check_stats() {
-        let mdes = two_issue();
-        let mut block = Block::new();
-        for i in 0..4 {
-            block.push(Op::new(class(&mdes, "alu"), vec![Reg(i)], vec![]));
-        }
-        let mut stats = CheckStats::new();
-        let tel = mdes_telemetry::Telemetry::new();
-        let schedule = ListScheduler::new(&mdes).schedule_with_telemetry(&block, &mut stats, &tel);
-        assert_eq!(schedule.length, 2);
-        let report = tel.report();
-        assert_eq!(report.counter("sched/list/attempts"), Some(stats.attempts));
-        assert_eq!(
-            report.counter("sched/list/resource_checks"),
-            Some(stats.resource_checks)
-        );
-        assert!(report.span("sched/list").is_some());
     }
 
     #[test]

@@ -261,31 +261,6 @@ impl<'a> ModuloScheduler<'a> {
         panic!("no modulo schedule found up to II {limit}");
     }
 
-    /// [`ModuloScheduler::schedule`] with a `sched/modulo` timing span,
-    /// this run's counters published into `tel` under `sched/modulo/…`,
-    /// and the achieved II and MII recorded as gauges (the run is still
-    /// merged into `stats`).
-    pub fn schedule_with_telemetry(
-        &self,
-        looped: &LoopBlock,
-        stats: &mut CheckStats,
-        tel: &mdes_telemetry::Telemetry,
-    ) -> ModuloSchedule {
-        let mut run = CheckStats::new();
-        let schedule = {
-            let _span = tel.span("sched/modulo");
-            self.schedule(looped, &mut run)
-        };
-        run.publish(tel, "sched/modulo");
-        tel.gauge_set("sched/modulo/ii", schedule.ii as f64);
-        tel.gauge_set(
-            "sched/modulo/mii",
-            self.res_mii(looped).max(self.rec_mii(looped)) as f64,
-        );
-        stats.merge(&run);
-        schedule
-    }
-
     /// One budgeted scheduling attempt at a fixed II.
     fn try_ii(
         &self,

@@ -136,7 +136,11 @@ pub fn compile_source(bytes: &[u8], seed: u64) -> Result<Arc<CompiledMdes>, Relo
                 diag.code, diag.message
             )));
         }
-        let guard = GuardConfig::oracle(seed);
+        // The analysis above already vetted this spec; the guard need not repeat it.
+        let guard = GuardConfig {
+            analyze: false,
+            ..GuardConfig::oracle(seed)
+        };
         let report = mdes_guard::optimize_guarded(
             &mut spec,
             &PipelineConfig::full(),

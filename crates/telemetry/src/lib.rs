@@ -166,7 +166,7 @@ impl Telemetry {
     /// bypassing the nesting stack.
     ///
     /// This is the thread-safe complement to [`Telemetry::span`]: workers
-    /// that time their own phases on the side (queue wait, busy time) can
+    /// that time their own phases on the side (a pool worker's busy time) can
     /// fold the measurements in concurrently without interleaving on the
     /// registry's single span stack. The path is taken literally — it is
     /// not prefixed by any currently-open span.
