@@ -2,9 +2,10 @@
 # CI gate. Run from the repo root.
 #
 #   ./ci.sh          fast tier-1 gate: release build, dev-profile tests
-#                    (debug assertions on), the scheduler and workload
-#                    allocation gates, the engine pool's suites,
-#                    formatting
+#                    (debug assertions on), the checker's and
+#                    scheduler's own suites (the scheduler allocation
+#                    gate included), the workload allocation gate, the
+#                    engine pool's suites, formatting
 #   ./ci.sh --full   everything above plus the release-profile workspace
 #                    suites, the bench-serve concurrency smokes, the
 #                    daemon serving smokes (a v1 serial client and a
@@ -13,7 +14,8 @@
 #                    injected-corrupt reload: non-LMDES text for the
 #                    v1 client, a truncated LMDES image for the
 #                    multi-shard one), the exact-scheduler
-#                    oracle smoke and fleet fuzz (docs/oracle.md), the
+#                    oracle smoke (its production gap pinned exactly)
+#                    and fleet fuzz (docs/oracle.md), the
 #                    static-analysis lint smoke and defect-recall gate
 #                    (docs/analysis.md), the workspace clippy gate plus
 #                    the panic-free lang/opt gate, and the perf
@@ -82,10 +84,14 @@ cargo build --release
 cargo test -q
 
 # The root package's tests leave out member crates' own test targets.
-# The two allocation gates take under a second and guard the layouts the
-# benchmark's memory figures depend on: a heap-free `Op`, one allocation
-# per generated region, and allocation-free reservation attempts.
-cargo test -q -p mdes-sched -p mdes-workload --test allocations
+# The checker's and scheduler's own suites take about 2 s warm: the
+# checker's unit tests, and the scheduler's allocation gate (a heap-free
+# `Op`, allocation-free reservation attempts, a fixed allocation count
+# per block).  The workload allocation gate (one allocation per
+# generated region) takes under a second.  Together they guard the
+# layouts the benchmark's memory figures depend on.
+cargo test -q -p mdes-core -p mdes-sched
+cargo test -q -p mdes-workload --test allocations
 
 # The engine's suites take a few seconds: every job runs exactly once,
 # a panicked job leaves `None` at its own index, a blocked job never
@@ -210,16 +216,19 @@ expect '"engine/worker_panics":0' "$SHARD_METRICS"
 
 # Oracle smoke: the exact branch-and-bound scheduler differentials the
 # production schedulers over the seed-42 region stream on all six
-# bundled machines.  Region counts are seed-deterministic, so the grep
-# demands the exact aggregate — any drift means the workload or the
-# oracle's op cap changed — and the published metrics must record zero
-# invariant inversions (an oracle schedule failing replay, a production
-# schedule beating the proven minimum, an II escaping its sandwich).
+# bundled machines.  Region counts and gaps are seed-deterministic, so
+# the grep demands the exact aggregate line, production gap included —
+# any drift means the workload, the oracle's op cap or a production
+# schedule changed (update this line deliberately when schedules change
+# on purpose, like the lint count below) — and the published metrics
+# must record zero invariant inversions (an oracle or list schedule
+# failing replay, a list schedule beating the proven minimum, an II
+# escaping its sandwich).
 ORACLE_METRICS="$ART/oracle-metrics.json"
 ORACLE_OUT="$ART/oracle-out.txt"
 ./target/release/mdesc --metrics "$ORACLE_METRICS" oracle --seed 42 \
     | tee "$ORACLE_OUT"
-expect '^oracle: 6 machine(s), 72 regions' "$ORACLE_OUT"
+expect '^oracle: 6 machine(s), 72 regions, 72 loops, gap 1.042 modulo 1.005, 0 violation(s)$' "$ORACLE_OUT"
 expect '"sched/oracle_violations":0' "$ORACLE_METRICS"
 
 # Fleet fuzz: 64 structurally diverse synthetic machines, each run
@@ -275,10 +284,9 @@ cargo clippy -p mdes-lang -p mdes-opt -- \
 # generous K finds an unthrottled window.  The gate also enforces the
 # hardware-aware batch_scaling floor (engine w1 ÷ w4 parallel speedup:
 # >= 3.0 on hosts with 4+ CPUs, a 0.85 no-harm bound on smaller boxes),
-# the absolute oracle_gap_hinted ceiling (hinted schedules at most
-# 15% over the proven minimum — see docs/performance.md and
-# docs/oracle.md), and — new with the schema-4 baseline — the daemon's
-# closed-loop serve latency: serve_p50_us/serve_p99_us from the
+# the absolute oracle_gap ceiling (list schedules at most 15% over the
+# proven minimum — see docs/performance.md and docs/oracle.md), and the
+# daemon's closed-loop serve latency: serve_p50_us/serve_p99_us from the
 # serve/load/* family may not drift past the baseline by more than the
 # same tolerance.  Exit code 5 on regression.
 PERF_JSON="$ART/perf-report.json"

@@ -16,7 +16,7 @@ use mdes_core::{CheckStats, CompiledMdes, UsageEncoding};
 use mdes_machines::Machine;
 use mdes_opt::expand::expand_to_or;
 use mdes_opt::pipeline::{optimize, optimize_with_telemetry, PipelineConfig};
-use mdes_sched::ListScheduler;
+use mdes_sched::{ListScheduler, Schedule};
 use mdes_telemetry::Telemetry;
 use mdes_workload::{generate, Workload, WorkloadConfig};
 
@@ -75,17 +75,20 @@ impl Stage {
 
 /// Prepares the spec for one experiment cell.
 pub fn prepare_spec(machine: Machine, rep: Rep, stage: Stage) -> MdesSpec {
-    let mut spec = machine.spec();
-    match rep {
-        Rep::OrTree => {
-            spec = expand_to_or(&spec).0;
-        }
-        Rep::AndOr => {
-            wrap_or_classes(&mut spec);
-        }
-    }
+    let mut spec = base_spec(machine, rep);
     if let Some(config) = stage.pipeline() {
         optimize(&mut spec, &config);
+    }
+    spec
+}
+
+/// The machine's description in representation `rep`, before any
+/// transformation: OR-expanded, or with plain-OR classes AND-wrapped.
+fn base_spec(machine: Machine, rep: Rep) -> MdesSpec {
+    let mut spec = machine.spec();
+    match rep {
+        Rep::OrTree => spec = expand_to_or(&spec).0,
+        Rep::AndOr => wrap_or_classes(&mut spec),
     }
     spec
 }
@@ -157,18 +160,27 @@ pub fn run_on_jobs(
         "{} worker panic(s) while regenerating tables",
         outcome.worker_panics()
     );
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for schedule in outcome.schedules.iter().flatten() {
-        for cycle in schedule.cycles() {
-            hash ^= cycle as u32 as u64;
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-    }
+    let hash = outcome
+        .schedules
+        .iter()
+        .flatten()
+        .fold(FNV_OFFSET, fold_cycles);
     RunResult {
         stats: outcome.stats,
         memory: measure(&compiled),
         schedule_hash: hash,
     }
+}
+
+/// FNV-1a offset basis: the [`RunResult::schedule_hash`] of no schedules.
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// Folds `schedule`'s issue cycles, in operation order, into the FNV-1a
+/// `hash`.
+fn fold_cycles(hash: u64, schedule: &Schedule) -> u64 {
+    schedule.ops.iter().fold(hash, |hash, op| {
+        (hash ^ op.cycle as u32 as u64).wrapping_mul(0x100000001b3)
+    })
 }
 
 /// [`run`] with the full flow instrumented into `tel`, grouped under a
@@ -186,15 +198,7 @@ pub fn run_with_telemetry(
     tel: &Telemetry,
 ) -> RunResult {
     let _machine_span = tel.span(machine.name());
-    let mut spec = machine.spec();
-    match rep {
-        Rep::OrTree => {
-            spec = expand_to_or(&spec).0;
-        }
-        Rep::AndOr => {
-            wrap_or_classes(&mut spec);
-        }
-    }
+    let mut spec = base_spec(machine, rep);
     if let Some(config) = stage.pipeline() {
         optimize_with_telemetry(&mut spec, &config, tel);
     }
@@ -204,15 +208,11 @@ pub fn run_with_telemetry(
         .expect("experiment spec must compile");
     let scheduler = ListScheduler::new(&compiled);
     let mut stats = CheckStats::new();
-    let mut hash: u64 = 0xcbf29ce484222325;
+    let mut hash = FNV_OFFSET;
     {
         let _sched_span = tel.span("sched/list");
         for block in &workload.blocks {
-            let schedule = scheduler.schedule(block, &mut stats);
-            for cycle in schedule.cycles() {
-                hash ^= cycle as u32 as u64;
-                hash = hash.wrapping_mul(0x100000001b3);
-            }
+            hash = fold_cycles(hash, &scheduler.schedule(block, &mut stats));
         }
     }
     stats.publish(tel, &format!("{}/sched/list", machine.name()));

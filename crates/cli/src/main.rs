@@ -1225,7 +1225,7 @@ fn perf_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     println!(
         "batch_scaling floor on this host: {floor:.2}x (hardware-aware, see docs/performance.md)"
     );
-    println!("oracle_gap_hinted ceiling: {ceiling:.2} (absolute bound, see docs/oracle.md)");
+    println!("oracle_gap ceiling: {ceiling:.2} (absolute bound, see docs/oracle.md)");
     if outcome.passed() {
         println!("perf gate: PASS");
         Ok(())
@@ -1262,12 +1262,12 @@ fn oracle_machines() -> Vec<(String, MdesSpec)> {
 ///
 /// Default mode covers every bundled machine: seeded oracle-sized
 /// regions are scheduled by the oracle (provably minimal up to the node
-/// budget), replay-verified, and compared against the unhinted and
-/// hinted list schedulers plus the modulo scheduler's II sandwich.  Any
-/// invariant inversion (`sched/oracle_violations` in `--metrics`) fails
-/// with the oracle exit code.  `--fleet N` switches to N synthetic
-/// machines from `mdes_workload::fleet`, adding a guard-oracle fuzz of
-/// the optimization pipeline per machine; see docs/oracle.md.
+/// budget), replay-verified, and compared against the list scheduler
+/// plus the modulo scheduler's II sandwich.  Any invariant inversion
+/// (`sched/oracle_violations` in `--metrics`) fails with the oracle exit
+/// code.  `--fleet N` switches to N synthetic machines from
+/// `mdes_workload::fleet`, adding a guard-oracle fuzz of the optimization
+/// pipeline per machine; see docs/oracle.md.
 fn oracle_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     let mut seed = 42u64;
     let mut regions = 12usize;
@@ -1370,14 +1370,13 @@ fn oracle_cmd(args: &[String], tel: &Telemetry) -> CliResult {
         };
         report.merge(&modulo);
         println!(
-            "{name}: {} regions ({} skipped), {} proved, {} improved, gap {:.3} \
-             (hinted {:.3}), {} loops, II gap {:.3}, {} nodes, {} violation(s)",
+            "{name}: {} regions ({} skipped), {} proved, {} improved, gap {:.3}, \
+             {} loops, II gap {:.3}, {} nodes, {} violation(s)",
             report.regions,
             report.skipped,
             report.proved,
             report.improved,
             report.gap(),
-            report.hinted_gap(),
             report.loops,
             report.modulo_gap(),
             report.nodes,
@@ -1399,12 +1398,11 @@ fn oracle_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     }
     total.publish(tel);
     println!(
-        "oracle: {machines_run} machine(s), {} regions, {} loops, gap {:.3} hinted {:.3} \
-         modulo {:.3}, {} violation(s)",
+        "oracle: {machines_run} machine(s), {} regions, {} loops, gap {:.3} modulo {:.3}, \
+         {} violation(s)",
         total.regions,
         total.loops,
         total.gap(),
-        total.hinted_gap(),
         total.modulo_gap(),
         total.violations
     );
@@ -1465,12 +1463,11 @@ fn oracle_fleet_cmd(
     total.publish(tel);
     tel.counter_add("sched/oracle_guard_incidents", incidents as u64);
     println!(
-        "oracle fleet: {n} machine(s), {} regions ({} skipped), gap {:.3} hinted {:.3}, \
+        "oracle fleet: {n} machine(s), {} regions ({} skipped), gap {:.3}, \
          {} guard incident(s), {} violation(s)",
         total.regions,
         total.skipped,
         total.gap(),
-        total.hinted_gap(),
         incidents,
         total.violations
     );

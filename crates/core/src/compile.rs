@@ -624,13 +624,18 @@ impl<'a> Checker<'a> {
     /// [`Checker::try_reserve`], but the selection goes into a
     /// caller-owned buffer.
     ///
-    /// On success the RU map is updated, one compiled-option index per
-    /// OR-tree of `class` (in the class's OR-tree order) is appended to
-    /// `out`, and `true` is returned.  On failure the RU map is rolled
-    /// back, `out` is truncated to its length on entry, and `false` is
-    /// returned.  Once `out` has spare capacity for the class's OR-trees
-    /// the call performs no heap allocation.
-    #[inline]
+    /// This is the one reservation loop: it walks the class's OR-trees in
+    /// order, reserves each tree's first free option (priority order), and
+    /// rolls back on the first tree with no free option.  On success the
+    /// RU map is updated, one compiled-option index per OR-tree of `class`
+    /// (in the class's OR-tree order) is appended to `out`, and `true` is
+    /// returned.  On failure the RU map is rolled back, `out` is truncated
+    /// to its length on entry, and `false` is returned.  Once `out` has
+    /// spare capacity for the class's OR-trees the call performs no heap
+    /// allocation.
+    // Forced: left to a hint, the list scheduler's placement loop calls
+    // this out of line.
+    #[inline(always)]
     pub fn try_reserve_into(
         &self,
         ru: &mut RuMap,
@@ -639,29 +644,10 @@ impl<'a> Checker<'a> {
         stats: &mut CheckStats,
         out: &mut Vec<u32>,
     ) -> bool {
-        self.reserve_into(ru, class, time, stats, out, |checker, ru, tree, stats| {
-            checker.try_or_tree(ru, tree, time, stats)
-        })
-    }
-
-    /// The one reservation loop behind every `try_reserve*` entry point:
-    /// walks the class's OR-trees in order, asking `pick` for each tree's
-    /// option, reserving progressively and rolling back on the first
-    /// tree with no free option.
-    #[inline(always)]
-    fn reserve_into(
-        &self,
-        ru: &mut RuMap,
-        class: ClassId,
-        time: i32,
-        stats: &mut CheckStats,
-        out: &mut Vec<u32>,
-        mut pick: impl FnMut(&Self, &RuMap, u32, &mut CheckStats) -> Option<u32>,
-    ) -> bool {
         stats.begin_attempt();
         let start = out.len();
         for &tree_idx in &self.mdes.class(class).or_trees {
-            match pick(self, ru, tree_idx, stats) {
+            match self.try_or_tree(ru, tree_idx, time, stats) {
                 Some(opt_idx) => {
                     self.apply_option(ru, opt_idx, time, true);
                     out.push(opt_idx);
@@ -762,91 +748,6 @@ impl<'a> Checker<'a> {
         None
     }
 
-    /// [`Checker::try_or_tree`] with a success-history hint: the option
-    /// that satisfied this tree last time is probed first, and the
-    /// priority-order scan only runs when the hint misses.  On machines
-    /// with interchangeable units this skips the walk over busy
-    /// higher-priority options that a stable workload keeps re-failing —
-    /// the paper's Section 4 intuition (order options by likelihood of
-    /// success) applied dynamically.
-    fn try_or_tree_hinted(
-        &self,
-        ru: &RuMap,
-        tree_idx: u32,
-        time: i32,
-        stats: &mut CheckStats,
-        hints: &mut OptionHints,
-    ) -> Option<u32> {
-        let tree = &self.mdes.or_trees[tree_idx as usize];
-        let hint = hints.last[tree_idx as usize];
-        if (hint as usize) < tree.options.len() {
-            let opt_idx = tree.options[hint as usize];
-            stats.count_option();
-            if self.option_free(ru, opt_idx, time, stats) {
-                return Some(opt_idx);
-            }
-        }
-        for (pos, &opt_idx) in tree.options.iter().enumerate() {
-            if pos as u32 == hint {
-                continue;
-            }
-            stats.count_option();
-            if self.option_free(ru, opt_idx, time, stats) {
-                hints.last[tree_idx as usize] = pos as u32;
-                return Some(opt_idx);
-            }
-        }
-        None
-    }
-
-    /// [`Checker::try_reserve`] with hint-first option ordering.
-    ///
-    /// Every reservation it makes is a legal option of every tree, so
-    /// schedules built with it always verify — but the *chosen* option
-    /// may be a lower-priority one when the hint hits, which can shift
-    /// which resources are busy (and, through the greedy per-tree walk of
-    /// AND/OR classes, even whether a later attempt succeeds).  Callers
-    /// that must reproduce the paper's exact accounting (the bench
-    /// tables) use the unhinted path; throughput-oriented callers (engine
-    /// serving, the perf harness) opt in.  Determinism holds as long as
-    /// `hints` is owned by one logical scheduling run: the hint state is
-    /// a pure function of the attempt history.
-    #[inline]
-    pub fn try_reserve_hinted(
-        &self,
-        ru: &mut RuMap,
-        class: ClassId,
-        time: i32,
-        stats: &mut CheckStats,
-        hints: &mut OptionHints,
-    ) -> Option<Choice> {
-        let mut selected = Vec::with_capacity(self.mdes.class(class).or_trees.len());
-        self.try_reserve_hinted_into(ru, class, time, stats, hints, &mut selected)
-            .then_some(Choice {
-                class,
-                time,
-                selected,
-            })
-    }
-
-    /// [`Checker::try_reserve_into`] with hint-first option ordering (see
-    /// [`Checker::try_reserve_hinted`]): appends the selection to `out` on
-    /// success, truncates `out` back on failure.
-    #[inline]
-    pub fn try_reserve_hinted_into(
-        &self,
-        ru: &mut RuMap,
-        class: ClassId,
-        time: i32,
-        stats: &mut CheckStats,
-        hints: &mut OptionHints,
-        out: &mut Vec<u32>,
-    ) -> bool {
-        self.reserve_into(ru, class, time, stats, out, |checker, ru, tree, stats| {
-            checker.try_or_tree_hinted(ru, tree, time, stats, hints)
-        })
-    }
-
     /// Reserves (`set`) or releases (`!set`) all checks of an option.
     #[inline]
     fn apply_option(&self, ru: &mut RuMap, opt_idx: u32, time: i32, set: bool) {
@@ -859,44 +760,6 @@ impl<'a> Checker<'a> {
                 ru.release(time + check.time, check.mask);
             }
         }
-    }
-}
-
-/// Per-OR-tree memory of the last successful option, for
-/// [`Checker::try_reserve_hinted`].
-///
-/// One instance belongs to one logical scheduling run (e.g. one block);
-/// sharing it across concurrently scheduled blocks would make schedules
-/// depend on interleaving.  `u32::MAX` marks "no success yet", so a fresh
-/// state behaves exactly like the unhinted priority scan.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OptionHints {
-    /// Last successful option *position within its tree*, indexed by
-    /// OR-tree index.
-    last: Vec<u32>,
-}
-
-impl OptionHints {
-    /// Creates a cleared hint state sized for `mdes`.
-    pub fn new(mdes: &CompiledMdes) -> OptionHints {
-        OptionHints {
-            last: vec![u32::MAX; mdes.or_trees.len()],
-        }
-    }
-
-    /// Forgets all recorded successes.
-    pub fn reset(&mut self) {
-        self.last.fill(u32::MAX);
-    }
-
-    /// Clears the hint state and re-sizes it for `mdes`, reusing the
-    /// allocation when the capacity already fits.  Lets one instance
-    /// serve many logical scheduling runs (the engine's per-worker
-    /// scratch) while each run still starts from the cleared state
-    /// [`OptionHints::new`] would give it.
-    pub fn reset_for(&mut self, mdes: &CompiledMdes) {
-        self.last.clear();
-        self.last.resize(mdes.or_trees.len(), u32::MAX);
     }
 }
 
@@ -1098,114 +961,5 @@ mod tests {
         let compiled = CompiledMdes::compile(&spec, UsageEncoding::Scalar).unwrap();
         let class = compiled.class_by_name("load").unwrap();
         assert_eq!(compiled.class_option_count(class), 2);
-    }
-
-    /// Four interchangeable issue slots behind one OR-tree: the shape
-    /// where hint-first ordering pays (a stable workload keeps re-failing
-    /// the same busy high-priority slots).
-    fn wide_or_spec() -> MdesSpec {
-        let mut spec = MdesSpec::new();
-        spec.resources_mut().add_indexed("Slot", 4).unwrap();
-        let opts: Vec<_> = (0..4)
-            .map(|r| spec.add_option(TableOption::new(vec![u(r, 0)])))
-            .collect();
-        let tree = spec.add_or_tree(OrTree::new(opts));
-        spec.add_class("op", Constraint::Or(tree), Latency::new(1), OpFlags::none())
-            .unwrap();
-        spec
-    }
-
-    #[test]
-    fn fresh_hints_behave_like_priority_scan() {
-        let spec = wide_or_spec();
-        let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-        let checker = Checker::new(&compiled);
-        let class = compiled.class_by_name("op").unwrap();
-
-        let mut ru_plain = RuMap::new();
-        let mut ru_hinted = RuMap::new();
-        let mut stats = CheckStats::new();
-        let mut hints = OptionHints::new(&compiled);
-
-        // With no recorded success, every probe must match the unhinted
-        // walk exactly — same selections, same costs.
-        let mut stats_hinted = CheckStats::new();
-        let plain = checker
-            .try_reserve(&mut ru_plain, class, 0, &mut stats)
-            .unwrap();
-        let hinted = checker
-            .try_reserve_hinted(&mut ru_hinted, class, 0, &mut stats_hinted, &mut hints)
-            .unwrap();
-        assert_eq!(plain, hinted);
-        assert_eq!(stats.resource_checks, stats_hinted.resource_checks);
-    }
-
-    #[test]
-    fn hinted_and_unhinted_agree_on_accept_reject() {
-        let spec = wide_or_spec();
-        let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-        let checker = Checker::new(&compiled);
-        let class = compiled.class_by_name("op").unwrap();
-
-        let mut ru_plain = RuMap::new();
-        let mut ru_hinted = RuMap::new();
-        let mut stats = CheckStats::new();
-        let mut hints = OptionHints::new(&compiled);
-
-        // Saturate each cycle: 4 slots, issue 5 ops per cycle — the 5th
-        // must fail in both worlds, and both maps stay identical.
-        for time in 0..8 {
-            for attempt in 0..5 {
-                let plain = checker.try_reserve(&mut ru_plain, class, time, &mut stats);
-                let hinted =
-                    checker.try_reserve_hinted(&mut ru_hinted, class, time, &mut stats, &mut hints);
-                assert_eq!(plain.is_some(), hinted.is_some(), "t={time} a={attempt}");
-            }
-            assert_eq!(ru_plain.population(), ru_hinted.population());
-        }
-    }
-
-    #[test]
-    fn hint_skips_busy_higher_priority_options() {
-        let spec = wide_or_spec();
-        let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-        let checker = Checker::new(&compiled);
-        let class = compiled.class_by_name("op").unwrap();
-
-        let mut ru = RuMap::new();
-        let mut hints = OptionHints::new(&compiled);
-
-        // Slots 0–2 permanently busy: the priority scan pays 3 failed
-        // probes every attempt, the hint lands on slot 3 immediately.
-        for time in 0..4 {
-            ru.reserve(time, 0b0111);
-        }
-        let mut warm = CheckStats::new();
-        let first = checker
-            .try_reserve_hinted(&mut ru, class, 0, &mut warm, &mut hints)
-            .unwrap();
-        assert_eq!(first.selected, vec![3]);
-        assert_eq!(warm.resource_checks, 4); // cold: walked all four
-
-        let mut hot = CheckStats::new();
-        let second = checker
-            .try_reserve_hinted(&mut ru, class, 1, &mut hot, &mut hints)
-            .unwrap();
-        assert_eq!(second.selected, vec![3]);
-        assert_eq!(hot.resource_checks, 1); // hint hit: single probe
-
-        // Unhinted pays the full walk at the same state.
-        let mut cold = CheckStats::new();
-        let plain = checker.try_reserve(&mut ru, class, 2, &mut cold).unwrap();
-        assert_eq!(plain.selected, vec![3]);
-        assert_eq!(cold.resource_checks, 4);
-
-        // After reset the hinted walk is the priority scan again.
-        hints.reset();
-        let mut reset = CheckStats::new();
-        checker
-            .try_reserve_hinted(&mut ru, class, 3, &mut reset, &mut hints)
-            .unwrap();
-        assert_eq!(reset.resource_checks, 4);
     }
 }

@@ -11,9 +11,9 @@
 //! * the compiled low-level [`compile::CompiledMdes`] with scalar or
 //!   bit-vector usage encodings, and the [`compile::Checker`] that answers
 //!   "can this operation issue at cycle *t*" against a [`rumap::RuMap`].
-//!   Its hot path, [`compile::Checker::try_reserve_into`] (and the hinted
-//!   twin), appends the selected options to a caller-owned buffer and
-//!   allocates nothing per attempt; [`compile::Checker::try_reserve`]
+//!   Its hot path, [`compile::Checker::try_reserve_into`], appends the
+//!   selected options to a caller-owned buffer and allocates nothing per
+//!   attempt; [`compile::Checker::try_reserve`]
 //!   wraps it in a [`compile::Choice`] for callers that unschedule;
 //! * [`stats::CheckStats`] counters matching the paper's metrics (options
 //!   checked and resource checks per scheduling attempt, Figure-2
@@ -23,6 +23,8 @@
 //! * the [`probe`] module — a deterministic, seeded query-sequence engine
 //!   used by the pipeline guard to differentially compare two
 //!   descriptions' observable behaviour;
+//! * [`rng::Pcg32`], the one seeded generator behind every probe
+//!   sequence, replay block and synthetic workload;
 //! * the [`size`] memory model reproducing the paper's byte accounting;
 //! * [`pretty`] renderers for reservation tables and constraint trees.
 //!
@@ -68,13 +70,14 @@ pub mod lmdes;
 pub mod pretty;
 pub mod probe;
 pub mod resource;
+pub mod rng;
 pub mod rumap;
 pub mod size;
 pub mod spec;
 pub mod stats;
 pub mod usage;
 
-pub use compile::{Checker, Checks, Choice, CompiledMdes, OptionHints, UsageEncoding};
+pub use compile::{Checker, Checks, Choice, CompiledMdes, UsageEncoding};
 pub use error::MdesError;
 pub use resource::{ResourceId, ResourcePool};
 pub use rumap::RuMap;

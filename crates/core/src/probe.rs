@@ -14,57 +14,11 @@
 //! in a guard incident can be replayed from its seed alone.
 
 use crate::compile::{Checker, Choice, CompiledMdes};
+use crate::rng::Pcg32;
 use crate::rumap::RuMap;
 use crate::spec::ClassId;
 use crate::stats::CheckStats;
 use std::fmt;
-
-/// PCG-XSH-RR 64/32 (O'Neill 2014), embedded so probe streams never drift
-/// with an external RNG crate's major versions.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProbeRng {
-    state: u64,
-    inc: u64,
-}
-
-impl ProbeRng {
-    /// Creates a generator from a seed and stream id.
-    pub fn new(seed: u64, stream: u64) -> ProbeRng {
-        let mut rng = ProbeRng {
-            state: 0,
-            inc: (stream << 1) | 1,
-        };
-        rng.next_u32();
-        rng.state = rng.state.wrapping_add(seed);
-        rng.next_u32();
-        rng
-    }
-
-    /// Next 32 uniformly distributed bits.
-    pub fn next_u32(&mut self) -> u32 {
-        let old = self.state;
-        self.state = old.wrapping_mul(6364136223846793005).wrapping_add(self.inc);
-        let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
-        let rot = (old >> 59) as u32;
-        xorshifted.rotate_right(rot)
-    }
-
-    /// Uniform value in `0..n`; returns 0 for an empty range.
-    pub fn gen_range(&mut self, n: u32) -> u32 {
-        if n == 0 {
-            return 0;
-        }
-        // Lemire-style rejection to avoid modulo bias.
-        let threshold = n.wrapping_neg() % n;
-        loop {
-            let value = self.next_u32();
-            let product = u64::from(value) * u64::from(n);
-            if (product as u32) >= threshold {
-                return (product >> 32) as u32;
-            }
-        }
-    }
-}
 
 /// One step of a probe sequence.
 ///
@@ -145,7 +99,7 @@ pub fn generate_sequences(config: &ProbeConfig, num_classes: usize) -> Vec<Vec<P
     let window = config.window as u32;
     (0..config.sequences)
         .map(|s| {
-            let mut rng = ProbeRng::new(config.seed, u64::from(s) + 1);
+            let mut rng = Pcg32::new(config.seed, u64::from(s) + 1);
             (0..config.ops_per_sequence)
                 .map(|_| {
                     let class = rng.gen_range(classes);

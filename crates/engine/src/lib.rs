@@ -40,9 +40,9 @@
 //!    against per-worker scratch that is *reset on entry* to a state
 //!    observationally identical to freshly allocated scratch
 //!    (`RuMap::clear` keeps only capacity, `CheckStats::reset` compares
-//!    equal to `CheckStats::new()`, hint tables are re-initialized), so
-//!    which worker runs a job — and what ran before it — cannot leak into
-//!    its schedule. Results land in index-aligned slots.
+//!    equal to `CheckStats::new()`), so which worker runs a job — and
+//!    what ran before it — cannot leak into its schedule. Results land in
+//!    index-aligned slots.
 //! 2. **The stats fold is partition-invariant.** [`CheckStats::merge`] is
 //!    pure addition (counter adds plus histogram bucket adds), so folding
 //!    per-worker accumulators equals folding per-job stats in job-index
@@ -88,14 +88,14 @@ pub mod pool;
 use std::sync::Arc;
 
 use mdes_core::{CheckStats, CompiledMdes};
-use mdes_sched::{Block, ListScheduler, Priority, SchedScratch, Schedule};
+use mdes_sched::{Block, ListScheduler, SchedScratch, Schedule};
 use mdes_telemetry::Telemetry;
 
 use pool::run_serial;
 pub use pool::{run_batch_stateful, PoolOutcome, WorkerLoad};
 
 /// One worker's reusable scheduling state: the [`SchedScratch`] every job
-/// schedules against (RU map, placement buffers, hint table), the
+/// schedules against (RU map, placement buffers), the
 /// [`CheckStats`] of the job in flight, and the accumulator finished jobs
 /// fold into.
 ///
@@ -129,35 +129,12 @@ impl WorkerScratch {
 #[derive(Clone, Debug)]
 pub struct Engine {
     mdes: Arc<CompiledMdes>,
-    priority: Priority,
-    hints: bool,
 }
 
 impl Engine {
     /// Creates an engine around a shared compiled description.
     pub fn new(mdes: Arc<CompiledMdes>) -> Engine {
-        Engine {
-            mdes,
-            priority: Priority::default(),
-            hints: false,
-        }
-    }
-
-    /// Overrides the list-scheduler priority function.
-    pub fn with_priority(mut self, priority: Priority) -> Engine {
-        self.priority = priority;
-        self
-    }
-
-    /// Enables hint-first option ordering in the per-job schedulers (see
-    /// [`mdes_sched::ListScheduler::with_hints`]).  Hint state lives
-    /// inside each job's scheduling run, so results stay independent of
-    /// worker count and job order; off by default because hinted runs may
-    /// select different (equally valid) options than strict priority
-    /// order.
-    pub fn with_hints(mut self, hints: bool) -> Engine {
-        self.hints = hints;
-        self
+        Engine { mdes }
     }
 
     /// The shared description this engine schedules against.
@@ -168,9 +145,7 @@ impl Engine {
     /// Schedules one block against `scratch` and folds its stats into
     /// the scratch's accumulator.
     fn run_job(&self, scratch: &mut WorkerScratch, block: &Block) -> Schedule {
-        let scheduler = ListScheduler::new(&self.mdes)
-            .with_priority(self.priority)
-            .with_hints(self.hints);
+        let scheduler = ListScheduler::new(&self.mdes);
         // Reset on entry: a panicked predecessor may have left the job
         // stats (and the scheduling scratch) mid-flight.
         scratch.job.reset();

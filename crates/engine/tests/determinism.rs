@@ -81,39 +81,6 @@ fn a_skewed_workload_keeps_the_fold_at_any_worker_count() {
 }
 
 #[test]
-fn hinted_engine_is_deterministic_and_schedules_stay_valid() {
-    // Hint-first option ordering keeps hint state inside each job's
-    // scheduling run, so worker count must stay invisible — and every
-    // hinted schedule must still verify against the description.
-    for machine in [Machine::Pa7100, Machine::K5] {
-        let spec = machine.spec();
-        let compiled = Arc::new(CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap());
-        let workload = generate_regions(&spec, &RegionConfig::new(128).with_seed(0x41D));
-        let engine = Engine::new(compiled.clone()).with_hints(true);
-
-        let one = engine.schedule_batch(&workload.blocks, 1);
-        let four = engine.schedule_batch(&workload.blocks, 4);
-        assert!(one.is_clean() && four.is_clean());
-        assert_eq!(one.schedules, four.schedules, "{}", machine.name());
-        assert_eq!(one.stats, four.stats, "{}", machine.name());
-
-        for (schedule, block) in one.schedules.iter().zip(&workload.blocks) {
-            let graph = mdes_sched::DepGraph::build(block, &compiled);
-            schedule
-                .as_ref()
-                .unwrap()
-                .verify(&graph, &compiled)
-                .unwrap_or_else(|e| panic!("{}: hinted schedule invalid: {e}", machine.name()));
-        }
-
-        // And re-running a hinted batch reproduces itself.
-        let again = engine.schedule_batch(&workload.blocks, 4);
-        assert_eq!(again.schedules, four.schedules, "{}", machine.name());
-        assert_eq!(again.stats, four.stats, "{}", machine.name());
-    }
-}
-
-#[test]
 fn worker_assignment_never_leaks_into_the_fold() {
     // The per-worker splits differ run to run (first-come first-served
     // claims), but their fold is pinned to the jobs-order total.

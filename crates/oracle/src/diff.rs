@@ -1,13 +1,12 @@
 //! The differential harness: production schedulers vs. the oracle.
 //!
-//! [`differential_gap`] runs the unhinted and hinted list schedulers and
-//! the oracle over the same seeded regions and aggregates total cycles;
+//! [`differential_gap`] runs the list scheduler and the oracle over the
+//! same seeded regions and aggregates total cycles;
 //! [`modulo_differential`] does the same for loops via the II sandwich.
 //! The aggregate ratios become the `sched/optimality_gap` /
-//! `sched/optimality_gap_hinted` / `sched/optimality_gap_modulo` gauges,
-//! and any inversion of the invariants — an oracle schedule failing
-//! replay verification, a production schedule strictly shorter than the
-//! oracle's, a hinted schedule failing verification, an II escaping its
+//! `sched/optimality_gap_modulo` gauges, and any inversion of the
+//! invariants — an oracle or list schedule failing replay verification,
+//! a list schedule strictly shorter than the oracle's, an II escaping its
 //! sandwich — increments `sched/oracle_violations`, which CI requires to
 //! be exactly zero.
 
@@ -35,10 +34,8 @@ pub struct GapReport {
     pub improved: usize,
     /// Total oracle schedule cycles.
     pub oracle_cycles: u64,
-    /// Total unhinted list-scheduler cycles over the same regions.
+    /// Total list-scheduler cycles over the same regions.
     pub list_cycles: u64,
-    /// Total hinted list-scheduler cycles over the same regions.
-    pub hinted_cycles: u64,
     /// Search nodes explored.
     pub nodes: u64,
     /// Invariant inversions (must be zero on a healthy build).
@@ -58,16 +55,10 @@ pub struct GapReport {
 }
 
 impl GapReport {
-    /// Unhinted optimality gap: total list cycles ÷ total oracle cycles
-    /// (1.0 when nothing was measured; never below 1.0 on a healthy
-    /// build).
+    /// Optimality gap: total list cycles ÷ total oracle cycles (1.0 when
+    /// nothing was measured; never below 1.0 on a healthy build).
     pub fn gap(&self) -> f64 {
         ratio(self.list_cycles, self.oracle_cycles)
-    }
-
-    /// Hinted optimality gap: total hinted cycles ÷ total oracle cycles.
-    pub fn hinted_gap(&self) -> f64 {
-        ratio(self.hinted_cycles, self.oracle_cycles)
     }
 
     /// Modulo gap: total production IIs ÷ total oracle-witnessed IIs.
@@ -83,7 +74,6 @@ impl GapReport {
         self.improved += other.improved;
         self.oracle_cycles += other.oracle_cycles;
         self.list_cycles += other.list_cycles;
-        self.hinted_cycles += other.hinted_cycles;
         self.nodes += other.nodes;
         self.violations += other.violations;
         for detail in &other.violation_details {
@@ -103,7 +93,6 @@ impl GapReport {
     /// emitted, even at zero, so CI can grep for the exact value.
     pub fn publish(&self, tel: &Telemetry) {
         tel.gauge_set("sched/optimality_gap", self.gap());
-        tel.gauge_set("sched/optimality_gap_hinted", self.hinted_gap());
         tel.gauge_set("sched/optimality_gap_modulo", self.modulo_gap());
         tel.counter_add("sched/oracle_regions", self.regions as u64);
         tel.counter_add("sched/oracle_skipped", self.skipped as u64);
@@ -130,10 +119,9 @@ fn ratio(numerator: u64, denominator: u64) -> f64 {
     }
 }
 
-/// Runs the acyclic differential over `blocks`: oracle vs. the unhinted
-/// and hinted list schedulers, verifying every oracle and hinted
-/// schedule by RU-map replay and checking that no production schedule is
-/// ever shorter than the oracle's.
+/// Runs the acyclic differential over `blocks`: oracle vs. the list
+/// scheduler, verifying every oracle and list schedule by RU-map replay
+/// and checking that no list schedule is ever shorter than the oracle's.
 ///
 /// `stats` accumulates the oracle's search probes.
 pub fn differential_gap(
@@ -166,13 +154,8 @@ pub fn differential_gap(
             ));
         }
         let list = ListScheduler::new(mdes).schedule(block, &mut production_stats);
-        let hinted = ListScheduler::new(mdes)
-            .with_hints(true)
-            .schedule(block, &mut production_stats);
-        if let Err(err) = hinted.verify(&graph, mdes) {
-            report.violation(format!(
-                "region {index}: hinted schedule fails replay: {err}"
-            ));
+        if let Err(err) = list.verify(&graph, mdes) {
+            report.violation(format!("region {index}: list schedule fails replay: {err}"));
         }
         if list.length < outcome.schedule.length {
             report.violation(format!(
@@ -180,15 +163,8 @@ pub fn differential_gap(
                 list.length, outcome.schedule.length
             ));
         }
-        if hinted.length < outcome.schedule.length {
-            report.violation(format!(
-                "region {index}: hinted schedule ({}) beats the oracle ({})",
-                hinted.length, outcome.schedule.length
-            ));
-        }
         report.oracle_cycles += outcome.schedule.length as u64;
         report.list_cycles += list.length as u64;
-        report.hinted_cycles += hinted.length as u64;
     }
     report
 }
@@ -295,7 +271,6 @@ mod tests {
         assert_eq!(report.regions, 4);
         assert_eq!(report.violations, 0, "{:?}", report.violation_details);
         assert!(report.gap() >= 1.0);
-        assert!(report.hinted_gap() >= 1.0);
 
         let loops = loops_from_blocks(&mdes, &blocks);
         let modulo = modulo_differential(&mdes, &loops, &oracle, &mut stats);

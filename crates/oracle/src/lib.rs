@@ -2,8 +2,7 @@
 //!
 //! The production schedulers (`mdes-sched`) are greedy: the list
 //! scheduler takes the first feasible cycle and the checker's first
-//! feasible option per OR-tree, and the hint-first fast path may legally
-//! pick lower-priority options.  Nothing in that pipeline says how far
+//! feasible option per OR-tree.  Nothing in that pipeline says how far
 //! the result is from optimal.  This crate answers that with a small
 //! branch-and-bound scheduler over the *same* `CompiledMdes` query
 //! surface ([`mdes_core::Checker::option_fits`] /

@@ -28,11 +28,10 @@
 //! [`crate::batch_scaling_floor_for`].
 //!
 //! Symmetrically the gate enforces a **ceiling** on the derived
-//! `oracle_gap_hinted` figure (hinted list-scheduler cycles ÷ exact
-//! branch-and-bound oracle cycles on the seeded small regions): the
-//! hinted scheduler may not drift more than
-//! [`crate::ORACLE_GAP_CEILING`] above provably-optimal length, no
-//! matter what the baseline measured.
+//! `oracle_gap` figure (list-scheduler cycles ÷ exact branch-and-bound
+//! oracle cycles on the seeded small regions): the list scheduler may
+//! not drift more than [`crate::ORACLE_GAP_CEILING`] above
+//! provably-optimal length, no matter what the baseline measured.
 //!
 //! Finally the gate compares the derived serve-latency percentiles
 //! (`serve_p50_us`/`serve_p99_us`, the daemon's closed-loop request
@@ -77,7 +76,7 @@ pub enum DeltaKind {
     /// floor.  For gauge deltas the `*_ns_per_op` fields carry the floor
     /// and the measured value instead of timings.
     BelowFloor,
-    /// A derived gauge (e.g. `oracle_gap_hinted`) is above its allowed
+    /// A derived gauge (e.g. `oracle_gap`) is above its allowed
     /// ceiling.  As with [`DeltaKind::BelowFloor`], the `*_ns_per_op`
     /// fields carry the ceiling and the measured value.
     AboveCeiling,
@@ -112,7 +111,7 @@ impl CompareOutcome {
 /// tolerance (0.25 = fail beyond 25% slower per work unit) and fails
 /// the run when its `batch_scaling` figure is below
 /// `batch_scaling_floor` (pass [`crate::batch_scaling_floor`] for the
-/// current host's bound) or its `oracle_gap_hinted` figure is above
+/// current host's bound) or its `oracle_gap` figure is above
 /// `oracle_gap_ceiling` (pass [`crate::ORACLE_GAP_CEILING`]).  Each
 /// gauge check is skipped when its benches were filtered out of the run
 /// (the figure reads 0).  The serve-latency percentiles are compared
@@ -185,13 +184,13 @@ pub fn compare(
             },
         });
     }
-    if current.oracle_gap_hinted > 0.0 && oracle_gap_ceiling > 0.0 {
+    if current.oracle_gap > 0.0 && oracle_gap_ceiling > 0.0 {
         deltas.push(Delta {
-            name: "oracle_gap_hinted (ceiling)".to_string(),
+            name: "oracle_gap (ceiling)".to_string(),
             baseline_ns_per_op: oracle_gap_ceiling,
-            current_ns_per_op: current.oracle_gap_hinted,
-            ratio: current.oracle_gap_hinted / oracle_gap_ceiling - 1.0,
-            kind: if current.oracle_gap_hinted > oracle_gap_ceiling {
+            current_ns_per_op: current.oracle_gap,
+            ratio: current.oracle_gap / oracle_gap_ceiling - 1.0,
+            kind: if current.oracle_gap > oracle_gap_ceiling {
                 DeltaKind::AboveCeiling
             } else {
                 DeltaKind::Ok
@@ -239,7 +238,7 @@ mod tests {
 
     fn report(benches: &[(&str, u64, u128)]) -> Report {
         Report {
-            schema: 4,
+            schema: 5,
             seed: 1,
             benches: benches
                 .iter()
@@ -254,7 +253,7 @@ mod tests {
                 .collect(),
             checker_speedup: 0.0,
             batch_scaling: 0.0,
-            oracle_gap_hinted: 0.0,
+            oracle_gap: 0.0,
             serve_p50_us: 0.0,
             serve_p99_us: 0.0,
         }
@@ -330,20 +329,20 @@ mod tests {
     fn oracle_gap_above_ceiling_fails_below_passes() {
         let base = report(&[("a", 100, 1000)]);
         let mut now = report(&[("a", 100, 1000)]);
-        now.oracle_gap_hinted = 1.3;
+        now.oracle_gap = 1.3;
         let outcome = compare(&now, &base, 0.25, 0.0, crate::ORACLE_GAP_CEILING);
         assert!(!outcome.passed());
         assert_eq!(
             outcome.failures().next().unwrap().kind,
             DeltaKind::AboveCeiling
         );
-        now.oracle_gap_hinted = 1.05;
+        now.oracle_gap = 1.05;
         assert!(compare(&now, &base, 0.25, 0.0, crate::ORACLE_GAP_CEILING).passed());
     }
 
     #[test]
     fn ceiling_is_skipped_when_oracle_benches_were_filtered_out() {
-        // oracle_gap_hinted stays 0 when the oracle family did not run;
+        // oracle_gap stays 0 when the oracle family did not run;
         // a filtered run must not trip the ceiling.
         let base = report(&[("a", 100, 1000)]);
         let now = report(&[("a", 100, 1000)]);

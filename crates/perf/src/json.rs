@@ -22,10 +22,7 @@ pub fn to_json(report: &Report) -> String {
         "  \"batch_scaling\": {:.3},\n",
         report.batch_scaling
     ));
-    out.push_str(&format!(
-        "  \"oracle_gap_hinted\": {:.3},\n",
-        report.oracle_gap_hinted
-    ));
+    out.push_str(&format!("  \"oracle_gap\": {:.3},\n", report.oracle_gap));
     out.push_str(&format!(
         "  \"serve_p50_us\": {:.3},\n",
         report.serve_p50_us
@@ -65,12 +62,14 @@ impl Report {
     pub fn from_json(text: &str) -> Result<Report, String> {
         let top = Json::parse(text)?;
         let schema = field(&top, "schema", Json::as_u64)? as u32;
-        // Schema 4 added `serve_p50_us`/`serve_p99_us` and the
-        // `serve/load/*` family (schema 3 added `oracle_gap_hinted` and
-        // the `oracle/bnb/*` family; schema 2 added `batch_scaling` and
-        // the w8/w16 engine benches); older baselines predate those
-        // gates and must be regenerated, not silently compared against.
-        if schema != 4 {
+        // Schema 5 replaced the hinted scheduler's gap with `oracle_gap`
+        // (the list scheduler's) and dropped the hinted benches; schema 4
+        // added `serve_p50_us`/`serve_p99_us` and the `serve/load/*`
+        // family (schema 3 added the oracle gap and the `oracle/bnb/*`
+        // family; schema 2 added `batch_scaling` and the w8/w16 engine
+        // benches).  Older baselines predate those gates and must be
+        // regenerated, not silently compared against.
+        if schema != 5 {
             return Err(format!("unsupported report schema {schema}"));
         }
         let mut benches = Vec::new();
@@ -90,7 +89,7 @@ impl Report {
             benches,
             checker_speedup: field(&top, "checker_speedup", Json::as_f64)?,
             batch_scaling: field(&top, "batch_scaling", Json::as_f64)?,
-            oracle_gap_hinted: field(&top, "oracle_gap_hinted", Json::as_f64)?,
+            oracle_gap: field(&top, "oracle_gap", Json::as_f64)?,
             serve_p50_us: field(&top, "serve_p50_us", Json::as_f64)?,
             serve_p99_us: field(&top, "serve_p99_us", Json::as_f64)?,
         })
@@ -124,7 +123,7 @@ mod tests {
 
     fn report() -> Report {
         Report {
-            schema: 4,
+            schema: 5,
             seed: 42,
             benches: vec![
                 sample("rumap/word_ops", 8192, 1_000_000),
@@ -132,7 +131,7 @@ mod tests {
             ],
             checker_speedup: 2.5,
             batch_scaling: 3.2,
-            oracle_gap_hinted: 1.04,
+            oracle_gap: 1.04,
             serve_p50_us: 850.0,
             serve_p99_us: 2400.0,
         }
@@ -152,8 +151,8 @@ mod tests {
 
     #[test]
     fn parse_rejects_wrong_schema() {
-        for old in ["\"schema\": 3", "\"schema\": 9"] {
-            let text = report().to_json().replace("\"schema\": 4", old);
+        for old in ["\"schema\": 3", "\"schema\": 4", "\"schema\": 9"] {
+            let text = report().to_json().replace("\"schema\": 5", old);
             assert!(Report::from_json(&text).unwrap_err().contains("schema"));
         }
     }

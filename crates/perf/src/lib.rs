@@ -21,7 +21,7 @@
 //! as `BENCH_8.json`, and [`compare::compare`] implements the regression
 //! gate used by `mdesc perf --baseline` — including the hardware-aware
 //! [`batch_scaling_floor`] on the engine's parallel speedup, the
-//! [`ORACLE_GAP_CEILING`] on the hinted scheduler's measured optimality
+//! [`ORACLE_GAP_CEILING`] on the list scheduler's measured optimality
 //! gap against the exact branch-and-bound oracle, and the serve-latency
 //! percentiles ([`Report::serve_p50_us`] / [`Report::serve_p99_us`])
 //! from the closed-loop `serve/load` family, compared against the
@@ -90,7 +90,7 @@ impl BenchConfig {
 /// One bench's measurement.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Sample {
-    /// Bench name, slash-namespaced (`checker/hinted/wide`).
+    /// Bench name, slash-namespaced (`checker/arena/wide`).
     pub name: String,
     /// Timed iterations per repetition.
     pub iters: u64,
@@ -144,10 +144,11 @@ pub struct Report {
     pub seed: u64,
     /// Per-bench measurements, in suite order.
     pub benches: Vec<Sample>,
-    /// Pointer-chased ÷ hinted fastest-repetition time on the
-    /// wide-OR-tree checker microbench (identical attempt streams): the
-    /// measured combined effect of the flat check arena and hint-first
-    /// ordering.  0 when either side was filtered out of the run.
+    /// Pointer-chased ÷ arena fastest-repetition time on the
+    /// wide-OR-tree checker microbench (identical attempt streams, same
+    /// checks): the measured effect of the flat check arena layout.
+    /// Below 1 means the arena is slower.  0 when either side was
+    /// filtered out of the run.
     pub checker_speedup: f64,
     /// `engine/batch/w1` ÷ `engine/batch/w4` fastest-repetition time:
     /// the measured parallel speedup of `Engine::schedule_batch` at 4
@@ -157,16 +158,16 @@ pub struct Report {
     /// ([`batch_scaling_floor`]).  0 when either side was filtered out
     /// of the run.
     pub batch_scaling: f64,
-    /// Aggregate hinted optimality gap from the `oracle/bnb/*` family:
-    /// total hinted list-scheduler cycles ÷ total provably-minimal
-    /// oracle cycles over the seeded small-region streams on every
-    /// bundled machine.  1.0 would mean the hinted scheduler is exactly
-    /// optimal on this workload; the gate rejects values above
-    /// [`ORACLE_GAP_CEILING`].  Unlike a timing this is a *quality*
-    /// figure — deterministic for a given seed — so it is compared
-    /// against an absolute ceiling, not against the baseline.  0 when
-    /// the oracle family was filtered out of the run.
-    pub oracle_gap_hinted: f64,
+    /// Aggregate optimality gap from the `oracle/bnb/*` family: total
+    /// list-scheduler cycles ÷ total provably-minimal oracle cycles over
+    /// the seeded small-region streams on every bundled machine.  1.0
+    /// would mean the list scheduler is exactly optimal on this
+    /// workload; the gate rejects values above [`ORACLE_GAP_CEILING`].
+    /// Unlike a timing this is a *quality* figure — deterministic for a
+    /// given seed — so it is compared against an absolute ceiling, not
+    /// against the baseline.  0 when the oracle family was filtered out
+    /// of the run.
+    pub oracle_gap: f64,
     /// p50 request latency (microseconds) of the `serve/load/k5`
     /// closed-loop run, fastest repetition: the end-to-end serve path —
     /// frame parse, shard routing, admission, engine, reply render —
@@ -181,13 +182,13 @@ pub struct Report {
     pub serve_p99_us: f64,
 }
 
-/// Ceiling on [`Report::oracle_gap_hinted`] enforced by the gate: the
-/// hinted list scheduler may emit at most 15% more cycles than the exact
-/// oracle over the seeded small regions on the bundled machines.  The
-/// measured gap on those streams sits around 1.01–1.05 (list scheduling
-/// with greedy option choice is near-optimal on short regions), so the
-/// ceiling has real slack while still catching a scheduling-quality
-/// regression long before it would show in wall-clock benches.
+/// Ceiling on [`Report::oracle_gap`] enforced by the gate: the list
+/// scheduler may emit at most 15% more cycles than the exact oracle over
+/// the seeded small regions on the bundled machines.  The measured gap
+/// on those streams sits around 1.01–1.05 (list scheduling with greedy
+/// option choice is near-optimal on short regions), so the ceiling has
+/// real slack while still catching a scheduling-quality regression long
+/// before it would show in wall-clock benches.
 pub const ORACLE_GAP_CEILING: f64 = 1.15;
 
 /// The `batch_scaling` gate floor for a host with `cpus` usable CPUs.
@@ -240,7 +241,7 @@ impl Report {
         }
         tel.gauge_set("perf/checker_speedup", self.checker_speedup);
         tel.gauge_set("perf/batch_scaling", self.batch_scaling);
-        tel.gauge_set("perf/oracle_gap_hinted", self.oracle_gap_hinted);
+        tel.gauge_set("perf/oracle_gap", self.oracle_gap);
         tel.gauge_set("perf/serve_p50_us", self.serve_p50_us);
         tel.gauge_set("perf/serve_p99_us", self.serve_p99_us);
     }
@@ -290,27 +291,27 @@ pub fn run_all(config: &BenchConfig) -> Report {
     let mut benches = Vec::new();
     suite::run(config, &mut benches);
     // The oracle family doubles as the source of the derived quality
-    // figure: the aggregate hinted gap over every measured machine.
-    let oracle_gap_hinted = suite::oracle_differential(config, &mut benches);
+    // figure: the aggregate list-scheduler gap over every measured
+    // machine.
+    let oracle_gap = suite::oracle_differential(config, &mut benches);
     // The serve/load family likewise yields the gated end-to-end serve
     // latency percentiles (from the K5 run's fastest repetition).
     let (serve_p50_us, serve_p99_us) = suite::serve_load(config, &mut benches);
 
     // Both sides of the A/B run the identical attempt stream at the same
-    // iteration count, so total time is directly comparable (the
-    // per-work-unit figures are not: doing fewer checks is the point of
-    // the optimization).  Fastest repetition on each side, for the same
-    // noise-robustness reason the gate uses min-of-K.
+    // iteration count, so total time is directly comparable.  Fastest
+    // repetition on each side, for the same noise-robustness reason the
+    // gate uses min-of-K.
     let pointer = benches
         .iter()
         .find(|s| s.name == suite::POINTER_CHASED_BENCH)
         .map(|s| s.min_ns);
-    let hinted = benches
+    let arena = benches
         .iter()
-        .find(|s| s.name == suite::HINTED_BENCH)
+        .find(|s| s.name == suite::ARENA_BENCH)
         .map(|s| s.min_ns);
-    let checker_speedup = match (pointer, hinted) {
-        (Some(p), Some(h)) if h > 0 => p as f64 / h as f64,
+    let checker_speedup = match (pointer, arena) {
+        (Some(p), Some(a)) if a > 0 => p as f64 / a as f64,
         _ => 0.0,
     };
 
@@ -332,12 +333,12 @@ pub fn run_all(config: &BenchConfig) -> Report {
     };
 
     Report {
-        schema: 4,
+        schema: 5,
         seed: config.seed,
         benches,
         checker_speedup,
         batch_scaling,
-        oracle_gap_hinted,
+        oracle_gap,
         serve_p50_us,
         serve_p99_us,
     }
@@ -381,7 +382,7 @@ mod tests {
             filter: Some("checker".into()),
             ..BenchConfig::default()
         };
-        assert!(config.matches("checker/hinted/wide"));
+        assert!(config.matches("checker/arena/wide"));
         assert!(!config.matches("rumap/word_ops"));
     }
 

@@ -8,8 +8,7 @@
 //! description and runs the same priority-scan algorithm over it —
 //! including the same [`CheckStats`] accounting — so
 //! `checker/pointer_chased/*` vs `checker/arena/*` measures nothing but
-//! the data-layout change (and `checker/hinted/*` adds the ordering
-//! change on top).
+//! the data-layout change.
 
 use mdes_core::compile::CompiledCheck;
 use mdes_core::{CheckStats, Choice, ClassId, CompiledMdes, RuMap};

@@ -35,7 +35,7 @@ pub fn render_table(report: &Report) -> String {
         ));
     }
     out.push_str(&format!(
-        "\nseed {:#x} · checker speedup (pointer-chased ÷ hinted): {:.2}x\n",
+        "\nseed {:#x} · checker speedup (pointer-chased ÷ arena): {:.2}x\n",
         report.seed, report.checker_speedup
     ));
     out.push_str(&format!(
@@ -43,8 +43,8 @@ pub fn render_table(report: &Report) -> String {
         report.batch_scaling
     ));
     out.push_str(&format!(
-        "hinted optimality gap (hinted ÷ oracle cycles): {:.3}\n",
-        report.oracle_gap_hinted
+        "oracle_gap (list ÷ oracle cycles): {:.3}\n",
+        report.oracle_gap
     ));
     out.push_str(&format!(
         "serve latency (closed-loop pipelined, k5): p50 {:.0}us · p99 {:.0}us\n",
@@ -114,7 +114,7 @@ mod tests {
     #[test]
     fn table_lists_every_bench_and_the_speedup() {
         let report = Report {
-            schema: 4,
+            schema: 5,
             seed: 7,
             benches: vec![Sample {
                 name: "rumap/word_ops".into(),
@@ -126,7 +126,7 @@ mod tests {
             }],
             checker_speedup: 1.75,
             batch_scaling: 3.12,
-            oracle_gap_hinted: 1.042,
+            oracle_gap: 1.042,
             serve_p50_us: 850.0,
             serve_p99_us: 2412.0,
         };
@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn delta_table_marks_failures() {
         let mk = |ns: u128| Report {
-            schema: 4,
+            schema: 5,
             seed: 7,
             benches: vec![Sample {
                 name: "a".into(),
@@ -155,7 +155,7 @@ mod tests {
             }],
             checker_speedup: 0.0,
             batch_scaling: 0.0,
-            oracle_gap_hinted: 0.0,
+            oracle_gap: 0.0,
             serve_p50_us: 0.0,
             serve_p99_us: 0.0,
         };

@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use mdes_core::{
-    CheckStats, Checker, ClassId, CompiledMdes, Constraint, Latency, MdesSpec, OpFlags,
-    OptionHints, OrTree, ResourceId, ResourceUsage, RuMap, TableOption, UsageEncoding,
+    CheckStats, Checker, ClassId, CompiledMdes, Constraint, Latency, MdesSpec, OpFlags, OrTree,
+    ResourceId, ResourceUsage, RuMap, TableOption, UsageEncoding,
 };
 use mdes_engine::Engine;
 use mdes_machines::Machine;
@@ -23,8 +23,8 @@ use crate::{measure, BenchConfig, Sample};
 
 /// The baseline side of the derived `checker_speedup` figure.
 pub(crate) const POINTER_CHASED_BENCH: &str = "checker/pointer_chased/wide";
-/// The optimized side (flat check arena + hint-first ordering).
-pub(crate) const HINTED_BENCH: &str = "checker/hinted/wide";
+/// The optimized side (the flat check arena).
+pub(crate) const ARENA_BENCH: &str = "checker/arena/wide";
 /// The serial side of the derived `batch_scaling` figure.
 pub(crate) const BATCH_W1_BENCH: &str = "engine/batch/w1";
 /// The parallel side of the derived `batch_scaling` figure.
@@ -86,15 +86,15 @@ fn analyze_lint(config: &BenchConfig, out: &mut Vec<Sample>) {
 }
 
 /// The `oracle/bnb/<machine>` family: the exact branch-and-bound
-/// scheduler running the full differential (oracle vs. unhinted and
-/// hinted list scheduling, with replay verification) over oracle-sized
-/// seeded regions on every bundled machine.  Work unit: one oracle
-/// schedule cycle plus one search node — both pure functions of the
-/// seed, so the count is byte-stable and any change to the search's
-/// pruning or the production schedulers' output shows up as count
-/// drift.  Returns the aggregate *hinted* optimality gap across the
-/// measured machines (the figure the gate's ceiling applies to), or 0
-/// when the family was filtered out of the run.
+/// scheduler running the full differential (oracle vs. list scheduling,
+/// with replay verification of both) over oracle-sized seeded regions on
+/// every bundled machine.  Work unit: one oracle schedule cycle plus one
+/// search node — both pure functions of the seed, so the count is
+/// byte-stable and any change to the search's pruning or to the list
+/// schedule that seeds its incumbent shows up as count drift.  Returns
+/// the aggregate list-scheduler optimality gap across the measured
+/// machines (the figure the gate's ceiling applies to), or 0 when the
+/// family was filtered out of the run.
 ///
 /// # Panics
 ///
@@ -134,7 +134,7 @@ pub(crate) fn oracle_differential(config: &BenchConfig, out: &mut Vec<Sample>) -
         measured = true;
     }
     if measured {
-        total.hinted_gap()
+        total.gap()
     } else {
         0.0
     }
@@ -216,17 +216,15 @@ fn probe_stream(seed: u64, classes: usize, len: usize) -> Vec<(ClassId, i32)> {
 }
 
 /// Sixteen interchangeable issue slots behind one OR-tree, with the
-/// fifteen highest-priority slots kept busy: the access pattern where
-/// both the flat check arena and hint-first ordering show up.  Three
+/// fifteen highest-priority slots kept busy: every attempt walks the
+/// whole tree, the access pattern where the check layout shows up.  Two
 /// checkers run the identical attempt stream; the derived
-/// `checker_speedup` divides the first sample's median time by the
-/// last's.
+/// `checker_speedup` divides the pointer-chased sample's time by the
+/// arena's.
 fn wide_tree_checkers(config: &BenchConfig, out: &mut Vec<Sample>) {
     const SLOTS: usize = 16;
     const ATTEMPTS: i32 = 1024;
-    let arena_name = "checker/arena/wide";
-    let wanted = [POINTER_CHASED_BENCH, arena_name, HINTED_BENCH];
-    if !wanted.iter().any(|n| config.matches(n)) {
+    if !config.matches(POINTER_CHASED_BENCH) && !config.matches(ARENA_BENCH) {
         return;
     }
 
@@ -246,8 +244,7 @@ fn wide_tree_checkers(config: &BenchConfig, out: &mut Vec<Sample>) {
     let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
     let class = compiled.class_by_name("op").unwrap();
     // All slots but the last busy at every cycle: the priority scan
-    // re-fails SLOTS-1 options per attempt, the hint lands on the free
-    // slot directly.
+    // re-fails SLOTS-1 options per attempt before it finds the free slot.
     let busy: u64 = (1 << (SLOTS - 1)) - 1;
 
     if config.matches(POINTER_CHASED_BENCH) {
@@ -267,9 +264,9 @@ fn wide_tree_checkers(config: &BenchConfig, out: &mut Vec<Sample>) {
             },
         ));
     }
-    if config.matches(arena_name) {
+    if config.matches(ARENA_BENCH) {
         let checker = Checker::new(&compiled);
-        out.push(measure(arena_name, config.iters(100), config.reps, || {
+        out.push(measure(ARENA_BENCH, config.iters(100), config.reps, || {
             let mut ru = RuMap::new();
             let mut stats = CheckStats::new();
             for t in 0..ATTEMPTS {
@@ -278,24 +275,6 @@ fn wide_tree_checkers(config: &BenchConfig, out: &mut Vec<Sample>) {
             }
             stats.resource_checks
         }));
-    }
-    if config.matches(HINTED_BENCH) {
-        let checker = Checker::new(&compiled);
-        out.push(measure(
-            HINTED_BENCH,
-            config.iters(100),
-            config.reps,
-            || {
-                let mut ru = RuMap::new();
-                let mut stats = CheckStats::new();
-                let mut hints = OptionHints::new(&compiled);
-                for t in 0..ATTEMPTS {
-                    ru.reserve(t, busy);
-                    checker.try_reserve_hinted(&mut ru, class, t, &mut stats, &mut hints);
-                }
-                stats.resource_checks
-            },
-        ));
     }
 }
 
@@ -319,31 +298,24 @@ fn automaton_pack(config: &BenchConfig, out: &mut Vec<Sample>) {
     }));
 }
 
-/// Full list scheduling of `mdes-workload` region streams, unhinted and
-/// hinted.  Work unit: one resource check, so the hinted sample also
-/// documents how many checks the hint saves on a real machine.
+/// Full list scheduling of `mdes-workload` region streams.  Work unit:
+/// one resource check.
 fn list_scheduling(config: &BenchConfig, out: &mut Vec<Sample>) {
     for (machine_name, spec) in bench_machines() {
-        let plain_name = format!("sched/list/{machine_name}");
-        let hinted_name = format!("sched/list_hinted/{machine_name}");
-        if !config.matches(&plain_name) && !config.matches(&hinted_name) {
+        let name = format!("sched/list/{machine_name}");
+        if !config.matches(&name) {
             continue;
         }
         let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
         let blocks = generate_regions(&spec, &RegionConfig::new(32).with_seed(config.seed)).blocks;
-        for (name, hints) in [(&plain_name, false), (&hinted_name, true)] {
-            if !config.matches(name) {
-                continue;
+        let scheduler = ListScheduler::new(&compiled);
+        out.push(measure(&name, config.iters(10), config.reps, || {
+            let mut stats = CheckStats::new();
+            for block in &blocks {
+                scheduler.schedule(block, &mut stats);
             }
-            let scheduler = ListScheduler::new(&compiled).with_hints(hints);
-            out.push(measure(name, config.iters(10), config.reps, || {
-                let mut stats = CheckStats::new();
-                for block in &blocks {
-                    scheduler.schedule(block, &mut stats);
-                }
-                stats.resource_checks
-            }));
-        }
+            stats.resource_checks
+        }));
     }
 }
 

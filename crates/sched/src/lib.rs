@@ -60,7 +60,7 @@ pub mod simulate;
 
 pub use chart::{occupancy_chart, resource_utilization};
 pub use depgraph::{DepGraph, DepKind, Edge};
-pub use list::{selection_bounds, ListScheduler, Priority, SchedScratch, Schedule, ScheduledOp};
+pub use list::{selection_bounds, ListScheduler, SchedScratch, Schedule, ScheduledOp};
 pub use mdes_core::CheckStats;
 pub use modulo::{LoopBlock, ModuloSchedule, ModuloScheduler};
 pub use operation::{Block, Op, Reg};

@@ -11,7 +11,7 @@
 //! supplying a different compiled MDES, which is the portability claim of
 //! the two-tier model.
 
-use mdes_core::{Checker, ClassId, CompiledMdes, OptionHints, RuMap};
+use mdes_core::{Checker, ClassId, CompiledMdes, RuMap};
 
 use crate::depgraph::DepGraph;
 use crate::operation::Block;
@@ -219,9 +219,8 @@ fn placed_at(cycle: i32, class: ClassId, start: usize, selected: &[u32]) -> Sche
 /// the engine gives each *worker* one scratch that persists across all
 /// jobs it executes, so the per-job cost drops to resets instead of
 /// allocations: the RU map keeps its grown cycle window (`RuMap::clear`
-/// zeroes occupancy without shrinking), the solver vectors keep their
-/// capacity, and the hint table (when hinting is on) keeps its
-/// allocation while being cleared back to the fresh state.
+/// zeroes occupancy without shrinking), and the solver vectors keep their
+/// capacity.
 ///
 /// Every `schedule*_reusing` entry point resets all of this **on
 /// entry**, so a scratch left in an arbitrary state — including by a
@@ -236,7 +235,6 @@ pub struct SchedScratch {
     unscheduled_preds: Vec<usize>,
     ready_time: Vec<i32>,
     order: Vec<usize>,
-    hints: Option<OptionHints>,
 }
 
 impl SchedScratch {
@@ -247,80 +245,17 @@ impl SchedScratch {
     }
 }
 
-/// Operation priority function for list scheduling.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum Priority {
-    /// Critical-path height, greatest first (the conventional choice and
-    /// the one the paper's scheduler uses).
-    #[default]
-    Height,
-    /// Least slack first: operations with the smallest difference between
-    /// their as-late-as-possible and as-soon-as-possible start times.
-    Slack,
-    /// Original program order (a deliberately weak baseline).
-    SourceOrder,
-}
-
 /// The list scheduler over one compiled MDES.
 #[derive(Copy, Clone, Debug)]
 pub struct ListScheduler<'a> {
     mdes: &'a CompiledMdes,
-    priority: Priority,
-    hints: bool,
 }
 
 impl<'a> ListScheduler<'a> {
-    /// Creates a scheduler for `mdes` with the conventional critical-path
-    /// priority.
+    /// Creates a scheduler for `mdes`.  Operations are ranked by
+    /// critical-path height, greatest first (the paper's priority).
     pub fn new(mdes: &'a CompiledMdes) -> ListScheduler<'a> {
-        ListScheduler {
-            mdes,
-            priority: Priority::Height,
-            hints: false,
-        }
-    }
-
-    /// Selects a different priority function.
-    pub fn with_priority(mut self, priority: Priority) -> ListScheduler<'a> {
-        self.priority = priority;
-        self
-    }
-
-    /// Enables hint-first option ordering: the checker probes each
-    /// OR-tree's most-recently-successful option before falling back to
-    /// the priority scan.  Hint state is owned by each `schedule*` call,
-    /// so the same block always yields the same schedule — but because a
-    /// lower-priority option can win when the hinted one matches first,
-    /// hinted schedules may pick different options than the paper's
-    /// strict-priority accounting.  Leave off for paper reproduction.
-    pub fn with_hints(mut self, hints: bool) -> ListScheduler<'a> {
-        self.hints = hints;
-        self
-    }
-
-    /// The priority order the forward scheduler uses: fills `order` with
-    /// a permutation of operation indices, most urgent first.
-    fn priority_order_into(&self, graph: &DepGraph, heights: &[i32], order: &mut Vec<usize>) {
-        let n = graph.num_ops;
-        order.clear();
-        order.extend(0..n);
-        match self.priority {
-            Priority::Height => {
-                order.sort_by_key(|&i| (std::cmp::Reverse(heights[i]), i));
-            }
-            Priority::Slack => {
-                // ASAP from predecessors; ALAP = critical path - height.
-                let mut asap = vec![0i32; n];
-                for i in 0..n {
-                    for edge in &graph.preds[i] {
-                        asap[i] = asap[i].max(asap[edge.from] + edge.latency);
-                    }
-                }
-                let critical = heights.iter().copied().max().unwrap_or(0);
-                order.sort_by_key(|&i| ((critical - heights[i]) - asap[i], i));
-            }
-            Priority::SourceOrder => {}
-        }
+        ListScheduler { mdes }
     }
 
     /// Schedules `block` forward, accumulating checker statistics into
@@ -388,16 +323,14 @@ impl<'a> ListScheduler<'a> {
 
         // Reset every piece of borrowed state on entry: a cleared RU map
         // is observationally a fresh one (the window placement is not a
-        // contract surface), and cleared hint state is exactly what a
-        // fresh run starts from — schedules depend only on the block,
-        // never on what was scheduled before.
+        // contract surface) — schedules depend only on the block, never
+        // on what was scheduled before.
         let SchedScratch {
             ru,
             placed,
             unscheduled_preds,
             ready_time,
             order,
-            hints: hint_slot,
         } = scratch;
         ru.clear();
         placed.clear();
@@ -406,13 +339,6 @@ impl<'a> ListScheduler<'a> {
         unscheduled_preds.extend(graph.preds.iter().map(Vec::len));
         ready_time.clear();
         ready_time.resize(n, 0);
-        let hints = if self.hints {
-            let hints = hint_slot.get_or_insert_with(|| OptionHints::new(self.mdes));
-            hints.reset_for(self.mdes);
-            Some(hints)
-        } else {
-            None
-        };
 
         let mut attempts: Vec<u32> = vec![0; n];
         let mut selected: Vec<u32> = Vec::with_capacity(selection_len(self.mdes, block));
@@ -426,9 +352,11 @@ impl<'a> ListScheduler<'a> {
         let height_bound: i32 = heights.iter().copied().max().unwrap_or(0);
         let limit = height_bound + (n as i32 + 4) * span + 64;
 
-        self.priority_order_into(graph, &heights, order);
+        // Critical-path height, greatest first; ties go to program order.
+        order.clear();
+        order.extend(0..n);
+        order.sort_by_key(|&i| (std::cmp::Reverse(heights[i]), i));
 
-        let mut hints = hints;
         while remaining > 0 {
             assert!(
                 cycle <= limit,
@@ -441,13 +369,7 @@ impl<'a> ListScheduler<'a> {
                 let class = block.ops[op].class;
                 attempts[op] += 1;
                 let start = selected.len();
-                let reserved = match hints.as_deref_mut() {
-                    Some(h) => {
-                        checker.try_reserve_hinted_into(ru, class, cycle, stats, h, &mut selected)
-                    }
-                    None => checker.try_reserve_into(ru, class, cycle, stats, &mut selected),
-                };
-                if reserved {
+                if checker.try_reserve_into(ru, class, cycle, stats, &mut selected) {
                     stats.count_operation();
                     placed[op] = Some(placed_at(cycle, class, start, &selected));
                     remaining -= 1;
@@ -738,52 +660,6 @@ mod tests {
         let schedule = ListScheduler::new(&mdes).schedule(&block, &mut stats);
         assert_eq!(schedule.ops[1].cycle, 0, "chain head scheduled first");
         assert_eq!(schedule.length, 3);
-    }
-
-    #[test]
-    fn all_priority_functions_produce_valid_schedules() {
-        let mdes = two_issue();
-        let mut block = Block::new();
-        // A mix of chains and independent work.
-        block.push(Op::new(class(&mdes, "load"), vec![Reg(1)], vec![Reg(0)]));
-        block.push(Op::new(class(&mdes, "alu"), vec![Reg(2)], vec![Reg(1)]));
-        block.push(Op::new(class(&mdes, "alu"), vec![Reg(3)], vec![Reg(2)]));
-        for i in 0..4 {
-            block.push(Op::new(class(&mdes, "alu"), vec![Reg(10 + i)], vec![]));
-        }
-        let graph = DepGraph::build(&block, &mdes);
-        let mut lengths = Vec::new();
-        for priority in [Priority::Height, Priority::Slack, Priority::SourceOrder] {
-            let mut stats = CheckStats::new();
-            let schedule = ListScheduler::new(&mdes)
-                .with_priority(priority)
-                .schedule(&block, &mut stats);
-            schedule.verify(&graph, &mdes).unwrap();
-            lengths.push(schedule.length);
-        }
-        // The critical-path priority is never worse than source order
-        // on this block.
-        assert!(lengths[0] <= lengths[2], "{lengths:?}");
-    }
-
-    #[test]
-    fn priority_functions_are_deterministic() {
-        let mdes = two_issue();
-        let mut block = Block::new();
-        for i in 0..6 {
-            block.push(Op::new(class(&mdes, "alu"), vec![Reg(i)], vec![]));
-        }
-        for priority in [Priority::Height, Priority::Slack, Priority::SourceOrder] {
-            let mut a = CheckStats::new();
-            let mut b = CheckStats::new();
-            let s1 = ListScheduler::new(&mdes)
-                .with_priority(priority)
-                .schedule(&block, &mut a);
-            let s2 = ListScheduler::new(&mdes)
-                .with_priority(priority)
-                .schedule(&block, &mut b);
-            assert_eq!(s1.cycles(), s2.cycles());
-        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::list::ListScheduler;
 use crate::operation::{Block, Op, Reg};
-use mdes_core::probe::ProbeRng;
+use mdes_core::rng::Pcg32;
 use mdes_core::spec::ClassId;
 use mdes_core::{CheckStats, CompiledMdes};
 
@@ -54,7 +54,7 @@ pub fn replay_blocks(num_classes: usize, config: &ReplayConfig) -> Vec<Block> {
     let classes = num_classes as u32;
     (0..config.blocks)
         .map(|b| {
-            let mut rng = ProbeRng::new(config.seed, 0x1000 + u64::from(b));
+            let mut rng = Pcg32::new(config.seed, 0x1000 + u64::from(b));
             (0..config.ops_per_block)
                 .map(|i| {
                     let class = ClassId::from_index(rng.gen_range(classes) as usize);

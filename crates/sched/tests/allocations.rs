@@ -5,7 +5,7 @@
 //! other's traffic.  The gates:
 //!
 //! * a reservation attempt allocates nothing once the caller's selection
-//!   buffer has capacity — successful or failed, plain or hinted;
+//!   buffer has capacity — successful or failed;
 //! * scheduling a block against warm scratch makes a fixed number of
 //!   allocations, however many attempts the block needs;
 //! * operations and placements stay compact, and an operation is a
@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mdes_core::{CheckStats, Checker, CompiledMdes, OptionHints, RuMap, UsageEncoding};
+use mdes_core::{CheckStats, Checker, CompiledMdes, RuMap, UsageEncoding};
 use mdes_machines::Machine;
 use mdes_sched::{Block, DepGraph, ListScheduler, Op, Reg, SchedScratch, ScheduledOp};
 
@@ -76,21 +76,17 @@ fn reservation_attempts_allocate_nothing_once_out_has_capacity() {
         let classes = (0..mdes.classes().len()).map(mdes_core::ClassId::from_index);
         // Pre-sized so reservations never grow the map's window.
         let mut ru = RuMap::with_range(mdes.min_check_time() - 1, 64 + mdes.max_check_time());
-        let mut hints = OptionHints::new(&mdes);
         let mut stats = CheckStats::new();
         let mut out: Vec<u32> = Vec::with_capacity(4096);
 
         let (allocations, ()) = allocations_in(|| {
             // Every class, eight times per cycle over a short window: the
-            // machine saturates, so both outcomes occur on both paths.
+            // machine saturates, so both outcomes occur.
             for cycle in 0..16 {
                 out.clear();
                 for class in classes.clone() {
-                    for _ in 0..4 {
+                    for _ in 0..8 {
                         checker.try_reserve_into(&mut ru, class, cycle, &mut stats, &mut out);
-                        checker.try_reserve_hinted_into(
-                            &mut ru, class, cycle, &mut stats, &mut hints, &mut out,
-                        );
                     }
                 }
             }
@@ -165,32 +161,27 @@ fn block_allocations_do_not_depend_on_attempt_count() {
         DepGraph::build(&chain, &mdes),
     ];
 
-    for hints in [false, true] {
-        let scheduler = ListScheduler::new(&mdes).with_hints(hints);
-        let mut scratch = SchedScratch::new();
-        let mut stats = [CheckStats::new(), CheckStats::new()];
-        let mut run = |k: usize, block: &Block, stats: &mut CheckStats| {
-            allocations_in(|| {
-                scheduler.schedule_with_graph_reusing(block, &graphs[k], &mut scratch, stats)
-            })
-        };
-        // Warm the scratch (buffers and RU-map window) on both blocks.
-        run(0, &independent, &mut CheckStats::new());
-        run(1, &chain, &mut CheckStats::new());
+    let scheduler = ListScheduler::new(&mdes);
+    let mut scratch = SchedScratch::new();
+    let mut stats = [CheckStats::new(), CheckStats::new()];
+    let mut run = |k: usize, block: &Block, stats: &mut CheckStats| {
+        allocations_in(|| {
+            scheduler.schedule_with_graph_reusing(block, &graphs[k], &mut scratch, stats)
+        })
+    };
+    // Warm the scratch (buffers and RU-map window) on both blocks.
+    run(0, &independent, &mut CheckStats::new());
+    run(1, &chain, &mut CheckStats::new());
 
-        let (wide, a) = run(0, &independent, &mut stats[0]);
-        let (deep, b) = run(1, &chain, &mut stats[1]);
-        // The independent block retries every ready op each cycle; the
-        // chain tries each op once.  The allocation count is the same.
-        assert!(
-            stats[0].attempts > 4 * stats[1].attempts,
-            "{stats:?} (hints {hints})"
-        );
-        assert_eq!(wide, deep, "hints {hints}");
-        assert!(wide <= 4, "{wide} allocations per block (hints {hints})");
-        for schedule in [a, b] {
-            assert_eq!(schedule.selected.capacity(), schedule.selected.len());
-        }
+    let (wide, a) = run(0, &independent, &mut stats[0]);
+    let (deep, b) = run(1, &chain, &mut stats[1]);
+    // The independent block retries every ready op each cycle; the
+    // chain tries each op once.  The allocation count is the same.
+    assert!(stats[0].attempts > 4 * stats[1].attempts, "{stats:?}");
+    assert_eq!(wide, deep);
+    assert!(wide <= 4, "{wide} allocations per block");
+    for schedule in [a, b] {
+        assert_eq!(schedule.selected.capacity(), schedule.selected.len());
     }
 }
 

@@ -23,12 +23,12 @@
 //! issues the planted class**: an unsatisfiable operation never places,
 //! which is exactly the daemon-hang the analyzer exists to prevent.
 
+use mdes_core::rng::Pcg32;
 use mdes_core::spec::{AndOrTree, Constraint, Latency, MdesSpec, OpFlags, OrTree, TableOption};
 use mdes_core::usage::ResourceUsage;
 use mdes_core::ClassId;
 
 use crate::fleet::{fleet_machine, FleetMachine};
-use crate::rng::Pcg32;
 
 /// Ground truth for one planted defect.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -24,10 +24,9 @@
 //! }
 //! ```
 
+use mdes_core::rng::Pcg32;
 use mdes_core::spec::{AndOrTree, Constraint, Latency, MdesSpec, OpFlags, OrTree, TableOption};
 use mdes_core::usage::ResourceUsage;
-
-use crate::rng::Pcg32;
 
 /// One synthetic machine: a name for diagnostics and a validated spec.
 #[derive(Clone, Debug)]

@@ -8,12 +8,12 @@
 //! vs. postpass (few architectural registers) distinction the paper makes
 //! for the x86 machines (Section 4).
 
+use mdes_core::rng::Pcg32;
 use mdes_core::{ClassId, MdesSpec};
 use mdes_machines::Machine;
 use mdes_sched::{Block, Op, Reg};
 
 use crate::mix::{body_mix, end_mix, OpTemplate};
-use crate::rng::Pcg32;
 
 /// Generator parameters.
 #[derive(Copy, Clone, Debug, PartialEq)]

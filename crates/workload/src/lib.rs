@@ -36,13 +36,12 @@ pub mod fleet;
 pub mod generate;
 pub mod mix;
 pub mod regions;
-pub mod rng;
 
 pub use defects::{fleet_with_defects, PlantedDefect, SeededDefectMachine};
 pub use fleet::{fleet, fleet_machine, FleetMachine};
 pub use generate::{
     as_loop_bodies, generate, generate_uniform, uniform_config, Workload, WorkloadConfig,
 };
+pub use mdes_core::rng::Pcg32;
 pub use mix::{body_mix, end_mix, OpTemplate};
 pub use regions::{generate_compiled_regions, generate_regions, RegionConfig};
-pub use rng::Pcg32;

@@ -9,11 +9,11 @@
 //! stream is identical, which is what the engine's determinism tests
 //! lean on.
 
+use mdes_core::rng::Pcg32;
 use mdes_core::{ClassId, CompiledMdes, MdesSpec};
 use mdes_sched::Block;
 
 use crate::generate::{make_op, Recent, Workload, WorkloadConfig};
-use crate::rng::Pcg32;
 
 /// Parameters of a synthetic region stream.
 #[derive(Copy, Clone, Debug, PartialEq)]

@@ -9,7 +9,6 @@ use mdes::core::{CheckStats, CompiledMdes, UsageEncoding};
 use mdes::machines::Machine;
 use mdes::opt::pipeline::PipelineConfig;
 use mdes::opt::timeshift::Direction;
-use mdes::sched::Priority;
 use mdes::sched::{DepGraph, ListScheduler};
 use mdes::workload::{generate, WorkloadConfig};
 use proptest::prelude::*;
@@ -71,9 +70,8 @@ fn tuning_direction_never_changes_backward_schedules() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every priority function yields a valid schedule on random
-    /// machines and blocks, and the critical-path priority never loses
-    /// to more than a small factor against the best of the three.
+    /// The critical-path priority yields a valid schedule on random
+    /// machines and blocks.
     #[test]
     fn every_priority_produces_valid_schedules(
         plan in arb_spec_plan(),
@@ -88,21 +86,9 @@ proptest! {
         let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
         let graph = DepGraph::build(&block, &compiled);
 
-        let mut lengths = Vec::new();
-        for priority in [Priority::Height, Priority::Slack, Priority::SourceOrder] {
-            let mut stats = CheckStats::new();
-            let schedule = ListScheduler::new(&compiled)
-                .with_priority(priority)
-                .schedule(&block, &mut stats);
-            prop_assert!(schedule.verify(&graph, &compiled).is_ok());
-            lengths.push(schedule.length);
-        }
-        let best = *lengths.iter().min().unwrap();
-        prop_assert!(
-            lengths[0] <= best * 2 + 2,
-            "height priority pathologically bad: {:?}",
-            lengths
-        );
+        let mut stats = CheckStats::new();
+        let schedule = ListScheduler::new(&compiled).schedule(&block, &mut stats);
+        prop_assert!(schedule.verify(&graph, &compiled).is_ok());
     }
 }
 

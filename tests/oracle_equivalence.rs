@@ -16,9 +16,13 @@
 //! Machines come from the synthetic fleet generator so the invariants
 //! are exercised across interchangeable-unit groups, multi-cycle
 //! staging, AND/OR classes and bypasses — not just the bundled six.
+//! On the bundled six, the list scheduler's aggregate gap must also stay
+//! inside the absolute ceiling the perf gate enforces
+//! ([`mdes::perf::ORACLE_GAP_CEILING`]).
 
 use mdes::core::{CheckStats, CompiledMdes, UsageEncoding};
-use mdes::oracle::{exhaustive_min_length, OracleScheduler};
+use mdes::oracle::{differential_gap, exhaustive_min_length, GapReport, OracleScheduler};
+use mdes::perf::ORACLE_GAP_CEILING;
 use mdes::sched::{DepGraph, ListScheduler};
 use mdes::workload::{fleet_machine, generate_regions, RegionConfig};
 use proptest::prelude::*;
@@ -62,13 +66,12 @@ proptest! {
     fn list_scheduler_never_beats_the_oracle(
         machine_index in 0usize..24,
         region_seed in 0u64..1024,
-        hinted in any::<bool>(),
     ) {
         let machine = fleet_machine(0xF1EE7, machine_index);
         let mdes = CompiledMdes::compile(&machine.spec, UsageEncoding::BitVector).unwrap();
         let config = RegionConfig::new(2).with_mean_ops(4).with_seed(region_seed);
         let oracle = OracleScheduler::new(&mdes);
-        let scheduler = ListScheduler::new(&mdes).with_hints(hinted);
+        let scheduler = ListScheduler::new(&mdes);
         for block in &generate_regions(&machine.spec, &config).blocks {
             let mut stats = CheckStats::new();
             let outcome = oracle.schedule(block, &mut stats).unwrap();
@@ -81,4 +84,50 @@ proptest! {
             );
         }
     }
+}
+
+/// The six bundled machines: the four `Machine` variants plus the two
+/// HMDL-only descriptions.
+fn bundled() -> Vec<(String, mdes::core::MdesSpec)> {
+    let mut specs: Vec<(String, mdes::core::MdesSpec)> = mdes::machines::Machine::all()
+        .into_iter()
+        .map(|machine| (machine.name().to_lowercase(), machine.spec()))
+        .collect();
+    specs.push(("pentiumpro".into(), mdes::machines::pentium_pro()));
+    specs.push((
+        "superspark_approx".into(),
+        mdes::machines::approximate_superspark(),
+    ));
+    specs
+}
+
+#[test]
+fn list_gap_stays_under_the_perf_ceiling() {
+    // Same node budget as the `oracle/bnb/*` perf family: regions that
+    // exhaust it keep the list incumbent, which only pulls the measured
+    // gap toward 1 — it cannot hide a blown ceiling.
+    let mut total = GapReport::default();
+    for (name, spec) in bundled() {
+        let mdes = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
+        let blocks = generate_regions(&spec, &RegionConfig::small(10).with_seed(42)).blocks;
+        let oracle = OracleScheduler::new(&mdes).with_node_limit(200_000);
+        let mut stats = CheckStats::new();
+        let report = differential_gap(&mdes, &blocks, &oracle, &mut stats);
+        assert_eq!(
+            report.violations, 0,
+            "{name}: {:?}",
+            report.violation_details
+        );
+        total.merge(&report);
+    }
+    assert!(total.regions > 0, "differential measured nothing");
+    assert!(
+        total.gap() >= 1.0,
+        "a gap below 1.0 means the list scheduler beat the oracle"
+    );
+    assert!(
+        total.gap() <= ORACLE_GAP_CEILING,
+        "optimality gap {:.3} blew the {ORACLE_GAP_CEILING} ceiling",
+        total.gap()
+    );
 }
