@@ -166,7 +166,8 @@ head -c 40 "$GOOD_IMG" >"$TRUNC_IMG"
 # answer fails client-side re-scheduling verification, or a reload
 # outcome surprises it (good rejected / corrupt accepted); the daemon's
 # own metrics must then show the serve counters present, nothing left
-# in flight, and zero engine panics.
+# in flight, both scripted reloads received (one promoted, one
+# refused), and zero engine panics.
 SERVE_SOCK="$ART/serve-v1.sock"
 SERVE_METRICS="$ART/serve-v1-metrics.json"
 ./target/release/mdesc --metrics "$SERVE_METRICS" serve --machine k5 \
@@ -181,6 +182,8 @@ wait "$SERVE_PID"
 SERVE_PID=""
 expect '"serve/shed"' "$SERVE_METRICS"
 expect '"serve/dropped":0' "$SERVE_METRICS"
+expect '"serve/reloads":1' "$SERVE_METRICS"
+expect '"serve/reload_failures":1' "$SERVE_METRICS"
 expect '"engine/worker_panics":0' "$SERVE_METRICS"
 
 # Serving smoke, pipelined multi-shard: one daemon serving K5 and

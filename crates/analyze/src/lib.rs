@@ -52,6 +52,7 @@ use std::fmt::Write as _;
 use mdes_core::spec::{Constraint, MdesSpec};
 use mdes_opt::sortzero::unsorted_options;
 use mdes_opt::timeshift::{shift_constants, Direction};
+use mdes_telemetry::json::Json;
 use mdes_telemetry::Telemetry;
 
 /// Largest |check time| the serving layer accepts (cycles relative to
@@ -707,19 +708,20 @@ where
         .into_iter()
         .flat_map(|(origin, analysis)| analysis.diagnostics.iter().map(move |d| (origin, d)))
         .collect();
+    let string = |text: &str| Json::Str(text.to_string()).render();
     let mut out = String::new();
     out.push_str("[\n");
     for (i, (origin, diag)) in entries.iter().enumerate() {
         let _ = write!(
             out,
-            "  {{\"origin\": \"{}\", \"code\": \"{}\", \"severity\": \"{}\", \"message\": \"{}\"",
-            escape(origin),
+            "  {{\"origin\": {}, \"code\": \"{}\", \"severity\": \"{}\", \"message\": {}",
+            string(origin),
             diag.code,
             diag.severity,
-            escape(&diag.message)
+            string(&diag.message)
         );
         if let Some(item) = &diag.item {
-            let _ = write!(out, ", \"item\": \"{}\"", escape(item));
+            let _ = write!(out, ", \"item\": {}", string(item));
         }
         if let Some((line, col)) = diag.span {
             let _ = write!(out, ", \"line\": {line}, \"col\": {col}");
@@ -731,22 +733,6 @@ where
         out.push('\n');
     }
     out.push_str("]\n");
-    out
-}
-
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

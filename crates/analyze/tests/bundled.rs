@@ -6,25 +6,10 @@
 //! analysis is byte-deterministic.
 
 use mdes_analyze::{analyze_spec, render_text, Severity};
-use mdes_core::spec::MdesSpec;
-use mdes_machines::Machine;
-
-fn bundled() -> Vec<(String, MdesSpec)> {
-    let mut machines: Vec<(String, MdesSpec)> = Machine::all()
-        .into_iter()
-        .map(|machine| (machine.name().to_lowercase(), machine.spec()))
-        .collect();
-    machines.push(("pentiumpro".to_string(), mdes_machines::pentium_pro()));
-    machines.push((
-        "superspark_approx".to_string(),
-        mdes_machines::approximate_superspark(),
-    ));
-    machines
-}
 
 #[test]
 fn bundled_machines_have_no_fatal_diagnostics() {
-    for (name, spec) in bundled() {
+    for (name, spec) in mdes_machines::bundled() {
         let analysis = analyze_spec(&spec);
         assert!(!analysis.has_fatal(), "{name}: {:?}", analysis.diagnostics);
         assert!(analysis.items_analyzed > 0, "{name}");
@@ -33,7 +18,7 @@ fn bundled_machines_have_no_fatal_diagnostics() {
 
 #[test]
 fn bundled_machine_reports_are_deterministic() {
-    for (name, spec) in bundled() {
+    for (name, spec) in mdes_machines::bundled() {
         let first = render_text(&name, &analyze_spec(&spec));
         let second = render_text(&name, &analyze_spec(&spec));
         assert_eq!(first, second, "{name}");
@@ -47,7 +32,7 @@ fn optimized_bundled_machines_lose_maintenance_diagnostics() {
     // dominated-option lints it proved must be gone (the pipeline's
     // syntactic pass removes MD002 sites; MD003 sites it cannot see may
     // remain).
-    for (name, spec) in bundled() {
+    for (name, spec) in mdes_machines::bundled() {
         let before = analyze_spec(&spec);
         let mut optimized = spec.clone();
         mdes_opt::pipeline::optimize(

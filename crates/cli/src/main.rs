@@ -255,9 +255,9 @@ fn usage() -> String {
      \x20         [--reload-corrupt-at I[@MACHINE]:PATH] [--no-verify] [--shutdown]\n\
      \x20         closed-loop verified client against a running daemon; fails if\n\
      \x20         any request is dropped or any answer is wrong.  --pipeline keeps\n\
-     \x20         DEPTH requests in flight per connection (1 = serial v1 frames);\n\
-     \x20         --machines sprays requests across shards round-robin;\n\
-     \x20         I@MACHINE targets a reload at one shard\n\
+     \x20         DEPTH frames in flight per connection, reloads included (1 =\n\
+     \x20         serial v1 frames); --machines sprays requests across shards\n\
+     \x20         round-robin; I@MACHINE targets a reload at one shard\n\
      \x20 perf    [--seed S] [--scale F] [--reps K] [--filter SUBSTR] [--json PATH]\n\
      \x20         [--baseline PATH] [--max-regression F] [--quiet]\n\
      \x20         run the deterministic hot-path benchmark suite; with\n\
@@ -582,43 +582,14 @@ fn optimize_cmd(args: &[String], tel: &Telemetry) -> CliResult {
 
     let workload =
         mdes_workload::generate_uniform(&spec, &mdes_workload::uniform_config(total_ops));
-    let (stats, total_cycles) = match jobs {
-        // The engine's determinism contract makes the two paths produce
-        // identical schedules and counters; --jobs only changes who does
-        // the work (and adds the per-worker telemetry breakdown).
-        Some(jobs) => {
-            let engine = mdes_engine::Engine::new(std::sync::Arc::clone(&compiled));
-            let outcome = {
-                let _span = tel.span("sched/list");
-                engine.schedule_batch(&workload.blocks, jobs)
-            };
-            if !outcome.is_clean() {
-                return Err(CliError::from(format!(
-                    "{} worker panic(s) while scheduling",
-                    outcome.worker_panics()
-                )));
-            }
-            outcome.stats.publish(tel, "sched/list");
-            outcome.publish(tel, "engine");
-            (outcome.stats.clone(), outcome.total_cycles())
-        }
-        None => {
-            let scheduler = mdes_sched::ListScheduler::new(&compiled);
-            let mut stats = mdes_core::CheckStats::new();
-            let mut total_cycles = 0i64;
-            {
-                let _span = tel.span("sched/list");
-                for block in &workload.blocks {
-                    let schedule = scheduler.schedule(block, &mut stats);
-                    total_cycles += i64::from(schedule.length);
-                }
-            }
-            // Publish the aggregate once so the report's counters equal
-            // the CheckStats totals for the whole workload.
-            stats.publish(tel, "sched/list");
-            (stats, total_cycles)
-        }
-    };
+    let outcome = schedule_blocks(
+        std::sync::Arc::clone(&compiled),
+        &workload.blocks,
+        jobs.unwrap_or(1),
+        tel,
+    )?;
+    outcome.publish(tel, "engine");
+    let (stats, total_cycles) = (&outcome.stats, outcome.total_cycles());
 
     if let Some(output) = output {
         let image = lmdes::write(&compiled);
@@ -635,6 +606,30 @@ fn optimize_cmd(args: &[String], tel: &Telemetry) -> CliResult {
         stats.checks_per_attempt()
     );
     Ok(())
+}
+
+/// Schedules `blocks` through the engine on `jobs` workers under one
+/// `sched/list` span, then publishes the folded `sched/list/*`
+/// counters.  By the engine's determinism contract every `jobs` gives
+/// the same schedules and counters; one job runs inline.
+fn schedule_blocks(
+    compiled: std::sync::Arc<CompiledMdes>,
+    blocks: &[mdes_sched::Block],
+    jobs: usize,
+    tel: &Telemetry,
+) -> CliResult<mdes_engine::BatchOutcome> {
+    let outcome = {
+        let _span = tel.span("sched/list");
+        mdes_engine::Engine::new(compiled).schedule_batch(blocks, jobs)
+    };
+    if !outcome.is_clean() {
+        return Err(CliError::from(format!(
+            "{} worker panic(s) while scheduling",
+            outcome.worker_panics()
+        )));
+    }
+    outcome.stats.publish(tel, "sched/list");
+    Ok(outcome)
 }
 
 /// Runs the optimization pipeline under the requested guard mode.
@@ -842,18 +837,6 @@ fn reload_error(err: mdes_serve::ReloadError) -> CliError {
     }
 }
 
-/// Resolves one machine name (case-insensitive) to a bundled machine.
-fn bundled_machine(name: &str) -> CliResult<mdes_machines::Machine> {
-    mdes_machines::Machine::all()
-        .into_iter()
-        .find(|m| m.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            CliError::from(format!(
-                "unknown machine `{name}` (PA7100, Pentium, SuperSPARC, K5)"
-            ))
-        })
-}
-
 /// Parses a `--machine`/`--machines` operand: a comma-separated list of
 /// bundled machine names, or `all` for every bundled machine.
 fn machine_list(spec: &str) -> CliResult<Vec<mdes_machines::Machine>> {
@@ -862,7 +845,7 @@ fn machine_list(spec: &str) -> CliResult<Vec<mdes_machines::Machine>> {
     }
     let mut machines = Vec::new();
     for name in spec.split(',').filter(|n| !n.is_empty()) {
-        let machine = bundled_machine(name)?;
+        let machine = mdes_machines::Machine::from_name(name)?;
         if machines.contains(&machine) {
             return Err(CliError::from(format!("machine `{name}` listed twice")));
         }
@@ -1025,9 +1008,10 @@ fn parse_reload_event(text: &str, expect_rejection: bool) -> CliResult<ReloadEve
         ))
     })?;
     let (at, machine) = match at.split_once('@') {
-        Some((index, shard)) if !shard.is_empty() => {
-            (index, Some(bundled_machine(shard)?.name().to_string()))
-        }
+        Some((index, shard)) if !shard.is_empty() => (
+            index,
+            Some(mdes_machines::Machine::from_name(shard)?.name().to_string()),
+        ),
         Some(_) => return Err(CliError::from(format!("empty machine in `{text}`"))),
         None => (at, None),
     };
@@ -1241,22 +1225,6 @@ fn perf_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     }
 }
 
-/// Every bundled machine, keyed by the bench-name suffixes shared with
-/// `mdesc perf` and `docs/performance.md`: the four `Machine` variants
-/// plus the two HMDL-only reconstructions.
-fn oracle_machines() -> Vec<(String, MdesSpec)> {
-    let mut machines: Vec<(String, MdesSpec)> = mdes_machines::Machine::all()
-        .into_iter()
-        .map(|m| (m.name().to_lowercase(), m.spec()))
-        .collect();
-    machines.push(("pentiumpro".to_string(), mdes_machines::pentium_pro()));
-    machines.push((
-        "superspark_approx".to_string(),
-        mdes_machines::approximate_superspark(),
-    ));
-    machines
-}
-
 /// Runs the exact branch-and-bound scheduler as a differential oracle
 /// against the production list and modulo schedulers.
 ///
@@ -1346,7 +1314,7 @@ fn oracle_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     let mut total = mdes_oracle::GapReport::default();
     let mut stats = mdes_core::CheckStats::new();
     let mut machines_run = 0usize;
-    for (name, spec) in oracle_machines() {
+    for (name, spec) in mdes_machines::bundled() {
         if let Some(filter) = &machine_filter {
             if !name.eq_ignore_ascii_case(filter) {
                 continue;
@@ -1389,7 +1357,10 @@ fn oracle_cmd(args: &[String], tel: &Telemetry) -> CliResult {
         machines_run += 1;
     }
     if machines_run == 0 {
-        let names: Vec<String> = oracle_machines().into_iter().map(|(n, _)| n).collect();
+        let names: Vec<String> = mdes_machines::bundled()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
         return Err(CliError::from(format!(
             "unknown machine `{}` (one of: {})",
             machine_filter.unwrap_or_default(),
@@ -1511,17 +1482,8 @@ fn schedule_cmd(args: &[String], tel: &Telemetry) -> CliResult {
 
     let workload =
         mdes_workload::generate_uniform(&spec, &mdes_workload::uniform_config(total_ops));
-    let scheduler = mdes_sched::ListScheduler::new(&compiled);
-    let mut stats = mdes_core::CheckStats::new();
-    let mut total_cycles = 0i64;
-    {
-        let _span = tel.span("sched/list");
-        for block in &workload.blocks {
-            let schedule = scheduler.schedule(block, &mut stats);
-            total_cycles += i64::from(schedule.length);
-        }
-    }
-    stats.publish(tel, "sched/list");
+    let outcome = schedule_blocks(std::sync::Arc::new(compiled), &workload.blocks, 1, tel)?;
+    let (stats, total_cycles) = (&outcome.stats, outcome.total_cycles());
     println!(
         "{input}: scheduled {} ops in {} blocks ({} cycles, {:.2} ops/cycle)",
         workload.total_ops,
@@ -1625,14 +1587,19 @@ fn lint_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     }
     match machine {
         Some("all") => {
-            for (name, spec) in oracle_machines() {
+            for (name, spec) in mdes_machines::bundled() {
                 reports.push((name, mdes_analyze::analyze_spec_with_telemetry(&spec, tel)));
             }
         }
         Some(name) => {
-            let found = oracle_machines().into_iter().find(|(n, _)| n == name);
+            let found = mdes_machines::bundled()
+                .into_iter()
+                .find(|(n, _)| n == name);
             let Some((n, spec)) = found else {
-                let known: Vec<String> = oracle_machines().into_iter().map(|(n, _)| n).collect();
+                let known: Vec<String> = mdes_machines::bundled()
+                    .into_iter()
+                    .map(|(n, _)| n)
+                    .collect();
                 return Err(format!(
                     "unknown machine `{name}`; try one of {} or `all`",
                     known.join(", ")
@@ -1782,10 +1749,7 @@ fn chart_cmd(args: &[String]) -> CliResult {
 
 fn bundled_cmd(args: &[String]) -> CliResult {
     let name = args.first().ok_or("bundled needs a machine name")?;
-    let machine = mdes_machines::Machine::all()
-        .into_iter()
-        .find(|m| m.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| format!("unknown machine `{name}` (PA7100, Pentium, SuperSPARC, K5)"))?;
+    let machine = mdes_machines::Machine::from_name(name)?;
     print!("{}", machine.source());
     Ok(())
 }

@@ -173,22 +173,9 @@ fn fleet_of_64_machines_agrees_across_all_three_checkers() {
     }
 }
 
-/// Every bundled description: the four `Machine` variants plus the two
-/// HMDL-only machines (pentiumpro, superspark_approx), per the ROADMAP
-/// scenario-diversity item.
-fn bundled_specs() -> Vec<MdesSpec> {
-    let mut specs: Vec<MdesSpec> = mdes_machines::Machine::all()
-        .into_iter()
-        .map(|machine| machine.spec())
-        .collect();
-    specs.push(mdes_machines::pentium_pro());
-    specs.push(mdes_machines::approximate_superspark());
-    specs
-}
-
 #[test]
 fn bundled_machines_agree_across_all_three_checkers() {
-    for spec in bundled_specs() {
+    for (_, spec) in mdes_machines::bundled() {
         conform(&spec, 41, 400);
         let mut optimized = spec.clone();
         mdes_opt::optimize(&mut optimized, &mdes_opt::PipelineConfig::full());
@@ -226,7 +213,7 @@ fn engine_batches_agree_with_serial_scheduling_on_bundled_machines() {
     // Same contract on every bundled description: the concurrent engine
     // must be byte-identical to the serial scheduler, regardless of MDES
     // shape (rigid early machines through flexible late ones).
-    for (i, spec) in bundled_specs().into_iter().enumerate() {
+    for (i, (_, spec)) in mdes_machines::bundled().into_iter().enumerate() {
         let compiled = Arc::new(CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap());
         let config = mdes_workload::RegionConfig::new(24).with_seed(0x5EED + i as u64);
         let workload = mdes_workload::generate_regions(&spec, &config);

@@ -119,16 +119,6 @@ pub struct GuardConfig {
     /// Master seed for probe sequences and replay blocks.  An incident
     /// records this seed; re-running with it reproduces the divergence.
     pub seed: u64,
-    /// Number of probe sequences per stage boundary.
-    pub sequences: u32,
-    /// Operations per probe sequence.
-    pub ops_per_sequence: u32,
-    /// Probe issue times are drawn from `0..window`.
-    pub window: i32,
-    /// Replay blocks per stage boundary.
-    pub replay_blocks: u32,
-    /// Operations per replay block.
-    pub ops_per_block: u32,
     /// Fault-injection hooks: corrupt the named stages' output before the
     /// guard checks them.  Test-only; empty in production runs.
     pub inject: Vec<Fault>,
@@ -145,11 +135,6 @@ impl Default for GuardConfig {
         GuardConfig {
             mode: GuardMode::Off,
             seed: 0x4d44_4553, // "MDES"
-            sequences: 48,
-            ops_per_sequence: 32,
-            window: 4,
-            replay_blocks: 8,
-            ops_per_block: 16,
             inject: Vec::new(),
             analyze: true,
         }
@@ -180,23 +165,20 @@ impl GuardConfig {
         self
     }
 
-    /// The probe-engine view of this configuration.
+    /// The probe engine's default sizes, under this configuration's seed.
     pub fn probe_config(&self) -> ProbeConfig {
         ProbeConfig {
             seed: self.seed,
-            sequences: self.sequences,
-            ops_per_sequence: self.ops_per_sequence,
-            window: self.window,
+            ..ProbeConfig::default()
         }
     }
 
-    /// The schedule-replay view of this configuration.
+    /// The schedule replay's default sizes, under this configuration's
+    /// seed.
     pub fn replay_config(&self) -> ReplayConfig {
         ReplayConfig {
             seed: self.seed,
-            blocks: self.replay_blocks,
-            ops_per_block: self.ops_per_block,
-            dep_percent: 35,
+            ..ReplayConfig::default()
         }
     }
 }

@@ -10,19 +10,9 @@ use mdes_analyze::{Severity, CODE_REGISTRY};
 use mdes_core::compile::{CompiledMdes, UsageEncoding};
 use mdes_core::lmdes;
 use mdes_guard::{corrupt_image, ImageFault};
-use mdes_machines::Machine;
 
 fn bundled_images() -> Vec<(String, Vec<u8>)> {
-    let mut specs: Vec<(String, mdes_core::spec::MdesSpec)> = Machine::all()
-        .into_iter()
-        .map(|m| (m.name().to_lowercase(), m.spec()))
-        .collect();
-    specs.push(("pentiumpro".into(), mdes_machines::pentium_pro()));
-    specs.push((
-        "superspark_approx".into(),
-        mdes_machines::approximate_superspark(),
-    ));
-    specs
+    mdes_machines::bundled()
         .into_iter()
         .map(|(name, spec)| {
             let mdes = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();

@@ -60,6 +60,20 @@ impl Machine {
         }
     }
 
+    /// Resolves a machine by its [`name`](Machine::name), ignoring ASCII
+    /// case.
+    ///
+    /// # Errors
+    ///
+    /// Returns the message every name-taking command prints when `name`
+    /// is not one of the four.
+    pub fn from_name(name: &str) -> Result<Machine, String> {
+        Machine::all()
+            .into_iter()
+            .find(|m| m.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| format!("unknown machine `{name}` (PA7100, Pentium, SuperSPARC, K5)"))
+    }
+
     /// The HMDL source text of this machine's description.
     pub fn source(&self) -> &'static str {
         match self {
@@ -92,6 +106,25 @@ impl Machine {
     pub fn is_flexible(&self) -> bool {
         matches!(self, Machine::SuperSparc | Machine::K5)
     }
+}
+
+/// Every bundled description, named as perf bench suffixes and
+/// `mdesc oracle --machine` operands: the four [`Machine`]s in table
+/// order under their lowercased names, then `pentiumpro` and
+/// `superspark_approx`.
+///
+/// # Panics
+///
+/// Panics if a bundled description fails to compile (a build-time
+/// invariant covered by tests).
+pub fn bundled() -> Vec<(String, MdesSpec)> {
+    let mut machines: Vec<(String, MdesSpec)> = Machine::all()
+        .into_iter()
+        .map(|m| (m.name().to_lowercase(), m.spec()))
+        .collect();
+    machines.push(("pentiumpro".to_string(), pentium_pro()));
+    machines.push(("superspark_approx".to_string(), approximate_superspark()));
+    machines
 }
 
 /// HMDL source of the speculative Pentium Pro (P6) demonstrator — the
@@ -427,5 +460,39 @@ mod tests {
         assert!(Machine::K5.is_flexible());
         assert!(!Machine::Pentium.is_flexible());
         assert_eq!(Machine::all().len(), 4);
+    }
+
+    #[test]
+    fn from_name_resolves_every_name_in_any_case() {
+        for machine in Machine::all() {
+            let name = machine.name();
+            assert_eq!(Machine::from_name(name), Ok(machine));
+            assert_eq!(Machine::from_name(&name.to_lowercase()), Ok(machine));
+            assert_eq!(Machine::from_name(&name.to_uppercase()), Ok(machine));
+        }
+        for bad in ["vax", ""] {
+            assert_eq!(
+                Machine::from_name(bad),
+                Err(format!(
+                    "unknown machine `{bad}` (PA7100, Pentium, SuperSPARC, K5)"
+                ))
+            );
+        }
+    }
+
+    #[test]
+    fn bundled_lists_six_distinct_names_in_table_order() {
+        let names: Vec<String> = bundled().into_iter().map(|(name, _)| name).collect();
+        assert_eq!(
+            names,
+            [
+                "pa7100",
+                "pentium",
+                "supersparc",
+                "k5",
+                "pentiumpro",
+                "superspark_approx"
+            ]
+        );
     }
 }

@@ -9,13 +9,11 @@
 use mdes_core::size::measure;
 use mdes_core::spec::MdesSpec;
 use mdes_core::{CompiledMdes, MdesError, UsageEncoding};
+use mdes_telemetry::Telemetry;
 
-use crate::dominance::eliminate_dominated_options;
-use crate::factor::factor_common_usages;
-use crate::redundancy::eliminate_redundancy;
-use crate::sortzero::sort_checks_zero_first;
-use crate::timeshift::{shift_usage_times, Direction};
-use crate::treesort::sort_and_or_trees;
+use crate::pipeline::{run_stage, stage_plan, PipelineConfig, PipelineReport, StageId};
+use crate::redundancy::RedundancyReport;
+use crate::timeshift::{Direction, TimeShiftReport};
 
 /// One snapshot of the compiled footprint after a pipeline stage.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,10 +46,49 @@ fn snapshot(
     })
 }
 
+/// The snapshot label of `stage`, counted from its entry in `report`.
+fn label(stage: StageId, report: &PipelineReport) -> String {
+    match stage {
+        StageId::Redundancy => format!(
+            "redundancy elimination ({} removed)",
+            report
+                .redundancy
+                .as_ref()
+                .map_or(0, RedundancyReport::total)
+        ),
+        StageId::Dominance => format!(
+            "dominated options ({} removed)",
+            report.dominance.as_ref().map_or(0, |r| r.options_removed)
+        ),
+        StageId::TimeShift => format!(
+            "usage-time shift ({} resources)",
+            report
+                .timeshift
+                .as_ref()
+                .map_or(0, TimeShiftReport::resources_shifted)
+        ),
+        StageId::SortZero => format!(
+            "zero-first check order ({} options)",
+            report.sortzero.as_ref().map_or(0, |r| r.options_reordered)
+        ),
+        StageId::TreeSort => format!(
+            "AND/OR ordering ({} trees)",
+            report.treesort.as_ref().map_or(0, |r| r.trees_reordered)
+        ),
+        StageId::Factor => {
+            let (merged, created) = report
+                .factor
+                .as_ref()
+                .map_or((0, 0), |r| (r.usages_merged, r.trees_created));
+            format!("common-usage factoring ({merged} merged, {created} created)")
+        }
+    }
+}
+
 /// Runs the full pipeline stage by stage on a copy of `spec`, returning a
 /// snapshot after every stage (the first entry is the description as
 /// authored, under the scalar encoding; bit-vector snapshots follow the
-/// Section-6 step).
+/// Section-6 step, taken after dominated-option elimination).
 ///
 /// # Examples
 ///
@@ -70,70 +107,23 @@ pub fn staged_report(
     spec: &MdesSpec,
     direction: Direction,
 ) -> Result<Vec<StageSnapshot>, MdesError> {
+    let config = PipelineConfig {
+        direction,
+        ..PipelineConfig::full()
+    };
+    let tel = Telemetry::disabled();
     let mut spec = spec.clone();
-    let mut stages = Vec::with_capacity(8);
-
-    stages.push(snapshot("as authored", &spec, UsageEncoding::Scalar)?);
-
-    let redundancy = eliminate_redundancy(&mut spec);
-    stages.push(snapshot(
-        &format!("redundancy elimination ({} removed)", redundancy.total()),
-        &spec,
-        UsageEncoding::Scalar,
-    )?);
-
-    let dominance = eliminate_dominated_options(&mut spec);
-    stages.push(snapshot(
-        &format!("dominated options ({} removed)", dominance.options_removed),
-        &spec,
-        UsageEncoding::Scalar,
-    )?);
-
-    stages.push(snapshot(
-        "bit-vector encoding",
-        &spec,
-        UsageEncoding::BitVector,
-    )?);
-
-    let shift = shift_usage_times(&mut spec, direction);
-    stages.push(snapshot(
-        &format!("usage-time shift ({} resources)", shift.resources_shifted()),
-        &spec,
-        UsageEncoding::BitVector,
-    )?);
-
-    let sort = sort_checks_zero_first(&mut spec, direction);
-    stages.push(snapshot(
-        &format!(
-            "zero-first check order ({} options)",
-            sort.options_reordered
-        ),
-        &spec,
-        UsageEncoding::BitVector,
-    )?);
-
-    let trees = sort_and_or_trees(&mut spec);
-    stages.push(snapshot(
-        &format!("AND/OR ordering ({} trees)", trees.trees_reordered),
-        &spec,
-        UsageEncoding::BitVector,
-    )?);
-
-    let factor = factor_common_usages(&mut spec);
-    if factor.trees_affected > 0 {
-        eliminate_redundancy(&mut spec);
-        sort_checks_zero_first(&mut spec, direction);
-        sort_and_or_trees(&mut spec);
+    let mut report = PipelineReport::default();
+    let mut encoding = UsageEncoding::Scalar;
+    let mut stages = vec![snapshot("as authored", &spec, encoding)?];
+    for stage in stage_plan(&config) {
+        run_stage(&mut spec, stage, &config, &mut report, &tel);
+        stages.push(snapshot(&label(stage, &report), &spec, encoding)?);
+        if stage == StageId::Dominance {
+            encoding = UsageEncoding::BitVector;
+            stages.push(snapshot("bit-vector encoding", &spec, encoding)?);
+        }
     }
-    stages.push(snapshot(
-        &format!(
-            "common-usage factoring ({} merged, {} created)",
-            factor.usages_merged, factor.trees_created
-        ),
-        &spec,
-        UsageEncoding::BitVector,
-    )?);
-
     Ok(stages)
 }
 

@@ -30,25 +30,6 @@ pub(crate) const BATCH_W1_BENCH: &str = "engine/batch/w1";
 /// The parallel side of the derived `batch_scaling` figure.
 pub(crate) const BATCH_W4_BENCH: &str = "engine/batch/w4";
 
-/// Machines the per-machine benches cover: every bundled description —
-/// the four `Machine` variants plus the two HMDL-only machines — so the
-/// checker replay and scheduling benches see the full range of MDES
-/// shapes (rigid early machines through flexible late ones).  Names are
-/// the bench-name suffixes; filters (`--bench checker/scalar/k5`) keep
-/// single-machine runs cheap.
-fn bench_machines() -> Vec<(String, MdesSpec)> {
-    let mut machines: Vec<(String, MdesSpec)> = Machine::all()
-        .into_iter()
-        .map(|machine| (machine.name().to_lowercase(), machine.spec()))
-        .collect();
-    machines.push(("pentiumpro".to_string(), mdes_machines::pentium_pro()));
-    machines.push((
-        "superspark_approx".to_string(),
-        mdes_machines::approximate_superspark(),
-    ));
-    machines
-}
-
 pub(crate) fn run(config: &BenchConfig, out: &mut Vec<Sample>) {
     rumap_word_ops(config, out);
     checker_replay(config, out);
@@ -69,7 +50,7 @@ pub(crate) fn run(config: &BenchConfig, out: &mut Vec<Sample>) {
 /// shows up as count drift.  This is the cost a `guard` pipeline run or
 /// a `serve` hot reload pays before any scheduling happens.
 fn analyze_lint(config: &BenchConfig, out: &mut Vec<Sample>) {
-    for (machine_name, spec) in bench_machines() {
+    for (machine_name, spec) in mdes_machines::bundled() {
         let name = format!("analyze/lint/{machine_name}");
         if !config.matches(&name) {
             continue;
@@ -110,7 +91,7 @@ pub(crate) fn oracle_differential(config: &BenchConfig, out: &mut Vec<Sample>) -
     const ORACLE_BENCH_NODE_LIMIT: u64 = 200_000;
     let mut total = GapReport::default();
     let mut measured = false;
-    for (machine_name, spec) in bench_machines() {
+    for (machine_name, spec) in mdes_machines::bundled() {
         let name = format!("oracle/bnb/{machine_name}");
         if !config.matches(&name) {
             continue;
@@ -179,7 +160,7 @@ fn rumap_word_ops(config: &BenchConfig, out: &mut Vec<Sample>) {
 /// usage encodings, replaying a seeded probe stream against bundled
 /// machines.  Work unit: one resource check.
 fn checker_replay(config: &BenchConfig, out: &mut Vec<Sample>) {
-    for (machine_name, spec) in bench_machines() {
+    for (machine_name, spec) in mdes_machines::bundled() {
         for (label, encoding) in [
             ("scalar", UsageEncoding::Scalar),
             ("bitvector", UsageEncoding::BitVector),
@@ -301,7 +282,7 @@ fn automaton_pack(config: &BenchConfig, out: &mut Vec<Sample>) {
 /// Full list scheduling of `mdes-workload` region streams.  Work unit:
 /// one resource check.
 fn list_scheduling(config: &BenchConfig, out: &mut Vec<Sample>) {
-    for (machine_name, spec) in bench_machines() {
+    for (machine_name, spec) in mdes_machines::bundled() {
         let name = format!("sched/list/{machine_name}");
         if !config.matches(&name) {
             continue;

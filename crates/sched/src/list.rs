@@ -392,78 +392,6 @@ impl<'a> ListScheduler<'a> {
         }
     }
 
-    /// Schedules `block` with *operation-driven* list scheduling: each
-    /// operation, taken in priority order (preds first), is placed at the
-    /// earliest cycle whose resources are free, probing cycle after cycle.
-    ///
-    /// Compared with cycle-driven scheduling this issues many more
-    /// scheduling attempts per operation — the regime the paper predicts
-    /// for "more advanced scheduling techniques such as … operation
-    /// scheduling", where the AND/OR representation's early conflict
-    /// detection pays off even more (Section 4).
-    ///
-    /// # Panics
-    ///
-    /// Panics if some operation can never issue on an empty machine.
-    pub fn schedule_operation_driven(&self, block: &Block, stats: &mut CheckStats) -> Schedule {
-        let graph = DepGraph::build(block, self.mdes);
-        let n = block.ops.len();
-        if n == 0 {
-            return Schedule::default();
-        }
-        let checker = Checker::new(self.mdes);
-        let heights = graph.heights();
-
-        let mut placed: Vec<Option<ScheduledOp>> = vec![None; n];
-        let mut attempts: Vec<u32> = vec![0; n];
-        let mut selected: Vec<u32> = Vec::with_capacity(selection_len(self.mdes, block));
-        let mut unscheduled_preds: Vec<usize> = graph.preds.iter().map(Vec::len).collect();
-        let mut ru = RuMap::new();
-        let span = (self.mdes.max_check_time() - self.mdes.min_check_time() + 1).max(1);
-        let limit_per_op = (n as i32 + 4) * span + 64;
-
-        for _ in 0..n {
-            // Highest-priority operation whose predecessors are placed.
-            let op = (0..n)
-                .filter(|&i| placed[i].is_none() && unscheduled_preds[i] == 0)
-                .max_by_key(|&i| (heights[i], std::cmp::Reverse(i)))
-                .expect("dependence graph is acyclic");
-            let est = graph.preds[op]
-                .iter()
-                .map(|e| placed[e.from].as_ref().unwrap().cycle + e.latency)
-                .max()
-                .unwrap_or(0);
-            let class = block.ops[op].class;
-            let start = selected.len();
-            let mut cycle = est;
-            loop {
-                assert!(
-                    cycle <= est + limit_per_op,
-                    "operation scheduling wedged: some operation can never issue"
-                );
-                attempts[op] += 1;
-                if checker.try_reserve_into(&mut ru, class, cycle, stats, &mut selected) {
-                    break;
-                }
-                cycle += 1;
-            }
-            stats.count_operation();
-            placed[op] = Some(placed_at(cycle, class, start, &selected));
-            for edge in &graph.succs[op] {
-                unscheduled_preds[edge.to] -= 1;
-            }
-        }
-
-        let ops: Vec<ScheduledOp> = placed.into_iter().map(Option::unwrap).collect();
-        let length = ops.iter().map(|s| s.cycle).max().unwrap_or(-1) + 1;
-        Schedule {
-            ops,
-            selected,
-            attempts,
-            length,
-        }
-    }
-
     /// Schedules `block` backward: operations are placed from the block
     /// exit toward the entry (an operation becomes ready once all its
     /// *successors* are placed), then the schedule is normalized to start
@@ -766,49 +694,6 @@ mod tests {
         let schedule = ListScheduler::new(&mdes).schedule(&Block::new(), &mut stats);
         assert_eq!(schedule.length, 0);
         assert_eq!(stats.attempts, 0);
-    }
-
-    #[test]
-    fn operation_driven_schedule_is_valid() {
-        let mdes = two_issue();
-        let mut block = Block::new();
-        for i in 0..3 {
-            block.push(Op::new(
-                class(&mdes, "load"),
-                vec![Reg(10 + i)],
-                vec![Reg(i)],
-            ));
-        }
-        for i in 0..4 {
-            block.push(Op::new(
-                class(&mdes, "alu"),
-                vec![Reg(20 + i)],
-                vec![Reg(10)],
-            ));
-        }
-        let mut stats = CheckStats::new();
-        let schedule = ListScheduler::new(&mdes).schedule_operation_driven(&block, &mut stats);
-        let graph = DepGraph::build(&block, &mdes);
-        schedule.verify(&graph, &mdes).unwrap();
-        assert_eq!(stats.operations, 7);
-    }
-
-    #[test]
-    fn operation_driven_issues_at_least_as_many_attempts() {
-        let mdes = two_issue();
-        let mut block = Block::new();
-        for i in 0..6 {
-            block.push(Op::new(
-                class(&mdes, "load"),
-                vec![Reg(10 + i)],
-                vec![Reg(0)],
-            ));
-        }
-        let mut cycle_stats = CheckStats::new();
-        ListScheduler::new(&mdes).schedule(&block, &mut cycle_stats);
-        let mut op_stats = CheckStats::new();
-        ListScheduler::new(&mdes).schedule_operation_driven(&block, &mut op_stats);
-        assert!(op_stats.attempts >= cycle_stats.attempts);
     }
 
     #[test]

@@ -10,16 +10,17 @@
 //! N is checked against epoch N's description, no matter when the swap
 //! happened relative to admission.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mdes_core::CompiledMdes;
 use mdes_machines::Machine;
 use mdes_sched::{CheckStats, ListScheduler, SchedScratch};
 use mdes_telemetry::json::Json;
+use mdes_telemetry::latency::nearest_rank;
 use mdes_telemetry::Telemetry;
 use mdes_workload::{generate_compiled_regions, RegionConfig};
 
@@ -67,12 +68,7 @@ impl BenchFlags {
             match arg.as_str() {
                 "--machine" => {
                     let name = iter.next().ok_or("--machine requires a name")?;
-                    flags.machine = Machine::all()
-                        .into_iter()
-                        .find(|m| m.name().eq_ignore_ascii_case(name))
-                        .ok_or_else(|| {
-                            format!("unknown machine `{name}` (PA7100, Pentium, SuperSPARC, K5)")
-                        })?;
+                    flags.machine = Machine::from_name(name)?;
                 }
                 "--jobs" => flags.jobs = positive(iter.next(), "--jobs")?,
                 "--regions" => flags.regions = positive(iter.next(), "--regions")?,
@@ -134,9 +130,10 @@ pub struct LoadOptions {
     pub requests: usize,
     /// Per-request workload shape; request `i` uses `seed + i`.
     pub params: WorkParams,
-    /// Requests in flight per connection.  `1` (the default) is the
-    /// strict closed loop and sends v1-style id-less frames; `>1` opts
-    /// into protocol-v2 pipelining with a windowed in-flight map.
+    /// Frames in flight per connection, reloads included.  `1` (the
+    /// default) is the strict closed loop and sends v1-style id-less
+    /// frames; `>1` tags every frame with an id for protocol-v2
+    /// pipelining.
     pub pipeline: usize,
     /// Shards to spray requests over (request `i` targets
     /// `machines[i % len]`).  Empty targets the daemon's default shard
@@ -144,8 +141,8 @@ pub struct LoadOptions {
     pub machines: Vec<String>,
     /// Optional per-request deadline forwarded to the daemon.
     pub deadline_ms: Option<u64>,
-    /// Scripted reloads, fired by whichever connection claims the
-    /// trigger index.
+    /// Scripted reloads, sent by whichever connection claims the
+    /// trigger index, ahead of that request.
     pub reloads: Vec<ReloadEvent>,
     /// Source bytes of every image the run may serve (boot + reload
     /// targets); responses hashing to one of these are re-derived and
@@ -195,6 +192,9 @@ pub struct ClientReport {
     pub errors: Vec<String>,
 }
 
+/// Failure descriptions a report keeps; later ones are counted only.
+const MAX_ERRORS: usize = 16;
+
 impl ClientReport {
     /// The chaos invariant: every request answered, every answer right,
     /// every scripted reload behaving as scripted.
@@ -232,6 +232,32 @@ impl ClientReport {
         tel.counter_add("serve/client_dropped", self.dropped);
         tel.counter_add("serve/client_mismatches", self.mismatches);
         tel.counter_add("serve/client_reload_acks", self.reload_acks);
+    }
+
+    /// Keeps `message` unless [`MAX_ERRORS`] are kept already.
+    fn push_error(&mut self, message: String) {
+        if self.errors.len() < MAX_ERRORS {
+            self.errors.push(message);
+        }
+    }
+
+    /// Adds one connection's counts and errors to this report.  The
+    /// percentiles are left alone: they are cut once over every
+    /// connection's raw samples.
+    fn merge(&mut self, other: ClientReport) {
+        self.answered += other.answered;
+        self.deadline_errors += other.deadline_errors;
+        self.panic_errors += other.panic_errors;
+        self.shed_retries += other.shed_retries;
+        self.dropped += other.dropped;
+        self.mismatches += other.mismatches;
+        self.unverified += other.unverified;
+        self.reload_acks += other.reload_acks;
+        self.reload_rejections += other.reload_rejections;
+        self.reload_surprises += other.reload_surprises;
+        for message in other.errors {
+            self.push_error(message);
+        }
     }
 }
 
@@ -303,8 +329,7 @@ impl Connection {
         })
     }
 
-    /// Sends one line without waiting for the reply (the pipelined
-    /// path's fire half).
+    /// Sends one line without waiting for the reply.
     fn send(&mut self, line: &str) -> Result<(), String> {
         let stream = self.reader.get_mut();
         stream
@@ -327,7 +352,7 @@ impl Connection {
         }
     }
 
-    /// Sends one line and reads one reply line (the serial path).
+    /// Sends one line and reads one reply line (the shutdown frame).
     fn round_trip(&mut self, line: &str) -> Result<Reply, String> {
         self.send(line)?;
         self.read_reply()
@@ -389,86 +414,30 @@ fn reload_line(id: Option<u64>, event: &ReloadEvent) -> String {
     )
 }
 
-struct RunState {
-    next: AtomicUsize,
-    /// Raw per-request latencies, merged from every connection's local
-    /// vector before the percentile cut.  A shared bounded ring would
-    /// evict early samples and under-weight slow connections whenever
-    /// `--connections` skews the claim rate.
-    samples: Mutex<Vec<u64>>,
-    answered: AtomicU64,
-    deadline_errors: AtomicU64,
-    panic_errors: AtomicU64,
-    shed_retries: AtomicU64,
-    dropped: AtomicU64,
-    mismatches: AtomicU64,
-    unverified: AtomicU64,
-    reload_acks: AtomicU64,
-    reload_rejections: AtomicU64,
-    reload_surprises: AtomicU64,
-    errors: Mutex<Vec<String>>,
-}
-
-impl RunState {
-    fn note_error(&self, message: String) {
-        let mut errors = self.errors.lock().unwrap();
-        if errors.len() < 16 {
-            errors.push(message);
-        }
-    }
-
-    fn merge_samples(&self, local: Vec<u64>) {
-        self.samples.lock().unwrap().extend(local);
-    }
-}
-
-/// Nearest-rank percentile over an already-sorted sample set, matching
-/// `LatencyRecorder`'s cut so in-process and over-socket numbers use
-/// the same definition.
-fn percentile_sorted(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize)
-        .saturating_sub(1)
-        .min(sorted.len() - 1);
-    sorted[rank]
-}
-
 /// Runs the closed loop: `connections` threads drain a shared request
-/// counter until `requests` have been attempted, firing scripted
+/// counter until `requests` have been attempted, sending scripted
 /// reloads along the way, retrying shed requests, and (optionally)
-/// checking every answer against the local oracle.
+/// checking every answer against the local oracle.  Each connection
+/// tallies on its own; the tallies are folded after join.
 pub fn run_load(options: &LoadOptions) -> Result<ClientReport, String> {
     let verifier = if options.verify_responses {
         Some(Verifier::new(&options.known_sources, 0x5E17E)?)
     } else {
         None
     };
-    let state = RunState {
-        next: AtomicUsize::new(0),
-        samples: Mutex::new(Vec::new()),
-        answered: AtomicU64::new(0),
-        deadline_errors: AtomicU64::new(0),
-        panic_errors: AtomicU64::new(0),
-        shed_retries: AtomicU64::new(0),
-        dropped: AtomicU64::new(0),
-        mismatches: AtomicU64::new(0),
-        unverified: AtomicU64::new(0),
-        reload_acks: AtomicU64::new(0),
-        reload_rejections: AtomicU64::new(0),
-        reload_surprises: AtomicU64::new(0),
-        errors: Mutex::new(Vec::new()),
-    };
-
-    std::thread::scope(|scope| {
-        for _ in 0..options.connections.max(1) {
-            if options.pipeline > 1 {
-                scope.spawn(|| pipelined_worker(options, &state, verifier.as_ref()));
-            } else {
-                scope.spawn(|| serial_worker(options, &state, verifier.as_ref()));
-            }
-        }
+    let next = AtomicUsize::new(0);
+    let tallies: Vec<(ClientReport, Vec<u64>)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..options.connections.max(1))
+            .map(|_| scope.spawn(|| worker(options, &next, verifier.as_ref())))
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
 
     if options.shutdown_when_done {
@@ -479,166 +448,55 @@ pub fn run_load(options: &LoadOptions) -> Result<ClientReport, String> {
         }
     }
 
-    let errors = std::mem::take(&mut *state.errors.lock().unwrap());
-    let mut samples = std::mem::take(&mut *state.samples.lock().unwrap());
+    Ok(fold(tallies).0)
+}
+
+/// Folds per-connection tallies into one report, returned with the
+/// merged samples, sorted.  The percentiles are cut once over every
+/// connection's raw samples, not averaged per connection: one that
+/// answered ten requests weighs ten samples, however skewed the claim
+/// rates were.
+fn fold(tallies: Vec<(ClientReport, Vec<u64>)>) -> (ClientReport, Vec<u64>) {
+    let mut report = ClientReport::default();
+    let mut samples = Vec::new();
+    for (tally, local) in tallies {
+        report.merge(tally);
+        samples.extend(local);
+    }
     samples.sort_unstable();
-    Ok(ClientReport {
-        answered: state.answered.load(Ordering::Relaxed),
-        deadline_errors: state.deadline_errors.load(Ordering::Relaxed),
-        panic_errors: state.panic_errors.load(Ordering::Relaxed),
-        shed_retries: state.shed_retries.load(Ordering::Relaxed),
-        dropped: state.dropped.load(Ordering::Relaxed),
-        mismatches: state.mismatches.load(Ordering::Relaxed),
-        unverified: state.unverified.load(Ordering::Relaxed),
-        reload_acks: state.reload_acks.load(Ordering::Relaxed),
-        reload_rejections: state.reload_rejections.load(Ordering::Relaxed),
-        reload_surprises: state.reload_surprises.load(Ordering::Relaxed),
-        p50_us: percentile_sorted(&samples, 0.50),
-        p99_us: percentile_sorted(&samples, 0.99),
-        errors,
-    })
+    report.p50_us = nearest_rank(&samples, 0.50).unwrap_or(0);
+    report.p99_us = nearest_rank(&samples, 0.99).unwrap_or(0);
+    (report, samples)
 }
 
 /// Counts every index this worker would still claim as dropped, so a
 /// run against a dead daemon terminates instead of spinning.
-fn drain_as_dropped(options: &LoadOptions, state: &RunState) {
-    loop {
-        let i = state.next.fetch_add(1, Ordering::Relaxed);
-        if i >= options.requests {
-            return;
-        }
-        state.dropped.fetch_add(1, Ordering::Relaxed);
+fn drain_as_dropped(options: &LoadOptions, next: &AtomicUsize, tally: &mut ClientReport) {
+    while next.fetch_add(1, Ordering::Relaxed) < options.requests {
+        tally.dropped += 1;
     }
 }
 
-/// The strict closed loop: one request in flight, id-less v1 frames —
-/// every chaos run with `--pipeline 1` exercises the daemon's serial
-/// rendezvous path with the exact bytes a protocol-v1 client sends.
-fn serial_worker(options: &LoadOptions, state: &RunState, verifier: Option<&Verifier>) {
-    let mut samples = Vec::new();
-    let mut conn = match Connection::open(&options.addr) {
-        Ok(conn) => conn,
-        Err(e) => {
-            drain_as_dropped(options, state);
-            state.note_error(e);
-            return;
-        }
-    };
-    loop {
-        let index = state.next.fetch_add(1, Ordering::Relaxed);
-        if index >= options.requests {
-            break;
-        }
-        for event in &options.reloads {
-            if event.at == index {
-                fire_reload(&mut conn, event, state);
-            }
-        }
-        run_one(&mut conn, options, state, verifier, index, &mut samples);
-    }
-    state.merge_samples(samples);
-}
-
-fn settle_reload(outcome: Result<bool, String>, event: &ReloadEvent, state: &RunState) {
+fn settle_reload(outcome: Result<bool, String>, event: &ReloadEvent, tally: &mut ClientReport) {
     match outcome {
         Ok(rejected) => {
             if rejected == event.expect_rejection {
                 if rejected {
-                    state.reload_rejections.fetch_add(1, Ordering::Relaxed);
+                    tally.reload_rejections += 1;
                 } else {
-                    state.reload_acks.fetch_add(1, Ordering::Relaxed);
+                    tally.reload_acks += 1;
                 }
             } else {
-                state.reload_surprises.fetch_add(1, Ordering::Relaxed);
-                state.note_error(format!(
+                tally.reload_surprises += 1;
+                tally.push_error(format!(
                     "reload of `{}` expected rejection={} but got ok={}",
                     event.path, event.expect_rejection, !rejected
                 ));
             }
         }
         Err(e) => {
-            state.reload_surprises.fetch_add(1, Ordering::Relaxed);
-            state.note_error(format!("reload of `{}` failed: {e}", event.path));
-        }
-    }
-}
-
-fn fire_reload(conn: &mut Connection, event: &ReloadEvent, state: &RunState) {
-    let outcome = conn
-        .round_trip(&reload_line(None, event))
-        .map(|reply| !reply.ok);
-    settle_reload(outcome, event, state);
-}
-
-fn run_one(
-    conn: &mut Connection,
-    options: &LoadOptions,
-    state: &RunState,
-    verifier: Option<&Verifier>,
-    index: usize,
-    samples: &mut Vec<u64>,
-) {
-    let params = WorkParams {
-        seed: options.params.seed.wrapping_add(index as u64),
-        ..options.params
-    };
-    let line = schedule_line(
-        None,
-        params,
-        options.deadline_ms,
-        false,
-        machine_for(options, index),
-    );
-    let started = Instant::now();
-    let mut retries = 0usize;
-    loop {
-        let reply = match conn.round_trip(&line) {
-            Ok(reply) => reply,
-            Err(e) => {
-                state.dropped.fetch_add(1, Ordering::Relaxed);
-                state.note_error(format!("request {index}: {e}"));
-                // The connection may be dead; try to re-open for the
-                // remaining requests this thread will claim.
-                if let Ok(fresh) = Connection::open(&options.addr) {
-                    *conn = fresh;
-                }
-                return;
-            }
-        };
-        if reply.ok {
-            samples.push(started.elapsed().as_micros() as u64);
-            state.answered.fetch_add(1, Ordering::Relaxed);
-            if let Some(verifier) = verifier {
-                check_answer(&reply, params, verifier, state, index);
-            }
-            return;
-        }
-        match reply.error_num() {
-            Some(6) => {
-                // Shed: back off by the daemon's hint and retry.
-                if retries >= options.max_retries {
-                    state.dropped.fetch_add(1, Ordering::Relaxed);
-                    state.note_error(format!("request {index}: retry budget exhausted"));
-                    return;
-                }
-                retries += 1;
-                state.shed_retries.fetch_add(1, Ordering::Relaxed);
-                let backoff = reply.retry_after_ms().unwrap_or(10).min(1_000);
-                std::thread::sleep(Duration::from_millis(backoff));
-            }
-            Some(5) => {
-                state.deadline_errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            Some(7) => {
-                state.panic_errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            other => {
-                state.dropped.fetch_add(1, Ordering::Relaxed);
-                state.note_error(format!("request {index}: unexpected error code {other:?}"));
-                return;
-            }
+            tally.reload_surprises += 1;
+            tally.push_error(format!("reload of `{}` failed: {e}", event.path));
         }
     }
 }
@@ -647,225 +505,223 @@ fn run_one(
 /// the two id spaces can never collide.
 const RELOAD_ID_BASE: u64 = 1 << 48;
 
-/// A pipelined request awaiting its reply.
+/// A request awaiting its reply.
 struct Outstanding {
     line: String,
     params: WorkParams,
+    /// Stamped when the first send returns; a shed-and-retried request
+    /// keeps it.
     started: Instant,
     retries: usize,
     index: usize,
 }
 
-/// The protocol-v2 path: keep up to `pipeline` requests in flight per
-/// connection, correlate replies by id (the daemon may complete them in
-/// any order), and retry shed requests in place without collapsing the
-/// window.
-fn pipelined_worker(options: &LoadOptions, state: &RunState, verifier: Option<&Verifier>) {
-    let depth = options.pipeline;
-    let mut samples: Vec<u64> = Vec::new();
+/// A frame one connection owes the daemon, from the claim of its
+/// request index until the reply that echoes its id.
+enum Pending<'a> {
+    /// A `schedule` request.
+    Work(Outstanding),
+    /// A scripted reload, queued ahead of the request that triggers it.
+    Reload(&'a ReloadEvent),
+}
+
+/// Claims the next request index and queues its frames with their ids:
+/// the scripted reloads it triggers, then the request.  Returns `false`
+/// once every index is claimed.
+fn claim<'a>(
+    options: &'a LoadOptions,
+    next: &AtomicUsize,
+    reload_seq: &mut u64,
+    queue: &mut VecDeque<(u64, Pending<'a>)>,
+) -> bool {
+    let index = next.fetch_add(1, Ordering::Relaxed);
+    if index >= options.requests {
+        return false;
+    }
+    for event in options.reloads.iter().filter(|e| e.at == index) {
+        queue.push_back((RELOAD_ID_BASE + *reload_seq, Pending::Reload(event)));
+        *reload_seq += 1;
+    }
+    let params = WorkParams {
+        seed: options.params.seed.wrapping_add(index as u64),
+        ..options.params
+    };
+    let line = schedule_line(
+        (options.pipeline > 1).then_some(index as u64),
+        params,
+        options.deadline_ms,
+        false,
+        machine_for(options, index),
+    );
+    let out = Outstanding {
+        line,
+        params,
+        started: Instant::now(),
+        retries: 0,
+        index,
+    };
+    queue.push_back((index as u64, Pending::Work(out)));
+    true
+}
+
+/// One connection's request loop.  Queued frames are sent while fewer
+/// than `pipeline` are unanswered, claiming more when the queue runs
+/// dry, and every reply is routed by its id.  A one-frame window sends
+/// id-less v1 frames, and the one frame out is matched by the `0` the
+/// daemon echoes.  Returns this connection's tally and raw latency
+/// samples.
+fn worker(
+    options: &LoadOptions,
+    next: &AtomicUsize,
+    verifier: Option<&Verifier>,
+) -> (ClientReport, Vec<u64>) {
+    let mut tally = ClientReport::default();
+    let mut samples = Vec::new();
     let mut conn = match Connection::open(&options.addr) {
         Ok(conn) => conn,
         Err(e) => {
-            drain_as_dropped(options, state);
-            state.note_error(e);
-            return;
+            tally.push_error(e);
+            drain_as_dropped(options, next, &mut tally);
+            return (tally, samples);
         }
     };
-    let mut inflight: HashMap<u64, Outstanding> = HashMap::new();
-    let mut reloads: HashMap<u64, ReloadEvent> = HashMap::new();
-    let mut reload_seq = 0u64;
-    let mut exhausted = false;
-    'run: loop {
-        // Fill the window.
-        while !exhausted && inflight.len() < depth {
-            let index = state.next.fetch_add(1, Ordering::Relaxed);
-            if index >= options.requests {
-                exhausted = true;
+    let tagged = options.pipeline > 1;
+    // Claimed frames not yet sent, with their ids; sent frames by the id
+    // their reply echoes.
+    let mut queue = VecDeque::new();
+    let mut in_flight = HashMap::new();
+    let mut reload_seq = 0;
+    loop {
+        let mut lost = None;
+        while lost.is_none() && in_flight.len() < options.pipeline.max(1) {
+            if queue.is_empty() && !claim(options, next, &mut reload_seq, &mut queue) {
                 break;
             }
-            for event in &options.reloads {
-                if event.at == index {
-                    let id = RELOAD_ID_BASE + reload_seq;
-                    reload_seq += 1;
-                    match conn.send(&reload_line(Some(id), event)) {
-                        Ok(()) => {
-                            reloads.insert(id, event.clone());
-                        }
-                        Err(e) => settle_reload(Err(e), event, state),
-                    }
-                }
-            }
-            let params = WorkParams {
-                seed: options.params.seed.wrapping_add(index as u64),
-                ..options.params
+            let Some((id, mut pending)) = queue.pop_front() else {
+                break;
             };
-            let line = schedule_line(
-                Some(index as u64),
-                params,
-                options.deadline_ms,
-                false,
-                machine_for(options, index),
-            );
-            match conn.send(&line) {
-                Ok(()) => {
-                    inflight.insert(
-                        index as u64,
-                        Outstanding {
-                            line,
-                            params,
-                            started: Instant::now(),
-                            retries: 0,
-                            index,
-                        },
-                    );
-                }
-                Err(e) => {
-                    state.dropped.fetch_add(1, Ordering::Relaxed);
-                    state.note_error(format!("request {index}: {e}"));
-                    if !reconnect(&mut conn, options, state, &mut inflight, &mut reloads) {
-                        break 'run;
+            let sent = match &mut pending {
+                Pending::Work(out) => conn.send(&out.line).map(|()| {
+                    if out.retries == 0 {
+                        out.started = Instant::now();
                     }
-                }
-            }
+                }),
+                Pending::Reload(event) => conn.send(&reload_line(tagged.then_some(id), event)),
+            };
+            in_flight.insert(if tagged { id } else { 0 }, pending);
+            lost = sent.err();
         }
-        if inflight.is_empty() && reloads.is_empty() {
-            if exhausted {
+        if lost.is_none() {
+            if in_flight.is_empty() {
                 break;
             }
-            continue;
-        }
-        let reply = match conn.read_reply() {
-            Ok(reply) => reply,
-            Err(e) => {
-                state.note_error(format!("connection lost: {e}"));
-                if reconnect(&mut conn, options, state, &mut inflight, &mut reloads) {
-                    continue;
-                }
-                break;
+            match conn.read_reply() {
+                Ok(reply) => match in_flight.remove(&reply.id) {
+                    Some(Pending::Work(out)) => {
+                        let index = out.index as u64;
+                        if let Some(out) =
+                            settle_work(&reply, out, options, &mut tally, verifier, &mut samples)
+                        {
+                            queue.push_front((index, Pending::Work(out)));
+                        }
+                    }
+                    Some(Pending::Reload(event)) => {
+                        settle_reload(Ok(!reply.ok), event, &mut tally);
+                    }
+                    // A duplicate or unsolicited id: the daemon never
+                    // does this, so surface it loudly rather than
+                    // miscounting.
+                    None => tally.push_error(format!("unexpected reply id {}", reply.id)),
+                },
+                Err(e) => lost = Some(e),
             }
-        };
-        if let Some(out) = inflight.remove(&reply.id) {
-            match settle_work(
-                &reply,
-                out,
-                options,
-                state,
-                verifier,
+        }
+        if let Some(e) = lost {
+            tally.push_error(format!("connection lost: {e}"));
+            if !reconnect(
                 &mut conn,
-                &mut samples,
+                options,
+                next,
+                &mut tally,
+                &mut in_flight,
+                &mut queue,
             ) {
-                Settled::Done => {}
-                Settled::Resent(out) => {
-                    inflight.insert(reply.id, out);
-                }
-                Settled::ConnectionBroken => {
-                    if !reconnect(&mut conn, options, state, &mut inflight, &mut reloads) {
-                        break;
-                    }
-                }
+                break;
             }
-        } else if let Some(event) = reloads.remove(&reply.id) {
-            settle_reload(Ok(!reply.ok), &event, state);
-        } else {
-            // A duplicate or unsolicited id: the daemon never does
-            // this, so surface it loudly rather than miscounting.
-            state.note_error(format!("unexpected reply id {}", reply.id));
         }
     }
-    state.merge_samples(samples);
+    (tally, samples)
 }
 
-/// What became of one correlated work reply.
-enum Settled {
-    /// Finished (answered, deadline, panic, or dropped) — forget it.
-    Done,
-    /// Shed and resent: put it back in the in-flight map under the
-    /// same id (safe — the daemon answered the previous send).
-    Resent(Outstanding),
-    /// The resend hit a dead connection; the caller reconnects.
-    ConnectionBroken,
-}
-
-/// Handles one correlated work reply; shed requests are resent in
-/// place after the daemon's backoff hint.  Latency keeps accruing from
-/// the first send — a shed-and-retried request is one request to the
-/// percentile cut.
+/// Classifies one correlated work reply.  A shed request within its
+/// retry budget is returned, after the daemon's backoff hint, for the
+/// caller to send again first.  Latency keeps accruing from the first
+/// send — a shed-and-retried request is one request to the percentile
+/// cut.
 fn settle_work(
     reply: &Reply,
     mut out: Outstanding,
     options: &LoadOptions,
-    state: &RunState,
+    tally: &mut ClientReport,
     verifier: Option<&Verifier>,
-    conn: &mut Connection,
     samples: &mut Vec<u64>,
-) -> Settled {
+) -> Option<Outstanding> {
     if reply.ok {
         samples.push(out.started.elapsed().as_micros() as u64);
-        state.answered.fetch_add(1, Ordering::Relaxed);
+        tally.answered += 1;
         if let Some(verifier) = verifier {
-            check_answer(reply, out.params, verifier, state, out.index);
+            check_answer(reply, out.params, verifier, tally, out.index);
         }
-        return Settled::Done;
+        return None;
     }
     match reply.error_num() {
-        Some(6) => {
-            if out.retries >= options.max_retries {
-                state.dropped.fetch_add(1, Ordering::Relaxed);
-                state.note_error(format!("request {}: retry budget exhausted", out.index));
-                return Settled::Done;
-            }
+        Some(6) if out.retries < options.max_retries => {
             out.retries += 1;
-            state.shed_retries.fetch_add(1, Ordering::Relaxed);
+            tally.shed_retries += 1;
             let backoff = reply.retry_after_ms().unwrap_or(10).min(1_000);
             std::thread::sleep(Duration::from_millis(backoff));
-            match conn.send(&out.line) {
-                Ok(()) => Settled::Resent(out),
-                Err(e) => {
-                    state.dropped.fetch_add(1, Ordering::Relaxed);
-                    state.note_error(format!("request {}: {e}", out.index));
-                    Settled::ConnectionBroken
-                }
-            }
+            return Some(out);
         }
-        Some(5) => {
-            state.deadline_errors.fetch_add(1, Ordering::Relaxed);
-            Settled::Done
+        Some(6) => {
+            tally.dropped += 1;
+            tally.push_error(format!("request {}: retry budget exhausted", out.index));
         }
-        Some(7) => {
-            state.panic_errors.fetch_add(1, Ordering::Relaxed);
-            Settled::Done
-        }
+        Some(5) => tally.deadline_errors += 1,
+        Some(7) => tally.panic_errors += 1,
         other => {
-            state.dropped.fetch_add(1, Ordering::Relaxed);
-            state.note_error(format!(
+            tally.dropped += 1;
+            tally.push_error(format!(
                 "request {}: unexpected error code {other:?}",
                 out.index
             ));
-            Settled::Done
         }
     }
+    None
 }
 
-/// Drops everything outstanding on a dead connection and re-opens it.
-/// Returns `false` when the daemon is unreachable; the worker then
-/// claims-and-drops the remaining indices so the run still terminates.
-fn reconnect(
+/// Counts everything in flight on a dead connection as lost — work as
+/// dropped, reloads as surprises — and re-opens it; queued frames go
+/// out on the new connection.  Returns `false` when the daemon is
+/// unreachable: the queue and the indices this worker would still
+/// claim are then lost too, so the run still terminates.
+fn reconnect<'a>(
     conn: &mut Connection,
     options: &LoadOptions,
-    state: &RunState,
-    inflight: &mut HashMap<u64, Outstanding>,
-    reloads: &mut HashMap<u64, ReloadEvent>,
+    next: &AtomicUsize,
+    tally: &mut ClientReport,
+    in_flight: &mut HashMap<u64, Pending<'a>>,
+    queue: &mut VecDeque<(u64, Pending<'a>)>,
 ) -> bool {
-    state
-        .dropped
-        .fetch_add(inflight.len() as u64, Ordering::Relaxed);
-    inflight.clear();
-    for (_, event) in reloads.drain() {
-        settle_reload(
+    let lose = |pending: Pending, tally: &mut ClientReport| match pending {
+        Pending::Work(_) => tally.dropped += 1,
+        Pending::Reload(event) => settle_reload(
             Err("connection lost awaiting reload ack".to_string()),
-            &event,
-            state,
-        );
+            event,
+            tally,
+        ),
+    };
+    for (_, pending) in in_flight.drain() {
+        lose(pending, tally);
     }
     match Connection::open(&options.addr) {
         Ok(fresh) => {
@@ -873,8 +729,11 @@ fn reconnect(
             true
         }
         Err(e) => {
-            state.note_error(e);
-            drain_as_dropped(options, state);
+            tally.push_error(e);
+            for (_, pending) in queue.drain(..) {
+                lose(pending, tally);
+            }
+            drain_as_dropped(options, next, tally);
             false
         }
     }
@@ -884,7 +743,7 @@ fn check_answer(
     reply: &Reply,
     params: WorkParams,
     verifier: &Verifier,
-    state: &RunState,
+    tally: &mut ClientReport,
     index: usize,
 ) {
     let hash = reply
@@ -896,24 +755,24 @@ fn check_answer(
     let (cycles, ops) = match (reply.result_u64("cycles"), reply.result_u64("ops")) {
         (Some(cycles), Some(ops)) => (cycles as i64, ops),
         _ => {
-            state.mismatches.fetch_add(1, Ordering::Relaxed);
-            state.note_error(format!("request {index}: result missing cycles/ops"));
+            tally.mismatches += 1;
+            tally.push_error(format!("request {index}: result missing cycles/ops"));
             return;
         }
     };
     let Some(hash) = hash else {
-        state.mismatches.fetch_add(1, Ordering::Relaxed);
-        state.note_error(format!("request {index}: result missing image hash"));
+        tally.mismatches += 1;
+        tally.push_error(format!("request {index}: result missing image hash"));
         return;
     };
     match verifier.expect(hash, params) {
         None => {
-            state.unverified.fetch_add(1, Ordering::Relaxed);
+            tally.unverified += 1;
         }
         Some((want_cycles, want_ops)) => {
             if cycles != want_cycles || ops != want_ops {
-                state.mismatches.fetch_add(1, Ordering::Relaxed);
-                state.note_error(format!(
+                tally.mismatches += 1;
+                tally.push_error(format!(
                     "request {index}: image {hash:016x} answered {cycles} cycles / {ops} ops, \
                      expected {want_cycles} / {want_ops}"
                 ));
@@ -1011,6 +870,106 @@ mod tests {
         assert_eq!(frame.id, None);
     }
 
+    /// Plays a daemon for one client connection.  Frames are collected
+    /// until the client pauses, then all acknowledged at once, echoing
+    /// each frame's id (`0` for an id-less one); a frame beyond `depth`
+    /// unanswered ones fails the test.  Returns every line received.
+    fn windowed_daemon(listener: std::os::unix::net::UnixListener, depth: usize) -> Vec<String> {
+        let (stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(30)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let (mut lines, mut unanswered, mut line) = (Vec::new(), Vec::new(), String::new());
+        loop {
+            match reader.read_line(&mut line) {
+                Ok(0) => return lines,
+                Ok(_) => {
+                    assert!(
+                        unanswered.len() < depth,
+                        "window of {depth} exceeded: {line}"
+                    );
+                    let frame = Json::parse(line.trim_end()).unwrap();
+                    unanswered.push(frame.get("id").and_then(Json::as_u64).unwrap_or(0));
+                    lines.push(std::mem::take(&mut line));
+                }
+                // The client waits for replies (a partial line stays in
+                // `line` until the rest arrives).
+                Err(_) => {
+                    for id in unanswered.drain(..) {
+                        writeln!(writer, "{{\"id\": {id}, \"ok\": true, \"result\": {{}}}}")
+                            .unwrap();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Both wire versions run the one loop: a window of one sends the
+    /// id-less v1 byte stream, a wider window tags every frame, and at
+    /// every depth a scripted reload goes out just ahead of its trigger
+    /// request and holds a window slot until it is answered.
+    #[test]
+    fn every_depth_keeps_its_window_with_reloads_inside() {
+        for depth in [1, 3] {
+            let path = std::env::temp_dir().join(format!(
+                "mdes-client-window-{}-{depth}.sock",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+            let daemon = std::thread::spawn(move || windowed_daemon(listener, depth));
+            let event = ReloadEvent {
+                at: 2,
+                path: "x.lmdes".to_string(),
+                machine: None,
+                expect_rejection: false,
+            };
+            let params = |seed| WorkParams {
+                regions: 1,
+                mean_ops: 1,
+                seed,
+                jobs: 1,
+            };
+            let report = run_load(&LoadOptions {
+                addr: BindAddr::Unix(path.clone()),
+                connections: 1,
+                requests: 5,
+                params: params(0),
+                pipeline: depth,
+                machines: Vec::new(),
+                deadline_ms: None,
+                reloads: vec![event.clone()],
+                known_sources: Vec::new(),
+                verify_responses: false,
+                shutdown_when_done: false,
+                max_retries: 0,
+            })
+            .unwrap();
+            let lines = daemon.join().unwrap();
+            let _ = std::fs::remove_file(&path);
+
+            assert!(report.is_clean(), "depth {depth}: {:?}", report.errors);
+            assert_eq!((report.answered, report.reload_acks), (5, 1));
+            let tagged = depth > 1;
+            let request = |seed: u64| {
+                let id = tagged.then_some(seed);
+                schedule_line(id, params(seed), None, false, None) + "\n"
+            };
+            let reload = reload_line(tagged.then_some(RELOAD_ID_BASE), &event) + "\n";
+            let want = [
+                request(0),
+                request(1),
+                reload,
+                request(2),
+                request(3),
+                request(4),
+            ];
+            assert_eq!(lines, want, "depth {depth}");
+        }
+    }
+
     #[test]
     fn machine_spray_cycles_round_robin() {
         let mut options = LoadOptions {
@@ -1052,34 +1011,22 @@ mod tests {
         // samples must not be evicted from p99's view.
         let fast: Vec<u64> = (0..9000).map(|i| 100 + (i % 50)).collect();
         let slow: Vec<u64> = (0..10).map(|i| 90_000 + i * 1000).collect();
-
-        let state = RunState {
-            next: AtomicUsize::new(0),
-            samples: Mutex::new(Vec::new()),
-            answered: AtomicU64::new(0),
-            deadline_errors: AtomicU64::new(0),
-            panic_errors: AtomicU64::new(0),
-            shed_retries: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            mismatches: AtomicU64::new(0),
-            unverified: AtomicU64::new(0),
-            reload_acks: AtomicU64::new(0),
-            reload_rejections: AtomicU64::new(0),
-            reload_surprises: AtomicU64::new(0),
-            errors: Mutex::new(Vec::new()),
+        let tally = |samples: &[u64]| {
+            let report = ClientReport {
+                answered: samples.len() as u64,
+                ..ClientReport::default()
+            };
+            (report, samples.to_vec())
         };
-        state.merge_samples(fast.clone());
-        state.merge_samples(slow.clone());
 
-        let mut merged = std::mem::take(&mut *state.samples.lock().unwrap());
-        merged.sort_unstable();
+        let (report, merged) = fold(vec![tally(&fast), tally(&slow)]);
         let mut concat = [fast, slow].concat();
         concat.sort_unstable();
         assert_eq!(merged, concat);
+        assert_eq!(report.answered, concat.len() as u64);
 
         let n = merged.len();
-        let p50 = percentile_sorted(&merged, 0.50);
-        let p99 = percentile_sorted(&merged, 0.99);
+        let (p50, p99) = (report.p50_us, report.p99_us);
         // Nearest-rank by hand: rank = ceil(q*n) - 1.
         assert_eq!(p50, concat[(0.50f64 * n as f64).ceil() as usize - 1]);
         assert_eq!(p99, concat[(0.99f64 * n as f64).ceil() as usize - 1]);
@@ -1090,20 +1037,17 @@ mod tests {
     }
 
     #[test]
-    fn percentile_sorted_matches_latency_recorder_semantics() {
-        use mdes_telemetry::LatencyRecorder;
-        let samples: Vec<u64> = (1..=137).map(|i| i * 3).collect();
-        let recorder = LatencyRecorder::new(1024);
-        for &s in &samples {
-            recorder.record(s);
-        }
-        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(
-                Some(percentile_sorted(&samples, q)),
-                recorder.percentile(q),
-                "divergence at q={q}"
-            );
-        }
-        assert_eq!(percentile_sorted(&[], 0.5), 0);
+    fn the_fold_keeps_the_first_errors_overall() {
+        let tally = |tag: &str| {
+            let mut report = ClientReport::default();
+            for i in 0..MAX_ERRORS + 4 {
+                report.push_error(format!("{tag}{i}"));
+            }
+            (report, Vec::new())
+        };
+        let (report, _) = fold(vec![tally("a"), tally("b")]);
+        let want: Vec<String> = (0..MAX_ERRORS).map(|i| format!("a{i}")).collect();
+        assert_eq!(report.errors, want);
+        assert_eq!((report.p50_us, report.p99_us), (0, 0));
     }
 }

@@ -128,12 +128,8 @@ fn the_gate_sees_the_histograms_a_request_must_not_allocate() {
 
 #[test]
 fn the_lmdes_scan_allocates_nothing_accepting_or_rejecting() {
-    let specs = Machine::all().map(|m| m.spec()).into_iter().chain([
-        mdes_machines::pentium_pro(),
-        mdes_machines::approximate_superspark(),
-    ]);
     let mut corpus = Vec::new();
-    for spec in specs {
+    for (_, spec) in mdes_machines::bundled() {
         let image = lmdes::write(&CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap());
         for fault in ImageFault::fatal() {
             for seed in 0..32 {

@@ -86,27 +86,36 @@ impl LatencyRecorder {
     }
 
     /// The value at quantile `q` (0.0 ..= 1.0) over the retained window,
-    /// or `None` before the first observation.  Uses the nearest-rank
-    /// method: `percentile(0.0)` is the minimum, `percentile(1.0)` the
+    /// or `None` before the first observation: the [`nearest_rank`] cut,
+    /// so `percentile(0.0)` is the minimum, `percentile(1.0)` the
     /// maximum.
     pub fn percentile(&self, q: f64) -> Option<u64> {
-        let mut snapshot = {
-            let ring = match self.inner.lock() {
-                Ok(ring) => ring,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            if ring.samples.is_empty() {
-                return None;
-            }
-            ring.samples.clone()
+        let mut snapshot = match self.inner.lock() {
+            Ok(ring) => ring.samples.clone(),
+            Err(poisoned) => poisoned.into_inner().samples.clone(),
         };
         snapshot.sort_unstable();
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * snapshot.len() as f64).ceil() as usize)
-            .saturating_sub(1)
-            .min(snapshot.len() - 1);
-        Some(snapshot[rank])
+        nearest_rank(&snapshot, q)
     }
+}
+
+/// The nearest-rank value at quantile `q` (clamped to 0.0 ..= 1.0) of
+/// `sorted`, an ascending sample set, or `None` when it is empty.  The
+/// rank is `ceil(q * n)`, at least 1, so `q = 0.0` is the minimum and
+/// `q = 1.0` the maximum.
+///
+/// ```
+/// use mdes_telemetry::latency::nearest_rank;
+///
+/// assert_eq!(nearest_rank(&[10, 20, 30, 40, 50], 0.50), Some(30));
+/// assert_eq!(nearest_rank(&[], 0.50), None);
+/// ```
+pub fn nearest_rank(sorted: &[u64], q: f64) -> Option<u64> {
+    let last = sorted.len().checked_sub(1)?;
+    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize)
+        .saturating_sub(1)
+        .min(last);
+    Some(sorted[rank])
 }
 
 #[cfg(test)]
@@ -130,6 +139,21 @@ mod tests {
         assert_eq!(recorder.percentile(0.50), Some(50));
         assert_eq!(recorder.percentile(0.99), Some(99));
         assert_eq!(recorder.percentile(1.0), Some(100));
+    }
+
+    #[test]
+    fn nearest_rank_cuts_at_ceil_q_n() {
+        let samples: Vec<u64> = (1..=137).map(|i| i * 3).collect();
+        let recorder = LatencyRecorder::new(1024);
+        for &s in &samples {
+            recorder.record(s);
+        }
+        // Ranks ceil(q * 137): 1, 69, 124, 136 and 137.
+        for (q, want) in [(0.0, 3), (0.5, 207), (0.9, 372), (0.99, 408), (1.0, 411)] {
+            assert_eq!(nearest_rank(&samples, q), Some(want), "q={q}");
+            assert_eq!(recorder.percentile(q), Some(want), "q={q}");
+        }
+        assert_eq!(nearest_rank(&[], 0.5), None);
     }
 
     #[test]

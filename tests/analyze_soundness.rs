@@ -21,27 +21,11 @@ use mdes::analyze::{analyze_spec, render_text};
 use mdes::automata::Automaton;
 use mdes::core::spec::MdesSpec;
 use mdes::core::{CheckStats, Checker, Choice, ClassId, CompiledMdes, RuMap, UsageEncoding};
-use mdes::machines::Machine;
 use mdes::workload::{fleet, fleet_with_defects, Pcg32};
 use proptest::prelude::*;
 
 /// Probes per machine per encoding; the issue floor is 1k.
 const PROBES: usize = 1_024;
-
-/// The six bundled machines: the four `Machine` variants plus the two
-/// HMDL-only reconstructions.
-fn bundled() -> Vec<(String, MdesSpec)> {
-    let mut machines: Vec<(String, MdesSpec)> = Machine::all()
-        .into_iter()
-        .map(|m| (m.name().to_lowercase(), m.spec()))
-        .collect();
-    machines.push(("pentiumpro".to_string(), mdes::machines::pentium_pro()));
-    machines.push((
-        "superspark_approx".to_string(),
-        mdes::machines::approximate_superspark(),
-    ));
-    machines
-}
 
 /// The analyzer's dead set for `spec`, as compiled `(tree, option)`
 /// index pairs.  Compilation preserves spec indices (one compiled
@@ -155,7 +139,7 @@ proptest! {
     /// the automaton: statically-dead options are never selected.
     #[test]
     fn bundled_machines_never_select_dead_options(seed in any::<u64>()) {
-        for (name, spec) in bundled() {
+        for (name, spec) in mdes::machines::bundled() {
             let dead = dead_set(&spec);
             for encoding in [UsageEncoding::Scalar, UsageEncoding::BitVector] {
                 replay_checker(&name, &spec, encoding, seed, &dead);
@@ -206,7 +190,7 @@ fn defect_fleets_have_nonempty_dead_sets_that_are_never_selected() {
 #[test]
 fn lint_reports_are_byte_identical_across_runs() {
     let render = || -> String {
-        bundled()
+        mdes::machines::bundled()
             .iter()
             .map(|(name, spec)| render_text(name, &analyze_spec(spec)))
             .collect()

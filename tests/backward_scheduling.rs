@@ -91,25 +91,3 @@ proptest! {
         prop_assert!(schedule.verify(&graph, &compiled).is_ok());
     }
 }
-
-#[test]
-fn operation_driven_scheduling_is_valid_on_every_machine() {
-    for machine in Machine::all() {
-        let spec = machine.spec();
-        let mdes = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-        let workload = generate(
-            machine,
-            &spec,
-            &WorkloadConfig::paper_default(machine).with_total_ops(800),
-        );
-        let scheduler = ListScheduler::new(&mdes);
-        let mut stats = CheckStats::new();
-        for block in &workload.blocks {
-            let schedule = scheduler.schedule_operation_driven(block, &mut stats);
-            let graph = DepGraph::build(block, &mdes);
-            schedule
-                .verify(&graph, &mdes)
-                .unwrap_or_else(|e| panic!("{}: {e}", machine.name()));
-        }
-    }
-}

@@ -86,28 +86,13 @@ proptest! {
     }
 }
 
-/// The six bundled machines: the four `Machine` variants plus the two
-/// HMDL-only descriptions.
-fn bundled() -> Vec<(String, mdes::core::MdesSpec)> {
-    let mut specs: Vec<(String, mdes::core::MdesSpec)> = mdes::machines::Machine::all()
-        .into_iter()
-        .map(|machine| (machine.name().to_lowercase(), machine.spec()))
-        .collect();
-    specs.push(("pentiumpro".into(), mdes::machines::pentium_pro()));
-    specs.push((
-        "superspark_approx".into(),
-        mdes::machines::approximate_superspark(),
-    ));
-    specs
-}
-
 #[test]
 fn list_gap_stays_under_the_perf_ceiling() {
     // Same node budget as the `oracle/bnb/*` perf family: regions that
     // exhaust it keep the list incumbent, which only pulls the measured
     // gap toward 1 — it cannot hide a blown ceiling.
     let mut total = GapReport::default();
-    for (name, spec) in bundled() {
+    for (name, spec) in mdes::machines::bundled() {
         let mdes = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
         let blocks = generate_regions(&spec, &RegionConfig::small(10).with_seed(42)).blocks;
         let oracle = OracleScheduler::new(&mdes).with_node_limit(200_000);
