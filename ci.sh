@@ -17,7 +17,9 @@
 #                    oracle smoke (its production gap pinned exactly)
 #                    and fleet fuzz (docs/oracle.md), the
 #                    static-analysis lint smoke and defect-recall gate
-#                    (docs/analysis.md), the workspace clippy gate plus
+#                    (docs/analysis.md), the paper-results gate
+#                    (results/ regenerates byte-identically), the
+#                    workspace clippy gate plus
 #                    the panic-free lang/opt gate, and the perf
 #                    regression gate against the committed BENCH_8.json
 #                    baseline (which now includes the serve/load/*
@@ -267,6 +269,19 @@ LINT_STATUS=$?
 set -e
 test "$LINT_STATUS" -eq 3
 expect '^lint: recall 32/32 planted defect(s) reported$' "$LINT_DEFECTS"
+
+# Paper-results gate: the committed tables and figures are the paper
+# reproduction, and every scheduler, checker and workload change must
+# leave them byte-identical.  The runs are seed-deterministic and take
+# about 5 s; they cover every table and ablation, the automaton (A),
+# backward (D) and modulo (E) ones included.
+cargo build --release -p mdes-bench
+./target/release/paper_tables all --ops 40000 >"$ART/tables.txt"
+cmp "$ART/tables.txt" results/tables.txt
+./target/release/paper_figures all >"$ART/figures.txt"
+cmp "$ART/figures.txt" results/figures.txt
+./target/release/paper_figures fig2-csv >"$ART/fig2.csv"
+cmp "$ART/fig2.csv" results/fig2.csv
 
 # The whole workspace (every target, tests included) must be clean
 # under clippy at -D warnings.

@@ -11,6 +11,11 @@
 //! compiled MDES (the practical variant Bala & Rubin advocate), and can
 //! optionally be fully enumerated to measure table size.
 //!
+//! Each issue transition is computed by the reservation-table checker
+//! itself (`Checker::try_reserve_into` at cycle 0 on the state's window),
+//! so the automaton accepts exactly what the checker accepts, with the
+//! same option selection, by construction.
+//!
 //! Two limitations the paper points out are visible in the API:
 //!
 //! * there is no `release`/unschedule operation — state transitions are
@@ -45,7 +50,7 @@
 
 use std::collections::HashMap;
 
-use mdes_core::{ClassId, CompiledMdes};
+use mdes_core::{CheckStats, Checker, ClassId, CompiledMdes, RuMap};
 
 /// A state id in the automaton.
 pub type StateId = u32;
@@ -62,6 +67,10 @@ pub struct Automaton<'a> {
     issue_cache: HashMap<(StateId, u32), Option<StateId>>,
     /// Cached cycle-advance transitions.
     advance_cache: HashMap<StateId, StateId>,
+    /// The checker's counters and selection buffer, reused by every
+    /// transition built (the counts are never reported).
+    stats: CheckStats,
+    selection: Vec<u32>,
 }
 
 impl<'a> Automaton<'a> {
@@ -80,6 +89,8 @@ impl<'a> Automaton<'a> {
             index,
             issue_cache: HashMap::new(),
             advance_cache: HashMap::new(),
+            stats: CheckStats::new(),
+            selection: Vec::new(),
         }
     }
 
@@ -101,9 +112,8 @@ impl<'a> Automaton<'a> {
 
     /// Attempts to issue one operation of `class` in the current cycle of
     /// `state`.  Returns the successor state, or `None` on a resource
-    /// conflict.  Selection follows the same greedy priority rule as the
-    /// reservation-table checker, so both detectors accept identical
-    /// schedules.
+    /// conflict.  The reservation-table checker makes the selection, so
+    /// both detectors accept identical schedules.
     pub fn issue(&mut self, state: StateId, class: ClassId) -> Option<StateId> {
         let key = (state, class.index() as u32);
         if let Some(&cached) = self.issue_cache.get(&key) {
@@ -129,29 +139,21 @@ impl<'a> Automaton<'a> {
         next
     }
 
+    // Cold: a cache miss, once per (state, class).  Inlined, the
+    // checker walk would weigh on every cached `issue` lookup.
+    #[cold]
     fn compute_issue(&mut self, state: StateId, class: ClassId) -> Option<StateId> {
-        let offset = -self.mdes.min_check_time();
-        let mut window = self.windows[state as usize].clone();
-        for &tree_idx in &self.mdes.class(class).or_trees {
-            let tree = &self.mdes.or_trees()[tree_idx as usize];
-            let mut chosen = None;
-            'options: for &opt_idx in &tree.options {
-                for check in self.mdes.option_checks(opt_idx as usize) {
-                    let slot = (check.time + offset) as usize;
-                    if window[slot] & check.mask != 0 {
-                        continue 'options;
-                    }
-                }
-                chosen = Some(opt_idx);
-                break;
-            }
-            let opt_idx = chosen?;
-            for check in self.mdes.option_checks(opt_idx as usize) {
-                let slot = (check.time + offset) as usize;
-                window[slot] |= check.mask;
-            }
+        // The state's window as an RU map over the cycles an issue at
+        // cycle 0 can touch.
+        let (min, max) = (self.mdes.min_check_time(), self.mdes.max_check_time());
+        let mut ru = RuMap::with_range(min, max);
+        for (cycle, &word) in (min..).zip(&self.windows[state as usize]) {
+            ru.reserve(cycle, word);
         }
-        Some(self.intern(window))
+        self.selection.clear();
+        Checker::new(self.mdes)
+            .try_reserve_into(&mut ru, class, 0, &mut self.stats, &mut self.selection)
+            .then(|| self.intern((min..=max).map(|cycle| ru.word(cycle)).collect()))
     }
 
     fn intern(&mut self, window: Vec<u64>) -> StateId {

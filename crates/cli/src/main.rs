@@ -793,7 +793,7 @@ fn bench_serve_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     let config = mdes_workload::RegionConfig::new(regions)
         .with_mean_ops(mean_ops)
         .with_seed(seed);
-    let workload = mdes_workload::generate_regions(&spec, &config);
+    let workload = mdes_workload::generate_compiled_regions(&compiled, &config);
 
     let engine = mdes_engine::Engine::new(compiled);
     let outcome = engine.schedule_batch(&workload.blocks, jobs);
@@ -1323,7 +1323,7 @@ fn oracle_cmd(args: &[String], tel: &Telemetry) -> CliResult {
         let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector)
             .map_err(|e| CliError::validation(e.to_string()))?;
         let config = mdes_workload::RegionConfig::small(regions).with_seed(seed);
-        let blocks = mdes_workload::generate_regions(&spec, &config).blocks;
+        let blocks = mdes_workload::generate_compiled_regions(&compiled, &config).blocks;
         let oracle = mdes_oracle::OracleScheduler::new(&compiled)
             .with_max_ops(max_ops)
             .with_node_limit(node_limit);
@@ -1418,7 +1418,7 @@ fn oracle_fleet_cmd(
         let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector)
             .map_err(|e| CliError::validation(format!("{}: {e}", machine.name)))?;
         let config = mdes_workload::RegionConfig::small(regions).with_seed(seed);
-        let blocks = mdes_workload::generate_regions(&spec, &config).blocks;
+        let blocks = mdes_workload::generate_compiled_regions(&compiled, &config).blocks;
         let oracle = mdes_oracle::OracleScheduler::new(&compiled)
             .with_max_ops(max_ops)
             .with_node_limit(node_limit);

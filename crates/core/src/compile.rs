@@ -15,7 +15,7 @@
 //! (Section 4).
 
 use crate::error::MdesError;
-use crate::rumap::RuMap;
+use crate::rumap::Occupancy;
 use crate::spec::{ClassId, Constraint, Latency, MdesSpec, OpFlags};
 use crate::stats::CheckStats;
 use mdes_telemetry::Telemetry;
@@ -604,9 +604,9 @@ impl<'a> Checker<'a> {
     /// that keep the [`Choice`] to unschedule later; schedulers that place
     /// many operations append into one buffer instead.
     #[inline]
-    pub fn try_reserve(
+    pub fn try_reserve<M: Occupancy>(
         &self,
-        ru: &mut RuMap,
+        ru: &mut M,
         class: ClassId,
         time: i32,
         stats: &mut CheckStats,
@@ -624,21 +624,23 @@ impl<'a> Checker<'a> {
     /// [`Checker::try_reserve`], but the selection goes into a
     /// caller-owned buffer.
     ///
-    /// This is the one reservation loop: it walks the class's OR-trees in
-    /// order, reserves each tree's first free option (priority order), and
-    /// rolls back on the first tree with no free option.  On success the
-    /// RU map is updated, one compiled-option index per OR-tree of `class`
-    /// (in the class's OR-tree order) is appended to `out`, and `true` is
-    /// returned.  On failure the RU map is rolled back, `out` is truncated
-    /// to its length on entry, and `false` is returned.  Once `out` has
-    /// spare capacity for the class's OR-trees the call performs no heap
-    /// allocation.
+    /// This is the one reservation loop, and every scheduler reserves
+    /// through it: the list schedulers and the automaton baseline on a
+    /// [`crate::RuMap`], the modulo schedulers on a [`crate::ModuloRuMap`].
+    /// It walks the class's OR-trees in order, reserves each tree's first
+    /// free option (priority order), and rolls back on the first tree with
+    /// no free option.  On success the RU map is updated, one
+    /// compiled-option index per OR-tree of `class` (in the class's
+    /// OR-tree order) is appended to `out`, and `true` is returned.  On
+    /// failure the RU map is rolled back, `out` is truncated to its length
+    /// on entry, and `false` is returned.  Once `out` has spare capacity
+    /// for the class's OR-trees the call performs no heap allocation.
     // Forced: left to a hint, the list scheduler's placement loop calls
     // this out of line.
     #[inline(always)]
-    pub fn try_reserve_into(
+    pub fn try_reserve_into<M: Occupancy>(
         &self,
-        ru: &mut RuMap,
+        ru: &mut M,
         class: ClassId,
         time: i32,
         stats: &mut CheckStats,
@@ -649,13 +651,11 @@ impl<'a> Checker<'a> {
         for &tree_idx in &self.mdes.class(class).or_trees {
             match self.try_or_tree(ru, tree_idx, time, stats) {
                 Some(opt_idx) => {
-                    self.apply_option(ru, opt_idx, time, true);
+                    self.apply_option_at(ru, opt_idx, time, true);
                     out.push(opt_idx);
                 }
                 None => {
-                    for &opt_idx in &out[start..] {
-                        self.apply_option(ru, opt_idx, time, false);
-                    }
+                    self.release(ru, time, &out[start..]);
                     out.truncate(start);
                     stats.end_attempt(false);
                     return false;
@@ -666,24 +666,27 @@ impl<'a> Checker<'a> {
         true
     }
 
-    /// Releases a previous reservation (unscheduling).
-    pub fn release(&self, ru: &mut RuMap, choice: &Choice) {
-        for &opt_idx in &choice.selected {
-            self.apply_option(ru, opt_idx, choice.time, false);
+    /// Releases the options `selection` reserved at issue time `time`
+    /// (unscheduling, and the rollback of a failed attempt).  The one
+    /// release site: it replays exactly what the matching reservation
+    /// set.
+    pub fn release<M: Occupancy>(&self, ru: &mut M, time: i32, selection: &[u32]) {
+        for &opt_idx in selection {
+            self.apply_option_at(ru, opt_idx, time, false);
         }
     }
 
     /// True if `class` could be reserved at `time` without changing the RU
     /// map.  Costs the same checks as [`Checker::try_reserve`].
-    pub fn can_reserve(
+    pub fn can_reserve<M: Occupancy>(
         &self,
-        ru: &mut RuMap,
+        ru: &mut M,
         class: ClassId,
         time: i32,
         stats: &mut CheckStats,
     ) -> bool {
         if let Some(choice) = self.try_reserve(ru, class, time, stats) {
-            self.release(ru, &choice);
+            self.release(ru, time, &choice.selected);
             true
         } else {
             false
@@ -692,32 +695,22 @@ impl<'a> Checker<'a> {
 
     /// True when every probe of option `opt_idx` finds its resources free
     /// at issue time `time`, counting one option attempt in `stats`.
+    /// Walks one dense slice of the shared check arena.
     ///
-    /// Exact-search clients (the oracle scheduler in `mdes-oracle`) branch
-    /// over individual OR-tree options instead of accepting the greedy
-    /// first-feasible pick of [`Checker::try_reserve`]; this exposes the
-    /// same probe the greedy walk uses so both paths answer from one
-    /// query surface.
-    pub fn option_fits(&self, ru: &RuMap, opt_idx: u32, time: i32, stats: &mut CheckStats) -> bool {
-        stats.count_option();
-        self.option_free(ru, opt_idx, time, stats)
-    }
-
-    /// Reserves (`set = true`) or releases (`set = false`) every check of
-    /// option `opt_idx` at issue time `time`.
-    ///
-    /// Pairs with [`Checker::option_fits`] for callers that manage their
-    /// own option selection (e.g. branch-and-bound search); the RU-map
-    /// mutation is identical to what [`Checker::try_reserve`] performs.
-    pub fn apply_option_at(&self, ru: &mut RuMap, opt_idx: u32, time: i32, set: bool) {
-        self.apply_option(ru, opt_idx, time, set);
-    }
-
-    /// True when every probe of option `opt_idx` finds its resources free
-    /// at issue time `time`.  Walks one dense slice of the shared check
-    /// arena.
+    /// This is the probe the greedy OR-tree walk makes for each option.
+    /// Exact-search clients (the oracle schedulers in `mdes-oracle`)
+    /// branch over individual OR-tree options instead of accepting the
+    /// greedy first-feasible pick of [`Checker::try_reserve`], so they
+    /// call it directly and both paths answer from one query surface.
     #[inline]
-    fn option_free(&self, ru: &RuMap, opt_idx: u32, time: i32, stats: &mut CheckStats) -> bool {
+    pub fn option_fits<M: Occupancy>(
+        &self,
+        ru: &M,
+        opt_idx: u32,
+        time: i32,
+        stats: &mut CheckStats,
+    ) -> bool {
+        stats.count_option();
         let lo = self.mdes.option_bounds[opt_idx as usize] as usize;
         let hi = self.mdes.option_bounds[opt_idx as usize + 1] as usize;
         for check in &self.mdes.checks[lo..hi] {
@@ -729,28 +722,14 @@ impl<'a> Checker<'a> {
         true
     }
 
-    /// Walks one OR-tree: returns the first option (priority order) whose
-    /// probes all succeed.  Does not reserve.
-    fn try_or_tree(
-        &self,
-        ru: &RuMap,
-        tree_idx: u32,
-        time: i32,
-        stats: &mut CheckStats,
-    ) -> Option<u32> {
-        let tree = &self.mdes.or_trees[tree_idx as usize];
-        for &opt_idx in &tree.options {
-            stats.count_option();
-            if self.option_free(ru, opt_idx, time, stats) {
-                return Some(opt_idx);
-            }
-        }
-        None
-    }
-
-    /// Reserves (`set`) or releases (`!set`) all checks of an option.
+    /// Reserves (`set = true`) or releases (`set = false`) every check of
+    /// option `opt_idx` at issue time `time`.
+    ///
+    /// The greedy walk's own reservation and release step; exact-search
+    /// clients pair it with [`Checker::option_fits`] to manage their own
+    /// option selection (e.g. branch-and-bound search).
     #[inline]
-    fn apply_option(&self, ru: &mut RuMap, opt_idx: u32, time: i32, set: bool) {
+    pub fn apply_option_at<M: Occupancy>(&self, ru: &mut M, opt_idx: u32, time: i32, set: bool) {
         let lo = self.mdes.option_bounds[opt_idx as usize] as usize;
         let hi = self.mdes.option_bounds[opt_idx as usize + 1] as usize;
         for check in &self.mdes.checks[lo..hi] {
@@ -761,12 +740,33 @@ impl<'a> Checker<'a> {
             }
         }
     }
+
+    /// Walks one OR-tree: returns the first option (priority order) whose
+    /// probes all succeed.  Does not reserve.
+    // Out of line, as when only this crate instantiated it: inlined into
+    // a caller's `try_reserve`, the `checker/*` benches ran 5-15% slower
+    // (2-vCPU container, alternating runs).
+    #[inline(never)]
+    fn try_or_tree<M: Occupancy>(
+        &self,
+        ru: &M,
+        tree_idx: u32,
+        time: i32,
+        stats: &mut CheckStats,
+    ) -> Option<u32> {
+        self.mdes.or_trees[tree_idx as usize]
+            .options
+            .iter()
+            .copied()
+            .find(|&opt_idx| self.option_fits(ru, opt_idx, time, stats))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::resource::ResourceId;
+    use crate::rumap::RuMap;
     use crate::spec::{AndOrTree, OrTree, TableOption};
     use crate::usage::ResourceUsage;
 
@@ -912,7 +912,7 @@ mod tests {
 
         let choice = checker.try_reserve(&mut ru, class, 3, &mut stats).unwrap();
         assert!(ru.population() > 0);
-        checker.release(&mut ru, &choice);
+        checker.release(&mut ru, choice.time, &choice.selected);
         assert_eq!(ru.population(), 0);
     }
 

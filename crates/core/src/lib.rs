@@ -10,8 +10,9 @@
 //!   what the `mdes-opt` transformations rewrite;
 //! * the compiled low-level [`compile::CompiledMdes`] with scalar or
 //!   bit-vector usage encodings, and the [`compile::Checker`] that answers
-//!   "can this operation issue at cycle *t*" against a [`rumap::RuMap`].
-//!   Its hot path, [`compile::Checker::try_reserve_into`], appends the
+//!   "can this operation issue at cycle *t*" against any
+//!   [`rumap::Occupancy`] table — a [`rumap::RuMap`], or a
+//!   [`rumap::ModuloRuMap`] for modulo scheduling.  Its hot path, [`compile::Checker::try_reserve_into`], appends the
 //!   selected options to a caller-owned buffer and allocates nothing per
 //!   attempt; [`compile::Checker::try_reserve`]
 //!   wraps it in a [`compile::Choice`] for callers that unschedule;
@@ -80,7 +81,7 @@ pub mod usage;
 pub use compile::{Checker, Checks, Choice, CompiledMdes, UsageEncoding};
 pub use error::MdesError;
 pub use resource::{ResourceId, ResourcePool};
-pub use rumap::RuMap;
+pub use rumap::{ModuloRuMap, Occupancy, RuMap};
 pub use spec::{
     AndOrTree, AndOrTreeId, ClassId, Constraint, Latency, MdesSpec, OpClass, OpFlags, OptionId,
     OrTree, OrTreeId, TableOption,

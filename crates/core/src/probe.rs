@@ -154,7 +154,7 @@ pub fn run_sequence(mdes: &CompiledMdes, ops: &[ProbeOp]) -> Vec<bool> {
                     false
                 } else {
                     let choice = held.remove(slot as usize % held.len());
-                    checker.release(&mut ru, &choice);
+                    checker.release(&mut ru, choice.time, &choice.selected);
                     true
                 }
             }

@@ -26,18 +26,34 @@
 //!   on an empty map *rebases* the window at that cycle.  Rebasing never
 //!   discards occupancy (the map is empty at that point), so callers that
 //!   interleave reserve/release at arbitrary cycles — the backward list
-//!   scheduler probing negative cycles, the modulo scheduler's
-//!   `rem_euclid` slots in `[0, II)` — cannot desynchronize: a release
-//!   always either clears bits the matching reserve set, or no-ops on a
-//!   cycle whose window entry was never created precisely because nothing
-//!   was ever reserved there.
+//!   scheduler probing negative cycles, a [`ModuloRuMap`] folding cycles
+//!   into slots in `[0, II)` — cannot desynchronize: a release always
+//!   either clears bits the matching reserve set, or no-ops on a cycle
+//!   whose window entry was never created precisely because nothing was
+//!   ever reserved there.
 //!
 //! The one way to misuse the map is to release a *different* (cycle,
 //! mask) pair than was reserved while both fall inside the window — that
-//! clears another operation's bits.  The schedulers never do this: every
-//! release site replays the exact `(cycle, mask)` list of a prior
-//! successful reserve (see `Checker::release` and
-//! `ModuloScheduler::unschedule`).
+//! clears another operation's bits.  The schedulers never do this: the
+//! one release site, `Checker::release`, replays the exact option
+//! selection and issue cycle of a prior successful reserve.
+
+/// A reservation table the checker can probe and update one cycle's
+/// resource mask at a time.
+///
+/// The checker's methods are generic over it and monomorphized, so each
+/// table shape gets its own copy of the one reservation walk with no
+/// dispatch in the probe.
+pub trait Occupancy {
+    /// True if none of the resources in `mask` are reserved at `cycle`.
+    fn is_free(&self, cycle: i32, mask: u64) -> bool;
+
+    /// Marks the resources in `mask` reserved at `cycle`.
+    fn reserve(&mut self, cycle: i32, mask: u64);
+
+    /// Clears the resources in `mask` at `cycle`.
+    fn release(&mut self, cycle: i32, mask: u64);
+}
 
 /// A growable bit matrix of resource occupancy indexed by schedule cycle.
 ///
@@ -99,8 +115,7 @@ impl RuMap {
     ///
     /// Reserving an already-reserved resource is allowed (the bits just
     /// stay set); the constraint checker always probes with
-    /// [`RuMap::is_free`] first, and the modulo scheduler relies on
-    /// idempotent reservation when rotating the map.
+    /// [`RuMap::is_free`] first.
     #[inline]
     pub fn reserve(&mut self, cycle: i32, mask: u64) {
         let idx = self.index_growing(cycle);
@@ -170,6 +185,78 @@ impl RuMap {
             self.words.resize(idx as usize + 1, 0);
         }
         idx as usize
+    }
+}
+
+impl Occupancy for RuMap {
+    #[inline]
+    fn is_free(&self, cycle: i32, mask: u64) -> bool {
+        RuMap::is_free(self, cycle, mask)
+    }
+
+    #[inline]
+    fn reserve(&mut self, cycle: i32, mask: u64) {
+        RuMap::reserve(self, cycle, mask);
+    }
+
+    #[inline]
+    fn release(&mut self, cycle: i32, mask: u64) {
+        RuMap::release(self, cycle, mask);
+    }
+}
+
+/// A modulo reservation table (MRT): an RU map whose cycles wrap at the
+/// initiation interval, so a reservation at cycle `t` occupies every
+/// cycle congruent to `t` modulo `ii`.  This is the one place the wrap is
+/// computed; the modulo schedulers reserve through it with the same
+/// checker walk the list scheduler runs on a [`RuMap`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ModuloRuMap {
+    ii: i32,
+    /// Occupancy of slots `0..ii`.
+    slots: RuMap,
+}
+
+impl ModuloRuMap {
+    /// Creates an empty table for initiation interval `ii`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `ii` is positive.
+    pub fn new(ii: i32) -> ModuloRuMap {
+        assert!(ii >= 1, "initiation interval {ii} is not positive");
+        ModuloRuMap {
+            ii,
+            slots: RuMap::with_range(0, ii - 1),
+        }
+    }
+
+    /// The initiation interval.
+    pub fn ii(&self) -> i32 {
+        self.ii
+    }
+
+    /// The slot, in `[0, ii)`, that `cycle` folds into.
+    #[inline]
+    pub fn slot(&self, cycle: i32) -> i32 {
+        cycle.rem_euclid(self.ii)
+    }
+}
+
+impl Occupancy for ModuloRuMap {
+    #[inline]
+    fn is_free(&self, cycle: i32, mask: u64) -> bool {
+        self.slots.is_free(self.slot(cycle), mask)
+    }
+
+    #[inline]
+    fn reserve(&mut self, cycle: i32, mask: u64) {
+        self.slots.reserve(self.slot(cycle), mask);
+    }
+
+    #[inline]
+    fn release(&mut self, cycle: i32, mask: u64) {
+        self.slots.release(self.slot(cycle), mask);
     }
 }
 
@@ -270,27 +357,44 @@ mod tests {
         assert_eq!(far_first.max_reserved_cycle(), Some(1_000));
     }
 
-    /// The modulo scheduler only touches slots in `[0, II)` via
-    /// `rem_euclid`; replaying its reserve/evict/release pattern must
-    /// always return the map to empty (no silent no-op release can leak a
-    /// reservation).
+    /// A reservation blocks every congruent cycle, below and above it,
+    /// negative cycles included, and no other.
     #[test]
-    fn modulo_style_reserve_release_round_trips_to_empty() {
-        let ii = 3i32;
-        let mut ru = RuMap::new();
-        let mut reserved: Vec<(i32, u64)> = Vec::new();
-        // Simulated placements at arbitrary cycles, folded into slots.
-        for (cycle, mask) in [(0, 0b1), (4, 0b10), (-2, 0b100), (7, 0b1000), (-5, 0b1)] {
-            let slot = i32::rem_euclid(cycle, ii);
-            ru.reserve(slot, mask);
-            reserved.push((slot, mask));
+    fn modulo_reservation_blocks_every_congruent_cycle() {
+        for at in [-7, -1, 0, 2, 4, 9] {
+            let mut mrt = ModuloRuMap::new(3);
+            mrt.reserve(at, 0b10);
+            for cycle in at - 12..=at + 12 {
+                let congruent = (cycle - at) % 3 == 0;
+                assert_eq!(mrt.is_free(cycle, 0b10), !congruent, "{at} vs {cycle}");
+                assert!(mrt.is_free(cycle, 0b01), "other resources stay free");
+            }
         }
-        assert!(ru.population() > 0);
-        for (slot, mask) in reserved {
-            ru.release(slot, mask);
+    }
+
+    /// A release at any congruent cycle undoes the reservation.
+    #[test]
+    fn modulo_release_at_any_congruent_cycle_frees_it() {
+        for at in [-9, -5, -1, 3, 7, 11] {
+            let mut mrt = ModuloRuMap::new(4);
+            mrt.reserve(3, 0b110);
+            mrt.reserve(2, 0b001);
+            mrt.release(at, 0b110);
+            assert!((-8..8).all(|cycle| mrt.is_free(cycle, 0b110)), "{at}");
+            assert!(!mrt.is_free(-2, 0b001), "slot 2 survives");
         }
-        assert_eq!(ru.population(), 0);
-        assert!((0..ii).all(|slot| ru.word(slot) == 0));
+    }
+
+    #[test]
+    fn modulo_slots_lie_in_zero_to_ii() {
+        for ii in [1, 2, 5, 64] {
+            let mrt = ModuloRuMap::new(ii);
+            for cycle in [i32::MIN / 2, -65, -1, 0, 1, 64, 1_000_003] {
+                let slot = mrt.slot(cycle);
+                assert!((0..ii).contains(&slot), "ii {ii}: {cycle} -> {slot}");
+                assert_eq!((cycle - slot) % ii, 0, "ii {ii}: {cycle} -> {slot}");
+            }
+        }
     }
 
     /// The backward scheduler probes and reserves at negative cycles

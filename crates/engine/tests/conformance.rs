@@ -193,7 +193,7 @@ fn engine_batches_agree_with_serial_scheduling_on_random_machines() {
         let spec = random_spec(&mut rng);
         let compiled = Arc::new(CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap());
         let config = mdes_workload::RegionConfig::new(48).with_seed(machine_seed);
-        let workload = mdes_workload::generate_regions(&spec, &config);
+        let workload = mdes_workload::generate_compiled_regions(&compiled, &config);
 
         let outcome = Engine::new(Arc::clone(&compiled)).schedule_batch(&workload.blocks, 4);
         assert!(outcome.is_clean());
@@ -216,7 +216,7 @@ fn engine_batches_agree_with_serial_scheduling_on_bundled_machines() {
     for (i, (_, spec)) in mdes_machines::bundled().into_iter().enumerate() {
         let compiled = Arc::new(CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap());
         let config = mdes_workload::RegionConfig::new(24).with_seed(0x5EED + i as u64);
-        let workload = mdes_workload::generate_regions(&spec, &config);
+        let workload = mdes_workload::generate_compiled_regions(&compiled, &config);
 
         let outcome = Engine::new(Arc::clone(&compiled)).schedule_batch(&workload.blocks, 4);
         assert!(outcome.is_clean());

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use mdes_core::{CompiledMdes, UsageEncoding};
 use mdes_engine::Engine;
 use mdes_machines::Machine;
-use mdes_workload::{generate_regions, RegionConfig};
+use mdes_workload::{generate_compiled_regions, RegionConfig};
 
 #[test]
 fn one_eight_and_sixteen_workers_produce_byte_identical_results() {
@@ -17,7 +17,7 @@ fn one_eight_and_sixteen_workers_produce_byte_identical_results() {
         mdes_opt::optimize(&mut spec, &mdes_opt::PipelineConfig::full());
         let compiled = Arc::new(CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap());
         let config = RegionConfig::new(256).with_seed(0xDE7);
-        let workload = generate_regions(&spec, &config);
+        let workload = generate_compiled_regions(&compiled, &config);
 
         let engine = Engine::new(compiled);
         let one = engine.schedule_batch(&workload.blocks, 1);
@@ -57,12 +57,12 @@ fn a_skewed_workload_keeps_the_fold_at_any_worker_count() {
     let spec = machine.spec();
     let compiled = Arc::new(CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap());
 
-    let giant = generate_regions(
-        &spec,
+    let giant = generate_compiled_regions(
+        &compiled,
         &RegionConfig::new(1).with_mean_ops(4096).with_seed(77),
     );
-    let tiny = generate_regions(
-        &spec,
+    let tiny = generate_compiled_regions(
+        &compiled,
         &RegionConfig::new(255).with_mean_ops(4).with_seed(78),
     );
     let mut blocks = giant.blocks;
@@ -87,7 +87,7 @@ fn worker_assignment_never_leaks_into_the_fold() {
     let machine = Machine::SuperSparc;
     let spec = machine.spec();
     let compiled = Arc::new(CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap());
-    let workload = generate_regions(&spec, &RegionConfig::new(128).with_seed(5));
+    let workload = generate_compiled_regions(&compiled, &RegionConfig::new(128).with_seed(5));
     let engine = Engine::new(compiled);
 
     let reference = engine.schedule_batch(&workload.blocks, 1).stats;

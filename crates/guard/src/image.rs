@@ -35,7 +35,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mdes_core::probe::{self, ProbeConfig};
 use mdes_core::CompiledMdes;
-use mdes_sched::{CheckStats, DepGraph, ListScheduler};
+use mdes_sched::{CheckStats, DepGraph, ListScheduler, SchedScratch};
 use mdes_workload::{generate_compiled_regions, RegionConfig};
 
 // The serving-policy bounds are owned by the static analyzer (its MD008
@@ -168,10 +168,12 @@ fn schedule_smoke(mdes: &CompiledMdes, seed: u64) -> Result<usize, String> {
             .with_mean_ops(6);
         let workload = generate_compiled_regions(mdes, &config);
         let scheduler = ListScheduler::new(mdes);
+        let mut scratch = SchedScratch::new();
         let mut stats = CheckStats::new();
         for (index, block) in workload.blocks.iter().enumerate() {
             let graph = DepGraph::build(block, mdes);
-            let schedule = scheduler.schedule_with_graph(block, &graph, &mut stats);
+            let schedule =
+                scheduler.schedule_with_graph_reusing(block, &graph, &mut scratch, &mut stats);
             schedule
                 .verify(&graph, mdes)
                 .map_err(|why| format!("schedule smoke: region {index} failed to verify: {why}"))?;

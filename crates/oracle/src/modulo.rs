@@ -2,8 +2,8 @@
 //!
 //! For a loop the production `ModuloScheduler` yields some initiation
 //! interval `II_prod ≥ MII`.  [`OracleScheduler::min_ii`] searches every
-//! II in `[MII, II_prod)` with a windowed exact search (wrap-around
-//! RU-map reservations, per-OR-tree option branching) and returns the
+//! II in `[MII, II_prod)` with a windowed exact search (reservations in a
+//! [`ModuloRuMap`], per-OR-tree option branching) and returns the
 //! smallest II with a verified witness schedule.  The guarantee is a
 //! *sandwich*, not unconditional optimality: `MII ≤ II_oracle ≤ II_prod`
 //! always holds (the production schedule itself witnesses the upper
@@ -14,7 +14,7 @@
 //! is possible in principle, which is why the result is published as a
 //! bound, not a proof (see `docs/oracle.md`).
 
-use mdes_core::{CheckStats, CompiledMdes, RuMap};
+use mdes_core::{CheckStats, Checker, ModuloRuMap};
 use mdes_sched::{selection_bounds, DepGraph, LoopBlock, ModuloSchedule, ModuloScheduler};
 
 use crate::{OracleScheduler, UNPLACED};
@@ -69,11 +69,10 @@ impl<'a> OracleScheduler<'a> {
         let mut exact = true;
         for ii in mii..production.ii {
             let mut search = ModSearch {
-                mdes: self.mdes,
+                checker: Checker::new(self.mdes),
                 looped,
                 preds: &preds,
-                ii,
-                ru: RuMap::new(),
+                mrt: ModuloRuMap::new(ii),
                 cycles: vec![UNPLACED; n],
                 sel: vec![0; bounds[n] as usize],
                 bounds: &bounds,
@@ -118,15 +117,14 @@ impl<'a> OracleScheduler<'a> {
 /// Feasibility search at one fixed II.  Operations are placed in source
 /// index order (topological for the intra-iteration DAG); each is tried
 /// in the `ii` cycles starting at its earliest dependence-feasible slot,
-/// clamped by loop-carried edges whose other endpoint is already placed;
-/// reservations land at `(cycle + check.time) mod ii`, exactly the
-/// production scheduler's wrap-around replay.
+/// clamped by loop-carried edges whose other endpoint is already placed.
+/// Options are probed and reserved through the checker on a
+/// [`ModuloRuMap`], the production scheduler's table.
 struct ModSearch<'a, 'b> {
-    mdes: &'a CompiledMdes,
+    checker: Checker<'a>,
     looped: &'a LoopBlock,
     preds: &'a [Vec<(usize, i32)>],
-    ii: i32,
-    ru: RuMap,
+    mrt: ModuloRuMap,
     cycles: Vec<i32>,
     /// Flat selections, laid out by `bounds` (see
     /// [`mdes_sched::selection_bounds`]).
@@ -150,10 +148,11 @@ impl ModSearch<'_, '_> {
         // Loop-carried edges against already-placed endpoints narrow the
         // candidate range: as a consumer, `cycle ≥ from + lat − ii·dist`;
         // as a producer, `cycle ≤ to + ii·dist − lat`.
+        let ii = self.mrt.ii();
         let mut lo = base;
-        let mut hi = base + self.ii - 1;
+        let mut hi = base + ii - 1;
         for &(from, to, latency, distance) in &self.looped.carried {
-            let span = self.ii * distance as i32;
+            let span = ii * distance as i32;
             if to == index && self.cycles[from] != UNPLACED {
                 lo = lo.max(self.cycles[from] + latency - span);
             }
@@ -178,7 +177,7 @@ impl ModSearch<'_, '_> {
             self.bailed = true;
             return false;
         }
-        let mdes = self.mdes;
+        let mdes = self.checker.mdes();
         let class_trees = &mdes.class(self.looped.body.ops[index].class).or_trees;
         if tree_pos == class_trees.len() {
             self.cycles[index] = cycle;
@@ -197,13 +196,15 @@ impl ModSearch<'_, '_> {
             {
                 continue;
             }
-            if self.option_fits_modulo(opt, cycle) {
-                self.apply_modulo(opt, cycle, true);
+            if self.checker.option_fits(&self.mrt, opt, cycle, self.stats) {
+                self.checker
+                    .apply_option_at(&mut self.mrt, opt, cycle, true);
                 self.sel[self.bounds[index] as usize + tree_pos] = opt;
                 if self.options(index, cycle, tree_pos + 1) {
                     return true;
                 }
-                self.apply_modulo(opt, cycle, false);
+                self.checker
+                    .apply_option_at(&mut self.mrt, opt, cycle, false);
             }
             if self.bailed {
                 return false;
@@ -211,35 +212,12 @@ impl ModSearch<'_, '_> {
         }
         false
     }
-
-    fn option_fits_modulo(&mut self, opt: u32, cycle: i32) -> bool {
-        self.stats.count_option();
-        for check in self.mdes.option_checks(opt as usize) {
-            self.stats.count_check();
-            let slot = (cycle + check.time).rem_euclid(self.ii);
-            if !self.ru.is_free(slot, check.mask) {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn apply_modulo(&mut self, opt: u32, cycle: i32, set: bool) {
-        for check in self.mdes.option_checks(opt as usize) {
-            let slot = (cycle + check.time).rem_euclid(self.ii);
-            if set {
-                self.ru.reserve(slot, check.mask);
-            } else {
-                self.ru.release(slot, check.mask);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdes_core::UsageEncoding;
+    use mdes_core::{CompiledMdes, UsageEncoding};
     use mdes_sched::{Block, Op, Reg};
 
     fn single_alu() -> CompiledMdes {

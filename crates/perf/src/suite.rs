@@ -16,7 +16,7 @@ use mdes_engine::Engine;
 use mdes_machines::Machine;
 use mdes_oracle::{differential_gap, GapReport, OracleScheduler};
 use mdes_sched::ListScheduler;
-use mdes_workload::{generate_regions, Pcg32, RegionConfig};
+use mdes_workload::{generate_compiled_regions, Pcg32, RegionConfig};
 
 use crate::reference::PointerChasedChecker;
 use crate::{measure, BenchConfig, Sample};
@@ -98,7 +98,8 @@ pub(crate) fn oracle_differential(config: &BenchConfig, out: &mut Vec<Sample>) -
         }
         let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
         let blocks =
-            generate_regions(&spec, &RegionConfig::small(10).with_seed(config.seed)).blocks;
+            generate_compiled_regions(&compiled, &RegionConfig::small(10).with_seed(config.seed))
+                .blocks;
         let oracle = OracleScheduler::new(&compiled).with_node_limit(ORACLE_BENCH_NODE_LIMIT);
         out.push(measure(&name, config.iters(2), config.reps, || {
             let mut stats = CheckStats::new();
@@ -288,7 +289,9 @@ fn list_scheduling(config: &BenchConfig, out: &mut Vec<Sample>) {
             continue;
         }
         let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-        let blocks = generate_regions(&spec, &RegionConfig::new(32).with_seed(config.seed)).blocks;
+        let blocks =
+            generate_compiled_regions(&compiled, &RegionConfig::new(32).with_seed(config.seed))
+                .blocks;
         let scheduler = ListScheduler::new(&compiled);
         out.push(measure(&name, config.iters(10), config.reps, || {
             let mut stats = CheckStats::new();
@@ -317,7 +320,8 @@ fn engine_batches(config: &BenchConfig, out: &mut Vec<Sample>) {
     }
     let spec = Machine::Pa7100.spec();
     let compiled = Arc::new(CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap());
-    let blocks = generate_regions(&spec, &RegionConfig::new(128).with_seed(config.seed)).blocks;
+    let blocks =
+        generate_compiled_regions(&compiled, &RegionConfig::new(128).with_seed(config.seed)).blocks;
     let engine = Engine::new(compiled);
     for (name, jobs) in names.iter().zip(WORKER_COUNTS) {
         if !config.matches(name) {

@@ -14,7 +14,7 @@
 use mdes_core::{Checker, ClassId, CompiledMdes, RuMap};
 
 use crate::depgraph::DepGraph;
-use crate::operation::Block;
+use crate::operation::{Block, Op};
 use crate::CheckStats;
 
 /// Where one operation landed: 16 bytes with no heap block of its own.
@@ -191,28 +191,6 @@ pub fn selection_bounds(mdes: &CompiledMdes, block: &Block) -> Vec<u32> {
     bounds
 }
 
-/// Total selection length of `block`: one entry per OR-tree of each
-/// operation's class.  Sizing a schedule's [`Schedule::selected`] with it
-/// up front means appends never reallocate, however many attempts fail.
-fn selection_len(mdes: &CompiledMdes, block: &Block) -> usize {
-    block
-        .ops
-        .iter()
-        .map(|op| mdes.class(op.class).or_trees.len())
-        .sum()
-}
-
-/// The placement of an operation of `class` at `cycle` whose selection
-/// occupies `selected[start..]`.
-fn placed_at(cycle: i32, class: ClassId, start: usize, selected: &[u32]) -> ScheduledOp {
-    ScheduledOp {
-        cycle,
-        class,
-        sel_start: start as u32,
-        sel_len: (selected.len() - start) as u32,
-    }
-}
-
 /// Reusable mutable state for repeated list-scheduling runs.
 ///
 /// One instance serves any number of sequential [`ListScheduler`] runs —
@@ -232,8 +210,11 @@ fn placed_at(cycle: i32, class: ClassId, start: usize, selected: &[u32]) -> Sche
 pub struct SchedScratch {
     ru: RuMap,
     placed: Vec<Option<ScheduledOp>>,
-    unscheduled_preds: Vec<usize>,
-    ready_time: Vec<i32>,
+    /// Unplaced neighbours each operation still waits on: predecessors
+    /// forward, successors backward.
+    waiting: Vec<usize>,
+    /// Earliest time, in the loop's direction, each operation may issue.
+    ready: Vec<i32>,
     order: Vec<usize>,
 }
 
@@ -267,8 +248,7 @@ impl<'a> ListScheduler<'a> {
     /// (the scheduler would loop forever); a validated description of a
     /// real machine always can on an empty machine.
     pub fn schedule(&self, block: &Block, stats: &mut CheckStats) -> Schedule {
-        let graph = DepGraph::build(block, self.mdes);
-        self.schedule_with_graph(block, &graph, stats)
+        self.schedule_reusing(block, &mut SchedScratch::new(), stats)
     }
 
     /// The reset-and-reuse entry point: schedules `block` against
@@ -294,19 +274,8 @@ impl<'a> ListScheduler<'a> {
         self.schedule_with_graph_reusing(block, &graph, scratch, stats)
     }
 
-    /// Schedules `block` with a pre-built dependence graph.
-    pub fn schedule_with_graph(
-        &self,
-        block: &Block,
-        graph: &DepGraph,
-        stats: &mut CheckStats,
-    ) -> Schedule {
-        self.schedule_with_graph_reusing(block, graph, &mut SchedScratch::new(), stats)
-    }
-
-    /// [`ListScheduler::schedule_with_graph`] against borrowed scratch
-    /// state — the forward cycle-driven core all other entry points
-    /// bottom out in.
+    /// [`ListScheduler::schedule_reusing`] with a pre-built dependence
+    /// graph.
     pub fn schedule_with_graph_reusing(
         &self,
         block: &Block,
@@ -314,82 +283,7 @@ impl<'a> ListScheduler<'a> {
         scratch: &mut SchedScratch,
         stats: &mut CheckStats,
     ) -> Schedule {
-        let n = block.ops.len();
-        if n == 0 {
-            return Schedule::default();
-        }
-        let checker = Checker::new(self.mdes);
-        let heights = graph.heights();
-
-        // Reset every piece of borrowed state on entry: a cleared RU map
-        // is observationally a fresh one (the window placement is not a
-        // contract surface) — schedules depend only on the block, never
-        // on what was scheduled before.
-        let SchedScratch {
-            ru,
-            placed,
-            unscheduled_preds,
-            ready_time,
-            order,
-        } = scratch;
-        ru.clear();
-        placed.clear();
-        placed.resize(n, None);
-        unscheduled_preds.clear();
-        unscheduled_preds.extend(graph.preds.iter().map(Vec::len));
-        ready_time.clear();
-        ready_time.resize(n, 0);
-
-        let mut attempts: Vec<u32> = vec![0; n];
-        let mut selected: Vec<u32> = Vec::with_capacity(selection_len(self.mdes, block));
-        let mut remaining = n;
-        let mut cycle = 0i32;
-
-        // An operation can always issue on an empty machine, so the
-        // schedule can never exceed (critical path + n * max span) by
-        // much; use a generous bound to catch broken descriptions.
-        let span = (self.mdes.max_check_time() - self.mdes.min_check_time() + 1).max(1);
-        let height_bound: i32 = heights.iter().copied().max().unwrap_or(0);
-        let limit = height_bound + (n as i32 + 4) * span + 64;
-
-        // Critical-path height, greatest first; ties go to program order.
-        order.clear();
-        order.extend(0..n);
-        order.sort_by_key(|&i| (std::cmp::Reverse(heights[i]), i));
-
-        while remaining > 0 {
-            assert!(
-                cycle <= limit,
-                "scheduler exceeded cycle bound {limit}: some operation can never issue"
-            );
-            for &op in order.iter() {
-                if placed[op].is_some() || unscheduled_preds[op] > 0 || ready_time[op] > cycle {
-                    continue;
-                }
-                let class = block.ops[op].class;
-                attempts[op] += 1;
-                let start = selected.len();
-                if checker.try_reserve_into(ru, class, cycle, stats, &mut selected) {
-                    stats.count_operation();
-                    placed[op] = Some(placed_at(cycle, class, start, &selected));
-                    remaining -= 1;
-                    for edge in &graph.succs[op] {
-                        unscheduled_preds[edge.to] -= 1;
-                        ready_time[edge.to] = ready_time[edge.to].max(cycle + edge.latency);
-                    }
-                }
-            }
-            cycle += 1;
-        }
-
-        let ops: Vec<ScheduledOp> = placed.drain(..).map(Option::unwrap).collect();
-        let length = ops.iter().map(|s| s.cycle).max().unwrap_or(-1) + 1;
-        Schedule {
-            ops,
-            selected,
-            attempts,
-            length,
-        }
+        self.place(block, graph, scratch, stats, Direction::Forward)
     }
 
     /// Schedules `block` backward: operations are placed from the block
@@ -398,69 +292,129 @@ impl<'a> ListScheduler<'a> {
     /// at cycle 0.  Used with the backward time-shift heuristic.
     pub fn schedule_backward(&self, block: &Block, stats: &mut CheckStats) -> Schedule {
         let graph = DepGraph::build(block, self.mdes);
+        self.place(
+            block,
+            &graph,
+            &mut SchedScratch::new(),
+            stats,
+            Direction::Backward,
+        )
+    }
+
+    /// The one placement loop.  Time `t` counts up in the loop's
+    /// direction: an operation issues at cycle `t` forward and at cycle
+    /// `-t` backward, where it waits on its successors instead of its
+    /// predecessors.  Each cycle, the waiting-free operations whose ready
+    /// time has come are tried in priority order, and each placement
+    /// raises the ready time of the operations it releases to
+    /// `t + latency`.
+    fn place(
+        &self,
+        block: &Block,
+        graph: &DepGraph,
+        scratch: &mut SchedScratch,
+        stats: &mut CheckStats,
+        direction: Direction,
+    ) -> Schedule {
         let n = block.ops.len();
         if n == 0 {
             return Schedule::default();
         }
         let checker = Checker::new(self.mdes);
         let heights = graph.heights();
-        let horizon: i32 = heights.iter().copied().max().unwrap_or(0);
+        let height_bound: i32 = heights.iter().copied().max().unwrap_or(0);
+        let backward = direction == Direction::Backward;
+        let (waits_on, releases) = if backward {
+            (&graph.succs, &graph.preds)
+        } else {
+            (&graph.preds, &graph.succs)
+        };
+        // Backward placement starts at the critical-path horizon.
+        let mut t = if backward { -height_bound } else { 0 };
 
-        let mut placed: Vec<Option<ScheduledOp>> = vec![None; n];
+        // Reset every piece of borrowed state on entry: a cleared RU map
+        // is observationally a fresh one (the window placement is not a
+        // contract surface) — schedules depend only on the block, never
+        // on what was scheduled before.
+        let SchedScratch {
+            ru,
+            placed,
+            waiting,
+            ready,
+            order,
+        } = scratch;
+        ru.clear();
+        placed.clear();
+        placed.resize(n, None);
+        waiting.clear();
+        waiting.extend(waits_on.iter().map(Vec::len));
+        ready.clear();
+        ready.resize(n, t);
+
         let mut attempts: Vec<u32> = vec![0; n];
-        let mut selected: Vec<u32> = Vec::with_capacity(selection_len(self.mdes, block));
-        let mut unscheduled_succs: Vec<usize> = graph.succs.iter().map(Vec::len).collect();
-        // Latest cycle each op may occupy, given placed successors.
-        let mut deadline: Vec<i32> = vec![horizon; n];
-        let mut ru = RuMap::new();
+        // One entry per OR-tree of each operation's class, sized up front
+        // so appends never reallocate however many attempts fail.
+        let trees = |op: &Op| self.mdes.class(op.class).or_trees.len();
+        let mut selected: Vec<u32> = Vec::with_capacity(block.ops.iter().map(trees).sum());
         let mut remaining = n;
-        let mut cycle = horizon;
 
+        // An operation can always issue on an empty machine, so the
+        // schedule can never exceed (critical path + n * max span) by
+        // much; use a generous bound to catch broken descriptions.
         let span = (self.mdes.max_check_time() - self.mdes.min_check_time() + 1).max(1);
-        let limit = horizon - ((n as i32 + 4) * span + 64);
+        let limit = t + height_bound + (n as i32 + 4) * span + 64;
 
-        // Priority: *depth* (longest chain from the entry side is what
-        // matters when working bottom-up); approximate with reverse
-        // program order + low height first.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| (heights[i], std::cmp::Reverse(i)));
+        // Forward: critical-path height, greatest first; ties go to
+        // program order.  Backward: lowest height first (the chain depth
+        // from the exit matters bottom-up); ties go to reverse program
+        // order.
+        order.clear();
+        order.extend(0..n);
+        if backward {
+            order.sort_by_key(|&i| (heights[i], std::cmp::Reverse(i)));
+        } else {
+            order.sort_by_key(|&i| (std::cmp::Reverse(heights[i]), i));
+        }
 
         while remaining > 0 {
             assert!(
-                cycle >= limit,
-                "backward scheduler exceeded cycle bound: some operation can never issue"
+                t <= limit,
+                "scheduler exceeded cycle bound {limit}: some operation can never issue"
             );
-            for &op in &order {
-                if placed[op].is_some() || unscheduled_succs[op] > 0 || deadline[op] < cycle {
+            let cycle = if backward { -t } else { t };
+            for &op in order.iter() {
+                if placed[op].is_some() || waiting[op] > 0 || ready[op] > t {
                     continue;
                 }
                 let class = block.ops[op].class;
                 attempts[op] += 1;
                 let start = selected.len();
-                if checker.try_reserve_into(&mut ru, class, cycle, stats, &mut selected) {
+                if checker.try_reserve_into(ru, class, cycle, stats, &mut selected) {
                     stats.count_operation();
-                    placed[op] = Some(placed_at(cycle, class, start, &selected));
+                    placed[op] = Some(ScheduledOp {
+                        cycle,
+                        class,
+                        sel_start: start as u32,
+                        sel_len: (selected.len() - start) as u32,
+                    });
                     remaining -= 1;
-                    for edge in &graph.preds[op] {
-                        unscheduled_succs[edge.from] -= 1;
-                        deadline[edge.from] = deadline[edge.from].min(cycle - edge.latency);
+                    for edge in &releases[op] {
+                        let next = if backward { edge.from } else { edge.to };
+                        waiting[next] -= 1;
+                        ready[next] = ready[next].max(t + edge.latency);
                     }
                 }
             }
-            cycle -= 1;
+            t += 1;
         }
 
-        // Normalize to start at cycle 0.
-        let min_cycle = placed
-            .iter()
-            .map(|s| s.as_ref().unwrap().cycle)
-            .min()
-            .unwrap();
+        // Normalize to start at cycle 0 (forward schedules already do).
+        let first = placed.iter().flatten().map(|s| s.cycle).min().unwrap_or(0);
         let ops: Vec<ScheduledOp> = placed
-            .into_iter()
+            .drain(..)
             .map(|s| {
-                let mut s = s.unwrap();
-                s.cycle -= min_cycle;
+                let mut s = s.expect("every operation is placed");
+                s.cycle -= first;
                 s
             })
             .collect();
@@ -472,6 +426,15 @@ impl<'a> ListScheduler<'a> {
             length,
         }
     }
+}
+
+/// Which way [`ListScheduler`]'s placement loop walks the block.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Direction {
+    /// From the entry: operations wait on their predecessors.
+    Forward,
+    /// From the exit: operations wait on their successors.
+    Backward,
 }
 
 #[cfg(test)]
@@ -727,5 +690,36 @@ mod tests {
             .verify(&graph, &mdes)
             .unwrap_err()
             .contains("double-books"));
+    }
+
+    /// Pins backward scheduling's exact placements, selections and
+    /// checker accounting on one dependent block.  The values were taken
+    /// from the backward scheduler's own placement loop, before it ran
+    /// as the forward loop in negated time.
+    #[test]
+    fn backward_schedule_keeps_its_exact_placements_and_stats() {
+        let mdes = two_issue();
+        let (load, alu) = (class(&mdes, "load"), class(&mdes, "alu"));
+        let mut block = Block::new();
+        block.push(Op::new(load, vec![Reg(1)], vec![Reg(0)]));
+        block.push(Op::new(load, vec![Reg(2)], vec![Reg(0)]));
+        block.push(Op::new(alu, vec![Reg(3)], vec![Reg(1), Reg(2)]));
+        block.push(Op::new(alu, vec![Reg(4)], vec![Reg(3)]));
+        block.push(Op::new(alu, vec![Reg(5)], vec![Reg(1)]));
+        block.push(Op::new(load, vec![Reg(6)], vec![Reg(4)]));
+        let mut stats = CheckStats::new();
+        let schedule = ListScheduler::new(&mdes).schedule_backward(&block, &mut stats);
+        schedule
+            .verify(&DepGraph::build(&block, &mdes), &mdes)
+            .unwrap();
+        assert_eq!(schedule.cycles(), vec![0, 1, 3, 4, 5, 5]);
+        assert_eq!(schedule.length, 6);
+        assert_eq!(schedule.attempts, vec![2, 1, 1, 1, 1, 1]);
+        // Placement order runs from the exit: op 5 first, op 0 last.
+        assert_eq!(schedule.selected, vec![2, 0, 3, 1, 3, 0, 3, 0, 2, 0, 2, 0]);
+        let starts: Vec<u32> = schedule.ops.iter().map(|s| s.sel_start).collect();
+        assert_eq!(starts, vec![10, 8, 6, 4, 2, 0]);
+        let counts = (stats.attempts, stats.options_checked, stats.resource_checks);
+        assert_eq!((stats.operations, counts), (6, (7, 14, 14)));
     }
 }

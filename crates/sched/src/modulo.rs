@@ -4,16 +4,22 @@
 //! The paper argues (Section 10) that reservation-table representations,
 //! unlike finite-state automata, support "advanced scheduling techniques,
 //! such as iterative modulo scheduling, that unschedule operations in
-//! order to remove the resource conflicts" — because a kept `Choice` can
+//! order to remove the resource conflicts" — because a kept selection can
 //! be released from the RU map.  This module exercises exactly that:
 //! operations are evicted from the modulo reservation table when a
 //! higher-priority operation is forced into their slot.
+//!
+//! Placement and eviction go through the same [`Checker`] the list
+//! scheduler uses (`try_reserve_into` and `release`), on a
+//! [`ModuloRuMap`] that folds every cycle into its slot modulo II, so
+//! Ablation E's option and check counts are the list scheduler's
+//! accounting, not a mirror of it.
 //!
 //! The implementation follows the classic shape: compute MII =
 //! max(ResMII, RecMII); try each candidate II with a budgeted iterative
 //! scheduler; on budget exhaustion increase II.
 
-use mdes_core::{ClassId, CompiledMdes, RuMap};
+use mdes_core::{Checker, ClassId, CompiledMdes, ModuloRuMap, Occupancy};
 
 use crate::depgraph::{DepGraph, Edge};
 use crate::list::{check_selection, selection_bounds};
@@ -112,7 +118,7 @@ impl ModuloSchedule {
         }
         // Every operation holds one option per OR-tree of its class, and
         // the options never collide modulo II.
-        let mut mrt = RuMap::new();
+        let mut mrt = ModuloRuMap::new(self.ii);
         for (op, body_op) in looped.body.ops.iter().enumerate() {
             let selection = match (self.bounds.get(op), self.bounds.get(op + 1)) {
                 (Some(&lo), Some(&hi)) => self.selected.get(lo as usize..hi as usize),
@@ -123,14 +129,15 @@ impl ModuloSchedule {
                 .map_err(|why| format!("operation {op} {why}"))?;
             for &opt_idx in selection {
                 for check in mdes.option_checks(opt_idx as usize) {
-                    let slot = (self.cycles[op] + check.time).rem_euclid(self.ii);
-                    if !mrt.is_free(slot, check.mask) {
+                    let cycle = self.cycles[op] + check.time;
+                    if !mrt.is_free(cycle, check.mask) {
                         return Err(format!(
-                            "operation {op} conflicts in MRT slot {slot} at II {}",
+                            "operation {op} conflicts in MRT slot {} at II {}",
+                            mrt.slot(cycle),
                             self.ii
                         ));
                     }
-                    mrt.reserve(slot, check.mask);
+                    mrt.reserve(cycle, check.mask);
                 }
             }
         }
@@ -278,14 +285,17 @@ impl<'a> ModuloScheduler<'a> {
                 bounds: vec![0],
             });
         }
+        let checker = Checker::new(self.mdes);
         let graph = DepGraph::build(body, self.mdes);
         let heights = graph.heights();
 
         let mut cycles: Vec<Option<i32>> = vec![None; n];
         let bounds = selection_bounds(self.mdes, body);
         let mut selected: Vec<u32> = vec![0; bounds[n] as usize];
+        // One reservation's selection, copied into the op's fixed slot.
+        let mut choice: Vec<u32> = Vec::new();
         let mut last_forced: Vec<i32> = vec![-1; n];
-        let mut mrt = RuMap::new();
+        let mut mrt = ModuloRuMap::new(ii);
         let mut budget = self.budget_per_op * n;
 
         // Worklist in priority order: height desc, program order asc.
@@ -311,49 +321,38 @@ impl<'a> ModuloScheduler<'a> {
 
             let est = self.earliest_start(op, &graph, looped, &cycles, ii);
 
-            // Try every slot in one II window.
-            let mut placed = false;
-            let own = bounds[op] as usize..bounds[op + 1] as usize;
-            for slot in est..est + ii {
-                stats.begin_attempt();
-                let class = body.ops[op].class;
-                if self.try_reserve_modulo(
-                    &mut mrt,
-                    class,
-                    slot,
-                    ii,
-                    stats,
-                    &mut selected[own.clone()],
-                ) {
-                    stats.end_attempt(true);
-                    cycles[op] = Some(slot);
-                    placed = true;
-                    break;
+            // Try every slot in one II window; failing that, force the
+            // placement and evict conflicting operations — the
+            // unscheduling that reservation tables make possible.
+            let class = body.ops[op].class;
+            let fits = (est..est + ii).find(|&slot| {
+                choice.clear();
+                checker.try_reserve_into(&mut mrt, class, slot, stats, &mut choice)
+            });
+            let placed_cycle = match fits {
+                Some(slot) => {
+                    selected[bounds[op] as usize..bounds[op + 1] as usize].copy_from_slice(&choice);
+                    slot
                 }
-                stats.end_attempt(false);
-            }
-
-            if !placed {
-                // Force placement and evict conflicting operations —
-                // the unscheduling that reservation tables make possible.
-                let slot = est.max(last_forced[op] + 1);
-                last_forced[op] = slot;
-                self.force_place(
-                    op,
-                    slot,
-                    ii,
-                    body,
-                    &mut mrt,
-                    &mut cycles,
-                    &mut selected,
-                    &bounds,
-                );
-                cycles[op] = Some(slot);
-            }
+                None => {
+                    let slot = est.max(last_forced[op] + 1);
+                    last_forced[op] = slot;
+                    self.force_place(
+                        op,
+                        slot,
+                        class,
+                        &mut mrt,
+                        &mut cycles,
+                        &mut selected,
+                        &bounds,
+                    );
+                    slot
+                }
+            };
+            cycles[op] = Some(placed_cycle);
 
             // Evict scheduled operations whose dependences the new
             // placement violates; they will be rescheduled.
-            let placed_cycle = cycles[op].unwrap();
             let mut evict: Vec<usize> = Vec::new();
             for edge in &graph.succs[op] {
                 if let Some(to_cycle) = cycles[edge.to] {
@@ -380,7 +379,7 @@ impl<'a> ModuloScheduler<'a> {
             }
             for victim in evict {
                 if victim != op {
-                    self.unschedule(victim, ii, &mut mrt, &mut cycles, &selected, &bounds);
+                    self.unschedule(victim, &mut mrt, &mut cycles, &selected, &bounds);
                 }
             }
         }
@@ -415,62 +414,6 @@ impl<'a> ModuloScheduler<'a> {
         est.max(0)
     }
 
-    /// Modulo-wrapped variant of the core checker: probes and reserves in
-    /// MRT slots `(time + check.time) mod ii`, writing the option chosen
-    /// for OR-tree `k` of `class` into `out[k]` (`out` holds exactly one
-    /// entry per tree).  On failure the MRT is rolled back and `false`
-    /// returned; `out` is then unspecified.
-    fn try_reserve_modulo(
-        &self,
-        mrt: &mut RuMap,
-        class: ClassId,
-        time: i32,
-        ii: i32,
-        stats: &mut CheckStats,
-        out: &mut [u32],
-    ) -> bool {
-        let compiled = self.mdes.class(class);
-        for (k, &tree_idx) in compiled.or_trees.iter().enumerate() {
-            let tree = &self.mdes.or_trees()[tree_idx as usize];
-            let mut found = None;
-            'options: for &opt_idx in &tree.options {
-                stats.count_option();
-                for check in self.mdes.option_checks(opt_idx as usize) {
-                    stats.count_check();
-                    if !mrt.is_free((time + check.time).rem_euclid(ii), check.mask) {
-                        continue 'options;
-                    }
-                }
-                found = Some(opt_idx);
-                break;
-            }
-            match found {
-                Some(opt_idx) => {
-                    self.apply_modulo(mrt, opt_idx, time, ii, true);
-                    out[k] = opt_idx;
-                }
-                None => {
-                    for &opt_idx in &out[..k] {
-                        self.apply_modulo(mrt, opt_idx, time, ii, false);
-                    }
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    fn apply_modulo(&self, mrt: &mut RuMap, opt_idx: u32, time: i32, ii: i32, set: bool) {
-        for check in self.mdes.option_checks(opt_idx as usize) {
-            let slot = (time + check.time).rem_euclid(ii);
-            if set {
-                mrt.reserve(slot, check.mask);
-            } else {
-                mrt.release(slot, check.mask);
-            }
-        }
-    }
-
     /// Places `op` at `slot` unconditionally, evicting every scheduled
     /// operation whose reservations collide with the op's
     /// highest-priority selection.
@@ -479,49 +422,41 @@ impl<'a> ModuloScheduler<'a> {
         &self,
         op: usize,
         slot: i32,
-        ii: i32,
-        body: &Block,
-        mrt: &mut RuMap,
+        class: ClassId,
+        mrt: &mut ModuloRuMap,
         cycles: &mut [Option<i32>],
         selected: &mut [u32],
         bounds: &[u32],
     ) {
+        let checker = Checker::new(self.mdes);
         // The forced selection: highest-priority option of every tree,
         // written into the op's own slot.
         let own = bounds[op] as usize..bounds[op + 1] as usize;
-        let compiled = self.mdes.class(body.ops[op].class);
-        for (dst, &t) in selected[own.clone()].iter_mut().zip(&compiled.or_trees) {
+        let trees = &self.mdes.class(class).or_trees;
+        for (dst, &t) in selected[own.clone()].iter_mut().zip(trees) {
             *dst = self.mdes.or_trees()[t as usize].options[0];
         }
-        let forced = &selected[own.clone()];
 
-        // Evict conflicting ops.
-        let conflicts = |selection: &[u32], at: i32| -> bool {
-            for &mine in forced {
-                for my_check in self.mdes.option_checks(mine as usize) {
-                    let my_slot = (slot + my_check.time).rem_euclid(ii);
-                    for &theirs in selection {
-                        for their_check in self.mdes.option_checks(theirs as usize) {
-                            let their_slot = (at + their_check.time).rem_euclid(ii);
-                            if my_slot == their_slot && my_check.mask & their_check.mask != 0 {
-                                return true;
-                            }
-                        }
-                    }
-                }
-            }
-            false
+        // Evict every placed op with a check the forced selection holds.
+        let mut forced = ModuloRuMap::new(mrt.ii());
+        for &opt_idx in &selected[own.clone()] {
+            checker.apply_option_at(&mut forced, opt_idx, slot, true);
+        }
+        let collides = |i: usize, at: i32| {
+            selected[bounds[i] as usize..bounds[i + 1] as usize]
+                .iter()
+                .flat_map(|&opt_idx| self.mdes.option_checks(opt_idx as usize))
+                .any(|check| !forced.is_free(at + check.time, check.mask))
         };
-        let selection = |i: usize| &selected[bounds[i] as usize..bounds[i + 1] as usize];
         let victims: Vec<usize> = (0..cycles.len())
-            .filter(|&i| i != op && cycles[i].is_some_and(|at| conflicts(selection(i), at)))
+            .filter(|&i| i != op && cycles[i].is_some_and(|at| collides(i, at)))
             .collect();
         for victim in victims {
-            self.unschedule(victim, ii, mrt, cycles, selected, bounds);
+            self.unschedule(victim, mrt, cycles, selected, bounds);
         }
 
         for &opt_idx in &selected[own] {
-            self.apply_modulo(mrt, opt_idx, slot, ii, true);
+            checker.apply_option_at(mrt, opt_idx, slot, true);
         }
     }
 
@@ -530,16 +465,14 @@ impl<'a> ModuloScheduler<'a> {
     fn unschedule(
         &self,
         op: usize,
-        ii: i32,
-        mrt: &mut RuMap,
+        mrt: &mut ModuloRuMap,
         cycles: &mut [Option<i32>],
         selected: &[u32],
         bounds: &[u32],
     ) {
         if let Some(cycle) = cycles[op].take() {
-            for &opt_idx in &selected[bounds[op] as usize..bounds[op + 1] as usize] {
-                self.apply_modulo(mrt, opt_idx, cycle, ii, false);
-            }
+            let selection = &selected[bounds[op] as usize..bounds[op + 1] as usize];
+            Checker::new(self.mdes).release(mrt, cycle, selection);
         }
     }
 }
@@ -556,7 +489,9 @@ mod tests {
         ResourceUsage::new(mdes_core::ResourceId::from_index(r), t)
     }
 
-    /// One memory unit + two ALUs, all single-cycle issue.
+    /// One memory unit + two ALUs.  Loads and ALU ops are single-cycle
+    /// issue; a `mul` holds the memory unit for two cycles and ALU[0] for
+    /// one, which fragments the modulo reservation table.
     fn pipe_mdes() -> CompiledMdes {
         let mut spec = MdesSpec::new();
         spec.resources_mut().add("M").unwrap(); // r0
@@ -575,6 +510,10 @@ mod tests {
         )
         .unwrap();
         spec.add_class("alu", Constraint::Or(alu), Latency::new(1), OpFlags::none())
+            .unwrap();
+        let m2 = spec.add_option(TableOption::new(vec![u(0, 0), u(0, 1), u(1, 0)]));
+        let mul = spec.add_or_tree(OrTree::new(vec![m2]));
+        spec.add_class("mul", Constraint::Or(mul), Latency::new(3), OpFlags::none())
             .unwrap();
         CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap()
     }
@@ -736,5 +675,37 @@ mod tests {
         // Collapse both loads into one MRT slot.
         schedule.cycles[1] = schedule.cycles[0];
         assert!(schedule.verify(&looped, &mdes).is_err());
+    }
+
+    /// Pins the exact placement and checker accounting of one loop whose
+    /// II-6 attempt forces three placements (evicting the operations
+    /// they collide with) before II 7 succeeds.  The values were taken
+    /// from the scheduler's own private reservation walk, before it
+    /// reserved through `Checker`.
+    #[test]
+    fn forced_placements_keep_their_exact_schedule_and_stats() {
+        let mdes = pipe_mdes();
+        let class = |name: &str| mdes.class_by_name(name).unwrap();
+        let (load, alu, mul) = (class("load"), class("alu"), class("mul"));
+        let mut body = Block::new();
+        body.push(Op::new(load, vec![Reg(1)], vec![Reg(0)]));
+        body.push(Op::new(load, vec![Reg(2)], vec![Reg(0)]));
+        body.push(Op::new(mul, vec![Reg(3)], vec![Reg(8)]));
+        body.push(Op::new(alu, vec![Reg(4)], vec![Reg(1)]));
+        body.push(Op::new(mul, vec![Reg(5)], vec![Reg(4)]));
+        let looped = LoopBlock {
+            body,
+            carried: vec![(4, 0, 1, 1)],
+        };
+        let mut stats = CheckStats::new();
+        let schedule = ModuloScheduler::new(&mdes)
+            .with_budget(2)
+            .schedule(&looped, &mut stats);
+        schedule.verify(&looped, &mdes).unwrap();
+        assert_eq!(schedule.ii, 7);
+        assert_eq!(schedule.cycles, vec![0, 1, 3, 2, 5]);
+        assert_eq!(schedule.selected, vec![0, 0, 3, 1, 3]);
+        let counts = (stats.attempts, stats.options_checked, stats.resource_checks);
+        assert_eq!((counts, stats.successes), ((45, 45, 51), 12));
     }
 }

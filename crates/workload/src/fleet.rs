@@ -205,12 +205,12 @@ mod tests {
 
     #[test]
     fn fleet_machines_schedule_seeded_regions() {
-        use crate::regions::{generate_regions, RegionConfig};
+        use crate::regions::{generate_compiled_regions, RegionConfig};
         use mdes_sched::{DepGraph, ListScheduler};
 
         for machine in fleet(3, 8) {
             let mdes = CompiledMdes::compile(&machine.spec, UsageEncoding::BitVector).unwrap();
-            let workload = generate_regions(&machine.spec, &RegionConfig::small(6).with_seed(11));
+            let workload = generate_compiled_regions(&mdes, &RegionConfig::small(6).with_seed(11));
             let mut stats = mdes_core::CheckStats::new();
             for block in &workload.blocks {
                 let schedule = ListScheduler::new(&mdes).schedule(block, &mut stats);

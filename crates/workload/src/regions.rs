@@ -10,7 +10,7 @@
 //! lean on.
 
 use mdes_core::rng::Pcg32;
-use mdes_core::{ClassId, CompiledMdes, MdesSpec};
+use mdes_core::{ClassId, CompiledMdes};
 use mdes_sched::Block;
 
 use crate::generate::{make_op, Recent, Workload, WorkloadConfig};
@@ -62,44 +62,13 @@ impl RegionConfig {
     }
 }
 
-/// Generates a region stream for an arbitrary spec: a uniform class mix
-/// over the non-branch classes, one branch-flagged terminator per region
-/// when the spec has any.
-///
-/// # Panics
-///
-/// Panics if the spec has no schedulable non-branch classes.
-pub fn generate_regions(spec: &MdesSpec, config: &RegionConfig) -> Workload {
-    let mut body: Vec<ClassId> = Vec::new();
-    let mut ends: Vec<ClassId> = Vec::new();
-    for id in spec.class_ids() {
-        if spec.class(id).flags.branch {
-            ends.push(id);
-        } else {
-            body.push(id);
-        }
-    }
-    assert!(
-        !body.is_empty(),
-        "spec has no schedulable non-branch classes"
-    );
-
-    let blocks: Vec<Block> = (0..config.regions)
-        .map(|index| generate_region(spec, config, index as u64, &body, &ends))
-        .collect();
-    let total_ops = blocks.iter().map(Block::len).sum();
-    Workload { blocks, total_ops }
-}
-
-/// [`generate_regions`] for a *compiled* description — the form a serving
-/// daemon holds after loading a binary LMDES image, where the high-level
-/// spec is no longer available.  Classes are partitioned by the compiled
-/// branch/store flags, which round-trip through the image unchanged, so
-/// for a description compiled from a spec this produces exactly the block
-/// stream [`generate_regions`] would: the region at index `i` is a pure
-/// function of `(config, i, class flags)` and nothing else.  That purity
-/// is what lets two parties (a daemon and a client, or a pre-reload and a
-/// post-rollback run) independently derive byte-identical workloads.
+/// Generates a region stream for a compiled description: a uniform class
+/// mix over the non-branch classes, one branch-flagged terminator per
+/// region when the description has any.  Classes are partitioned by the
+/// compiled branch/store flags, which round-trip through an LMDES image
+/// unchanged, so a daemon serving a loaded image and a client holding the
+/// same description derive byte-identical workloads: the region at index
+/// `i` is a pure function of `(config, i, class flags)` and nothing else.
 ///
 /// # Panics
 ///
@@ -120,38 +89,22 @@ pub fn generate_compiled_regions(mdes: &CompiledMdes, config: &RegionConfig) -> 
         "description has no schedulable non-branch classes"
     );
 
-    let is_store = |class: ClassId| mdes.class(class).flags.store;
     let blocks: Vec<Block> = (0..config.regions)
-        .map(|index| region_at(config, index as u64, &body, &ends, &is_store))
+        .map(|index| region_at(mdes, config, index as u64, &body, &ends))
         .collect();
     let total_ops = blocks.iter().map(Block::len).sum();
     Workload { blocks, total_ops }
 }
 
 /// Generates the single region at `index` — independent of every other
-/// region by construction.
-fn generate_region(
-    spec: &MdesSpec,
-    config: &RegionConfig,
-    index: u64,
-    body: &[ClassId],
-    ends: &[ClassId],
-) -> Block {
-    region_at(config, index, body, ends, &|class| {
-        spec.class(class).flags.store
-    })
-}
-
-/// The shared region builder: everything machine-specific arrives through
-/// the class partition and the `is_store` predicate, so the spec-level and
-/// compiled-level entry points generate identical streams.  The block is
-/// sized before the first push, so a region is one allocation.
+/// region by construction.  The block is sized before the first push, so
+/// a region is one allocation.
 fn region_at(
+    mdes: &CompiledMdes,
     config: &RegionConfig,
     index: u64,
     body: &[ClassId],
     ends: &[ClassId],
-    is_store: &dyn Fn(ClassId) -> bool,
 ) -> Block {
     let mut rng = Pcg32::new(config.seed, index.wrapping_add(1));
     let span = (2 * config.mean_ops - 1).max(1) as u32;
@@ -162,7 +115,7 @@ fn region_at(
     let mut next_reg = 0u32;
     for _ in 0..body_len {
         let class = body[rng.gen_range(body.len() as u32) as usize];
-        let dests = usize::from(!is_store(class));
+        let dests = usize::from(!mdes.class(class).flags.store);
         block.push(make_op(
             class,
             2,
@@ -191,19 +144,24 @@ fn region_at(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdes_core::UsageEncoding;
     use mdes_machines::Machine;
+
+    fn compiled(machine: Machine) -> CompiledMdes {
+        CompiledMdes::compile(&machine.spec(), UsageEncoding::BitVector).unwrap()
+    }
 
     #[test]
     fn region_streams_are_deterministic() {
-        let spec = Machine::Pa7100.spec();
+        let mdes = compiled(Machine::Pa7100);
         let config = RegionConfig::new(64).with_seed(9);
         assert_eq!(
-            generate_regions(&spec, &config),
-            generate_regions(&spec, &config)
+            generate_compiled_regions(&mdes, &config),
+            generate_compiled_regions(&mdes, &config)
         );
         assert_ne!(
-            generate_regions(&spec, &config),
-            generate_regions(&spec, &config.with_seed(10))
+            generate_compiled_regions(&mdes, &config),
+            generate_compiled_regions(&mdes, &config.with_seed(10))
         );
     }
 
@@ -211,38 +169,22 @@ mod tests {
     fn each_region_is_independent_of_the_stream_length() {
         // Region i must not depend on how many regions surround it:
         // a longer stream starts with the shorter one.
-        let spec = Machine::SuperSparc.spec();
-        let short = generate_regions(&spec, &RegionConfig::new(16));
-        let long = generate_regions(&spec, &RegionConfig::new(48));
+        let mdes = compiled(Machine::SuperSparc);
+        let short = generate_compiled_regions(&mdes, &RegionConfig::new(16));
+        let long = generate_compiled_regions(&mdes, &RegionConfig::new(48));
         assert_eq!(short.blocks[..], long.blocks[..16]);
     }
 
     #[test]
-    fn compiled_regions_match_spec_regions_exactly() {
-        use mdes_core::{CompiledMdes, UsageEncoding};
-        for machine in Machine::all() {
-            let spec = machine.spec();
-            let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-            let config = RegionConfig::new(24).with_seed(7).with_mean_ops(9);
-            assert_eq!(
-                generate_regions(&spec, &config),
-                generate_compiled_regions(&compiled, &config),
-                "{}",
-                machine.name()
-            );
-        }
-    }
-
-    #[test]
     fn regions_respect_size_and_terminator_shape() {
-        let spec = Machine::K5.spec();
+        let mdes = compiled(Machine::K5);
         let config = RegionConfig::new(128).with_mean_ops(6);
-        let workload = generate_regions(&spec, &config);
+        let workload = generate_compiled_regions(&mdes, &config);
         assert_eq!(workload.blocks.len(), 128);
         for block in &workload.blocks {
             assert!(block.len() >= 2 && block.len() <= 2 * 6 + 1);
             let last = block.ops.last().unwrap();
-            assert!(spec.class(last.class).flags.branch);
+            assert!(mdes.class(last.class).flags.branch);
         }
         let mean = workload.total_ops as f64 / workload.blocks.len() as f64;
         assert!((3.0..12.0).contains(&mean), "mean region size {mean}");

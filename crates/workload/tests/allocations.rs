@@ -12,8 +12,8 @@ use std::cell::Cell;
 use mdes_core::{CompiledMdes, UsageEncoding};
 use mdes_machines::Machine;
 use mdes_workload::{
-    generate, generate_compiled_regions, generate_regions, generate_uniform, uniform_config,
-    RegionConfig, Workload, WorkloadConfig,
+    generate, generate_compiled_regions, generate_uniform, uniform_config, RegionConfig, Workload,
+    WorkloadConfig,
 };
 
 struct Counting;
@@ -85,12 +85,6 @@ fn a_region_costs_one_allocation() {
             assert!(
                 compiled <= limit,
                 "{machine:?}: {compiled} allocations for {regions} compiled regions"
-            );
-            assert_exact_blocks(&workload, machine.name());
-            let (from_spec, workload) = allocations_in(|| generate_regions(&spec, &config));
-            assert!(
-                from_spec <= limit,
-                "{machine:?}: {from_spec} allocations for {regions} spec regions"
             );
             assert_exact_blocks(&workload, machine.name());
         }

@@ -58,7 +58,7 @@ fn replay_checker(
         if !held.is_empty() && rng.gen_range(4) == 0 {
             let slot = rng.gen_range(held.len() as u32) as usize;
             let choice = held.swap_remove(slot);
-            checker.release(&mut ru, &choice);
+            checker.release(&mut ru, choice.time, &choice.selected);
         }
         let class = ClassId::from_index(rng.gen_range(num_classes as u32) as usize);
         let time = rng.gen_range(64) as i32;
@@ -79,7 +79,7 @@ fn replay_checker(
             if held.len() < 48 {
                 held.push(choice);
             } else {
-                checker.release(&mut ru, &choice);
+                checker.release(&mut ru, choice.time, &choice.selected);
             }
         }
     }

@@ -131,7 +131,7 @@ proptest! {
             }
         }
         for choice in choices.iter().rev() {
-            checker.release(&mut ru, choice);
+            checker.release(&mut ru, choice.time, &choice.selected);
         }
         prop_assert_eq!(ru.population(), 0);
     }

@@ -24,7 +24,7 @@ use mdes::core::{CheckStats, CompiledMdes, UsageEncoding};
 use mdes::oracle::{differential_gap, exhaustive_min_length, GapReport, OracleScheduler};
 use mdes::perf::ORACLE_GAP_CEILING;
 use mdes::sched::{DepGraph, ListScheduler};
-use mdes::workload::{fleet_machine, generate_regions, RegionConfig};
+use mdes::workload::{fleet_machine, generate_compiled_regions, RegionConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -41,7 +41,7 @@ proptest! {
         let mdes = CompiledMdes::compile(&machine.spec, UsageEncoding::BitVector).unwrap();
         let config = RegionConfig::new(2).with_mean_ops(4).with_seed(region_seed);
         let oracle = OracleScheduler::new(&mdes);
-        for block in &generate_regions(&machine.spec, &config).blocks {
+        for block in &generate_compiled_regions(&mdes, &config).blocks {
             let mut stats = CheckStats::new();
             let outcome = oracle
                 .schedule(block, &mut stats)
@@ -72,7 +72,7 @@ proptest! {
         let config = RegionConfig::new(2).with_mean_ops(4).with_seed(region_seed);
         let oracle = OracleScheduler::new(&mdes);
         let scheduler = ListScheduler::new(&mdes);
-        for block in &generate_regions(&machine.spec, &config).blocks {
+        for block in &generate_compiled_regions(&mdes, &config).blocks {
             let mut stats = CheckStats::new();
             let outcome = oracle.schedule(block, &mut stats).unwrap();
             let production = scheduler.schedule(block, &mut stats);
@@ -94,7 +94,8 @@ fn list_gap_stays_under_the_perf_ceiling() {
     let mut total = GapReport::default();
     for (name, spec) in mdes::machines::bundled() {
         let mdes = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-        let blocks = generate_regions(&spec, &RegionConfig::small(10).with_seed(42)).blocks;
+        let blocks =
+            generate_compiled_regions(&mdes, &RegionConfig::small(10).with_seed(42)).blocks;
         let oracle = OracleScheduler::new(&mdes).with_node_limit(200_000);
         let mut stats = CheckStats::new();
         let report = differential_gap(&mdes, &blocks, &oracle, &mut stats);
