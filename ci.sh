@@ -2,10 +2,11 @@
 # CI gate. Run from the repo root.
 #
 #   ./ci.sh          fast tier-1 gate: release build, dev-profile tests
-#                    (debug assertions on), the checker's and
-#                    scheduler's own suites (the scheduler allocation
-#                    gate included), the workload allocation gate, the
-#                    engine pool's suites, formatting
+#                    (debug assertions on), the HMDL front end's own
+#                    suites (its allocation gate included), the
+#                    checker's and scheduler's own suites (the scheduler
+#                    allocation gate included), the workload allocation
+#                    gate, the engine pool's suites, formatting
 #   ./ci.sh --full   everything above plus the release-profile workspace
 #                    suites, the bench-serve concurrency smokes, the
 #                    daemon serving smokes (a v1 serial client and a
@@ -86,12 +87,16 @@ cargo build --release
 cargo test -q
 
 # The root package's tests leave out member crates' own test targets.
+# The HMDL front end's suites take under a second warm: its unit tests,
+# and its allocation gate (lexing allocates only the token buffer;
+# parsing and elaborating each bundled source make a pinned count).
 # The checker's and scheduler's own suites take about 2 s warm: the
 # checker's unit tests, and the scheduler's allocation gate (a heap-free
 # `Op`, allocation-free reservation attempts, a fixed allocation count
 # per block).  The workload allocation gate (one allocation per
 # generated region) takes under a second.  Together they guard the
 # layouts the benchmark's memory figures depend on.
+cargo test -q -p mdes-lang
 cargo test -q -p mdes-core -p mdes-sched
 cargo test -q -p mdes-workload --test allocations
 

@@ -49,21 +49,31 @@ impl Pcg32 {
     #[inline]
     pub fn gen_range(&mut self, n: u32) -> u32 {
         assert!(n > 0, "gen_range requires a non-empty range");
-        // Lemire-style rejection to avoid modulo bias.
-        let threshold = n.wrapping_neg() % n;
-        loop {
-            let value = self.next_u32();
-            let product = u64::from(value) * u64::from(n);
-            if (product as u32) >= threshold {
-                return (product >> 32) as u32;
+        // Lemire's nearly divisionless rejection, against modulo bias.
+        // The threshold `2^32 mod n` is below `n`, so a low word of at
+        // least `n` is accepted without computing it.
+        let mut product = u64::from(self.next_u32()) * u64::from(n);
+        if (product as u32) < n {
+            let threshold = n.wrapping_neg() % n;
+            while (product as u32) < threshold {
+                product = u64::from(self.next_u32()) * u64::from(n);
             }
         }
+        (product >> 32) as u32
     }
 
-    /// Uniform float in `[0, 1)`.
+    /// Uniform float in `[0, 1)`: [`Pcg32::unit_f64`] of the next draw.
     #[inline]
     pub fn gen_f64(&mut self) -> f64 {
-        f64::from(self.next_u32()) / f64::from(u32::MAX as u64 as u32) / (1.0 + f64::EPSILON)
+        Pcg32::unit_f64(self.next_u32())
+    }
+
+    /// The float [`Pcg32::gen_f64`] makes of the raw draw `bits`.  The
+    /// map is monotone, so `gen_f64() < p` is a test on the raw draw
+    /// against a cut that can be computed once per `p`.
+    #[inline]
+    pub fn unit_f64(bits: u32) -> f64 {
+        f64::from(bits) / f64::from(u32::MAX) / (1.0 + f64::EPSILON)
     }
 
     /// Picks an index with probability proportional to `weights`.
@@ -176,6 +186,49 @@ mod tests {
                 0x0b97_e9c9,
             ]
         );
+    }
+
+    /// Draws recorded from the rejection loop that computed `2^32 mod n`
+    /// on every call.  `0x8000_0001` rejects about half of all draws.
+    #[test]
+    fn gen_range_known_answers() {
+        let first8 = |seed, stream, n| {
+            let mut rng = Pcg32::new(seed, stream);
+            (0..8).map(|_| rng.gen_range(n)).collect::<Vec<_>>()
+        };
+        assert_eq!(first8(0x4d44_4553, 1, 3), [0, 1, 0, 0, 2, 2, 1, 1]);
+        assert_eq!(first8(7, 2, 10), [5, 1, 6, 5, 4, 7, 8, 7]);
+        assert_eq!(
+            first8(7, 2, 1 << 16),
+            [0x97ae, 0x2ffe, 0x99f5, 0x9450, 0x6ec8, 0xb833, 0xddfc, 0xbd50]
+        );
+        assert_eq!(
+            first8(11, 3, 0x8000_0001),
+            [
+                0x6589_ca8f,
+                0x3fac_fa16,
+                0x06ff_9c05,
+                0x4a41_0aef,
+                0x31bc_dabc,
+                0x112d_ba62,
+                0x6c61_4c7e,
+                0x38fa_901c,
+            ]
+        );
+        assert_eq!(
+            first8(11, 3, u32::MAX),
+            [
+                0xd6e1_932e,
+                0xcb13_951d,
+                0xb2a4_6c2a,
+                0x7f59_f42c,
+                0x0dff_380a,
+                0x5d3f_288f,
+                0xbd11_75f8,
+                0xba7a_5166,
+            ]
+        );
+        assert_eq!(first8(1, 1, 1), [0; 8]);
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //! `for` comprehensions expand at elaboration time into enumerated options
 //! — the high-level convenience the paper notes can introduce redundant
 //! options that the Section-5 transformations later clean up.
+//!
+//! Every name in the tree borrows the source text (`'src`); elaboration
+//! copies a name only into the spec item that defines it.
 
 use crate::token::Span;
 
@@ -60,18 +63,18 @@ pub enum BinOp {
 
 /// An integer expression.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Expr {
+pub enum Expr<'src> {
     /// Literal.
     Int(i64, Span),
     /// Reference to a `let` constant or `for` variable.
-    Var(String, Span),
+    Var(&'src str, Span),
     /// Unary operation.
-    Unary(UnOp, Box<Expr>, Span),
+    Unary(UnOp, Box<Expr<'src>>, Span),
     /// Binary operation.
-    Binary(BinOp, Box<Expr>, Box<Expr>, Span),
+    Binary(BinOp, Box<Expr<'src>>, Box<Expr<'src>>, Span),
 }
 
-impl Expr {
+impl Expr<'_> {
     /// The source span of the expression.
     pub fn span(&self) -> Span {
         match self {
@@ -84,59 +87,59 @@ impl Expr {
 
 /// A reference to a resource: `M` or `Decoder[i]`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ResourceRef {
+pub struct ResourceRef<'src> {
     /// Base name.
-    pub name: String,
+    pub name: &'src str,
     /// Optional index expression for indexed families.
-    pub index: Option<Expr>,
+    pub index: Option<Expr<'src>>,
     /// Source span.
     pub span: Span,
 }
 
 /// One usage inside an option body: `Decoder[i] @ -1`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UsageAst {
+pub struct UsageAst<'src> {
     /// The resource used.
-    pub resource: ResourceRef,
+    pub resource: ResourceRef<'src>,
     /// Usage time expression.
-    pub time: Expr,
+    pub time: Expr<'src>,
 }
 
 /// An inline option body: `{ usage, usage, ... }`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OptionBody {
+pub struct OptionBody<'src> {
     /// The usages in written (check) order.
-    pub usages: Vec<UsageAst>,
+    pub usages: Vec<UsageAst<'src>>,
     /// Source span.
     pub span: Span,
 }
 
 /// One `for` binding: `name in lo..hi`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ForBinding {
+pub struct ForBinding<'src> {
     /// Loop variable name.
-    pub var: String,
+    pub var: &'src str,
     /// Inclusive lower bound.
-    pub lo: Expr,
+    pub lo: Expr<'src>,
     /// Exclusive upper bound.
-    pub hi: Expr,
+    pub hi: Expr<'src>,
 }
 
 /// An element of a `first_of(...)` list.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum OrItem {
+pub enum OrItem<'src> {
     /// A fresh inline option.
-    Inline(OptionBody),
+    Inline(OptionBody<'src>),
     /// A reference to a named option (author-specified sharing).
-    Named(String, Span),
+    Named(&'src str, Span),
     /// A comprehension generating options in lexicographic binding order.
     For {
         /// Bindings, later ones may reference earlier variables.
-        bindings: Vec<ForBinding>,
+        bindings: Vec<ForBinding<'src>>,
         /// Optional filter; combinations evaluating to 0 are skipped.
-        guard: Option<Expr>,
+        guard: Option<Expr<'src>>,
         /// Item instantiated per combination.
-        body: Box<OrItem>,
+        body: Box<OrItem<'src>>,
         /// Source span.
         span: Span,
     },
@@ -144,104 +147,104 @@ pub enum OrItem {
 
 /// The right-hand side of an `or_tree` declaration.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum OrTreeBody {
+pub enum OrTreeBody<'src> {
     /// `first_of(item, item, ...)` — explicit prioritized options.
-    FirstOf(Vec<OrItem>),
+    FirstOf(Vec<OrItem<'src>>),
     /// `cross(A, B, ...)` — the lexicographic cross product of named
     /// OR-trees, first tree outermost.  This is how a traditional
     /// (pure OR) description enumerates independent choices.
-    Cross(Vec<(String, Span)>, Span),
+    Cross(Vec<(&'src str, Span)>, Span),
 }
 
 /// Operation class fields.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ClassBody {
+pub struct ClassBody<'src> {
     /// Name of the constraint tree (`and_or_tree` or `or_tree`).
-    pub constraint: Option<(String, Span)>,
+    pub constraint: Option<(&'src str, Span)>,
     /// Result latency (default 1).
-    pub latency: Option<Expr>,
+    pub latency: Option<Expr<'src>>,
     /// Memory-dependence latency (default: same as `latency`).
-    pub mem_latency: Option<Expr>,
+    pub mem_latency: Option<Expr<'src>>,
     /// Source-operand read time (default 0).
-    pub src_time: Option<Expr>,
+    pub src_time: Option<Expr<'src>>,
     /// Flag names: `load`, `store`, `branch`, `serial`.
-    pub flags: Vec<(String, Span)>,
+    pub flags: Vec<(&'src str, Span)>,
 }
 
 /// A top-level item.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Item {
+pub enum Item<'src> {
     /// `let name = expr;`
     Let {
         /// Constant name.
-        name: String,
+        name: &'src str,
         /// Value expression.
-        value: Expr,
+        value: Expr<'src>,
         /// Source span.
         span: Span,
     },
     /// `resource name;` or `resource name[count];`
     Resource {
         /// Base name.
-        name: String,
+        name: &'src str,
         /// Family size (None = single resource).
-        count: Option<Expr>,
+        count: Option<Expr<'src>>,
         /// Source span.
         span: Span,
     },
     /// `option name = { ... };`
     Option {
         /// Option name.
-        name: String,
+        name: &'src str,
         /// Usages.
-        body: OptionBody,
+        body: OptionBody<'src>,
         /// Source span.
         span: Span,
     },
     /// `or_tree name = first_of(...)|cross(...);`
     OrTree {
         /// Tree name.
-        name: String,
+        name: &'src str,
         /// Body.
-        body: OrTreeBody,
+        body: OrTreeBody<'src>,
         /// Source span.
         span: Span,
     },
     /// `and_or_tree name = all_of(t1, t2, ...);`
     AndOrTree {
         /// Tree name.
-        name: String,
+        name: &'src str,
         /// Referenced OR-tree names, in check order.
-        trees: Vec<(String, Span)>,
+        trees: Vec<(&'src str, Span)>,
         /// Source span.
         span: Span,
     },
     /// `op NAME, NAME, ... = class;`
     Opcode {
         /// Mnemonics being mapped.
-        names: Vec<(String, Span)>,
+        names: Vec<(&'src str, Span)>,
         /// Target class name.
-        class: (String, Span),
+        class: (&'src str, Span),
         /// Source span.
         span: Span,
     },
     /// `bypass producer, consumer = latency;`
     Bypass {
         /// Producing class name.
-        producer: (String, Span),
+        producer: (&'src str, Span),
         /// Consuming class name.
-        consumer: (String, Span),
+        consumer: (&'src str, Span),
         /// Flow latency expression for the pair.
-        latency: Expr,
+        latency: Expr<'src>,
         /// Source span.
         span: Span,
     },
     /// `class name { ... }`
     Class {
         /// Class name.
-        name: String,
+        name: &'src str,
         /// Fields.
-        body: ClassBody,
+        body: ClassBody<'src>,
         /// Source span.
         span: Span,
     },
@@ -249,9 +252,9 @@ pub enum Item {
 
 /// A parsed HMDL description.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Program {
+pub struct Program<'src> {
     /// Items in source order (declare-before-use).
-    pub items: Vec<Item>,
+    pub items: Vec<Item<'src>>,
 }
 
 #[cfg(test)]
@@ -264,7 +267,7 @@ mod tests {
         let e = Expr::Binary(
             BinOp::Add,
             Box::new(Expr::Int(1, s)),
-            Box::new(Expr::Var("x".into(), s)),
+            Box::new(Expr::Var("x", s)),
             Span::new(1, 5),
         );
         assert_eq!(e.span(), Span::new(1, 5));

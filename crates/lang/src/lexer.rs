@@ -4,7 +4,8 @@ use crate::error::LangError;
 use crate::token::{Span, Token, TokenKind};
 
 /// Tokenizes HMDL source, skipping whitespace, `//` line comments and
-/// `/* ... */` block comments.
+/// `/* ... */` block comments.  Identifier and string tokens borrow their
+/// text from `source`, so the token buffer is the only allocation.
 ///
 /// # Errors
 ///
@@ -19,10 +20,10 @@ use crate::token::{Span, Token, TokenKind};
 ///
 /// let tokens = lex("resource Decoder[3]; // three decode slots").unwrap();
 /// assert_eq!(tokens[0].kind, TokenKind::Resource);
-/// assert_eq!(tokens[1].kind, TokenKind::Ident("Decoder".into()));
+/// assert_eq!(tokens[1].kind, TokenKind::Ident("Decoder"));
 /// assert_eq!(tokens.last().unwrap().kind, TokenKind::Eof);
 /// ```
-pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, LangError> {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;
@@ -96,7 +97,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
                     "for" => TokenKind::For,
                     "in" => TokenKind::In,
                     "if" => TokenKind::If,
-                    _ => TokenKind::Ident(text.to_string()),
+                    _ => TokenKind::Ident(text),
                 };
                 tokens.push(Token {
                     kind,
@@ -116,7 +117,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
                     ));
                 }
                 tokens.push(Token {
-                    kind: TokenKind::Str(source[text_start..i].to_string()),
+                    kind: TokenKind::Str(&source[text_start..i]),
                     span: Span::new(start, i + 1),
                 });
                 i += 1;
@@ -189,7 +190,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -199,7 +200,7 @@ mod tests {
             kinds("or_tree Load ="),
             vec![
                 TokenKind::OrTree,
-                TokenKind::Ident("Load".into()),
+                TokenKind::Ident("Load"),
                 TokenKind::Eq,
                 TokenKind::Eof
             ]
@@ -230,11 +231,7 @@ mod tests {
         let src = "a // comment\n /* block /* nested */ still */ b";
         assert_eq!(
             kinds(src),
-            vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Eof
-            ]
+            vec![TokenKind::Ident("a"), TokenKind::Ident("b"), TokenKind::Eof]
         );
     }
 
@@ -248,7 +245,7 @@ mod tests {
     fn string_literals() {
         assert_eq!(
             kinds("\"hello world\""),
-            vec![TokenKind::Str("hello world".into()), TokenKind::Eof]
+            vec![TokenKind::Str("hello world"), TokenKind::Eof]
         );
         assert!(lex("\"unterminated").is_err());
     }
@@ -266,7 +263,7 @@ mod tests {
             kinds("{ Decoder[2] @ -1 }"),
             vec![
                 TokenKind::LBrace,
-                TokenKind::Ident("Decoder".into()),
+                TokenKind::Ident("Decoder"),
                 TokenKind::LBracket,
                 TokenKind::Int(2),
                 TokenKind::RBracket,

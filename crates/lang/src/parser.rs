@@ -41,7 +41,7 @@ pub const MAX_ERRORS: usize = 25;
 /// ).unwrap();
 /// assert_eq!(program.items.len(), 3);
 /// ```
-pub fn parse(source: &str) -> Result<Program, LangError> {
+pub fn parse(source: &str) -> Result<Program<'_>, LangError> {
     parse_recovering(source).map_err(|errors| {
         errors
             .into_iter()
@@ -57,7 +57,7 @@ pub fn parse(source: &str) -> Result<Program, LangError> {
 ///
 /// Returns all collected errors in source order.  The first element is
 /// always the error [`parse`] would have returned.
-pub fn parse_recovering(source: &str) -> Result<Program, Vec<LangError>> {
+pub fn parse_recovering(source: &str) -> Result<Program<'_>, Vec<LangError>> {
     if source.len() > MAX_SOURCE_BYTES {
         return Err(vec![LangError::new(
             format!(
@@ -78,7 +78,7 @@ pub fn parse_recovering(source: &str) -> Result<Program, Vec<LangError>> {
     };
     let mut items = Vec::new();
     let mut errors = Vec::new();
-    while parser.peek_kind() != &TokenKind::Eof {
+    while parser.peek().kind != TokenKind::Eof {
         // Items do not nest, so the depth budget resets per item; this
         // also clears any un-unwound depth left by an error mid-item.
         parser.depth = 0;
@@ -104,33 +104,31 @@ pub fn parse_recovering(source: &str) -> Result<Program, Vec<LangError>> {
     }
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'src> {
+    /// The whole token stream: the lexer runs to the end first, so a
+    /// lexical error anywhere precedes every syntax error.
+    tokens: Vec<Token<'src>>,
     pos: usize,
     /// Current nesting depth of recursive productions (parenthesized
     /// expressions, unary chains, nested `for` items).
     depth: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
+impl<'src> Parser<'src> {
+    fn peek(&self) -> Token<'src> {
+        self.tokens[self.pos]
     }
 
-    fn peek_kind(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
-    }
-
-    fn advance(&mut self) -> Token {
-        let token = self.tokens[self.pos].clone();
+    fn advance(&mut self) -> Token<'src> {
+        let token = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         token
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
-        if self.peek_kind() == kind {
+    fn eat(&mut self, kind: TokenKind<'_>) -> bool {
+        if self.peek().kind == kind {
             self.advance();
             true
         } else {
@@ -138,27 +136,30 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<Token, LangError> {
-        if self.peek_kind() == &kind {
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<Token<'src>, LangError> {
+        let next = self.peek();
+        if next.kind == kind {
             Ok(self.advance())
         } else {
             Err(LangError::new(
-                format!("expected `{kind}`, found `{}`", self.peek_kind()),
-                self.peek().span,
+                format!("expected `{kind}`, found `{}`", next.kind),
+                next.span,
             ))
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<(String, Span), LangError> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(name) => {
-                let span = self.peek().span;
+    fn expect_ident(&mut self, what: &str) -> Result<(&'src str, Span), LangError> {
+        match self.peek() {
+            Token {
+                kind: TokenKind::Ident(name),
+                span,
+            } => {
                 self.advance();
                 Ok((name, span))
             }
             other => Err(LangError::new(
-                format!("expected {what}, found `{other}`"),
-                self.peek().span,
+                format!("expected {what}, found `{}`", other.kind),
+                other.span,
             )),
         }
     }
@@ -187,7 +188,7 @@ impl Parser {
     fn synchronize(&mut self) {
         let mut depth: usize = 0;
         loop {
-            match self.peek_kind() {
+            match self.peek().kind {
                 TokenKind::Eof => return,
                 TokenKind::Let
                 | TokenKind::Resource
@@ -236,16 +237,16 @@ impl Parser {
     /// leaving the body's `}` behind).
     fn skip_closers(&mut self) {
         while matches!(
-            self.peek_kind(),
+            self.peek().kind,
             TokenKind::RBrace | TokenKind::RParen | TokenKind::RBracket
         ) {
             self.advance();
         }
     }
 
-    fn item(&mut self) -> Result<Item, LangError> {
+    fn item(&mut self) -> Result<Item<'src>, LangError> {
         let start = self.peek().span;
-        match self.peek_kind() {
+        match self.peek().kind {
             TokenKind::Let => {
                 self.advance();
                 let (name, _) = self.expect_ident("constant name")?;
@@ -261,7 +262,7 @@ impl Parser {
             TokenKind::Resource => {
                 self.advance();
                 let (name, _) = self.expect_ident("resource name")?;
-                let count = if self.eat(&TokenKind::LBracket) {
+                let count = if self.eat(TokenKind::LBracket) {
                     let count = self.expr()?;
                     self.expect(TokenKind::RBracket)?;
                     Some(count)
@@ -306,7 +307,7 @@ impl Parser {
                 self.expect(TokenKind::AllOf)?;
                 self.expect(TokenKind::LParen)?;
                 let mut trees = vec![self.expect_ident("OR-tree name")?];
-                while self.eat(&TokenKind::Comma) {
+                while self.eat(TokenKind::Comma) {
                     trees.push(self.expect_ident("OR-tree name")?);
                 }
                 self.expect(TokenKind::RParen)?;
@@ -320,7 +321,7 @@ impl Parser {
             TokenKind::Op => {
                 self.advance();
                 let mut names = vec![self.expect_ident("opcode mnemonic")?];
-                while self.eat(&TokenKind::Comma) {
+                while self.eat(TokenKind::Comma) {
                     names.push(self.expect_ident("opcode mnemonic")?);
                 }
                 self.expect(TokenKind::Eq)?;
@@ -352,7 +353,7 @@ impl Parser {
                 let (name, _) = self.expect_ident("class name")?;
                 self.expect(TokenKind::LBrace)?;
                 let mut body = ClassBody::default();
-                while !self.eat(&TokenKind::RBrace) {
+                while !self.eat(TokenKind::RBrace) {
                     self.class_field(&mut body)?;
                 }
                 let span = start.to(self.tokens[self.pos.saturating_sub(1)].span);
@@ -365,10 +366,10 @@ impl Parser {
         }
     }
 
-    fn class_field(&mut self, body: &mut ClassBody) -> Result<(), LangError> {
+    fn class_field(&mut self, body: &mut ClassBody<'src>) -> Result<(), LangError> {
         let (field, span) = self.expect_ident("class field name")?;
         self.expect(TokenKind::Eq)?;
-        match field.as_str() {
+        match field {
             "constraint" => {
                 let target = self.expect_ident("constraint tree name")?;
                 if body.constraint.replace(target).is_some() {
@@ -395,7 +396,7 @@ impl Parser {
             }
             "flags" => loop {
                 body.flags.push(self.expect_ident("flag name")?);
-                if !self.eat(&TokenKind::Pipe) {
+                if !self.eat(TokenKind::Pipe) {
                     break;
                 }
             },
@@ -412,13 +413,13 @@ impl Parser {
         Ok(())
     }
 
-    fn or_tree_body(&mut self) -> Result<OrTreeBody, LangError> {
-        match self.peek_kind() {
+    fn or_tree_body(&mut self) -> Result<OrTreeBody<'src>, LangError> {
+        match self.peek().kind {
             TokenKind::FirstOf => {
                 self.advance();
                 self.expect(TokenKind::LParen)?;
                 let mut items = vec![self.or_item()?];
-                while self.eat(&TokenKind::Comma) {
+                while self.eat(TokenKind::Comma) {
                     items.push(self.or_item()?);
                 }
                 self.expect(TokenKind::RParen)?;
@@ -428,7 +429,7 @@ impl Parser {
                 let start = self.advance().span;
                 self.expect(TokenKind::LParen)?;
                 let mut trees = vec![self.expect_ident("OR-tree name")?];
-                while self.eat(&TokenKind::Comma) {
+                while self.eat(TokenKind::Comma) {
                     trees.push(self.expect_ident("OR-tree name")?);
                 }
                 let end = self.expect(TokenKind::RParen)?.span;
@@ -441,8 +442,8 @@ impl Parser {
         }
     }
 
-    fn or_item(&mut self) -> Result<OrItem, LangError> {
-        match self.peek_kind().clone() {
+    fn or_item(&mut self) -> Result<OrItem<'src>, LangError> {
+        match self.peek().kind {
             TokenKind::LBrace => Ok(OrItem::Inline(self.option_body()?)),
             TokenKind::Ident(name) => {
                 let span = self.advance().span;
@@ -452,10 +453,10 @@ impl Parser {
                 let start = self.advance().span;
                 self.descend(start)?;
                 let mut bindings = vec![self.for_binding()?];
-                while self.eat(&TokenKind::Comma) {
+                while self.eat(TokenKind::Comma) {
                     bindings.push(self.for_binding()?);
                 }
-                let guard = if self.eat(&TokenKind::If) {
+                let guard = if self.eat(TokenKind::If) {
                     Some(self.expr()?)
                 } else {
                     None
@@ -478,7 +479,7 @@ impl Parser {
         }
     }
 
-    fn for_binding(&mut self) -> Result<ForBinding, LangError> {
+    fn for_binding(&mut self) -> Result<ForBinding<'src>, LangError> {
         let (var, _) = self.expect_ident("loop variable")?;
         self.expect(TokenKind::In)?;
         let lo = self.expr()?;
@@ -487,10 +488,10 @@ impl Parser {
         Ok(ForBinding { var, lo, hi })
     }
 
-    fn option_body(&mut self) -> Result<OptionBody, LangError> {
+    fn option_body(&mut self) -> Result<OptionBody<'src>, LangError> {
         let start = self.expect(TokenKind::LBrace)?.span;
         let mut usages = vec![self.usage()?];
-        while self.eat(&TokenKind::Comma) {
+        while self.eat(TokenKind::Comma) {
             usages.push(self.usage()?);
         }
         let end = self.expect(TokenKind::RBrace)?.span;
@@ -500,9 +501,9 @@ impl Parser {
         })
     }
 
-    fn usage(&mut self) -> Result<UsageAst, LangError> {
+    fn usage(&mut self) -> Result<UsageAst<'src>, LangError> {
         let (name, span) = self.expect_ident("resource name")?;
-        let index = if self.eat(&TokenKind::LBracket) {
+        let index = if self.eat(TokenKind::LBracket) {
             let index = self.expr()?;
             self.expect(TokenKind::RBracket)?;
             Some(index)
@@ -525,84 +526,33 @@ impl Parser {
     //   mul := unary ((*|/|%) unary)*
     //   unary := - unary | atom
     //   atom := INT | IDENT | ( expr )
-    fn expr(&mut self) -> Result<Expr, LangError> {
-        self.or_expr()
+    // The five binary levels are one precedence-climbing loop.
+    fn expr(&mut self) -> Result<Expr<'src>, LangError> {
+        self.binary(OR)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.and_expr()?;
-        while self.peek_kind() == &TokenKind::OrOr {
-            self.advance();
-            let rhs = self.and_expr()?;
-            let span = lhs.span().to(rhs.span());
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs), span);
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.peek_kind() == &TokenKind::AndAnd {
-            self.advance();
-            let rhs = self.cmp_expr()?;
-            let span = lhs.span().to(rhs.span());
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs), span);
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr, LangError> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek_kind() {
-            TokenKind::EqEq => BinOp::Eq,
-            TokenKind::NotEq => BinOp::Ne,
-            TokenKind::Lt => BinOp::Lt,
-            TokenKind::Le => BinOp::Le,
-            TokenKind::Gt => BinOp::Gt,
-            TokenKind::Ge => BinOp::Ge,
-            _ => return Ok(lhs),
-        };
-        self.advance();
-        let rhs = self.add_expr()?;
-        let span = lhs.span().to(rhs.span());
-        Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs), span))
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.mul_expr()?;
-            let span = lhs.span().to(rhs.span());
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), span);
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, LangError> {
+    /// Parses the binary levels from `min` up.  Each level is
+    /// left-associative except `cmp`, which takes one operator at most:
+    /// once this loop has taken a comparison, `&&` or `||`, a comparison
+    /// operator ends the expression, as it does in the layered grammar.
+    fn binary(&mut self, min: u8) -> Result<Expr<'src>, LangError> {
         let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
-                _ => break,
-            };
+        let mut compared = false;
+        while let Some((op, level)) = binary_op(self.peek().kind) {
+            if level < min || (level == CMP && compared) {
+                break;
+            }
             self.advance();
-            let rhs = self.unary_expr()?;
+            let rhs = self.binary(level + 1)?;
+            compared |= level <= CMP;
             let span = lhs.span().to(rhs.span());
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), span);
         }
         Ok(lhs)
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, LangError> {
-        if self.peek_kind() == &TokenKind::Minus {
+    fn unary_expr(&mut self) -> Result<Expr<'src>, LangError> {
+        if self.peek().kind == TokenKind::Minus {
             let start = self.advance().span;
             self.descend(start)?;
             let inner = self.unary_expr()?;
@@ -613,19 +563,19 @@ impl Parser {
         self.atom()
     }
 
-    fn atom(&mut self) -> Result<Expr, LangError> {
-        match self.peek_kind().clone() {
+    fn atom(&mut self) -> Result<Expr<'src>, LangError> {
+        let next = self.peek();
+        match next.kind {
             TokenKind::Int(value) => {
-                let span = self.advance().span;
-                Ok(Expr::Int(value, span))
+                self.advance();
+                Ok(Expr::Int(value, next.span))
             }
             TokenKind::Ident(name) => {
-                let span = self.advance().span;
-                Ok(Expr::Var(name, span))
+                self.advance();
+                Ok(Expr::Var(name, next.span))
             }
             TokenKind::LParen => {
-                let span = self.peek().span;
-                self.descend(span)?;
+                self.descend(next.span)?;
                 self.advance();
                 let inner = self.expr()?;
                 self.expect(TokenKind::RParen)?;
@@ -634,10 +584,37 @@ impl Parser {
             }
             other => Err(LangError::new(
                 format!("expected expression, found `{other}`"),
-                self.peek().span,
+                next.span,
             )),
         }
     }
+}
+
+/// Binary-operator levels, loosest first.
+const OR: u8 = 1;
+const AND: u8 = 2;
+const CMP: u8 = 3;
+const ADD: u8 = 4;
+const MUL: u8 = 5;
+
+/// The operator and level of a binary-operator token.
+fn binary_op(kind: TokenKind<'_>) -> Option<(BinOp, u8)> {
+    Some(match kind {
+        TokenKind::OrOr => (BinOp::Or, OR),
+        TokenKind::AndAnd => (BinOp::And, AND),
+        TokenKind::EqEq => (BinOp::Eq, CMP),
+        TokenKind::NotEq => (BinOp::Ne, CMP),
+        TokenKind::Lt => (BinOp::Lt, CMP),
+        TokenKind::Le => (BinOp::Le, CMP),
+        TokenKind::Gt => (BinOp::Gt, CMP),
+        TokenKind::Ge => (BinOp::Ge, CMP),
+        TokenKind::Plus => (BinOp::Add, ADD),
+        TokenKind::Minus => (BinOp::Sub, ADD),
+        TokenKind::Star => (BinOp::Mul, MUL),
+        TokenKind::Slash => (BinOp::Div, MUL),
+        TokenKind::Percent => (BinOp::Rem, MUL),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -660,7 +637,7 @@ mod tests {
         assert_eq!(program.items.len(), 8);
         match &program.items[6] {
             Item::AndOrTree { name, trees, .. } => {
-                assert_eq!(name, "Load");
+                assert_eq!(*name, "Load");
                 assert_eq!(trees.len(), 2);
             }
             other => panic!("expected and_or_tree, got {other:?}"),
@@ -717,11 +694,49 @@ mod tests {
     }
 
     #[test]
+    fn boolean_operators_bind_looser_than_comparisons() {
+        // `1 < 2 && 3 < 4 || 5 >= 6` is `((1 < 2) && (3 < 4)) || (5 >= 6)`.
+        let program = parse("let x = 1 < 2 && 3 < 4 || 5 >= 6;").unwrap();
+        let Item::Let { value, .. } = &program.items[0] else {
+            panic!("expected let");
+        };
+        let Expr::Binary(BinOp::Or, lhs, rhs, _) = value else {
+            panic!("expected `||` at the top, got {value:?}");
+        };
+        assert!(matches!(**rhs, Expr::Binary(BinOp::Ge, _, _, _)));
+        let Expr::Binary(BinOp::And, a, b, _) = &**lhs else {
+            panic!("expected `&&` under `||`, got {lhs:?}");
+        };
+        assert!(matches!(**a, Expr::Binary(BinOp::Lt, _, _, _)));
+        assert!(matches!(**b, Expr::Binary(BinOp::Lt, _, _, _)));
+    }
+
+    #[test]
+    fn comparisons_do_not_chain() {
+        // A comparison takes one operator; a second one, directly or
+        // after `&&`/`||`, ends the expression where `;` was expected.
+        for src in [
+            "let x = 1 < 2 < 3;",
+            "let x = 1 && 2 < 3 < 4;",
+            "let x = 1 < 2 || 3 == 4 == 5;",
+            "let x = 1 + 2 < 3 && 4 != 5 >= 6;",
+        ] {
+            let err = parse(src).unwrap_err();
+            assert!(
+                err.message.starts_with("expected `;`, found `"),
+                "{src}: {}",
+                err.message
+            );
+        }
+        assert!(parse("let x = (1 < 2) < 3;").is_ok());
+    }
+
+    #[test]
     fn flags_accept_pipe_separated_list() {
         let program = parse("class br { constraint = T; flags = branch | serial; }").unwrap();
         match &program.items[0] {
             Item::Class { body, .. } => {
-                let names: Vec<&str> = body.flags.iter().map(|(n, _)| n.as_str()).collect();
+                let names: Vec<&str> = body.flags.iter().map(|(n, _)| *n).collect();
                 assert_eq!(names, vec!["branch", "serial"]);
             }
             other => panic!("expected class, got {other:?}"),

@@ -44,16 +44,17 @@ impl Span {
     }
 }
 
-/// Token kinds of HMDL.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TokenKind {
+/// Token kinds of HMDL.  Identifier and string text borrows the source,
+/// so a token is a plain `Copy` value.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum TokenKind<'src> {
     // Literals and identifiers.
     /// Integer literal.
     Int(i64),
     /// Identifier (may be a contextual keyword).
-    Ident(String),
-    /// String literal (used for documentation fields).
-    Str(String),
+    Ident(&'src str),
+    /// String literal (used for documentation fields), without its quotes.
+    Str(&'src str),
 
     // Keywords.
     /// `let`
@@ -145,7 +146,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Int(v) => write!(f, "{v}"),
@@ -197,10 +198,10 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its source span.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Token<'src> {
     /// The token kind.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// Where the token came from.
     pub span: Span,
 }
@@ -228,7 +229,7 @@ mod tests {
     #[test]
     fn display_round_trips_symbols() {
         assert_eq!(TokenKind::DotDot.to_string(), "..");
-        assert_eq!(TokenKind::Ident("abc".into()).to_string(), "abc");
+        assert_eq!(TokenKind::Ident("abc").to_string(), "abc");
         assert_eq!(TokenKind::Int(-4).to_string(), "-4");
     }
 }

@@ -118,13 +118,33 @@ impl Machine {
 /// Panics if a bundled description fails to compile (a build-time
 /// invariant covered by tests).
 pub fn bundled() -> Vec<(String, MdesSpec)> {
-    let mut machines: Vec<(String, MdesSpec)> = Machine::all()
+    bundled_sources()
         .into_iter()
-        .map(|m| (m.name().to_lowercase(), m.spec()))
+        .map(|(name, source)| {
+            let spec = mdes_lang::compile(source).unwrap_or_else(|err| {
+                panic!(
+                    "bundled {name} description failed to compile:\n{}",
+                    err.render(source)
+                )
+            });
+            (name, spec)
+        })
+        .collect()
+}
+
+/// The HMDL sources behind [`bundled`], under the same names and in the
+/// same order.
+pub fn bundled_sources() -> Vec<(String, &'static str)> {
+    let mut sources: Vec<(String, &'static str)> = Machine::all()
+        .into_iter()
+        .map(|m| (m.name().to_lowercase(), m.source()))
         .collect();
-    machines.push(("pentiumpro".to_string(), pentium_pro()));
-    machines.push(("superspark_approx".to_string(), approximate_superspark()));
-    machines
+    sources.push(("pentiumpro".to_string(), pentium_pro_source()));
+    sources.push((
+        "superspark_approx".to_string(),
+        approximate_superspark_source(),
+    ));
+    sources
 }
 
 /// HMDL source of the speculative Pentium Pro (P6) demonstrator — the

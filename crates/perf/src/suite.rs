@@ -6,6 +6,7 @@
 //! what the CI gate compares exactly, while timings get a noise
 //! tolerance.
 
+use std::hint::black_box;
 use std::sync::Arc;
 
 use mdes_core::{
@@ -31,6 +32,7 @@ pub(crate) const BATCH_W1_BENCH: &str = "engine/batch/w1";
 pub(crate) const BATCH_W4_BENCH: &str = "engine/batch/w4";
 
 pub(crate) fn run(config: &BenchConfig, out: &mut Vec<Sample>) {
+    lang_compile(config, out);
     rumap_word_ops(config, out);
     checker_replay(config, out);
     wide_tree_checkers(config, out);
@@ -39,6 +41,25 @@ pub(crate) fn run(config: &BenchConfig, out: &mut Vec<Sample>) {
     list_scheduling(config, out);
     engine_batches(config, out);
     serve_roundtrip(config, out);
+}
+
+/// The `lang/compile/<machine>` family: the HMDL front end (lexing,
+/// parsing, elaboration and validation through `mdes_lang::compile`)
+/// over every bundled source.  Work unit: one compiled description, so
+/// the count is exact and the timing is the front end's cost per
+/// description — what `build` pays per corpus entry, a daemon per
+/// machine at boot, and a hot reload per HMDL image.
+fn lang_compile(config: &BenchConfig, out: &mut Vec<Sample>) {
+    for (machine_name, source) in mdes_machines::bundled_sources() {
+        let name = format!("lang/compile/{machine_name}");
+        if !config.matches(&name) {
+            continue;
+        }
+        out.push(measure(&name, config.iters(100), config.reps, || {
+            black_box(mdes_lang::compile(source).unwrap());
+            1
+        }));
+    }
 }
 
 /// The `analyze/lint/<machine>` family: the full static diagnostics

@@ -138,6 +138,7 @@ pub fn generate(machine: Machine, spec: &MdesSpec, config: &WorkloadConfig) -> W
     let total_weight: f64 = branch_weight + body_weights.iter().sum::<f64>();
     let mean_body_len = ((total_weight / branch_weight - 1.0) * config.ilp_scale).max(1.0);
 
+    let shape = OperandShape::new(config);
     let mut rng = Pcg32::new(config.seed, machine as u64 + 1);
     let mut blocks = Vec::new();
     let mut emitted = 0usize;
@@ -158,7 +159,7 @@ pub fn generate(machine: Machine, spec: &MdesSpec, config: &WorkloadConfig) -> W
                 class,
                 srcs,
                 dests,
-                config,
+                &shape,
                 &mut rng,
                 &mut recent,
                 &mut next_reg,
@@ -171,7 +172,7 @@ pub fn generate(machine: Machine, spec: &MdesSpec, config: &WorkloadConfig) -> W
             class,
             srcs,
             dests,
-            config,
+            &shape,
             &mut rng,
             &mut recent,
             &mut next_reg,
@@ -234,6 +235,7 @@ pub fn generate_uniform(spec: &MdesSpec, config: &WorkloadConfig) -> Workload {
         "spec has no schedulable non-branch classes"
     );
 
+    let shape = OperandShape::new(config);
     let mut rng = Pcg32::new(config.seed, 0xD1F0);
     let mut blocks = Vec::new();
     let mut emitted = 0usize;
@@ -249,7 +251,7 @@ pub fn generate_uniform(spec: &MdesSpec, config: &WorkloadConfig) -> Workload {
                 class,
                 2,
                 dests,
-                config,
+                &shape,
                 &mut rng,
                 &mut recent,
                 &mut next_reg,
@@ -261,7 +263,7 @@ pub fn generate_uniform(spec: &MdesSpec, config: &WorkloadConfig) -> Workload {
                 class,
                 1,
                 0,
-                config,
+                &shape,
                 &mut rng,
                 &mut recent,
                 &mut next_reg,
@@ -321,6 +323,46 @@ impl Recent {
     }
 }
 
+/// A configuration's operand shape, with its two probabilities turned
+/// into cuts on the raw draw: `gen_f64() < p` exactly when `next_u32()`
+/// is below [`unit_cut`]`(p)`.  An operand then costs one integer
+/// compare instead of two `f64` divisions, and streams are unchanged.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct OperandShape {
+    registers: u32,
+    /// A draw below this reuses a recent destination (when there is one).
+    dependent: u64,
+    /// Otherwise a draw below this is a free (immediate/memory) operand.
+    free: u64,
+}
+
+impl OperandShape {
+    pub(crate) fn new(config: &WorkloadConfig) -> OperandShape {
+        OperandShape {
+            registers: config.registers,
+            dependent: unit_cut(config.dependence_density),
+            free: unit_cut(config.dependence_density + config.free_operand_fraction),
+        }
+    }
+}
+
+/// The least raw draw `x` with `Pcg32::unit_f64(x) >= p`, or `2^32` when
+/// there is none.  The map is monotone, so `unit_f64(x) < p` exactly when
+/// `x < unit_cut(p)`.
+fn unit_cut(p: f64) -> u64 {
+    let (mut lo, mut hi) = (0u64, 1u64 << 32);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        // `mid < hi <= 2^32`, so the cast is exact.
+        if Pcg32::unit_f64(mid as u32) < p {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// Generates one operation with `srcs` sources and `dests` destinations.
 ///
 /// # Panics
@@ -331,7 +373,7 @@ pub(crate) fn make_op(
     class: ClassId,
     srcs: usize,
     dests: usize,
-    config: &WorkloadConfig,
+    shape: &OperandShape,
     rng: &mut Pcg32,
     recent: &mut Recent,
     next_reg: &mut u32,
@@ -344,20 +386,20 @@ pub(crate) fn make_op(
     // Destinations first, as `Op` stores them; sources are drawn first.
     let mut regs = [Reg(0); Op::MAX_OPERANDS];
     for source in &mut regs[dests..dests + srcs] {
-        let roll = rng.gen_f64();
+        let roll = u64::from(rng.next_u32());
         let pool = recent.as_slice();
-        *source = if !pool.is_empty() && roll < config.dependence_density {
+        *source = if !pool.is_empty() && roll < shape.dependent {
             pool[rng.gen_range(pool.len() as u32) as usize]
-        } else if roll < config.dependence_density + config.free_operand_fraction {
+        } else if roll < shape.free {
             // Immediate / memory operand: a fresh register id above the
             // pool that no operation ever writes, hence no dependence.
-            Reg(config.registers + rng.gen_range(1 << 16))
+            Reg(shape.registers + rng.gen_range(1 << 16))
         } else {
-            Reg(rng.gen_range(config.registers))
+            Reg(rng.gen_range(shape.registers))
         };
     }
     for dest in &mut regs[..dests] {
-        *dest = Reg(*next_reg % config.registers);
+        *dest = Reg(*next_reg % shape.registers);
         *next_reg = next_reg.wrapping_add(1);
         recent.push(*dest);
     }
@@ -537,5 +579,28 @@ mod tests {
                 assert_eq!(op.dests().len(), template.dests);
             }
         }
+    }
+
+    /// Each cut is the first raw draw whose float reaches `p`, for every
+    /// configured probability, so the integer test takes the float test's
+    /// branch on every draw.
+    #[test]
+    fn operand_cuts_split_the_draws_where_gen_f64_does() {
+        let configs = Machine::all()
+            .into_iter()
+            .map(WorkloadConfig::paper_default)
+            .chain([uniform_config(1)]);
+        for config in configs {
+            let shape = OperandShape::new(&config);
+            let d = config.dependence_density;
+            let f = config.free_operand_fraction;
+            for (cut, p) in [(shape.dependent, d), (shape.free, d + f)] {
+                assert!(0 < cut && cut < 1 << 32, "{p}: cut {cut}");
+                assert!(Pcg32::unit_f64((cut - 1) as u32) < p, "{p}: cut {cut}");
+                assert!(p <= Pcg32::unit_f64(cut as u32), "{p}: cut {cut}");
+            }
+        }
+        assert_eq!(unit_cut(0.0), 0);
+        assert_eq!(unit_cut(1.0), 1 << 32);
     }
 }

@@ -13,7 +13,7 @@ use mdes_core::rng::Pcg32;
 use mdes_core::{ClassId, CompiledMdes};
 use mdes_sched::Block;
 
-use crate::generate::{make_op, Recent, Workload, WorkloadConfig};
+use crate::generate::{make_op, OperandShape, Recent, Workload, WorkloadConfig};
 
 /// Parameters of a synthetic region stream.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -89,8 +89,9 @@ pub fn generate_compiled_regions(mdes: &CompiledMdes, config: &RegionConfig) -> 
         "description has no schedulable non-branch classes"
     );
 
+    let shape = OperandShape::new(&config.shape);
     let blocks: Vec<Block> = (0..config.regions)
-        .map(|index| region_at(mdes, config, index as u64, &body, &ends))
+        .map(|index| region_at(mdes, config, &shape, index as u64, &body, &ends))
         .collect();
     let total_ops = blocks.iter().map(Block::len).sum();
     Workload { blocks, total_ops }
@@ -102,6 +103,7 @@ pub fn generate_compiled_regions(mdes: &CompiledMdes, config: &RegionConfig) -> 
 fn region_at(
     mdes: &CompiledMdes,
     config: &RegionConfig,
+    shape: &OperandShape,
     index: u64,
     body: &[ClassId],
     ends: &[ClassId],
@@ -120,7 +122,7 @@ fn region_at(
             class,
             2,
             dests,
-            &config.shape,
+            shape,
             &mut rng,
             &mut recent,
             &mut next_reg,
@@ -132,7 +134,7 @@ fn region_at(
             class,
             1,
             0,
-            &config.shape,
+            shape,
             &mut rng,
             &mut recent,
             &mut next_reg,
