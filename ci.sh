@@ -6,7 +6,9 @@
 #                    suites (its allocation gate included), the
 #                    checker's and scheduler's own suites (the scheduler
 #                    allocation gate included), the workload allocation
-#                    gate, the engine pool's suites, formatting
+#                    gate, the engine pool's suites, the daemon's unit
+#                    tests (the build-time boot images checked byte for
+#                    byte against the runtime pipeline), formatting
 #   ./ci.sh --full   everything above plus the release-profile workspace
 #                    suites, the bench-serve concurrency smokes, the
 #                    daemon serving smokes (a v1 serial client and a
@@ -105,6 +107,12 @@ cargo test -q -p mdes-workload --test allocations
 # strands a later one, and a skewed batch schedules byte-identically at
 # 1, 4 and 16 workers.
 cargo test -q -p mdes-engine
+
+# The daemon's unit tests take under a second warm.  Among them, the
+# boot images `crates/serve/build.rs` compiled under the build-script
+# profile must equal, byte for byte, what the runtime pipeline builds
+# under this one (`--full` repeats the check in release).
+cargo test -q -p mdes-serve --lib
 
 cargo fmt --check
 

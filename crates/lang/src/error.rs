@@ -40,8 +40,15 @@ impl LangError {
         let (line, col) = self.span.line_col(source);
         let text = source.lines().nth(line - 1).unwrap_or("");
         let caret_pad = " ".repeat(col.saturating_sub(1));
-        let caret_len = (self.span.end - self.span.start).clamp(1, text.len().max(1));
-        let carets = "^".repeat(caret_len.min(text.len().saturating_sub(col - 1)).max(1));
+        // Columns count characters, so the caret does too: a multi-byte
+        // character gets one caret, not one per byte.
+        let span_len = source
+            .get(self.span.start..self.span.end)
+            .map_or(self.span.end.saturating_sub(self.span.start), |spanned| {
+                spanned.chars().count()
+            });
+        let rest_of_line = text.chars().count().saturating_sub(col - 1);
+        let carets = "^".repeat(span_len.min(rest_of_line).max(1));
         format!(
             "error: {} (line {line}, column {col})\n  | {text}\n  | {caret_pad}{carets}",
             self.message

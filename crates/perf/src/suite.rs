@@ -40,6 +40,7 @@ pub(crate) fn run(config: &BenchConfig, out: &mut Vec<Sample>) {
     analyze_lint(config, out);
     list_scheduling(config, out);
     engine_batches(config, out);
+    serve_boot(config, out);
     serve_roundtrip(config, out);
 }
 
@@ -47,8 +48,8 @@ pub(crate) fn run(config: &BenchConfig, out: &mut Vec<Sample>) {
 /// parsing, elaboration and validation through `mdes_lang::compile`)
 /// over every bundled source.  Work unit: one compiled description, so
 /// the count is exact and the timing is the front end's cost per
-/// description — what `build` pays per corpus entry, a daemon per
-/// machine at boot, and a hot reload per HMDL image.
+/// description — what `build` pays per corpus entry and a hot reload
+/// per HMDL image.
 fn lang_compile(config: &BenchConfig, out: &mut Vec<Sample>) {
     for (machine_name, source) in mdes_machines::bundled_sources() {
         let name = format!("lang/compile/{machine_name}");
@@ -440,6 +441,27 @@ pub(crate) fn serve_load(config: &BenchConfig, out: &mut Vec<Sample>) -> (f64, f
         }
     }
     (p50, p99)
+}
+
+/// The `serve/boot/<machine>` family: what `mdesc serve` does for each
+/// shard before it binds — load the build-time LMDES image
+/// (`mdes_serve::compile_machine`) and open an image store over it,
+/// which hashes the canonical image.  Work unit: one booted shard.
+fn serve_boot(config: &BenchConfig, out: &mut Vec<Sample>) {
+    for machine in Machine::all() {
+        let name = format!("serve/boot/{}", machine.name().to_lowercase());
+        if !config.matches(&name) {
+            continue;
+        }
+        out.push(measure(&name, config.iters(100), config.reps, || {
+            black_box(mdes_serve::ImageStore::new(
+                mdes_serve::compile_machine(machine),
+                machine.name(),
+                config.seed,
+            ));
+            1
+        }));
+    }
 }
 
 /// One client connection round-tripping `schedule` requests through a

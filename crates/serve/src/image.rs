@@ -14,12 +14,17 @@
 //! no-op; reloading bytes seen earlier reuses the cached compiled
 //! description and skips recompilation *and* re-vetting (both are pure
 //! functions of the bytes).
+//!
+//! Boot does none of that work: `build.rs` runs the bundled machines
+//! through the full pipeline when the crate is built, and
+//! [`compile_machine`] only loads the embedded LMDES image.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use mdes_core::{lmdes, CompiledMdes, UsageEncoding};
 use mdes_guard::{vet_image, GuardConfig};
+use mdes_machines::Machine;
 use mdes_opt::pipeline::PipelineConfig;
 use mdes_telemetry::Telemetry;
 
@@ -163,22 +168,21 @@ pub fn compile_source(bytes: &[u8], seed: u64) -> Result<Arc<CompiledMdes>, Relo
     Ok(Arc::new(mdes))
 }
 
-/// Compiles a bundled machine the way the daemon boots it: full
-/// optimization pipeline, bit-vector encoding.  Shared by the CLI's
-/// `serve` boot path and by the closed-loop client's local verifier, so
-/// both sides derive the *same* description (and therefore the same
-/// canonical image hash) from a machine name.
-pub fn compile_machine(machine: mdes_machines::Machine) -> Arc<CompiledMdes> {
-    let mut spec = machine.spec();
-    mdes_opt::pipeline::optimize_with_telemetry(
-        &mut spec,
-        &PipelineConfig::full(),
-        &Telemetry::disabled(),
-    );
-    Arc::new(
-        CompiledMdes::compile(&spec, UsageEncoding::BitVector)
-            .expect("bundled machines always compile"),
-    )
+/// Loads a bundled machine the way the daemon boots it: `build.rs`
+/// optimized it with the full pipeline and compiled it to a bit-vector
+/// LMDES image when this crate was built, so boot runs only the
+/// validating LMDES reader (the paper's Section 4 load step).  Shared by
+/// the CLI's `serve` boot path and by the closed-loop client's local
+/// verifier, so both sides derive the *same* description (and therefore
+/// the same canonical image hash) from a machine name.
+pub fn compile_machine(machine: Machine) -> Arc<CompiledMdes> {
+    let image: &[u8] = match machine {
+        Machine::Pa7100 => include_bytes!(concat!(env!("OUT_DIR"), "/pa7100.lmdes")),
+        Machine::Pentium => include_bytes!(concat!(env!("OUT_DIR"), "/pentium.lmdes")),
+        Machine::SuperSparc => include_bytes!(concat!(env!("OUT_DIR"), "/supersparc.lmdes")),
+        Machine::K5 => include_bytes!(concat!(env!("OUT_DIR"), "/k5.lmdes")),
+    };
+    Arc::new(lmdes::read(image).expect("build-time boot images always load"))
 }
 
 /// The swap point: current image plus the content-keyed compile cache.
@@ -270,7 +274,6 @@ impl ImageStore {
 mod tests {
     use super::*;
     use mdes_guard::{corrupt_image, ImageFault};
-    use mdes_machines::Machine;
 
     fn store(machine: Machine) -> ImageStore {
         let mdes = CompiledMdes::compile(&machine.spec(), UsageEncoding::BitVector).unwrap();
@@ -279,6 +282,23 @@ mod tests {
 
     fn image_of(machine: Machine) -> Vec<u8> {
         lmdes::write(&CompiledMdes::compile(&machine.spec(), UsageEncoding::BitVector).unwrap())
+    }
+
+    /// The embedded boot images are the images the runtime pipeline
+    /// builds.  `build.rs` runs under the build-script profile and this
+    /// test under the crate's, so codegen drift between them shows too.
+    #[test]
+    fn boot_images_match_the_runtime_pipeline() {
+        for machine in Machine::all() {
+            let mut spec = machine.spec();
+            mdes_opt::pipeline::optimize(&mut spec, &PipelineConfig::full());
+            let reference = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
+            assert!(
+                lmdes::write(&compile_machine(machine)) == lmdes::write(&reference),
+                "{}: the build-time image differs from the runtime pipeline's",
+                machine.name()
+            );
+        }
     }
 
     #[test]

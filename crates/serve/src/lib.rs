@@ -21,7 +21,9 @@
 //! * [`queue`] — the bounded admission queue: shed-on-full backpressure
 //!   and drain-on-close shutdown.
 //! * [`image`] — the epoch-handoff image store: content-hashed compile
-//!   cache, guard-vetted promotion, rollback-by-not-swapping.
+//!   cache, guard-vetted promotion, rollback-by-not-swapping; and the
+//!   bundled machines' boot images, compiled by `build.rs` when the
+//!   crate is built.
 //! * [`server`] — listeners (Unix socket or TCP), per-connection
 //!   framing with slow-loris defense, pipelined dispatch across the
 //!   shard set, the worker pool with per-request deadlines and panic

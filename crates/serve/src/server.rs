@@ -684,7 +684,19 @@ fn accept_loop(
                 let handle = spawn_named("serve-reader", move || {
                     connection_loop(stream, &shared, &conn_addr)
                 });
-                connections.lock().unwrap().push(handle);
+                let mut live = connections.lock().unwrap();
+                // A finished reader keeps its stack mapped until it is
+                // joined: reap closed connections, so a long-lived daemon
+                // does not grow with every connection it has served.
+                let mut i = 0;
+                while i < live.len() {
+                    if live[i].is_finished() {
+                        let _ = live.swap_remove(i).join();
+                    } else {
+                        i += 1;
+                    }
+                }
+                live.push(handle);
             }
             Err(_) => {
                 if shared.shutdown.load(Ordering::SeqCst) {

@@ -2,17 +2,18 @@
 //! pops it, so the daemon holds `1 + shards × workers + 2 × connections`
 //! threads (accept, shard workers, a reader and a writer per connection)
 //! however wide the requests' `jobs` hints are — and the hint never
-//! changes a reply.
+//! changes a reply.  A closed connection's threads are released, so the
+//! daemon's address space does not grow with the connections it served.
 
 mod common;
 
 use std::sync::Mutex;
 
-use common::{start_sharded, TestConn};
+use common::{start, start_sharded, TestConn};
 use mdes_machines::Machine;
 use mdes_serve::ServeConfig;
 
-/// Both tests boot a daemon in this process; one at a time, so the
+/// Every test boots a daemon in this process; one at a time, so the
 /// thread census only ever sees one daemon.
 static ONE_DAEMON: Mutex<()> = Mutex::new(());
 
@@ -28,6 +29,16 @@ fn daemon_threads() -> usize {
                 .is_ok_and(|comm| comm.starts_with("serve-"))
         })
         .count()
+}
+
+/// This process's virtual size (`VmSize`), in kB.
+fn vm_size_kb() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .expect("/proc/self/status")
+        .lines()
+        .find_map(|line| line.strip_prefix("VmSize:"))
+        .and_then(|size| size.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("VmSize in kB")
 }
 
 /// A pipelined `schedule` line routed to `machine`.
@@ -124,4 +135,39 @@ fn jobs_is_a_hint_that_never_changes_a_reply() {
     drop(conn);
     handle.shutdown();
     handle.join();
+}
+
+#[test]
+fn closed_connections_do_not_grow_the_daemon() {
+    let _one = ONE_DAEMON.lock().unwrap_or_else(|e| e.into_inner());
+    const CYCLES: usize = 128;
+    // A reader's stack is 2 MiB, so keeping every finished reader mapped
+    // adds over 256 MiB across the cycles.  The bound leaves room for a
+    // few readers not yet reaped and does not scale with CYCLES.
+    const BOUND_KB: u64 = 32 * 1024;
+    let (handle, addr) = start(Machine::K5, "reap", ServeConfig::default());
+    let open_and_query = || {
+        let mut conn = TestConn::open(&addr);
+        let reply = conn.round_trip("{\"id\": 1, \"verb\": \"query\"}");
+        assert!(reply.ok, "{}", reply.body.render());
+        conn
+    };
+    // Warm up with eight connections open at once.  The allocator maps
+    // a 64 MiB arena for a new thread only when no exited thread's arena
+    // is free, so after this peak the serial cycles below reuse arenas.
+    let warm: Vec<TestConn> = (0..8).map(|_| open_and_query()).collect();
+    drop(warm);
+    let before = vm_size_kb();
+    for _ in 0..CYCLES {
+        drop(open_and_query());
+    }
+    let grown = vm_size_kb().saturating_sub(before);
+    handle.shutdown();
+    handle.join();
+
+    assert!(
+        grown < BOUND_KB,
+        "{CYCLES} closed connections grew the daemon by {grown} kB (bound {BOUND_KB} kB)"
+    );
+    assert_eq!(daemon_threads(), 0, "every daemon thread is joined");
 }

@@ -95,6 +95,17 @@ proptest! {
     }
 }
 
+/// A lone U+0800: proptest once shrank a failure of the properties above
+/// to this input.  It is one column wide, so it gets one caret, not one
+/// per UTF-8 byte.
+#[test]
+fn a_multi_byte_character_renders_one_caret() {
+    let input = "\u{800}";
+    let rendered = parse(input).expect_err("not HMDL").render(input);
+    assert!(rendered.contains("line 1, column 1"), "{rendered}");
+    assert_eq!(rendered.lines().last(), Some("  | ^"), "{rendered}");
+}
+
 #[test]
 fn pathological_nesting_is_rejected_not_overflowed() {
     // Deeply nested parenthesized expressions: the recursive-descent
