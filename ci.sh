@@ -8,7 +8,9 @@
 #                    allocation gate included), the workload allocation
 #                    gate, the engine pool's suites, the daemon's unit
 #                    tests (the build-time boot images checked byte for
-#                    byte against the runtime pipeline), formatting
+#                    byte against the runtime pipeline) and allocation
+#                    gates (worker path, and the connection path of an
+#                    id-less round trip), formatting
 #   ./ci.sh --full   everything above plus the release-profile workspace
 #                    suites, the bench-serve concurrency smokes, the
 #                    daemon serving smokes (a v1 serial client and a
@@ -16,7 +18,8 @@
 #                    closed-loop with a hot reload and an
 #                    injected-corrupt reload: non-LMDES text for the
 #                    v1 client, a truncated LMDES image for the
-#                    multi-shard one), the exact-scheduler
+#                    multi-shard one, whose daemon-wide reload counters
+#                    must equal the sum of its shards'), the exact-scheduler
 #                    oracle smoke (its production gap pinned exactly)
 #                    and fleet fuzz (docs/oracle.md), the
 #                    static-analysis lint smoke and defect-recall gate
@@ -108,11 +111,15 @@ cargo test -q -p mdes-workload --test allocations
 # 1, 4 and 16 workers.
 cargo test -q -p mdes-engine
 
-# The daemon's unit tests take under a second warm.  Among them, the
-# boot images `crates/serve/build.rs` compiled under the build-script
-# profile must equal, byte for byte, what the runtime pipeline builds
-# under this one (`--full` repeats the check in release).
-cargo test -q -p mdes-serve --lib
+# The daemon's unit tests and its allocation gates take about half a
+# second warm.  Among the unit tests, the boot images
+# `crates/serve/build.rs` compiled under the build-script profile must
+# equal, byte for byte, what the runtime pipeline builds under this one
+# (`--full` repeats the check in release).  The allocation gates hold a
+# warm worker's request to its own data, and a live daemon's id-less
+# round trip to no allocation on the connection path beyond parsing
+# the frame.
+cargo test -q -p mdes-serve --lib --test allocations
 
 cargo fmt --check
 
@@ -176,13 +183,13 @@ head -c 40 "$GOOD_IMG" >"$TRUNC_IMG"
 # drive a verified closed-loop client through 2000 requests with one
 # good hot reload and one injected-corrupt reload fired mid-run.  The
 # client pipelines nothing and sends no request ids — this is the
-# protocol-v1 byte stream, so the daemon's serial rendezvous path stays
-# covered.  serve-load exits nonzero if a single request is dropped, an
-# answer fails client-side re-scheduling verification, or a reload
-# outcome surprises it (good rejected / corrupt accepted); the daemon's
-# own metrics must then show the serve counters present, nothing left
-# in flight, both scripted reloads received (one promoted, one
-# refused), and zero engine panics.
+# protocol-v1 byte stream, so the daemon's one-slot window for id-less
+# frames stays covered.  serve-load exits nonzero if a single request
+# is dropped, an answer fails client-side re-scheduling verification,
+# or a reload outcome surprises it (good rejected / corrupt accepted);
+# the daemon's own metrics must then show the serve counters present,
+# nothing left in flight, both scripted reloads received (one promoted,
+# one refused), and zero engine panics.
 SERVE_SOCK="$ART/serve-v1.sock"
 SERVE_METRICS="$ART/serve-v1-metrics.json"
 ./target/release/mdesc --metrics "$SERVE_METRICS" serve --machine k5 \
@@ -209,7 +216,7 @@ expect '"engine/worker_panics":0' "$SERVE_METRICS"
 # LMDES rejection runs end to end.  The per-shard counters
 # then prove reload isolation: Pentium swapped images exactly once, K5
 # rejected its corrupt image and swapped nothing, and neither shard
-# dropped a request.
+# dropped a request.  The daemon-wide counters are the shards' sum.
 SHARD_SOCK="$ART/serve-sharded.sock"
 SHARD_METRICS="$ART/serve-sharded-metrics.json"
 ./target/release/mdesc --metrics "$SHARD_METRICS" serve \
@@ -230,6 +237,8 @@ expect '"serve/shard/Pentium/reloads":1' "$SHARD_METRICS"
 expect '"serve/shard/K5/reloads":0' "$SHARD_METRICS"
 expect '"serve/shard/K5/reload_failures":1' "$SHARD_METRICS"
 expect '"serve/shard/Pentium/reload_failures":0' "$SHARD_METRICS"
+expect '"serve/reloads":1' "$SHARD_METRICS"
+expect '"serve/reload_failures":1' "$SHARD_METRICS"
 expect '"engine/worker_panics":0' "$SHARD_METRICS"
 
 # Oracle smoke: the exact branch-and-bound scheduler differentials the

@@ -954,45 +954,29 @@ fn serve_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     }
 
     // Blocks until a client sends the `shutdown` verb; the daemon drains
-    // every admitted request before join returns.
-    let stats = std::sync::Arc::clone(handle.stats());
-    let shard_views: Vec<(String, std::sync::Arc<ImageStore>, _)> = handle
-        .shards()
-        .iter()
-        .map(|shard| {
-            (
-                shard.name().to_string(),
-                std::sync::Arc::clone(shard.store()),
-                std::sync::Arc::clone(shard.stats()),
-            )
-        })
-        .collect();
-    handle.join();
+    // every admitted request before join returns its final statistics.
+    let stats = handle.join();
     stats.publish(tel);
-    for (name, _, shard_stats) in &shard_views {
-        shard_stats.publish_shard(tel, name);
-    }
-    let epochs: Vec<String> = shard_views
+    let epochs: Vec<String> = stats
+        .shards
         .iter()
-        .map(|(name, store, _)| format!("{}@{}", name, store.current().epoch))
+        .map(|shard| format!("{}@{}", shard.name, shard.image.epoch))
         .collect();
+    let [p50, p99] = stats.latency_us;
+    let total = &stats.total;
     println!(
         "daemon stopped ({}): answered {}, shed {}, reloads {} (+{} rejected), \
-         p50 {}us, p99 {}us",
+         p50 {p50}us, p99 {p99}us",
         epochs.join(", "),
-        stats.answered.load(std::sync::atomic::Ordering::Relaxed),
-        stats.shed.load(std::sync::atomic::Ordering::Relaxed),
-        stats.reloads.load(std::sync::atomic::Ordering::Relaxed),
-        stats
-            .reload_failures
-            .load(std::sync::atomic::Ordering::Relaxed),
-        stats.latency.percentile(0.50).unwrap_or(0),
-        stats.latency.percentile(0.99).unwrap_or(0),
+        total.answered,
+        total.shed,
+        total.reloads,
+        total.reload_failures,
     );
-    if stats.in_flight() != 0 {
+    if total.in_flight() != 0 {
         return Err(CliError::from(format!(
             "{} admitted request(s) were never answered",
-            stats.in_flight()
+            total.in_flight()
         )));
     }
     Ok(())

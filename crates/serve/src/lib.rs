@@ -27,7 +27,8 @@
 //! * [`server`] — listeners (Unix socket or TCP), per-connection
 //!   framing with slow-loris defense, pipelined dispatch across the
 //!   shard set, the worker pool with per-request deadlines and panic
-//!   isolation, and the global plus per-shard `serve/*` statistics.
+//!   isolation, and the per-shard `serve/*` statistics with their
+//!   daemon-wide sums.
 //! * [`client`] — the closed-loop load client (serial v1 or windowed
 //!   pipelined v2, optionally spraying requests across shards) that
 //!   doubles as the chaos harness's correctness oracle, plus the bench
@@ -64,4 +65,7 @@ pub use image::{
 };
 pub use proto::{ErrorCode, Frame, Reply, Request, WorkParams, MAX_FRAME};
 pub use queue::{AdmissionQueue, PushError};
-pub use server::{serve, serve_sharded, BindAddr, ServeConfig, ServeStats, ServerHandle, Shard};
+pub use server::{
+    serve, serve_sharded, BindAddr, DaemonStats, ServeConfig, ServeStats, ServerHandle, ShardStats,
+    WorkCounts,
+};

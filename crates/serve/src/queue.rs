@@ -95,11 +95,6 @@ impl<T> AdmissionQueue<T> {
     pub fn depth(&self) -> usize {
         self.inner.lock().unwrap().items.len()
     }
-
-    /// The admission bound.
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().unwrap().capacity
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! The daemon: listeners, connection handling, the worker pool, and the
-//! serving statistics.
+//! The daemon: listeners, connection handling, the shard worker pools,
+//! and the serving statistics.
 //!
 //! ## Threading model
 //!
@@ -9,51 +9,67 @@
 //! in all, whatever the requests ask for.  A request runs start to finish
 //! on the worker that pops it, against [`WorkerScratch`] that worker
 //! builds once and reuses for its whole life; the request's `jobs` field
-//! is a hint the daemon does not turn into threads, since the shard pools
-//! already run requests in parallel.  Every daemon thread is named
-//! (`serve-accept`, `serve-worker`, `serve-reader`, `serve-writer`).
-//! The reader frames requests, answers the cheap
-//! verbs (`query`, `stats`, `reload`, `shutdown`) through the writer,
-//! and for work verbs (`schedule`, `verify`, `poison`) captures the
-//! target shard's serving image and pushes a job.  The writer serializes
-//! reply lines onto the socket in completion order:
+//! is a hint the daemon does not turn into threads.  Every daemon thread
+//! is named (`serve-accept`, `serve-worker`, `serve-reader`,
+//! `serve-writer`).
 //!
-//! * A request carrying an `id` is *pipelined* — the reader admits it
-//!   and immediately reads the next frame; the worker hands the finished
-//!   reply straight to the writer, so replies may leave out of admission
-//!   order and the client correlates them by `id`.
-//! * A request without an `id` keeps the v1 contract: the reader blocks
-//!   on the worker's rendezvous reply and forwards it before reading the
-//!   next frame — strict serial FIFO, byte-identical to v1.
+//! ## One reply path
 //!
-//! ## Sharding
+//! The reader frames requests, answers the cheap verbs (`query`,
+//! `stats`, `reload`, `shutdown`) itself, and for work verbs (`schedule`,
+//! `verify`, `poison`) captures the target shard's serving image and
+//! pushes a job.  Every reply — inline answers, worker replies, sheds and
+//! parse errors alike — reaches the socket through the connection's
+//! writer thread, in the order it reaches the writer:
 //!
-//! A daemon boots one [`Shard`] per served machine, each with its own
-//! epoch'd [`ImageStore`], admission queue, worker pool, and counters.
-//! Requests route by the optional `machine` field (default: the boot
-//! shard), so overload, deadlines, and reloads on one shard cannot
-//! disturb another — there is no shared queue to poison and no shared
-//! swap point to contend.
+//! * A frame carrying an `id` is *pipelined*: the reader handles the next
+//!   frame at once, so replies may leave out of admission order and the
+//!   client correlates them by `id`.
+//! * A frame without an `id` is a one-slot window: its reply line is
+//!   flagged, the writer reports it written on the acknowledgement
+//!   channel made with the connection, and only then does the reader
+//!   handle the next frame.  So an id-less client sees strict request
+//!   order, byte-identical to v1, a tagged frame after an id-less one
+//!   cannot overtake it, and a v1 client that stops reading its replies
+//!   stops being read.
+//!
+//! The reader never waits for a reply that cannot come: every admitted
+//! job reaches a worker (closing a queue still drains it), its panic is
+//! caught inside the worker's isolation boundary, and the worker sends
+//! its reply whatever the job did.
+//!
+//! ## Sharding and statistics
+//!
+//! A daemon boots one shard per served machine, each with its own
+//! epoch'd [`ImageStore`], admission queue, worker pool, and
+//! [`ServeStats`], so overload, deadlines, and reloads on one shard
+//! cannot disturb another.  Requests route by the optional `machine`
+//! field (default: the boot shard).  The request and reload counters are
+//! bumped once, in the shard; the daemon-wide values are summed from one
+//! snapshot per shard when read ([`DaemonStats`]).  What belongs to no
+//! shard — the connection counters and the daemon-wide latency window —
+//! is kept daemon-wide.
 //!
 //! ## Robustness contract
 //!
 //! * The serving image for a request is the one current *at admission*;
 //!   a concurrent reload never changes an admitted request's answer.
-//! * A full shard queue sheds instantly (`overload` + `retry_after_ms`);
-//!   nothing waits anywhere unbounded.
+//! * A full shard queue sheds instantly (`overload` + `retry_after_ms`).
 //! * A deadline that expires while the job is still queued cancels it at
 //!   pop time (`deadline` error) without doing the work.
 //! * Worker panics are confined to the request that caused them
 //!   (`panic` error); the worker thread survives.
-//! * Malformed frames get `parse` errors on the same connection; an
-//!   oversized or stalled (slow-loris) partial frame drops only that
-//!   connection.  Pipelined jobs already admitted when their connection
-//!   dies are still executed and counted (their replies are discarded).
+//! * Malformed frames get `parse` errors on the same connection.  An
+//!   oversized partial frame, a partial frame stalled past the read
+//!   timeout (slow loris), or a reply write that makes no progress for
+//!   as long drops only that connection.  Jobs already admitted when
+//!   their connection dies still run and count; their replies are
+//!   discarded.
 //! * Shutdown stops admissions, then drains: every admitted request is
 //!   answered before the daemon exits.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -70,7 +86,8 @@ use mdes_workload::{generate_compiled_regions, RegionConfig};
 
 use crate::image::{ImageStore, ReloadOutcome, ServeImage};
 use crate::proto::{
-    err_response, obj, ok_response, parse_frame, ErrorCode, Request, WorkParams, MAX_FRAME,
+    err_response, obj, ok_response, parse_frame, ErrorCode, Request, WireError, WorkParams,
+    MAX_FRAME,
 };
 use crate::queue::{AdmissionQueue, PushError};
 
@@ -90,9 +107,10 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission queue bound; pushes past it shed.
     pub queue_capacity: usize,
-    /// How long a *partial* frame may dangle before the connection is
-    /// dropped as a slow-loris writer.  Idle connections (no partial
-    /// frame) are never timed out.
+    /// How long a *partial* frame may dangle, or a reply write make no
+    /// progress, before the connection is dropped as a slow-loris peer.
+    /// Idle connections (no partial frame, no reply waiting to be
+    /// written) are never timed out.
     pub read_timeout_ms: u64,
     /// Deadline applied to work requests that do not carry their own.
     pub default_deadline_ms: Option<u64>,
@@ -116,223 +134,265 @@ impl Default for ServeConfig {
     }
 }
 
-/// Monotonic serving counters plus the latency reservoir.  Everything is
-/// lock-free except the reservoir, which takes one short mutex per
-/// answered request.
+/// One shard's request and reload counters plus its latency window.
+/// Only the shard's own requests and reloads bump them, each counter in
+/// one place; a [`DaemonStats`] snapshot reads them and sums them over
+/// the shards.  The counters are lock-free; an answered request takes
+/// two short reservoir mutexes, this window's and the daemon-wide one's.
 #[derive(Debug, Default)]
 pub struct ServeStats {
-    /// Work requests admitted to the queue.
-    pub admitted: AtomicU64,
-    /// Work requests answered (success or error) after admission.
-    pub answered: AtomicU64,
-    /// Work requests shed by the full queue.
-    pub shed: AtomicU64,
-    /// Admitted requests cancelled at pop time by their deadline.
-    pub deadline_exceeded: AtomicU64,
-    /// Jobs that panicked (isolated; answered with a `panic` error).
-    pub panics: AtomicU64,
-    /// Worker panics reported by the scheduling engine itself.
-    pub engine_panics: AtomicU64,
-    /// Frames rejected by the codec.
-    pub parse_errors: AtomicU64,
-    /// Connections dropped for an oversized partial frame.
-    pub oversized_frames: AtomicU64,
-    /// Connections dropped for a stalled partial frame.
-    pub slow_loris_drops: AtomicU64,
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Successful promotions.
-    pub reloads: AtomicU64,
-    /// Rejected reloads (old image kept serving).
-    pub reload_failures: AtomicU64,
-    /// Reloads recognized as byte-identical no-ops.
-    pub reload_noops: AtomicU64,
-    /// Promotions that skipped recompilation via the content cache.
-    pub reload_cache_hits: AtomicU64,
-    /// Per-request latency (admission to answer), microseconds.
-    pub latency: LatencyRecorder,
+    admitted: AtomicU64,
+    answered: AtomicU64,
+    shed: AtomicU64,
+    deadline_exceeded: AtomicU64,
+    panics: AtomicU64,
+    engine_panics: AtomicU64,
+    reloads: AtomicU64,
+    reload_failures: AtomicU64,
+    reload_noops: AtomicU64,
+    reload_cache_hits: AtomicU64,
+    latency: LatencyRecorder,
 }
 
 impl ServeStats {
-    fn new() -> ServeStats {
-        ServeStats {
-            latency: LatencyRecorder::new(4096),
-            ..ServeStats::default()
+    fn counts(&self) -> WorkCounts {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        WorkCounts {
+            admitted: load(&self.admitted),
+            answered: load(&self.answered),
+            shed: load(&self.shed),
+            deadline_exceeded: load(&self.deadline_exceeded),
+            panics: load(&self.panics),
+            engine_panics: load(&self.engine_panics),
+            reloads: load(&self.reloads),
+            reload_failures: load(&self.reload_failures),
+            reload_noops: load(&self.reload_noops),
+            reload_cache_hits: load(&self.reload_cache_hits),
         }
     }
+}
 
+/// A shard's request and reload counters at one instant, or their sum
+/// over every shard.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WorkCounts {
+    /// Work requests admitted to the queue.
+    pub admitted: u64,
+    /// Work requests answered (success or error) after admission.
+    pub answered: u64,
+    /// Work requests shed by the full queue.
+    pub shed: u64,
+    /// Admitted requests cancelled at pop time by their deadline.
+    pub deadline_exceeded: u64,
+    /// Jobs that panicked (isolated; answered with a `panic` error).
+    pub panics: u64,
+    /// Worker panics reported by the scheduling engine itself.
+    pub engine_panics: u64,
+    /// Successful promotions.
+    pub reloads: u64,
+    /// Rejected reloads (old image kept serving).
+    pub reload_failures: u64,
+    /// Reloads recognized as byte-identical no-ops.
+    pub reload_noops: u64,
+    /// Promotions that skipped recompilation via the content cache.
+    pub reload_cache_hits: u64,
+}
+
+impl WorkCounts {
     /// Requests admitted but not (yet) answered.  Zero on a quiescent
     /// daemon; the chaos harness asserts it is zero after drain.
     pub fn in_flight(&self) -> u64 {
-        self.admitted
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.answered.load(Ordering::Relaxed))
+        self.admitted.saturating_sub(self.answered)
     }
 
-    /// The `stats` verb payload.
-    pub fn to_json(&self, image: &ServeImage, queue_depth: usize) -> Json {
-        let c = |a: &AtomicU64| Json::Num(a.load(Ordering::Relaxed) as f64);
-        obj(vec![
-            ("admitted", c(&self.admitted)),
-            ("answered", c(&self.answered)),
-            ("shed", c(&self.shed)),
-            ("deadline_exceeded", c(&self.deadline_exceeded)),
-            ("panics", c(&self.panics)),
-            ("engine_worker_panics", c(&self.engine_panics)),
-            ("parse_errors", c(&self.parse_errors)),
-            ("oversized_frames", c(&self.oversized_frames)),
-            ("slow_loris_drops", c(&self.slow_loris_drops)),
-            ("connections", c(&self.connections)),
-            ("reloads", c(&self.reloads)),
-            ("reload_failures", c(&self.reload_failures)),
-            ("reload_noops", c(&self.reload_noops)),
-            ("reload_cache_hits", c(&self.reload_cache_hits)),
-            ("in_flight", Json::Num(self.in_flight() as f64)),
-            ("queue_depth", Json::Num(queue_depth as f64)),
-            ("epoch", Json::Num(image.epoch as f64)),
+    fn plus(self, other: &WorkCounts) -> WorkCounts {
+        WorkCounts {
+            admitted: self.admitted + other.admitted,
+            answered: self.answered + other.answered,
+            shed: self.shed + other.shed,
+            deadline_exceeded: self.deadline_exceeded + other.deadline_exceeded,
+            panics: self.panics + other.panics,
+            engine_panics: self.engine_panics + other.engine_panics,
+            reloads: self.reloads + other.reloads,
+            reload_failures: self.reload_failures + other.reload_failures,
+            reload_noops: self.reload_noops + other.reload_noops,
+            reload_cache_hits: self.reload_cache_hits + other.reload_cache_hits,
+        }
+    }
+
+    /// The fields a shard entry of `stats` and its daemon-wide line share.
+    fn json_fields(
+        &self,
+        queue_depth: usize,
+        image: &ServeImage,
+        latency: [u64; 2],
+    ) -> Vec<(&'static str, Json)> {
+        let n = |v: u64| Json::Num(v as f64);
+        vec![
+            ("admitted", n(self.admitted)),
+            ("answered", n(self.answered)),
+            ("shed", n(self.shed)),
+            ("deadline_exceeded", n(self.deadline_exceeded)),
+            ("panics", n(self.panics)),
+            ("reloads", n(self.reloads)),
+            ("reload_failures", n(self.reload_failures)),
+            ("reload_noops", n(self.reload_noops)),
+            ("reload_cache_hits", n(self.reload_cache_hits)),
+            ("in_flight", n(self.in_flight())),
+            ("queue_depth", n(queue_depth as u64)),
+            ("epoch", n(image.epoch)),
             ("hash", Json::Str(format!("{:016x}", image.hash))),
             ("origin", Json::Str(image.origin.clone())),
-            (
-                "p50_us",
-                Json::Num(self.latency.percentile(0.50).unwrap_or(0) as f64),
-            ),
-            (
-                "p99_us",
-                Json::Num(self.latency.percentile(0.99).unwrap_or(0) as f64),
-            ),
-        ])
+            ("p50_us", n(latency[0])),
+            ("p99_us", n(latency[1])),
+        ]
     }
 
-    /// Folds the serving counters into a telemetry registry under
-    /// `serve/*` (and the engine-panic gate under `engine/*`).  Counters
-    /// are always created — a clean run publishes explicit zeros so
-    /// metrics consumers can gate on `serve/dropped` and
-    /// `engine/worker_panics` being present *and* zero.
+    /// Publishes the counters a shard and the daemon-wide line share
+    /// under `prefix`, and the latency percentiles as gauges.
+    fn publish(&self, tel: &Telemetry, prefix: &str, latency: [u64; 2]) {
+        for (key, value) in [
+            ("admitted", self.admitted),
+            ("answered", self.answered),
+            ("shed", self.shed),
+            ("deadline_exceeded", self.deadline_exceeded),
+            ("panics", self.panics),
+            ("reloads", self.reloads),
+            ("reload_failures", self.reload_failures),
+            ("reload_cache_hits", self.reload_cache_hits),
+            ("dropped", self.in_flight()),
+        ] {
+            tel.counter_add(&format!("{prefix}{key}"), value);
+        }
+        tel.gauge_set(&format!("{prefix}p50_us"), latency[0] as f64);
+        tel.gauge_set(&format!("{prefix}p99_us"), latency[1] as f64);
+    }
+}
+
+/// One shard in a [`DaemonStats`] snapshot.
+#[derive(Clone, Debug)]
+pub struct ShardStats {
+    /// The shard's routing name.
+    pub name: String,
+    /// The shard's counters.
+    pub counts: WorkCounts,
+    /// Jobs waiting in the shard's queue.
+    pub queue_depth: usize,
+    /// The shard's serving image.
+    pub image: Arc<ServeImage>,
+    /// p50 and p99 over the shard's latency window, microseconds.
+    pub latency_us: [u64; 2],
+}
+
+/// The daemon's statistics at one instant: one snapshot per shard, their
+/// sum, and what belongs to no shard.  The `stats` verb renders one;
+/// [`ServerHandle::join`] returns the final one.
+#[derive(Clone, Debug)]
+pub struct DaemonStats {
+    /// Every shard, in boot order.
+    pub shards: Vec<ShardStats>,
+    /// The shards' counters, summed.
+    pub total: WorkCounts,
+    /// Connections accepted.
+    pub connections: u64,
+    /// Frames rejected by the codec or naming a machine not served.
+    pub parse_errors: u64,
+    /// Connections dropped for an oversized partial frame.
+    pub oversized_frames: u64,
+    /// Connections dropped for a stall in either direction: a partial
+    /// frame that dangled past the read timeout, or a reply write that
+    /// made no progress for as long.
+    pub slow_loris_drops: u64,
+    /// p50 and p99 over the daemon-wide latency window, microseconds.
+    pub latency_us: [u64; 2],
+}
+
+impl DaemonStats {
+    /// The `stats` verb payload; the daemon-wide line names the image of
+    /// shard `routed`, the one the frame was routed to.
+    fn to_json(&self, routed: usize) -> Json {
+        let depth = self.shards.iter().map(|shard| shard.queue_depth).sum();
+        let image = &self.shards[routed].image;
+        let mut fields = self.total.json_fields(depth, image, self.latency_us);
+        let n = |v: u64| Json::Num(v as f64);
+        let shards = self.shards.iter().map(|shard| {
+            let fields =
+                shard
+                    .counts
+                    .json_fields(shard.queue_depth, &shard.image, shard.latency_us);
+            (shard.name.clone(), obj(fields))
+        });
+        fields.extend([
+            ("engine_worker_panics", n(self.total.engine_panics)),
+            ("parse_errors", n(self.parse_errors)),
+            ("oversized_frames", n(self.oversized_frames)),
+            ("slow_loris_drops", n(self.slow_loris_drops)),
+            ("connections", n(self.connections)),
+            ("shards", Json::Obj(shards.collect())),
+        ]);
+        obj(fields)
+    }
+
+    /// Publishes the daemon-wide counters under `serve/*` (and the
+    /// engine-panic gate under `engine/*`) plus each shard's under
+    /// `serve/shard/<name>/*`.  Counters are always created — a clean run
+    /// publishes explicit zeros so metrics consumers can gate on
+    /// `serve/dropped` and `engine/worker_panics` being present *and*
+    /// zero.
     pub fn publish(&self, tel: &Telemetry) {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        tel.counter_add("serve/admitted", load(&self.admitted));
-        tel.counter_add("serve/answered", load(&self.answered));
-        tel.counter_add("serve/shed", load(&self.shed));
-        tel.counter_add("serve/deadline_exceeded", load(&self.deadline_exceeded));
-        tel.counter_add("serve/panics", load(&self.panics));
-        tel.counter_add("serve/parse_errors", load(&self.parse_errors));
-        tel.counter_add("serve/oversized_frames", load(&self.oversized_frames));
-        tel.counter_add("serve/slow_loris_drops", load(&self.slow_loris_drops));
-        tel.counter_add("serve/connections", load(&self.connections));
-        tel.counter_add("serve/reloads", load(&self.reloads));
-        tel.counter_add("serve/reload_failures", load(&self.reload_failures));
-        tel.counter_add("serve/reload_cache_hits", load(&self.reload_cache_hits));
-        tel.counter_add("serve/dropped", self.in_flight());
-        tel.counter_add("engine/worker_panics", load(&self.engine_panics));
-        tel.gauge_set(
-            "serve/p50_us",
-            self.latency.percentile(0.50).unwrap_or(0) as f64,
-        );
-        tel.gauge_set(
-            "serve/p99_us",
-            self.latency.percentile(0.99).unwrap_or(0) as f64,
-        );
-    }
-
-    /// Publishes the work-path counters under `serve/shard/<name>/*`.
-    /// Connection-level counters (parse errors, slow-loris drops, …) are
-    /// global by nature and stay under `serve/*`.
-    pub fn publish_shard(&self, tel: &Telemetry, name: &str) {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let key = |suffix: &str| format!("serve/shard/{name}/{suffix}");
-        tel.counter_add(&key("admitted"), load(&self.admitted));
-        tel.counter_add(&key("answered"), load(&self.answered));
-        tel.counter_add(&key("shed"), load(&self.shed));
-        tel.counter_add(&key("deadline_exceeded"), load(&self.deadline_exceeded));
-        tel.counter_add(&key("panics"), load(&self.panics));
-        tel.counter_add(&key("reloads"), load(&self.reloads));
-        tel.counter_add(&key("reload_failures"), load(&self.reload_failures));
-        tel.counter_add(&key("reload_cache_hits"), load(&self.reload_cache_hits));
-        tel.counter_add(&key("dropped"), self.in_flight());
-        tel.gauge_set(
-            &key("p50_us"),
-            self.latency.percentile(0.50).unwrap_or(0) as f64,
-        );
-        tel.gauge_set(
-            &key("p99_us"),
-            self.latency.percentile(0.99).unwrap_or(0) as f64,
-        );
-    }
-
-    /// The per-shard entry inside the `stats` verb's `shards` object.
-    fn to_shard_json(&self, image: &ServeImage, queue_depth: usize) -> Json {
-        let c = |a: &AtomicU64| Json::Num(a.load(Ordering::Relaxed) as f64);
-        obj(vec![
-            ("admitted", c(&self.admitted)),
-            ("answered", c(&self.answered)),
-            ("shed", c(&self.shed)),
-            ("deadline_exceeded", c(&self.deadline_exceeded)),
-            ("panics", c(&self.panics)),
-            ("reloads", c(&self.reloads)),
-            ("reload_failures", c(&self.reload_failures)),
-            ("reload_noops", c(&self.reload_noops)),
-            ("reload_cache_hits", c(&self.reload_cache_hits)),
-            ("in_flight", Json::Num(self.in_flight() as f64)),
-            ("queue_depth", Json::Num(queue_depth as f64)),
-            ("epoch", Json::Num(image.epoch as f64)),
-            ("hash", Json::Str(format!("{:016x}", image.hash))),
-            ("origin", Json::Str(image.origin.clone())),
-            (
-                "p50_us",
-                Json::Num(self.latency.percentile(0.50).unwrap_or(0) as f64),
-            ),
-            (
-                "p99_us",
-                Json::Num(self.latency.percentile(0.99).unwrap_or(0) as f64),
-            ),
-        ])
-    }
-}
-
-/// What a worker executes for one admitted request.
-enum JobKind {
-    Work {
-        params: WorkParams,
-        verify: bool,
-    },
-    /// Chaos: panic on purpose inside the isolation boundary.
-    Poison,
-}
-
-/// Where a worker delivers a finished reply line.
-enum ReplySink {
-    /// v1 serial path: the connection reader blocks on this rendezvous
-    /// before it reads the next frame.
-    Rendezvous(mpsc::SyncSender<String>),
-    /// v2 pipelined path: the line goes straight to the connection's
-    /// writer thread, in completion order.
-    Writer(mpsc::Sender<String>),
-}
-
-impl ReplySink {
-    /// Delivers the reply.  The connection may have died while the job
-    /// ran; the request still counts as answered, so failures to deliver
-    /// are deliberately ignored.
-    fn send(&self, line: String) {
-        match self {
-            ReplySink::Rendezvous(tx) => {
-                let _ = tx.send(line);
-            }
-            ReplySink::Writer(tx) => {
-                let _ = tx.send(line);
-            }
+        self.total.publish(tel, "serve/", self.latency_us);
+        for (key, value) in [
+            ("serve/parse_errors", self.parse_errors),
+            ("serve/oversized_frames", self.oversized_frames),
+            ("serve/slow_loris_drops", self.slow_loris_drops),
+            ("serve/connections", self.connections),
+            ("engine/worker_panics", self.total.engine_panics),
+        ] {
+            tel.counter_add(key, value);
+        }
+        for shard in &self.shards {
+            let prefix = format!("serve/shard/{}/", shard.name);
+            shard.counts.publish(tel, &prefix, shard.latency_us);
         }
     }
 }
 
+/// p50 and p99 over `latency`'s window (zeros before the first sample).
+fn percentiles(latency: &LatencyRecorder) -> [u64; 2] {
+    [0.50, 0.99].map(|q| latency.percentile(q).unwrap_or(0))
+}
+
+/// What belongs to no shard: the connection counters, and the daemon-wide
+/// latency window (see [`DaemonStats`] for each counter's meaning).
+#[derive(Debug, Default)]
+struct ConnectionStats {
+    connections: AtomicU64,
+    parse_errors: AtomicU64,
+    oversized_frames: AtomicU64,
+    slow_loris_drops: AtomicU64,
+    latency: LatencyRecorder,
+}
+
+/// One admitted work request (`schedule`, `verify`, or chaos `poison`).
 struct Job {
     id: u64,
-    kind: JobKind,
+    request: Request,
     /// The serving image captured at admission.
     image: Arc<ServeImage>,
     deadline: Option<Instant>,
     admitted_at: Instant,
-    reply: ReplySink,
+    /// The connection's writer.
+    reply: mpsc::Sender<Line>,
+    /// The frame was id-less: the reader awaits this reply's write.
+    ack: bool,
+}
+
+/// One reply line on its way to the connection's writer.
+struct Line {
+    text: String,
+    /// Report the line written (or discarded) on the connection's
+    /// acknowledgement channel: the reader is waiting for it.
+    ack: bool,
 }
 
 enum Listener {
@@ -358,6 +418,21 @@ impl Stream {
         match self {
             Stream::Unix(s) => s.set_read_timeout(timeout),
             Stream::Tcp(s) => s.set_read_timeout(timeout),
+        }
+    }
+
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.set_write_timeout(timeout),
+            Stream::Tcp(s) => s.set_write_timeout(timeout),
+        }
+    }
+
+    /// Shuts the socket down both ways, for every handle on it.
+    fn shutdown(&self) -> std::io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.shutdown(Shutdown::Both),
+            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
         }
     }
 
@@ -397,61 +472,70 @@ impl Write for Stream {
 /// One served machine: its own swap point, admission queue, worker
 /// pool, and counters.  Isolation between machines falls out of the
 /// structure — shards share nothing but the listener.
-pub struct Shard {
+struct Shard {
     /// Routing name (the `machine` field targets this).
     name: String,
     store: Arc<ImageStore>,
     queue: AdmissionQueue<Job>,
-    stats: Arc<ServeStats>,
-}
-
-impl Shard {
-    /// The shard's routing name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The shard's image store.
-    pub fn store(&self) -> &Arc<ImageStore> {
-        &self.store
-    }
-
-    /// The shard's work-path counters.
-    pub fn stats(&self) -> &Arc<ServeStats> {
-        &self.stats
-    }
+    stats: ServeStats,
 }
 
 /// Shared daemon state.
 struct Shared {
     /// Boot-order shards; index 0 is the default (v1) routing target.
     shards: Vec<Shard>,
-    stats: Arc<ServeStats>,
+    stats: ConnectionStats,
     config: ServeConfig,
     shutdown: AtomicBool,
 }
 
 impl Shared {
-    /// Routes a frame's `machine` field to a shard.
-    fn shard_for(&self, machine: Option<&str>) -> Option<&Shard> {
-        match machine {
-            None => self.shards.first(),
-            Some(name) => self.shards.iter().find(|shard| shard.name == name),
-        }
+    /// Routes a frame's `machine` field to a shard index; naming a
+    /// machine the daemon does not serve is a `parse` error.
+    fn route(&self, id: u64, machine: Option<&str>) -> Result<usize, WireError> {
+        let Some(name) = machine else { return Ok(0) };
+        self.shards
+            .iter()
+            .position(|shard| shard.name == name)
+            .ok_or_else(|| {
+                let served: Vec<&str> = self.shards.iter().map(|s| s.name.as_str()).collect();
+                WireError {
+                    id,
+                    code: ErrorCode::Parse,
+                    message: format!(
+                        "machine `{name}` is not served here (serving: {})",
+                        served.join(", ")
+                    ),
+                }
+            })
     }
 
-    /// The `parse` error for a `machine` the daemon does not serve.
-    fn unknown_machine(&self, id: u64, name: &str) -> String {
-        let served: Vec<&str> = self.shards.iter().map(|s| s.name.as_str()).collect();
-        err_response(
-            id,
-            ErrorCode::Parse,
-            &format!(
-                "machine `{name}` is not served here (serving: {})",
-                served.join(", ")
-            ),
-            None,
-        )
+    /// Reads every shard once and sums their counters, so a snapshot's
+    /// shard entries always add up to its daemon-wide line.
+    fn snapshot(&self) -> DaemonStats {
+        let shards: Vec<ShardStats> = self
+            .shards
+            .iter()
+            .map(|shard| ShardStats {
+                name: shard.name.clone(),
+                counts: shard.stats.counts(),
+                queue_depth: shard.queue.depth(),
+                image: shard.store.current(),
+                latency_us: percentiles(&shard.stats.latency),
+            })
+            .collect();
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        DaemonStats {
+            total: shards
+                .iter()
+                .fold(WorkCounts::default(), |sum, shard| sum.plus(&shard.counts)),
+            shards,
+            connections: load(&self.stats.connections),
+            parse_errors: load(&self.stats.parse_errors),
+            oversized_frames: load(&self.stats.oversized_frames),
+            slow_loris_drops: load(&self.stats.slow_loris_drops),
+            latency_us: percentiles(&self.stats.latency),
+        }
     }
 }
 
@@ -461,7 +545,7 @@ impl Shared {
 pub struct ServerHandle {
     shared: Arc<Shared>,
     addr: BindAddr,
-    accept: Option<JoinHandle<()>>,
+    accept: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
     connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
@@ -472,36 +556,6 @@ impl ServerHandle {
         &self.addr
     }
 
-    /// The daemon-wide serving statistics (shared with the daemon
-    /// threads).  Per-shard counters live on [`ServerHandle::shards`].
-    pub fn stats(&self) -> &Arc<ServeStats> {
-        &self.shared.stats
-    }
-
-    /// The default (boot) shard's image store.
-    pub fn store(&self) -> &Arc<ImageStore> {
-        &self.shared.shards[0].store
-    }
-
-    /// The shards, in boot order (index 0 is the default route).
-    pub fn shards(&self) -> &[Shard] {
-        &self.shared.shards
-    }
-
-    /// A shard by routing name.
-    pub fn shard(&self, name: &str) -> Option<&Shard> {
-        self.shared.shards.iter().find(|s| s.name == name)
-    }
-
-    /// Publishes the daemon-wide counters under `serve/*` plus each
-    /// shard's work-path counters under `serve/shard/<name>/*`.
-    pub fn publish_stats(&self, tel: &Telemetry) {
-        self.shared.stats.publish(tel);
-        for shard in &self.shared.shards {
-            shard.stats.publish_shard(tel, &shard.name);
-        }
-    }
-
     /// Requests shutdown from the owning process, as if a `shutdown`
     /// verb had arrived.
     pub fn shutdown(&self) {
@@ -509,12 +563,10 @@ impl ServerHandle {
     }
 
     /// Waits for the daemon to finish (after a `shutdown` verb or
-    /// [`ServerHandle::shutdown`]).  Every admitted request is answered
-    /// before this returns.
-    pub fn join(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+    /// [`ServerHandle::shutdown`]) and returns its final statistics.
+    /// Every admitted request is answered before this returns.
+    pub fn join(self) -> DaemonStats {
+        let _ = self.accept.join();
         // The accept loop has exited, so no *new* connection threads can
         // appear; join the ones that exist.
         let connections = std::mem::take(&mut *self.connections.lock().unwrap());
@@ -525,12 +577,13 @@ impl ServerHandle {
         for shard in &self.shared.shards {
             shard.queue.close();
         }
-        for worker in self.workers.drain(..) {
+        for worker in self.workers {
             let _ = worker.join();
         }
         if let BindAddr::Unix(path) = &self.addr {
             let _ = std::fs::remove_file(path);
         }
+        self.shared.snapshot()
     }
 }
 
@@ -613,12 +666,12 @@ pub fn serve_sharded(
             name,
             store,
             queue: AdmissionQueue::new(config.queue_capacity),
-            stats: Arc::new(ServeStats::new()),
+            stats: ServeStats::default(),
         })
         .collect();
     let shared = Arc::new(Shared {
         shards,
-        stats: Arc::new(ServeStats::new()),
+        stats: ConnectionStats::default(),
         config,
         shutdown: AtomicBool::new(false),
     });
@@ -646,7 +699,7 @@ pub fn serve_sharded(
     Ok(ServerHandle {
         shared,
         addr,
-        accept: Some(accept),
+        accept,
         workers,
         connections,
     })
@@ -715,41 +768,87 @@ const READ_TICK: Duration = Duration::from_millis(100);
 
 fn connection_loop(stream: Stream, shared: &Arc<Shared>, addr: &BindAddr) {
     // The reader keeps `stream`; the writer thread gets a second handle
-    // on the same socket and owns all outbound bytes, so pipelined
-    // replies can never interleave mid-line with inline ones.
+    // on the same socket and owns all outbound bytes, so replies can
+    // never interleave mid-line.
     let write_half = match stream.try_clone() {
         Ok(half) => half,
         Err(_) => return,
     };
-    let (out, out_rx) = mpsc::channel::<String>();
-    let writer = spawn_named("serve-writer", move || writer_loop(write_half, out_rx));
-    read_loop(stream, &out, shared, addr);
+    let stall = Duration::from_millis(shared.config.read_timeout_ms.max(1));
+    let _ = write_half.set_write_timeout(Some(stall));
+    let (out, lines) = mpsc::channel();
+    let (written_tx, written) = mpsc::sync_channel(1);
+    let writer = {
+        let shared = Arc::clone(shared);
+        spawn_named("serve-writer", move || {
+            writer_loop(write_half, lines, &written_tx, &shared.stats)
+        })
+    };
+    let replies = Replies { out, written };
+    read_loop(stream, &replies, shared, addr);
     // Dropping the reader's sender lets the writer exit once every
-    // still-running pipelined job has delivered (or dropped) its reply;
-    // joining it keeps the drain inside this connection's lifetime.
-    drop(out);
+    // still-running job has delivered its reply; joining it keeps the
+    // drain inside this connection's lifetime.
+    drop(replies);
     let _ = writer.join();
 }
 
-/// Serializes reply lines onto the socket until every sender (the
-/// reader plus any in-flight pipelined jobs) is gone.  After a write
-/// error the remaining replies are drained and discarded — the jobs
-/// still count as answered.
-fn writer_loop(mut stream: Stream, replies: mpsc::Receiver<String>) {
+/// Writes reply lines onto the socket in the order they arrive, until
+/// every sender (the reader and any admitted job) is gone, and reports
+/// each flagged line on `written` once it is written or discarded.  A
+/// write that makes no progress for the read timeout — a client that
+/// stopped reading — counts as a slow-loris drop and shuts the socket
+/// down both ways, which ends the reader too.  After any write error the
+/// remaining lines are discarded; their jobs still count as answered.
+fn writer_loop(
+    mut stream: Stream,
+    lines: mpsc::Receiver<Line>,
+    written: &mpsc::SyncSender<()>,
+    stats: &ConnectionStats,
+) {
     let mut broken = false;
-    while let Ok(line) = replies.recv() {
-        if !broken && stream.write_all(line.as_bytes()).is_err() {
-            broken = true;
+    for line in lines {
+        if !broken {
+            if let Err(e) = stream.write_all(line.text.as_bytes()) {
+                broken = true;
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                    stats.slow_loris_drops.fetch_add(1, Ordering::Relaxed);
+                    let _ = stream.shutdown();
+                }
+            }
+        }
+        if line.ack {
+            // At most one flagged line is outstanding, so the slot is
+            // free; a reader that has gone no longer needs the report.
+            let _ = written.send(());
         }
     }
 }
 
-fn read_loop(
-    mut stream: Stream,
-    out: &mpsc::Sender<String>,
-    shared: &Arc<Shared>,
-    addr: &BindAddr,
-) {
+/// The reader's end of a connection's reply path.
+struct Replies {
+    /// Lines to the connection's writer; every admitted job holds a clone.
+    out: mpsc::Sender<Line>,
+    /// The writer's reports that a flagged line was written.
+    written: mpsc::Receiver<()>,
+}
+
+impl Replies {
+    /// After an id-less frame (`ack`), waits until the writer reports the
+    /// frame's reply written.  False once the writer is gone.
+    fn settle(&self, ack: bool) -> bool {
+        !ack || self.written.recv().is_ok()
+    }
+
+    /// Hands a reply line to the writer, then settles it.  The writer
+    /// outlives every sender, so the send cannot fail.
+    fn send(&self, text: String, ack: bool) -> bool {
+        let _ = self.out.send(Line { text, ack });
+        self.settle(ack)
+    }
+}
+
+fn read_loop(mut stream: Stream, replies: &Replies, shared: &Arc<Shared>, addr: &BindAddr) {
     let _ = stream.set_read_timeout(Some(READ_TICK));
     let stats = &shared.stats;
     let mut buf: Vec<u8> = Vec::new();
@@ -763,26 +862,26 @@ fn read_loop(
             Ok(0) => return, // peer closed
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = buf.drain(..=pos).collect();
-                    partial_since = None;
-                    let text = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-                    if !handle_line(&text, out, shared, addr) {
+                // Each frame is parsed where it lies in `buf`; the
+                // consumed prefix is drained once per read.
+                let mut start = 0;
+                while let Some(len) = buf[start..].iter().position(|&b| b == b'\n') {
+                    let line = String::from_utf8_lossy(&buf[start..start + len]);
+                    start += len + 1;
+                    if !handle_line(&line, replies, shared, addr) {
                         return;
                     }
                 }
-                if buf.is_empty() {
+                buf.drain(..start);
+                if start > 0 {
                     partial_since = None;
-                } else {
+                }
+                if !buf.is_empty() {
                     partial_since.get_or_insert_with(Instant::now);
                     if buf.len() > MAX_FRAME {
                         stats.oversized_frames.fetch_add(1, Ordering::Relaxed);
-                        let _ = out.send(err_response(
-                            0,
-                            ErrorCode::Parse,
-                            "frame exceeds maximum size; closing connection",
-                            None,
-                        ));
+                        let message = "frame exceeds maximum size; closing connection";
+                        replies.send(err_response(0, ErrorCode::Parse, message, None), false);
                         return;
                     }
                 }
@@ -801,306 +900,196 @@ fn read_loop(
     }
 }
 
-/// Handles one complete request line, sending replies through the
-/// connection's writer.  Returns `false` when the connection must close
-/// (shutdown acknowledged).
-fn handle_line(
-    line: &str,
-    out: &mpsc::Sender<String>,
-    shared: &Arc<Shared>,
-    addr: &BindAddr,
-) -> bool {
-    let stats = &shared.stats;
-    let frame = match parse_frame(line) {
-        Ok(frame) => frame,
+/// Handles one complete request line: answers it, or admits its job,
+/// through `replies`.  Returns `false` when the connection must close
+/// (shutdown acknowledged or under way).
+fn handle_line(line: &str, replies: &Replies, shared: &Arc<Shared>, addr: &BindAddr) -> bool {
+    let routed = parse_frame(line).and_then(|frame| {
+        let index = shared.route(frame.reply_id(), frame.machine.as_deref())?;
+        Ok((frame, index))
+    });
+    let (frame, index) = match routed {
+        Ok(routed) => routed,
         Err(wire) => {
             if wire.code == ErrorCode::Parse {
-                stats.parse_errors.fetch_add(1, Ordering::Relaxed);
+                shared.stats.parse_errors.fetch_add(1, Ordering::Relaxed);
             }
-            let _ = out.send(err_response(wire.id, wire.code, &wire.message, None));
-            return true;
+            // Id 0: the frame was id-less, or its id was not recoverable.
+            let text = err_response(wire.id, wire.code, &wire.message, None);
+            return replies.send(text, wire.id == 0);
         }
     };
-    let id = frame.reply_id();
-    let shard = match shared.shard_for(frame.machine.as_deref()) {
-        Some(shard) => shard,
-        None => {
-            stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-            let name = frame.machine.as_deref().unwrap_or("");
-            let _ = out.send(shared.unknown_machine(id, name));
-            return true;
+    let (id, ack) = (frame.reply_id(), frame.id.is_none());
+    let shard = &shared.shards[index];
+    let text = match frame.request {
+        Request::Schedule { deadline_ms, .. } | Request::Verify { deadline_ms, .. } => {
+            return admit(id, ack, frame.request, deadline_ms, replies, shard, shared);
         }
-    };
-    let response = match frame.request {
+        Request::Poison if shared.config.chaos => {
+            return admit(id, ack, frame.request, None, replies, shard, shared);
+        }
+        Request::Poison => {
+            let message = "`poison` requires the daemon to run with chaos mode enabled";
+            err_response(id, ErrorCode::General, message, None)
+        }
         Request::Query => {
             let image = shard.store.current();
-            ok_response(
-                id,
-                obj(vec![
-                    ("epoch", Json::Num(image.epoch as f64)),
-                    ("hash", Json::Str(format!("{:016x}", image.hash))),
-                    ("origin", Json::Str(image.origin.clone())),
-                    ("machine", Json::Str(shard.name.clone())),
-                    ("classes", Json::Num(image.mdes.classes().len() as f64)),
-                    ("resources", Json::Num(image.mdes.num_resources() as f64)),
-                    ("options", Json::Num(image.mdes.num_options() as f64)),
-                ]),
-            )
+            let result = obj(vec![
+                ("epoch", Json::Num(image.epoch as f64)),
+                ("hash", Json::Str(format!("{:016x}", image.hash))),
+                ("origin", Json::Str(image.origin.clone())),
+                ("machine", Json::Str(shard.name.clone())),
+                ("classes", Json::Num(image.mdes.classes().len() as f64)),
+                ("resources", Json::Num(image.mdes.num_resources() as f64)),
+                ("options", Json::Num(image.mdes.num_options() as f64)),
+            ]);
+            ok_response(id, result)
         }
-        Request::Stats => {
-            let image = shard.store.current();
-            let depth: usize = shared.shards.iter().map(|s| s.queue.depth()).sum();
-            let body = stats.to_json(&image, depth);
-            let shards = shared
-                .shards
-                .iter()
-                .map(|s| {
-                    (
-                        s.name.clone(),
-                        s.stats.to_shard_json(&s.store.current(), s.queue.depth()),
-                    )
-                })
-                .collect();
-            let body = match body {
-                Json::Obj(mut map) => {
-                    map.insert("shards".to_string(), Json::Obj(shards));
-                    Json::Obj(map)
-                }
-                other => other,
-            };
-            ok_response(id, body)
-        }
-        Request::Reload { path } => match shard.store.reload_path(&path) {
-            Ok(ReloadOutcome::Promoted { image, cache_hit }) => {
-                stats.reloads.fetch_add(1, Ordering::Relaxed);
-                shard.stats.reloads.fetch_add(1, Ordering::Relaxed);
-                if cache_hit {
-                    stats.reload_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    shard
-                        .stats
-                        .reload_cache_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                ok_response(
-                    id,
-                    obj(vec![
-                        ("changed", Json::Bool(true)),
-                        ("cache_hit", Json::Bool(cache_hit)),
-                        ("epoch", Json::Num(image.epoch as f64)),
-                        ("hash", Json::Str(format!("{:016x}", image.hash))),
-                    ]),
-                )
-            }
-            Ok(ReloadOutcome::Unchanged { epoch, hash }) => {
-                stats.reload_noops.fetch_add(1, Ordering::Relaxed);
-                shard.stats.reload_noops.fetch_add(1, Ordering::Relaxed);
-                ok_response(
-                    id,
-                    obj(vec![
-                        ("changed", Json::Bool(false)),
-                        ("cache_hit", Json::Bool(true)),
-                        ("epoch", Json::Num(epoch as f64)),
-                        ("hash", Json::Str(format!("{hash:016x}"))),
-                    ]),
-                )
-            }
-            Err(err) => {
-                stats.reload_failures.fetch_add(1, Ordering::Relaxed);
-                shard.stats.reload_failures.fetch_add(1, Ordering::Relaxed);
-                err_response(id, err.code(), err.message(), None)
-            }
-        },
+        Request::Stats => ok_response(id, shared.snapshot().to_json(index)),
+        Request::Reload { ref path } => reload(id, path, shard),
         Request::Shutdown => {
-            let _ = out.send(ok_response(id, obj(vec![("stopping", Json::Bool(true))])));
+            let result = obj(vec![("stopping", Json::Bool(true))]);
+            replies.send(ok_response(id, result), false);
             trigger_shutdown(shared, addr);
             return false;
         }
-        Request::Poison if !shared.config.chaos => err_response(
-            id,
-            ErrorCode::General,
-            "`poison` requires the daemon to run with chaos mode enabled",
-            None,
-        ),
-        Request::Poison => return admit(frame.id, JobKind::Poison, None, out, shard, shared),
-        Request::Schedule {
-            params,
-            deadline_ms,
-        } => {
-            return admit(
-                frame.id,
-                JobKind::Work {
-                    params,
-                    verify: false,
-                },
-                deadline_ms,
-                out,
-                shard,
-                shared,
-            )
-        }
-        Request::Verify {
-            params,
-            deadline_ms,
-        } => {
-            return admit(
-                frame.id,
-                JobKind::Work {
-                    params,
-                    verify: true,
-                },
-                deadline_ms,
-                out,
-                shard,
-                shared,
-            )
-        }
     };
-    let _ = out.send(response);
-    true
+    replies.send(text, ack)
+}
+
+/// Reloads `shard` from `path` and renders the reply.
+fn reload(id: u64, path: &str, shard: &Shard) -> String {
+    let stats = &shard.stats;
+    match shard.store.reload_path(path) {
+        Ok(ReloadOutcome::Promoted { image, cache_hit }) => {
+            stats.reloads.fetch_add(1, Ordering::Relaxed);
+            if cache_hit {
+                stats.reload_cache_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            ok_response(
+                id,
+                obj(vec![
+                    ("changed", Json::Bool(true)),
+                    ("cache_hit", Json::Bool(cache_hit)),
+                    ("epoch", Json::Num(image.epoch as f64)),
+                    ("hash", Json::Str(format!("{:016x}", image.hash))),
+                ]),
+            )
+        }
+        Ok(ReloadOutcome::Unchanged { epoch, hash }) => {
+            stats.reload_noops.fetch_add(1, Ordering::Relaxed);
+            ok_response(
+                id,
+                obj(vec![
+                    ("changed", Json::Bool(false)),
+                    ("cache_hit", Json::Bool(true)),
+                    ("epoch", Json::Num(epoch as f64)),
+                    ("hash", Json::Str(format!("{hash:016x}"))),
+                ]),
+            )
+        }
+        Err(err) => {
+            stats.reload_failures.fetch_add(1, Ordering::Relaxed);
+            err_response(id, err.code(), err.message(), None)
+        }
+    }
 }
 
 /// Admits a work request to `shard`: captures its serving image and
-/// pushes the job.  A request with an `id` returns immediately (the
-/// worker routes the reply through the connection writer, possibly out
-/// of admission order); a request without one blocks for the worker's
-/// rendezvous reply, preserving v1 serial semantics.  Sheds instantly
-/// when the shard's queue is full.
+/// pushes the job, whose worker hands the reply to the connection's
+/// writer.  Sheds instantly when the shard's queue is full.
 fn admit(
-    frame_id: Option<u64>,
-    kind: JobKind,
+    id: u64,
+    ack: bool,
+    request: Request,
     deadline_ms: Option<u64>,
-    out: &mpsc::Sender<String>,
+    replies: &Replies,
     shard: &Shard,
-    shared: &Arc<Shared>,
+    shared: &Shared,
 ) -> bool {
-    let id = frame_id.unwrap_or(0);
     let admitted_at = Instant::now();
     let deadline = deadline_ms
         .or(shared.config.default_deadline_ms)
         .map(|ms| admitted_at + Duration::from_millis(ms));
-    let (reply, wait) = match frame_id {
-        Some(_) => (ReplySink::Writer(out.clone()), None),
-        None => {
-            let (tx, rx) = mpsc::sync_channel(1);
-            (ReplySink::Rendezvous(tx), Some(rx))
-        }
-    };
     let job = Job {
         id,
-        kind,
+        request,
         image: shard.store.current(),
         deadline,
         admitted_at,
-        reply,
+        reply: replies.out.clone(),
+        ack,
     };
     match shard.queue.push(job) {
         Ok(()) => {
-            shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
             shard.stats.admitted.fetch_add(1, Ordering::Relaxed);
-            if let Some(rx) = wait {
-                let line = match rx.recv() {
-                    Ok(line) => line,
-                    // A worker always replies; reaching this means the
-                    // pool died, which the daemon treats as an internal
-                    // error.
-                    Err(_) => err_response(id, ErrorCode::General, "worker pool unavailable", None),
-                };
-                let _ = out.send(line);
-            }
-            true
+            replies.settle(ack)
         }
         Err(PushError::Full(_)) => {
-            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
             shard.stats.shed.fetch_add(1, Ordering::Relaxed);
             // Hint scales with how much work each waiting slot in *this
             // shard's* queue implies.
             let hint = 5 + (shard.queue.depth() as u64 * 10) / shared.config.workers.max(1) as u64;
-            let _ = out.send(err_response(
-                id,
-                ErrorCode::Overload,
-                "admission queue full; request shed",
-                Some(hint),
-            ));
-            true
+            let message = "admission queue full; request shed";
+            replies.send(
+                err_response(id, ErrorCode::Overload, message, Some(hint)),
+                ack,
+            )
         }
         Err(PushError::Closed(_)) => {
-            let _ = out.send(err_response(
-                id,
-                ErrorCode::General,
-                "daemon is shutting down",
-                None,
-            ));
+            let message = "daemon is shutting down";
+            replies.send(err_response(id, ErrorCode::General, message, None), false);
             false
         }
     }
 }
 
-/// One shard worker: pops jobs until the queue closes and drains.  The
-/// scheduling scratch lives as long as the thread, so no request
-/// allocates a scheduler scratch or statistics of its own.
+/// One shard worker: pops jobs until the queue closes and drains, and
+/// sends every job's reply, whatever the job did.  The scheduling scratch
+/// lives as long as the thread, so no request allocates a scheduler
+/// scratch or statistics of its own.
 fn worker_loop(shared: &Arc<Shared>, shard_index: usize) {
     let shard = &shared.shards[shard_index];
     let mut scratch = WorkerScratch::new();
     while let Some(job) = shard.queue.pop() {
-        let line = if job
-            .deadline
-            .is_some_and(|deadline| Instant::now() > deadline)
-        {
-            shared
-                .stats
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
-            shard
-                .stats
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
-            err_response(
-                job.id,
-                ErrorCode::Deadline,
-                "deadline expired before the job started",
-                None,
-            )
-        } else {
-            execute(&job, &mut scratch, &shared.stats, &shard.stats)
-        };
+        let text = execute(&job, &mut scratch, &shard.stats);
         let latency_us = job.admitted_at.elapsed().as_micros() as u64;
         shared.stats.latency.record(latency_us);
         shard.stats.latency.record(latency_us);
-        shared.stats.answered.fetch_add(1, Ordering::Relaxed);
         shard.stats.answered.fetch_add(1, Ordering::Relaxed);
-        // The connection may have died while we worked; the request
-        // still counts as answered.
-        job.reply.send(line);
+        // The connection may have died while we worked; its writer then
+        // discards the line, and the request still counts as answered.
+        let _ = job.reply.send(Line { text, ack: job.ack });
     }
 }
 
-/// Runs one job inside the panic-isolation boundary.  A panic may leave
+/// Runs one job: cancels it if its deadline expired while it queued,
+/// else runs it inside the panic-isolation boundary.  A panic may leave
 /// `scratch` mid-flight; the engine resets it on entry to the next job.
-fn execute(
-    job: &Job,
-    scratch: &mut WorkerScratch,
-    global: &ServeStats,
-    shard: &ServeStats,
-) -> String {
-    let outcome = catch_unwind(AssertUnwindSafe(|| match &job.kind {
-        JobKind::Poison => panic!("poison verb"),
-        JobKind::Work { params, verify } => {
-            run_work(job.id, *params, *verify, &job.image, scratch, global, shard)
-        }
-    }));
-    match outcome {
-        Ok(line) => line,
-        Err(_) => {
-            global.panics.fetch_add(1, Ordering::Relaxed);
-            shard.panics.fetch_add(1, Ordering::Relaxed);
-            err_response(
-                job.id,
-                ErrorCode::Panic,
-                "job panicked; the panic was isolated to this request",
-                None,
-            )
-        }
+fn execute(job: &Job, scratch: &mut WorkerScratch, stats: &ServeStats) -> String {
+    if job
+        .deadline
+        .is_some_and(|deadline| Instant::now() > deadline)
+    {
+        stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+        let message = "deadline expired before the job started";
+        return err_response(job.id, ErrorCode::Deadline, message, None);
     }
+    let outcome = catch_unwind(AssertUnwindSafe(|| match job.request {
+        Request::Schedule { params, .. } => {
+            run_work(job.id, params, false, &job.image, scratch, stats)
+        }
+        Request::Verify { params, .. } => {
+            run_work(job.id, params, true, &job.image, scratch, stats)
+        }
+        // Chaos mode's `poison`: the only other verb a worker is given.
+        _ => panic!("poison verb"),
+    }));
+    outcome.unwrap_or_else(|_| {
+        stats.panics.fetch_add(1, Ordering::Relaxed);
+        let message = "job panicked; the panic was isolated to this request";
+        err_response(job.id, ErrorCode::Panic, message, None)
+    })
 }
 
 /// Answers one `schedule` (or, with `verify`, `verify`) request on the
@@ -1111,16 +1100,14 @@ fn execute(
 ///
 /// `params.jobs` is only a hint: the request runs on this one thread, and
 /// by the engine's determinism contract the reply is byte-identical for
-/// every `jobs` value.  Engine panics are counted in both `global` and
-/// `shard`.
+/// every `jobs` value.  Engine panics are counted in `stats`.
 pub fn run_work(
     id: u64,
     params: WorkParams,
     verify: bool,
     image: &ServeImage,
     scratch: &mut WorkerScratch,
-    global: &ServeStats,
-    shard: &ServeStats,
+    stats: &ServeStats,
 ) -> String {
     let config = RegionConfig::new(params.regions)
         .with_mean_ops(params.mean_ops)
@@ -1128,10 +1115,7 @@ pub fn run_work(
     let workload = generate_compiled_regions(&image.mdes, &config);
     let engine = Engine::new(Arc::clone(&image.mdes));
     let outcome = engine.schedule_serial(&workload.blocks, scratch);
-    global
-        .engine_panics
-        .fetch_add(outcome.worker_panics(), Ordering::Relaxed);
-    shard
+    stats
         .engine_panics
         .fetch_add(outcome.worker_panics(), Ordering::Relaxed);
     if !outcome.is_clean() {

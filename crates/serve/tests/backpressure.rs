@@ -1,11 +1,16 @@
 //! Backpressure: bounded admission, instant shedding with a retry hint,
-//! and deadline cancellation of queued work.
+//! deadline cancellation of queued work, and a bounded reply writer.
 
 mod common;
 
+use std::io::Write;
+use std::os::unix::net::UnixStream;
+use std::sync::mpsc;
+use std::time::Duration;
+
 use common::{schedule_line, start, wait_for_stats, TestConn};
 use mdes_machines::Machine;
-use mdes_serve::{ServeConfig, WorkParams};
+use mdes_serve::{BindAddr, ServeConfig, WorkParams};
 use mdes_telemetry::json::Json;
 
 /// A request heavy enough to occupy the single worker for a few
@@ -131,4 +136,46 @@ fn generous_deadlines_do_not_reject_fast_requests() {
     assert_eq!(reply.result_u64("deadline_exceeded"), Some(0));
     handle.shutdown();
     handle.join();
+}
+
+#[test]
+fn a_client_that_never_reads_is_dropped_and_join_returns() {
+    let config = ServeConfig {
+        read_timeout_ms: 200,
+        ..ServeConfig::default()
+    };
+    let (handle, addr) = start(Machine::K5, "stall", config);
+    let BindAddr::Unix(path) = &addr else {
+        unreachable!("test daemons listen on unix sockets");
+    };
+
+    // Id-less and tagged frames whose replies fill both socket buffers
+    // many times over, and never a read.  Once the daemon stops reading
+    // (an id-less reply it cannot write) the writes block until it drops
+    // the connection; the client's own write timeout only keeps a broken
+    // daemon from hanging the test here.
+    let mut client = UnixStream::connect(path).expect("connect");
+    client
+        .set_write_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    for id in 1..=2000u64 {
+        let frames = format!("{{\"verb\": \"query\"}}\n{{\"id\": {id}, \"verb\": \"query\"}}\n");
+        if client.write_all(frames.as_bytes()).is_err() {
+            break;
+        }
+    }
+
+    // `join` must return although the client still holds the socket open
+    // and unread.
+    handle.shutdown();
+    let (joined, stats) = mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        let _ = joined.send(handle.join());
+    });
+    let stats = stats
+        .recv_timeout(Duration::from_secs(20))
+        .expect("join returns once the stalled writer drops the client");
+    joiner.join().expect("joiner thread");
+    assert_eq!(stats.slow_loris_drops, 1);
+    drop(client);
 }

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use common::{expected_answer, reply_hash, start, start_sharded, TestConn};
+use common::{expected_answer, reply_hash, start, start_sharded, wait_for_stats, TestConn};
 use mdes_machines::Machine;
 use mdes_serve::{
     compile_machine, content_hash, run_load, LoadOptions, ReloadEvent, ServeConfig, WorkParams,
@@ -530,4 +530,150 @@ fn pipelining_beats_serial_on_parallel_hosts() {
 
     handle.shutdown();
     handle.join();
+}
+
+#[test]
+fn a_tagged_frame_never_overtakes_an_idless_one() {
+    let (handle, addr) = start(Machine::K5, "window", ServeConfig::default());
+
+    // One write carries both frames.  The tagged `query` is answered
+    // inline in microseconds, but the id-less job ahead of it is a
+    // one-slot window: its reply must be written before the daemon even
+    // reads the query.
+    let mut conn = TestConn::open(&addr);
+    let frames = format!("{}\n{{\"id\": 7, \"verb\": \"query\"}}\n", v1_line(big()));
+    conn.send_raw(frames.as_bytes());
+
+    let first = conn.read_reply().unwrap();
+    let second = conn.read_reply().unwrap();
+    assert!(
+        first.ok && second.ok,
+        "{:?} / {:?}",
+        first.body,
+        second.body
+    );
+    assert_eq!(first.id, 0, "the id-less reply must arrive first");
+    assert_eq!(second.id, 7);
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// The work counters and the queue depth that each shard entry of a
+/// `stats` result carries, and that its daemon-wide line sums.
+const SHARD_COUNTERS: [&str; 10] = [
+    "admitted",
+    "answered",
+    "shed",
+    "deadline_exceeded",
+    "panics",
+    "reloads",
+    "reload_failures",
+    "reload_noops",
+    "reload_cache_hits",
+    "queue_depth",
+];
+
+/// Reads `stats` on `conn` and asserts that every daemon-wide work
+/// counter equals the sum of the reply's shard entries.
+fn folded_stats(conn: &mut TestConn) -> Json {
+    let reply = conn.round_trip("{\"id\": 1000, \"verb\": \"stats\"}");
+    let result = reply.body.get("result").expect("stats result").clone();
+    let shards = result.get("shards").and_then(Json::as_obj).expect("shards");
+    for key in SHARD_COUNTERS {
+        let sum: u64 = shards
+            .values()
+            .map(|shard| shard.get(key).and_then(Json::as_u64).expect(key))
+            .sum();
+        assert_eq!(result.get(key).and_then(Json::as_u64), Some(sum), "{key}");
+    }
+    result
+}
+
+#[test]
+fn daemon_wide_stats_are_the_sum_of_the_shards() {
+    let config = ServeConfig {
+        workers: 1,
+        queue_capacity: 1,
+        chaos: true,
+        ..ServeConfig::default()
+    };
+    let (handle, addr) = start_sharded(&[Machine::K5, Machine::Pentium], "fold", config);
+    let sparc = plant("fold-sparc", &image_bytes(Machine::SuperSparc));
+    let pentium = plant("fold-pentium", &image_bytes(Machine::Pentium));
+    let corrupt = plant("fold-corrupt", b"neither an lmdes image nor hmdl {");
+    let mut control = TestConn::open(&addr);
+    folded_stats(&mut control);
+
+    // A shed and an expired deadline on K5: a huge job holds the lone
+    // worker, a 1 ms job waits in the one queue slot past its deadline,
+    // and a third job finds the queue full.
+    let mut hog = TestConn::open(&addr);
+    hog.send_line(&v2_line(1, big(), Some("K5")));
+    wait_for_stats(&addr, |r| {
+        r.get("in_flight").and_then(Json::as_u64) == Some(1)
+            && r.get("queue_depth").and_then(Json::as_u64) == Some(0)
+    });
+    let expiring =
+        v2_line(2, tiny(), Some("K5")).replace("\"verb\"", "\"deadline_ms\": 1, \"verb\"");
+    hog.send_line(&expiring);
+    hog.send_line(&v2_line(3, tiny(), Some("K5")));
+    let shed = hog.read_reply().unwrap();
+    assert_eq!((shed.id, shed.error_num()), (3, Some(6)), "{:?}", shed.body);
+    folded_stats(&mut control);
+    assert!(hog.read_reply().unwrap().ok);
+    let expired = hog.read_reply().unwrap();
+    assert_eq!((expired.id, expired.error_num()), (2, Some(5)));
+
+    // A poison panic on Pentium.
+    let reply = control.round_trip("{\"id\": 4, \"verb\": \"poison\", \"machine\": \"Pentium\"}");
+    assert_eq!(reply.error_num(), Some(7));
+    folded_stats(&mut control);
+
+    // Reloads on Pentium: promoted, no-op, cache hit; then a failed one
+    // on K5.
+    let reload = |path: &PathBuf, machine: &str| {
+        format!(
+            "{{\"id\": 5, \"verb\": \"reload\", \"path\": {}, \"machine\": \"{machine}\"}}",
+            Json::Str(path.display().to_string()).render()
+        )
+    };
+    for (path, machine, ok) in [
+        (&sparc, "Pentium", true),
+        (&sparc, "Pentium", true),
+        (&pentium, "Pentium", true),
+        (&corrupt, "K5", false),
+    ] {
+        let reply = control.round_trip(&reload(path, machine));
+        assert_eq!(reply.ok, ok, "{:?}", reply.body);
+        folded_stats(&mut control);
+    }
+
+    // Three jobs admitted and answered (the hog, the expired one, the
+    // poison), then one each of shed, deadline, panic, no-op, cache hit
+    // and failure, and two promotions.
+    let want = [3, 3, 1, 1, 1, 2, 1, 1, 1, 0];
+    let last = folded_stats(&mut control);
+    let got = SHARD_COUNTERS.map(|key| last.get(key).and_then(Json::as_u64).expect(key));
+    assert_eq!(got, want);
+
+    // The final statistics `join` returns are the last reply's.
+    handle.shutdown();
+    let total = handle.join().total;
+    let joined = [
+        total.admitted,
+        total.answered,
+        total.shed,
+        total.deadline_exceeded,
+        total.panics,
+        total.reloads,
+        total.reload_failures,
+        total.reload_noops,
+        total.reload_cache_hits,
+    ];
+    assert_eq!(joined[..], want[..9]);
+    assert_eq!(total.engine_panics, 0);
+    for file in [sparc, pentium, corrupt] {
+        let _ = std::fs::remove_file(file);
+    }
 }

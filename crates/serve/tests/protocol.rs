@@ -3,9 +3,17 @@
 
 mod common;
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::Duration;
+
 use common::{expected_answer, reply_hash, schedule_line, start, TestConn};
 use mdes_machines::Machine;
-use mdes_serve::{compile_machine, content_hash, ServeConfig, WorkParams};
+use mdes_serve::proto::parse_reply;
+use mdes_serve::{
+    compile_machine, content_hash, serve, BindAddr, ImageStore, Reply, ServeConfig, WorkParams,
+};
 use mdes_telemetry::json::Json;
 
 #[test]
@@ -202,8 +210,62 @@ fn shutdown_verb_stops_the_daemon_with_nothing_in_flight() {
     }
     let reply = conn.round_trip("{\"id\": 9, \"verb\": \"shutdown\"}");
     assert!(reply.ok);
-    let stats = std::sync::Arc::clone(handle.stats());
-    handle.join();
-    assert_eq!(stats.in_flight(), 0);
-    assert_eq!(stats.answered.load(std::sync::atomic::Ordering::Relaxed), 5);
+    let stats = handle.join();
+    assert_eq!(stats.total.in_flight(), 0);
+    assert_eq!(stats.total.answered, 5);
+}
+
+#[test]
+fn the_daemon_serves_and_stops_over_tcp() {
+    let store = Arc::new(ImageStore::new(compile_machine(Machine::K5), "K5", 0));
+    let bind = BindAddr::Tcp("127.0.0.1:0".to_string());
+    let handle = serve(bind, store, ServeConfig::default()).expect("daemon binds");
+    let BindAddr::Tcp(spec) = handle.addr().clone() else {
+        panic!("a tcp daemon reports a tcp address");
+    };
+    assert!(
+        !spec.ends_with(":0"),
+        "the ephemeral port is resolved: {spec}"
+    );
+
+    let stream = TcpStream::connect(&spec).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut round_trip = |line: &str| -> Reply {
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        parse_reply(reply.trim_end()).expect("reply parses")
+    };
+
+    let reply = round_trip("{\"id\": 1, \"verb\": \"query\"}");
+    assert!(reply.ok && reply.id == 1, "{:?}", reply.body);
+    let mdes = compile_machine(Machine::K5);
+    assert_eq!(
+        reply.result_u64("classes"),
+        Some(mdes.classes().len() as u64)
+    );
+
+    let params = WorkParams {
+        regions: 3,
+        mean_ops: 5,
+        seed: 8,
+        jobs: 1,
+    };
+    let idless = schedule_line(0, params, None).replace("\"id\": 0, ", "");
+    let reply = round_trip(&idless);
+    assert!(reply.ok && reply.id == 0, "{:?}", reply.body);
+    let (cycles, _) = expected_answer(&mdes, params);
+    assert_eq!(reply.result_u64("cycles"), Some(cycles as u64));
+
+    // The verb's wake-up connection must reach the accept loop over
+    // TCP, or `join` would wait forever.
+    let reply = round_trip("{\"verb\": \"shutdown\"}");
+    assert!(reply.ok, "{:?}", reply.body);
+    let stats = handle.join();
+    assert_eq!(stats.total.answered, 1);
+    assert_eq!(stats.connections, 1);
 }
