@@ -8,9 +8,11 @@
 #                    allocation gate included), the workload allocation
 #                    gate, the engine pool's suites, the daemon's unit
 #                    tests (the build-time boot images checked byte for
-#                    byte against the runtime pipeline) and allocation
-#                    gates (worker path, and the connection path of an
-#                    id-less round trip), formatting
+#                    byte against the runtime pipeline), allocation
+#                    and memory gates (worker path, and the connection
+#                    path of an id-less round trip) and pinned replies
+#                    (`run_work` answers byte-identical to recorded
+#                    digests), formatting
 #   ./ci.sh --full   everything above plus the release-profile workspace
 #                    suites, the bench-serve concurrency smokes, the
 #                    daemon serving smokes (a v1 serial client and a
@@ -96,9 +98,11 @@ cargo test -q
 # and its allocation gate (lexing allocates only the token buffer;
 # parsing and elaborating each bundled source make a pinned count).
 # The checker's and scheduler's own suites take about 2 s warm: the
-# checker's unit tests, and the scheduler's allocation gate (a heap-free
-# `Op`, allocation-free reservation attempts, a fixed allocation count
-# per block).  The workload allocation gate (one allocation per
+# checker's unit tests, a dependence graph rebuilt in place checked
+# edge for edge against a fresh build and the hashed reference builder,
+# and the scheduler's allocation gate (a heap-free `Op`,
+# allocation-free reservation attempts, a fixed allocation count per
+# block for placement and for the whole graph-to-schedule path).  The workload allocation gate (one allocation per
 # generated region) takes under a second.  Together they guard the
 # layouts the benchmark's memory figures depend on.
 cargo test -q -p mdes-lang
@@ -111,15 +115,20 @@ cargo test -q -p mdes-workload --test allocations
 # 1, 4 and 16 workers.
 cargo test -q -p mdes-engine
 
-# The daemon's unit tests and its allocation gates take about half a
-# second warm.  Among the unit tests, the boot images
+# The daemon's unit tests, its allocation gates and its pinned replies
+# take about 3.5 s warm.  Among the unit tests, the boot images
 # `crates/serve/build.rs` compiled under the build-script profile must
 # equal, byte for byte, what the runtime pipeline builds under this one
-# (`--full` repeats the check in release).  The allocation gates hold a
-# warm worker's request to its own data, and a live daemon's id-less
-# round trip to no allocation on the connection path beyond parsing
-# the frame.
-cargo test -q -p mdes-serve --lib --test allocations
+# (`--full` repeats the check in release), and every counter `stats`
+# renders must be published to `--metrics`.  The allocation gates hold
+# a warm worker's request to a fixed allocation count and a peak of
+# live bytes that do not grow with its region count, and a live
+# daemon's id-less round trip to no allocation on the connection path
+# beyond parsing the frame.  The pinned replies (about 1 s) hold
+# `run_work`'s answers for the four served machines, both work verbs,
+# four request shapes and two seeds to digests recorded on the request
+# path that held a request's whole workload.
+cargo test -q -p mdes-serve --lib --test allocations --test pinned_replies
 
 cargo fmt --check
 

@@ -6,7 +6,8 @@
 //! after customization. This crate exploits that immutability for
 //! parallelism: one [`CompiledMdes`] behind an [`Arc`] is shared read-only
 //! across N workers, while every piece of *mutable* scheduling state — the
-//! RU map, the placement buffers, the [`CheckStats`] counters — is owned by
+//! dependence graph, the RU map, the placement buffers, the
+//! [`CheckStats`] counters — is owned by
 //! exactly one worker and **reused across every job that worker runs**
 //! (reset on entry, never reallocated).
 //!
@@ -23,11 +24,14 @@
 //! * [`Engine`] — the scheduling front: [`Engine::schedule_batch`] runs
 //!   the list scheduler over a batch of regions (basic blocks) against
 //!   per-worker scratch ([`WorkerScratch`]) and returns index-aligned
-//!   schedules plus folded statistics. [`Engine::schedule_serial`] runs a
-//!   batch inline on the calling thread against scratch the caller owns,
-//!   for callers that are themselves long-lived workers (the daemon's
-//!   shard workers): no thread spawn and, once warm, no allocation of
-//!   scratch or statistics.
+//!   schedules plus folded statistics. [`Engine::schedule_block`]
+//!   schedules one block inline on the calling thread against scratch
+//!   the caller owns, under the same per-job panic isolation, and leaves
+//!   the schedule, its dependence graph and its statistics in that
+//!   scratch: the entry point for callers that are themselves long-lived
+//!   workers (the daemon's shard workers), which stream a request's
+//!   regions through it one at a time. No thread is spawned, and once
+//!   warm a block allocates nothing.
 //!
 //! ## Determinism contract
 //!
@@ -48,10 +52,11 @@
 //!    per-worker accumulators equals folding per-job stats in job-index
 //!    order, whatever the job-to-worker assignment was.
 //!
-//! [`Engine::schedule_serial`] is the same computation on one worker, so
-//! its schedules and folded statistics equal `schedule_batch`'s at any
-//! worker count. Only wall-clock measurements (busy time, jobs/sec) and
-//! the per-worker job split vary run to run. See `docs/concurrency.md`.
+//! [`Engine::schedule_block`] is one job of the same computation, so its
+//! schedule and statistics equal the ones `schedule_batch` returns for
+//! that block at any worker count. Only wall-clock measurements (busy
+//! time, jobs/sec) and the per-worker job split vary run to run. See
+//! `docs/concurrency.md`.
 //!
 //! # Example
 //!
@@ -85,19 +90,19 @@
 
 pub mod pool;
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use mdes_core::{CheckStats, CompiledMdes};
-use mdes_sched::{Block, ListScheduler, SchedScratch, Schedule};
+use mdes_sched::{Block, DepGraph, ListScheduler, SchedScratch, Schedule};
 use mdes_telemetry::Telemetry;
 
-use pool::run_serial;
 pub use pool::{run_batch_stateful, PoolOutcome, WorkerLoad};
 
 /// One worker's reusable scheduling state: the [`SchedScratch`] every job
-/// schedules against (RU map, placement buffers), the
-/// [`CheckStats`] of the job in flight, and the accumulator finished jobs
-/// fold into.
+/// schedules against (dependence graph, RU map, placement buffers), the
+/// [`CheckStats`] of the job in flight, and the accumulator a batch's
+/// finished jobs fold into.
 ///
 /// Build one per long-lived thread. Every job resets what it reads on
 /// entry, so after warm-up a scratch is reused indefinitely and never
@@ -115,13 +120,19 @@ impl WorkerScratch {
     pub fn new() -> WorkerScratch {
         WorkerScratch::default()
     }
+}
 
-    /// Statistics folded over the jobs completed since the last
-    /// [`Engine::schedule_serial`] call began. A panicked job contributes
-    /// nothing.
-    pub fn stats(&self) -> &CheckStats {
-        &self.acc
-    }
+/// What [`Engine::schedule_block`] left in the worker's scratch: one
+/// block's schedule, the dependence graph it was placed against, and the
+/// block's checker statistics. Valid until the scratch's next job.
+#[derive(Copy, Clone, Debug)]
+pub struct Scheduled<'s> {
+    /// The block's schedule.
+    pub schedule: &'s Schedule,
+    /// The block's dependence graph, heights included.
+    pub graph: &'s DepGraph,
+    /// The checker statistics of this block alone.
+    pub stats: &'s CheckStats,
 }
 
 /// A scheduling engine: one shared, immutable compiled MDES serving
@@ -210,73 +221,31 @@ impl Engine {
         }
     }
 
-    /// Schedules every block in index order on the calling thread against
-    /// caller-owned `scratch`: the one-worker form of
-    /// [`Engine::schedule_batch`], with the same schedules, the same
-    /// folded statistics, and the same per-job panic isolation.
-    ///
-    /// Nothing is spawned, and the statistics stay in the scratch
-    /// ([`WorkerScratch::stats`], reset when this call begins) instead of
-    /// being copied into the outcome, so a warm scratch schedules a batch
-    /// without allocating any statistics. This is the entry point for
+    /// Schedules one block on the calling thread against caller-owned
+    /// `scratch`: one job of [`Engine::schedule_batch`], with the same
+    /// schedule, the same statistics and the same panic isolation, for
     /// callers that already are long-lived workers, such as the daemon's
     /// shard workers.
-    pub fn schedule_serial(&self, blocks: &[Block], scratch: &mut WorkerScratch) -> SerialOutcome {
-        scratch.acc.reset();
-        let mut raw = run_serial(blocks, scratch, |scratch, _, block| {
-            self.run_job(scratch, block)
-        });
-        SerialOutcome {
-            schedules: raw.results,
-            load: raw.workers.pop().unwrap_or_default(),
-        }
-    }
-}
-
-/// Jobs that completed (their slots are `Some`).
-fn completed(schedules: &[Option<Schedule>]) -> usize {
-    schedules.iter().filter(|s| s.is_some()).count()
-}
-
-/// Total schedule length over completed jobs, in cycles.
-fn total_cycles(schedules: &[Option<Schedule>]) -> i64 {
-    schedules
-        .iter()
-        .flatten()
-        .map(|s| i64::from(s.length))
-        .sum()
-}
-
-/// The result of one [`Engine::schedule_serial`] call. Its statistics
-/// live in the caller's [`WorkerScratch`], so the outcome owns none.
-#[derive(Clone, Debug)]
-pub struct SerialOutcome {
-    /// Per-block schedules, index-aligned with the input; `None` marks a
-    /// job that panicked mid-schedule.
-    pub schedules: Vec<Option<Schedule>>,
-    /// Timing and job counts of the one (calling) worker.
-    pub load: WorkerLoad,
-}
-
-impl SerialOutcome {
-    /// Jobs that completed.
-    pub fn completed(&self) -> usize {
-        completed(&self.schedules)
-    }
-
-    /// Jobs lost to a panic (their result slots are `None`).
-    pub fn worker_panics(&self) -> u64 {
-        self.load.panics
-    }
-
-    /// Whether every job completed without a panic.
-    pub fn is_clean(&self) -> bool {
-        self.worker_panics() == 0 && self.schedules.iter().all(Option::is_some)
-    }
-
-    /// Total schedule length over completed jobs, in cycles.
-    pub fn total_cycles(&self) -> i64 {
-        total_cycles(&self.schedules)
+    ///
+    /// The result stays in the scratch, so a warm scratch schedules a
+    /// block without allocating. Returns `None` if the job panicked; the
+    /// scratch is then left as the panic left it, and the next call
+    /// resets it on entry.
+    pub fn schedule_block<'s>(
+        &self,
+        block: &Block,
+        scratch: &'s mut WorkerScratch,
+    ) -> Option<Scheduled<'s>> {
+        let WorkerScratch { sched, job, .. } = scratch;
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            job.reset();
+            ListScheduler::new(&self.mdes).schedule_in_scratch(block, sched, job);
+        }));
+        run.ok().map(|()| Scheduled {
+            schedule: sched.schedule(),
+            graph: sched.graph(),
+            stats: job,
+        })
     }
 }
 
@@ -307,7 +276,7 @@ pub struct BatchOutcome {
 impl BatchOutcome {
     /// Jobs that completed.
     pub fn completed(&self) -> usize {
-        completed(&self.schedules)
+        self.schedules.iter().filter(|s| s.is_some()).count()
     }
 
     /// Jobs lost to a panic (their result slots are `None`).
@@ -329,7 +298,11 @@ impl BatchOutcome {
 
     /// Total schedule length over completed jobs, in cycles.
     pub fn total_cycles(&self) -> i64 {
-        total_cycles(&self.schedules)
+        self.schedules
+            .iter()
+            .flatten()
+            .map(|s| i64::from(s.length))
+            .sum()
     }
 
     /// Completed jobs per wall-clock second.
@@ -478,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn serial_matches_the_batch_and_reuses_its_scratch() {
+    fn a_block_matches_its_batch_job_and_reuses_its_scratch() {
         let mdes = two_alu_machine();
         let engine = Engine::new(Arc::clone(&mdes));
         let batch = blocks(&mdes, 7, 5);
@@ -487,24 +460,33 @@ mod tests {
         let mut scratch = WorkerScratch::new();
         for round in 0..2 {
             let caller = std::thread::current().id();
-            let serial = engine.schedule_serial(&batch, &mut scratch);
-            assert_eq!(std::thread::current().id(), caller);
-            assert!(serial.is_clean(), "round {round}");
-            assert_eq!(serial.schedules, wide.schedules, "round {round}");
-            assert_eq!(serial.total_cycles(), wide.total_cycles());
-            assert_eq!(serial.completed(), 7);
-            // Stats restart with every call rather than accumulating
-            // across calls on the same scratch.
-            assert_eq!(scratch.stats(), &wide.stats, "round {round}");
+            let mut folded = CheckStats::new();
+            for (index, block) in batch.iter().enumerate() {
+                let done = engine
+                    .schedule_block(block, &mut scratch)
+                    .expect("clean job");
+                assert_eq!(std::thread::current().id(), caller);
+                assert_eq!(
+                    Some(done.schedule),
+                    wide.schedules[index].as_ref(),
+                    "round {round} job {index}"
+                );
+                assert_eq!(done.graph.num_ops(), block.len());
+                done.schedule.verify(done.graph, &mdes).unwrap();
+                // Each call's statistics are that block's alone.
+                folded.merge(done.stats);
+            }
+            assert_eq!(folded, wide.stats, "round {round}");
         }
     }
 
     #[test]
-    fn a_panicked_serial_job_leaves_none_and_no_stats() {
+    fn a_panicked_block_returns_none_and_the_scratch_recovers() {
         let mdes = two_alu_machine();
         let engine = Engine::new(Arc::clone(&mdes));
         let mut batch = blocks(&mdes, 5, 3);
         let clean = engine.schedule_batch(&batch, 1);
+        let good = batch[2].clone();
         batch[2] = {
             let mut block = Block::new();
             block.push(Op::new(
@@ -515,24 +497,25 @@ mod tests {
             block
         };
         let mut scratch = WorkerScratch::new();
-        let outcome = engine.schedule_serial(&batch, &mut scratch);
-        assert!(!outcome.is_clean());
-        assert_eq!(outcome.worker_panics(), 1);
-        assert!(outcome.schedules[2].is_none());
-        assert_eq!(outcome.completed(), 4);
         let scheduler = ListScheduler::new(&mdes);
-        let mut serial = CheckStats::new();
-        for index in [0, 1, 3, 4] {
-            let want = scheduler.schedule(&batch[index], &mut serial);
-            assert_eq!(outcome.schedules[index].as_ref(), Some(&want));
+        for (index, block) in batch.iter().enumerate() {
+            let done = engine.schedule_block(block, &mut scratch);
+            if index == 2 {
+                assert!(done.is_none());
+                continue;
+            }
+            let mut stats = CheckStats::new();
+            let want = scheduler.schedule(block, &mut stats);
+            let done = done.expect("clean job");
+            assert_eq!(done.schedule, &want, "job {index}");
+            assert_eq!(done.stats, &stats, "job {index}");
         }
-        assert_eq!(scratch.stats(), &serial);
-        // The scratch is left as the panic left it; the next call still
+        // The panic left the scratch mid-flight; the next call still
         // matches a clean run.
-        batch[2] = blocks(&mdes, 5, 3).swap_remove(2);
-        let again = engine.schedule_serial(&batch, &mut scratch);
-        assert_eq!(again.schedules, clean.schedules);
-        assert_eq!(scratch.stats(), &clean.stats);
+        let done = engine
+            .schedule_block(&good, &mut scratch)
+            .expect("clean job");
+        assert_eq!(Some(done.schedule), clean.schedules[2].as_ref());
     }
 
     #[test]

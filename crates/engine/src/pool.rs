@@ -12,13 +12,12 @@
 //! index-aligned slots after all workers join, so output order never
 //! depends on thread interleaving or on which worker claimed which job.
 //!
-//! A one-thread batch opens no scope and spawns nothing: `run_serial`
-//! drains the slice in index order on the calling thread, and
-//! [`run_batch_stateful`] takes that path whenever `threads` is one.
-//! `Engine::schedule_serial` calls `run_serial` directly with
-//! caller-owned state that outlives the batch (a daemon worker's).
+//! A one-thread batch opens no scope and spawns nothing:
+//! [`run_batch_stateful`] then drains the slice in index order on the
+//! calling thread.
 //!
-//! Spawned workers and `run_serial` run the same claim–run–record loop.
+//! Spawned workers and the calling thread run the same claim–run–record
+//! loop.
 //! A panic inside one job is caught ([`std::panic::catch_unwind`]) and
 //! recorded in the claiming worker's [`WorkerLoad::panics`]; the worker
 //! moves on to the next job and the batch completes with a `None` in the
@@ -136,17 +135,27 @@ where
     F: Fn(&mut S, usize, usize, &T) -> R + Sync,
 {
     let threads = threads.max(1);
-    if threads == 1 {
-        let mut state = init(0);
-        let outcome = run_serial(items, &mut state, |state, index, item| {
-            work(state, 0, index, item)
-        });
-        return (outcome, vec![state]);
-    }
     let cursor = AtomicUsize::new(0);
     let started = Instant::now();
-
     let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    if threads == 1 {
+        let mut state = init(0);
+        let load = drain(
+            items,
+            &cursor,
+            0,
+            &mut state,
+            |state, index, item| work(state, 0, index, item),
+            |index, value| results[index] = Some(value),
+        );
+        let outcome = PoolOutcome {
+            results,
+            workers: vec![load],
+            elapsed_nanos: started.elapsed().as_nanos(),
+        };
+        return (outcome, vec![state]);
+    }
+
     let mut workers: Vec<WorkerLoad> = Vec::with_capacity(threads);
     let mut states: Vec<S> = Vec::with_capacity(threads);
 
@@ -191,38 +200,6 @@ where
         elapsed_nanos: started.elapsed().as_nanos(),
     };
     (outcome, states)
-}
-
-/// Runs `work` over every item of `items` in index order on the calling
-/// thread, as worker 0, against caller-owned `state`.
-///
-/// This is the one-thread form of [`run_batch_stateful`], which delegates
-/// here: no thread is spawned and nothing is shared, so a caller that
-/// already runs on a long-lived thread keeps its state across batches
-/// (reset on entry by `work`, never reallocated). `work` receives
-/// `(state, job_index, item)`. The contract is the pool's: each job runs
-/// under [`catch_unwind`], a panicking job leaves `None` at its own index
-/// and bumps the worker's `panics`, and the state is left as the panic
-/// left it.
-pub(crate) fn run_serial<T, R, S, F>(items: &[T], state: &mut S, work: F) -> PoolOutcome<R>
-where
-    F: Fn(&mut S, usize, &T) -> R,
-{
-    let started = Instant::now();
-    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let load = drain(
-        items,
-        &AtomicUsize::new(0),
-        0,
-        state,
-        work,
-        |index, value| results[index] = Some(value),
-    );
-    PoolOutcome {
-        results,
-        workers: vec![load],
-        elapsed_nanos: started.elapsed().as_nanos(),
-    }
 }
 
 #[cfg(test)]
@@ -354,19 +331,6 @@ mod tests {
         );
         assert_eq!(states, vec![(0, (0..50).sum::<u64>())]);
         assert_eq!(outcome.results.iter().flatten().count(), 50);
-    }
-
-    #[test]
-    fn serial_state_is_the_callers_and_outlives_the_batch() {
-        let mut seen = Vec::new();
-        for batch in [[1u32, 2], [3, 4]] {
-            let outcome = run_serial(&batch, &mut seen, |seen, index, item| {
-                seen.push(*item);
-                index
-            });
-            assert_eq!(outcome.results, vec![Some(0), Some(1)]);
-        }
-        assert_eq!(seen, vec![1, 2, 3, 4]);
     }
 
     #[test]

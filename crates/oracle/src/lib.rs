@@ -183,7 +183,7 @@ impl<'a> OracleScheduler<'a> {
         // Dependence-only earliest starts (index order is topological).
         let mut asap = vec![0i32; n];
         for i in 0..n {
-            for edge in &graph.preds[i] {
+            for edge in graph.preds(i) {
                 asap[i] = asap[i].max(asap[edge.from] + edge.latency);
             }
         }
@@ -207,17 +207,21 @@ impl<'a> OracleScheduler<'a> {
             best_sel[bounds[i] as usize..bounds[i + 1] as usize]
                 .copy_from_slice(incumbent.selection(i));
         }
-        let preds: Vec<Vec<(usize, i32)>> = graph
-            .preds
-            .iter()
-            .map(|edges| edges.iter().map(|e| (e.from, e.latency)).collect())
+        let preds: Vec<Vec<(usize, i32)>> = (0..n)
+            .map(|op| {
+                graph
+                    .preds(op)
+                    .iter()
+                    .map(|e| (e.from, e.latency))
+                    .collect()
+            })
             .collect();
         let mut search = Search {
             mdes: self.mdes,
             checker: Checker::new(self.mdes),
-            order: placement_order(&graph, &heights),
+            order: placement_order(&graph, heights),
             classes,
-            heights,
+            heights: heights.to_vec(),
             preds,
             est_buf: vec![0; n],
             cycles: vec![UNPLACED; n],
@@ -273,8 +277,8 @@ impl<'a> OracleScheduler<'a> {
 /// priority so the incumbent prunes early, and is topological so every
 /// predecessor is placed before its consumer.
 fn placement_order(graph: &DepGraph, heights: &[i32]) -> Vec<usize> {
-    let n = graph.num_ops;
-    let mut remaining: Vec<usize> = (0..n).map(|i| graph.preds[i].len()).collect();
+    let n = graph.num_ops();
+    let mut remaining: Vec<usize> = (0..n).map(|i| graph.preds(i).len()).collect();
     let mut placed = vec![false; n];
     let mut order = Vec::with_capacity(n);
     for _ in 0..n {
@@ -288,7 +292,7 @@ fn placement_order(graph: &DepGraph, heights: &[i32]) -> Vec<usize> {
         debug_assert!(pick != usize::MAX, "dependence graph must be acyclic");
         placed[pick] = true;
         order.push(pick);
-        for edge in &graph.succs[pick] {
+        for edge in graph.succs(pick) {
             remaining[edge.to] -= 1;
         }
     }
@@ -523,7 +527,7 @@ pub fn exhaustive_min_length(mdes: &CompiledMdes, block: &Block, stats: &mut Che
         mdes,
         checker: Checker::new(mdes),
         block,
-        preds: &graph.preds,
+        graph: &graph,
         ru: RuMap::new(),
         cycles: vec![UNPLACED; n],
         best: incumbent,
@@ -538,7 +542,7 @@ struct Exhaustive<'a, 'b> {
     mdes: &'a CompiledMdes,
     checker: Checker<'a>,
     block: &'a Block,
-    preds: &'a [Vec<mdes_sched::Edge>],
+    graph: &'a DepGraph,
     ru: RuMap,
     cycles: Vec<i32>,
     best: i32,
@@ -558,7 +562,7 @@ impl Exhaustive<'_, '_> {
             return;
         }
         let mut est = 0;
-        for edge in &self.preds[index] {
+        for edge in self.graph.preds(index) {
             est = est.max(self.cycles[edge.from] + edge.latency);
         }
         // Any schedule strictly shorter than the current best issues

@@ -58,10 +58,14 @@ impl<'a> OracleScheduler<'a> {
             .max(1);
 
         let graph = DepGraph::build(&looped.body, self.mdes);
-        let preds: Vec<Vec<(usize, i32)>> = graph
-            .preds
-            .iter()
-            .map(|edges| edges.iter().map(|e| (e.from, e.latency)).collect())
+        let preds: Vec<Vec<(usize, i32)>> = (0..n)
+            .map(|op| {
+                graph
+                    .preds(op)
+                    .iter()
+                    .map(|e| (e.from, e.latency))
+                    .collect()
+            })
             .collect();
 
         let bounds = selection_bounds(self.mdes, &looped.body);

@@ -16,7 +16,7 @@ use mdes_core::{
 use mdes_engine::Engine;
 use mdes_machines::Machine;
 use mdes_oracle::{differential_gap, GapReport, OracleScheduler};
-use mdes_sched::ListScheduler;
+use mdes_sched::{DepGraph, ListScheduler};
 use mdes_workload::{generate_compiled_regions, Pcg32, RegionConfig};
 
 use crate::reference::PointerChasedChecker;
@@ -39,6 +39,7 @@ pub(crate) fn run(config: &BenchConfig, out: &mut Vec<Sample>) {
     automaton_pack(config, out);
     analyze_lint(config, out);
     list_scheduling(config, out);
+    graph_rebuilds(config, out);
     engine_batches(config, out);
     serve_boot(config, out);
     serve_roundtrip(config, out);
@@ -321,6 +322,31 @@ fn list_scheduling(config: &BenchConfig, out: &mut Vec<Sample>) {
                 scheduler.schedule(block, &mut stats);
             }
             stats.resource_checks
+        }));
+    }
+}
+
+/// Dependence-graph rebuilds over the `sched/list` region stream, each
+/// region rebuilt in place in one reused graph, as the scheduler's
+/// scratch does.  Work unit: one edge.
+fn graph_rebuilds(config: &BenchConfig, out: &mut Vec<Sample>) {
+    for (machine_name, spec) in mdes_machines::bundled() {
+        let name = format!("sched/graph/{machine_name}");
+        if !config.matches(&name) {
+            continue;
+        }
+        let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
+        let blocks =
+            generate_compiled_regions(&compiled, &RegionConfig::new(32).with_seed(config.seed))
+                .blocks;
+        let mut graph = DepGraph::default();
+        out.push(measure(&name, config.iters(10), config.reps, || {
+            let mut edges = 0;
+            for block in &blocks {
+                graph.rebuild(block, &compiled);
+                edges += graph.num_edges() as u64;
+            }
+            edges
         }));
     }
 }

@@ -3,7 +3,9 @@
 //!
 //! * [`operation`] — the operation / basic-block model (an [`Op`] is a
 //!   24-byte `Copy` value holding its registers inline);
-//! * [`depgraph`] — dependence-DAG construction with MDES latencies;
+//! * [`depgraph`] — dependence-DAG construction with MDES latencies,
+//!   into flat per-operation edge arrays plus critical-path heights that
+//!   [`DepGraph::rebuild`] refills in place;
 //! * [`list`] — the forward (and backward) cycle-driven list scheduler
 //!   whose attempt counting matches the paper's statistics;
 //! * [`modulo`] — iterative modulo scheduling (Rau \[12\]), exercising the
@@ -23,6 +25,15 @@
 //! [`ScheduledOp`] is 16 bytes (cycle, class, and its slice of that
 //! buffer, read with [`Schedule::selection`]).  [`ModuloSchedule`] uses
 //! the same flat layout with one fixed slot per operation.
+//!
+//! A [`SchedScratch`] owns everything one list-scheduling run mutates —
+//! the dependence graph and its heights, the RU map, the placement
+//! buffers, one schedule — and every run resets it on entry.
+//! [`ListScheduler::schedule_reusing`] rebuilds the scratch's graph in
+//! place, so once the scratch has held the largest block a block costs
+//! only the three exact-size buffers of the [`Schedule`] it returns;
+//! [`ListScheduler::schedule_in_scratch`] leaves the schedule in the
+//! scratch beside its graph and allocates nothing.
 //!
 //! # Example
 //!

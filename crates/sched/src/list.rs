@@ -13,7 +13,7 @@
 
 use mdes_core::{Checker, ClassId, CompiledMdes, RuMap};
 
-use crate::depgraph::DepGraph;
+use crate::depgraph::{DepGraph, Edge};
 use crate::operation::{Block, Op};
 use crate::CheckStats;
 
@@ -102,23 +102,21 @@ impl Schedule {
     ///
     /// Returns a description of the first violation found.
     pub fn verify(&self, graph: &DepGraph, mdes: &CompiledMdes) -> Result<(), String> {
-        if self.ops.len() != graph.num_ops {
+        if self.ops.len() != graph.num_ops() {
             return Err(format!(
                 "schedule places {} operation(s) but the block has {}",
                 self.ops.len(),
-                graph.num_ops
+                graph.num_ops()
             ));
         }
-        for edges in &graph.succs {
-            for edge in edges {
-                let from = self.ops[edge.from].cycle;
-                let to = self.ops[edge.to].cycle;
-                if to < from + edge.latency {
-                    return Err(format!(
-                        "dependence {}→{} ({:?}, latency {}) violated: cycles {} → {}",
-                        edge.from, edge.to, edge.kind, edge.latency, from, to
-                    ));
-                }
+        for edge in graph.edges() {
+            let from = self.ops[edge.from].cycle;
+            let to = self.ops[edge.to].cycle;
+            if to < from + edge.latency {
+                return Err(format!(
+                    "dependence {}→{} ({:?}, latency {}) violated: cycles {} → {}",
+                    edge.from, edge.to, edge.kind, edge.latency, from, to
+                ));
             }
         }
 
@@ -196,26 +194,23 @@ pub fn selection_bounds(mdes: &CompiledMdes, block: &Block) -> Vec<u32> {
 /// One instance serves any number of sequential [`ListScheduler`] runs —
 /// the engine gives each *worker* one scratch that persists across all
 /// jobs it executes, so the per-job cost drops to resets instead of
-/// allocations: the RU map keeps its grown cycle window (`RuMap::clear`
-/// zeroes occupancy without shrinking), and the solver vectors keep their
-/// capacity.
+/// allocations: the dependence graph is rebuilt in place
+/// ([`DepGraph::rebuild`]), the RU map keeps its grown cycle window
+/// (`RuMap::clear` zeroes occupancy without shrinking), and the solver
+/// vectors keep their capacity.  What a scratch retains is bounded by the
+/// largest block it has scheduled.
 ///
-/// Every `schedule*_reusing` entry point resets all of this **on
-/// entry**, so a scratch left in an arbitrary state — including by a
+/// Every `schedule*` entry point that takes a scratch resets all of this
+/// **on entry**, so a scratch left in an arbitrary state — including by a
 /// run that panicked mid-schedule — never influences the next run.
 /// That entry-reset discipline is what makes the engine's determinism
 /// contract (schedules independent of worker count and job order)
 /// survive state reuse.
 #[derive(Debug, Default)]
 pub struct SchedScratch {
-    ru: RuMap,
-    placed: Vec<Option<ScheduledOp>>,
-    /// Unplaced neighbours each operation still waits on: predecessors
-    /// forward, successors backward.
-    waiting: Vec<usize>,
-    /// Earliest time, in the loop's direction, each operation may issue.
-    ready: Vec<i32>,
-    order: Vec<usize>,
+    graph: DepGraph,
+    placement: Placement,
+    schedule: Schedule,
 }
 
 impl SchedScratch {
@@ -224,6 +219,31 @@ impl SchedScratch {
     pub fn new() -> SchedScratch {
         SchedScratch::default()
     }
+
+    /// The dependence graph of the block this scratch last scheduled
+    /// through [`ListScheduler::schedule_reusing`] or
+    /// [`ListScheduler::schedule_in_scratch`].
+    pub fn graph(&self) -> &DepGraph {
+        &self.graph
+    }
+
+    /// The schedule [`ListScheduler::schedule_in_scratch`] last left here.
+    pub fn schedule(&self) -> &Schedule {
+        &self.schedule
+    }
+}
+
+/// The placement loop's buffers.
+#[derive(Debug, Default)]
+struct Placement {
+    ru: RuMap,
+    placed: Vec<Option<ScheduledOp>>,
+    /// Unplaced neighbours each operation still waits on: predecessors
+    /// forward, successors backward.
+    waiting: Vec<usize>,
+    /// Earliest time, in the loop's direction, each operation may issue.
+    ready: Vec<i32>,
+    order: Vec<usize>,
 }
 
 /// The list scheduler over one compiled MDES.
@@ -252,13 +272,15 @@ impl<'a> ListScheduler<'a> {
     }
 
     /// The reset-and-reuse entry point: schedules `block` against
-    /// borrowed scratch state instead of allocating fresh per-run state.
+    /// borrowed scratch state instead of allocating fresh per-run state,
+    /// rebuilding the scratch's dependence graph in place.
     ///
     /// Produces exactly the schedule and statistics [`ListScheduler::schedule`]
     /// would — the scratch is fully reset on entry (see [`SchedScratch`]),
     /// so reuse is invisible in the results and only visible in the
-    /// allocator profile.  This is what the engine's workers call for
-    /// every job they claim.
+    /// allocator profile: once warm, a block costs the three exact-size
+    /// buffers of the returned [`Schedule`] and nothing else.  This is
+    /// what the engine's batch workers call for every job they claim.
     ///
     /// # Panics
     ///
@@ -270,8 +292,42 @@ impl<'a> ListScheduler<'a> {
         scratch: &mut SchedScratch,
         stats: &mut CheckStats,
     ) -> Schedule {
-        let graph = DepGraph::build(block, self.mdes);
-        self.schedule_with_graph_reusing(block, &graph, scratch, stats)
+        scratch.graph.rebuild(block, self.mdes);
+        let mut schedule = Schedule::default();
+        self.place(
+            block,
+            &scratch.graph,
+            &mut scratch.placement,
+            &mut schedule,
+            stats,
+            Direction::Forward,
+        );
+        schedule
+    }
+
+    /// [`ListScheduler::schedule_reusing`] with the schedule kept in the
+    /// scratch too: the result is [`SchedScratch::schedule`], beside the
+    /// graph it was placed against ([`SchedScratch::graph`]), until the
+    /// next run.  Once warm, a block allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine description can never issue some operation,
+    /// like [`ListScheduler::schedule`].
+    pub fn schedule_in_scratch<'s>(
+        &self,
+        block: &Block,
+        scratch: &'s mut SchedScratch,
+        stats: &mut CheckStats,
+    ) -> &'s Schedule {
+        let SchedScratch {
+            graph,
+            placement,
+            schedule,
+        } = scratch;
+        graph.rebuild(block, self.mdes);
+        self.place(block, graph, placement, schedule, stats, Direction::Forward);
+        schedule
     }
 
     /// [`ListScheduler::schedule_reusing`] with a pre-built dependence
@@ -283,7 +339,16 @@ impl<'a> ListScheduler<'a> {
         scratch: &mut SchedScratch,
         stats: &mut CheckStats,
     ) -> Schedule {
-        self.place(block, graph, scratch, stats, Direction::Forward)
+        let mut schedule = Schedule::default();
+        self.place(
+            block,
+            graph,
+            &mut scratch.placement,
+            &mut schedule,
+            stats,
+            Direction::Forward,
+        );
+        schedule
     }
 
     /// Schedules `block` backward: operations are placed from the block
@@ -292,70 +357,87 @@ impl<'a> ListScheduler<'a> {
     /// at cycle 0.  Used with the backward time-shift heuristic.
     pub fn schedule_backward(&self, block: &Block, stats: &mut CheckStats) -> Schedule {
         let graph = DepGraph::build(block, self.mdes);
+        let mut schedule = Schedule::default();
         self.place(
             block,
             &graph,
-            &mut SchedScratch::new(),
+            &mut Placement::default(),
+            &mut schedule,
             stats,
             Direction::Backward,
-        )
+        );
+        schedule
     }
 
-    /// The one placement loop.  Time `t` counts up in the loop's
-    /// direction: an operation issues at cycle `t` forward and at cycle
-    /// `-t` backward, where it waits on its successors instead of its
-    /// predecessors.  Each cycle, the waiting-free operations whose ready
-    /// time has come are tried in priority order, and each placement
-    /// raises the ready time of the operations it releases to
-    /// `t + latency`.
+    /// The one placement loop, writing its schedule into `out`.  Time `t`
+    /// counts up in the loop's direction: an operation issues at cycle
+    /// `t` forward and at cycle `-t` backward, where it waits on its
+    /// successors instead of its predecessors.  Each cycle, the
+    /// waiting-free operations whose ready time has come are tried in
+    /// priority order, and each placement raises the ready time of the
+    /// operations it releases to `t + latency`.
     fn place(
         &self,
         block: &Block,
         graph: &DepGraph,
-        scratch: &mut SchedScratch,
+        placement: &mut Placement,
+        out: &mut Schedule,
         stats: &mut CheckStats,
         direction: Direction,
-    ) -> Schedule {
+    ) {
         let n = block.ops.len();
+        // Reset every piece of borrowed state on entry: a cleared RU map
+        // is observationally a fresh one (the window placement is not a
+        // contract surface) — schedules depend only on the block, never
+        // on what was scheduled before.  The output buffers are sized
+        // exactly once, so a fresh schedule holds no spare capacity.
+        let Schedule {
+            ops,
+            selected,
+            attempts,
+            length,
+        } = out;
+        ops.clear();
+        selected.clear();
+        attempts.clear();
+        *length = 0;
         if n == 0 {
-            return Schedule::default();
+            return;
         }
         let checker = Checker::new(self.mdes);
         let heights = graph.heights();
         let height_bound: i32 = heights.iter().copied().max().unwrap_or(0);
         let backward = direction == Direction::Backward;
-        let (waits_on, releases) = if backward {
-            (&graph.succs, &graph.preds)
+        type Edges = fn(&DepGraph, usize) -> &[Edge];
+        let (waits_on, releases): (Edges, Edges) = if backward {
+            (DepGraph::succs, DepGraph::preds)
         } else {
-            (&graph.preds, &graph.succs)
+            (DepGraph::preds, DepGraph::succs)
         };
         // Backward placement starts at the critical-path horizon.
         let mut t = if backward { -height_bound } else { 0 };
 
-        // Reset every piece of borrowed state on entry: a cleared RU map
-        // is observationally a fresh one (the window placement is not a
-        // contract surface) — schedules depend only on the block, never
-        // on what was scheduled before.
-        let SchedScratch {
+        let Placement {
             ru,
             placed,
             waiting,
             ready,
             order,
-        } = scratch;
+        } = placement;
         ru.clear();
         placed.clear();
         placed.resize(n, None);
         waiting.clear();
-        waiting.extend(waits_on.iter().map(Vec::len));
+        waiting.extend((0..n).map(|op| waits_on(graph, op).len()));
         ready.clear();
         ready.resize(n, t);
 
-        let mut attempts: Vec<u32> = vec![0; n];
+        attempts.reserve_exact(n);
+        attempts.resize(n, 0);
         // One entry per OR-tree of each operation's class, sized up front
         // so appends never reallocate however many attempts fail.
         let trees = |op: &Op| self.mdes.class(op.class).or_trees.len();
-        let mut selected: Vec<u32> = Vec::with_capacity(block.ops.iter().map(trees).sum());
+        selected.reserve_exact(block.ops.iter().map(trees).sum());
         let mut remaining = n;
 
         // An operation can always issue on an empty machine, so the
@@ -389,7 +471,7 @@ impl<'a> ListScheduler<'a> {
                 let class = block.ops[op].class;
                 attempts[op] += 1;
                 let start = selected.len();
-                if checker.try_reserve_into(ru, class, cycle, stats, &mut selected) {
+                if checker.try_reserve_into(ru, class, cycle, stats, selected) {
                     stats.count_operation();
                     placed[op] = Some(ScheduledOp {
                         cycle,
@@ -398,7 +480,7 @@ impl<'a> ListScheduler<'a> {
                         sel_len: (selected.len() - start) as u32,
                     });
                     remaining -= 1;
-                    for edge in &releases[op] {
+                    for edge in releases(graph, op) {
                         let next = if backward { edge.from } else { edge.to };
                         waiting[next] -= 1;
                         ready[next] = ready[next].max(t + edge.latency);
@@ -410,21 +492,13 @@ impl<'a> ListScheduler<'a> {
 
         // Normalize to start at cycle 0 (forward schedules already do).
         let first = placed.iter().flatten().map(|s| s.cycle).min().unwrap_or(0);
-        let ops: Vec<ScheduledOp> = placed
-            .drain(..)
-            .map(|s| {
-                let mut s = s.expect("every operation is placed");
-                s.cycle -= first;
-                s
-            })
-            .collect();
-        let length = ops.iter().map(|s| s.cycle).max().unwrap_or(-1) + 1;
-        Schedule {
-            ops,
-            selected,
-            attempts,
-            length,
-        }
+        ops.reserve_exact(n);
+        ops.extend(placed.drain(..).map(|s| {
+            let mut s = s.expect("every operation is placed");
+            s.cycle -= first;
+            s
+        }));
+        *length = ops.iter().map(|s| s.cycle).max().unwrap_or(-1) + 1;
     }
 }
 

@@ -98,14 +98,12 @@ impl ModuloSchedule {
             ));
         }
         let graph = DepGraph::build(&looped.body, mdes);
-        for edges in &graph.succs {
-            for edge in edges {
-                if self.cycles[edge.to] < self.cycles[edge.from] + edge.latency {
-                    return Err(format!(
-                        "intra-iteration dependence {}→{} violated",
-                        edge.from, edge.to
-                    ));
-                }
+        for edge in graph.edges() {
+            if self.cycles[edge.to] < self.cycles[edge.from] + edge.latency {
+                return Err(format!(
+                    "intra-iteration dependence {}→{} violated",
+                    edge.from, edge.to
+                ));
             }
         }
         for &(from, to, latency, distance) in &looped.carried {
@@ -204,10 +202,8 @@ impl<'a> ModuloScheduler<'a> {
             // a positive cycle means this II is infeasible.
             let mut dist = vec![vec![i64::MIN; n]; n];
             let mut edges: Vec<(usize, usize, i64)> = Vec::new();
-            for edge_list in &graph.succs {
-                for e in edge_list {
-                    edges.push((e.from, e.to, e.latency as i64));
-                }
+            for e in graph.edges() {
+                edges.push((e.from, e.to, e.latency as i64));
             }
             for &(from, to, latency, distance) in &looped.carried {
                 edges.push((from, to, latency as i64 - ii as i64 * distance as i64));
@@ -354,14 +350,14 @@ impl<'a> ModuloScheduler<'a> {
             // Evict scheduled operations whose dependences the new
             // placement violates; they will be rescheduled.
             let mut evict: Vec<usize> = Vec::new();
-            for edge in &graph.succs[op] {
+            for edge in graph.succs(op) {
                 if let Some(to_cycle) = cycles[edge.to] {
                     if to_cycle < placed_cycle + edge.latency {
                         evict.push(edge.to);
                     }
                 }
             }
-            for edge in &graph.preds[op] {
+            for edge in graph.preds(op) {
                 if let Some(from_cycle) = cycles[edge.from] {
                     if placed_cycle < from_cycle + edge.latency {
                         evict.push(edge.from);
@@ -401,7 +397,7 @@ impl<'a> ModuloScheduler<'a> {
                 *est = (*est).max(from_cycle + edge.latency);
             }
         };
-        for edge in &graph.preds[op] {
+        for edge in graph.preds(op) {
             consider(&mut est, edge, cycles);
         }
         for &(from, to, latency, distance) in &looped.carried {

@@ -118,7 +118,8 @@ pub fn simulate_in_order(block: &Block, order: &[usize], mdes: &CompiledMdes) ->
         // Issue as many consecutive operations as possible this cycle.
         while next < order.len() {
             let op = order[next];
-            let ready = graph.preds[op]
+            let ready = graph
+                .preds(op)
                 .iter()
                 .map(|edge| issue_cycle[edge.from].map(|c| c + edge.latency))
                 .try_fold(0i32, |acc, r| r.map(|r| acc.max(r)));

@@ -6,15 +6,20 @@
 //!
 //! * a reservation attempt allocates nothing once the caller's selection
 //!   buffer has capacity — successful or failed;
-//! * scheduling a block against warm scratch makes a fixed number of
+//! * placing a block against warm scratch makes a fixed number of
 //!   allocations, however many attempts the block needs;
+//! * a block's whole path through warm scratch — dependence graph,
+//!   heights and placement — costs exactly the three buffers of the
+//!   schedule it returns, and nothing when the schedule stays in the
+//!   scratch;
 //! * operations and placements stay compact, and an operation is a
 //!   heap-free `Copy` value.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mdes_core::{CheckStats, Checker, CompiledMdes, RuMap, UsageEncoding};
+use mdes_core::rng::Pcg32;
+use mdes_core::{CheckStats, Checker, ClassId, CompiledMdes, RuMap, UsageEncoding};
 use mdes_machines::Machine;
 use mdes_sched::{Block, DepGraph, ListScheduler, Op, Reg, SchedScratch, ScheduledOp};
 
@@ -182,6 +187,60 @@ fn block_allocations_do_not_depend_on_attempt_count() {
     assert!(wide <= 4, "{wide} allocations per block");
     for schedule in [a, b] {
         assert_eq!(schedule.selected.capacity(), schedule.selected.len());
+    }
+}
+
+/// Seeded blocks of 1 to 64 operations over every class of `mdes`
+/// (branches and serializing operations anywhere) on a small register
+/// pool, so every kind of dependence occurs.
+fn block_stream(mdes: &CompiledMdes, seed: u64) -> Vec<Block> {
+    let mut rng = Pcg32::new(seed, 7);
+    let classes = mdes.classes().len() as u32;
+    (0..96)
+        .map(|_| {
+            let len = 1 + rng.gen_range(64) as usize;
+            (0..len)
+                .map(|_| {
+                    let class = ClassId::from_index(rng.gen_range(classes) as usize);
+                    let dests: Vec<Reg> = (0..rng.gen_range(2))
+                        .map(|_| Reg(rng.gen_range(12)))
+                        .collect();
+                    let srcs: Vec<Reg> = (0..rng.gen_range(3))
+                        .map(|_| Reg(rng.gen_range(12)))
+                        .collect();
+                    Op::new(class, dests, srcs)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn a_warm_block_path_allocates_only_the_schedule_it_returns() {
+    for machine in Machine::all() {
+        let mdes = compiled(machine);
+        let blocks = block_stream(&mdes, machine as u64);
+        let scheduler = ListScheduler::new(&mdes);
+        let mut scratch = SchedScratch::new();
+        let mut stats = CheckStats::new();
+        // Warm the scratch on every block, so it has room for the largest.
+        for block in &blocks {
+            scheduler.schedule_in_scratch(block, &mut scratch, &mut stats);
+        }
+        let mut counts = Vec::new();
+        for block in &blocks {
+            let (owned, schedule) =
+                allocations_in(|| scheduler.schedule_reusing(block, &mut scratch, &mut stats));
+            let (kept, ()) = allocations_in(|| {
+                let kept = scheduler.schedule_in_scratch(block, &mut scratch, &mut stats);
+                assert_eq!(kept, &schedule);
+            });
+            counts.push((owned, kept));
+        }
+        assert!(
+            counts.iter().all(|&count| count == (3, 0)),
+            "{machine:?}: (returned, kept-in-scratch) allocations per warm block: {counts:?}"
+        );
     }
 }
 

@@ -79,10 +79,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mdes_engine::{Engine, WorkerScratch};
-use mdes_sched::DepGraph;
+use mdes_sched::Block;
 use mdes_telemetry::json::Json;
 use mdes_telemetry::{LatencyRecorder, Telemetry};
-use mdes_workload::{generate_compiled_regions, RegionConfig};
+use mdes_workload::{RegionConfig, RegionGenerator};
 
 use crate::image::{ImageStore, ReloadOutcome, ServeImage};
 use crate::proto::{
@@ -259,6 +259,7 @@ impl WorkCounts {
             ("panics", self.panics),
             ("reloads", self.reloads),
             ("reload_failures", self.reload_failures),
+            ("reload_noops", self.reload_noops),
             ("reload_cache_hits", self.reload_cache_hits),
             ("dropped", self.in_flight()),
         ] {
@@ -1093,14 +1094,19 @@ fn execute(job: &Job, scratch: &mut WorkerScratch, stats: &ServeStats) -> String
 }
 
 /// Answers one `schedule` (or, with `verify`, `verify`) request on the
-/// calling thread and returns its reply line: generates the request's
-/// regions against `image`, schedules them against the caller's
-/// long-lived `scratch`, and — for `verify` — replays every schedule
-/// through [`mdes_sched::Schedule::verify`] against its dependence graph.
+/// calling thread and returns its reply line.  The request holds one
+/// region at a time: each region is generated into one block sized for
+/// the request's largest, scheduled against the caller's long-lived
+/// `scratch`, and — for `verify` — checked through
+/// [`mdes_sched::Schedule::verify`] against the dependence graph already
+/// in the scratch.  Only the running totals outlive a region, so a
+/// request's memory does not grow with its region count.
 ///
 /// `params.jobs` is only a hint: the request runs on this one thread, and
 /// by the engine's determinism contract the reply is byte-identical for
-/// every `jobs` value.  Engine panics are counted in `stats`.
+/// every `jobs` value.  Every region that panics inside the engine is
+/// counted in `stats`, and a panic outranks a failed verification in the
+/// reply.
 pub fn run_work(
     id: u64,
     params: WorkParams,
@@ -1112,13 +1118,27 @@ pub fn run_work(
     let config = RegionConfig::new(params.regions)
         .with_mean_ops(params.mean_ops)
         .with_seed(params.seed);
-    let workload = generate_compiled_regions(&image.mdes, &config);
+    let regions = RegionGenerator::new(&image.mdes, &config);
     let engine = Engine::new(Arc::clone(&image.mdes));
-    let outcome = engine.schedule_serial(&workload.blocks, scratch);
-    stats
-        .engine_panics
-        .fetch_add(outcome.worker_panics(), Ordering::Relaxed);
-    if !outcome.is_clean() {
+    let mut block = Block::with_capacity(regions.max_ops());
+    let (mut completed, mut ops, mut cycles, mut attempts) = (0u64, 0usize, 0i64, 0u64);
+    let (mut panics, mut failure) = (0u64, None);
+    for index in 0..config.regions {
+        regions.fill(index, &mut block);
+        ops += block.len();
+        let Some(done) = engine.schedule_block(&block, scratch) else {
+            panics += 1;
+            continue;
+        };
+        completed += 1;
+        cycles += i64::from(done.schedule.length);
+        attempts += done.stats.attempts;
+        if verify && panics == 0 && failure.is_none() {
+            failure = done.schedule.verify(done.graph, &image.mdes).err();
+        }
+    }
+    stats.engine_panics.fetch_add(panics, Ordering::Relaxed);
+    if panics > 0 {
         return err_response(
             id,
             ErrorCode::Panic,
@@ -1126,30 +1146,187 @@ pub fn run_work(
             None,
         );
     }
-    if verify {
-        for (block, schedule) in workload.blocks.iter().zip(&outcome.schedules) {
-            let schedule = schedule.as_ref().expect("clean batch has every schedule");
-            let graph = DepGraph::build(block, &image.mdes);
-            if let Err(why) = schedule.verify(&graph, &image.mdes) {
-                return err_response(
-                    id,
-                    ErrorCode::General,
-                    &format!("schedule failed verification: {why}"),
-                    None,
-                );
-            }
-        }
+    if let Some(why) = failure {
+        return err_response(
+            id,
+            ErrorCode::General,
+            &format!("schedule failed verification: {why}"),
+            None,
+        );
     }
     ok_response(
         id,
         obj(vec![
             ("epoch", Json::Num(image.epoch as f64)),
             ("hash", Json::Str(format!("{:016x}", image.hash))),
-            ("regions", Json::Num(outcome.completed() as f64)),
-            ("ops", Json::Num(workload.total_ops as f64)),
-            ("cycles", Json::Num(outcome.total_cycles() as f64)),
-            ("attempts", Json::Num(scratch.stats().attempts as f64)),
+            ("regions", Json::Num(completed as f64)),
+            ("ops", Json::Num(ops as f64)),
+            ("cycles", Json::Num(cycles as f64)),
+            ("attempts", Json::Num(attempts as f64)),
             ("verified", Json::Bool(verify)),
         ]),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::image::compile_machine;
+    use mdes_machines::Machine;
+
+    /// Numeric `stats` fields that `--metrics` publishes under another
+    /// name, or that are not counters.
+    const RENAMED: &[(&str, Option<&str>)] = &[
+        ("in_flight", Some("dropped")),
+        ("engine_worker_panics", Some("engine/worker_panics")),
+        ("queue_depth", None),
+        ("epoch", None),
+        ("p50_us", None),
+        ("p99_us", None),
+    ];
+
+    /// Every numeric field of one `stats` object, with its value.
+    fn numbers(json: &Json) -> Vec<(String, u64)> {
+        let Json::Obj(fields) = json else {
+            panic!("stats renders an object");
+        };
+        fields
+            .iter()
+            .filter_map(|(key, value)| match value {
+                Json::Num(n) => Some((key.clone(), *n as u64)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Asserts that each counter of `fields` is published under `prefix`
+    /// (or its daemon-wide rename) with the value `stats` renders.
+    fn assert_published(report: &mdes_telemetry::Report, prefix: &str, fields: &[(String, u64)]) {
+        for (key, value) in fields {
+            let name = match RENAMED.iter().find(|(from, _)| from == key) {
+                Some((_, None)) => continue,
+                Some((_, Some(to))) if to.contains('/') => to.to_string(),
+                Some((_, Some(to))) => format!("{prefix}{to}"),
+                None => format!("{prefix}{key}"),
+            };
+            assert_eq!(report.counter(&name), Some(*value), "{name} for `{key}`");
+        }
+    }
+
+    /// A description whose `stuck` class needs the one ALU twice in the
+    /// same cycle, once for each tree of its AND/OR constraint, so no
+    /// schedule can ever place it and the list scheduler panics at its
+    /// cycle bound.
+    fn half_stuck_image() -> ServeImage {
+        let spec = mdes_lang::compile(
+            "
+            resource ALU;
+            or_tree Any = first_of({ ALU @ 0 });
+            or_tree Again = first_of({ ALU @ 0 });
+            and_or_tree Twice = all_of(Any, Again);
+            class alu { constraint = Any; latency = 1; }
+            class stuck { constraint = Twice; latency = 1; }
+        ",
+        )
+        .expect("spec compiles");
+        let mdes = mdes_core::CompiledMdes::compile(&spec, mdes_core::UsageEncoding::BitVector)
+            .expect("description compiles");
+        ServeImage {
+            mdes: Arc::new(mdes),
+            epoch: 0,
+            hash: 0,
+            origin: "test".to_string(),
+        }
+    }
+
+    #[test]
+    fn every_panicked_region_counts_and_the_reply_names_the_panic() {
+        let image = half_stuck_image();
+        let stuck = image.mdes.class_by_name("stuck").expect("class exists");
+        let params = WorkParams {
+            regions: 24,
+            mean_ops: 3,
+            seed: 5,
+            jobs: 1,
+        };
+        let config = RegionConfig::new(24).with_mean_ops(3).with_seed(5);
+        let regions = RegionGenerator::new(&image.mdes, &config);
+        let mut block = Block::new();
+        let stuck_regions = (0..24)
+            .filter(|&index| {
+                regions.fill(index, &mut block);
+                block.ops.iter().any(|op| op.class == stuck)
+            })
+            .count() as u64;
+        assert!((1..24).contains(&stuck_regions), "{stuck_regions}");
+
+        let (stats, mut scratch) = (ServeStats::default(), WorkerScratch::new());
+        for verify in [false, true] {
+            let reply = run_work(3, params, verify, &image, &mut scratch, &stats);
+            assert!(reply.contains("\"code\":\"panic\""), "{reply}");
+            assert!(reply.contains("panicked inside the engine"), "{reply}");
+        }
+        assert_eq!(stats.counts().engine_panics, 2 * stuck_regions);
+        assert_eq!(stats.counts().panics, 0, "isolated per region, not per job");
+    }
+
+    #[test]
+    fn every_counter_stats_renders_is_published() {
+        let image = ImageStore::new(compile_machine(Machine::K5), "K5", 1).current();
+        let counts = |base: u64| WorkCounts {
+            admitted: base + 10,
+            answered: base + 9,
+            shed: base + 1,
+            deadline_exceeded: base + 2,
+            panics: base + 3,
+            engine_panics: base + 4,
+            reloads: base + 5,
+            reload_failures: base + 6,
+            reload_noops: base + 7,
+            reload_cache_hits: base + 8,
+        };
+        let shards: Vec<ShardStats> = [("K5", 100), ("Pentium", 200)]
+            .into_iter()
+            .map(|(name, base)| ShardStats {
+                name: name.to_string(),
+                counts: counts(base),
+                queue_depth: 3,
+                image: Arc::clone(&image),
+                latency_us: [40, 90],
+            })
+            .collect();
+        let total = shards
+            .iter()
+            .fold(WorkCounts::default(), |sum, shard| sum.plus(&shard.counts));
+        let stats = DaemonStats {
+            shards,
+            total,
+            connections: 11,
+            parse_errors: 12,
+            oversized_frames: 13,
+            slow_loris_drops: 14,
+            latency_us: [50, 95],
+        };
+        let tel = Telemetry::new();
+        stats.publish(&tel);
+        let report = tel.report();
+
+        let rendered = stats.to_json(0);
+        assert_published(&report, "serve/", &numbers(&rendered));
+        let Json::Obj(fields) = &rendered else {
+            panic!("stats renders an object");
+        };
+        let Some(Json::Obj(shards)) = fields.get("shards") else {
+            panic!("stats renders its shards");
+        };
+        assert_eq!(shards.len(), 2);
+        for (name, shard) in shards {
+            assert_published(&report, &format!("serve/shard/{name}/"), &numbers(shard));
+        }
+        assert_eq!(report.counter("serve/reload_noops"), Some(314));
+        assert_eq!(
+            report.counter("serve/shard/Pentium/reload_noops"),
+            Some(207)
+        );
+    }
 }

@@ -1,16 +1,22 @@
-//! Allocation gates for the serving worker and connection paths.
+//! Allocation and memory gates for the serving worker and connection
+//! paths.
 //!
 //! A shard worker answers a work request on its own thread against
-//! scheduling scratch it owns for life, so after warm-up a request's
-//! allocations are the request's own data — regions, schedules, the
-//! reply — never per-request scratch, statistics histograms, or worker
-//! threads.  The connection path around it — reading and framing the
-//! request, admitting the job, the reply's trip through the writer, the
-//! one-slot window's acknowledgement — allocates nothing per request
-//! beyond parsing the frame.  The LMDES validating scan a reload's image
-//! goes through allocates nothing at all, accepting or rejecting.  A
-//! counting global allocator (no dependencies) tallies each thread's
-//! allocations and their largest size, and the whole process's
+//! scheduling scratch it owns for life — dependence graph, RU map,
+//! placement buffers, the schedule, statistics — and streams the
+//! request's regions through it one at a time.  So after warm-up a
+//! request allocates a fixed handful of buffers (the region generator's
+//! class lists, one block sized for the request's largest region, the
+//! reply), the same number whatever its region count, and its peak live
+//! memory does not grow with its region count: never per-region data,
+//! per-request scratch, statistics histograms, or worker threads.  The
+//! connection path around it — reading and framing the request, admitting
+//! the job, the reply's trip through the writer, the one-slot window's
+//! acknowledgement — allocates nothing per request beyond parsing the
+//! frame.  The LMDES validating scan a reload's image goes through
+//! allocates nothing at all, accepting or rejecting.  A counting global
+//! allocator (no dependencies) tallies each thread's allocations, their
+//! largest size and its peak live bytes, and the whole process's
 //! allocations.
 
 mod common;
@@ -34,6 +40,11 @@ struct Counting;
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread allocated less the bytes it freed.  A block
+    /// freed by another thread than its allocator skews both threads'
+    /// figures; the gates below measure single-threaded calls.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 /// Allocations by every thread of this process.
@@ -46,6 +57,14 @@ fn bump(size: usize) {
     let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
 }
 
+/// Moves this thread's live bytes by `delta` and raises its peak.
+fn live(delta: isize) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, so
 // the caller's guarantees are exactly the ones `System` requires, and the
 // only extra work is updating const-initialised thread-local cells and a
@@ -53,20 +72,24 @@ fn bump(size: usize) {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump(layout.size());
+        live(layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         bump(layout.size());
+        live(layout.size() as isize);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump(new_size);
+        live(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 }
@@ -79,15 +102,21 @@ static GLOBAL: Counting = Counting;
 struct Tally {
     allocations: u64,
     largest: usize,
+    /// The most bytes the call held live at once, above what the thread
+    /// held when it began.
+    peak: usize,
 }
 
 fn allocations_in<T>(f: impl FnOnce() -> T) -> (Tally, T) {
     let before = ALLOCATIONS.with(Cell::get);
     LARGEST.with(|largest| largest.set(0));
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
     let out = f();
     let tally = Tally {
         allocations: ALLOCATIONS.with(Cell::get) - before,
         largest: LARGEST.with(Cell::get),
+        peak: (PEAK.with(Cell::get) - base) as usize,
     };
     (tally, out)
 }
@@ -134,6 +163,66 @@ fn a_warm_worker_allocates_the_same_for_any_jobs_hint_and_nothing_large() {
                 one.largest < LARGE,
                 "{machine:?} verify={verify}: a {} B allocation",
                 one.largest
+            );
+        }
+    }
+}
+
+/// A warm worker's `run_work` on `regions` regions of 16 mean ops:
+/// what the second of two identical requests allocates.
+fn warm_request(
+    machine: Machine,
+    regions: usize,
+    verify: bool,
+    scratch: &mut WorkerScratch,
+) -> Tally {
+    let image = ImageStore::new(compile_machine(machine), machine.name(), 1).current();
+    let stats = ServeStats::default();
+    let params = WorkParams {
+        regions,
+        mean_ops: 16,
+        seed: 11,
+        jobs: 1,
+    };
+    run_work(7, params, verify, &image, scratch, &stats);
+    let (tally, reply) = allocations_in(|| run_work(7, params, verify, &image, scratch, &stats));
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    tally
+}
+
+#[test]
+fn a_warm_schedule_request_allocates_the_same_at_any_region_count() {
+    let _alone = alone();
+    for machine in Machine::all() {
+        let mut scratch = WorkerScratch::new();
+        let counts: Vec<u64> = [4, 64, 1024]
+            .into_iter()
+            .map(|regions| warm_request(machine, regions, false, &mut scratch).allocations)
+            .collect();
+        assert!(
+            counts.iter().all(|&count| count == counts[0]),
+            "{machine:?}: allocations at 4, 64 and 1024 regions: {counts:?}"
+        );
+    }
+}
+
+/// How much more a 1024-region request may hold live at its peak than a
+/// 16-region one: room for a longer reply line and for `verify`'s
+/// reservation replay of a longer schedule, not for any per-region data.
+const PEAK_SLACK: usize = 4 * 1024;
+
+#[test]
+fn a_warm_request_peaks_at_the_same_live_bytes_at_any_region_count() {
+    let _alone = alone();
+    for machine in Machine::all() {
+        for verify in [false, true] {
+            let mut scratch = WorkerScratch::new();
+            let small = warm_request(machine, 16, verify, &mut scratch).peak;
+            let large = warm_request(machine, 1024, verify, &mut scratch).peak;
+            assert!(
+                large < small + PEAK_SLACK,
+                "{machine:?} verify={verify}: a 1024-region request peaks at {large} B \
+                 live, a 16-region one at {small} B"
             );
         }
     }

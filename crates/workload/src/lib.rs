@@ -44,4 +44,4 @@ pub use generate::{
 };
 pub use mdes_core::rng::Pcg32;
 pub use mix::{body_mix, end_mix, OpTemplate};
-pub use regions::{generate_compiled_regions, RegionConfig};
+pub use regions::{generate_compiled_regions, RegionConfig, RegionGenerator};

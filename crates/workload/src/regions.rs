@@ -62,85 +62,120 @@ impl RegionConfig {
     }
 }
 
-/// Generates a region stream for a compiled description: a uniform class
-/// mix over the non-branch classes, one branch-flagged terminator per
-/// region when the description has any.  Classes are partitioned by the
-/// compiled branch/store flags, which round-trip through an LMDES image
-/// unchanged, so a daemon serving a loaded image and a client holding the
-/// same description derive byte-identical workloads: the region at index
-/// `i` is a pure function of `(config, i, class flags)` and nothing else.
+/// Generates a region stream for a compiled description: every region
+/// of [`RegionGenerator`], each in a block of its own.
 ///
 /// # Panics
 ///
 /// Panics if the description has no schedulable non-branch classes.
 pub fn generate_compiled_regions(mdes: &CompiledMdes, config: &RegionConfig) -> Workload {
-    let mut body: Vec<ClassId> = Vec::new();
-    let mut ends: Vec<ClassId> = Vec::new();
-    for (index, class) in mdes.classes().iter().enumerate() {
-        let id = ClassId::from_index(index);
-        if class.flags.branch {
-            ends.push(id);
-        } else {
-            body.push(id);
-        }
-    }
-    assert!(
-        !body.is_empty(),
-        "description has no schedulable non-branch classes"
-    );
-
-    let shape = OperandShape::new(&config.shape);
+    let generator = RegionGenerator::new(mdes, config);
     let blocks: Vec<Block> = (0..config.regions)
-        .map(|index| region_at(mdes, config, &shape, index as u64, &body, &ends))
+        .map(|index| {
+            let mut block = Block::new();
+            generator.fill(index, &mut block);
+            block
+        })
         .collect();
     let total_ops = blocks.iter().map(Block::len).sum();
     Workload { blocks, total_ops }
 }
 
-/// Generates the single region at `index` — independent of every other
-/// region by construction.  The block is sized before the first push, so
-/// a region is one allocation.
-fn region_at(
-    mdes: &CompiledMdes,
-    config: &RegionConfig,
-    shape: &OperandShape,
-    index: u64,
-    body: &[ClassId],
-    ends: &[ClassId],
-) -> Block {
-    let mut rng = Pcg32::new(config.seed, index.wrapping_add(1));
-    let span = (2 * config.mean_ops - 1).max(1) as u32;
-    let body_len = 1 + rng.gen_range(span) as usize;
+/// A region stream over a compiled description, one region at a time: a
+/// uniform class mix over the non-branch classes, one branch-flagged
+/// terminator per region when the description has any.
+///
+/// Classes are partitioned by the compiled branch/store flags, which
+/// round-trip through an LMDES image unchanged, so a daemon serving a
+/// loaded image and a client holding the same description derive
+/// byte-identical workloads: the region at index `i` is a pure function
+/// of `(config, i, class flags)` and nothing else, and can be generated
+/// in any order into any block.
+#[derive(Clone, Debug)]
+pub struct RegionGenerator<'a> {
+    mdes: &'a CompiledMdes,
+    config: RegionConfig,
+    shape: OperandShape,
+    body: Vec<ClassId>,
+    ends: Vec<ClassId>,
+}
 
-    let mut block = Block::with_capacity(body_len + usize::from(!ends.is_empty()));
-    let mut recent = Recent::new();
-    let mut next_reg = 0u32;
-    for _ in 0..body_len {
-        let class = body[rng.gen_range(body.len() as u32) as usize];
-        let dests = usize::from(!mdes.class(class).flags.store);
-        block.push(make_op(
-            class,
-            2,
-            dests,
-            shape,
-            &mut rng,
-            &mut recent,
-            &mut next_reg,
-        ));
+impl<'a> RegionGenerator<'a> {
+    /// Creates the generator of `config`'s stream over `mdes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the description has no schedulable non-branch classes.
+    pub fn new(mdes: &'a CompiledMdes, config: &RegionConfig) -> RegionGenerator<'a> {
+        let mut body: Vec<ClassId> = Vec::new();
+        let mut ends: Vec<ClassId> = Vec::new();
+        for (index, class) in mdes.classes().iter().enumerate() {
+            let id = ClassId::from_index(index);
+            if class.flags.branch {
+                ends.push(id);
+            } else {
+                body.push(id);
+            }
+        }
+        assert!(
+            !body.is_empty(),
+            "description has no schedulable non-branch classes"
+        );
+        RegionGenerator {
+            mdes,
+            config: *config,
+            shape: OperandShape::new(&config.shape),
+            body,
+            ends,
+        }
     }
-    if !ends.is_empty() {
-        let class = ends[rng.gen_range(ends.len() as u32) as usize];
-        block.push(make_op(
-            class,
-            1,
-            0,
-            shape,
-            &mut rng,
-            &mut recent,
-            &mut next_reg,
-        ));
+
+    /// The most operations one region holds: `2 * mean_ops - 1` body
+    /// operations, plus the terminator.
+    pub fn max_ops(&self) -> usize {
+        (2 * self.config.mean_ops - 1).max(1) + usize::from(!self.ends.is_empty())
     }
-    block
+
+    /// Replaces `block`'s operations with the region at `index`.  The
+    /// block is sized before the first push, so a region costs at most
+    /// one allocation, and none once `block` has room for it.
+    pub fn fill(&self, index: usize, block: &mut Block) {
+        let mut rng = Pcg32::new(self.config.seed, (index as u64).wrapping_add(1));
+        let span = (2 * self.config.mean_ops - 1).max(1) as u32;
+        let body_len = 1 + rng.gen_range(span) as usize;
+
+        block.ops.clear();
+        block
+            .ops
+            .reserve_exact(body_len + usize::from(!self.ends.is_empty()));
+        let mut recent = Recent::new();
+        let mut next_reg = 0u32;
+        for _ in 0..body_len {
+            let class = self.body[rng.gen_range(self.body.len() as u32) as usize];
+            let dests = usize::from(!self.mdes.class(class).flags.store);
+            block.push(make_op(
+                class,
+                2,
+                dests,
+                &self.shape,
+                &mut rng,
+                &mut recent,
+                &mut next_reg,
+            ));
+        }
+        if !self.ends.is_empty() {
+            let class = self.ends[rng.gen_range(self.ends.len() as u32) as usize];
+            block.push(make_op(
+                class,
+                1,
+                0,
+                &self.shape,
+                &mut rng,
+                &mut recent,
+                &mut next_reg,
+            ));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -175,6 +210,20 @@ mod tests {
         let short = generate_compiled_regions(&mdes, &RegionConfig::new(16));
         let long = generate_compiled_regions(&mdes, &RegionConfig::new(48));
         assert_eq!(short.blocks[..], long.blocks[..16]);
+    }
+
+    #[test]
+    fn one_reused_block_takes_every_region_in_any_order() {
+        let mdes = compiled(Machine::Pentium);
+        let config = RegionConfig::new(24).with_mean_ops(12).with_seed(3);
+        let stream = generate_compiled_regions(&mdes, &config);
+        let generator = RegionGenerator::new(&mdes, &config);
+        let mut block = Block::with_capacity(generator.max_ops());
+        for index in (0..24).rev() {
+            generator.fill(index, &mut block);
+            assert_eq!(block, stream.blocks[index], "region {index}");
+            assert_eq!(block.ops.capacity(), generator.max_ops());
+        }
     }
 
     #[test]
