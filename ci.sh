@@ -10,9 +10,10 @@
 #                    tests (the build-time boot images checked byte for
 #                    byte against the runtime pipeline), allocation
 #                    and memory gates (worker path, and the connection
-#                    path of an id-less round trip) and pinned replies
+#                    path of an id-less round trip), pinned replies
 #                    (`run_work` answers byte-identical to recorded
-#                    digests), formatting
+#                    digests), a type-check of the end-to-end benchmark
+#                    crate against the current public API, formatting
 #   ./ci.sh --full   everything above plus the release-profile workspace
 #                    suites, the bench-serve concurrency smokes, the
 #                    daemon serving smokes (a v1 serial client and a
@@ -111,8 +112,10 @@ cargo test -q -p mdes-workload --test allocations
 
 # The engine's suites take a few seconds: every job runs exactly once,
 # a panicked job leaves `None` at its own index, a blocked job never
-# strands a later one, and a skewed batch schedules byte-identically at
-# 1, 4 and 16 workers.
+# strands a later one, a skewed batch schedules byte-identically at
+# 1, 4 and 16 workers, and every list schedule of a seeded stream on the
+# six bundled descriptions (forward, backward, batched at one and two
+# workers, block by block) matches recorded per-operation digests.
 cargo test -q -p mdes-engine
 
 # The daemon's unit tests, its allocation gates and its pinned replies
@@ -121,14 +124,21 @@ cargo test -q -p mdes-engine
 # equal, byte for byte, what the runtime pipeline builds under this one
 # (`--full` repeats the check in release), and every counter `stats`
 # renders must be published to `--metrics`.  The allocation gates hold
-# a warm worker's request to a fixed allocation count and a peak of
-# live bytes that do not grow with its region count, and a live
+# a warm worker's request, `schedule` or `verify`, to a fixed
+# allocation count and a peak of live bytes that do not grow with its
+# region count, and a live
 # daemon's id-less round trip to no allocation on the connection path
 # beyond parsing the frame.  The pinned replies (about 1 s) hold
 # `run_work`'s answers for the four served machines, both work verbs,
 # four request shapes and two seeds to digests recorded on the request
 # path that held a request's whole workload.
 cargo test -q -p mdes-serve --lib --test allocations --test pinned_replies
+
+# The end-to-end benchmark is its own Cargo workspace with its own lock
+# file, so nothing above compiles it.  Type-checking it takes seconds
+# warm, so a public API change in a member crate that would break
+# `bash benchmark/run.sh` fails here rather than only under --full.
+cargo check --offline --locked --manifest-path benchmark/Cargo.toml --target-dir target
 
 cargo fmt --check
 

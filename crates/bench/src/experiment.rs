@@ -178,8 +178,8 @@ const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 /// Folds `schedule`'s issue cycles, in operation order, into the FNV-1a
 /// `hash`.
 fn fold_cycles(hash: u64, schedule: &Schedule) -> u64 {
-    schedule.ops.iter().fold(hash, |hash, op| {
-        (hash ^ op.cycle as u32 as u64).wrapping_mul(0x100000001b3)
+    (0..schedule.len()).fold(hash, |hash, i| {
+        (hash ^ schedule.cycle(i) as u32 as u64).wrapping_mul(0x100000001b3)
     })
 }
 

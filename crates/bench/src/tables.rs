@@ -49,8 +49,8 @@ fn attempt_breakdown(
     let mut stats = CheckStats::new();
     for block in &workload.blocks {
         let schedule = scheduler.schedule(block, &mut stats);
-        for (op, &attempts) in block.ops.iter().zip(&schedule.attempts) {
-            per_class_attempts[op.class.index()] += u64::from(attempts);
+        for (i, op) in block.ops.iter().enumerate() {
+            per_class_attempts[op.class.index()] += u64::from(schedule.attempts(i));
         }
     }
     let total: u64 = per_class_attempts.iter().sum();

@@ -24,14 +24,18 @@
 //! * [`Engine`] — the scheduling front: [`Engine::schedule_batch`] runs
 //!   the list scheduler over a batch of regions (basic blocks) against
 //!   per-worker scratch ([`WorkerScratch`]) and returns index-aligned
-//!   schedules plus folded statistics. [`Engine::schedule_block`]
+//!   schedules plus folded statistics. Each schedule is one exact-size
+//!   buffer (cycles, attempts and fixed-slot selections), the only
+//!   allocation a warm worker makes per job. [`Engine::schedule_block`]
 //!   schedules one block inline on the calling thread against scratch
 //!   the caller owns, under the same per-job panic isolation, and leaves
 //!   the schedule, its dependence graph and its statistics in that
 //!   scratch: the entry point for callers that are themselves long-lived
 //!   workers (the daemon's shard workers), which stream a request's
 //!   regions through it one at a time. No thread is spawned, and once
-//!   warm a block allocates nothing.
+//!   warm a block allocates nothing; neither does checking it with
+//!   [`Engine::verify_block`], which replays its reservations into the
+//!   scratch's RU map.
 //!
 //! ## Determinism contract
 //!
@@ -246,6 +250,19 @@ impl Engine {
             graph: sched.graph(),
             stats: job,
         })
+    }
+
+    /// Verifies the schedule [`Engine::schedule_block`] last left in
+    /// `scratch` against the block's dependence graph and this engine's
+    /// description ([`Schedule::verify`]), replaying its reservations
+    /// into the scratch's RU map, so a warm scratch verifies a block
+    /// without allocating unless it fails.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation found.
+    pub fn verify_block(&self, scratch: &mut WorkerScratch) -> Result<(), String> {
+        scratch.sched.verify(&self.mdes)
     }
 }
 
@@ -475,6 +492,7 @@ mod tests {
                 done.schedule.verify(done.graph, &mdes).unwrap();
                 // Each call's statistics are that block's alone.
                 folded.merge(done.stats);
+                engine.verify_block(&mut scratch).unwrap();
             }
             assert_eq!(folded, wide.stats, "round {round}");
         }

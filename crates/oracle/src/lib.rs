@@ -56,7 +56,7 @@ pub use diff::{differential_gap, loops_from_blocks, modulo_differential, GapRepo
 pub use modulo::IiOutcome;
 
 use mdes_core::{CheckStats, Checker, ClassId, CompiledMdes, RuMap};
-use mdes_sched::{selection_bounds, Block, DepGraph, ListScheduler, Schedule, ScheduledOp};
+use mdes_sched::{selection_bounds, Block, DepGraph, ListScheduler, Schedule};
 
 /// Sentinel for "operation not placed yet" during search.
 const UNPLACED: i32 = i32::MIN;
@@ -184,7 +184,7 @@ impl<'a> OracleScheduler<'a> {
         let mut asap = vec![0i32; n];
         for i in 0..n {
             for edge in graph.preds(i) {
-                asap[i] = asap[i].max(asap[edge.from] + edge.latency);
+                asap[i] = asap[i].max(asap[edge.from as usize] + edge.latency);
             }
         }
         let crit_lb = (0..n).map(|i| asap[i] + heights[i] + 1).max().unwrap_or(1);
@@ -212,7 +212,7 @@ impl<'a> OracleScheduler<'a> {
                 graph
                     .preds(op)
                     .iter()
-                    .map(|e| (e.from, e.latency))
+                    .map(|e| (e.from as usize, e.latency))
                     .collect()
             })
             .collect();
@@ -243,22 +243,16 @@ impl<'a> OracleScheduler<'a> {
         let nodes = search.nodes;
         let proved = !search.bailed;
         let schedule = if improved {
-            let length = search.best_len;
-            let bounds = &search.sel_start;
-            let ops: Vec<ScheduledOp> = (0..n)
-                .map(|i| ScheduledOp {
-                    cycle: search.best_cycles[i],
-                    class: search.classes[i],
-                    sel_start: bounds[i],
-                    sel_len: bounds[i + 1] - bounds[i],
-                })
-                .collect();
-            Schedule {
-                ops,
-                selected: search.best_sel,
-                attempts: vec![1; n],
-                length,
-            }
+            // The exact schedule is the search's fixed slots as they stand;
+            // its attempts are not counted, so each reads 1.
+            let schedule = Schedule::from_slots(
+                &search.best_cycles,
+                &vec![1; n],
+                &search.sel_start,
+                &search.best_sel,
+            );
+            debug_assert_eq!(schedule.length, search.best_len);
+            schedule
         } else {
             incumbent
         };
@@ -293,7 +287,7 @@ fn placement_order(graph: &DepGraph, heights: &[i32]) -> Vec<usize> {
         placed[pick] = true;
         order.push(pick);
         for edge in graph.succs(pick) {
-            remaining[edge.to] -= 1;
+            remaining[edge.to as usize] -= 1;
         }
     }
     order
@@ -563,7 +557,7 @@ impl Exhaustive<'_, '_> {
         }
         let mut est = 0;
         for edge in self.graph.preds(index) {
-            est = est.max(self.cycles[edge.from] + edge.latency);
+            est = est.max(self.cycles[edge.from as usize] + edge.latency);
         }
         // Any schedule strictly shorter than the current best issues
         // every operation at cycle ≤ best − 2.

@@ -63,7 +63,7 @@ impl<'a> OracleScheduler<'a> {
                 graph
                     .preds(op)
                     .iter()
-                    .map(|e| (e.from, e.latency))
+                    .map(|e| (e.from as usize, e.latency))
                     .collect()
             })
             .collect();

@@ -28,34 +28,23 @@ pub fn occupancy_chart(
     block: &Block,
     schedule: &Schedule,
 ) -> String {
-    assert_eq!(block.len(), schedule.ops.len(), "schedule/block mismatch");
+    assert_eq!(block.len(), schedule.len(), "schedule/block mismatch");
     if block.is_empty() {
         return String::from("(empty block)\n");
     }
 
     // Chart window: every reserved cycle.
-    let min_cycle = schedule
-        .ops
-        .iter()
-        .map(|s| s.cycle + mdes.min_check_time())
-        .min()
-        .unwrap();
-    let max_cycle = schedule
-        .ops
-        .iter()
-        .map(|s| s.cycle + mdes.max_check_time())
-        .max()
-        .unwrap();
+    let (min_cycle, max_cycle) = window(mdes, schedule);
     let width = (max_cycle - min_cycle + 1) as usize;
 
     // grid[resource][cycle] = label of the occupying op.
     let num_resources = spec.resources().len();
     let mut grid = vec![vec![' '; width]; num_resources];
-    for (index, placed) in schedule.ops.iter().enumerate() {
+    for index in 0..schedule.len() {
         let label = op_label(index);
         for &opt_idx in schedule.selection(index) {
             for check in mdes.option_checks(opt_idx as usize) {
-                let column = (placed.cycle + check.time - min_cycle) as usize;
+                let column = (schedule.cycle(index) + check.time - min_cycle) as usize;
                 for bit in 0..64 {
                     if check.mask & (1 << bit) != 0 && (bit as usize) < num_resources {
                         grid[bit as usize][column] = label;
@@ -122,28 +111,17 @@ pub fn occupancy_chart(
 /// ```
 pub fn resource_utilization(mdes: &CompiledMdes, schedule: &Schedule) -> Vec<f64> {
     let num_resources = mdes.num_resources();
-    if schedule.ops.is_empty() || num_resources == 0 {
+    if schedule.is_empty() || num_resources == 0 {
         return vec![0.0; num_resources];
     }
-    let min_cycle = schedule
-        .ops
-        .iter()
-        .map(|s| s.cycle + mdes.min_check_time())
-        .min()
-        .unwrap();
-    let max_cycle = schedule
-        .ops
-        .iter()
-        .map(|s| s.cycle + mdes.max_check_time())
-        .max()
-        .unwrap();
+    let (min_cycle, max_cycle) = window(mdes, schedule);
     let width = (max_cycle - min_cycle + 1) as usize;
 
     let mut busy = vec![vec![false; width]; num_resources];
-    for (index, placed) in schedule.ops.iter().enumerate() {
+    for index in 0..schedule.len() {
         for &opt_idx in schedule.selection(index) {
             for check in mdes.option_checks(opt_idx as usize) {
-                let column = (placed.cycle + check.time - min_cycle) as usize;
+                let column = (schedule.cycle(index) + check.time - min_cycle) as usize;
                 for (bit, row) in busy.iter_mut().enumerate().take(64) {
                     if check.mask & (1 << bit) != 0 {
                         row[column] = true;
@@ -155,6 +133,18 @@ pub fn resource_utilization(mdes: &CompiledMdes, schedule: &Schedule) -> Vec<f64
     busy.into_iter()
         .map(|row| row.iter().filter(|&&b| b).count() as f64 / width as f64)
         .collect()
+}
+
+/// The first and last cycle any of `schedule`'s reservations can touch.
+///
+/// # Panics
+///
+/// Panics if the schedule is empty.
+fn window(mdes: &CompiledMdes, schedule: &Schedule) -> (i32, i32) {
+    let cycles = schedule.cycles();
+    let first = cycles.iter().min().expect("a non-empty schedule");
+    let last = cycles.iter().max().expect("a non-empty schedule");
+    (first + mdes.min_check_time(), last + mdes.max_check_time())
 }
 
 /// Label for the `index`-th operation: `0-9`, then `A-Z`, wrapping.

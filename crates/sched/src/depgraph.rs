@@ -9,12 +9,14 @@
 //!
 //! A graph is a handful of flat arrays: every operation's incoming edges
 //! in one array and its outgoing edges in another, each sliced by
-//! per-operation offsets, plus the critical-path heights.  The builder's
+//! per-operation offsets, plus each operation's class and the
+//! critical-path heights.  An [`Edge`] is 16 bytes: operation indices
+//! are `u32`, since a block holds fewer than 2³¹ operations.  The builder's
 //! register tables are flat too, numbered per block.  So
 //! [`DepGraph::rebuild`] reuses a graph's storage for the next block, and
 //! what a graph retains is bounded by the largest block it has held.
 
-use mdes_core::CompiledMdes;
+use mdes_core::{ClassId, CompiledMdes};
 
 use crate::operation::{Block, Reg};
 
@@ -38,9 +40,9 @@ pub enum DepKind {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Edge {
     /// Index of the earlier operation.
-    pub from: usize,
+    pub from: u32,
     /// Index of the later operation.
-    pub to: usize,
+    pub to: u32,
     /// Minimum issue-cycle separation.
     pub latency: i32,
     /// Dependence kind.
@@ -55,11 +57,11 @@ pub struct Edge {
 /// `succ_start`, ordered by successor and then in that order.
 #[derive(Clone, Debug, Default)]
 pub struct DepGraph {
-    num_ops: usize,
     pred_start: Vec<usize>,
     preds: Vec<Edge>,
     succ_start: Vec<usize>,
     succs: Vec<Edge>,
+    classes: Vec<ClassId>,
     heights: Vec<i32>,
     registers: Registers,
     /// Loads since the last store, while building.
@@ -106,10 +108,11 @@ impl DepGraph {
     pub fn rebuild(&mut self, block: &Block, mdes: &CompiledMdes) {
         let n = block.ops.len();
         assert!(n < 1 << 31, "a block holds fewer than 2^31 operations");
-        self.num_ops = n;
         self.pred_start.clear();
         self.preds.clear();
         self.loads.clear();
+        self.classes.clear();
+        self.classes.extend(block.ops.iter().map(|op| op.class));
         self.registers.number(block);
         let mut last_store: Option<usize> = None;
         let mut last_barrier: Option<usize> = None;
@@ -122,8 +125,8 @@ impl DepGraph {
             let mut add = |from: usize, latency: i32, kind: DepKind| {
                 debug_assert!(from < i, "dependence edges must follow program order");
                 self.preds.push(Edge {
-                    from,
-                    to: i,
+                    from: from as u32,
+                    to: i as u32,
                     latency,
                     kind,
                 });
@@ -178,11 +181,11 @@ impl DepGraph {
                 add(barrier, latency, DepKind::Control);
             }
             if flags.branch || flags.serial {
-                for j in 0..i {
+                for j in 0..i as u32 {
                     if !self.preds[first..].iter().any(|e| e.from == j) {
                         self.preds.push(Edge {
                             from: j,
-                            to: i,
+                            to: i as u32,
                             latency: 0,
                             kind: DepKind::Control,
                         });
@@ -200,11 +203,11 @@ impl DepGraph {
     /// sort by `from`, so each operation's successors keep the order the
     /// builder found them in.
     fn index_successors(&mut self) {
-        let n = self.num_ops;
+        let n = self.num_ops();
         self.succ_start.clear();
         self.succ_start.resize(n + 1, 0);
         for edge in &self.preds {
-            self.succ_start[edge.from] += 1;
+            self.succ_start[edge.from as usize] += 1;
         }
         // Inclusive prefix sums: each operation's end offset ...
         let mut end = 0;
@@ -218,8 +221,9 @@ impl DepGraph {
         self.succs.clear();
         self.succs.extend_from_slice(&self.preds);
         for edge in self.preds.iter().rev() {
-            self.succ_start[edge.from] -= 1;
-            self.succs[self.succ_start[edge.from]] = *edge;
+            let from = edge.from as usize;
+            self.succ_start[from] -= 1;
+            self.succs[self.succ_start[from]] = *edge;
         }
     }
 
@@ -227,18 +231,29 @@ impl DepGraph {
     /// from the operation to any leaf.
     fn compute_heights(&mut self) {
         self.heights.clear();
-        self.heights.resize(self.num_ops, 0);
-        for i in (0..self.num_ops).rev() {
+        self.heights.resize(self.num_ops(), 0);
+        for i in (0..self.num_ops()).rev() {
             let start = self.succ_start[i];
             for edge in &self.succs[start..self.succ_start[i + 1]] {
-                self.heights[i] = self.heights[i].max(edge.latency + self.heights[edge.to]);
+                self.heights[i] =
+                    self.heights[i].max(edge.latency + self.heights[edge.to as usize]);
             }
         }
     }
 
     /// Number of operations.
     pub fn num_ops(&self) -> usize {
-        self.num_ops
+        self.classes.len()
+    }
+
+    /// The MDES class of operation `op`, as the block held it when the
+    /// graph was built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is out of range.
+    pub fn class(&self, op: usize) -> ClassId {
+        self.classes[op]
     }
 
     /// Incoming edges of operation `op`.

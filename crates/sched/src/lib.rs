@@ -4,8 +4,9 @@
 //! * [`operation`] — the operation / basic-block model (an [`Op`] is a
 //!   24-byte `Copy` value holding its registers inline);
 //! * [`depgraph`] — dependence-DAG construction with MDES latencies,
-//!   into flat per-operation edge arrays plus critical-path heights that
-//!   [`DepGraph::rebuild`] refills in place;
+//!   into flat per-operation edge arrays (16-byte [`Edge`]s with `u32`
+//!   operation indices), each operation's class and critical-path
+//!   heights, all of which [`DepGraph::rebuild`] refills in place;
 //! * [`list`] — the forward (and backward) cycle-driven list scheduler
 //!   whose attempt counting matches the paper's statistics;
 //! * [`modulo`] — iterative modulo scheduling (Rau \[12\]), exercising the
@@ -20,20 +21,26 @@
 //! The schedulers place operations through
 //! [`mdes_core::Checker::try_reserve_into`], which appends each
 //! successful selection to a caller-owned buffer and truncates it again
-//! on failure, so an attempt allocates nothing.  A [`Schedule`] keeps
-//! every operation's selection in one flat `selected` buffer; a
-//! [`ScheduledOp`] is 16 bytes (cycle, class, and its slice of that
-//! buffer, read with [`Schedule::selection`]).  [`ModuloSchedule`] uses
-//! the same flat layout with one fixed slot per operation.
+//! on failure, so an attempt allocates nothing.  A [`Schedule`] is one
+//! exact-size buffer of `3n + 1 + S` words for `n` operations with `S`
+//! OR-trees in all: every operation's issue cycle, its attempt count and
+//! its selection bound, then every selection in block order, one fixed
+//! slot per operation as [`selection_bounds`] lays them out (read with
+//! [`Schedule::cycle`], [`Schedule::attempts`] and
+//! [`Schedule::selection`]).  It keeps no copy of the operations'
+//! classes: [`Schedule::verify`] reads them from the [`DepGraph`].
+//! [`ModuloSchedule`] uses the same fixed-slot selection layout.
 //!
 //! A [`SchedScratch`] owns everything one list-scheduling run mutates —
 //! the dependence graph and its heights, the RU map, the placement
 //! buffers, one schedule — and every run resets it on entry.
 //! [`ListScheduler::schedule_reusing`] rebuilds the scratch's graph in
 //! place, so once the scratch has held the largest block a block costs
-//! only the three exact-size buffers of the [`Schedule`] it returns;
+//! only the one buffer of the [`Schedule`] it returns;
 //! [`ListScheduler::schedule_in_scratch`] leaves the schedule in the
-//! scratch beside its graph and allocates nothing.
+//! scratch beside its graph and allocates nothing, and
+//! [`SchedScratch::verify`] checks it against that graph, replaying into
+//! the scratch's RU map, without allocating either.
 //!
 //! # Example
 //!
@@ -71,7 +78,7 @@ pub mod simulate;
 
 pub use chart::{occupancy_chart, resource_utilization};
 pub use depgraph::{DepGraph, DepKind, Edge};
-pub use list::{selection_bounds, ListScheduler, SchedScratch, Schedule, ScheduledOp};
+pub use list::{selection_bounds, ListScheduler, SchedScratch, Schedule};
 pub use mdes_core::CheckStats;
 pub use modulo::{LoopBlock, ModuloSchedule, ModuloScheduler};
 pub use operation::{Block, Op, Reg};

@@ -14,67 +14,141 @@
 use mdes_core::{Checker, ClassId, CompiledMdes, RuMap};
 
 use crate::depgraph::{DepGraph, Edge};
-use crate::operation::{Block, Op};
+use crate::operation::Block;
 use crate::CheckStats;
 
-/// Where one operation landed: 16 bytes with no heap block of its own.
+/// A complete schedule of one basic block, in one exact-size buffer.
 ///
-/// The reservation selection lives in the owning [`Schedule`]'s flat
-/// [`Schedule::selected`] buffer (read it with [`Schedule::selection`]);
-/// together with the cycle and class it is what unscheduling needs — the
-/// capability finite-state-automata approaches lack (Section 10).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct ScheduledOp {
-    /// Issue cycle.
-    pub cycle: i32,
-    /// The operation's MDES class.
-    pub class: ClassId,
-    /// Offset of this operation's selection in [`Schedule::selected`].
-    pub sel_start: u32,
-    /// Length of the selection: one option per OR-tree of `class`.
-    pub sel_len: u32,
-}
-
-/// A complete schedule of one basic block.
+/// For a block of `n` operations whose classes have `S` OR-trees in all,
+/// the buffer holds `3n + 1 + S` words, in four sections:
+///
+/// * each operation's issue cycle (`n` words, read with
+///   [`Schedule::cycle`]);
+/// * each operation's scheduling attempts (`n` words, read with
+///   [`Schedule::attempts`]);
+/// * the fixed-slot selection bounds of the block (`n + 1` prefix sums,
+///   as [`selection_bounds`] lays them out);
+/// * every operation's selected compiled options, one per OR-tree of its
+///   class, in block order (`S` words, read with
+///   [`Schedule::selection`]).
+///
+/// The class of each operation is the block's own, so the schedule keeps
+/// no copy of it; [`Schedule::verify`] reads it from the dependence
+/// graph.  A schedule of no operations holds no buffer at all.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Schedule {
-    /// Per-operation placement, indexed like `Block::ops`.
-    pub ops: Vec<ScheduledOp>,
-    /// Every operation's selected compiled-option indices (one per
-    /// OR-tree of its class, in the class's OR-tree order), concatenated
-    /// in placement order; [`Schedule::selection`] slices out one
-    /// operation's.
-    pub selected: Vec<u32>,
-    /// Scheduling attempts spent on each operation (1 = first try
-    /// succeeded).  Feeds the per-class attempt breakdowns of the
-    /// paper's Tables 1–4.
-    pub attempts: Vec<u32>,
+    words: Vec<u32>,
+    /// Operations placed: `n` above.
+    ops: u32,
     /// Schedule length in cycles (last issue cycle + 1).
     pub length: i32,
 }
 
 impl Schedule {
-    /// Issue cycles only (for schedule-equality assertions).
-    pub fn cycles(&self) -> Vec<i32> {
-        self.ops.iter().map(|s| s.cycle).collect()
-    }
-
-    /// The compiled options operation `i` reserved, one per OR-tree of
-    /// its class.
+    /// A schedule of `cycles.len()` operations built from its parts: each
+    /// operation's issue cycle and attempts, fixed-slot selection
+    /// `bounds` as [`selection_bounds`] gives them, and the `selected`
+    /// options those bounds slice.  The length is the last issue cycle
+    /// plus one.  Searches that keep their own fixed-slot buffers (the
+    /// exact oracle) turn their result into a schedule this way.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range or the operation's selection lies
-    /// outside [`Schedule::selected`].
+    /// Panics if the parts disagree: `attempts` not one per cycle,
+    /// `bounds` not one more than that, not ascending from 0, or not
+    /// ending at `selected.len()`.
+    pub fn from_slots(
+        cycles: &[i32],
+        attempts: &[u32],
+        bounds: &[u32],
+        selected: &[u32],
+    ) -> Schedule {
+        let n = cycles.len();
+        assert_eq!(attempts.len(), n, "one attempt count per operation");
+        assert_eq!(bounds.len(), n + 1, "n + 1 selection bounds");
+        assert!(
+            bounds[0] == 0
+                && bounds.windows(2).all(|pair| pair[0] <= pair[1])
+                && bounds[n] as usize == selected.len(),
+            "selection bounds must ascend from 0 to the selections' length"
+        );
+        if n == 0 {
+            return Schedule::default();
+        }
+        let mut words = Vec::with_capacity(3 * n + 1 + selected.len());
+        words.extend(cycles.iter().map(|&cycle| cycle as u32));
+        words.extend_from_slice(attempts);
+        words.extend_from_slice(bounds);
+        words.extend_from_slice(selected);
+        Schedule {
+            words,
+            ops: n as u32,
+            length: cycles.iter().copied().max().unwrap_or(-1) + 1,
+        }
+    }
+
+    /// Number of operations the schedule places.
+    pub fn len(&self) -> usize {
+        self.ops as usize
+    }
+
+    /// True when the schedule places no operation.
+    pub fn is_empty(&self) -> bool {
+        self.ops == 0
+    }
+
+    /// Issue cycle of operation `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn cycle(&self, i: usize) -> i32 {
+        self.section(0)[i] as i32
+    }
+
+    /// Issue cycles of every operation, in block order (for
+    /// schedule-equality assertions).
+    pub fn cycles(&self) -> Vec<i32> {
+        self.section(0).iter().map(|&cycle| cycle as i32).collect()
+    }
+
+    /// Scheduling attempts spent on operation `i` (1 = first try
+    /// succeeded).  Feeds the per-class attempt breakdowns of the
+    /// paper's Tables 1–4.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn attempts(&self, i: usize) -> u32 {
+        self.section(1)[i]
+    }
+
+    /// The compiled options operation `i` reserved, one per OR-tree of
+    /// its class.  Together with the cycle it is what unscheduling needs —
+    /// the capability finite-state-automata approaches lack (Section 10).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
     pub fn selection(&self, i: usize) -> &[u32] {
-        let placed = &self.ops[i];
-        let start = placed.sel_start as usize;
-        &self.selected[start..start + placed.sel_len as usize]
+        let n = self.len();
+        let bounds = &self.words[2 * n..=3 * n];
+        &self.words[3 * n + 1..][bounds[i] as usize..bounds[i + 1] as usize]
+    }
+
+    /// Section `k` of the per-operation words: 0 for cycles, 1 for
+    /// attempts.
+    fn section(&self, k: usize) -> &[u32] {
+        let n = self.len();
+        &self.words[k * n..(k + 1) * n]
     }
 
     /// Checks that the schedule satisfies every dependence of `graph`,
     /// that every operation reserved exactly one option of each OR-tree of
     /// its class, and that those reservations never conflict under `mdes`.
+    ///
+    /// Replays the reservations into a fresh RU map;
+    /// [`SchedScratch::verify`] replays into the scratch's own.
     ///
     /// # Examples
     ///
@@ -93,7 +167,7 @@ impl Schedule {
     /// block.push(Op::new(alu, vec![Reg(1)], vec![]));
     ///
     /// let mut stats = CheckStats::new();
-    /// let mut schedule = ListScheduler::new(&mdes).schedule(&block, &mut stats);
+    /// let schedule = ListScheduler::new(&mdes).schedule(&block, &mut stats);
     /// let graph = DepGraph::build(&block, &mdes);
     /// assert!(schedule.verify(&graph, &mdes).is_ok());
     /// ```
@@ -102,16 +176,28 @@ impl Schedule {
     ///
     /// Returns a description of the first violation found.
     pub fn verify(&self, graph: &DepGraph, mdes: &CompiledMdes) -> Result<(), String> {
-        if self.ops.len() != graph.num_ops() {
+        self.verify_in(graph, mdes, &mut RuMap::new())
+    }
+
+    /// [`Schedule::verify`], replaying the reservations into `ru`, which
+    /// is cleared first.  A map that has held a schedule as long before
+    /// makes verification allocation-free unless it fails.
+    pub(crate) fn verify_in(
+        &self,
+        graph: &DepGraph,
+        mdes: &CompiledMdes,
+        ru: &mut RuMap,
+    ) -> Result<(), String> {
+        let n = self.len();
+        if n != graph.num_ops() {
             return Err(format!(
-                "schedule places {} operation(s) but the block has {}",
-                self.ops.len(),
+                "schedule places {n} operation(s) but the block has {}",
                 graph.num_ops()
             ));
         }
         for edge in graph.edges() {
-            let from = self.ops[edge.from].cycle;
-            let to = self.ops[edge.to].cycle;
+            let from = self.cycle(edge.from as usize);
+            let to = self.cycle(edge.to as usize);
             if to < from + edge.latency {
                 return Err(format!(
                     "dependence {}→{} ({:?}, latency {}) violated: cycles {} → {}",
@@ -121,18 +207,20 @@ impl Schedule {
         }
 
         // Replay all reservations and ensure no resource is claimed twice.
-        let mut ru = RuMap::new();
-        for (index, placed) in self.ops.iter().enumerate() {
-            let start = placed.sel_start as usize;
+        ru.clear();
+        let selected = self.words.get(3 * n + 1..).unwrap_or_default();
+        for index in 0..n {
             let selection = self
-                .selected
-                .get(start..start + placed.sel_len as usize)
+                .words
+                .get(2 * n + index..2 * n + index + 2)
+                .and_then(|bound| selected.get(bound[0] as usize..bound[1] as usize))
                 .ok_or_else(|| format!("operation {index}: selection out of range"))?;
-            check_selection(mdes, placed.class, selection)
+            check_selection(mdes, graph.class(index), selection)
                 .map_err(|why| format!("operation {index} {why}"))?;
+            let issue = self.cycle(index);
             for &opt_idx in selection {
                 for check in mdes.option_checks(opt_idx as usize) {
-                    let cycle = placed.cycle + check.time;
+                    let cycle = issue + check.time;
                     if !ru.is_free(cycle, check.mask) {
                         return Err(format!(
                             "operation {index} double-books resources at cycle {cycle} (mask {:#x})",
@@ -177,16 +265,22 @@ pub(crate) fn check_selection(
 /// each operation's OR-tree count, so operation `i` owns
 /// `bounds[i]..bounds[i + 1]` of a flat selection buffer.  Searches that
 /// re-place operations (the modulo scheduler, the exact oracle) overwrite
-/// those slots in place instead of keeping a `Vec` per operation.
+/// those slots in place instead of keeping a `Vec` per operation, and a
+/// [`Schedule`] keeps its selections in the same layout.
 pub fn selection_bounds(mdes: &CompiledMdes, block: &Block) -> Vec<u32> {
     let mut bounds = Vec::with_capacity(block.ops.len() + 1);
-    let mut end = 0u32;
-    bounds.push(end);
-    for op in &block.ops {
-        end += mdes.class(op.class).or_trees.len() as u32;
-        bounds.push(end);
-    }
+    bounds.push(0);
+    bounds.extend(bound_ends(mdes, block));
     bounds
+}
+
+/// [`selection_bounds`] after its leading 0: where each operation's slot
+/// ends.
+fn bound_ends<'b>(mdes: &'b CompiledMdes, block: &'b Block) -> impl Iterator<Item = u32> + 'b {
+    block.ops.iter().scan(0, |end, op| {
+        *end += mdes.class(op.class).or_trees.len() as u32;
+        Some(*end)
+    })
 }
 
 /// Reusable mutable state for repeated list-scheduling runs.
@@ -231,19 +325,36 @@ impl SchedScratch {
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
     }
+
+    /// Verifies [`SchedScratch::schedule`] against [`SchedScratch::graph`]
+    /// under `mdes`, the description it was placed with
+    /// ([`Schedule::verify`]), replaying its reservations into the
+    /// scratch's own RU map: once warm, a block verifies without
+    /// allocating unless it fails.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation found.
+    pub fn verify(&mut self, mdes: &CompiledMdes) -> Result<(), String> {
+        self.schedule
+            .verify_in(&self.graph, mdes, &mut self.placement.ru)
+    }
 }
 
 /// The placement loop's buffers.
 #[derive(Debug, Default)]
 struct Placement {
     ru: RuMap,
-    placed: Vec<Option<ScheduledOp>>,
+    placed: Vec<bool>,
     /// Unplaced neighbours each operation still waits on: predecessors
     /// forward, successors backward.
     waiting: Vec<usize>,
     /// Earliest time, in the loop's direction, each operation may issue.
     ready: Vec<i32>,
     order: Vec<usize>,
+    /// The attempt in flight's selection, copied into the operation's
+    /// fixed slot when the attempt succeeds.
+    choice: Vec<u32>,
 }
 
 /// The list scheduler over one compiled MDES.
@@ -278,8 +389,8 @@ impl<'a> ListScheduler<'a> {
     /// Produces exactly the schedule and statistics [`ListScheduler::schedule`]
     /// would — the scratch is fully reset on entry (see [`SchedScratch`]),
     /// so reuse is invisible in the results and only visible in the
-    /// allocator profile: once warm, a block costs the three exact-size
-    /// buffers of the returned [`Schedule`] and nothing else.  This is
+    /// allocator profile: once warm, a block costs the one exact-size
+    /// buffer of the returned [`Schedule`] and nothing else.  This is
     /// what the engine's batch workers call for every job they claim.
     ///
     /// # Panics
@@ -389,17 +500,10 @@ impl<'a> ListScheduler<'a> {
         // Reset every piece of borrowed state on entry: a cleared RU map
         // is observationally a fresh one (the window placement is not a
         // contract surface) — schedules depend only on the block, never
-        // on what was scheduled before.  The output buffers are sized
-        // exactly once, so a fresh schedule holds no spare capacity.
-        let Schedule {
-            ops,
-            selected,
-            attempts,
-            length,
-        } = out;
-        ops.clear();
-        selected.clear();
-        attempts.clear();
+        // on what was scheduled before.
+        let Schedule { words, ops, length } = out;
+        words.clear();
+        *ops = n as u32;
         *length = 0;
         if n == 0 {
             return;
@@ -423,21 +527,31 @@ impl<'a> ListScheduler<'a> {
             waiting,
             ready,
             order,
+            choice,
         } = placement;
         ru.clear();
         placed.clear();
-        placed.resize(n, None);
+        placed.resize(n, false);
         waiting.clear();
         waiting.extend((0..n).map(|op| waits_on(graph, op).len()));
         ready.clear();
         ready.resize(n, t);
 
-        attempts.reserve_exact(n);
-        attempts.resize(n, 0);
-        // One entry per OR-tree of each operation's class, sized up front
-        // so appends never reallocate however many attempts fail.
-        let trees = |op: &Op| self.mdes.class(op.class).or_trees.len();
-        selected.reserve_exact(block.ops.iter().map(trees).sum());
+        // The schedule's one buffer, sized exactly once (a fresh schedule
+        // holds no spare capacity): zeroed cycles and attempts, the
+        // block's selection bounds, and a zeroed slot per OR-tree.
+        let trees: usize = block
+            .ops
+            .iter()
+            .map(|op| self.mdes.class(op.class).or_trees.len())
+            .sum();
+        words.reserve_exact(3 * n + 1 + trees);
+        words.resize(2 * n + 1, 0);
+        words.extend(bound_ends(self.mdes, block));
+        words.resize(3 * n + 1 + trees, 0);
+        let (head, selected) = words.split_at_mut(3 * n + 1);
+        let (cycles, head) = head.split_at_mut(n);
+        let (attempts, bounds) = head.split_at_mut(n);
         let mut remaining = n;
 
         // An operation can always issue on an empty machine, so the
@@ -465,23 +579,19 @@ impl<'a> ListScheduler<'a> {
             );
             let cycle = if backward { -t } else { t };
             for &op in order.iter() {
-                if placed[op].is_some() || waiting[op] > 0 || ready[op] > t {
+                if placed[op] || waiting[op] > 0 || ready[op] > t {
                     continue;
                 }
-                let class = block.ops[op].class;
                 attempts[op] += 1;
-                let start = selected.len();
-                if checker.try_reserve_into(ru, class, cycle, stats, selected) {
+                choice.clear();
+                if checker.try_reserve_into(ru, block.ops[op].class, cycle, stats, choice) {
                     stats.count_operation();
-                    placed[op] = Some(ScheduledOp {
-                        cycle,
-                        class,
-                        sel_start: start as u32,
-                        sel_len: (selected.len() - start) as u32,
-                    });
+                    placed[op] = true;
+                    cycles[op] = cycle as u32;
+                    selected[bounds[op] as usize..bounds[op + 1] as usize].copy_from_slice(choice);
                     remaining -= 1;
                     for edge in releases(graph, op) {
-                        let next = if backward { edge.from } else { edge.to };
+                        let next = if backward { edge.from } else { edge.to } as usize;
                         waiting[next] -= 1;
                         ready[next] = ready[next].max(t + edge.latency);
                     }
@@ -491,14 +601,11 @@ impl<'a> ListScheduler<'a> {
         }
 
         // Normalize to start at cycle 0 (forward schedules already do).
-        let first = placed.iter().flatten().map(|s| s.cycle).min().unwrap_or(0);
-        ops.reserve_exact(n);
-        ops.extend(placed.drain(..).map(|s| {
-            let mut s = s.expect("every operation is placed");
-            s.cycle -= first;
-            s
-        }));
-        *length = ops.iter().map(|s| s.cycle).max().unwrap_or(-1) + 1;
+        let first = cycles.iter().map(|&c| c as i32).min().unwrap_or(0);
+        for c in cycles.iter_mut() {
+            *c = (*c as i32 - first) as u32;
+        }
+        *length = cycles.iter().map(|&c| c as i32).max().unwrap_or(-1) + 1;
     }
 }
 
@@ -564,6 +671,25 @@ mod tests {
         mdes.class_by_name(name).unwrap()
     }
 
+    /// Operation `i`'s issue-cycle word, to corrupt a schedule with.
+    fn cycle_mut(schedule: &mut Schedule, i: usize) -> &mut u32 {
+        &mut schedule.words[i]
+    }
+
+    /// Selection bound `k` (0 to the operation count), to corrupt a
+    /// schedule with.
+    fn bound_mut(schedule: &mut Schedule, k: usize) -> &mut u32 {
+        let n = schedule.len();
+        &mut schedule.words[2 * n + k]
+    }
+
+    /// Operation `i`'s selection slot, to corrupt a schedule with.
+    fn selection_mut(schedule: &mut Schedule, i: usize) -> &mut [u32] {
+        let n = schedule.len();
+        let (head, selected) = schedule.words.split_at_mut(3 * n + 1);
+        &mut selected[head[2 * n + i] as usize..head[2 * n + i + 1] as usize]
+    }
+
     #[test]
     fn independent_alu_ops_dual_issue() {
         let mdes = two_issue();
@@ -588,8 +714,8 @@ mod tests {
         block.push(Op::new(class(&mdes, "alu"), vec![Reg(2)], vec![Reg(1)]));
         let mut stats = CheckStats::new();
         let schedule = ListScheduler::new(&mdes).schedule(&block, &mut stats);
-        assert_eq!(schedule.ops[0].cycle, 0);
-        assert_eq!(schedule.ops[1].cycle, 2);
+        assert_eq!(schedule.cycle(0), 0);
+        assert_eq!(schedule.cycle(1), 2);
     }
 
     #[test]
@@ -623,7 +749,7 @@ mod tests {
         block.push(Op::new(class(&mdes, "alu"), vec![Reg(2)], vec![Reg(1)]));
         let mut stats = CheckStats::new();
         let schedule = ListScheduler::new(&mdes).schedule(&block, &mut stats);
-        assert_eq!(schedule.ops[1].cycle, 0, "chain head scheduled first");
+        assert_eq!(schedule.cycle(1), 0, "chain head scheduled first");
         assert_eq!(schedule.length, 3);
     }
 
@@ -638,7 +764,7 @@ mod tests {
         let graph = DepGraph::build(&block, &mdes);
         schedule.verify(&graph, &mdes).unwrap();
         // Corrupt the schedule: consumer before producer completes.
-        schedule.ops[1].cycle = 0;
+        *cycle_mut(&mut schedule, 1) = 0;
         assert!(schedule.verify(&graph, &mdes).is_err());
     }
 
@@ -662,7 +788,7 @@ mod tests {
             let graph = DepGraph::build(&block, &mdes);
             let mut schedule = ListScheduler::new(&mdes).schedule(&block, &mut CheckStats::new());
             schedule.verify(&graph, &mdes).unwrap();
-            schedule.ops.pop();
+            schedule.ops -= 1;
             let err = schedule.verify(&graph, &mdes).unwrap_err();
             assert!(
                 err.contains("places 2 operation(s) but the block has 3"),
@@ -681,10 +807,32 @@ mod tests {
         let mut schedule = ListScheduler::new(&mdes).schedule(&block, &mut stats);
         let graph = DepGraph::build(&block, &mdes);
         schedule.verify(&graph, &mdes).unwrap();
-        // Empty op 1's selection: it no longer holds a decoder or an ALU.
-        schedule.ops[1].sel_len = 0;
+        // Empty op 1's selection (its slot ends where it starts): it no
+        // longer holds a decoder or an ALU.
+        *bound_mut(&mut schedule, 2) = *bound_mut(&mut schedule, 1);
         let err = schedule.verify(&graph, &mdes).unwrap_err();
         assert!(err.contains("operation 1 selects 0 option(s)"), "{err}");
+    }
+
+    #[test]
+    fn verify_rejects_a_selection_out_of_range() {
+        let mdes = two_issue();
+        let mut block = Block::new();
+        block.push(Op::new(class(&mdes, "load"), vec![Reg(1)], vec![Reg(0)]));
+        block.push(Op::new(class(&mdes, "alu"), vec![Reg(2)], vec![]));
+        let mut stats = CheckStats::new();
+        let mut schedule = ListScheduler::new(&mdes).schedule(&block, &mut stats);
+        let graph = DepGraph::build(&block, &mdes);
+        schedule.verify(&graph, &mdes).unwrap();
+        // Op 1's slot runs past the end of the buffer.
+        *bound_mut(&mut schedule, 2) += 1;
+        let err = schedule.verify(&graph, &mdes).unwrap_err();
+        assert!(err.contains("operation 1: selection out of range"), "{err}");
+        // And op 0's ends before it starts.
+        *bound_mut(&mut schedule, 2) -= 1;
+        *bound_mut(&mut schedule, 0) = 3;
+        let err = schedule.verify(&graph, &mdes).unwrap_err();
+        assert!(err.contains("operation 0: selection out of range"), "{err}");
     }
 
     #[test]
@@ -701,8 +849,7 @@ mod tests {
         // alone would accept it: nothing else holds M.
         let load_trees = &mdes.class(class(&mdes, "load")).or_trees;
         let m_option = mdes.or_trees()[load_trees[0] as usize].options[0];
-        let start = schedule.ops[0].sel_start as usize;
-        schedule.selected[start] = m_option;
+        selection_mut(&mut schedule, 0)[0] = m_option;
         let err = schedule.verify(&graph, &mdes).unwrap_err();
         assert!(err.contains("not in its OR-tree 0"), "{err}");
     }
@@ -718,10 +865,31 @@ mod tests {
         let schedule = ListScheduler::new(&mdes).schedule(&block, &mut stats);
         // Failed attempts (the loads contend for M) leave nothing behind.
         assert!(stats.attempts > stats.operations);
-        assert_eq!(schedule.selected.len(), 3 * 2);
         for i in 0..3 {
             assert_eq!(schedule.selection(i).len(), 2);
         }
+        assert_eq!(schedule.words.len(), 3 * 3 + 1 + 3 * 2);
+    }
+
+    #[test]
+    fn a_schedule_rebuilt_from_its_slots_is_equal() {
+        let mdes = two_issue();
+        let mut block = Block::new();
+        block.push(Op::new(class(&mdes, "load"), vec![Reg(1)], vec![Reg(0)]));
+        block.push(Op::new(class(&mdes, "alu"), vec![Reg(2)], vec![Reg(1)]));
+        block.push(Op::new(class(&mdes, "load"), vec![Reg(3)], vec![]));
+        let schedule = ListScheduler::new(&mdes).schedule(&block, &mut CheckStats::new());
+        let attempts: Vec<u32> = (0..3).map(|i| schedule.attempts(i)).collect();
+        let selected: Vec<u32> = (0..3)
+            .flat_map(|i| schedule.selection(i).to_vec())
+            .collect();
+        let bounds = selection_bounds(&mdes, &block);
+        let rebuilt = Schedule::from_slots(&schedule.cycles(), &attempts, &bounds, &selected);
+        assert_eq!(rebuilt, schedule);
+        assert_eq!(
+            Schedule::from_slots(&[], &[], &[0], &[]),
+            Schedule::default()
+        );
     }
 
     #[test]
@@ -758,8 +926,8 @@ mod tests {
         let graph = DepGraph::build(&block, &mdes);
         schedule.verify(&graph, &mdes).unwrap();
         // Force both loads into the same cycle: M is double-booked.
-        let c0 = schedule.ops[0].cycle;
-        schedule.ops[1].cycle = c0;
+        let c0 = schedule.cycle(0);
+        *cycle_mut(&mut schedule, 1) = c0 as u32;
         assert!(schedule
             .verify(&graph, &mdes)
             .unwrap_err()
@@ -788,11 +956,18 @@ mod tests {
             .unwrap();
         assert_eq!(schedule.cycles(), vec![0, 1, 3, 4, 5, 5]);
         assert_eq!(schedule.length, 6);
-        assert_eq!(schedule.attempts, vec![2, 1, 1, 1, 1, 1]);
-        // Placement order runs from the exit: op 5 first, op 0 last.
-        assert_eq!(schedule.selected, vec![2, 0, 3, 1, 3, 0, 3, 0, 2, 0, 2, 0]);
-        let starts: Vec<u32> = schedule.ops.iter().map(|s| s.sel_start).collect();
-        assert_eq!(starts, vec![10, 8, 6, 4, 2, 0]);
+        let attempts: Vec<u32> = (0..6).map(|i| schedule.attempts(i)).collect();
+        assert_eq!(attempts, vec![2, 1, 1, 1, 1, 1]);
+        // Placement runs from the exit, op 5 first and op 0 last; the
+        // selections sit in block order all the same.
+        let selected: Vec<u32> = (0..6)
+            .flat_map(|i| schedule.selection(i).to_vec())
+            .collect();
+        assert_eq!(selected, vec![2, 0, 2, 0, 3, 0, 3, 0, 3, 1, 2, 0]);
+        // The whole buffer: cycles, attempts, bounds, selections.
+        let mut words = vec![0, 1, 3, 4, 5, 5, 2, 1, 1, 1, 1, 1, 0, 2, 4, 6, 8, 10, 12];
+        words.extend(selected);
+        assert_eq!(schedule.words, words);
         let counts = (stats.attempts, stats.options_checked, stats.resource_checks);
         assert_eq!((stats.operations, counts), (6, (7, 14, 14)));
     }

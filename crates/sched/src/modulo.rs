@@ -99,7 +99,7 @@ impl ModuloSchedule {
         }
         let graph = DepGraph::build(&looped.body, mdes);
         for edge in graph.edges() {
-            if self.cycles[edge.to] < self.cycles[edge.from] + edge.latency {
+            if self.cycles[edge.to as usize] < self.cycles[edge.from as usize] + edge.latency {
                 return Err(format!(
                     "intra-iteration dependence {}→{} violated",
                     edge.from, edge.to
@@ -203,7 +203,7 @@ impl<'a> ModuloScheduler<'a> {
             let mut dist = vec![vec![i64::MIN; n]; n];
             let mut edges: Vec<(usize, usize, i64)> = Vec::new();
             for e in graph.edges() {
-                edges.push((e.from, e.to, e.latency as i64));
+                edges.push((e.from as usize, e.to as usize, e.latency as i64));
             }
             for &(from, to, latency, distance) in &looped.carried {
                 edges.push((from, to, latency as i64 - ii as i64 * distance as i64));
@@ -351,16 +351,16 @@ impl<'a> ModuloScheduler<'a> {
             // placement violates; they will be rescheduled.
             let mut evict: Vec<usize> = Vec::new();
             for edge in graph.succs(op) {
-                if let Some(to_cycle) = cycles[edge.to] {
+                if let Some(to_cycle) = cycles[edge.to as usize] {
                     if to_cycle < placed_cycle + edge.latency {
-                        evict.push(edge.to);
+                        evict.push(edge.to as usize);
                     }
                 }
             }
             for edge in graph.preds(op) {
-                if let Some(from_cycle) = cycles[edge.from] {
+                if let Some(from_cycle) = cycles[edge.from as usize] {
                     if placed_cycle < from_cycle + edge.latency {
-                        evict.push(edge.from);
+                        evict.push(edge.from as usize);
                     }
                 }
             }
@@ -393,7 +393,7 @@ impl<'a> ModuloScheduler<'a> {
     ) -> i32 {
         let mut est = 0i32;
         let consider = |est: &mut i32, edge: &Edge, cycles: &[Option<i32>]| {
-            if let Some(from_cycle) = cycles[edge.from] {
+            if let Some(from_cycle) = cycles[edge.from as usize] {
                 *est = (*est).max(from_cycle + edge.latency);
             }
         };

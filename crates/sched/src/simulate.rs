@@ -121,7 +121,7 @@ pub fn simulate_in_order(block: &Block, order: &[usize], mdes: &CompiledMdes) ->
             let ready = graph
                 .preds(op)
                 .iter()
-                .map(|edge| issue_cycle[edge.from].map(|c| c + edge.latency))
+                .map(|edge| issue_cycle[edge.from as usize].map(|c| c + edge.latency))
                 .try_fold(0i32, |acc, r| r.map(|r| acc.max(r)));
             let Some(ready) = ready else {
                 // A predecessor appears *later* in the issue order: the
@@ -158,8 +158,8 @@ pub fn simulate_in_order(block: &Block, order: &[usize], mdes: &CompiledMdes) ->
 /// Orders a block by a schedule: ascending issue cycle, original index
 /// breaking ties (so a trailing branch stays last within its cycle).
 pub fn order_of_schedule(schedule: &crate::list::Schedule) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..schedule.ops.len()).collect();
-    order.sort_by_key(|&i| (schedule.ops[i].cycle, i));
+    let mut order: Vec<usize> = (0..schedule.len()).collect();
+    order.sort_by_key(|&i| (schedule.cycle(i), i));
     order
 }
 

@@ -9,11 +9,12 @@
 //! * placing a block against warm scratch makes a fixed number of
 //!   allocations, however many attempts the block needs;
 //! * a block's whole path through warm scratch — dependence graph,
-//!   heights and placement — costs exactly the three buffers of the
-//!   schedule it returns, and nothing when the schedule stays in the
+//!   heights and placement — costs exactly the one exact-size buffer of
+//!   the schedule it returns, and nothing when the schedule stays in the
 //!   scratch;
-//! * operations and placements stay compact, and an operation is a
-//!   heap-free `Copy` value.
+//! * operations, schedules and dependence edges stay compact, an
+//!   operation is a heap-free `Copy` value, and no per-operation
+//!   placement record is left in the sources.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,36 +22,40 @@ use std::cell::Cell;
 use mdes_core::rng::Pcg32;
 use mdes_core::{CheckStats, Checker, ClassId, CompiledMdes, RuMap, UsageEncoding};
 use mdes_machines::Machine;
-use mdes_sched::{Block, DepGraph, ListScheduler, Op, Reg, SchedScratch, ScheduledOp};
+use mdes_sched::{Block, DepGraph, Edge, ListScheduler, Op, Reg, SchedScratch, Schedule};
 
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested by those allocations (a reallocation counts its
+    /// new size).
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
-fn bump() {
+fn bump(size: usize) {
     // `try_with`: the allocator may run while thread-locals are torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|bytes| bytes.set(bytes.get() + size));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
 // the caller's guarantees are exactly the ones `System` requires, and the
-// only extra work is bumping a const-initialised thread-local counter,
+// only extra work is bumping const-initialised thread-local counters,
 // which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -64,9 +69,29 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations this thread makes while running `f`.
 fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.with(Cell::get);
+    let ((count, _), out) = allocated_in(f);
+    (count, out)
+}
+
+/// Allocations this thread makes while running `f`, and the bytes they
+/// request.
+fn allocated_in<T>(f: impl FnOnce() -> T) -> ((u64, usize), T) {
+    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
     let out = f();
-    (ALLOCATIONS.with(Cell::get) - before, out)
+    let after = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    ((after.0 - before.0, after.1 - before.1), out)
+}
+
+/// The words of `block`'s schedule buffer: a cycle, an attempt count and
+/// a selection bound per operation, one closing bound, and one selected
+/// option per OR-tree of each operation's class.
+fn schedule_words(mdes: &CompiledMdes, block: &Block) -> usize {
+    let trees: usize = block
+        .ops
+        .iter()
+        .map(|op| mdes.class(op.class).or_trees.len())
+        .sum();
+    3 * block.len() + 1 + trees
 }
 
 fn compiled(machine: Machine) -> CompiledMdes {
@@ -170,7 +195,7 @@ fn block_allocations_do_not_depend_on_attempt_count() {
     let mut scratch = SchedScratch::new();
     let mut stats = [CheckStats::new(), CheckStats::new()];
     let mut run = |k: usize, block: &Block, stats: &mut CheckStats| {
-        allocations_in(|| {
+        allocated_in(|| {
             scheduler.schedule_with_graph_reusing(block, &graphs[k], &mut scratch, stats)
         })
     };
@@ -178,16 +203,14 @@ fn block_allocations_do_not_depend_on_attempt_count() {
     run(0, &independent, &mut CheckStats::new());
     run(1, &chain, &mut CheckStats::new());
 
-    let (wide, a) = run(0, &independent, &mut stats[0]);
-    let (deep, b) = run(1, &chain, &mut stats[1]);
+    let (wide, _) = run(0, &independent, &mut stats[0]);
+    let (deep, _) = run(1, &chain, &mut stats[1]);
     // The independent block retries every ready op each cycle; the
-    // chain tries each op once.  The allocation count is the same.
+    // chain tries each op once.  Each costs its schedule's one buffer,
+    // at its exact size.
     assert!(stats[0].attempts > 4 * stats[1].attempts, "{stats:?}");
     assert_eq!(wide, deep);
-    assert!(wide <= 4, "{wide} allocations per block");
-    for schedule in [a, b] {
-        assert_eq!(schedule.selected.capacity(), schedule.selected.len());
-    }
+    assert_eq!(wide, (1, 4 * schedule_words(&mdes, &chain)));
 }
 
 /// Seeded blocks of 1 to 64 operations over every class of `mdes`
@@ -229,8 +252,10 @@ fn a_warm_block_path_allocates_only_the_schedule_it_returns() {
         }
         let mut counts = Vec::new();
         for block in &blocks {
-            let (owned, schedule) =
-                allocations_in(|| scheduler.schedule_reusing(block, &mut scratch, &mut stats));
+            let ((owned, bytes), schedule) =
+                allocated_in(|| scheduler.schedule_reusing(block, &mut scratch, &mut stats));
+            // The one allocation is the buffer, at exactly its length.
+            assert_eq!(bytes, 4 * schedule_words(&mdes, block), "{machine:?}");
             let (kept, ()) = allocations_in(|| {
                 let kept = scheduler.schedule_in_scratch(block, &mut scratch, &mut stats);
                 assert_eq!(kept, &schedule);
@@ -238,7 +263,7 @@ fn a_warm_block_path_allocates_only_the_schedule_it_returns() {
             counts.push((owned, kept));
         }
         assert!(
-            counts.iter().all(|&count| count == (3, 0)),
+            counts.iter().all(|&count| count == (1, 0)),
             "{machine:?}: (returned, kept-in-scratch) allocations per warm block: {counts:?}"
         );
     }
@@ -251,16 +276,24 @@ const _: fn() = || {
 };
 
 #[test]
-fn operations_and_placements_stay_compact() {
+fn operations_schedules_and_edges_stay_compact() {
     assert!(
         std::mem::size_of::<Op>() <= 24,
         "{}",
         std::mem::size_of::<Op>()
     );
+    // A buffer, an operation count and a length.
     assert!(
-        std::mem::size_of::<ScheduledOp>() <= 16,
+        std::mem::size_of::<Schedule>() <= 32,
         "{}",
-        std::mem::size_of::<ScheduledOp>()
+        std::mem::size_of::<Schedule>()
+    );
+    // Two `u32` operation indices, a latency and a kind; the graph stores
+    // every edge twice.
+    assert!(
+        std::mem::size_of::<Edge>() <= 16,
+        "{}",
+        std::mem::size_of::<Edge>()
     );
     // The operands live inline: building an operation allocates nothing.
     let class = mdes_core::ClassId::from_index(0);
@@ -270,4 +303,38 @@ fn operations_and_placements_stay_compact() {
         (op.dests(), op.srcs()),
         (&[Reg(1)][..], &[Reg(2), Reg(3)][..])
     );
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn sources(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            sources(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// A schedule keeps no per-operation placement record: cycles, attempts
+/// and selections live in its one buffer.  The old 16-byte record type
+/// must not come back under any crate's sources, in code or in docs.
+#[test]
+fn no_crate_source_names_a_per_operation_placement_record() {
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(&crates).unwrap() {
+        let src = entry.unwrap().path().join("src");
+        if src.is_dir() {
+            sources(&src, &mut files);
+        }
+    }
+    assert!(files.len() > 50, "{} source files", files.len());
+    let record = ["Scheduled", "Op"].concat();
+    let named: Vec<_> = files
+        .iter()
+        .filter(|path| std::fs::read_to_string(path).unwrap().contains(&record))
+        .collect();
+    assert!(named.is_empty(), "{named:?}");
 }

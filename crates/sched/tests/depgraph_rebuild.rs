@@ -3,7 +3,7 @@
 //! machine; after each block every operation's incoming and outgoing
 //! edges must equal, in order, those of a fresh [`DepGraph::build`] and
 //! of the hashed builder the flat one replaced, kept here as the
-//! reference for edge order.
+//! reference for edge order, and its recorded class must be the block's.
 
 use mdes_core::rng::Pcg32;
 use mdes_core::{ClassId, CompiledMdes, UsageEncoding};
@@ -18,8 +18,8 @@ fn reference(block: &Block, mdes: &CompiledMdes) -> (Vec<Vec<Edge>>, Vec<Vec<Edg
     type Lists = (Vec<Vec<Edge>>, Vec<Vec<Edge>>);
     fn push((succs, preds): &mut Lists, from: usize, to: usize, latency: i32, kind: DepKind) {
         let edge = Edge {
-            from,
-            to,
+            from: from as u32,
+            to: to as u32,
             latency,
             kind,
         };
@@ -76,7 +76,7 @@ fn reference(block: &Block, mdes: &CompiledMdes) -> (Vec<Vec<Edge>>, Vec<Vec<Edg
         }
         if flags.branch || flags.serial {
             for j in 0..i {
-                if !lists.0[j].iter().any(|e| e.to == i) {
+                if !lists.0[j].iter().any(|e| e.to as usize == i) {
                     push(&mut lists, j, i, 0, DepKind::Control);
                 }
             }
@@ -133,6 +133,11 @@ fn a_rebuilt_graph_matches_a_fresh_build_and_the_reference_edge_for_edge() {
             let (succs, preds) = reference(&block, &mdes);
             assert_eq!(graph.num_ops(), len);
             for op in 0..len {
+                assert_eq!(
+                    graph.class(op),
+                    block.ops[op].class,
+                    "{machine:?} step {step}"
+                );
                 assert_eq!(graph.preds(op), fresh.preds(op), "{machine:?} step {step}");
                 assert_eq!(graph.succs(op), fresh.succs(op), "{machine:?} step {step}");
                 assert_eq!(graph.preds(op), &preds[op][..], "{machine:?} step {step}");

@@ -1098,9 +1098,10 @@ fn execute(job: &Job, scratch: &mut WorkerScratch, stats: &ServeStats) -> String
 /// region at a time: each region is generated into one block sized for
 /// the request's largest, scheduled against the caller's long-lived
 /// `scratch`, and — for `verify` — checked through
-/// [`mdes_sched::Schedule::verify`] against the dependence graph already
-/// in the scratch.  Only the running totals outlive a region, so a
-/// request's memory does not grow with its region count.
+/// [`Engine::verify_block`] against the dependence graph already in the
+/// scratch, replaying its reservations into the scratch's RU map.  Only
+/// the running totals outlive a region, so a request's memory and its
+/// allocation count do not grow with its region count.
 ///
 /// `params.jobs` is only a hint: the request runs on this one thread, and
 /// by the engine's determinism contract the reply is byte-identical for
@@ -1134,7 +1135,7 @@ pub fn run_work(
         cycles += i64::from(done.schedule.length);
         attempts += done.stats.attempts;
         if verify && panics == 0 && failure.is_none() {
-            failure = done.schedule.verify(done.graph, &image.mdes).err();
+            failure = engine.verify_block(scratch).err();
         }
     }
     stats.engine_panics.fetch_add(panics, Ordering::Relaxed);

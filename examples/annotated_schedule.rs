@@ -29,7 +29,7 @@ fn main() {
         );
         for cycle in 0..schedule.length {
             let issued: Vec<String> = (0..block.len())
-                .filter(|&i| schedule.ops[i].cycle == cycle)
+                .filter(|&i| schedule.cycle(i) == cycle)
                 .map(|i| {
                     let op = &block.ops[i];
                     let dests: Vec<String> =

@@ -102,7 +102,7 @@ fn main() {
     println!("------+-------------------------------------------");
     for cycle in 0..schedule.length {
         let word: Vec<&str> = (0..block.len())
-            .filter(|&i| schedule.ops[i].cycle == cycle)
+            .filter(|&i| schedule.cycle(i) == cycle)
             .map(|i| labels[i])
             .collect();
         println!("{cycle:>5} | {}", word.join("  ||  "));

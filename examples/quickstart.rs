@@ -65,9 +65,9 @@ fn main() {
     println!("cycle | operation");
     println!("------+-----------------");
     let mut order: Vec<usize> = (0..block.len()).collect();
-    order.sort_by_key(|&i| schedule.ops[i].cycle);
+    order.sort_by_key(|&i| schedule.cycle(i));
     for i in order {
-        println!("{:>5} | {}", schedule.ops[i].cycle, labels[i]);
+        println!("{:>5} | {}", schedule.cycle(i), labels[i]);
     }
     println!(
         "\nschedule length: {} cycles; {} scheduling attempts, {:.2} resource checks/attempt",
