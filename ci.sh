@@ -6,7 +6,10 @@
 #                    suites (its allocation gate included), the
 #                    checker's and scheduler's own suites (the scheduler
 #                    allocation gate included), the workload allocation
-#                    gate, the engine pool's suites, the daemon's unit
+#                    gate, the shared counting allocator's own suite
+#                    (mdes-telemetry), the perf baseline's byte-for-byte
+#                    round trip, the exact-scheduler oracle's suites,
+#                    the engine pool's suites, the daemon's unit
 #                    tests (the build-time boot images checked byte for
 #                    byte against the runtime pipeline), allocation
 #                    and memory gates (worker path, and the connection
@@ -109,6 +112,19 @@ cargo test -q
 cargo test -q -p mdes-lang
 cargo test -q -p mdes-core -p mdes-sched
 cargo test -q -p mdes-workload --test allocations
+
+# The four allocation gates above and the daemon's below install one
+# counting global allocator, `mdes_telemetry::alloc`; its own tests run
+# with the crate's (under half a second warm).  The committed perf
+# baseline must parse and re-emit byte for byte, so an edit to
+# BENCH_8.json the report format cannot carry fails here, not only in
+# the --full perf gate (a few hundredths of a second).  The
+# exact-scheduler oracle's suites take about 0.3 s warm: branch and
+# bound against hand-built traps, the differential harness, and the
+# modulo II sandwich.
+cargo test -q -p mdes-telemetry
+cargo test -q -p mdes-perf --lib json
+cargo test -q -p mdes-oracle
 
 # The engine's suites take a few seconds: every job runs exactly once,
 # a panicked job leaves `None` at its own index, a blocked job never

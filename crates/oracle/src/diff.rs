@@ -11,7 +11,7 @@
 //! be exactly zero.
 
 use mdes_core::{CheckStats, CompiledMdes};
-use mdes_sched::{Block, DepGraph, ListScheduler, LoopBlock};
+use mdes_sched::{Block, LoopBlock, SchedScratch};
 use mdes_telemetry::Telemetry;
 
 use crate::OracleScheduler;
@@ -122,6 +122,10 @@ fn ratio(numerator: u64, denominator: u64) -> f64 {
 /// Runs the acyclic differential over `blocks`: oracle vs. the list
 /// scheduler, verifying every oracle and list schedule by RU-map replay
 /// and checking that no list schedule is ever shorter than the oracle's.
+/// The list schedule is the oracle's incumbent, which
+/// [`OracleScheduler::schedule`] leaves in the scratch beside the
+/// block's dependence graph, so each region is list-scheduled once and
+/// its graph built once.
 ///
 /// `stats` accumulates the oracle's search probes.
 pub fn differential_gap(
@@ -131,14 +135,14 @@ pub fn differential_gap(
     stats: &mut CheckStats,
 ) -> GapReport {
     let mut report = GapReport::default();
-    let mut production_stats = CheckStats::new();
+    let mut scratch = SchedScratch::new();
     for (index, block) in blocks.iter().enumerate() {
         let n = block.ops.len();
         if n == 0 || n > oracle.max_ops() {
             report.skipped += 1;
             continue;
         }
-        let Some(outcome) = oracle.schedule(block, stats) else {
+        let Some(outcome) = oracle.schedule(block, &mut scratch, stats) else {
             report.skipped += 1;
             continue;
         };
@@ -147,24 +151,23 @@ pub fn differential_gap(
         report.improved += outcome.improved as usize;
         report.nodes += outcome.nodes;
 
-        let graph = DepGraph::build(block, mdes);
-        if let Err(err) = outcome.schedule.verify(&graph, mdes) {
+        if let Err(err) = outcome.schedule.verify(scratch.graph(), mdes) {
             report.violation(format!(
                 "region {index}: oracle schedule fails replay: {err}"
             ));
         }
-        let list = ListScheduler::new(mdes).schedule(block, &mut production_stats);
-        if let Err(err) = list.verify(&graph, mdes) {
+        if let Err(err) = scratch.verify(mdes) {
             report.violation(format!("region {index}: list schedule fails replay: {err}"));
         }
-        if list.length < outcome.schedule.length {
+        let list_length = scratch.schedule().length;
+        if list_length < outcome.schedule.length {
             report.violation(format!(
-                "region {index}: list schedule ({}) beats the oracle ({})",
-                list.length, outcome.schedule.length
+                "region {index}: list schedule ({list_length}) beats the oracle ({})",
+                outcome.schedule.length
             ));
         }
         report.oracle_cycles += outcome.schedule.length as u64;
-        report.list_cycles += list.length as u64;
+        report.list_cycles += list_length as u64;
     }
     report
 }

@@ -27,7 +27,7 @@
 //! ```
 //! use mdes_core::{CheckStats, CompiledMdes, UsageEncoding};
 //! use mdes_oracle::OracleScheduler;
-//! use mdes_sched::{Block, Op, Reg};
+//! use mdes_sched::{Block, Op, Reg, SchedScratch};
 //!
 //! let spec = mdes_lang::compile("
 //!     resource ALU[2];
@@ -41,7 +41,10 @@
 //!     block.push(Op::new(alu, vec![Reg(i)], vec![]));
 //! }
 //! let mut stats = CheckStats::new();
-//! let outcome = OracleScheduler::new(&mdes).schedule(&block, &mut stats).unwrap();
+//! let mut scratch = SchedScratch::new();
+//! let outcome = OracleScheduler::new(&mdes)
+//!     .schedule(&block, &mut scratch, &mut stats)
+//!     .unwrap();
 //! assert_eq!(outcome.schedule.length, 2); // 4 independent ops, 2 ALUs
 //! assert!(outcome.proved);
 //! ```
@@ -56,7 +59,7 @@ pub use diff::{differential_gap, loops_from_blocks, modulo_differential, GapRepo
 pub use modulo::IiOutcome;
 
 use mdes_core::{CheckStats, Checker, ClassId, CompiledMdes, RuMap};
-use mdes_sched::{selection_bounds, Block, DepGraph, ListScheduler, Schedule};
+use mdes_sched::{selection_bounds, Block, DepGraph, ListScheduler, SchedScratch, Schedule};
 
 /// Sentinel for "operation not placed yet" during search.
 const UNPLACED: i32 = i32::MIN;
@@ -153,31 +156,40 @@ impl<'a> OracleScheduler<'a> {
     ///
     /// The search is seeded with the production list schedule as the
     /// incumbent, so the returned length never exceeds the list
-    /// scheduler's — by construction, not by luck.  When the root lower
-    /// bound (critical path ∨ resource count) already equals the
-    /// incumbent length, the list schedule is returned as proved optimal
-    /// with zero search nodes.
+    /// scheduler's — by construction, not by luck.  The incumbent is
+    /// scheduled in `scratch`, and the search reads the block's heights
+    /// and predecessors from the dependence graph built there; on return
+    /// `scratch` still holds both ([`SchedScratch::schedule`],
+    /// [`SchedScratch::graph`]).  When the root lower bound (critical
+    /// path ∨ resource count) already equals the incumbent length, the
+    /// list schedule is returned as proved optimal with zero search
+    /// nodes.
     ///
     /// `stats` counts the option probes and resource checks the *search*
     /// performs (the incumbent seeding run keeps its own private stats,
     /// so production accounting is not conflated with oracle accounting).
-    pub fn schedule(&self, block: &Block, stats: &mut CheckStats) -> Option<OracleOutcome> {
+    pub fn schedule(
+        &self,
+        block: &Block,
+        scratch: &mut SchedScratch,
+        stats: &mut CheckStats,
+    ) -> Option<OracleOutcome> {
         let n = block.ops.len();
         if n > self.max_ops {
             return None;
         }
         let mut seed_stats = CheckStats::new();
-        let incumbent = ListScheduler::new(self.mdes).schedule(block, &mut seed_stats);
+        ListScheduler::new(self.mdes).schedule_in_scratch(block, scratch, &mut seed_stats);
+        let (graph, incumbent) = (scratch.graph(), scratch.schedule());
         if n == 0 {
             return Some(OracleOutcome {
-                schedule: incumbent,
+                schedule: incumbent.clone(),
                 nodes: 0,
                 proved: true,
                 improved: false,
             });
         }
 
-        let graph = DepGraph::build(block, self.mdes);
         let heights = graph.heights();
 
         // Dependence-only earliest starts (index order is topological).
@@ -191,7 +203,7 @@ impl<'a> OracleScheduler<'a> {
         let root_lb = crit_lb.max(resource_lower_bound(self.mdes, block));
         if incumbent.length <= root_lb {
             return Some(OracleOutcome {
-                schedule: incumbent,
+                schedule: incumbent.clone(),
                 nodes: 0,
                 proved: true,
                 improved: false,
@@ -207,22 +219,12 @@ impl<'a> OracleScheduler<'a> {
             best_sel[bounds[i] as usize..bounds[i + 1] as usize]
                 .copy_from_slice(incumbent.selection(i));
         }
-        let preds: Vec<Vec<(usize, i32)>> = (0..n)
-            .map(|op| {
-                graph
-                    .preds(op)
-                    .iter()
-                    .map(|e| (e.from as usize, e.latency))
-                    .collect()
-            })
-            .collect();
         let mut search = Search {
             mdes: self.mdes,
             checker: Checker::new(self.mdes),
-            order: placement_order(&graph, heights),
+            order: placement_order(graph, heights),
             classes,
-            heights: heights.to_vec(),
-            preds,
+            graph,
             est_buf: vec![0; n],
             cycles: vec![UNPLACED; n],
             sel: vec![0; best_sel.len()],
@@ -254,7 +256,7 @@ impl<'a> OracleScheduler<'a> {
             debug_assert_eq!(schedule.length, search.best_len);
             schedule
         } else {
-            incumbent
+            incumbent.clone()
         };
         Some(OracleOutcome {
             schedule,
@@ -350,7 +352,7 @@ fn resource_lower_bound(mdes: &CompiledMdes, block: &Block) -> i32 {
 }
 
 /// The branch-and-bound state.  Lower bounds are memoized where they are
-/// pure functions of the region (`heights`, computed once) and
+/// pure functions of the region (the graph's heights, computed once) and
 /// incrementally recomputed where they depend on partial placements
 /// (`est_buf`, the propagated earliest starts).
 struct Search<'a, 'b> {
@@ -358,8 +360,8 @@ struct Search<'a, 'b> {
     checker: Checker<'a>,
     order: Vec<usize>,
     classes: Vec<ClassId>,
-    heights: Vec<i32>,
-    preds: Vec<Vec<(usize, i32)>>,
+    /// The block's dependence graph: predecessors and heights.
+    graph: &'b DepGraph,
     est_buf: Vec<i32>,
     cycles: Vec<i32>,
     /// Selected options of the current partial placement: operation
@@ -408,14 +410,14 @@ impl Search<'_, '_> {
         }
         let op = self.order[pos];
         let mut est = 0;
-        for &(from, latency) in &self.preds[op] {
-            est = est.max(self.cycles[from] + latency);
+        for edge in self.graph.preds(op) {
+            est = est.max(self.cycles[edge.from as usize] + edge.latency);
         }
         let mut cycle = est;
         // Ceiling: a schedule strictly shorter than the incumbent has
         // `cycle + heights[op] + 1 ≤ best_len − 1` for every operation.
         // `best_len` shrinks as incumbents land, so re-test each lap.
-        while cycle + self.heights[op] + 2 <= self.best_len {
+        while cycle + self.graph.heights()[op] + 2 <= self.best_len {
             if self.lower_bound_with(pos, op, cycle, makespan) < self.best_len {
                 self.enter(pos, op, cycle, 0, makespan.max(cycle + 1));
             }
@@ -431,21 +433,23 @@ impl Search<'_, '_> {
     /// placement order (which is topological, so every predecessor's
     /// bound is available when needed).
     fn lower_bound_with(&mut self, pos: usize, op: usize, cycle: i32, makespan: i32) -> i32 {
-        let mut lb = makespan.max(cycle + self.heights[op] + 1);
+        let heights = self.graph.heights();
+        let mut lb = makespan.max(cycle + heights[op] + 1);
         self.est_buf[op] = cycle;
         for idx in pos + 1..self.order.len() {
             let j = self.order[idx];
             let mut est = 0;
-            for &(from, latency) in &self.preds[j] {
+            for edge in self.graph.preds(j) {
+                let from = edge.from as usize;
                 let known = if self.cycles[from] != UNPLACED {
                     self.cycles[from]
                 } else {
                     self.est_buf[from]
                 };
-                est = est.max(known + latency);
+                est = est.max(known + edge.latency);
             }
             self.est_buf[j] = est;
-            lb = lb.max(est + self.heights[j] + 1);
+            lb = lb.max(est + heights[j] + 1);
         }
         lb
     }
@@ -620,7 +624,7 @@ mod tests {
         let mdes = two_issue();
         let mut stats = CheckStats::new();
         let outcome = OracleScheduler::new(&mdes)
-            .schedule(&Block::new(), &mut stats)
+            .schedule(&Block::new(), &mut SchedScratch::new(), &mut stats)
             .unwrap();
         assert_eq!(outcome.schedule.length, 0);
         assert!(outcome.proved);
@@ -634,7 +638,7 @@ mod tests {
         let mut stats = CheckStats::new();
         assert!(OracleScheduler::new(&mdes)
             .with_max_ops(4)
-            .schedule(&block, &mut stats)
+            .schedule(&block, &mut SchedScratch::new(), &mut stats)
             .is_none());
     }
 
@@ -645,7 +649,7 @@ mod tests {
         let block: Block = (0..4).map(|i| Op::new(alu, vec![Reg(i)], vec![])).collect();
         let mut stats = CheckStats::new();
         let outcome = OracleScheduler::new(&mdes)
-            .schedule(&block, &mut stats)
+            .schedule(&block, &mut SchedScratch::new(), &mut stats)
             .unwrap();
         assert_eq!(outcome.schedule.length, 2); // 4 ops, 2-wide decode
         assert_eq!(outcome.nodes, 0); // resource bound == incumbent
@@ -685,7 +689,7 @@ mod tests {
 
         let mut stats = CheckStats::new();
         let outcome = OracleScheduler::new(&mdes)
-            .schedule(&block, &mut stats)
+            .schedule(&block, &mut SchedScratch::new(), &mut stats)
             .unwrap();
         assert_eq!(outcome.schedule.length, 1);
         assert!(outcome.proved);
@@ -722,10 +726,10 @@ mod tests {
         let mut s1 = CheckStats::new();
         let mut s2 = CheckStats::new();
         let a = OracleScheduler::new(&mdes)
-            .schedule(&block, &mut s1)
+            .schedule(&block, &mut SchedScratch::new(), &mut s1)
             .unwrap();
         let b = OracleScheduler::new(&mdes)
-            .schedule(&block, &mut s2)
+            .schedule(&block, &mut SchedScratch::new(), &mut s2)
             .unwrap();
         assert_eq!(a.schedule, b.schedule);
         assert_eq!(a.nodes, b.nodes);
@@ -742,7 +746,7 @@ mod tests {
         block.push(Op::new(alu, vec![Reg(2)], vec![Reg(1)]));
         let mut stats = CheckStats::new();
         let outcome = OracleScheduler::new(&mdes)
-            .schedule(&block, &mut stats)
+            .schedule(&block, &mut SchedScratch::new(), &mut stats)
             .unwrap();
         // load latency 2 → consumer at cycle 2, length 3.
         assert_eq!(outcome.schedule.length, 3);

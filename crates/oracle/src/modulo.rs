@@ -49,24 +49,13 @@ impl<'a> OracleScheduler<'a> {
         if n == 0 || n > self.max_ops {
             return None;
         }
+        // One dependence graph serves the production schedule, the MII
+        // and every II searched.
+        let graph = DepGraph::build(&looped.body, self.mdes);
         let scheduler = ModuloScheduler::new(self.mdes);
         let mut production_stats = CheckStats::new();
-        let production = scheduler.schedule(looped, &mut production_stats);
-        let mii = scheduler
-            .res_mii(looped)
-            .max(scheduler.rec_mii(looped))
-            .max(1);
-
-        let graph = DepGraph::build(&looped.body, self.mdes);
-        let preds: Vec<Vec<(usize, i32)>> = (0..n)
-            .map(|op| {
-                graph
-                    .preds(op)
-                    .iter()
-                    .map(|e| (e.from as usize, e.latency))
-                    .collect()
-            })
-            .collect();
+        let production = scheduler.schedule_with_graph(looped, &graph, &mut production_stats);
+        let mii = scheduler.mii(looped, &graph).max(1);
 
         let bounds = selection_bounds(self.mdes, &looped.body);
         let mut nodes = 0u64;
@@ -75,7 +64,7 @@ impl<'a> OracleScheduler<'a> {
             let mut search = ModSearch {
                 checker: Checker::new(self.mdes),
                 looped,
-                preds: &preds,
+                graph: &graph,
                 mrt: ModuloRuMap::new(ii),
                 cycles: vec![UNPLACED; n],
                 sel: vec![0; bounds[n] as usize],
@@ -127,7 +116,8 @@ impl<'a> OracleScheduler<'a> {
 struct ModSearch<'a, 'b> {
     checker: Checker<'a>,
     looped: &'a LoopBlock,
-    preds: &'a [Vec<(usize, i32)>],
+    /// The body's dependence graph.
+    graph: &'a DepGraph,
     mrt: ModuloRuMap,
     cycles: Vec<i32>,
     /// Flat selections, laid out by `bounds` (see
@@ -146,8 +136,8 @@ impl ModSearch<'_, '_> {
             return true;
         }
         let mut base = 0;
-        for &(from, latency) in &self.preds[index] {
-            base = base.max(self.cycles[from] + latency);
+        for edge in self.graph.preds(index) {
+            base = base.max(self.cycles[edge.from as usize] + edge.latency);
         }
         // Loop-carried edges against already-placed endpoints narrow the
         // candidate range: as a consumer, `cycle ≥ from + lat − ii·dist`;

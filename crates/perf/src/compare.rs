@@ -238,7 +238,7 @@ mod tests {
 
     fn report(benches: &[(&str, u64, u128)]) -> Report {
         Report {
-            schema: 5,
+            schema: 6,
             seed: 1,
             benches: benches
                 .iter()
@@ -251,7 +251,6 @@ mod tests {
                     min_ns: median_ns,
                 })
                 .collect(),
-            checker_speedup: 0.0,
             batch_scaling: 0.0,
             oracle_gap: 0.0,
             serve_p50_us: 0.0,

@@ -15,10 +15,6 @@ pub fn to_json(report: &Report) -> String {
     out.push_str(&format!("  \"schema\": {},\n", report.schema));
     out.push_str(&format!("  \"seed\": {},\n", report.seed));
     out.push_str(&format!(
-        "  \"checker_speedup\": {:.3},\n",
-        report.checker_speedup
-    ));
-    out.push_str(&format!(
         "  \"batch_scaling\": {:.3},\n",
         report.batch_scaling
     ));
@@ -62,14 +58,16 @@ impl Report {
     pub fn from_json(text: &str) -> Result<Report, String> {
         let top = Json::parse(text)?;
         let schema = field(&top, "schema", Json::as_u64)? as u32;
-        // Schema 5 replaced the hinted scheduler's gap with `oracle_gap`
-        // (the list scheduler's) and dropped the hinted benches; schema 4
-        // added `serve_p50_us`/`serve_p99_us` and the `serve/load/*`
-        // family (schema 3 added the oracle gap and the `oracle/bnb/*`
-        // family; schema 2 added `batch_scaling` and the w8/w16 engine
-        // benches).  Older baselines predate those gates and must be
-        // regenerated, not silently compared against.
-        if schema != 5 {
+        // Schema 6 dropped the checker speedup figure and the pointer-chased
+        // checker bench behind it; schema 5 replaced the hinted
+        // scheduler's gap with `oracle_gap` (the list scheduler's) and
+        // dropped the hinted benches; schema 4 added
+        // `serve_p50_us`/`serve_p99_us` and the `serve/load/*` family
+        // (schema 3 added the oracle gap and the `oracle/bnb/*` family;
+        // schema 2 added `batch_scaling` and the w8/w16 engine benches).
+        // Older baselines must be regenerated, not silently compared
+        // against.
+        if schema != 6 {
             return Err(format!("unsupported report schema {schema}"));
         }
         let mut benches = Vec::new();
@@ -87,7 +85,6 @@ impl Report {
             schema,
             seed: field(&top, "seed", Json::as_u64)?,
             benches,
-            checker_speedup: field(&top, "checker_speedup", Json::as_f64)?,
             batch_scaling: field(&top, "batch_scaling", Json::as_f64)?,
             oracle_gap: field(&top, "oracle_gap", Json::as_f64)?,
             serve_p50_us: field(&top, "serve_p50_us", Json::as_f64)?,
@@ -123,13 +120,12 @@ mod tests {
 
     fn report() -> Report {
         Report {
-            schema: 5,
+            schema: 6,
             seed: 42,
             benches: vec![
                 sample("rumap/word_ops", 8192, 1_000_000),
                 sample("checker/arena/wide", 2048, 50_000),
             ],
-            checker_speedup: 2.5,
             batch_scaling: 3.2,
             oracle_gap: 1.04,
             serve_p50_us: 850.0,
@@ -151,8 +147,8 @@ mod tests {
 
     #[test]
     fn parse_rejects_wrong_schema() {
-        for old in ["\"schema\": 3", "\"schema\": 4", "\"schema\": 9"] {
-            let text = report().to_json().replace("\"schema\": 5", old);
+        for old in ["\"schema\": 4", "\"schema\": 5", "\"schema\": 9"] {
+            let text = report().to_json().replace("\"schema\": 6", old);
             assert!(Report::from_json(&text).unwrap_err().contains("schema"));
         }
     }

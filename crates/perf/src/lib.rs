@@ -32,14 +32,12 @@
 
 pub mod compare;
 pub mod json;
-pub mod reference;
 pub mod report;
 mod suite;
 
 use std::time::Instant;
 
 pub use compare::{compare, CompareOutcome, Delta, DeltaKind};
-pub use reference::PointerChasedChecker;
 
 /// Parameters of one harness run.
 #[derive(Clone, Debug)]
@@ -144,12 +142,6 @@ pub struct Report {
     pub seed: u64,
     /// Per-bench measurements, in suite order.
     pub benches: Vec<Sample>,
-    /// Pointer-chased ÷ arena fastest-repetition time on the
-    /// wide-OR-tree checker microbench (identical attempt streams, same
-    /// checks): the measured effect of the flat check arena layout.
-    /// Below 1 means the arena is slower.  0 when either side was
-    /// filtered out of the run.
-    pub checker_speedup: f64,
     /// `engine/batch/w1` ÷ `engine/batch/w4` fastest-repetition time:
     /// the measured parallel speedup of `Engine::schedule_batch` at 4
     /// workers on the seeded workload (same deterministic work on both
@@ -230,7 +222,8 @@ impl Report {
 
     /// Publishes the report into a telemetry registry: one
     /// `perf/<bench>/ns_per_op` and `perf/<bench>/ops` gauge pair per
-    /// bench, plus `perf/checker_speedup` and `perf/batch_scaling`.
+    /// bench, plus the derived figures (`perf/batch_scaling`,
+    /// `perf/oracle_gap`, `perf/serve_p50_us`, `perf/serve_p99_us`).
     pub fn publish(&self, tel: &mdes_telemetry::Telemetry) {
         for sample in &self.benches {
             tel.gauge_set(
@@ -239,7 +232,6 @@ impl Report {
             );
             tel.gauge_set(&format!("perf/{}/ops", sample.name), sample.ops as f64);
         }
-        tel.gauge_set("perf/checker_speedup", self.checker_speedup);
         tel.gauge_set("perf/batch_scaling", self.batch_scaling);
         tel.gauge_set("perf/oracle_gap", self.oracle_gap);
         tel.gauge_set("perf/serve_p50_us", self.serve_p50_us);
@@ -298,27 +290,11 @@ pub fn run_all(config: &BenchConfig) -> Report {
     // latency percentiles (from the K5 run's fastest repetition).
     let (serve_p50_us, serve_p99_us) = suite::serve_load(config, &mut benches);
 
-    // Both sides of the A/B run the identical attempt stream at the same
-    // iteration count, so total time is directly comparable.  Fastest
-    // repetition on each side, for the same noise-robustness reason the
-    // gate uses min-of-K.
-    let pointer = benches
-        .iter()
-        .find(|s| s.name == suite::POINTER_CHASED_BENCH)
-        .map(|s| s.min_ns);
-    let arena = benches
-        .iter()
-        .find(|s| s.name == suite::ARENA_BENCH)
-        .map(|s| s.min_ns);
-    let checker_speedup = match (pointer, arena) {
-        (Some(p), Some(a)) if a > 0 => p as f64 / a as f64,
-        _ => 0.0,
-    };
-
-    // Same reasoning for the engine scaling figure: w1 and w4 schedule
-    // the identical seeded batch (the op counts are asserted equal by
-    // the engine's determinism contract), so fastest-repetition total
-    // time divides directly into a parallel speedup.
+    // w1 and w4 schedule the identical seeded batch (the op counts are
+    // asserted equal by the engine's determinism contract), so total
+    // time divides directly into a parallel speedup.  Fastest repetition
+    // on each side, for the same noise-robustness reason the gate uses
+    // min-of-K.
     let w1 = benches
         .iter()
         .find(|s| s.name == suite::BATCH_W1_BENCH)
@@ -333,10 +309,9 @@ pub fn run_all(config: &BenchConfig) -> Report {
     };
 
     Report {
-        schema: 5,
+        schema: 6,
         seed: config.seed,
         benches,
-        checker_speedup,
         batch_scaling,
         oracle_gap,
         serve_p50_us,

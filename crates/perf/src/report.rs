@@ -35,12 +35,8 @@ pub fn render_table(report: &Report) -> String {
         ));
     }
     out.push_str(&format!(
-        "\nseed {:#x} · checker speedup (pointer-chased ÷ arena): {:.2}x\n",
-        report.seed, report.checker_speedup
-    ));
-    out.push_str(&format!(
-        "batch scaling (engine w1 ÷ w4): {:.2}x\n",
-        report.batch_scaling
+        "\nseed {:#x} · batch scaling (engine w1 ÷ w4): {:.2}x\n",
+        report.seed, report.batch_scaling
     ));
     out.push_str(&format!(
         "oracle_gap (list ÷ oracle cycles): {:.3}\n",
@@ -112,9 +108,9 @@ mod tests {
     use crate::{compare, Sample};
 
     #[test]
-    fn table_lists_every_bench_and_the_speedup() {
+    fn table_lists_every_bench_and_the_derived_figures() {
         let report = Report {
-            schema: 5,
+            schema: 6,
             seed: 7,
             benches: vec![Sample {
                 name: "rumap/word_ops".into(),
@@ -124,7 +120,6 @@ mod tests {
                 median_ns: 12_345,
                 min_ns: 12_000,
             }],
-            checker_speedup: 1.75,
             batch_scaling: 3.12,
             oracle_gap: 1.042,
             serve_p50_us: 850.0,
@@ -133,7 +128,6 @@ mod tests {
         let table = render_table(&report);
         assert!(table.contains("rumap/word_ops"));
         assert!(table.contains("12.35us"));
-        assert!(table.contains("1.75x"));
         assert!(table.contains("3.12x"));
         assert!(table.contains("1.042"));
         assert!(table.contains("p50 850us"));
@@ -143,7 +137,7 @@ mod tests {
     #[test]
     fn delta_table_marks_failures() {
         let mk = |ns: u128| Report {
-            schema: 5,
+            schema: 6,
             seed: 7,
             benches: vec![Sample {
                 name: "a".into(),
@@ -153,7 +147,6 @@ mod tests {
                 median_ns: ns,
                 min_ns: ns,
             }],
-            checker_speedup: 0.0,
             batch_scaling: 0.0,
             oracle_gap: 0.0,
             serve_p50_us: 0.0,

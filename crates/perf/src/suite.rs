@@ -19,13 +19,8 @@ use mdes_oracle::{differential_gap, GapReport, OracleScheduler};
 use mdes_sched::{DepGraph, ListScheduler};
 use mdes_workload::{generate_compiled_regions, Pcg32, RegionConfig};
 
-use crate::reference::PointerChasedChecker;
 use crate::{measure, BenchConfig, Sample};
 
-/// The baseline side of the derived `checker_speedup` figure.
-pub(crate) const POINTER_CHASED_BENCH: &str = "checker/pointer_chased/wide";
-/// The optimized side (the flat check arena).
-pub(crate) const ARENA_BENCH: &str = "checker/arena/wide";
 /// The serial side of the derived `batch_scaling` figure.
 pub(crate) const BATCH_W1_BENCH: &str = "engine/batch/w1";
 /// The parallel side of the derived `batch_scaling` figure.
@@ -35,7 +30,7 @@ pub(crate) fn run(config: &BenchConfig, out: &mut Vec<Sample>) {
     lang_compile(config, out);
     rumap_word_ops(config, out);
     checker_replay(config, out);
-    wide_tree_checkers(config, out);
+    wide_tree_checker(config, out);
     automaton_pack(config, out);
     analyze_lint(config, out);
     list_scheduling(config, out);
@@ -222,14 +217,13 @@ fn probe_stream(seed: u64, classes: usize, len: usize) -> Vec<(ClassId, i32)> {
 
 /// Sixteen interchangeable issue slots behind one OR-tree, with the
 /// fifteen highest-priority slots kept busy: every attempt walks the
-/// whole tree, the access pattern where the check layout shows up.  Two
-/// checkers run the identical attempt stream; the derived
-/// `checker_speedup` divides the pointer-chased sample's time by the
-/// arena's.
-fn wide_tree_checkers(config: &BenchConfig, out: &mut Vec<Sample>) {
+/// whole tree, the checker's worst case for option probes.  Work unit:
+/// one resource check.
+fn wide_tree_checker(config: &BenchConfig, out: &mut Vec<Sample>) {
     const SLOTS: usize = 16;
     const ATTEMPTS: i32 = 1024;
-    if !config.matches(POINTER_CHASED_BENCH) && !config.matches(ARENA_BENCH) {
+    let name = "checker/arena/wide";
+    if !config.matches(name) {
         return;
     }
 
@@ -252,35 +246,16 @@ fn wide_tree_checkers(config: &BenchConfig, out: &mut Vec<Sample>) {
     // re-fails SLOTS-1 options per attempt before it finds the free slot.
     let busy: u64 = (1 << (SLOTS - 1)) - 1;
 
-    if config.matches(POINTER_CHASED_BENCH) {
-        let checker = PointerChasedChecker::new(&compiled);
-        out.push(measure(
-            POINTER_CHASED_BENCH,
-            config.iters(100),
-            config.reps,
-            || {
-                let mut ru = RuMap::new();
-                let mut stats = CheckStats::new();
-                for t in 0..ATTEMPTS {
-                    ru.reserve(t, busy);
-                    checker.try_reserve(&mut ru, class, t, &mut stats);
-                }
-                stats.resource_checks
-            },
-        ));
-    }
-    if config.matches(ARENA_BENCH) {
-        let checker = Checker::new(&compiled);
-        out.push(measure(ARENA_BENCH, config.iters(100), config.reps, || {
-            let mut ru = RuMap::new();
-            let mut stats = CheckStats::new();
-            for t in 0..ATTEMPTS {
-                ru.reserve(t, busy);
-                checker.try_reserve(&mut ru, class, t, &mut stats);
-            }
-            stats.resource_checks
-        }));
-    }
+    let checker = Checker::new(&compiled);
+    out.push(measure(name, config.iters(100), config.reps, || {
+        let mut ru = RuMap::new();
+        let mut stats = CheckStats::new();
+        for t in 0..ATTEMPTS {
+            ru.reserve(t, busy);
+            checker.try_reserve(&mut ru, class, t, &mut stats);
+        }
+        stats.resource_checks
+    }));
 }
 
 /// The automaton checker walking a seeded class stream (greedy in-order

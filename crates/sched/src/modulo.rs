@@ -191,7 +191,18 @@ impl<'a> ModuloScheduler<'a> {
     /// Lower bound on II from recurrences: smallest II for which no
     /// dependence cycle has positive latency-minus-II×distance weight.
     pub fn rec_mii(&self, looped: &LoopBlock) -> i32 {
-        let graph = DepGraph::build(&looped.body, self.mdes);
+        self.recurrence_mii(looped, &DepGraph::build(&looped.body, self.mdes))
+    }
+
+    /// The classic lower bound on II, max([`ModuloScheduler::res_mii`],
+    /// [`ModuloScheduler::rec_mii`]), over `graph`, the body's
+    /// dependence graph.
+    pub fn mii(&self, looped: &LoopBlock, graph: &DepGraph) -> i32 {
+        self.res_mii(looped).max(self.recurrence_mii(looped, graph))
+    }
+
+    /// [`ModuloScheduler::rec_mii`] over the body's dependence graph.
+    fn recurrence_mii(&self, looped: &LoopBlock, graph: &DepGraph) -> i32 {
         let n = looped.body.ops.len();
         if n == 0 {
             return 1;
@@ -252,12 +263,29 @@ impl<'a> ModuloScheduler<'a> {
     /// valid machine description cannot happen (at a large enough II the
     /// loop degenerates to a list schedule).
     pub fn schedule(&self, looped: &LoopBlock, stats: &mut CheckStats) -> ModuloSchedule {
-        let mii = self.res_mii(looped).max(self.rec_mii(looped));
+        let graph = DepGraph::build(&looped.body, self.mdes);
+        self.schedule_with_graph(looped, &graph, stats)
+    }
+
+    /// [`ModuloScheduler::schedule`] over `graph`, the body's dependence
+    /// graph, built once by the caller: the MII and every II tried read
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`ModuloScheduler::schedule`].
+    pub fn schedule_with_graph(
+        &self,
+        looped: &LoopBlock,
+        graph: &DepGraph,
+        stats: &mut CheckStats,
+    ) -> ModuloSchedule {
+        let mii = self.mii(looped, graph);
         let span = (self.mdes.max_check_time() - self.mdes.min_check_time() + 1).max(1);
         let n = looped.body.ops.len() as i32;
         let limit = mii + 64 * span + n;
         for ii in mii..=limit {
-            if let Some(schedule) = self.try_ii(looped, ii, stats) {
+            if let Some(schedule) = self.try_ii(looped, graph, ii, stats) {
                 return schedule;
             }
         }
@@ -268,6 +296,7 @@ impl<'a> ModuloScheduler<'a> {
     fn try_ii(
         &self,
         looped: &LoopBlock,
+        graph: &DepGraph,
         ii: i32,
         stats: &mut CheckStats,
     ) -> Option<ModuloSchedule> {
@@ -282,7 +311,6 @@ impl<'a> ModuloScheduler<'a> {
             });
         }
         let checker = Checker::new(self.mdes);
-        let graph = DepGraph::build(body, self.mdes);
         let heights = graph.heights();
 
         let mut cycles: Vec<Option<i32>> = vec![None; n];
@@ -315,7 +343,7 @@ impl<'a> ModuloScheduler<'a> {
             }
             budget -= 1;
 
-            let est = self.earliest_start(op, &graph, looped, &cycles, ii);
+            let est = self.earliest_start(op, graph, looped, &cycles, ii);
 
             // Try every slot in one II window; failing that, force the
             // placement and evict conflicting operations — the

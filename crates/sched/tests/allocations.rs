@@ -1,8 +1,9 @@
 //! Allocation and size gates for the scheduling data path.
 //!
-//! A counting global allocator (no dependencies) tallies heap
-//! allocations per thread, so tests running in parallel do not see each
-//! other's traffic.  The gates:
+//! The workspace's counting global allocator
+//! (`mdes_telemetry::alloc`) tallies heap allocations per thread, so
+//! tests running in parallel do not see each other's traffic.  The
+//! gates:
 //!
 //! * a reservation attempt allocates nothing once the caller's selection
 //!   buffer has capacity — successful or failed;
@@ -16,56 +17,14 @@
 //!   operation is a heap-free `Copy` value, and no per-operation
 //!   placement record is left in the sources.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use mdes_core::rng::Pcg32;
 use mdes_core::{CheckStats, Checker, ClassId, CompiledMdes, RuMap, UsageEncoding};
 use mdes_machines::Machine;
 use mdes_sched::{Block, DepGraph, Edge, ListScheduler, Op, Reg, SchedScratch, Schedule};
-
-struct Counting;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    /// Bytes requested by those allocations (a reallocation counts its
-    /// new size).
-    static BYTES: Cell<usize> = const { Cell::new(0) };
-}
-
-fn bump(size: usize) {
-    // `try_with`: the allocator may run while thread-locals are torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    let _ = BYTES.try_with(|bytes| bytes.set(bytes.get() + size));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, so
-// the caller's guarantees are exactly the ones `System` requires, and the
-// only extra work is bumping const-initialised thread-local counters,
-// which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use mdes_telemetry::alloc::{tally, CountingAlloc};
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations this thread makes while running `f`.
 fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
@@ -76,10 +35,8 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
 /// Allocations this thread makes while running `f`, and the bytes they
 /// request.
 fn allocated_in<T>(f: impl FnOnce() -> T) -> ((u64, usize), T) {
-    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
-    let out = f();
-    let after = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
-    ((after.0 - before.0, after.1 - before.1), out)
+    let (tally, out) = tally(f);
+    ((tally.allocations, tally.bytes), out)
 }
 
 /// The words of `block`'s schedule buffer: a cycle, an attempt count and

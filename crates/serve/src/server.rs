@@ -24,7 +24,10 @@
 //!
 //! * A frame carrying an `id` is *pipelined*: the reader handles the next
 //!   frame at once, so replies may leave out of admission order and the
-//!   client correlates them by `id`.
+//!   client correlates them by `id`.  Its backlog is bounded: once
+//!   [`REPLY_WINDOW`] of the connection's replies wait to be written, the
+//!   reader treats its next frame as a one-slot window, as below, so a
+//!   pipelining client that stops reading stops being read too.
 //! * A frame without an `id` is a one-slot window: its reply line is
 //!   flagged, the writer reports it written on the acknowledgement
 //!   channel made with the connection, and only then does the reader
@@ -68,6 +71,7 @@
 //! * Shutdown stops admissions, then drains: every admitted request is
 //!   answered before the daemon exits.
 
+use std::cell::Cell;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -384,7 +388,8 @@ struct Job {
     admitted_at: Instant,
     /// The connection's writer.
     reply: mpsc::Sender<Line>,
-    /// The frame was id-less: the reader awaits this reply's write.
+    /// The reader awaits this reply's write: the frame was id-less, or
+    /// its connection's backlog had reached [`REPLY_WINDOW`].
     ack: bool,
 }
 
@@ -767,6 +772,16 @@ fn accept_loop(
 /// the shutdown flag and the slow-loris budget.
 const READ_TICK: Duration = Duration::from_millis(100);
 
+/// The most replies a connection may have waiting for its writer (queued
+/// jobs included) before the reader waits on the next frame's reply as
+/// it does on an id-less frame's.  Every handled frame yields exactly one
+/// reply line, so the backlog is the reader's frame count less the lines
+/// the writer has written or discarded, and never exceeds this plus one.
+/// It sits far above the pipelining depth of every client in this
+/// repository (the end-to-end benchmark keeps at most 64 requests in
+/// flight), so those clients never meet it.
+pub const REPLY_WINDOW: u64 = 1024;
+
 fn connection_loop(stream: Stream, shared: &Arc<Shared>, addr: &BindAddr) {
     // The reader keeps `stream`; the writer thread gets a second handle
     // on the same socket and owns all outbound bytes, so replies can
@@ -779,13 +794,19 @@ fn connection_loop(stream: Stream, shared: &Arc<Shared>, addr: &BindAddr) {
     let _ = write_half.set_write_timeout(Some(stall));
     let (out, lines) = mpsc::channel();
     let (written_tx, written) = mpsc::sync_channel(1);
+    let done = Arc::new(AtomicU64::new(0));
     let writer = {
-        let shared = Arc::clone(shared);
+        let (shared, done) = (Arc::clone(shared), Arc::clone(&done));
         spawn_named("serve-writer", move || {
-            writer_loop(write_half, lines, &written_tx, &shared.stats)
+            writer_loop(write_half, lines, &written_tx, &done, &shared.stats)
         })
     };
-    let replies = Replies { out, written };
+    let replies = Replies {
+        out,
+        written,
+        done,
+        frames: Cell::new(0),
+    };
     read_loop(stream, &replies, shared, addr);
     // Dropping the reader's sender lets the writer exit once every
     // still-running job has delivered its reply; joining it keeps the
@@ -795,16 +816,18 @@ fn connection_loop(stream: Stream, shared: &Arc<Shared>, addr: &BindAddr) {
 }
 
 /// Writes reply lines onto the socket in the order they arrive, until
-/// every sender (the reader and any admitted job) is gone, and reports
-/// each flagged line on `written` once it is written or discarded.  A
-/// write that makes no progress for the read timeout — a client that
-/// stopped reading — counts as a slow-loris drop and shuts the socket
-/// down both ways, which ends the reader too.  After any write error the
-/// remaining lines are discarded; their jobs still count as answered.
+/// every sender (the reader and any admitted job) is gone.  Each line is
+/// counted in `done` once it is written or discarded, and then reported
+/// on `written` if it is flagged.  A write that makes no progress for
+/// the read timeout — a client that stopped reading — counts as a
+/// slow-loris drop and shuts the socket down both ways, which ends the
+/// reader too.  After any write error the remaining lines are
+/// discarded; their jobs still count as answered.
 fn writer_loop(
     mut stream: Stream,
     lines: mpsc::Receiver<Line>,
     written: &mpsc::SyncSender<()>,
+    done: &AtomicU64,
     stats: &ConnectionStats,
 ) {
     let mut broken = false;
@@ -818,6 +841,7 @@ fn writer_loop(
                 }
             }
         }
+        done.fetch_add(1, Ordering::Relaxed);
         if line.ack {
             // At most one flagged line is outstanding, so the slot is
             // free; a reader that has gone no longer needs the report.
@@ -832,11 +856,27 @@ struct Replies {
     out: mpsc::Sender<Line>,
     /// The writer's reports that a flagged line was written.
     written: mpsc::Receiver<()>,
+    /// Lines the writer has written or discarded.
+    done: Arc<AtomicU64>,
+    /// Frames the reader has handled, each one reply line.
+    frames: Cell<u64>,
 }
 
 impl Replies {
-    /// After an id-less frame (`ack`), waits until the writer reports the
-    /// frame's reply written.  False once the writer is gone.
+    /// Counts a frame about to be handled and says whether to flag its
+    /// reply and settle on it: always for an id-less frame, and for a
+    /// tagged one once [`REPLY_WINDOW`] replies wait to be written.
+    fn window(&self, idless: bool) -> bool {
+        let frames = self.frames.get();
+        self.frames.set(frames + 1);
+        // `done` publishes nothing else, and only grows: a stale read
+        // overstates the backlog, at worst settling one frame early.
+        idless || frames.saturating_sub(self.done.load(Ordering::Relaxed)) >= REPLY_WINDOW
+    }
+
+    /// After a flagged frame (`ack`, see [`Replies::window`]), waits until
+    /// the writer reports the frame's reply written.  False once the
+    /// writer is gone.
     fn settle(&self, ack: bool) -> bool {
         !ack || self.written.recv().is_ok()
     }
@@ -917,10 +957,10 @@ fn handle_line(line: &str, replies: &Replies, shared: &Arc<Shared>, addr: &BindA
             }
             // Id 0: the frame was id-less, or its id was not recoverable.
             let text = err_response(wire.id, wire.code, &wire.message, None);
-            return replies.send(text, wire.id == 0);
+            return replies.send(text, replies.window(wire.id == 0));
         }
     };
-    let (id, ack) = (frame.reply_id(), frame.id.is_none());
+    let (id, ack) = (frame.reply_id(), replies.window(frame.id.is_none()));
     let shard = &shared.shards[index];
     let text = match frame.request {
         Request::Schedule { deadline_ms, .. } | Request::Verify { deadline_ms, .. } => {

@@ -14,16 +14,13 @@
 //! the job, the reply's trip through the writer, the one-slot window's
 //! acknowledgement — allocates nothing per request beyond parsing the
 //! frame.  The LMDES validating scan a reload's image goes through
-//! allocates nothing at all, accepting or rejecting.  A counting global
-//! allocator (no dependencies) tallies each thread's allocations, their
-//! largest size and its peak live bytes, and the whole process's
-//! allocations.
+//! allocates nothing at all, accepting or rejecting.  The workspace's
+//! counting global allocator (`mdes_telemetry::alloc`) tallies each
+//! thread's allocations, their largest size and its peak live bytes,
+//! and the whole process's allocations.
 
 mod common;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use common::{start, TestConn};
@@ -34,92 +31,10 @@ use mdes_machines::Machine;
 use mdes_serve::proto::parse_frame;
 use mdes_serve::server::run_work;
 use mdes_serve::{compile_machine, ImageStore, ServeConfig, ServeStats, WorkParams};
-
-struct Counting;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-    /// Bytes this thread allocated less the bytes it freed.  A block
-    /// freed by another thread than its allocator skews both threads'
-    /// figures; the gates below measure single-threaded calls.
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static PEAK: Cell<isize> = const { Cell::new(0) };
-}
-
-/// Allocations by every thread of this process.
-static PROCESS_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-fn bump(size: usize) {
-    PROCESS_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    // `try_with`: the allocator may run while thread-locals are torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
-}
-
-/// Moves this thread's live bytes by `delta` and raises its peak.
-fn live(delta: isize) {
-    let _ = LIVE.try_with(|live| {
-        live.set(live.get() + delta);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
-    });
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, so
-// the caller's guarantees are exactly the ones `System` requires, and the
-// only extra work is updating const-initialised thread-local cells and a
-// static atomic, which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
-        live(layout.size() as isize);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
-        live(layout.size() as isize);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(new_size);
-        live(new_size as isize - layout.size() as isize);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        live(-(layout.size() as isize));
-        System.dealloc(ptr, layout)
-    }
-}
+use mdes_telemetry::alloc::{process_allocations, tally, CountingAlloc, Tally};
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// What one call made this thread allocate.
-#[derive(Debug, PartialEq, Eq)]
-struct Tally {
-    allocations: u64,
-    largest: usize,
-    /// The most bytes the call held live at once, above what the thread
-    /// held when it began.
-    peak: usize,
-}
-
-fn allocations_in<T>(f: impl FnOnce() -> T) -> (Tally, T) {
-    let before = ALLOCATIONS.with(Cell::get);
-    LARGEST.with(|largest| largest.set(0));
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|peak| peak.set(base));
-    let out = f();
-    let tally = Tally {
-        allocations: ALLOCATIONS.with(Cell::get) - before,
-        largest: LARGEST.with(Cell::get),
-        peak: (PEAK.with(Cell::get) - base) as usize,
-    };
-    (tally, out)
-}
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// One `CheckStats` histogram is 1025 eight-byte buckets; no request may
 /// allocate anything that large.
@@ -148,7 +63,7 @@ fn a_warm_worker_allocates_the_same_for_any_jobs_hint_and_nothing_large() {
                     seed: 11,
                     jobs,
                 };
-                allocations_in(|| run_work(7, params, verify, &image, &mut scratch, &stats))
+                tally(|| run_work(7, params, verify, &image, &mut scratch, &stats))
             };
             // Warm the worker's scratch on the request, at both hints.
             request(1);
@@ -185,7 +100,7 @@ fn warm_request(
         jobs: 1,
     };
     run_work(7, params, verify, &image, scratch, &stats);
-    let (tally, reply) = allocations_in(|| run_work(7, params, verify, &image, scratch, &stats));
+    let (tally, reply) = tally(|| run_work(7, params, verify, &image, scratch, &stats));
     assert!(reply.contains("\"ok\":true"), "{reply}");
     tally
 }
@@ -238,7 +153,7 @@ fn the_gate_sees_the_histograms_a_request_must_not_allocate() {
     let _alone = alone();
     // Building a scratch allocates its statistics histograms, which the
     // size bound above would catch if a request built them.
-    let (tally, _scratch) = allocations_in(WorkerScratch::new);
+    let (tally, _scratch) = tally(WorkerScratch::new);
     assert!(tally.largest >= LARGE, "{tally:?}");
 }
 
@@ -255,7 +170,7 @@ fn the_lmdes_scan_allocates_nothing_accepting_or_rejecting() {
         }
         corpus.push(image);
     }
-    let (tally, accepted) = allocations_in(|| {
+    let (tally, accepted) = tally(|| {
         corpus
             .iter()
             .filter(|bytes| lmdes::scan(bytes).is_ok())
@@ -282,11 +197,11 @@ fn an_idless_round_trip_allocates_nothing_on_the_connection_path() {
 
     // What the request itself allocates, counted on this thread: its
     // frame's parse, and the worker's `run_work` on warm scratch.
-    let (parse, _) = allocations_in(|| parse_frame(line).expect("frame parses"));
+    let (parse, _) = tally(|| parse_frame(line).expect("frame parses"));
     let image = ImageStore::new(compile_machine(Machine::K5), "K5", 1).current();
     let (stats, mut scratch) = (ServeStats::default(), WorkerScratch::new());
     run_work(0, params, false, &image, &mut scratch, &stats);
-    let (work, _) = allocations_in(|| run_work(0, params, false, &image, &mut scratch, &stats));
+    let (work, _) = tally(|| run_work(0, params, false, &image, &mut scratch, &stats));
     let own = parse.allocations + work.allocations;
 
     // One worker, so every request meets the same warm scratch.
@@ -311,9 +226,9 @@ fn an_idless_round_trip_allocates_nothing_on_the_connection_path() {
     // of three windows is the path's own count.
     let extra = (0..3)
         .map(|_| {
-            let before = PROCESS_ALLOCATIONS.load(Ordering::SeqCst);
-            let (client, ()) = allocations_in(|| round_trips(WINDOW));
-            let daemon = PROCESS_ALLOCATIONS.load(Ordering::SeqCst) - before - client.allocations;
+            let before = process_allocations();
+            let (client, ()) = tally(|| round_trips(WINDOW));
+            let daemon = process_allocations() - before - client.allocations;
             assert!(
                 daemon >= WINDOW * own,
                 "the daemon made {daemon} allocations in {WINDOW} round trips, \

@@ -36,7 +36,14 @@
 //! assert!(report.span("pipeline/redundancy").is_some());
 //! assert_eq!(report.counter("usages_removed"), Some(17));
 //! ```
+//!
+//! The [`alloc`] module holds the workspace's counting global allocator,
+//! which the allocation gates of the other crates install; it is the
+//! crate's only unsafe code.
 
+#![deny(unsafe_code)]
+
+pub mod alloc;
 pub mod json;
 pub mod latency;
 

@@ -23,7 +23,7 @@
 use mdes::core::{CheckStats, CompiledMdes, UsageEncoding};
 use mdes::oracle::{differential_gap, exhaustive_min_length, GapReport, OracleScheduler};
 use mdes::perf::ORACLE_GAP_CEILING;
-use mdes::sched::{DepGraph, ListScheduler};
+use mdes::sched::{DepGraph, ListScheduler, SchedScratch};
 use mdes::workload::{fleet_machine, generate_compiled_regions, RegionConfig};
 use proptest::prelude::*;
 
@@ -44,7 +44,7 @@ proptest! {
         for block in &generate_compiled_regions(&mdes, &config).blocks {
             let mut stats = CheckStats::new();
             let outcome = oracle
-                .schedule(block, &mut stats)
+                .schedule(block, &mut SchedScratch::new(), &mut stats)
                 .expect("≤8-op regions are within the oracle's cap");
             prop_assert!(outcome.proved, "{}: search should finish on ≤8 ops", machine.name);
 
@@ -74,7 +74,7 @@ proptest! {
         let scheduler = ListScheduler::new(&mdes);
         for block in &generate_compiled_regions(&mdes, &config).blocks {
             let mut stats = CheckStats::new();
-            let outcome = oracle.schedule(block, &mut stats).unwrap();
+            let outcome = oracle.schedule(block, &mut SchedScratch::new(), &mut stats).unwrap();
             let production = scheduler.schedule(block, &mut stats);
             prop_assert!(
                 production.length >= outcome.length(),
