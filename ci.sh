@@ -5,8 +5,10 @@
 #                    (debug assertions on), the HMDL front end's own
 #                    suites (its allocation gate included), the
 #                    checker's and scheduler's own suites (the scheduler
-#                    allocation gate included), the workload allocation
-#                    gate, the shared counting allocator's own suite
+#                    allocation gate included), the workload
+#                    generators' suites (unit tests, allocation gate,
+#                    pinned streams), the shared counting allocator's
+#                    own suite
 #                    (mdes-telemetry), the perf baseline's byte-for-byte
 #                    round trip, the exact-scheduler oracle's suites,
 #                    the engine pool's suites, the daemon's unit
@@ -106,12 +108,17 @@ cargo test -q
 # edge for edge against a fresh build and the hashed reference builder,
 # and the scheduler's allocation gate (a heap-free `Op`,
 # allocation-free reservation attempts, a fixed allocation count per
-# block for placement and for the whole graph-to-schedule path).  The workload allocation gate (one allocation per
-# generated region) takes under a second.  Together they guard the
-# layouts the benchmark's memory figures depend on.
+# block for placement and for the whole graph-to-schedule path, and a
+# recurrence bound whose allocations do not grow with its II).  The
+# workload generators' suites take about 0.6 s warm: their unit tests,
+# the allocation gate (one allocation per generated region), the pinned
+# streams (every operation each generator emits, and the scheduler's
+# replay blocks, held to digests) and the doc example.  Together they
+# guard the layouts the benchmark's memory figures depend on, and the
+# streams its totals do.
 cargo test -q -p mdes-lang
 cargo test -q -p mdes-core -p mdes-sched
-cargo test -q -p mdes-workload --test allocations
+cargo test -q -p mdes-workload
 
 # The four allocation gates above and the daemon's below install one
 # counting global allocator, `mdes_telemetry::alloc`; its own tests run

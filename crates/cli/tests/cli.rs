@@ -1,7 +1,7 @@
 //! End-to-end tests of the `mdesc` binary: every command is exercised
 //! against real files in a temporary directory.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn mdesc(args: &[&str]) -> Output {
@@ -19,11 +19,29 @@ fn stderr(output: &Output) -> String {
     String::from_utf8_lossy(&output.stderr).into_owned()
 }
 
+/// A test's own directory under the system temp dir, removed with
+/// everything in it when the test ends, passed or failed.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// A unique temp dir per test.
-fn temp_dir(tag: &str) -> PathBuf {
+fn temp_dir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("mdesc-test-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }
 
 const DEMO: &str = "
@@ -712,7 +730,6 @@ fn bench_serve_rejects_bad_flags() {
 
 #[test]
 fn optimize_jobs_flag_is_deterministic_at_the_cli_level() {
-    let dir = temp_dir("optjobs");
     let hmdl = machine_hmdl("superspark.hmdl");
     let one = mdesc(&[
         "optimize",
@@ -738,5 +755,4 @@ fn optimize_jobs_flag_is_deterministic_at_the_cli_level() {
     // (op counts, cycles, attempts/op, checks/attempt all match).
     assert_eq!(stdout(&one), stdout(&eight));
     assert_eq!(stdout(&one), stdout(&serial));
-    let _ = dir;
 }

@@ -16,8 +16,8 @@ use mdes_core::{
 use mdes_engine::Engine;
 use mdes_machines::Machine;
 use mdes_oracle::{differential_gap, GapReport, OracleScheduler};
-use mdes_sched::{DepGraph, ListScheduler};
-use mdes_workload::{generate_compiled_regions, Pcg32, RegionConfig};
+use mdes_sched::{Block, DepGraph, ListScheduler};
+use mdes_workload::{generate_compiled_regions, Pcg32, RegionConfig, RegionGenerator};
 
 use crate::{measure, BenchConfig, Sample};
 
@@ -35,6 +35,7 @@ pub(crate) fn run(config: &BenchConfig, out: &mut Vec<Sample>) {
     analyze_lint(config, out);
     list_scheduling(config, out);
     graph_rebuilds(config, out);
+    region_generation(config, out);
     engine_batches(config, out);
     serve_boot(config, out);
     serve_roundtrip(config, out);
@@ -322,6 +323,30 @@ fn graph_rebuilds(config: &BenchConfig, out: &mut Vec<Sample>) {
                 edges += graph.num_edges() as u64;
             }
             edges
+        }));
+    }
+}
+
+/// Region generation alone: `RegionGenerator::fill` of the `sched/list`
+/// region stream, each region into one reused block, as a daemon worker
+/// generates a request's regions.  Work unit: one generated operation.
+fn region_generation(config: &BenchConfig, out: &mut Vec<Sample>) {
+    for (machine_name, spec) in mdes_machines::bundled() {
+        let name = format!("workload/regions/{machine_name}");
+        if !config.matches(&name) {
+            continue;
+        }
+        let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
+        let stream = RegionConfig::new(32).with_seed(config.seed);
+        let generator = RegionGenerator::new(&compiled, &stream);
+        let mut block = Block::with_capacity(generator.max_ops());
+        out.push(measure(&name, config.iters(200), config.reps, || {
+            let mut ops = 0;
+            for index in 0..stream.regions {
+                generator.fill(index, black_box(&mut block));
+                ops += block.len() as u64;
+            }
+            ops
         }));
     }
 }

@@ -202,55 +202,61 @@ impl<'a> ModuloScheduler<'a> {
     }
 
     /// [`ModuloScheduler::rec_mii`] over the body's dependence graph.
+    ///
+    /// One edge list and one flat `n × n` matrix serve every II tried:
+    /// the edges are written once, each with its iteration distance (0
+    /// within an iteration), and each II refills the matrix with their
+    /// weights, `latency - II × distance`.
     fn recurrence_mii(&self, looped: &LoopBlock, graph: &DepGraph) -> i32 {
         let n = looped.body.ops.len();
         if n == 0 {
             return 1;
         }
+        let edges: Vec<(usize, usize, i64, i64)> = graph
+            .edges()
+            .iter()
+            .map(|e| (e.from as usize, e.to as usize, i64::from(e.latency), 0))
+            .chain(looped.carried.iter().map(|&(from, to, latency, distance)| {
+                (from, to, i64::from(latency), i64::from(distance))
+            }))
+            .collect();
+        let mut dist = vec![i64::MIN; n * n];
         let mut ii = 1i32;
-        'outer: loop {
+        loop {
             // Bellman-Ford-style longest path with weights lat - ii*dist;
             // a positive cycle means this II is infeasible.
-            let mut dist = vec![vec![i64::MIN; n]; n];
-            let mut edges: Vec<(usize, usize, i64)> = Vec::new();
-            for e in graph.edges() {
-                edges.push((e.from as usize, e.to as usize, e.latency as i64));
-            }
-            for &(from, to, latency, distance) in &looped.carried {
-                edges.push((from, to, latency as i64 - ii as i64 * distance as i64));
-            }
-            for &(from, to, w) in &edges {
-                if w > dist[from][to] {
-                    dist[from][to] = w;
-                }
+            dist.fill(i64::MIN);
+            for &(from, to, latency, distance) in &edges {
+                let weight = latency - i64::from(ii) * distance;
+                let cell = &mut dist[from * n + to];
+                *cell = (*cell).max(weight);
             }
 
             // Floyd-Warshall longest paths.
             for k in 0..n {
                 for i in 0..n {
-                    if dist[i][k] == i64::MIN {
+                    let via = dist[i * n + k];
+                    if via == i64::MIN {
                         continue;
                     }
                     for j in 0..n {
-                        if dist[k][j] == i64::MIN {
+                        let onward = dist[k * n + j];
+                        if onward == i64::MIN {
                             continue;
                         }
-                        let candidate = dist[i][k] + dist[k][j];
-                        if candidate > dist[i][j] {
-                            dist[i][j] = candidate;
-                        }
+                        let cell = &mut dist[i * n + j];
+                        *cell = (*cell).max(via + onward);
                     }
                 }
             }
-            if (0..n).any(|i| dist[i][i] > 0) {
-                ii += 1;
-                assert!(
-                    ii <= 1 << 16,
-                    "recurrence MII diverged: malformed carried dependences"
-                );
-                continue 'outer;
+            if (0..n).all(|i| dist[i * n + i] <= 0) {
+                return ii;
             }
-            return ii;
+            ii += 1;
+            assert!(
+                ii <= 1 << 16,
+                "recurrence MII diverged: malformed carried dependences"
+            );
         }
     }
 

@@ -53,6 +53,7 @@ impl Op {
     ///
     /// Panics if `dests` and `srcs` hold more than [`Op::MAX_OPERANDS`]
     /// registers together.
+    #[inline]
     pub fn from_regs(class: ClassId, dests: &[Reg], srcs: &[Reg]) -> Op {
         let num_regs = dests.len() + srcs.len();
         assert!(
@@ -63,9 +64,33 @@ impl Op {
         let mut regs = [Reg(0); Op::MAX_OPERANDS];
         regs[..dests.len()].copy_from_slice(dests);
         regs[dests.len()..num_regs].copy_from_slice(srcs);
+        Op::from_operands(class, regs, dests.len(), srcs.len())
+    }
+
+    /// Creates an operation from its operand array as the operation
+    /// stores it: `dests` destinations, then `srcs` sources, then slots
+    /// that are ignored.  A generator that draws the operands in place
+    /// builds the operation without copying them again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dests + srcs` exceeds [`Op::MAX_OPERANDS`].
+    #[inline]
+    pub fn from_operands(
+        class: ClassId,
+        regs: [Reg; Op::MAX_OPERANDS],
+        dests: usize,
+        srcs: usize,
+    ) -> Op {
+        let num_regs = dests + srcs;
+        assert!(
+            num_regs <= Op::MAX_OPERANDS,
+            "an operation holds at most {} operands, got {num_regs}",
+            Op::MAX_OPERANDS
+        );
         Op {
             class,
-            num_dests: dests.len() as u8,
+            num_dests: dests as u8,
             num_regs: num_regs as u8,
             regs,
         }
@@ -122,6 +147,7 @@ impl Block {
     }
 
     /// Appends an operation and returns its index.
+    #[inline]
     pub fn push(&mut self, op: Op) -> usize {
         self.ops.push(op);
         self.ops.len() - 1
@@ -185,6 +211,10 @@ mod tests {
                     "{total}/{num_dests}"
                 );
                 assert_eq!(op, Op::new(class, dests.to_vec(), srcs.to_vec()));
+                let mut operands = [Reg(99); Op::MAX_OPERANDS];
+                operands[..total].copy_from_slice(&regs[..total]);
+                let built = Op::from_operands(class, operands, num_dests, total - num_dests);
+                assert_eq!(built, op, "{total}/{num_dests}");
             }
         }
     }
@@ -194,6 +224,12 @@ mod tests {
     fn five_operands_panic() {
         let class = ClassId::from_index(0);
         Op::new(class, vec![Reg(1), Reg(2)], vec![Reg(3), Reg(4), Reg(5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 operands, got 5")]
+    fn five_operands_from_an_array_panic() {
+        Op::from_operands(ClassId::from_index(0), [Reg(1); Op::MAX_OPERANDS], 2, 3);
     }
 
     #[test]

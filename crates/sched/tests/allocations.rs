@@ -13,6 +13,9 @@
 //!   heights and placement — costs exactly the one exact-size buffer of
 //!   the schedule it returns, and nothing when the schedule stays in the
 //!   scratch;
+//! * the modulo scheduler's recurrence bound searches every II in one
+//!   edge list and one matrix, so its allocations do not grow with the
+//!   II it reaches;
 //! * operations, schedules and dependence edges stay compact, an
 //!   operation is a heap-free `Copy` value, and no per-operation
 //!   placement record is left in the sources.
@@ -20,7 +23,10 @@
 use mdes_core::rng::Pcg32;
 use mdes_core::{CheckStats, Checker, ClassId, CompiledMdes, RuMap, UsageEncoding};
 use mdes_machines::Machine;
-use mdes_sched::{Block, DepGraph, Edge, ListScheduler, Op, Reg, SchedScratch, Schedule};
+use mdes_sched::{
+    Block, DepGraph, Edge, ListScheduler, LoopBlock, ModuloScheduler, Op, Reg, SchedScratch,
+    Schedule,
+};
 use mdes_telemetry::alloc::{tally, CountingAlloc};
 
 #[global_allocator]
@@ -168,6 +174,31 @@ fn block_allocations_do_not_depend_on_attempt_count() {
     assert!(stats[0].attempts > 4 * stats[1].attempts, "{stats:?}");
     assert_eq!(wide, deep);
     assert_eq!(wide, (1, 4 * schedule_words(&mdes, &chain)));
+}
+
+#[test]
+fn the_recurrence_bound_allocates_the_same_at_any_ii() {
+    let spec = mdes_lang::compile(
+        "
+        resource ALU[2];
+        or_tree AnyAlu = first_of(for a in 0..2: { ALU[a] @ 0 });
+        class alu { constraint = AnyAlu; latency = 1; }
+    ",
+    )
+    .unwrap();
+    let mdes = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
+    let scheduler = ModuloScheduler::new(&mdes);
+    // A 16-operation chain fed back to its head one iteration later:
+    // the recurrence bound is the chain plus the carried latency.
+    let looped = |latency: i32| LoopBlock {
+        body: alu_block(&mdes, 16, true),
+        carried: vec![(15, 0, latency, 1)],
+    };
+    let (short, ii) = allocations_in(|| scheduler.rec_mii(&looped(1)));
+    assert_eq!(ii, 16);
+    let (long, ii) = allocations_in(|| scheduler.rec_mii(&looped(48)));
+    assert_eq!(ii, 63);
+    assert_eq!(short, long);
 }
 
 /// Seeded blocks of 1 to 64 operations over every class of `mdes`

@@ -9,7 +9,7 @@
 //! for the x86 machines (Section 4).
 
 use mdes_core::rng::Pcg32;
-use mdes_core::{ClassId, MdesSpec};
+use mdes_core::{ClassId, MdesSpec, OpFlags};
 use mdes_machines::Machine;
 use mdes_sched::{Block, Op, Reg};
 
@@ -119,7 +119,8 @@ impl Workload {
 /// # Panics
 ///
 /// Panics if a mix template names a class missing from `spec` — the mixes
-/// and machine descriptions ship together and are covered by tests.
+/// and machine descriptions ship together and are covered by tests — or
+/// if `config.registers` is zero.
 pub fn generate(machine: Machine, spec: &MdesSpec, config: &WorkloadConfig) -> Workload {
     let resolve = |template: &OpTemplate| -> (ClassId, usize, usize) {
         let id = spec
@@ -138,11 +139,10 @@ pub fn generate(machine: Machine, spec: &MdesSpec, config: &WorkloadConfig) -> W
     let total_weight: f64 = branch_weight + body_weights.iter().sum::<f64>();
     let mean_body_len = ((total_weight / branch_weight - 1.0) * config.ilp_scale).max(1.0);
 
-    let shape = OperandShape::new(config);
+    let mut operands = Operands::new(OperandShape::new(config));
     let mut rng = Pcg32::new(config.seed, machine as u64 + 1);
     let mut blocks = Vec::new();
     let mut emitted = 0usize;
-    let mut next_reg = 0u32;
 
     while emitted < config.total_ops {
         // Block length: uniform in [1, 2*mean-1], mean = mean_body_len.
@@ -150,33 +150,16 @@ pub fn generate(machine: Machine, spec: &MdesSpec, config: &WorkloadConfig) -> W
         let body_len = 1 + rng.gen_range(span) as usize;
 
         let mut block = Block::with_capacity(body_len + 1);
-        let mut recent = Recent::new();
-
+        operands.start_block();
         for _ in 0..body_len {
             let pick = rng.pick_weighted(&body_weights);
             let (class, srcs, dests) = body[pick];
-            block.push(make_op(
-                class,
-                srcs,
-                dests,
-                &shape,
-                &mut rng,
-                &mut recent,
-                &mut next_reg,
-            ));
+            block.push(operands.op(&mut rng, class, srcs, dests));
         }
         // Terminator.
         let pick = rng.pick_weighted(&end_weights);
         let (class, srcs, dests) = ends[pick];
-        block.push(make_op(
-            class,
-            srcs,
-            dests,
-            &shape,
-            &mut rng,
-            &mut recent,
-            &mut next_reg,
-        ));
+        block.push(operands.op(&mut rng, class, srcs, dests));
 
         emitted += block.len();
         blocks.push(block);
@@ -220,14 +203,20 @@ pub fn as_loop_bodies(workload: &Workload) -> Vec<mdes_sched::LoopBlock> {
 /// This is the generic fallback `mdesc schedule` uses for user-supplied
 /// descriptions; the calibrated per-machine mixes remain the right tool
 /// for the paper's experiments.
+///
+/// # Panics
+///
+/// Panics if the spec has no non-branch class, or if `config.registers`
+/// is zero.
 pub fn generate_uniform(spec: &MdesSpec, config: &WorkloadConfig) -> Workload {
-    let mut body: Vec<ClassId> = Vec::new();
+    let mut body: Vec<BodyClass> = Vec::new();
     let mut ends: Vec<ClassId> = Vec::new();
     for id in spec.class_ids() {
-        if spec.class(id).flags.branch {
+        let flags = spec.class(id).flags;
+        if flags.branch {
             ends.push(id);
         } else {
-            body.push(id);
+            body.push(BodyClass::new(id, flags));
         }
     }
     assert!(
@@ -235,39 +224,21 @@ pub fn generate_uniform(spec: &MdesSpec, config: &WorkloadConfig) -> Workload {
         "spec has no schedulable non-branch classes"
     );
 
-    let shape = OperandShape::new(config);
+    let mut operands = Operands::new(OperandShape::new(config));
     let mut rng = Pcg32::new(config.seed, 0xD1F0);
     let mut blocks = Vec::new();
     let mut emitted = 0usize;
-    let mut next_reg = 0u32;
     while emitted < config.total_ops {
         let body_len = 3 + rng.gen_range(10) as usize;
         let mut block = Block::with_capacity(body_len + usize::from(!ends.is_empty()));
-        let mut recent = Recent::new();
+        operands.start_block();
         for _ in 0..body_len {
             let class = body[rng.gen_range(body.len() as u32) as usize];
-            let dests = usize::from(!spec.class(class).flags.store);
-            block.push(make_op(
-                class,
-                2,
-                dests,
-                &shape,
-                &mut rng,
-                &mut recent,
-                &mut next_reg,
-            ));
+            block.push(operands.op(&mut rng, class.id(), 2, class.dests()));
         }
         if !ends.is_empty() {
             let class = ends[rng.gen_range(ends.len() as u32) as usize];
-            block.push(make_op(
-                class,
-                1,
-                0,
-                &shape,
-                &mut rng,
-                &mut recent,
-                &mut next_reg,
-            ));
+            block.push(operands.op(&mut rng, class, 1, 0));
         }
         emitted += block.len();
         blocks.push(block);
@@ -290,36 +261,24 @@ pub fn uniform_config(total_ops: usize) -> WorkloadConfig {
     }
 }
 
-/// The destinations a block wrote last, oldest first: the pool that
-/// sources draw flow dependences from.  Held inline, so generating a
-/// block allocates nothing besides the block itself.
-pub(crate) struct Recent {
-    regs: [Reg; Recent::DEPTH],
-    len: usize,
-}
+/// A body class of the uniform mixes, with the destination count its
+/// operations take: one, or none for a store.  One word holds both (the
+/// class index over a low "writes" bit), so a class table is as large as
+/// a list of class ids and nothing is looked up per operation.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct BodyClass(u32);
 
-impl Recent {
-    /// How many of the latest destinations stay eligible.
-    const DEPTH: usize = 6;
-
-    pub(crate) fn new() -> Recent {
-        Recent {
-            regs: [Reg(0); Recent::DEPTH],
-            len: 0,
-        }
+impl BodyClass {
+    pub(crate) fn new(id: ClassId, flags: OpFlags) -> BodyClass {
+        BodyClass((id.index() as u32) << 1 | u32::from(!flags.store))
     }
 
-    fn push(&mut self, reg: Reg) {
-        if self.len == Recent::DEPTH {
-            self.regs.copy_within(1.., 0);
-            self.len -= 1;
-        }
-        self.regs[self.len] = reg;
-        self.len += 1;
+    pub(crate) fn id(self) -> ClassId {
+        ClassId::from_index((self.0 >> 1) as usize)
     }
 
-    fn as_slice(&self) -> &[Reg] {
-        &self.regs[..self.len]
+    pub(crate) fn dests(self) -> usize {
+        (self.0 & 1) as usize
     }
 }
 
@@ -337,7 +296,11 @@ pub(crate) struct OperandShape {
 }
 
 impl OperandShape {
+    /// # Panics
+    ///
+    /// Panics if `config.registers` is zero.
     pub(crate) fn new(config: &WorkloadConfig) -> OperandShape {
+        assert!(config.registers > 0, "the register pool is empty");
         OperandShape {
             registers: config.registers,
             dependent: unit_cut(config.dependence_density),
@@ -363,48 +326,133 @@ fn unit_cut(p: f64) -> u64 {
     lo
 }
 
-/// Generates one operation with `srcs` sources and `dests` destinations.
+/// The operand path every generator shares: a stream's operand shape,
+/// its destination-register counter, and the current block's pool of
+/// recent destinations, which sources draw flow dependences from.
 ///
-/// # Panics
-///
-/// Panics if `srcs + dests` exceeds [`Op::MAX_OPERANDS`]; every mix
-/// template and region shape stays within it.
-pub(crate) fn make_op(
-    class: ClassId,
-    srcs: usize,
-    dests: usize,
-    shape: &OperandShape,
-    rng: &mut Pcg32,
-    recent: &mut Recent,
-    next_reg: &mut u32,
-) -> Op {
-    assert!(
-        srcs + dests <= Op::MAX_OPERANDS,
-        "operation shape {dests} dest(s) + {srcs} src(s) exceeds {} operands",
-        Op::MAX_OPERANDS
-    );
-    // Destinations first, as `Op` stores them; sources are drawn first.
-    let mut regs = [Reg(0); Op::MAX_OPERANDS];
-    for source in &mut regs[dests..dests + srcs] {
+/// A generator keeps one by value and calls [`Operands::op`], which is
+/// inlined into its loop, so the pool, its length and the counter live
+/// in the generator's locals; an operation costs its random draws and a
+/// few register moves.
+#[derive(Clone, Debug)]
+pub(crate) struct Operands {
+    shape: OperandShape,
+    /// The latest destinations in a ring of [`Operands::RING`] slots,
+    /// the newest in slot `written - 1`; the newest `len` of them are
+    /// the pool.
+    ring: [Reg; Operands::RING],
+    /// Destinations written so far, wrapping: only its slot bits matter.
+    written: usize,
+    /// How many destinations the pool holds: at most [`Operands::DEPTH`].
+    len: usize,
+    /// The next destination register: destinations written so far,
+    /// counted modulo `shape.registers`.
+    counter: u32,
+}
+
+impl Operands {
+    /// How many of the latest destinations stay eligible.
+    const DEPTH: usize = 6;
+    /// Ring slots: a power of two above [`Operands::DEPTH`], so a slot is
+    /// a mask of the write count.
+    const RING: usize = 8;
+
+    /// A stream's operand path: no destination written yet.
+    pub(crate) fn new(shape: OperandShape) -> Operands {
+        Operands {
+            shape,
+            ring: [Reg(0); Operands::RING],
+            written: 0,
+            len: 0,
+            counter: 0,
+        }
+    }
+
+    /// Starts a block: its sources draw only on its own destinations.
+    /// The register counter runs on.
+    #[inline(always)]
+    pub(crate) fn start_block(&mut self) {
+        self.len = 0;
+    }
+
+    /// Draws one operation with `srcs` sources and `dests` destinations:
+    /// the sources first, then the destinations, which join the pool.
+    ///
+    /// Each part lands in an array of its own, and the operand array is
+    /// picked from the two slot by slot.  Writing the sources straight
+    /// after the destinations would index one array by `dests`, which a
+    /// region only knows at run time, and put the operation through
+    /// memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `srcs + dests` exceeds [`Op::MAX_OPERANDS`]; every mix
+    /// template and region shape stays within it.
+    #[inline(always)]
+    pub(crate) fn op(&mut self, rng: &mut Pcg32, class: ClassId, srcs: usize, dests: usize) -> Op {
+        assert!(
+            srcs + dests <= Op::MAX_OPERANDS,
+            "operation shape {dests} dest(s) + {srcs} src(s) exceeds {} operands",
+            Op::MAX_OPERANDS
+        );
+        let mut sources = [Reg(0); Op::MAX_OPERANDS];
+        for source in &mut sources[..srcs] {
+            *source = self.source(rng);
+        }
+        let mut targets = [Reg(0); Op::MAX_OPERANDS];
+        for target in &mut targets[..dests] {
+            *target = self.write();
+        }
+        // Destinations first, as `Op` stores them.
+        let regs = std::array::from_fn(|k| {
+            if k < dests {
+                targets[k]
+            } else {
+                sources[k - dests]
+            }
+        });
+        Op::from_operands(class, regs, dests, srcs)
+    }
+
+    /// Draws one source: a roll, then one draw for its register.  Below
+    /// the dependence cut, when the pool holds a destination, the draw
+    /// picks one of them; below the free cut it names a free operand;
+    /// otherwise a pool register.
+    #[inline(always)]
+    fn source(&self, rng: &mut Pcg32) -> Reg {
+        let shape = self.shape;
         let roll = u64::from(rng.next_u32());
-        let pool = recent.as_slice();
-        *source = if !pool.is_empty() && roll < shape.dependent {
-            pool[rng.gen_range(pool.len() as u32) as usize]
+        if self.len > 0 && roll < shape.dependent {
+            self.recent(rng.gen_range(self.len as u32) as usize)
         } else if roll < shape.free {
             // Immediate / memory operand: a fresh register id above the
             // pool that no operation ever writes, hence no dependence.
             Reg(shape.registers + rng.gen_range(1 << 16))
         } else {
             Reg(rng.gen_range(shape.registers))
-        };
+        }
     }
-    for dest in &mut regs[..dests] {
-        *dest = Reg(*next_reg % shape.registers);
-        *next_reg = next_reg.wrapping_add(1);
-        recent.push(*dest);
+
+    /// The pool's `i`th oldest destination, for `i < len`.
+    #[inline(always)]
+    fn recent(&self, i: usize) -> Reg {
+        let oldest = self.written.wrapping_sub(self.len);
+        self.ring[oldest.wrapping_add(i) % Operands::RING]
     }
-    let (dests, srcs) = regs[..dests + srcs].split_at(dests);
-    Op::from_regs(class, dests, srcs)
+
+    /// Writes the next destination register and adds it to the pool.
+    #[inline(always)]
+    fn write(&mut self) -> Reg {
+        let reg = Reg(self.counter);
+        self.counter += 1;
+        if self.counter == self.shape.registers {
+            self.counter = 0;
+        }
+        self.ring[self.written % Operands::RING] = reg;
+        self.written = self.written.wrapping_add(1);
+        self.len = (self.len + 1).min(Operands::DEPTH);
+        reg
+    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use mdes_core::rng::Pcg32;
 use mdes_core::{ClassId, CompiledMdes};
 use mdes_sched::Block;
 
-use crate::generate::{make_op, OperandShape, Recent, Workload, WorkloadConfig};
+use crate::generate::{BodyClass, OperandShape, Operands, Workload, WorkloadConfig};
 
 /// Parameters of a synthetic region stream.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -90,31 +90,33 @@ pub fn generate_compiled_regions(mdes: &CompiledMdes, config: &RegionConfig) -> 
 /// loaded image and a client holding the same description derive
 /// byte-identical workloads: the region at index `i` is a pure function
 /// of `(config, i, class flags)` and nothing else, and can be generated
-/// in any order into any block.
+/// in any order into any block.  The generator copies what it needs of
+/// the description, so it does not borrow it.
 #[derive(Clone, Debug)]
-pub struct RegionGenerator<'a> {
-    mdes: &'a CompiledMdes,
+pub struct RegionGenerator {
     config: RegionConfig,
     shape: OperandShape,
-    body: Vec<ClassId>,
+    /// The non-branch classes, in class order.
+    body: Vec<BodyClass>,
     ends: Vec<ClassId>,
 }
 
-impl<'a> RegionGenerator<'a> {
+impl RegionGenerator {
     /// Creates the generator of `config`'s stream over `mdes`.
     ///
     /// # Panics
     ///
-    /// Panics if the description has no schedulable non-branch classes.
-    pub fn new(mdes: &'a CompiledMdes, config: &RegionConfig) -> RegionGenerator<'a> {
-        let mut body: Vec<ClassId> = Vec::new();
+    /// Panics if the description has no schedulable non-branch classes,
+    /// or if `config.shape.registers` is zero.
+    pub fn new(mdes: &CompiledMdes, config: &RegionConfig) -> RegionGenerator {
+        let mut body: Vec<BodyClass> = Vec::new();
         let mut ends: Vec<ClassId> = Vec::new();
         for (index, class) in mdes.classes().iter().enumerate() {
             let id = ClassId::from_index(index);
             if class.flags.branch {
                 ends.push(id);
             } else {
-                body.push(id);
+                body.push(BodyClass::new(id, class.flags));
             }
         }
         assert!(
@@ -122,7 +124,6 @@ impl<'a> RegionGenerator<'a> {
             "description has no schedulable non-branch classes"
         );
         RegionGenerator {
-            mdes,
             config: *config,
             shape: OperandShape::new(&config.shape),
             body,
@@ -148,32 +149,14 @@ impl<'a> RegionGenerator<'a> {
         block
             .ops
             .reserve_exact(body_len + usize::from(!self.ends.is_empty()));
-        let mut recent = Recent::new();
-        let mut next_reg = 0u32;
+        let mut operands = Operands::new(self.shape);
         for _ in 0..body_len {
             let class = self.body[rng.gen_range(self.body.len() as u32) as usize];
-            let dests = usize::from(!self.mdes.class(class).flags.store);
-            block.push(make_op(
-                class,
-                2,
-                dests,
-                &self.shape,
-                &mut rng,
-                &mut recent,
-                &mut next_reg,
-            ));
+            block.push(operands.op(&mut rng, class.id(), 2, class.dests()));
         }
         if !self.ends.is_empty() {
             let class = self.ends[rng.gen_range(self.ends.len() as u32) as usize];
-            block.push(make_op(
-                class,
-                1,
-                0,
-                &self.shape,
-                &mut rng,
-                &mut recent,
-                &mut next_reg,
-            ));
+            block.push(operands.op(&mut rng, class, 1, 0));
         }
     }
 }
