@@ -11,6 +11,8 @@
 #                    own suite
 #                    (mdes-telemetry), the perf baseline's byte-for-byte
 #                    round trip, the exact-scheduler oracle's suites,
+#                    the guard's suites (the image-vetting policy tests
+#                    and the LMDES fault codes), the automaton's suite,
 #                    the engine pool's suites, the daemon's unit
 #                    tests (the build-time boot images checked byte for
 #                    byte against the runtime pipeline), allocation
@@ -132,6 +134,15 @@ cargo test -q -p mdes-workload
 cargo test -q -p mdes-telemetry
 cargo test -q -p mdes-perf --lib json
 cargo test -q -p mdes-oracle
+
+# The guard's suites take about 0.6 s warm, its integration tests
+# included: the vetting policy tests decode hand-written LMDES images
+# through `lmdes::read`, the path a reload takes, and the fault-code
+# tests pin each corruption class to its MD10x code.  The automaton's
+# suite (about 0.3 s) builds its transitions through the checker's one
+# reservation call and must agree with it.
+cargo test -q -p mdes-guard
+cargo test -q -p mdes-automata
 
 # The engine's suites take a few seconds: every job runs exactly once,
 # a panicked job leaves `None` at its own index, a blocked job never

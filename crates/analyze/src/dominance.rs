@@ -31,7 +31,7 @@
 //! two alternatives name different units that are always reserved
 //! together.  Every proof is checked dynamically by
 //! `tests/analyze_soundness.rs`: a dead option must never appear in a
-//! checker's `Choice` on any seeded probe stream.
+//! checker's selection on any seeded probe stream.
 
 use std::collections::BTreeSet;
 

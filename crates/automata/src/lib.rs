@@ -296,12 +296,12 @@ mod tests {
         let script = [load, alu, load, alu, alu, load, load, alu];
         let mut ru = RuMap::new();
         let mut stats = CheckStats::new();
+        let mut selected = Vec::new();
         let mut state = Automaton::START;
         let mut cycle = 0;
         for (i, &class) in script.iter().enumerate() {
-            let table_ok = checker
-                .try_reserve(&mut ru, class, cycle, &mut stats)
-                .is_some();
+            let table_ok =
+                checker.try_reserve_into(&mut ru, class, cycle, &mut stats, &mut selected);
             let fsa_next = fsa.issue(state, class);
             assert_eq!(table_ok, fsa_next.is_some(), "divergence at step {i}");
             if let Some(next) = fsa_next {

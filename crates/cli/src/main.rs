@@ -450,7 +450,7 @@ fn dump_cmd(args: &[String]) -> CliResult {
         compiled.encoding(),
         compiled.num_resources(),
         compiled.num_options(),
-        compiled.or_trees().len(),
+        compiled.num_or_trees(),
         compiled.classes().len()
     );
     for (i, c) in compiled.classes().iter().enumerate() {

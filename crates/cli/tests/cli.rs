@@ -663,8 +663,8 @@ fn expand_or_flag_produces_the_traditional_baseline() {
     // Expanded: one 2-option tree of full tables; AND/OR: two trees.
     let load_exp = expanded.class_by_name("load").unwrap();
     let load_nrm = normal.class_by_name("load").unwrap();
-    assert_eq!(expanded.class(load_exp).or_trees.len(), 1);
-    assert_eq!(normal.class(load_nrm).or_trees.len(), 2);
+    assert_eq!(expanded.class_trees(load_exp).len(), 1);
+    assert_eq!(normal.class_trees(load_nrm).len(), 2);
 }
 
 #[test]

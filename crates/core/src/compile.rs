@@ -12,12 +12,16 @@
 //! Sharing in the compiled form mirrors sharing in the spec exactly: one
 //! compiled option per spec option, one compiled OR-tree per spec OR-tree,
 //! "in order to minimize the time required to load the MDES into memory"
-//! (Section 4).
+//! (Section 4).  Each pool of lists (option probes, OR-tree options,
+//! class trees) is one flat arena sliced by a bounds array, and
+//! [`CompiledMdes::compile`] and [`crate::lmdes::read`] fill them
+//! through one constructor.
 
 use crate::error::MdesError;
 use crate::rumap::Occupancy;
 use crate::spec::{ClassId, Constraint, Latency, MdesSpec, OpFlags};
 use crate::stats::CheckStats;
+use crate::usage::ResourceUsage;
 use mdes_telemetry::Telemetry;
 
 /// How resource usages are encoded for checking (Section 6).
@@ -38,88 +42,6 @@ pub struct CompiledCheck {
     pub mask: u64,
 }
 
-/// A compiled reservation-table option: probes in check order.
-///
-/// This is the *construction-time* form (used by
-/// [`CompiledMdes::from_parts`]).  Inside a [`CompiledMdes`] the
-/// per-option check lists are flattened into one contiguous arena so the
-/// checker's inner loop walks a dense slice instead of chasing one heap
-/// allocation per option; read them back through
-/// [`CompiledMdes::option_checks`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CompiledOption {
-    /// The probes, in the order the checker performs them.
-    pub checks: Vec<CompiledCheck>,
-}
-
-impl CompiledOption {
-    /// Combined occupancy over all cycles (for diagnostics).
-    pub fn total_mask(&self) -> u64 {
-        self.checks.iter().fold(0, |m, c| m | c.mask)
-    }
-}
-
-/// A borrowed view of one option's probes in the flat check arena.
-///
-/// Iterating yields [`CompiledCheck`]s by value, so loops written against
-/// the old pointer-chased `Vec<CompiledCheck>` read the same.
-#[derive(Copy, Clone, Debug)]
-pub struct Checks<'a> {
-    checks: &'a [CompiledCheck],
-}
-
-impl<'a> Checks<'a> {
-    /// Number of probes in the option.
-    pub fn len(&self) -> usize {
-        self.checks.len()
-    }
-
-    /// True for an option with no probes.
-    pub fn is_empty(&self) -> bool {
-        self.checks.is_empty()
-    }
-
-    /// The `k`-th probe.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `k` is out of range.
-    pub fn at(&self, k: usize) -> CompiledCheck {
-        self.checks[k]
-    }
-
-    /// The probes as a plain slice into the arena.
-    pub fn as_slice(&self) -> &'a [CompiledCheck] {
-        self.checks
-    }
-
-    /// Iterates the probes in check order.
-    pub fn iter(&self) -> impl Iterator<Item = CompiledCheck> + 'a {
-        self.checks.iter().copied()
-    }
-
-    /// Combined occupancy over all cycles (for diagnostics).
-    pub fn total_mask(&self) -> u64 {
-        self.checks.iter().fold(0, |m, c| m | c.mask)
-    }
-}
-
-impl<'a> IntoIterator for Checks<'a> {
-    type Item = CompiledCheck;
-    type IntoIter = std::iter::Copied<std::slice::Iter<'a, CompiledCheck>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.checks.iter().copied()
-    }
-}
-
-/// A compiled OR-tree: compiled-option indices in priority order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CompiledOrTree {
-    /// Indices into [`CompiledMdes::options`], highest priority first.
-    pub options: Vec<u32>,
-}
-
 /// Whether a class's constraint came from an OR-tree or an AND/OR-tree
 /// (distinguished for the memory model: the AND level costs a header).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -130,16 +52,14 @@ pub enum ConstraintKind {
     AndOr,
 }
 
-/// A compiled operation class.
+/// A compiled operation class.  Its OR-tree list lives in the class-tree
+/// arena; read it through [`CompiledMdes::class_trees`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompiledClass {
     /// Class name (diagnostics only).
     pub name: String,
     /// Source constraint form.
     pub kind: ConstraintKind,
-    /// Indices into [`CompiledMdes::or_trees`], in check order.  A
-    /// [`ConstraintKind::Or`] class has exactly one entry.
-    pub or_trees: Vec<u32>,
     /// For [`ConstraintKind::AndOr`] classes, the spec AND/OR-tree index
     /// (so two classes sharing a spec tree share the compiled AND level in
     /// the memory model).  `u32::MAX` for OR classes.
@@ -150,43 +70,92 @@ pub struct CompiledClass {
     pub flags: OpFlags,
 }
 
+/// Variable-length lists stored back to back in one contiguous arena:
+/// list `i` occupies `items[bounds[i]..bounds[i + 1]]`.  A default arena
+/// owns no allocation; [`Arena::open`] writes the leading 0, and each
+/// [`Arena::close`] ends one list.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Arena<T> {
+    items: Vec<T>,
+    bounds: Vec<u32>,
+}
+
+impl<T> Default for Arena<T> {
+    fn default() -> Arena<T> {
+        Arena {
+            items: Vec::new(),
+            bounds: Vec::new(),
+        }
+    }
+}
+
+impl<T> Arena<T> {
+    /// Starts the arena for `lists` lists.
+    pub(crate) fn open(&mut self, lists: usize) {
+        self.bounds.reserve_exact(lists + 1);
+        self.bounds.push(0);
+    }
+
+    /// Appends one item to the list being filled.
+    pub(crate) fn push(&mut self, item: T) {
+        self.items.push(item);
+    }
+
+    /// Appends items to the list being filled.
+    pub(crate) fn extend(&mut self, items: impl IntoIterator<Item = T>) {
+        self.items.extend(items);
+    }
+
+    /// Ends the list being filled.
+    pub(crate) fn close(&mut self) {
+        self.bounds.push(self.items.len() as u32);
+    }
+
+    /// Number of lists (of an opened arena).
+    fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// List `i`.
+    #[inline]
+    fn get(&self, i: usize) -> &[T] {
+        &self.items[self.bounds[i] as usize..self.bounds[i + 1] as usize]
+    }
+}
+
 /// The flat, checker-ready machine description.
 ///
-/// All per-option check lists live in one contiguous arena (`checks`,
-/// delimited by `option_bounds`): probing an option walks one dense slice
-/// of the shared arena rather than chasing a heap allocation per option,
-/// which is what keeps the scheduler's check/reserve inner loop in one or
-/// two cache lines per option.
+/// Every pool of lists is one arena: each option's probes, each
+/// OR-tree's options and each class's OR-trees live back to back in one
+/// contiguous buffer delimited by a bounds array.  A reservation walks a
+/// class's tree list, each tree's option list and each option's probes
+/// as dense slices rather than chasing a heap allocation per item, which
+/// keeps the scheduler's check/reserve inner loop in a few cache lines.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompiledMdes {
     encoding: UsageEncoding,
     num_resources: usize,
-    /// Every option's probes, concatenated in option order.
-    checks: Vec<CompiledCheck>,
-    /// Arena delimiters: option `i`'s probes occupy
-    /// `option_bounds[i]..option_bounds[i + 1]`.  Length is one more than
-    /// the option count.
-    option_bounds: Vec<u32>,
-    or_trees: Vec<CompiledOrTree>,
-    classes: Vec<CompiledClass>,
-    /// Bypass latency exceptions: (producer, consumer) → latency.
-    bypasses: Vec<(u32, u32, i32)>,
+    pools: Pools,
     /// Most negative check time across all options (≤ 0).
     min_time: i32,
     /// Most positive check time across all options (≥ 0).
     max_time: i32,
 }
 
-/// A description's pools in [`CompiledMdes`]'s flat layout.  Whoever
-/// fills one vouches for what [`CompiledMdes::from_parts`] checks: every
-/// stored index is in range, every OR class lists exactly one tree, and
-/// `option_bounds` delimits `checks` (0 first, one more entry per option).
-#[derive(Default)]
+/// A description's pools in [`CompiledMdes`]'s flat layout, filled by
+/// [`CompiledMdes::compile`] from a spec and by the LMDES walk from an
+/// image.  Whoever fills one opens every arena and vouches that every
+/// stored index is in range and every OR class lists exactly one tree.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct Pools {
-    pub(crate) checks: Vec<CompiledCheck>,
-    pub(crate) option_bounds: Vec<u32>,
-    pub(crate) or_trees: Vec<CompiledOrTree>,
+    /// Each option's probes, in check order.
+    pub(crate) options: Arena<CompiledCheck>,
+    /// Each OR-tree's option indices, highest priority first.
+    pub(crate) trees: Arena<u32>,
+    /// Each class's OR-tree indices, in check order.
+    pub(crate) class_trees: Arena<u32>,
     pub(crate) classes: Vec<CompiledClass>,
+    /// Bypass latency exceptions: (producer, consumer) → latency.
     pub(crate) bypasses: Vec<(u32, u32, i32)>,
 }
 
@@ -224,42 +193,40 @@ impl CompiledMdes {
             spec.validate()?;
         }
 
-        let options: Vec<CompiledOption> = {
+        let mut pools = Pools::default();
+        {
             let _packing = tel.span("packing");
-            spec.option_ids()
-                .map(|id| compile_option(spec, id, encoding))
-                .collect()
-        };
+            pools.options.open(spec.num_options());
+            for id in spec.option_ids() {
+                compile_option(&spec.option(id).usages, encoding, &mut pools.options);
+            }
+        }
 
-        let or_trees: Vec<CompiledOrTree> = spec
-            .or_tree_ids()
-            .map(|id| CompiledOrTree {
-                options: spec
-                    .or_tree(id)
-                    .options
-                    .iter()
-                    .map(|o| o.index() as u32)
-                    .collect(),
-            })
-            .collect();
+        pools.trees.open(spec.num_or_trees());
+        for id in spec.or_tree_ids() {
+            let options = &spec.or_tree(id).options;
+            pools.trees.extend(options.iter().map(|o| o.index() as u32));
+            pools.trees.close();
+        }
 
         // Sharing: every OR-tree stores references into one shared option
         // pool; the hit rate is how many references resolve to an
         // already-compiled option rather than a fresh one.
-        let references: usize = or_trees.iter().map(|t| t.options.len()).sum();
-        tel.gauge_set("compile/options/unique", options.len() as f64);
+        let unique = spec.num_options();
+        let references = pools.trees.items.len();
+        tel.gauge_set("compile/options/unique", unique as f64);
         tel.gauge_set("compile/options/references", references as f64);
         if references > 0 {
             tel.gauge_set(
                 "compile/options/share_hit_rate",
-                1.0 - options.len() as f64 / references as f64,
+                1.0 - unique as f64 / references as f64,
             );
         }
         let usages: usize = spec
             .option_ids()
             .map(|id| spec.option(id).usages.len())
             .sum();
-        let checks: usize = options.iter().map(|o| o.checks.len()).sum();
+        let checks = pools.options.items.len();
         tel.gauge_set("compile/checks/emitted", checks as f64);
         if usages > 0 {
             tel.gauge_set(
@@ -269,63 +236,49 @@ impl CompiledMdes {
         }
 
         let _classes_span = tel.span("classes");
-        let classes: Vec<CompiledClass> = spec
-            .class_ids()
-            .map(|id| {
-                let class = spec.class(id);
-                let (kind, trees, and_or_index) = match class.constraint {
-                    Constraint::Or(or) => (ConstraintKind::Or, vec![or.index() as u32], u32::MAX),
-                    Constraint::AndOr(andor) => (
-                        ConstraintKind::AndOr,
-                        spec.and_or_tree(andor)
-                            .or_trees
-                            .iter()
-                            .map(|o| o.index() as u32)
-                            .collect(),
-                        andor.index() as u32,
-                    ),
-                };
-                CompiledClass {
-                    name: class.name.clone(),
-                    kind,
-                    or_trees: trees,
-                    and_or_index,
-                    latency: class.latency,
-                    flags: class.flags,
+        pools.classes.reserve_exact(spec.num_classes());
+        pools.class_trees.open(spec.num_classes());
+        for id in spec.class_ids() {
+            let class = spec.class(id);
+            let (kind, and_or_index) = match class.constraint {
+                Constraint::Or(or) => {
+                    pools.class_trees.push(or.index() as u32);
+                    (ConstraintKind::Or, u32::MAX)
                 }
-            })
-            .collect();
+                Constraint::AndOr(andor) => {
+                    let trees = &spec.and_or_tree(andor).or_trees;
+                    pools
+                        .class_trees
+                        .extend(trees.iter().map(|o| o.index() as u32));
+                    (ConstraintKind::AndOr, andor.index() as u32)
+                }
+            };
+            pools.class_trees.close();
+            pools.classes.push(CompiledClass {
+                name: class.name.clone(),
+                kind,
+                and_or_index,
+                latency: class.latency,
+                flags: class.flags,
+            });
+        }
         drop(_classes_span);
 
-        let min_time = options
+        pools.bypasses = spec
+            .bypasses()
             .iter()
-            .flat_map(|o| o.checks.iter().map(|c| c.time))
-            .min()
-            .unwrap_or(0)
-            .min(0);
-        let max_time = options
-            .iter()
-            .flat_map(|o| o.checks.iter().map(|c| c.time))
-            .max()
-            .unwrap_or(0)
-            .max(0);
-
-        let (checks, option_bounds) = flatten_options(&options);
-        Ok(CompiledMdes {
+            .map(|&(p, c, l)| (p.index() as u32, c.index() as u32, l))
+            .collect();
+        let times = pools.options.items.iter().map(|c| c.time);
+        let min_time = times.clone().min().unwrap_or(0).min(0);
+        let max_time = times.max().unwrap_or(0).max(0);
+        Ok(CompiledMdes::from_pools(
             encoding,
-            num_resources: spec.resources().len(),
-            checks,
-            option_bounds,
-            or_trees,
-            classes,
-            bypasses: spec
-                .bypasses()
-                .iter()
-                .map(|&(p, c, l)| (p.index() as u32, c.index() as u32, l))
-                .collect(),
+            spec.resources().len(),
+            pools,
             min_time,
             max_time,
-        })
+        ))
     }
 
     /// The flow-dependence latency from a `producer` to a `consumer`:
@@ -334,7 +287,7 @@ impl CompiledMdes {
     /// non-negative).
     pub fn flow_latency(&self, producer: ClassId, consumer: ClassId) -> i32 {
         let pair = (producer.index() as u32, consumer.index() as u32);
-        for &(p, c, latency) in &self.bypasses {
+        for &(p, c, latency) in &self.pools.bypasses {
             if (p, c) == pair {
                 return latency.max(0);
             }
@@ -344,68 +297,12 @@ impl CompiledMdes {
 
     /// The bypass exception table.
     pub fn bypasses(&self) -> &[(u32, u32, i32)] {
-        &self.bypasses
+        &self.pools.bypasses
     }
 
-    /// Reassembles a compiled MDES from raw parts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MdesError::UnknownOption`] / [`MdesError::UnknownOrTree`]
-    /// if any stored index dangles, or [`MdesError::EmptyOrTree`] for an
-    /// OR class without exactly one tree.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        encoding: UsageEncoding,
-        num_resources: usize,
-        options: Vec<CompiledOption>,
-        or_trees: Vec<CompiledOrTree>,
-        classes: Vec<CompiledClass>,
-        bypasses: Vec<(u32, u32, i32)>,
-        min_time: i32,
-        max_time: i32,
-    ) -> Result<CompiledMdes, MdesError> {
-        for tree in &or_trees {
-            for &opt in &tree.options {
-                if opt as usize >= options.len() {
-                    return Err(MdesError::UnknownOption(opt));
-                }
-            }
-        }
-        for class in &classes {
-            for &tree in &class.or_trees {
-                if tree as usize >= or_trees.len() {
-                    return Err(MdesError::UnknownOrTree(tree));
-                }
-            }
-            if class.kind == ConstraintKind::Or && class.or_trees.len() != 1 {
-                return Err(MdesError::EmptyOrTree);
-            }
-        }
-        for &(p, c, _) in &bypasses {
-            if p as usize >= classes.len() || c as usize >= classes.len() {
-                return Err(MdesError::UnknownClass(format!("bypass {p}->{c}")));
-            }
-        }
-        let (checks, option_bounds) = flatten_options(&options);
-        let pools = Pools {
-            checks,
-            option_bounds,
-            or_trees,
-            classes,
-            bypasses,
-        };
-        Ok(CompiledMdes::from_pools(
-            encoding,
-            num_resources,
-            pools,
-            min_time,
-            max_time,
-        ))
-    }
-
-    /// Assembles a compiled MDES from pools already in its layout (see
-    /// [`Pools`] for what the caller vouches for).
+    /// The one constructor: [`CompiledMdes::compile`] and the LMDES
+    /// reader both end here, with pools in this layout (see [`Pools`] for
+    /// what the caller vouches for).
     pub(crate) fn from_pools(
         encoding: UsageEncoding,
         num_resources: usize,
@@ -416,11 +313,7 @@ impl CompiledMdes {
         CompiledMdes {
             encoding,
             num_resources,
-            checks: pools.checks,
-            option_bounds: pools.option_bounds,
-            or_trees: pools.or_trees,
-            classes: pools.classes,
-            bypasses: pools.bypasses,
+            pools,
             min_time,
             max_time,
         }
@@ -438,35 +331,55 @@ impl CompiledMdes {
 
     /// Number of options in the shared pool.
     pub fn num_options(&self) -> usize {
-        self.option_bounds.len() - 1
+        self.pools.options.len()
     }
 
-    /// The probes of option `idx`, as a view into the flat check arena.
+    /// The probes of option `idx`, in check order: a slice of the check
+    /// arena.
     ///
     /// # Panics
     ///
     /// Panics when `idx` is not a valid option index.
-    pub fn option_checks(&self, idx: usize) -> Checks<'_> {
-        let lo = self.option_bounds[idx] as usize;
-        let hi = self.option_bounds[idx + 1] as usize;
-        Checks {
-            checks: &self.checks[lo..hi],
-        }
+    #[inline]
+    pub fn option_checks(&self, idx: usize) -> &[CompiledCheck] {
+        self.pools.options.get(idx)
     }
 
     /// Total number of probes stored in the check arena.
     pub fn num_checks(&self) -> usize {
-        self.checks.len()
+        self.pools.options.items.len()
     }
 
-    /// The compiled OR-tree pool.
-    pub fn or_trees(&self) -> &[CompiledOrTree] {
-        &self.or_trees
+    /// Number of OR-trees in the shared pool.
+    pub fn num_or_trees(&self) -> usize {
+        self.pools.trees.len()
+    }
+
+    /// The option indices of OR-tree `idx`, highest priority first: a
+    /// slice of the tree arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `idx` is not a valid OR-tree index.
+    #[inline]
+    pub fn tree_options(&self, idx: usize) -> &[u32] {
+        self.pools.trees.get(idx)
+    }
+
+    /// The OR-tree indices of class `id`, in check order: a slice of the
+    /// class-tree arena.  An OR class has exactly one.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`ClassId`] from a different MDES.
+    #[inline]
+    pub fn class_trees(&self, id: ClassId) -> &[u32] {
+        self.pools.class_trees.get(id.index())
     }
 
     /// The compiled classes, indexable by [`ClassId`].
     pub fn classes(&self) -> &[CompiledClass] {
-        &self.classes
+        &self.pools.classes
     }
 
     /// The compiled class for `id`.
@@ -475,12 +388,13 @@ impl CompiledMdes {
     ///
     /// Panics on a [`ClassId`] from a different MDES.
     pub fn class(&self, id: ClassId) -> &CompiledClass {
-        &self.classes[id.index()]
+        &self.pools.classes[id.index()]
     }
 
     /// Looks a class up by name.
     pub fn class_by_name(&self, name: &str) -> Option<ClassId> {
-        self.classes
+        self.pools
+            .classes
             .iter()
             .position(|c| c.name == name)
             .map(ClassId::from_index)
@@ -499,77 +413,39 @@ impl CompiledMdes {
     /// Total reservation-table options reachable from `class` (cross
     /// product across the AND level).
     pub fn class_option_count(&self, id: ClassId) -> usize {
-        self.class(id)
-            .or_trees
+        self.class_trees(id)
             .iter()
-            .map(|&t| self.or_trees[t as usize].options.len())
+            .map(|&t| self.tree_options(t as usize).len())
             .product()
     }
 }
 
-/// Flattens per-option check lists into the arena pair
-/// `(checks, option_bounds)`.
-fn flatten_options(options: &[CompiledOption]) -> (Vec<CompiledCheck>, Vec<u32>) {
-    let total: usize = options.iter().map(|o| o.checks.len()).sum();
-    let mut checks = Vec::with_capacity(total);
-    let mut bounds = Vec::with_capacity(options.len() + 1);
-    bounds.push(0u32);
-    for option in options {
-        checks.extend_from_slice(&option.checks);
-        bounds.push(checks.len() as u32);
-    }
-    (checks, bounds)
-}
-
-/// Compiles one spec option into its probe sequence.
+/// Compiles one option's usages into its probe sequence, as the next list
+/// of the check arena.
 fn compile_option(
-    spec: &MdesSpec,
-    id: crate::spec::OptionId,
+    usages: &[ResourceUsage],
     encoding: UsageEncoding,
-) -> CompiledOption {
-    let usages = &spec.option(id).usages;
-    let checks = match encoding {
-        UsageEncoding::Scalar => usages
-            .iter()
-            .map(|u| CompiledCheck {
-                time: u.time,
-                mask: u.resource.bit(),
-            })
-            .collect(),
-        UsageEncoding::BitVector => {
-            // Group usages by cycle, preserving the first-occurrence order
-            // of cycles so the check-ordering transformation's choice of
-            // "time zero first" survives packing.
-            let mut checks: Vec<CompiledCheck> = Vec::new();
-            for u in usages {
-                match checks.iter_mut().find(|c| c.time == u.time) {
-                    Some(check) => check.mask |= u.resource.bit(),
-                    None => checks.push(CompiledCheck {
-                        time: u.time,
-                        mask: u.resource.bit(),
-                    }),
-                }
-            }
-            checks
+    arena: &mut Arena<CompiledCheck>,
+) {
+    let start = arena.items.len();
+    for u in usages {
+        let check = CompiledCheck {
+            time: u.time,
+            mask: u.resource.bit(),
+        };
+        // Bit-vector packing groups usages by cycle, preserving the
+        // first-occurrence order of cycles so the check-ordering
+        // transformation's choice of "time zero first" survives packing.
+        let same_cycle = match encoding {
+            UsageEncoding::Scalar => None,
+            UsageEncoding::BitVector => arena.items[start..].iter_mut().find(|c| c.time == u.time),
+        };
+        match same_cycle {
+            Some(packed) => packed.mask |= check.mask,
+            None => arena.push(check),
         }
-    };
-    CompiledOption { checks }
-}
-
-/// The result of a successful reservation: which compiled option was
-/// selected from each OR-tree of the class, at which issue time.
-///
-/// Keeping the choice around makes unscheduling possible — the capability
-/// the paper notes finite-state-automata approaches lack (Section 10).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Choice {
-    /// The class that was scheduled.
-    pub class: ClassId,
-    /// Issue cycle.
-    pub time: i32,
-    /// Selected compiled-option index per OR-tree of the class, in the
-    /// class's OR-tree order.
-    pub selected: Vec<u32>,
+    }
+    arena.close();
 }
 
 /// The resource-constraint checker of the low-level representation.
@@ -596,37 +472,15 @@ impl<'a> Checker<'a> {
     }
 
     /// Attempts to reserve resources for one operation of `class` issued at
-    /// `time`.  On success the RU map is updated and the selection is
-    /// returned; on failure the RU map is left unchanged.
+    /// `time`, appending the selection to a caller-owned buffer.
     ///
-    /// Every call counts as one *scheduling attempt* in `stats`.  A
-    /// convenience wrapper over [`Checker::try_reserve_into`] for callers
-    /// that keep the [`Choice`] to unschedule later; schedulers that place
-    /// many operations append into one buffer instead.
-    #[inline]
-    pub fn try_reserve<M: Occupancy>(
-        &self,
-        ru: &mut M,
-        class: ClassId,
-        time: i32,
-        stats: &mut CheckStats,
-    ) -> Option<Choice> {
-        let mut selected = Vec::with_capacity(self.mdes.class(class).or_trees.len());
-        self.try_reserve_into(ru, class, time, stats, &mut selected)
-            .then_some(Choice {
-                class,
-                time,
-                selected,
-            })
-    }
-
-    /// The allocation-free reservation query: like
-    /// [`Checker::try_reserve`], but the selection goes into a
-    /// caller-owned buffer.
-    ///
-    /// This is the one reservation loop, and every scheduler reserves
+    /// This is the one reservation call, and every scheduler reserves
     /// through it: the list schedulers and the automaton baseline on a
-    /// [`crate::RuMap`], the modulo schedulers on a [`crate::ModuloRuMap`].
+    /// [`crate::RuMap`], the modulo schedulers on a [`crate::ModuloRuMap`];
+    /// a caller that unschedules keeps the appended selection and hands
+    /// it to [`Checker::release`].  Every call counts as one *scheduling
+    /// attempt* in `stats`.
+    ///
     /// It walks the class's OR-trees in order, reserves each tree's first
     /// free option (priority order), and rolls back on the first tree with
     /// no free option.  On success the RU map is updated, one
@@ -648,7 +502,7 @@ impl<'a> Checker<'a> {
     ) -> bool {
         stats.begin_attempt();
         let start = out.len();
-        for &tree_idx in &self.mdes.class(class).or_trees {
+        for &tree_idx in self.mdes.class_trees(class) {
             match self.try_or_tree(ru, tree_idx, time, stats) {
                 Some(opt_idx) => {
                     self.apply_option_at(ru, opt_idx, time, true);
@@ -676,23 +530,6 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// True if `class` could be reserved at `time` without changing the RU
-    /// map.  Costs the same checks as [`Checker::try_reserve`].
-    pub fn can_reserve<M: Occupancy>(
-        &self,
-        ru: &mut M,
-        class: ClassId,
-        time: i32,
-        stats: &mut CheckStats,
-    ) -> bool {
-        if let Some(choice) = self.try_reserve(ru, class, time, stats) {
-            self.release(ru, time, &choice.selected);
-            true
-        } else {
-            false
-        }
-    }
-
     /// True when every probe of option `opt_idx` finds its resources free
     /// at issue time `time`, counting one option attempt in `stats`.
     /// Walks one dense slice of the shared check arena.
@@ -700,7 +537,7 @@ impl<'a> Checker<'a> {
     /// This is the probe the greedy OR-tree walk makes for each option.
     /// Exact-search clients (the oracle schedulers in `mdes-oracle`)
     /// branch over individual OR-tree options instead of accepting the
-    /// greedy first-feasible pick of [`Checker::try_reserve`], so they
+    /// greedy first-feasible pick of [`Checker::try_reserve_into`], so they
     /// call it directly and both paths answer from one query surface.
     #[inline]
     pub fn option_fits<M: Occupancy>(
@@ -711,9 +548,7 @@ impl<'a> Checker<'a> {
         stats: &mut CheckStats,
     ) -> bool {
         stats.count_option();
-        let lo = self.mdes.option_bounds[opt_idx as usize] as usize;
-        let hi = self.mdes.option_bounds[opt_idx as usize + 1] as usize;
-        for check in &self.mdes.checks[lo..hi] {
+        for check in self.mdes.option_checks(opt_idx as usize) {
             stats.count_check();
             if !ru.is_free(time + check.time, check.mask) {
                 return false;
@@ -730,9 +565,7 @@ impl<'a> Checker<'a> {
     /// option selection (e.g. branch-and-bound search).
     #[inline]
     pub fn apply_option_at<M: Occupancy>(&self, ru: &mut M, opt_idx: u32, time: i32, set: bool) {
-        let lo = self.mdes.option_bounds[opt_idx as usize] as usize;
-        let hi = self.mdes.option_bounds[opt_idx as usize + 1] as usize;
-        for check in &self.mdes.checks[lo..hi] {
+        for check in self.mdes.option_checks(opt_idx as usize) {
             if set {
                 ru.reserve(time + check.time, check.mask);
             } else {
@@ -744,7 +577,7 @@ impl<'a> Checker<'a> {
     /// Walks one OR-tree: returns the first option (priority order) whose
     /// probes all succeed.  Does not reserve.
     // Out of line, as when only this crate instantiated it: inlined into
-    // a caller's `try_reserve`, the `checker/*` benches ran 5-15% slower
+    // the reservation loop, the `checker/*` benches ran 5-15% slower
     // (2-vCPU container, alternating runs).
     #[inline(never)]
     fn try_or_tree<M: Occupancy>(
@@ -754,8 +587,8 @@ impl<'a> Checker<'a> {
         time: i32,
         stats: &mut CheckStats,
     ) -> Option<u32> {
-        self.mdes.or_trees[tree_idx as usize]
-            .options
+        self.mdes
+            .tree_options(tree_idx as usize)
             .iter()
             .copied()
             .find(|&opt_idx| self.option_fits(ru, opt_idx, time, stats))
@@ -823,21 +656,18 @@ mod tests {
         spec.add_class("op", Constraint::Or(tree), Latency::new(1), OpFlags::none())
             .unwrap();
         let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-        let checks = compiled.option_checks(0);
-        assert_eq!(checks.len(), 2);
         assert_eq!(
-            checks.at(0),
-            CompiledCheck {
-                time: 0,
-                mask: 0b011
-            }
-        );
-        assert_eq!(
-            checks.at(1),
-            CompiledCheck {
-                time: 1,
-                mask: 0b100
-            }
+            compiled.option_checks(0),
+            [
+                CompiledCheck {
+                    time: 0,
+                    mask: 0b011
+                },
+                CompiledCheck {
+                    time: 1,
+                    mask: 0b100
+                }
+            ]
         );
     }
 
@@ -852,36 +682,54 @@ mod tests {
             .unwrap();
         let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
         let checks = compiled.option_checks(0);
-        assert_eq!(checks.at(0).time, 1);
-        assert_eq!(checks.at(0).mask, 0b110);
-        assert_eq!(checks.at(1).time, 0);
+        assert_eq!(checks[0].time, 1);
+        assert_eq!(checks[0].mask, 0b110);
+        assert_eq!(checks[1].time, 0);
     }
 
     #[test]
-    fn try_reserve_picks_highest_priority_free_option() {
+    fn arenas_slice_every_pool() {
+        let spec = andor_spec();
+        let compiled = CompiledMdes::compile(&spec, UsageEncoding::Scalar).unwrap();
+        assert_eq!(compiled.num_options(), 3);
+        assert_eq!(compiled.num_checks(), 3);
+        assert_eq!(compiled.num_or_trees(), 2);
+        assert_eq!(compiled.tree_options(0), [0, 1]);
+        assert_eq!(compiled.tree_options(1), [2]);
+        let load = compiled.class_by_name("load").unwrap();
+        // The memory tree first, as the AND/OR-tree lists it.
+        assert_eq!(compiled.class_trees(load), [1, 0]);
+    }
+
+    #[test]
+    fn try_reserve_into_picks_highest_priority_free_option() {
         let spec = andor_spec();
         let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
         let checker = Checker::new(&compiled);
         let class = compiled.class_by_name("load").unwrap();
         let mut ru = RuMap::new();
         let mut stats = CheckStats::new();
+        let mut first = Vec::new();
 
-        let first = checker.try_reserve(&mut ru, class, 0, &mut stats).unwrap();
-        // Decoder 0 (compiled option index 0) chosen from the decoder tree.
-        assert_eq!(first.selected.len(), 2);
+        assert!(checker.try_reserve_into(&mut ru, class, 0, &mut stats, &mut first));
+        // M from the memory tree, then decoder 0 (compiled option 0).
+        assert_eq!(first, [2, 0]);
         assert!(!ru.is_free(-1, 0b01)); // Dec[0] at time -1
         assert!(!ru.is_free(0, 0b100)); // M at time 0
 
         // Second load in the same cycle: M is busy, so it must fail and
         // leave the map untouched.
         let pop_before = ru.population();
-        assert!(checker.try_reserve(&mut ru, class, 0, &mut stats).is_none());
+        let mut failed = Vec::new();
+        assert!(!checker.try_reserve_into(&mut ru, class, 0, &mut stats, &mut failed));
+        assert!(failed.is_empty());
         assert_eq!(ru.population(), pop_before);
 
-        // One cycle later, decoder 1 is... actually all resources free at
-        // t=1 (usages are relative), so it succeeds with decoder 0 again.
-        let second = checker.try_reserve(&mut ru, class, 1, &mut stats).unwrap();
-        assert_eq!(second.selected, first.selected);
+        // One cycle later every resource is free again (usages are
+        // relative), so it succeeds with decoder 0 again.
+        let mut second = Vec::new();
+        assert!(checker.try_reserve_into(&mut ru, class, 1, &mut stats, &mut second));
+        assert_eq!(second, first);
     }
 
     #[test]
@@ -895,36 +743,28 @@ mod tests {
 
         // Occupy both decoders at time -1 but leave M free: the memory
         // OR-tree succeeds (and reserves M), the decoder tree fails, and
-        // the rollback must free M again.
+        // the rollback must free M again and drop its selection, leaving
+        // what the buffer held on entry.
         ru.reserve(-1, 0b11);
-        assert!(checker.try_reserve(&mut ru, class, 0, &mut stats).is_none());
+        let mut selected = vec![7];
+        assert!(!checker.try_reserve_into(&mut ru, class, 0, &mut stats, &mut selected));
         assert!(ru.is_free(0, 0b100), "M must be rolled back");
+        assert_eq!(selected, [7]);
     }
 
     #[test]
-    fn release_undoes_try_reserve() {
+    fn release_undoes_a_reservation() {
         let spec = andor_spec();
         let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
         let checker = Checker::new(&compiled);
         let class = compiled.class_by_name("load").unwrap();
         let mut ru = RuMap::new();
         let mut stats = CheckStats::new();
+        let mut selected = Vec::new();
 
-        let choice = checker.try_reserve(&mut ru, class, 3, &mut stats).unwrap();
+        assert!(checker.try_reserve_into(&mut ru, class, 3, &mut stats, &mut selected));
         assert!(ru.population() > 0);
-        checker.release(&mut ru, choice.time, &choice.selected);
-        assert_eq!(ru.population(), 0);
-    }
-
-    #[test]
-    fn can_reserve_does_not_mutate_map() {
-        let spec = andor_spec();
-        let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-        let checker = Checker::new(&compiled);
-        let class = compiled.class_by_name("load").unwrap();
-        let mut ru = RuMap::new();
-        let mut stats = CheckStats::new();
-        assert!(checker.can_reserve(&mut ru, class, 0, &mut stats));
+        checker.release(&mut ru, 3, &selected);
         assert_eq!(ru.population(), 0);
     }
 
@@ -940,7 +780,7 @@ mod tests {
         // M busy: the memory tree (checked first) fails after 1 option /
         // 1 check; the decoder tree is never consulted.
         ru.reserve(0, 0b100);
-        assert!(checker.try_reserve(&mut ru, class, 0, &mut stats).is_none());
+        assert!(!checker.try_reserve_into(&mut ru, class, 0, &mut stats, &mut Vec::new()));
         assert_eq!(stats.options_checked, 1);
         assert_eq!(stats.resource_checks, 1);
         assert_eq!(stats.attempts, 1);

@@ -9,13 +9,18 @@
 //!   operation classes; this is what the `mdes-lang` front end emits and
 //!   what the `mdes-opt` transformations rewrite;
 //! * the compiled low-level [`compile::CompiledMdes`] with scalar or
-//!   bit-vector usage encodings, and the [`compile::Checker`] that answers
-//!   "can this operation issue at cycle *t*" against any
-//!   [`rumap::Occupancy`] table — a [`rumap::RuMap`], or a
-//!   [`rumap::ModuloRuMap`] for modulo scheduling.  Its hot path, [`compile::Checker::try_reserve_into`], appends the
-//!   selected options to a caller-owned buffer and allocates nothing per
-//!   attempt; [`compile::Checker::try_reserve`]
-//!   wraps it in a [`compile::Choice`] for callers that unschedule;
+//!   bit-vector usage encodings.  Its three pools of lists (each option's
+//!   probes, each OR-tree's options, each class's OR-trees) are flat
+//!   arenas sliced by bound arrays, and [`CompiledMdes::compile`] and
+//!   [`lmdes::read`] fill them through one constructor;
+//! * the [`compile::Checker`] that answers "can this operation issue at
+//!   cycle *t*" against any [`rumap::Occupancy`] table — a
+//!   [`rumap::RuMap`], or a [`rumap::ModuloRuMap`] for modulo
+//!   scheduling.  Its one reservation call,
+//!   [`compile::Checker::try_reserve_into`], appends the selected options
+//!   to a caller-owned buffer and allocates nothing per attempt; a caller
+//!   that unschedules hands that selection to
+//!   [`compile::Checker::release`];
 //! * [`stats::CheckStats`] counters matching the paper's metrics (options
 //!   checked and resource checks per scheduling attempt, Figure-2
 //!   histograms);
@@ -52,10 +57,15 @@
 //!
 //! let mut ru = RuMap::new();
 //! let mut stats = CheckStats::new();
-//! assert!(checker.try_reserve(&mut ru, class, 0, &mut stats).is_some());
+//! let mut selected = Vec::new();
+//! assert!(checker.try_reserve_into(&mut ru, class, 0, &mut stats, &mut selected));
 //! // The ALU is now busy at cycle 0: a second op must wait a cycle.
-//! assert!(checker.try_reserve(&mut ru, class, 0, &mut stats).is_none());
-//! assert!(checker.try_reserve(&mut ru, class, 1, &mut stats).is_some());
+//! assert!(!checker.try_reserve_into(&mut ru, class, 0, &mut stats, &mut selected));
+//! assert!(checker.try_reserve_into(&mut ru, class, 1, &mut stats, &mut selected));
+//! // One option per reservation; releasing the first frees cycle 0.
+//! assert_eq!(selected, [0, 0]);
+//! checker.release(&mut ru, 0, &selected[..1]);
+//! assert!(checker.try_reserve_into(&mut ru, class, 0, &mut stats, &mut selected));
 //! # Ok(())
 //! # }
 //! ```
@@ -78,7 +88,7 @@ pub mod spec;
 pub mod stats;
 pub mod usage;
 
-pub use compile::{Checker, Checks, Choice, CompiledMdes, UsageEncoding};
+pub use compile::{Checker, CompiledMdes, UsageEncoding};
 pub use error::MdesError;
 pub use resource::{ResourceId, ResourcePool};
 pub use rumap::{ModuloRuMap, Occupancy, RuMap};

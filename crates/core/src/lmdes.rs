@@ -46,11 +46,10 @@
 use std::fmt;
 
 use crate::compile::{
-    CompiledCheck, CompiledClass, CompiledMdes, CompiledOrTree, ConstraintKind, Pools,
-    UsageEncoding,
+    CompiledCheck, CompiledClass, CompiledMdes, ConstraintKind, Pools, UsageEncoding,
 };
 use crate::resource::MAX_RESOURCES;
-use crate::spec::{Latency, OpFlags};
+use crate::spec::{ClassId, Latency, OpFlags};
 
 /// Magic prefix identifying an LMDES file (includes a format version).
 pub const MAGIC: &[u8; 6] = b"LMDES\x02";
@@ -286,16 +285,13 @@ pub fn write(mdes: &CompiledMdes) -> Vec<u8> {
         }
     }
 
-    put_u32(&mut out, mdes.or_trees().len() as u32);
-    for tree in mdes.or_trees() {
-        put_u32(&mut out, tree.options.len() as u32);
-        for &opt in &tree.options {
-            put_u32(&mut out, opt);
-        }
+    put_u32(&mut out, mdes.num_or_trees() as u32);
+    for idx in 0..mdes.num_or_trees() {
+        put_list(&mut out, mdes.tree_options(idx));
     }
 
     put_u32(&mut out, mdes.classes().len() as u32);
-    for class in mdes.classes() {
+    for (idx, class) in mdes.classes().iter().enumerate() {
         put_u32(&mut out, class.name.len() as u32);
         out.extend_from_slice(class.name.as_bytes());
         out.push(match class.kind {
@@ -307,10 +303,7 @@ pub fn write(mdes: &CompiledMdes) -> Vec<u8> {
         put_i32(&mut out, class.latency.src);
         put_i32(&mut out, class.latency.mem);
         out.push(flags_byte(class.flags));
-        put_u32(&mut out, class.or_trees.len() as u32);
-        for &tree in &class.or_trees {
-            put_u32(&mut out, tree);
-        }
+        put_list(&mut out, mdes.class_trees(ClassId::from_index(idx)));
     }
     put_u32(&mut out, mdes.bypasses().len() as u32);
     for &(p, c, latency) in mdes.bypasses() {
@@ -459,30 +452,28 @@ fn walk<const BUILD: bool>(bytes: &[u8]) -> Result<(LmdesScan<'_>, Pools), Lmdes
 
     let num_options = r.count("option count", 4)?;
     if BUILD {
-        pools.option_bounds.reserve_exact(num_options + 1);
-        pools.option_bounds.push(0);
+        pools.options.open(num_options);
     }
     for _ in 0..num_options {
         let num_checks = r.count("check count", 12)?;
         let checks = r.take(num_checks * 12, "reservation checks")?;
         if BUILD {
             pools
-                .checks
+                .options
                 .extend(checks.chunks_exact(12).map(|check| CompiledCheck {
                     time: i32::from_le_bytes(le(&check[..4])),
                     mask: u64::from_le_bytes(le(&check[4..])),
                 }));
-            pools.option_bounds.push(pools.checks.len() as u32);
+            pools.options.close();
         }
     }
 
     let num_or_trees = r.count("or-tree count", 4)?;
     if BUILD {
-        pools.or_trees.reserve_exact(num_or_trees);
+        pools.trees.open(num_or_trees);
     }
     for _ in 0..num_or_trees {
         let count = r.count("or-tree option count", 4)?;
-        let mut options = Vec::with_capacity(if BUILD { count } else { 0 });
         for _ in 0..count {
             let index = r.u32("option index")?;
             if index as usize >= num_options {
@@ -490,17 +481,18 @@ fn walk<const BUILD: bool>(bytes: &[u8]) -> Result<(LmdesScan<'_>, Pools), Lmdes
                 return Err(FieldFault::OptionIndex { index, pool }.into());
             }
             if BUILD {
-                options.push(index);
+                pools.trees.push(index);
             }
         }
         if BUILD {
-            pools.or_trees.push(CompiledOrTree { options });
+            pools.trees.close();
         }
     }
 
     let num_classes = r.count("class count", 26)?;
     if BUILD {
         pools.classes.reserve_exact(num_classes);
+        pools.class_trees.open(num_classes);
     }
     for _ in 0..num_classes {
         let name_len = r.count("class name length", 1)?;
@@ -517,7 +509,6 @@ fn walk<const BUILD: bool>(bytes: &[u8]) -> Result<(LmdesScan<'_>, Pools), Lmdes
         let mem = r.i32("mem latency")?;
         let flags = flags_from_byte(r.u8("flags")?)?;
         let count = r.count("class tree count", 4)?;
-        let mut or_trees = Vec::with_capacity(if BUILD { count } else { 0 });
         for _ in 0..count {
             let index = r.u32("tree index")?;
             if index as usize >= num_or_trees {
@@ -525,17 +516,17 @@ fn walk<const BUILD: bool>(bytes: &[u8]) -> Result<(LmdesScan<'_>, Pools), Lmdes
                 return Err(FieldFault::TreeIndex { index, pool }.into());
             }
             if BUILD {
-                or_trees.push(index);
+                pools.class_trees.push(index);
             }
         }
         if kind == ConstraintKind::Or && count != 1 {
             return Err(FieldFault::OrTreeCount(count).into());
         }
         if BUILD {
+            pools.class_trees.close();
             pools.classes.push(CompiledClass {
                 name: name.to_string(),
                 kind,
-                or_trees,
                 and_or_index,
                 latency: Latency::with_mem(dest, mem).with_src(src),
                 flags,
@@ -611,6 +602,14 @@ fn put_u32(out: &mut Vec<u8>, value: u32) {
 
 fn put_i32(out: &mut Vec<u8>, value: i32) {
     out.extend_from_slice(&value.to_le_bytes());
+}
+
+/// A length-prefixed list of indices: the count, then each index.
+fn put_list(out: &mut Vec<u8>, indices: &[u32]) {
+    put_u32(out, indices.len() as u32);
+    for &index in indices {
+        put_u32(out, index);
+    }
 }
 
 /// The `N` bytes of a slice [`Reader::take`] cut to length `N`.
@@ -823,8 +822,8 @@ mod tests {
                 Err(_) => found_rejection = true,
                 Ok(decoded) => {
                     // Accepted mutations must still be self-consistent.
-                    for tree in decoded.or_trees() {
-                        for &opt in &tree.options {
+                    for tree in 0..decoded.num_or_trees() {
+                        for &opt in decoded.tree_options(tree) {
                             assert!((opt as usize) < decoded.num_options());
                         }
                     }
@@ -921,14 +920,14 @@ mod tests {
             let mut corrupt = bytes.clone();
             splice_u32(&mut corrupt, pos, 0xFFFF_FF00);
             if let Ok(decoded) = read(&corrupt) {
-                for tree in decoded.or_trees() {
-                    for &opt in &tree.options {
+                for tree in 0..decoded.num_or_trees() {
+                    for &opt in decoded.tree_options(tree) {
                         assert!((opt as usize) < decoded.num_options(), "offset {pos}");
                     }
                 }
-                for class in decoded.classes() {
-                    for &tree in &class.or_trees {
-                        assert!((tree as usize) < decoded.or_trees().len(), "offset {pos}");
+                for class in 0..decoded.classes().len() {
+                    for &tree in decoded.class_trees(ClassId::from_index(class)) {
+                        assert!((tree as usize) < decoded.num_or_trees(), "offset {pos}");
                     }
                 }
             }
@@ -943,7 +942,7 @@ mod tests {
         assert_eq!(scanned.encoding(), mdes.encoding());
         assert_eq!(scanned.num_resources(), mdes.num_resources());
         assert_eq!(scanned.num_options(), mdes.num_options());
-        assert_eq!(scanned.num_or_trees(), mdes.or_trees().len());
+        assert_eq!(scanned.num_or_trees(), mdes.num_or_trees());
         assert_eq!(scanned.num_classes(), mdes.classes().len());
         assert_eq!(scanned.num_bypasses(), mdes.bypasses().len());
         assert_eq!(scanned.materialize().unwrap(), mdes);

@@ -13,7 +13,7 @@
 //! count always generate the same sequences, so a failing probe recorded
 //! in a guard incident can be replayed from its seed alone.
 
-use crate::compile::{Checker, Choice, CompiledMdes};
+use crate::compile::{Checker, CompiledMdes};
 use crate::rng::Pcg32;
 use crate::rumap::RuMap;
 use crate::spec::ClassId;
@@ -35,7 +35,7 @@ pub enum ProbeOp {
         time: i32,
     },
     /// Ask whether `class` could issue at `time` without reserving
-    /// (a pure conflict query through [`Checker::can_reserve`]).
+    /// (a pure conflict query: a reservation released at once).
     Query {
         /// Class index into the compiled class table.
         class: u32,
@@ -127,7 +127,11 @@ pub fn run_sequence(mdes: &CompiledMdes, ops: &[ProbeOp]) -> Vec<bool> {
     let num_classes = mdes.classes().len();
     let mut ru = RuMap::new();
     let mut stats = CheckStats::new();
-    let mut held: Vec<Choice> = Vec::new();
+    // Every reservation's selection, appended in order; a held
+    // reservation is its issue time and its span of `selected`.  A
+    // released span is left in place, unreferenced.
+    let mut selected: Vec<u32> = Vec::new();
+    let mut held: Vec<(i32, usize, usize)> = Vec::new();
     let mut trace = Vec::with_capacity(ops.len());
     if num_classes == 0 {
         trace.resize(ops.len(), false);
@@ -137,24 +141,29 @@ pub fn run_sequence(mdes: &CompiledMdes, ops: &[ProbeOp]) -> Vec<bool> {
         let outcome = match *op {
             ProbeOp::Reserve { class, time } => {
                 let class = ClassId::from_index(class as usize % num_classes);
-                match checker.try_reserve(&mut ru, class, time, &mut stats) {
-                    Some(choice) => {
-                        held.push(choice);
-                        true
-                    }
-                    None => false,
+                let start = selected.len();
+                let reserved =
+                    checker.try_reserve_into(&mut ru, class, time, &mut stats, &mut selected);
+                if reserved {
+                    held.push((time, start, selected.len()));
                 }
+                reserved
             }
             ProbeOp::Query { class, time } => {
                 let class = ClassId::from_index(class as usize % num_classes);
-                checker.can_reserve(&mut ru, class, time, &mut stats)
+                let start = selected.len();
+                let fits =
+                    checker.try_reserve_into(&mut ru, class, time, &mut stats, &mut selected);
+                checker.release(&mut ru, time, &selected[start..]);
+                selected.truncate(start);
+                fits
             }
             ProbeOp::Release { slot } => {
                 if held.is_empty() {
                     false
                 } else {
-                    let choice = held.remove(slot as usize % held.len());
-                    checker.release(&mut ru, choice.time, &choice.selected);
+                    let (time, lo, hi) = held.remove(slot as usize % held.len());
+                    checker.release(&mut ru, time, &selected[lo..hi]);
                     true
                 }
             }

@@ -76,14 +76,15 @@ impl Pcg32 {
         f64::from(bits) / f64::from(u32::MAX) / (1.0 + f64::EPSILON)
     }
 
-    /// Picks an index with probability proportional to `weights`.
+    /// Picks an index with probability proportional to `weights`, whose
+    /// sum `total` is `weights.iter().sum()`: a caller drawing from one
+    /// table many times sums it once.
     ///
     /// # Panics
     ///
-    /// Panics if `weights` is empty or sums to zero.
+    /// Panics unless `total` is positive.
     #[inline]
-    pub fn pick_weighted(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
+    pub fn pick_weighted(&mut self, weights: &[f64], total: f64) -> usize {
         assert!(total > 0.0, "weights must sum to a positive value");
         let mut target = self.gen_f64() * total;
         for (i, &w) in weights.iter().enumerate() {
@@ -135,7 +136,7 @@ mod tests {
         let weights = [1.0, 0.0, 3.0];
         let mut counts = [0usize; 3];
         for _ in 0..4000 {
-            counts[rng.pick_weighted(&weights)] += 1;
+            counts[rng.pick_weighted(&weights, 4.0)] += 1;
         }
         assert_eq!(counts[1], 0);
         let ratio = counts[2] as f64 / counts[0] as f64;

@@ -22,6 +22,7 @@
 use std::collections::BTreeSet;
 
 use crate::compile::{CompiledMdes, ConstraintKind};
+use crate::spec::ClassId;
 
 /// Bytes per logical machine word in the memory model.
 pub const WORD_BYTES: usize = 4;
@@ -82,7 +83,7 @@ pub fn measure(mdes: &CompiledMdes) -> MemoryReport {
 
     let mut report = MemoryReport {
         num_options: mdes.num_options(),
-        num_or_trees: mdes.or_trees().len(),
+        num_or_trees: mdes.num_or_trees(),
         ..MemoryReport::default()
     };
 
@@ -92,23 +93,24 @@ pub fn measure(mdes: &CompiledMdes) -> MemoryReport {
         report.num_checks += checks;
     }
 
-    for tree in mdes.or_trees() {
-        report.or_tree_bytes += header + tree.options.len() * reference;
+    for idx in 0..mdes.num_or_trees() {
+        report.or_tree_bytes += header + mdes.tree_options(idx).len() * reference;
     }
 
     // AND-level nodes: one per unique spec AND/OR tree referenced.
     let mut seen_and: BTreeSet<u32> = BTreeSet::new();
     let mut top_level: BTreeSet<(u8, u32)> = BTreeSet::new();
-    for class in mdes.classes() {
+    for (idx, class) in mdes.classes().iter().enumerate() {
+        let trees = mdes.class_trees(ClassId::from_index(idx));
         report.class_bytes += 2 * WORD_BYTES;
         match class.kind {
             ConstraintKind::Or => {
-                top_level.insert((0, class.or_trees[0]));
+                top_level.insert((0, trees[0]));
             }
             ConstraintKind::AndOr => {
                 top_level.insert((1, class.and_or_index));
                 if seen_and.insert(class.and_or_index) {
-                    report.and_level_bytes += header + class.or_trees.len() * reference;
+                    report.and_level_bytes += header + trees.len() * reference;
                 }
             }
         }

@@ -3,7 +3,7 @@
 //! The paper's evaluation is built on three counters gathered while the
 //! scheduler queries the MDES:
 //!
-//! * **scheduling attempts** — one `try_reserve` of one operation at one
+//! * **scheduling attempts** — one `try_reserve_into` of one operation at one
 //!   candidate cycle (Table 5's "Avg. Sched. Attempts" divides these by
 //!   operations scheduled);
 //! * **options checked** — reservation-table options whose checks were
@@ -157,7 +157,7 @@ impl Default for Histogram {
 pub struct CheckStats {
     /// Operations successfully scheduled.
     pub operations: u64,
-    /// Scheduling attempts (successful + failed `try_reserve`s).
+    /// Scheduling attempts (successful + failed `try_reserve_into` calls).
     pub attempts: u64,
     /// Attempts that succeeded.
     pub successes: u64,

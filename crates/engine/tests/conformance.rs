@@ -84,6 +84,7 @@ fn conform(spec: &MdesSpec, seed: u64, steps: usize) -> usize {
     let mut bitvec_ru = RuMap::new();
     let mut scalar_stats = CheckStats::new();
     let mut bitvec_stats = CheckStats::new();
+    let (mut scalar_sel, mut bitvec_sel) = (Vec::new(), Vec::new());
     let mut rng = Pcg32::new(seed, 0xC0F);
     let mut state = Automaton::START;
     let mut cycle = 0i32;
@@ -97,33 +98,36 @@ fn conform(spec: &MdesSpec, seed: u64, steps: usize) -> usize {
         }
         probes += 1;
         let class = classes[rng.gen_range(classes.len() as u32) as usize];
-        let from_scalar =
-            scalar_checker.try_reserve(&mut scalar_ru, class, cycle, &mut scalar_stats);
-        let from_bitvec =
-            bitvec_checker.try_reserve(&mut bitvec_ru, class, cycle, &mut bitvec_stats);
+        scalar_sel.clear();
+        bitvec_sel.clear();
+        let from_scalar = scalar_checker.try_reserve_into(
+            &mut scalar_ru,
+            class,
+            cycle,
+            &mut scalar_stats,
+            &mut scalar_sel,
+        );
+        let from_bitvec = bitvec_checker.try_reserve_into(
+            &mut bitvec_ru,
+            class,
+            cycle,
+            &mut bitvec_stats,
+            &mut bitvec_sel,
+        );
         let from_fsa = fsa.issue(state, class);
         assert_eq!(
-            from_scalar.is_some(),
-            from_bitvec.is_some(),
+            from_scalar, from_bitvec,
             "step {step}: scalar and bit-vector checkers disagree"
         );
         assert_eq!(
-            from_bitvec.is_some(),
+            from_bitvec,
             from_fsa.is_some(),
             "step {step}: table checkers and automaton disagree"
         );
-        match (from_scalar, from_bitvec) {
-            (Some(scalar_choice), Some(bitvec_choice)) => {
-                assert_eq!(
-                    scalar_choice.selected, bitvec_choice.selected,
-                    "step {step}: encodings chose different options"
-                );
-                assert_eq!(scalar_choice.time, bitvec_choice.time);
-                assert_eq!(scalar_choice.class, bitvec_choice.class);
-            }
-            (None, None) => {}
-            _ => unreachable!(),
-        }
+        assert_eq!(
+            scalar_sel, bitvec_sel,
+            "step {step}: encodings chose different options"
+        );
         if let Some(next) = from_fsa {
             state = next;
         }

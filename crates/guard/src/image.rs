@@ -34,7 +34,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mdes_core::probe::{self, ProbeConfig};
-use mdes_core::CompiledMdes;
+use mdes_core::{ClassId, CompiledMdes};
 use mdes_sched::{CheckStats, DepGraph, ListScheduler, SchedScratch};
 use mdes_workload::{generate_compiled_regions, RegionConfig};
 
@@ -103,11 +103,11 @@ fn structural_check(mdes: &CompiledMdes) -> Result<(), String> {
     }
 
     for (index, class) in mdes.classes().iter().enumerate() {
-        let satisfiable = class
-            .or_trees
+        let trees = mdes.class_trees(ClassId::from_index(index));
+        let satisfiable = trees
             .iter()
-            .all(|&tree| !mdes.or_trees()[tree as usize].options.is_empty());
-        if class.or_trees.is_empty() || !satisfiable {
+            .all(|&tree| !mdes.tree_options(tree as usize).is_empty());
+        if trees.is_empty() || !satisfiable {
             return Err(format!(
                 "class {index} (`{}`) is unsatisfiable: an empty option list can never reserve",
                 class.name
@@ -189,11 +189,7 @@ fn schedule_smoke(mdes: &CompiledMdes, seed: u64) -> Result<usize, String> {
 mod tests {
     use super::*;
     use crate::inject::{corrupt_image, ImageFault};
-    use mdes_core::compile::{
-        CompiledCheck, CompiledClass, CompiledOption, CompiledOrTree, ConstraintKind,
-    };
     use mdes_core::lmdes;
-    use mdes_core::spec::{Latency, OpFlags};
     use mdes_core::UsageEncoding;
     use mdes_machines::Machine;
 
@@ -219,45 +215,46 @@ mod tests {
         assert_eq!(vet_image(&mdes, 3), vet_image(&mdes, 3));
     }
 
-    /// Builds a decodable single-class description by hand so individual
-    /// policy violations can be planted.
-    fn tiny(check_time: i32, latency: i32, tree_options: Vec<u32>) -> CompiledMdes {
-        CompiledMdes::from_parts(
-            UsageEncoding::BitVector,
-            2,
-            vec![CompiledOption {
-                checks: vec![CompiledCheck {
-                    time: check_time,
-                    mask: 0b01,
-                }],
-            }],
-            vec![CompiledOrTree {
-                options: tree_options,
-            }],
-            vec![CompiledClass {
-                name: "alu".into(),
-                kind: ConstraintKind::Or,
-                or_trees: vec![0],
-                and_or_index: 0,
-                latency: Latency::new(latency),
-                flags: OpFlags::none(),
-            }],
-            Vec::new(),
-            check_time.min(0),
-            check_time.max(0),
-        )
-        .unwrap()
+    /// A single-class LMDES image written field by field, in the layout
+    /// `mdes_core::lmdes` documents, and decoded the way a reload is: a
+    /// 2-resource bit-vector description with one option probing `mask`
+    /// at `time`, one OR-tree listing `tree_options`, and one class of
+    /// constraint `kind` (0 = OR, 1 = AND/OR) over that tree.  The
+    /// decoder accepts every value planted here; vetting must not.
+    fn decoded(time: i32, mask: u64, latency: i32, tree_options: &[u32], kind: u8) -> CompiledMdes {
+        let mut image = lmdes::MAGIC.to_vec();
+        let words = |image: &mut Vec<u8>, words: &[u32]| {
+            for word in words {
+                image.extend_from_slice(&word.to_le_bytes());
+            }
+        };
+        image.push(1); // bit-vector encoding
+        let (min, max) = (time.min(0), time.max(0));
+        words(&mut image, &[2, min as u32, max as u32]);
+        words(&mut image, &[1, 1, time as u32]); // one option of one check
+        image.extend_from_slice(&mask.to_le_bytes());
+        words(&mut image, &[1, tree_options.len() as u32]);
+        words(&mut image, tree_options);
+        words(&mut image, &[1, 3]); // one class, named "alu"
+        image.extend_from_slice(b"alu");
+        image.push(kind);
+        let latency = latency as u32;
+        words(&mut image, &[0, latency, 0, latency]); // and_or_index, dest, src, mem
+        image.push(0); // flags
+        words(&mut image, &[1, 0]); // the class's one tree: #0
+        words(&mut image, &[0]); // no bypasses
+        lmdes::read(&image).unwrap()
     }
 
     #[test]
     fn unbounded_check_times_are_rejected() {
-        let why = vet_image(&tiny(1_000_000, 1, vec![0]), 0).unwrap_err();
+        let why = vet_image(&decoded(1_000_000, 0b01, 1, &[0], 0), 0).unwrap_err();
         assert!(why.contains("serving bound"), "{why}");
     }
 
     #[test]
     fn unbounded_latencies_are_rejected() {
-        let why = vet_image(&tiny(0, 1_000_000, vec![0]), 0).unwrap_err();
+        let why = vet_image(&decoded(0, 0b01, 1_000_000, &[0], 0), 0).unwrap_err();
         assert!(why.contains("latency"), "{why}");
     }
 
@@ -265,56 +262,14 @@ mod tests {
     fn unsatisfiable_classes_are_rejected() {
         // An AndOr class referencing an empty tree decodes fine but can
         // never reserve — the scheduler would spin on it forever.
-        let mdes = CompiledMdes::from_parts(
-            UsageEncoding::BitVector,
-            2,
-            vec![CompiledOption {
-                checks: vec![CompiledCheck { time: 0, mask: 1 }],
-            }],
-            vec![CompiledOrTree { options: vec![] }],
-            vec![CompiledClass {
-                name: "alu".into(),
-                kind: ConstraintKind::AndOr,
-                or_trees: vec![0],
-                and_or_index: 0,
-                latency: Latency::new(1),
-                flags: OpFlags::none(),
-            }],
-            Vec::new(),
-            0,
-            0,
-        )
-        .unwrap();
-        let why = vet_image(&mdes, 0).unwrap_err();
+        let why = vet_image(&decoded(0, 0b01, 1, &[], 1), 0).unwrap_err();
         assert!(why.contains("unsatisfiable"), "{why}");
     }
 
     #[test]
     fn masks_outside_the_resource_pool_are_rejected() {
-        let mdes = CompiledMdes::from_parts(
-            UsageEncoding::BitVector,
-            2,
-            vec![CompiledOption {
-                checks: vec![CompiledCheck {
-                    time: 0,
-                    mask: 0b100, // resource 2 of a 2-resource pool
-                }],
-            }],
-            vec![CompiledOrTree { options: vec![0] }],
-            vec![CompiledClass {
-                name: "alu".into(),
-                kind: ConstraintKind::Or,
-                or_trees: vec![0],
-                and_or_index: 0,
-                latency: Latency::new(1),
-                flags: OpFlags::none(),
-            }],
-            Vec::new(),
-            0,
-            0,
-        )
-        .unwrap();
-        let why = vet_image(&mdes, 0).unwrap_err();
+        // Resource 2 of a 2-resource pool.
+        let why = vet_image(&decoded(0, 0b100, 1, &[0], 0), 0).unwrap_err();
         assert!(why.contains("outside the declared pool"), "{why}");
     }
 

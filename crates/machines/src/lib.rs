@@ -441,17 +441,18 @@ mod tests {
 
         let mut ru = RuMap::new();
         let mut stats = CheckStats::new();
-        checker.try_reserve(&mut ru, load, 0, &mut stats).unwrap();
+        let mut selected = Vec::new();
+        assert!(checker.try_reserve_into(&mut ru, load, 0, &mut stats, &mut selected));
         assert!(!ru.is_free(-1, dec(0).bit()), "first load takes Decoder[0]");
         assert!(!ru.is_free(1, wrpt(0).bit()), "first load takes WrPt[0]");
         assert!(ru.is_free(-1, dec(1).bit()));
 
         // A second load in the same cycle fails on the single memory
         // unit — the Section-2 constraint that makes loads serialize.
-        assert!(checker.try_reserve(&mut ru, load, 0, &mut stats).is_none());
+        assert!(!checker.try_reserve_into(&mut ru, load, 0, &mut stats, &mut selected));
         // One cycle later it succeeds and again takes the lowest free
         // decoder and write port.
-        checker.try_reserve(&mut ru, load, 1, &mut stats).unwrap();
+        assert!(checker.try_reserve_into(&mut ru, load, 1, &mut stats, &mut selected));
         assert!(!ru.is_free(0, dec(0).bit()));
         assert!(!ru.is_free(2, wrpt(0).bit()));
     }

@@ -310,19 +310,19 @@ fn placement_order(graph: &DepGraph, heights: &[i32]) -> Vec<usize> {
 ///   check-free option impose nothing.
 fn resource_lower_bound(mdes: &CompiledMdes, block: &Block) -> i32 {
     let mut per_bit = [0i32; 64];
-    let mut tree_demand = vec![0usize; mdes.or_trees().len()];
+    let mut tree_demand = vec![0usize; mdes.num_or_trees()];
     for op in &block.ops {
-        let class = mdes.class(op.class);
         let mut mandatory = 0u64;
-        for &tree_idx in &class.or_trees {
-            let tree = &mdes.or_trees()[tree_idx as usize];
-            if tree.options.is_empty() {
+        for &tree_idx in mdes.class_trees(op.class) {
+            let tree = mdes.tree_options(tree_idx as usize);
+            if tree.is_empty() {
                 continue;
             }
             tree_demand[tree_idx as usize] += 1;
             let mut tree_mand = !0u64;
-            for &opt in &tree.options {
-                tree_mand &= mdes.option_checks(opt as usize).total_mask();
+            for &opt in tree {
+                let checks = mdes.option_checks(opt as usize);
+                tree_mand &= checks.iter().fold(0, |mask, check| mask | check.mask);
             }
             mandatory |= tree_mand;
         }
@@ -338,15 +338,14 @@ fn resource_lower_bound(mdes: &CompiledMdes, block: &Block) -> i32 {
         if demand == 0 {
             continue;
         }
-        let tree = &mdes.or_trees()[tree_idx];
+        let tree = mdes.tree_options(tree_idx);
         if tree
-            .options
             .iter()
             .any(|&opt| mdes.option_checks(opt as usize).is_empty())
         {
             continue;
         }
-        bound = bound.max(demand.div_ceil(tree.options.len()) as i32);
+        bound = bound.max(demand.div_ceil(tree.len()) as i32);
     }
     bound
 }
@@ -463,22 +462,22 @@ impl Search<'_, '_> {
             return;
         }
         let mdes = self.mdes;
-        let class_trees = &mdes.class(self.classes[op]).or_trees;
+        let class_trees = mdes.class_trees(self.classes[op]);
         if tree_pos == class_trees.len() {
             self.cycles[op] = cycle;
             self.dfs(pos + 1, makespan);
             self.cycles[op] = UNPLACED;
             return;
         }
-        let tree = &mdes.or_trees()[class_trees[tree_pos] as usize];
-        for (k, &opt) in tree.options.iter().enumerate() {
+        let tree = mdes.tree_options(class_trees[tree_pos] as usize);
+        for (k, &opt) in tree.iter().enumerate() {
             // Options with identical check footprints are interchangeable
             // for everything downstream, so exploring the first (highest
             // priority) one suffices — a symmetry break, not a heuristic.
-            let checks = mdes.option_checks(opt as usize).as_slice();
-            if tree.options[..k]
+            let checks = mdes.option_checks(opt as usize);
+            if tree[..k]
                 .iter()
-                .any(|&prev| mdes.option_checks(prev as usize).as_slice() == checks)
+                .any(|&prev| mdes.option_checks(prev as usize) == checks)
             {
                 continue;
             }
@@ -572,15 +571,14 @@ impl Exhaustive<'_, '_> {
 
     fn options(&mut self, index: usize, cycle: i32, tree_pos: usize, makespan: i32) {
         let mdes = self.mdes;
-        let class_trees = &mdes.class(self.block.ops[index].class).or_trees;
+        let class_trees = mdes.class_trees(self.block.ops[index].class);
         if tree_pos == class_trees.len() {
             self.cycles[index] = cycle;
             self.place(index + 1, makespan);
             self.cycles[index] = UNPLACED;
             return;
         }
-        let tree = &mdes.or_trees()[class_trees[tree_pos] as usize];
-        for &opt in &tree.options {
+        for &opt in mdes.tree_options(class_trees[tree_pos] as usize) {
             if self.checker.option_fits(&self.ru, opt, cycle, self.stats) {
                 self.checker.apply_option_at(&mut self.ru, opt, cycle, true);
                 self.options(index, cycle, tree_pos + 1, makespan);

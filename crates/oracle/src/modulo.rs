@@ -49,13 +49,13 @@ impl<'a> OracleScheduler<'a> {
         if n == 0 || n > self.max_ops {
             return None;
         }
-        // One dependence graph serves the production schedule, the MII
+        // One dependence graph and one MII serve the production schedule
         // and every II searched.
         let graph = DepGraph::build(&looped.body, self.mdes);
         let scheduler = ModuloScheduler::new(self.mdes);
+        let mii = scheduler.mii(looped, &graph);
         let mut production_stats = CheckStats::new();
-        let production = scheduler.schedule_with_graph(looped, &graph, &mut production_stats);
-        let mii = scheduler.mii(looped, &graph).max(1);
+        let production = scheduler.schedule_with_graph(looped, &graph, mii, &mut production_stats);
 
         let bounds = selection_bounds(self.mdes, &looped.body);
         let mut nodes = 0u64;
@@ -172,7 +172,7 @@ impl ModSearch<'_, '_> {
             return false;
         }
         let mdes = self.checker.mdes();
-        let class_trees = &mdes.class(self.looped.body.ops[index].class).or_trees;
+        let class_trees = mdes.class_trees(self.looped.body.ops[index].class);
         if tree_pos == class_trees.len() {
             self.cycles[index] = cycle;
             if self.place(index + 1) {
@@ -181,12 +181,12 @@ impl ModSearch<'_, '_> {
             self.cycles[index] = UNPLACED;
             return false;
         }
-        let tree = &mdes.or_trees()[class_trees[tree_pos] as usize];
-        for (k, &opt) in tree.options.iter().enumerate() {
-            let checks = mdes.option_checks(opt as usize).as_slice();
-            if tree.options[..k]
+        let tree = mdes.tree_options(class_trees[tree_pos] as usize);
+        for (k, &opt) in tree.iter().enumerate() {
+            let checks = mdes.option_checks(opt as usize);
+            if tree[..k]
                 .iter()
-                .any(|&prev| mdes.option_checks(prev as usize).as_slice() == checks)
+                .any(|&prev| mdes.option_checks(prev as usize) == checks)
             {
                 continue;
             }

@@ -192,11 +192,15 @@ fn checker_replay(config: &BenchConfig, out: &mut Vec<Sample>) {
             let compiled = CompiledMdes::compile(&spec, encoding).unwrap();
             let checker = Checker::new(&compiled);
             let probes = probe_stream(config.seed, compiled.classes().len(), 2048);
+            // Nothing is released, so one selection buffer serves every
+            // probe.
+            let mut selected = Vec::new();
             out.push(measure(&name, config.iters(50), config.reps, || {
                 let mut ru = RuMap::new();
                 let mut stats = CheckStats::new();
                 for &(class, time) in &probes {
-                    checker.try_reserve(&mut ru, class, time, &mut stats);
+                    selected.clear();
+                    checker.try_reserve_into(&mut ru, class, time, &mut stats, &mut selected);
                 }
                 stats.resource_checks
             }));
@@ -248,12 +252,14 @@ fn wide_tree_checker(config: &BenchConfig, out: &mut Vec<Sample>) {
     let busy: u64 = (1 << (SLOTS - 1)) - 1;
 
     let checker = Checker::new(&compiled);
+    let mut selected = Vec::new();
     out.push(measure(name, config.iters(100), config.reps, || {
         let mut ru = RuMap::new();
         let mut stats = CheckStats::new();
         for t in 0..ATTEMPTS {
             ru.reserve(t, busy);
-            checker.try_reserve(&mut ru, class, t, &mut stats);
+            selected.clear();
+            checker.try_reserve_into(&mut ru, class, t, &mut stats, &mut selected);
         }
         stats.resource_checks
     }));

@@ -243,18 +243,19 @@ pub(crate) fn check_selection(
     class: ClassId,
     selection: &[u32],
 ) -> Result<(), String> {
-    let Some(compiled) = mdes.classes().get(class.index()) else {
+    if class.index() >= mdes.classes().len() {
         return Err(format!("has unknown class {class:?}"));
-    };
-    if selection.len() != compiled.or_trees.len() {
+    }
+    let trees = mdes.class_trees(class);
+    if selection.len() != trees.len() {
         return Err(format!(
             "selects {} option(s) for {} OR-tree(s)",
             selection.len(),
-            compiled.or_trees.len()
+            trees.len()
         ));
     }
-    for (k, (&tree, &opt_idx)) in compiled.or_trees.iter().zip(selection).enumerate() {
-        if !mdes.or_trees()[tree as usize].options.contains(&opt_idx) {
+    for (k, (&tree, &opt_idx)) in trees.iter().zip(selection).enumerate() {
+        if !mdes.tree_options(tree as usize).contains(&opt_idx) {
             return Err(format!("selects option {opt_idx}, not in its OR-tree {k}"));
         }
     }
@@ -278,7 +279,7 @@ pub fn selection_bounds(mdes: &CompiledMdes, block: &Block) -> Vec<u32> {
 /// ends.
 fn bound_ends<'b>(mdes: &'b CompiledMdes, block: &'b Block) -> impl Iterator<Item = u32> + 'b {
     block.ops.iter().scan(0, |end, op| {
-        *end += mdes.class(op.class).or_trees.len() as u32;
+        *end += mdes.class_trees(op.class).len() as u32;
         Some(*end)
     })
 }
@@ -543,7 +544,7 @@ impl<'a> ListScheduler<'a> {
         let trees: usize = block
             .ops
             .iter()
-            .map(|op| self.mdes.class(op.class).or_trees.len())
+            .map(|op| self.mdes.class_trees(op.class).len())
             .sum();
         words.reserve_exact(3 * n + 1 + trees);
         words.resize(2 * n + 1, 0);
@@ -847,8 +848,8 @@ mod tests {
         // The alu class is (ALU tree, decoder tree); swap its ALU option
         // for the memory unit's, which no ALU tree offers.  The replay
         // alone would accept it: nothing else holds M.
-        let load_trees = &mdes.class(class(&mdes, "load")).or_trees;
-        let m_option = mdes.or_trees()[load_trees[0] as usize].options[0];
+        let load_trees = mdes.class_trees(class(&mdes, "load"));
+        let m_option = mdes.tree_options(load_trees[0] as usize)[0];
         selection_mut(&mut schedule, 0)[0] = m_option;
         let err = schedule.verify(&graph, &mdes).unwrap_err();
         assert!(err.contains("not in its OR-tree 0"), "{err}");

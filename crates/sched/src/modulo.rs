@@ -173,9 +173,9 @@ impl<'a> ModuloScheduler<'a> {
     pub fn res_mii(&self, looped: &LoopBlock) -> i32 {
         let mut per_resource = std::collections::HashMap::new();
         for op in &looped.body.ops {
-            for &tree_idx in &self.mdes.class(op.class).or_trees {
-                let tree = &self.mdes.or_trees()[tree_idx as usize];
-                for check in self.mdes.option_checks(tree.options[0] as usize) {
+            for &tree_idx in self.mdes.class_trees(op.class) {
+                let first = self.mdes.tree_options(tree_idx as usize)[0];
+                for check in self.mdes.option_checks(first as usize) {
                     let mut mask = check.mask;
                     while mask != 0 {
                         let bit = mask.trailing_zeros();
@@ -270,12 +270,13 @@ impl<'a> ModuloScheduler<'a> {
     /// loop degenerates to a list schedule).
     pub fn schedule(&self, looped: &LoopBlock, stats: &mut CheckStats) -> ModuloSchedule {
         let graph = DepGraph::build(&looped.body, self.mdes);
-        self.schedule_with_graph(looped, &graph, stats)
+        let mii = self.mii(looped, &graph);
+        self.schedule_with_graph(looped, &graph, mii, stats)
     }
 
     /// [`ModuloScheduler::schedule`] over `graph`, the body's dependence
-    /// graph, built once by the caller: the MII and every II tried read
-    /// it.
+    /// graph, from `mii`, its [`ModuloScheduler::mii`] over that graph:
+    /// both computed once by the caller, which may need them too.
     ///
     /// # Panics
     ///
@@ -284,9 +285,9 @@ impl<'a> ModuloScheduler<'a> {
         &self,
         looped: &LoopBlock,
         graph: &DepGraph,
+        mii: i32,
         stats: &mut CheckStats,
     ) -> ModuloSchedule {
-        let mii = self.mii(looped, graph);
         let span = (self.mdes.max_check_time() - self.mdes.min_check_time() + 1).max(1);
         let n = looped.body.ops.len() as i32;
         let limit = mii + 64 * span + n;
@@ -462,9 +463,9 @@ impl<'a> ModuloScheduler<'a> {
         // The forced selection: highest-priority option of every tree,
         // written into the op's own slot.
         let own = bounds[op] as usize..bounds[op + 1] as usize;
-        let trees = &self.mdes.class(class).or_trees;
+        let trees = self.mdes.class_trees(class);
         for (dst, &t) in selected[own.clone()].iter_mut().zip(trees) {
-            *dst = self.mdes.or_trees()[t as usize].options[0];
+            *dst = self.mdes.tree_options(t as usize)[0];
         }
 
         // Evict every placed op with a check the forced selection holds.

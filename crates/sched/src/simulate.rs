@@ -101,6 +101,9 @@ pub fn simulate_in_order(block: &Block, order: &[usize], mdes: &CompiledMdes) ->
     let checker = Checker::new(mdes);
     let mut ru = RuMap::new();
     let mut stats = CheckStats::new();
+    // Issued operations are never released, so one selection buffer is
+    // cleared and reused by every attempt.
+    let mut selected = Vec::new();
 
     let mut issue_cycle: Vec<Option<i32>> = vec![None; block.len()];
     let mut next = 0usize; // next position in `order` to issue
@@ -131,10 +134,9 @@ pub fn simulate_in_order(block: &Block, order: &[usize], mdes: &CompiledMdes) ->
             if ready > cycle {
                 break;
             }
-            if checker
-                .try_reserve(&mut ru, block.ops[op].class, cycle, &mut stats)
-                .is_none()
-            {
+            selected.clear();
+            let class = block.ops[op].class;
+            if !checker.try_reserve_into(&mut ru, class, cycle, &mut stats, &mut selected) {
                 break;
             }
             issue_cycle[op] = Some(cycle);

@@ -52,7 +52,7 @@ fn schedule_words(mdes: &CompiledMdes, block: &Block) -> usize {
     let trees: usize = block
         .ops
         .iter()
-        .map(|op| mdes.class(op.class).or_trees.len())
+        .map(|op| mdes.class_trees(op.class).len())
         .sum();
     3 * block.len() + 1 + trees
 }

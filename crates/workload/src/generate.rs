@@ -133,10 +133,12 @@ pub fn generate(machine: Machine, spec: &MdesSpec, config: &WorkloadConfig) -> W
     let ends: Vec<(ClassId, usize, usize)> = end_mix(machine).iter().map(resolve).collect();
     let end_weights: Vec<f64> = end_mix(machine).iter().map(|t| t.weight).collect();
 
-    // Mean body length so branches hit their share of the stream:
+    // Each table is summed once for the whole stream.  Mean body length
+    // so branches hit their share of the stream:
     // branch_fraction = 1 / (body_len + 1).
+    let body_weight: f64 = body_weights.iter().sum();
     let branch_weight: f64 = end_weights.iter().sum();
-    let total_weight: f64 = branch_weight + body_weights.iter().sum::<f64>();
+    let total_weight = branch_weight + body_weight;
     let mean_body_len = ((total_weight / branch_weight - 1.0) * config.ilp_scale).max(1.0);
 
     let mut operands = Operands::new(OperandShape::new(config));
@@ -152,12 +154,12 @@ pub fn generate(machine: Machine, spec: &MdesSpec, config: &WorkloadConfig) -> W
         let mut block = Block::with_capacity(body_len + 1);
         operands.start_block();
         for _ in 0..body_len {
-            let pick = rng.pick_weighted(&body_weights);
+            let pick = rng.pick_weighted(&body_weights, body_weight);
             let (class, srcs, dests) = body[pick];
             block.push(operands.op(&mut rng, class, srcs, dests));
         }
         // Terminator.
-        let pick = rng.pick_weighted(&end_weights);
+        let pick = rng.pick_weighted(&end_weights, branch_weight);
         let (class, srcs, dests) = ends[pick];
         block.push(operands.op(&mut rng, class, srcs, dests));
 

@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 use mdes::analyze::{analyze_spec, render_text};
 use mdes::automata::Automaton;
 use mdes::core::spec::MdesSpec;
-use mdes::core::{CheckStats, Checker, Choice, ClassId, CompiledMdes, RuMap, UsageEncoding};
+use mdes::core::{CheckStats, Checker, ClassId, CompiledMdes, RuMap, UsageEncoding};
 use mdes::workload::{fleet, fleet_with_defects, Pcg32};
 use proptest::prelude::*;
 
@@ -30,7 +30,7 @@ const PROBES: usize = 1_024;
 /// The analyzer's dead set for `spec`, as compiled `(tree, option)`
 /// index pairs.  Compilation preserves spec indices (one compiled
 /// object per spec object, in id order), so the pairs compare directly
-/// against [`Choice::selected`].
+/// against the checker's selections.
 fn dead_set(spec: &MdesSpec) -> BTreeSet<(usize, usize)> {
     analyze_spec(spec).dead_options().into_iter().collect()
 }
@@ -52,19 +52,23 @@ fn replay_checker(
     let mut ru = RuMap::new();
     let mut stats = CheckStats::new();
     let mut rng = Pcg32::new(seed, 0x5059);
-    let mut held: Vec<Choice> = Vec::new();
+    // Every selection, appended in order; a held reservation is its
+    // issue time and its span of `selected`.
+    let mut selected: Vec<u32> = Vec::new();
+    let mut held: Vec<(i32, usize, usize)> = Vec::new();
     let mut selections = 0usize;
     for _ in 0..PROBES {
         if !held.is_empty() && rng.gen_range(4) == 0 {
             let slot = rng.gen_range(held.len() as u32) as usize;
-            let choice = held.swap_remove(slot);
-            checker.release(&mut ru, choice.time, &choice.selected);
+            let (time, lo, hi) = held.swap_remove(slot);
+            checker.release(&mut ru, time, &selected[lo..hi]);
         }
         let class = ClassId::from_index(rng.gen_range(num_classes as u32) as usize);
         let time = rng.gen_range(64) as i32;
-        if let Some(choice) = checker.try_reserve(&mut ru, class, time, &mut stats) {
-            let trees = &compiled.class(class).or_trees;
-            for (k, &opt) in choice.selected.iter().enumerate() {
+        let start = selected.len();
+        if checker.try_reserve_into(&mut ru, class, time, &mut stats, &mut selected) {
+            let trees = compiled.class_trees(class);
+            for (k, &opt) in selected[start..].iter().enumerate() {
                 let pair = (trees[k] as usize, opt as usize);
                 assert!(
                     !dead.contains(&pair),
@@ -77,9 +81,10 @@ fn replay_checker(
                 selections += 1;
             }
             if held.len() < 48 {
-                held.push(choice);
+                held.push((time, start, selected.len()));
             } else {
-                checker.release(&mut ru, choice.time, &choice.selected);
+                checker.release(&mut ru, time, &selected[start..]);
+                selected.truncate(start);
             }
         }
     }
@@ -98,6 +103,7 @@ fn replay_automaton(label: &str, spec: &MdesSpec, seed: u64, dead: &BTreeSet<(us
     let mut ru = RuMap::new();
     let mut stats = CheckStats::new();
     let mut rng = Pcg32::new(seed, 0x5059);
+    let mut selected = Vec::new();
     let mut state = Automaton::START;
     let mut cycle = 0i32;
     for step in 0..PROBES {
@@ -107,14 +113,13 @@ fn replay_automaton(label: &str, spec: &MdesSpec, seed: u64, dead: &BTreeSet<(us
             continue;
         }
         let class = ClassId::from_index(rng.gen_range(num_classes as u32) as usize);
-        let table = checker.try_reserve(&mut ru, class, cycle, &mut stats);
+        selected.clear();
+        let table = checker.try_reserve_into(&mut ru, class, cycle, &mut stats, &mut selected);
         match fsa.issue(state, class) {
             Some(next) => {
-                let choice = table.unwrap_or_else(|| {
-                    panic!("{label} step {step}: FSA accepted, tables rejected")
-                });
-                let trees = &compiled.class(class).or_trees;
-                for (k, &opt) in choice.selected.iter().enumerate() {
+                assert!(table, "{label} step {step}: FSA accepted, tables rejected");
+                let trees = compiled.class_trees(class);
+                for (k, &opt) in selected.iter().enumerate() {
                     assert!(
                         !dead.contains(&(trees[k] as usize, opt as usize)),
                         "{label}: automaton-accepted issue selected dead option {opt} \
@@ -124,10 +129,7 @@ fn replay_automaton(label: &str, spec: &MdesSpec, seed: u64, dead: &BTreeSet<(us
                 }
                 state = next;
             }
-            None => assert!(
-                table.is_none(),
-                "{label} step {step}: FSA rejected, tables accepted"
-            ),
+            None => assert!(!table, "{label} step {step}: FSA rejected, tables accepted"),
         }
     }
 }

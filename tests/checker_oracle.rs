@@ -93,10 +93,12 @@ proptest! {
             let mut ru = RuMap::new();
             let mut stats = CheckStats::new();
             let mut oracle = Oracle::default();
+            let mut selected = Vec::new();
 
             for &(class_seed, time) in &script {
                 let class = ClassId::from_index(class_seed % num_classes);
-                let real = checker.try_reserve(&mut ru, class, time, &mut stats).is_some();
+                selected.clear();
+                let real = checker.try_reserve_into(&mut ru, class, time, &mut stats, &mut selected);
                 let expected = oracle.try_issue(&spec, class, time);
                 prop_assert_eq!(
                     real, expected,
@@ -123,15 +125,19 @@ proptest! {
         let checker = Checker::new(&compiled);
         let mut ru = RuMap::new();
         let mut stats = CheckStats::new();
-        let mut choices = Vec::new();
+        // Every selection, appended in order; a held reservation is its
+        // issue time and its span of `selected`.
+        let mut selected = Vec::new();
+        let mut held = Vec::new();
         for &(class_seed, time) in &script {
             let class = ClassId::from_index(class_seed % spec.num_classes());
-            if let Some(choice) = checker.try_reserve(&mut ru, class, time, &mut stats) {
-                choices.push(choice);
+            let start = selected.len();
+            if checker.try_reserve_into(&mut ru, class, time, &mut stats, &mut selected) {
+                held.push((time, start, selected.len()));
             }
         }
-        for choice in choices.iter().rev() {
-            checker.release(&mut ru, choice.time, &choice.selected);
+        for &(time, lo, hi) in held.iter().rev() {
+            checker.release(&mut ru, time, &selected[lo..hi]);
         }
         prop_assert_eq!(ru.population(), 0);
     }

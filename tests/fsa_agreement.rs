@@ -22,6 +22,7 @@ fn agree(compiled: &CompiledMdes, seed: u64, steps: usize) {
     let mut ru = RuMap::new();
     let mut stats = CheckStats::new();
     let mut rng = Pcg32::new(seed, 99);
+    let mut selected = Vec::new();
     let mut state = Automaton::START;
     let mut cycle = 0i32;
 
@@ -32,9 +33,8 @@ fn agree(compiled: &CompiledMdes, seed: u64, steps: usize) {
             continue;
         }
         let class = classes[rng.gen_range(classes.len() as u32) as usize];
-        let table_ok = checker
-            .try_reserve(&mut ru, class, cycle, &mut stats)
-            .is_some();
+        selected.clear();
+        let table_ok = checker.try_reserve_into(&mut ru, class, cycle, &mut stats, &mut selected);
         match fsa.issue(state, class) {
             Some(next) => {
                 assert!(table_ok, "step {step}: FSA accepted, tables rejected");
@@ -75,13 +75,12 @@ fn pack_with_tables(compiled: &CompiledMdes, classes: &[ClassId]) -> i32 {
     let checker = Checker::new(compiled);
     let mut ru = RuMap::new();
     let mut stats = CheckStats::new();
+    let mut selected = Vec::new();
     let mut cycle = 0i32;
     for &class in classes {
         let mut spins = 0;
-        while checker
-            .try_reserve(&mut ru, class, cycle, &mut stats)
-            .is_none()
-        {
+        selected.clear();
+        while !checker.try_reserve_into(&mut ru, class, cycle, &mut stats, &mut selected) {
             cycle += 1;
             spins += 1;
             assert!(spins < 1 << 12, "class can never issue");

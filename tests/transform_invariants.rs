@@ -152,27 +152,25 @@ proptest! {
         let mut scalar_stats = CheckStats::new();
         let mut bitvec_stats = CheckStats::new();
         let classes = scalar.classes().len();
+        let (mut scalar_sel, mut bitvec_sel) = (Vec::new(), Vec::new());
         let mut cycle = 0i32;
         for &(pick, advance) in &probes {
             cycle += i32::from(advance);
             let class = ClassId::from_index(pick as usize % classes);
-            let from_scalar =
-                scalar_checker.try_reserve(&mut scalar_ru, class, cycle, &mut scalar_stats);
-            let from_bitvec =
-                bitvec_checker.try_reserve(&mut bitvec_ru, class, cycle, &mut bitvec_stats);
-            match (&from_scalar, &from_bitvec) {
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!(&a.selected, &b.selected);
-                    prop_assert_eq!(a.time, b.time);
-                    prop_assert_eq!(a.class, b.class);
-                }
-                (None, None) => {}
-                _ => prop_assert!(
-                    false,
-                    "encodings disagree at cycle {}: scalar={:?} bitvec={:?}",
-                    cycle, from_scalar, from_bitvec
-                ),
-            }
+            scalar_sel.clear();
+            bitvec_sel.clear();
+            let from_scalar = scalar_checker.try_reserve_into(
+                &mut scalar_ru, class, cycle, &mut scalar_stats, &mut scalar_sel,
+            );
+            let from_bitvec = bitvec_checker.try_reserve_into(
+                &mut bitvec_ru, class, cycle, &mut bitvec_stats, &mut bitvec_sel,
+            );
+            prop_assert_eq!(
+                from_scalar, from_bitvec,
+                "encodings disagree at cycle {}: scalar={:?} bitvec={:?}",
+                cycle, scalar_sel, bitvec_sel
+            );
+            prop_assert_eq!(&scalar_sel, &bitvec_sel);
         }
         for c in -4..=cycle + 8 {
             prop_assert_eq!(scalar_ru.word(c), bitvec_ru.word(c), "occupancy differs at {}", c);
