@@ -19,7 +19,9 @@
 #                    and memory gates (worker path, and the connection
 #                    path of an id-less round trip), pinned replies
 #                    (`run_work` answers byte-identical to recorded
-#                    digests), a type-check of the end-to-end benchmark
+#                    digests), the CLI's end-to-end suite (every
+#                    `mdesc` command, the bundled-name lookup
+#                    included), a type-check of the end-to-end benchmark
 #                    crate against the current public API, formatting
 #   ./ci.sh --full   everything above plus the release-profile workspace
 #                    suites, the bench-serve concurrency smokes, the
@@ -167,6 +169,11 @@ cargo test -q -p mdes-engine
 # four request shapes and two seeds to digests recorded on the request
 # path that held a request's whole workload.
 cargo test -q -p mdes-serve --lib --test allocations --test pinned_replies
+
+# The CLI suite runs the `mdesc` binary, one command per test, the
+# case-insensitive bundled-name lookup that `bundled`, `lint --machine`
+# and `oracle --machine` share included; about 0.3 s warm.
+cargo test -q -p mdes-tools --test cli
 
 # The end-to-end benchmark is its own Cargo workspace with its own lock
 # file, so nothing above compiles it.  Type-checking it takes seconds

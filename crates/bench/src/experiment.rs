@@ -9,14 +9,16 @@
 //! measurements the tables report.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use mdes_core::size::{measure, MemoryReport};
 use mdes_core::spec::{AndOrTree, Constraint, MdesSpec, OrTreeId};
 use mdes_core::{CheckStats, CompiledMdes, UsageEncoding};
+use mdes_engine::Engine;
 use mdes_machines::Machine;
 use mdes_opt::expand::expand_to_or;
 use mdes_opt::pipeline::{optimize, optimize_with_telemetry, PipelineConfig};
-use mdes_sched::{ListScheduler, Schedule};
+use mdes_sched::Schedule;
 use mdes_telemetry::Telemetry;
 use mdes_workload::{generate, Workload, WorkloadConfig};
 
@@ -150,11 +152,15 @@ pub fn run_on_jobs(
     encoding: UsageEncoding,
     jobs: usize,
 ) -> RunResult {
-    let compiled = std::sync::Arc::new(
-        CompiledMdes::compile(spec, encoding).expect("experiment spec must compile"),
-    );
-    let outcome = mdes_engine::Engine::new(std::sync::Arc::clone(&compiled))
-        .schedule_batch(&workload.blocks, jobs);
+    let compiled = CompiledMdes::compile(spec, encoding).expect("experiment spec must compile");
+    run_compiled(compiled, workload, jobs)
+}
+
+/// Schedules `workload` on `compiled` through the engine with `jobs`
+/// workers, and measures the description.
+fn run_compiled(compiled: CompiledMdes, workload: &Workload, jobs: usize) -> RunResult {
+    let compiled = Arc::new(compiled);
+    let outcome = Engine::new(Arc::clone(&compiled)).schedule_batch(&workload.blocks, jobs);
     assert!(
         outcome.is_clean(),
         "{} worker panic(s) while regenerating tables",
@@ -206,21 +212,14 @@ pub fn run_with_telemetry(
 
     let compiled = CompiledMdes::compile_with_telemetry(&spec, encoding, tel)
         .expect("experiment spec must compile");
-    let scheduler = ListScheduler::new(&compiled);
-    let mut stats = CheckStats::new();
-    let mut hash = FNV_OFFSET;
-    {
+    let result = {
         let _sched_span = tel.span("sched/list");
-        for block in &workload.blocks {
-            hash = fold_cycles(hash, &scheduler.schedule(block, &mut stats));
-        }
-    }
-    stats.publish(tel, &format!("{}/sched/list", machine.name()));
-    RunResult {
-        stats,
-        memory: measure(&compiled),
-        schedule_hash: hash,
-    }
+        run_compiled(compiled, &workload, 1)
+    };
+    result
+        .stats
+        .publish(tel, &format!("{}/sched/list", machine.name()));
+    result
 }
 
 /// Memory-only measurement (for the size tables, which need no workload).

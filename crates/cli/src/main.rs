@@ -15,7 +15,7 @@
 //! mdesc stats   <in.hmdl>
 //! mdesc fmt     <in.hmdl>
 //! mdesc check   <in.hmdl>
-//! mdesc bundled <PA7100|Pentium|SuperSPARC|K5>
+//! mdesc bundled <NAME>   (any of the six bundled names, any case)
 //! mdesc bench-serve [--machine NAME] [--jobs N] [--regions M]
 //! mdesc serve   [--machine LIST|all] [--socket PATH] [--workers N] [--chaos]
 //! mdesc serve-load --socket PATH [--requests N] [--pipeline D]
@@ -962,7 +962,7 @@ fn serve_cmd(args: &[String], tel: &Telemetry) -> CliResult {
         .iter()
         .map(|shard| format!("{}@{}", shard.name, shard.image.epoch))
         .collect();
-    let [p50, p99] = stats.latency_us;
+    let [p50, p99] = stats.total.latency_us();
     let total = &stats.total;
     println!(
         "daemon stopped ({}): answered {}, shed {}, reloads {} (+{} rejected), \
@@ -1295,16 +1295,14 @@ fn oracle_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     // deeper proofs (the crate default is mdes_oracle::DEFAULT_NODE_LIMIT).
     let node_limit = node_limit.unwrap_or(2_000_000);
 
+    let machines = match &machine_filter {
+        Some(name) => vec![mdes_machines::find_bundled(mdes_machines::bundled(), name)?],
+        None => mdes_machines::bundled(),
+    };
     let mut total = mdes_oracle::GapReport::default();
     let mut stats = mdes_core::CheckStats::new();
-    let mut machines_run = 0usize;
-    for (name, spec) in mdes_machines::bundled() {
-        if let Some(filter) = &machine_filter {
-            if !name.eq_ignore_ascii_case(filter) {
-                continue;
-            }
-        }
-        let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector)
+    for (name, spec) in &machines {
+        let compiled = CompiledMdes::compile(spec, UsageEncoding::BitVector)
             .map_err(|e| CliError::validation(e.to_string()))?;
         let config = mdes_workload::RegionConfig::small(regions).with_seed(seed);
         let blocks = mdes_workload::generate_compiled_regions(&compiled, &config).blocks;
@@ -1338,23 +1336,12 @@ fn oracle_cmd(args: &[String], tel: &Telemetry) -> CliResult {
             eprintln!("oracle: {name}: {detail}");
         }
         total.merge(&report);
-        machines_run += 1;
-    }
-    if machines_run == 0 {
-        let names: Vec<String> = mdes_machines::bundled()
-            .into_iter()
-            .map(|(n, _)| n)
-            .collect();
-        return Err(CliError::from(format!(
-            "unknown machine `{}` (one of: {})",
-            machine_filter.unwrap_or_default(),
-            names.join(", ")
-        )));
     }
     total.publish(tel);
     println!(
-        "oracle: {machines_run} machine(s), {} regions, {} loops, gap {:.3} modulo {:.3}, \
+        "oracle: {} machine(s), {} regions, {} loops, gap {:.3} modulo {:.3}, \
          {} violation(s)",
+        machines.len(),
         total.regions,
         total.loops,
         total.gap(),
@@ -1569,30 +1556,13 @@ fn lint_cmd(args: &[String], tel: &Telemetry) -> CliResult {
         mdes_analyze::anchor_spans(&mut analysis.diagnostics, &source);
         reports.push((path.to_string(), analysis));
     }
-    match machine {
-        Some("all") => {
-            for (name, spec) in mdes_machines::bundled() {
-                reports.push((name, mdes_analyze::analyze_spec_with_telemetry(&spec, tel)));
-            }
-        }
-        Some(name) => {
-            let found = mdes_machines::bundled()
-                .into_iter()
-                .find(|(n, _)| n == name);
-            let Some((n, spec)) = found else {
-                let known: Vec<String> = mdes_machines::bundled()
-                    .into_iter()
-                    .map(|(n, _)| n)
-                    .collect();
-                return Err(format!(
-                    "unknown machine `{name}`; try one of {} or `all`",
-                    known.join(", ")
-                )
-                .into());
-            };
-            reports.push((n, mdes_analyze::analyze_spec_with_telemetry(&spec, tel)));
-        }
-        None => {}
+    let bundled = match machine {
+        Some("all") => mdes_machines::bundled(),
+        Some(name) => vec![mdes_machines::find_bundled(mdes_machines::bundled(), name)?],
+        None => Vec::new(),
+    };
+    for (name, spec) in bundled {
+        reports.push((name, mdes_analyze::analyze_spec_with_telemetry(&spec, tel)));
     }
     if let Some(n) = fleet_size {
         if defects {
@@ -1733,7 +1703,7 @@ fn chart_cmd(args: &[String]) -> CliResult {
 
 fn bundled_cmd(args: &[String]) -> CliResult {
     let name = args.first().ok_or("bundled needs a machine name")?;
-    let machine = mdes_machines::Machine::from_name(name)?;
-    print!("{}", machine.source());
+    let (_, source) = mdes_machines::find_bundled(mdes_machines::bundled_sources(), name)?;
+    print!("{source}");
     Ok(())
 }

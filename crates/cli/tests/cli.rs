@@ -189,8 +189,25 @@ fn bundled_prints_machine_sources() {
     assert!(out.status.success());
     assert!(stdout(&out).contains("resource Decoder[3];"));
 
-    let out = mdesc(&["bundled", "nonesuch"]);
-    assert!(!out.status.success());
+    // Every bundled description, by its name in any case.
+    for (name, source) in mdes_machines::bundled_sources() {
+        let out = mdesc(&["bundled", &name.to_uppercase()]);
+        assert!(out.status.success(), "{name}: {}", stderr(&out));
+        assert_eq!(stdout(&out), source, "{name}");
+    }
+
+    // The commands that take a bundled name refuse an unknown one alike.
+    let refusal =
+        "unknown machine `nonesuch` (pa7100, pentium, supersparc, k5, pentiumpro, superspark_approx)";
+    for args in [
+        &["bundled", "nonesuch"][..],
+        &["lint", "--machine", "nonesuch"],
+        &["oracle", "--machine", "nonesuch"],
+    ] {
+        let out = mdesc(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(stderr(&out).contains(refusal), "{args:?}: {}", stderr(&out));
+    }
 }
 
 #[test]
@@ -311,6 +328,17 @@ fn lint_covers_bundled_machines_and_emits_json() {
     );
 
     assert!(!mdesc(&["lint", "--machine", "nosuch"]).status.success());
+
+    // A bundled name resolves in any case.
+    let lower = mdesc(&["lint", "--machine", "pa7100"]);
+    let upper = mdesc(&["lint", "--machine", "PA7100"]);
+    assert!(upper.status.success(), "{}", stderr(&upper));
+    assert!(
+        stdout(&upper).contains("lint: 1 machine(s)"),
+        "{}",
+        stdout(&upper)
+    );
+    assert_eq!(stdout(&upper), stdout(&lower));
 }
 
 #[test]

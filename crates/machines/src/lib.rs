@@ -91,14 +91,7 @@ impl Machine {
     /// Panics if the bundled description fails to compile — a build-time
     /// invariant covered by tests.
     pub fn spec(&self) -> MdesSpec {
-        match mdes_lang::compile(self.source()) {
-            Ok(spec) => spec,
-            Err(err) => panic!(
-                "bundled {} description failed to compile:\n{}",
-                self.name(),
-                err.render(self.source())
-            ),
-        }
+        compile_bundled(self.name(), self.source())
     }
 
     /// True for the machines the paper calls "complex" / "flexible"
@@ -108,8 +101,8 @@ impl Machine {
     }
 }
 
-/// Every bundled description, named as perf bench suffixes and
-/// `mdesc oracle --machine` operands: the four [`Machine`]s in table
+/// Every bundled description, named as perf bench suffixes and as the
+/// names [`find_bundled`] resolves: the four [`Machine`]s in table
 /// order under their lowercased names, then `pentiumpro` and
 /// `superspark_approx`.
 ///
@@ -121,15 +114,28 @@ pub fn bundled() -> Vec<(String, MdesSpec)> {
     bundled_sources()
         .into_iter()
         .map(|(name, source)| {
-            let spec = mdes_lang::compile(source).unwrap_or_else(|err| {
-                panic!(
-                    "bundled {name} description failed to compile:\n{}",
-                    err.render(source)
-                )
-            });
+            let spec = compile_bundled(&name, source);
             (name, spec)
         })
         .collect()
+}
+
+/// The entry of `entries` — [`bundled`] or [`bundled_sources`], which
+/// share their names — that `name` names, ignoring ASCII case.
+///
+/// # Errors
+///
+/// The message every command that takes a bundled name prints when
+/// `name` is none of them; it lists them all.
+pub fn find_bundled<T>(mut entries: Vec<(String, T)>, name: &str) -> Result<(String, T), String> {
+    if let Some(found) = entries
+        .iter()
+        .position(|(known, _)| known.eq_ignore_ascii_case(name))
+    {
+        return Ok(entries.swap_remove(found));
+    }
+    let known: Vec<String> = entries.into_iter().map(|(known, _)| known).collect();
+    Err(format!("unknown machine `{name}` ({})", known.join(", ")))
 }
 
 /// The HMDL sources behind [`bundled`], under the same names and in the
@@ -162,13 +168,7 @@ pub fn pentium_pro_source() -> &'static str {
 /// Panics if the bundled description fails to compile (a build-time
 /// invariant covered by tests).
 pub fn pentium_pro() -> MdesSpec {
-    match mdes_lang::compile(pentium_pro_source()) {
-        Ok(spec) => spec,
-        Err(err) => panic!(
-            "Pentium Pro description failed to compile:\n{}",
-            err.render(pentium_pro_source())
-        ),
-    }
+    compile_bundled("pentiumpro", pentium_pro_source())
 }
 
 /// HMDL source of the *approximate* SuperSPARC description — the
@@ -189,13 +189,19 @@ pub fn approximate_superspark_source() -> &'static str {
 /// Panics if the bundled description fails to compile (a build-time
 /// invariant covered by tests).
 pub fn approximate_superspark() -> MdesSpec {
-    match mdes_lang::compile(approximate_superspark_source()) {
-        Ok(spec) => spec,
-        Err(err) => panic!(
-            "approximate SuperSPARC description failed to compile:\n{}",
-            err.render(approximate_superspark_source())
-        ),
-    }
+    compile_bundled("superspark_approx", approximate_superspark_source())
+}
+
+/// Compiles the bundled description `name` from `source`; panics with
+/// the rendered diagnostics if it fails (a build-time invariant covered
+/// by tests).
+fn compile_bundled(name: &str, source: &str) -> MdesSpec {
+    mdes_lang::compile(source).unwrap_or_else(|err| {
+        panic!(
+            "bundled {name} description failed to compile:\n{}",
+            err.render(source)
+        )
+    })
 }
 
 #[cfg(test)]
@@ -514,6 +520,26 @@ mod tests {
                 "pentiumpro",
                 "superspark_approx"
             ]
+        );
+    }
+
+    #[test]
+    fn find_bundled_resolves_every_bundled_name_in_any_case() {
+        for (name, source) in bundled_sources() {
+            for asked in [name.clone(), name.to_uppercase()] {
+                let found = find_bundled(bundled_sources(), &asked);
+                assert_eq!(found, Ok((name.clone(), source)));
+            }
+        }
+        let (name, spec) = find_bundled(bundled(), "PentiumPro").expect("bundled");
+        assert_eq!((name.as_str(), spec), ("pentiumpro", pentium_pro()));
+        assert_eq!(
+            find_bundled(bundled_sources(), "vax"),
+            Err(
+                "unknown machine `vax` (pa7100, pentium, supersparc, k5, pentiumpro, \
+                 superspark_approx)"
+                    .to_string()
+            )
         );
     }
 }

@@ -47,11 +47,11 @@
 //! epoch'd [`ImageStore`], admission queue, worker pool, and
 //! [`ServeStats`], so overload, deadlines, and reloads on one shard
 //! cannot disturb another.  Requests route by the optional `machine`
-//! field (default: the boot shard).  The request and reload counters are
-//! bumped once, in the shard; the daemon-wide values are summed from one
-//! snapshot per shard when read ([`DaemonStats`]).  What belongs to no
-//! shard — the connection counters and the daemon-wide latency window —
-//! is kept daemon-wide.
+//! field (default: the boot shard).  The request and reload counters and
+//! the latency histogram are bumped once, in the shard; the daemon-wide
+//! values, percentiles included, are summed from one snapshot per shard
+//! when read ([`DaemonStats`]).  What belongs to no shard — the connection
+//! counters — is kept daemon-wide.
 //!
 //! ## Robustness contract
 //!
@@ -85,7 +85,8 @@ use std::time::{Duration, Instant};
 use mdes_engine::{Engine, WorkerScratch};
 use mdes_sched::Block;
 use mdes_telemetry::json::Json;
-use mdes_telemetry::{LatencyRecorder, Telemetry};
+use mdes_telemetry::latency::{LatencyHistogram, LatencySnapshot};
+use mdes_telemetry::Telemetry;
 use mdes_workload::{RegionConfig, RegionGenerator};
 
 use crate::image::{ImageStore, ReloadOutcome, ServeImage};
@@ -138,11 +139,11 @@ impl Default for ServeConfig {
     }
 }
 
-/// One shard's request and reload counters plus its latency window.
+/// One shard's request and reload counters plus its latency histogram.
 /// Only the shard's own requests and reloads bump them, each counter in
 /// one place; a [`DaemonStats`] snapshot reads them and sums them over
-/// the shards.  The counters are lock-free; an answered request takes
-/// two short reservoir mutexes, this window's and the daemon-wide one's.
+/// the shards.  All of it is lock-free: an answered request adds one to
+/// `answered` and one to its latency bucket, and allocates nothing.
 #[derive(Debug, Default)]
 pub struct ServeStats {
     admitted: AtomicU64,
@@ -155,7 +156,7 @@ pub struct ServeStats {
     reload_failures: AtomicU64,
     reload_noops: AtomicU64,
     reload_cache_hits: AtomicU64,
-    latency: LatencyRecorder,
+    latency: LatencyHistogram,
 }
 
 impl ServeStats {
@@ -172,12 +173,13 @@ impl ServeStats {
             reload_failures: load(&self.reload_failures),
             reload_noops: load(&self.reload_noops),
             reload_cache_hits: load(&self.reload_cache_hits),
+            latency: self.latency.snapshot(),
         }
     }
 }
 
-/// A shard's request and reload counters at one instant, or their sum
-/// over every shard.
+/// A shard's request and reload counters and latency buckets at one
+/// instant, or their sum over every shard.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkCounts {
     /// Work requests admitted to the queue.
@@ -200,6 +202,9 @@ pub struct WorkCounts {
     pub reload_noops: u64,
     /// Promotions that skipped recompilation via the content cache.
     pub reload_cache_hits: u64,
+    /// Every answered request's latency since boot, admission to reply
+    /// ready, in microseconds.
+    pub latency: LatencySnapshot,
 }
 
 impl WorkCounts {
@@ -207,6 +212,12 @@ impl WorkCounts {
     /// daemon; the chaos harness asserts it is zero after drain.
     pub fn in_flight(&self) -> u64 {
         self.admitted.saturating_sub(self.answered)
+    }
+
+    /// p50 and p99 of [`WorkCounts::latency`] in microseconds, each the
+    /// upper bound of its bucket; zeros before the first answered request.
+    pub fn latency_us(&self) -> [u64; 2] {
+        [0.50, 0.99].map(|q| self.latency.percentile(q).unwrap_or(0))
     }
 
     fn plus(self, other: &WorkCounts) -> WorkCounts {
@@ -221,17 +232,14 @@ impl WorkCounts {
             reload_failures: self.reload_failures + other.reload_failures,
             reload_noops: self.reload_noops + other.reload_noops,
             reload_cache_hits: self.reload_cache_hits + other.reload_cache_hits,
+            latency: self.latency.plus(&other.latency),
         }
     }
 
     /// The fields a shard entry of `stats` and its daemon-wide line share.
-    fn json_fields(
-        &self,
-        queue_depth: usize,
-        image: &ServeImage,
-        latency: [u64; 2],
-    ) -> Vec<(&'static str, Json)> {
+    fn json_fields(&self, queue_depth: usize, image: &ServeImage) -> Vec<(&'static str, Json)> {
         let n = |v: u64| Json::Num(v as f64);
+        let [p50, p99] = self.latency_us();
         vec![
             ("admitted", n(self.admitted)),
             ("answered", n(self.answered)),
@@ -247,14 +255,14 @@ impl WorkCounts {
             ("epoch", n(image.epoch)),
             ("hash", Json::Str(format!("{:016x}", image.hash))),
             ("origin", Json::Str(image.origin.clone())),
-            ("p50_us", n(latency[0])),
-            ("p99_us", n(latency[1])),
+            ("p50_us", n(p50)),
+            ("p99_us", n(p99)),
         ]
     }
 
     /// Publishes the counters a shard and the daemon-wide line share
     /// under `prefix`, and the latency percentiles as gauges.
-    fn publish(&self, tel: &Telemetry, prefix: &str, latency: [u64; 2]) {
+    fn publish(&self, tel: &Telemetry, prefix: &str) {
         for (key, value) in [
             ("admitted", self.admitted),
             ("answered", self.answered),
@@ -269,8 +277,9 @@ impl WorkCounts {
         ] {
             tel.counter_add(&format!("{prefix}{key}"), value);
         }
-        tel.gauge_set(&format!("{prefix}p50_us"), latency[0] as f64);
-        tel.gauge_set(&format!("{prefix}p99_us"), latency[1] as f64);
+        let [p50, p99] = self.latency_us();
+        tel.gauge_set(&format!("{prefix}p50_us"), p50 as f64);
+        tel.gauge_set(&format!("{prefix}p99_us"), p99 as f64);
     }
 }
 
@@ -279,14 +288,12 @@ impl WorkCounts {
 pub struct ShardStats {
     /// The shard's routing name.
     pub name: String,
-    /// The shard's counters.
+    /// The shard's counters and latency buckets.
     pub counts: WorkCounts,
     /// Jobs waiting in the shard's queue.
     pub queue_depth: usize,
     /// The shard's serving image.
     pub image: Arc<ServeImage>,
-    /// p50 and p99 over the shard's latency window, microseconds.
-    pub latency_us: [u64; 2],
 }
 
 /// The daemon's statistics at one instant: one snapshot per shard, their
@@ -296,7 +303,7 @@ pub struct ShardStats {
 pub struct DaemonStats {
     /// Every shard, in boot order.
     pub shards: Vec<ShardStats>,
-    /// The shards' counters, summed.
+    /// The shards' counters and latency buckets, summed.
     pub total: WorkCounts,
     /// Connections accepted.
     pub connections: u64,
@@ -308,8 +315,6 @@ pub struct DaemonStats {
     /// frame that dangled past the read timeout, or a reply write that
     /// made no progress for as long.
     pub slow_loris_drops: u64,
-    /// p50 and p99 over the daemon-wide latency window, microseconds.
-    pub latency_us: [u64; 2],
 }
 
 impl DaemonStats {
@@ -318,13 +323,10 @@ impl DaemonStats {
     fn to_json(&self, routed: usize) -> Json {
         let depth = self.shards.iter().map(|shard| shard.queue_depth).sum();
         let image = &self.shards[routed].image;
-        let mut fields = self.total.json_fields(depth, image, self.latency_us);
+        let mut fields = self.total.json_fields(depth, image);
         let n = |v: u64| Json::Num(v as f64);
         let shards = self.shards.iter().map(|shard| {
-            let fields =
-                shard
-                    .counts
-                    .json_fields(shard.queue_depth, &shard.image, shard.latency_us);
+            let fields = shard.counts.json_fields(shard.queue_depth, &shard.image);
             (shard.name.clone(), obj(fields))
         });
         fields.extend([
@@ -345,7 +347,7 @@ impl DaemonStats {
     /// `serve/dropped` and `engine/worker_panics` being present *and*
     /// zero.
     pub fn publish(&self, tel: &Telemetry) {
-        self.total.publish(tel, "serve/", self.latency_us);
+        self.total.publish(tel, "serve/");
         for (key, value) in [
             ("serve/parse_errors", self.parse_errors),
             ("serve/oversized_frames", self.oversized_frames),
@@ -357,25 +359,19 @@ impl DaemonStats {
         }
         for shard in &self.shards {
             let prefix = format!("serve/shard/{}/", shard.name);
-            shard.counts.publish(tel, &prefix, shard.latency_us);
+            shard.counts.publish(tel, &prefix);
         }
     }
 }
 
-/// p50 and p99 over `latency`'s window (zeros before the first sample).
-fn percentiles(latency: &LatencyRecorder) -> [u64; 2] {
-    [0.50, 0.99].map(|q| latency.percentile(q).unwrap_or(0))
-}
-
-/// What belongs to no shard: the connection counters, and the daemon-wide
-/// latency window (see [`DaemonStats`] for each counter's meaning).
+/// What belongs to no shard: the connection counters (see
+/// [`DaemonStats`] for each one's meaning).
 #[derive(Debug, Default)]
 struct ConnectionStats {
     connections: AtomicU64,
     parse_errors: AtomicU64,
     oversized_frames: AtomicU64,
     slow_loris_drops: AtomicU64,
-    latency: LatencyRecorder,
 }
 
 /// One admitted work request (`schedule`, `verify`, or chaos `poison`).
@@ -516,8 +512,9 @@ impl Shared {
             })
     }
 
-    /// Reads every shard once and sums their counters, so a snapshot's
-    /// shard entries always add up to its daemon-wide line.
+    /// Reads every shard once and sums their counters and latency
+    /// buckets, so a snapshot's shard entries always add up to its
+    /// daemon-wide line, percentiles included.
     fn snapshot(&self) -> DaemonStats {
         let shards: Vec<ShardStats> = self
             .shards
@@ -527,7 +524,6 @@ impl Shared {
                 counts: shard.stats.counts(),
                 queue_depth: shard.queue.depth(),
                 image: shard.store.current(),
-                latency_us: percentiles(&shard.stats.latency),
             })
             .collect();
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
@@ -540,7 +536,6 @@ impl Shared {
             parse_errors: load(&self.stats.parse_errors),
             oversized_frames: load(&self.stats.oversized_frames),
             slow_loris_drops: load(&self.stats.slow_loris_drops),
-            latency_us: percentiles(&self.stats.latency),
         }
     }
 }
@@ -1095,7 +1090,6 @@ fn worker_loop(shared: &Arc<Shared>, shard_index: usize) {
     while let Some(job) = shard.queue.pop() {
         let text = execute(&job, &mut scratch, &shard.stats);
         let latency_us = job.admitted_at.elapsed().as_micros() as u64;
-        shared.stats.latency.record(latency_us);
         shard.stats.latency.record(latency_us);
         shard.stats.answered.fetch_add(1, Ordering::Relaxed);
         // The connection may have died while we worked; its writer then
@@ -1325,6 +1319,7 @@ mod tests {
             reload_failures: base + 6,
             reload_noops: base + 7,
             reload_cache_hits: base + 8,
+            latency: LatencySnapshot::default(),
         };
         let shards: Vec<ShardStats> = [("K5", 100), ("Pentium", 200)]
             .into_iter()
@@ -1333,7 +1328,6 @@ mod tests {
                 counts: counts(base),
                 queue_depth: 3,
                 image: Arc::clone(&image),
-                latency_us: [40, 90],
             })
             .collect();
         let total = shards
@@ -1346,7 +1340,6 @@ mod tests {
             parse_errors: 12,
             oversized_frames: 13,
             slow_loris_drops: 14,
-            latency_us: [50, 95],
         };
         let tel = Telemetry::new();
         stats.publish(&tel);
@@ -1368,6 +1361,55 @@ mod tests {
         assert_eq!(
             report.counter("serve/shard/Pentium/reload_noops"),
             Some(207)
+        );
+    }
+
+    #[test]
+    fn daemon_wide_percentiles_are_cut_from_the_merged_buckets() {
+        let shard = |name: &str| Shard {
+            name: name.to_string(),
+            store: Arc::new(ImageStore::new(compile_machine(Machine::K5), name, 1)),
+            queue: AdmissionQueue::new(1),
+            stats: ServeStats::default(),
+        };
+        let shared = Shared {
+            shards: vec![shard("K5"), shard("Pentium")],
+            stats: ConnectionStats::default(),
+            config: ServeConfig::default(),
+            shutdown: AtomicBool::new(false),
+        };
+        // K5 answers 60 fast requests (40..100 µs), Pentium 40 slow ones
+        // (2000..6000 µs); `merged` records both streams.
+        let merged = LatencyHistogram::default();
+        for (index, us) in (40..100)
+            .map(|us| (0, us))
+            .chain((0..40).map(|i| (1, 2_000 + 100 * i)))
+        {
+            shared.shards[index].stats.latency.record(us);
+            merged.record(us);
+        }
+        let want = [0.50, 0.99].map(|q| merged.snapshot().percentile(q).expect("samples"));
+
+        let stats = shared.snapshot();
+        assert_eq!(stats.total.latency_us(), want);
+        assert_eq!(stats.total.latency, merged.snapshot());
+        for shard in &stats.shards {
+            let own = shard.counts.latency_us();
+            assert!(
+                own[0] != want[0] && own[1] != want[1],
+                "{own:?} vs {want:?}"
+            );
+        }
+        let rendered = stats.to_json(1);
+        let field = |key: &str| rendered.get(key).and_then(Json::as_u64);
+        assert_eq!([field("p50_us"), field("p99_us")], want.map(Some));
+        let tel = Telemetry::new();
+        stats.publish(&tel);
+        let report = tel.report();
+        let gauge = |key: &str| report.gauge(key).map(|v| v as u64);
+        assert_eq!(
+            [gauge("serve/p50_us"), gauge("serve/p99_us")],
+            want.map(Some)
         );
     }
 }

@@ -677,3 +677,132 @@ fn daemon_wide_stats_are_the_sum_of_the_shards() {
         let _ = std::fs::remove_file(file);
     }
 }
+
+/// The sorted keys of a `stats` result's daemon-wide line.  The
+/// end-to-end benchmark reads `p50_us`, `p99_us` and `in_flight`.
+const STATS_KEYS: [&str; 22] = [
+    "admitted",
+    "answered",
+    "connections",
+    "deadline_exceeded",
+    "engine_worker_panics",
+    "epoch",
+    "hash",
+    "in_flight",
+    "origin",
+    "oversized_frames",
+    "p50_us",
+    "p99_us",
+    "panics",
+    "parse_errors",
+    "queue_depth",
+    "reload_cache_hits",
+    "reload_failures",
+    "reload_noops",
+    "reloads",
+    "shards",
+    "shed",
+    "slow_loris_drops",
+];
+
+/// The sorted keys of each shard entry of a `stats` result.
+const SHARD_KEYS: [&str; 16] = [
+    "admitted",
+    "answered",
+    "deadline_exceeded",
+    "epoch",
+    "hash",
+    "in_flight",
+    "origin",
+    "p50_us",
+    "p99_us",
+    "panics",
+    "queue_depth",
+    "reload_cache_hits",
+    "reload_failures",
+    "reload_noops",
+    "reloads",
+    "shed",
+];
+
+/// The sorted `serve/*` counters of a two-shard daemon's metrics.
+const METRIC_COUNTERS: [&str; 34] = [
+    "serve/admitted",
+    "serve/answered",
+    "serve/connections",
+    "serve/deadline_exceeded",
+    "serve/dropped",
+    "serve/oversized_frames",
+    "serve/panics",
+    "serve/parse_errors",
+    "serve/reload_cache_hits",
+    "serve/reload_failures",
+    "serve/reload_noops",
+    "serve/reloads",
+    "serve/shard/K5/admitted",
+    "serve/shard/K5/answered",
+    "serve/shard/K5/deadline_exceeded",
+    "serve/shard/K5/dropped",
+    "serve/shard/K5/panics",
+    "serve/shard/K5/reload_cache_hits",
+    "serve/shard/K5/reload_failures",
+    "serve/shard/K5/reload_noops",
+    "serve/shard/K5/reloads",
+    "serve/shard/K5/shed",
+    "serve/shard/Pentium/admitted",
+    "serve/shard/Pentium/answered",
+    "serve/shard/Pentium/deadline_exceeded",
+    "serve/shard/Pentium/dropped",
+    "serve/shard/Pentium/panics",
+    "serve/shard/Pentium/reload_cache_hits",
+    "serve/shard/Pentium/reload_failures",
+    "serve/shard/Pentium/reload_noops",
+    "serve/shard/Pentium/reloads",
+    "serve/shard/Pentium/shed",
+    "serve/shed",
+    "serve/slow_loris_drops",
+];
+
+/// The sorted `serve/*` gauges of a two-shard daemon's metrics.
+const METRIC_GAUGES: [&str; 6] = [
+    "serve/p50_us",
+    "serve/p99_us",
+    "serve/shard/K5/p50_us",
+    "serve/shard/K5/p99_us",
+    "serve/shard/Pentium/p50_us",
+    "serve/shard/Pentium/p99_us",
+];
+
+#[test]
+fn stats_and_metrics_keys_are_pinned() {
+    let (handle, addr) = start_sharded(
+        &[Machine::K5, Machine::Pentium],
+        "keys",
+        ServeConfig::default(),
+    );
+    let mut conn = TestConn::open(&addr);
+    assert!(conn.round_trip(&v2_line(1, tiny(), Some("Pentium"))).ok);
+    let reply = conn.round_trip("{\"id\": 2, \"verb\": \"stats\"}");
+    let result = reply
+        .body
+        .get("result")
+        .and_then(Json::as_obj)
+        .expect("stats result");
+    assert_eq!(result.keys().collect::<Vec<_>>(), STATS_KEYS);
+    let shards = result.get("shards").and_then(Json::as_obj).expect("shards");
+    assert_eq!(shards.keys().collect::<Vec<_>>(), ["K5", "Pentium"]);
+    for shard in shards.values() {
+        let keys = shard.as_obj().expect("shard entry").keys();
+        assert_eq!(keys.collect::<Vec<_>>(), SHARD_KEYS);
+    }
+
+    handle.shutdown();
+    let tel = mdes_telemetry::Telemetry::new();
+    handle.join().publish(&tel);
+    let report = tel.report();
+    let serve = |name: &&String| name.starts_with("serve/");
+    let counters: Vec<&String> = report.counters.keys().filter(serve).collect();
+    assert_eq!(counters, METRIC_COUNTERS);
+    let gauges: Vec<&String> = report.gauges.keys().filter(serve).collect();
+    assert_eq!(gauges, METRIC_GAUGES);
+}

@@ -47,8 +47,6 @@ pub mod alloc;
 pub mod json;
 pub mod latency;
 
-pub use latency::LatencyRecorder;
-
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
