@@ -37,7 +37,8 @@
 #                    static-analysis lint smoke and defect-recall gate
 #                    (docs/analysis.md), the paper-results gate
 #                    (results/ regenerates byte-identically), the
-#                    workspace clippy gate plus
+#                    workspace clippy gate (which holds the CLI's
+#                    non-test code unwrap/expect-free) plus
 #                    the panic-free lang/opt gate, and the perf
 #                    regression gate against the committed BENCH_8.json
 #                    baseline (which now includes the serve/load/*
@@ -371,8 +372,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # Input-reachable front-end and optimizer code must additionally stay
 # panic-free: no unwrap/expect outside #[cfg(test)] modules (test code
-# is exempt because only the lib targets are linted here).  See
-# docs/robustness.md.
+# is exempt because only the lib targets are linted here).  The `mdesc`
+# binary, which reads raw user arguments, holds itself to the same rule
+# with a crate-level `deny` in crates/cli/src/main.rs, so the workspace
+# gate above enforces it; adding `-p mdes-tools` here instead would lint
+# its dependencies too.  See docs/robustness.md.
 cargo clippy -p mdes-lang -p mdes-opt -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used
 

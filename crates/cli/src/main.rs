@@ -3,28 +3,10 @@
 //! The paper's two-tier model assumes an offline step that translates the
 //! high-level description into the optimized low-level file the compiler
 //! loads at start-up (IMPACT's "Lmdes customizer", reference \[4\]).  This
-//! binary is that step:
-//!
-//! ```text
-//! mdesc compile <in.hmdl> [-o out.lmdes] [--no-optimize] [--expand-or]
-//!               [--encoding scalar|bitvector] [--direction forward|backward]
-//! mdesc optimize <in.hmdl> [--ops N] [-o out.lmdes]
-//! mdesc verify  <in.hmdl> [--guard validate|oracle] [--seed N]
-//!               [--inject <stage>:<fault>]
-//! mdesc dump    <in.hmdl|in.lmdes> [--class NAME]
-//! mdesc stats   <in.hmdl>
-//! mdesc fmt     <in.hmdl>
-//! mdesc check   <in.hmdl>
-//! mdesc bundled <NAME>   (any of the six bundled names, any case)
-//! mdesc bench-serve [--machine NAME] [--jobs N] [--regions M]
-//! mdesc serve   [--machine LIST|all] [--socket PATH] [--workers N] [--chaos]
-//! mdesc serve-load --socket PATH [--requests N] [--pipeline D]
-//!               [--machines LIST|all] [--reload-at I[@MACHINE]:PATH]
-//! mdesc oracle  [--seed N] [--regions N] [--max-ops K] [--machine NAME]
-//!               [--fleet N]
-//! mdesc lint    [<in.hmdl>] [--machine NAME|all] [--fleet N] [--seed S]
-//!               [--defects] [--json]
-//! ```
+//! binary is that step, together with the tools around it: inspection,
+//! the scheduling commands, the serving daemon and its load client, the
+//! perf suite, the exact-scheduler oracle and the linter.  `mdesc --help`
+//! prints the synopsis of every command.
 //!
 //! The binary is also installed as `mdes`.  The global `--metrics <path>`
 //! and `--metrics-summary` flags collect pipeline/compile/scheduler
@@ -35,16 +17,19 @@
 //! structural-validation failures, and 4 for differential-oracle
 //! mismatches; see `docs/robustness.md`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod analysis;
 
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use mdes_core::size::measure;
 use mdes_core::{lmdes, CompiledMdes, MdesSpec, UsageEncoding};
 use mdes_guard::{optimize_guarded, Fault, FaultKind, GuardConfig, GuardMode, GuardedReport};
 use mdes_opt::pipeline::{optimize, optimize_with_telemetry, PipelineConfig, StageId};
 use mdes_opt::timeshift::Direction;
-use mdes_serve::{BenchFlags, BindAddr, ImageStore, LoadOptions, ReloadEvent, ServeConfig};
+use mdes_serve::{BindAddr, ImageStore, LoadOptions, ReloadEvent, ServeConfig, WorkParams};
 use mdes_telemetry::Telemetry;
 
 /// Exit code for usage, I/O and other general failures.
@@ -153,17 +138,93 @@ fn extract_metrics_flags(args: &[String]) -> CliResult<(Vec<String>, MetricsOpts
         json_path: None,
         summary: false,
     };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--metrics" => {
-                opts.json_path = Some(iter.next().ok_or("--metrics requires a path")?.clone());
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--metrics" => opts.json_path = Some(args.value("--metrics", "a path")?.to_string()),
             "--metrics-summary" => opts.summary = true,
-            _ => rest.push(arg.clone()),
+            other => rest.push(other.to_string()),
         }
     }
     Ok((rest, opts))
+}
+
+/// The one reader of command-line tokens.  Every command, the shared
+/// bench flags and the global metrics flags walk their arguments with
+/// it, so a missing value, a malformed number and a stray token are
+/// reported the same way everywhere.  When a flag repeats, the last
+/// value read wins.
+struct Args<'a> {
+    tokens: std::slice::Iter<'a, String>,
+    /// The command's one positional input, once [`Args::positional`]
+    /// has taken it.
+    input: Option<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    fn new(tokens: &'a [String]) -> Args<'a> {
+        Args {
+            tokens: tokens.iter(),
+            input: None,
+        }
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.tokens.next().map(String::as_str)
+    }
+
+    /// The value of `flag`: the next token, whatever it looks like.
+    fn value(&mut self, flag: &str, what: &str) -> CliResult<&'a str> {
+        self.next()
+            .ok_or_else(|| CliError::from(format!("{flag} requires {what}")))
+    }
+
+    /// The value of `flag` parsed as a `T` that `valid` accepts.
+    fn number<T: FromStr>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        valid: impl FnOnce(&T) -> bool,
+    ) -> CliResult<T> {
+        self.next()
+            .and_then(|v| v.parse().ok())
+            .filter(valid)
+            .ok_or_else(|| CliError::from(format!("{flag} requires {what}")))
+    }
+
+    /// The value of `flag` as an integer of at least 1.
+    fn positive<T: FromStr + PartialOrd + From<u8>>(&mut self, flag: &str) -> CliResult<T> {
+        self.number(flag, "a positive integer", |n| *n >= T::from(1))
+    }
+
+    /// The value of `--seed`.
+    fn seed(&mut self) -> CliResult<u64> {
+        self.number("--seed", "an integer", |_| true)
+    }
+
+    /// Takes `arg` as the command's one positional input.  A token that
+    /// starts with `-` is never the input, and a second one is
+    /// unexpected.
+    fn positional(&mut self, arg: &'a str) -> CliResult {
+        if self.input.is_some() || arg.starts_with('-') {
+            return Err(unexpected(arg));
+        }
+        self.input = Some(arg);
+        Ok(())
+    }
+
+    /// The positional input of a command that takes nothing else.
+    fn only_input(mut self, missing: &str) -> CliResult<&'a str> {
+        while let Some(arg) = self.next() {
+            self.positional(arg)?;
+        }
+        Ok(self.input.ok_or(missing)?)
+    }
+}
+
+/// The error for a token that no flag or input of the command claims.
+fn unexpected(arg: &str) -> CliError {
+    CliError::from(format!("unexpected argument `{arg}`"))
 }
 
 fn run(args: &[String]) -> CliResult {
@@ -225,6 +286,7 @@ fn usage() -> String {
      \x20         [--guard off|validate|oracle]\n\
      \x20         translate a high-level description to an optimized LMDES image\n\
      \x20 optimize <in.hmdl> [--ops N] [--jobs N] [-o out.lmdes]\n\
+     \x20         [--encoding scalar|bitvector] [--direction forward|backward]\n\
      \x20         [--guard off|validate|oracle]\n\
      \x20         run the full pipeline, compile, and drive a synthetic scheduling\n\
      \x20         workload (in parallel with --jobs), collecting per-stage telemetry\n\
@@ -289,26 +351,61 @@ fn usage() -> String {
         .to_string()
 }
 
-/// Loads and elaborates an HMDL file, rendering diagnostics with source
-/// context.
-fn load_hmdl(path: &str) -> CliResult<MdesSpec> {
-    load_hmdl_with(path, &Telemetry::disabled())
+/// An input description, read from its file once.
+enum Description {
+    /// HMDL source and the spec it elaborates to.
+    Hmdl(MdesSpec, String),
+    /// A compiled LMDES image.
+    Lmdes(CompiledMdes),
 }
 
-/// [`load_hmdl`] with `lang/*` spans recorded into `tel`.
-///
-/// Parsing runs with error recovery, so one invocation renders *every*
-/// syntax error in the file, not just the first.
-fn load_hmdl_with(path: &str, tel: &Telemetry) -> CliResult<MdesSpec> {
-    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    mdes_lang::compile_all_with_telemetry(&source, tel).map_err(|errors| {
-        let rendered: Vec<String> = errors.iter().map(|e| e.render(&source)).collect();
-        CliError::parse(format!("{path}:\n{}", rendered.join("\n")))
-    })
+/// The one loader: reads `path` once and loads an LMDES image when the
+/// file starts with `lmdes::MAGIC`, HMDL source otherwise.  HMDL parses
+/// with error recovery, so one invocation renders *every* syntax error
+/// in the file, not just the first; `lang/*` spans go to `tel`.
+fn load(path: &str, tel: &Telemetry) -> CliResult<Description> {
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    if bytes.starts_with(lmdes::MAGIC) {
+        let image = lmdes::read(&bytes).map_err(|e| format!("{path}: {e}"))?;
+        return Ok(Description::Lmdes(image));
+    }
+    let source = String::from_utf8(bytes).map_err(|_| format!("`{path}` is not UTF-8 HMDL"))?;
+    match mdes_lang::compile_all_with_telemetry(&source, tel) {
+        Ok(spec) => Ok(Description::Hmdl(spec, source)),
+        Err(errors) => {
+            let rendered: Vec<String> = errors.iter().map(|e| e.render(&source)).collect();
+            Err(CliError::parse(format!("{path}:\n{}", rendered.join("\n"))))
+        }
+    }
+}
+
+/// [`load`] for the commands that read HMDL: the spec and its source.
+fn load_hmdl(path: &str, tel: &Telemetry) -> CliResult<(MdesSpec, String)> {
+    match load(path, tel)? {
+        Description::Hmdl(spec, source) => Ok((spec, source)),
+        Description::Lmdes(_) => Err(format!("`{path}` is an LMDES image, not HMDL source").into()),
+    }
+}
+
+/// Reads a `--encoding` value.
+fn parse_encoding(value: Option<&str>) -> CliResult<UsageEncoding> {
+    match value {
+        Some("scalar") => Ok(UsageEncoding::Scalar),
+        Some("bitvector") => Ok(UsageEncoding::BitVector),
+        other => Err(format!("bad --encoding {other:?}").into()),
+    }
+}
+
+/// Reads a `--direction` value.
+fn parse_direction(value: Option<&str>) -> CliResult<Direction> {
+    match value {
+        Some("forward") => Ok(Direction::Forward),
+        Some("backward") => Ok(Direction::Backward),
+        other => Err(format!("bad --direction {other:?}").into()),
+    }
 }
 
 fn compile_cmd(args: &[String], tel: &Telemetry) -> CliResult {
-    let mut input: Option<&str> = None;
     let mut output: Option<&str> = None;
     let mut do_optimize = true;
     let mut expand_or = false;
@@ -316,38 +413,20 @@ fn compile_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     let mut direction = Direction::Forward;
     let mut guard = GuardMode::Off;
 
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "-o" => output = Some(iter.next().ok_or("-o requires a path")?),
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "-o" => output = Some(args.value("-o", "a path")?),
             "--no-optimize" => do_optimize = false,
             "--expand-or" => expand_or = true,
-            "--guard" => {
-                guard = iter
-                    .next()
-                    .ok_or("--guard requires off, validate or oracle")?
-                    .parse()?;
-            }
-            "--encoding" => {
-                encoding = match iter.next().map(String::as_str) {
-                    Some("scalar") => UsageEncoding::Scalar,
-                    Some("bitvector") => UsageEncoding::BitVector,
-                    other => return Err(CliError::from(format!("bad --encoding {other:?}"))),
-                };
-            }
-            "--direction" => {
-                direction = match iter.next().map(String::as_str) {
-                    Some("forward") => Direction::Forward,
-                    Some("backward") => Direction::Backward,
-                    other => return Err(CliError::from(format!("bad --direction {other:?}"))),
-                };
-            }
-            other if input.is_none() && !other.starts_with('-') => input = Some(other),
-            other => return Err(CliError::from(format!("unexpected argument `{other}`"))),
+            "--guard" => guard = args.value("--guard", "off, validate or oracle")?.parse()?,
+            "--encoding" => encoding = parse_encoding(args.next())?,
+            "--direction" => direction = parse_direction(args.next())?,
+            other => args.positional(other)?,
         }
     }
-    let input = input.ok_or("compile needs an input .hmdl file")?;
-    let mut spec = load_hmdl_with(input, tel)?;
+    let input = args.input.ok_or("compile needs an input .hmdl file")?;
+    let (mut spec, _) = load_hmdl(input, tel)?;
 
     if expand_or {
         spec = mdes_opt::expand_to_or(&spec).0;
@@ -381,93 +460,77 @@ fn compile_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     Ok(())
 }
 
-/// Loads either tier by sniffing the LMDES magic.
-fn load_any(path: &str) -> CliResult<CompiledMdes> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    if bytes.starts_with(lmdes::MAGIC) {
-        return Ok(lmdes::read(&bytes).map_err(|e| format!("{path}: {e}"))?);
-    }
-    let source = String::from_utf8(bytes).map_err(|_| format!("`{path}` is not UTF-8 HMDL"))?;
-    let spec = mdes_lang::compile_all(&source).map_err(|errors| {
-        let rendered: Vec<String> = errors.iter().map(|e| e.render(&source)).collect();
-        CliError::parse(format!("{path}:\n{}", rendered.join("\n")))
-    })?;
-    CompiledMdes::compile(&spec, UsageEncoding::BitVector)
-        .map_err(|e| CliError::validation(e.to_string()))
-}
-
 fn dump_cmd(args: &[String]) -> CliResult {
-    let mut input: Option<&str> = None;
     let mut class: Option<&str> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--class" => class = Some(iter.next().ok_or("--class requires a name")?),
-            other if input.is_none() => input = Some(other),
-            other => return Err(CliError::from(format!("unexpected argument `{other}`"))),
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--class" => class = Some(args.value("--class", "a name")?),
+            other => args.positional(other)?,
         }
     }
-    let input = input.ok_or("dump needs an input file")?;
+    let input = args.input.ok_or("dump needs an input file")?;
 
-    // Prefer the spec-level dump for HMDL (names survive); fall back to
-    // the compiled dump for LMDES images.
-    if let Ok(spec) = load_hmdl(input) {
-        println!(
-            "{input}: {} resources, {} options, {} OR-trees, {} AND/OR-trees, {} classes, {} opcodes",
-            spec.resources().len(),
-            spec.num_options(),
-            spec.num_or_trees(),
-            spec.num_and_or_trees(),
-            spec.num_classes(),
-            spec.opcodes().len(),
-        );
-        match class {
-            Some(name) => match mdes_core::pretty::class_constraint(&spec, name) {
-                Some(text) => println!("\n{text}"),
-                None => return Err(CliError::from(format!("class `{name}` not found"))),
-            },
-            None => {
-                println!("\nclass                 options  latency  opcodes");
-                println!("---------------------+--------+--------+--------");
-                for id in spec.class_ids() {
-                    let c = spec.class(id);
-                    println!(
-                        "{:<21}| {:>6} | {:>6} | {}",
-                        c.name,
-                        spec.class_option_count(id),
-                        c.latency.dest,
-                        spec.opcodes_of_class(id).join(" ")
-                    );
+    // The spec-level dump for HMDL (names survive), the compiled dump for
+    // LMDES images.
+    match load(input, &Telemetry::disabled())? {
+        Description::Hmdl(spec, _) => {
+            println!(
+                "{input}: {} resources, {} options, {} OR-trees, {} AND/OR-trees, {} classes, {} opcodes",
+                spec.resources().len(),
+                spec.num_options(),
+                spec.num_or_trees(),
+                spec.num_and_or_trees(),
+                spec.num_classes(),
+                spec.opcodes().len(),
+            );
+            match class {
+                Some(name) => match mdes_core::pretty::class_constraint(&spec, name) {
+                    Some(text) => println!("\n{text}"),
+                    None => return Err(CliError::from(format!("class `{name}` not found"))),
+                },
+                None => {
+                    println!("\nclass                 options  latency  opcodes");
+                    println!("---------------------+--------+--------+--------");
+                    for id in spec.class_ids() {
+                        let c = spec.class(id);
+                        println!(
+                            "{:<21}| {:>6} | {:>6} | {}",
+                            c.name,
+                            spec.class_option_count(id),
+                            c.latency.dest,
+                            spec.opcodes_of_class(id).join(" ")
+                        );
+                    }
                 }
             }
         }
-        return Ok(());
-    }
-
-    let compiled = load_any(input)?;
-    println!(
-        "{input}: LMDES image, {:?} encoding, {} resources, {} options, {} OR-trees, {} classes",
-        compiled.encoding(),
-        compiled.num_resources(),
-        compiled.num_options(),
-        compiled.num_or_trees(),
-        compiled.classes().len()
-    );
-    for (i, c) in compiled.classes().iter().enumerate() {
-        let id = mdes_core::ClassId::from_index(i);
-        println!(
-            "  {:<21} {:>6} options, latency {}",
-            c.name,
-            compiled.class_option_count(id),
-            c.latency.dest
-        );
+        Description::Lmdes(compiled) => {
+            println!(
+                "{input}: LMDES image, {:?} encoding, {} resources, {} options, {} OR-trees, {} classes",
+                compiled.encoding(),
+                compiled.num_resources(),
+                compiled.num_options(),
+                compiled.num_or_trees(),
+                compiled.classes().len()
+            );
+            for (i, c) in compiled.classes().iter().enumerate() {
+                let id = mdes_core::ClassId::from_index(i);
+                println!(
+                    "  {:<21} {:>6} options, latency {}",
+                    c.name,
+                    compiled.class_option_count(id),
+                    c.latency.dest
+                );
+            }
+        }
     }
     Ok(())
 }
 
 fn stats_cmd(args: &[String]) -> CliResult {
-    let input = args.first().ok_or("stats needs an input .hmdl file")?;
-    let spec = load_hmdl(input)?;
+    let input = Args::new(args).only_input("stats needs an input .hmdl file")?;
+    let (spec, _) = load_hmdl(input, &Telemetry::disabled())?;
 
     println!("=== {input} ===");
     let staged = mdes_opt::staged_report(&spec, Direction::Forward)
@@ -493,16 +556,16 @@ fn stats_cmd(args: &[String]) -> CliResult {
 }
 
 fn fmt_cmd(args: &[String]) -> CliResult {
-    let input = args.first().ok_or("fmt needs an input .hmdl file")?;
-    let spec = load_hmdl(input)?;
+    let input = Args::new(args).only_input("fmt needs an input .hmdl file")?;
+    let (spec, _) = load_hmdl(input, &Telemetry::disabled())?;
     let printed = mdes_lang::print(&spec).map_err(|e| e.to_string())?;
     print!("{printed}");
     Ok(())
 }
 
 fn check_cmd(args: &[String]) -> CliResult {
-    let input = args.first().ok_or("check needs an input .hmdl file")?;
-    let spec = load_hmdl(input)?;
+    let input = Args::new(args).only_input("check needs an input .hmdl file")?;
+    let (spec, _) = load_hmdl(input, &Telemetry::disabled())?;
     println!(
         "{input}: ok ({} classes, {} options, {} opcodes)",
         spec.num_classes(),
@@ -517,58 +580,27 @@ fn check_cmd(args: &[String]) -> CliResult {
 /// synthetic workload so scheduler query counters land in the same
 /// report.  This is the `--metrics` showcase command.
 fn optimize_cmd(args: &[String], tel: &Telemetry) -> CliResult {
-    let mut input: Option<&str> = None;
     let mut output: Option<&str> = None;
     let mut total_ops = 2_000usize;
     let mut jobs: Option<usize> = None;
     let mut encoding = UsageEncoding::BitVector;
     let mut direction = Direction::Forward;
     let mut guard = GuardMode::Off;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "-o" => output = Some(iter.next().ok_or("-o requires a path")?),
-            "--guard" => {
-                guard = iter
-                    .next()
-                    .ok_or("--guard requires off, validate or oracle")?
-                    .parse()?;
-            }
-            "--ops" => {
-                total_ops = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--ops requires a positive integer")?;
-            }
-            "--jobs" => {
-                jobs = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .ok_or("--jobs requires a positive integer")?,
-                );
-            }
-            "--encoding" => {
-                encoding = match iter.next().map(String::as_str) {
-                    Some("scalar") => UsageEncoding::Scalar,
-                    Some("bitvector") => UsageEncoding::BitVector,
-                    other => return Err(CliError::from(format!("bad --encoding {other:?}"))),
-                };
-            }
-            "--direction" => {
-                direction = match iter.next().map(String::as_str) {
-                    Some("forward") => Direction::Forward,
-                    Some("backward") => Direction::Backward,
-                    other => return Err(CliError::from(format!("bad --direction {other:?}"))),
-                };
-            }
-            other if input.is_none() && !other.starts_with('-') => input = Some(other),
-            other => return Err(CliError::from(format!("unexpected argument `{other}`"))),
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "-o" => output = Some(args.value("-o", "a path")?),
+            "--guard" => guard = args.value("--guard", "off, validate or oracle")?.parse()?,
+            "--ops" => total_ops = args.positive("--ops")?,
+            "--jobs" => jobs = Some(args.positive("--jobs")?),
+            "--encoding" => encoding = parse_encoding(args.next())?,
+            "--direction" => direction = parse_direction(args.next())?,
+            other => args.positional(other)?,
         }
     }
-    let input = input.ok_or("optimize needs an input .hmdl file")?;
+    let input = args.input.ok_or("optimize needs an input .hmdl file")?;
 
-    let mut spec = load_hmdl_with(input, tel)?;
+    let (mut spec, _) = load_hmdl(input, tel)?;
     let options_before = spec.num_options();
     let config = PipelineConfig {
         direction,
@@ -707,41 +739,24 @@ fn parse_fault(text: &str) -> CliResult<Fault> {
 /// incident.  With `--inject`, a deliberate fault is planted after the
 /// named stage so the guard's detection can be demonstrated end to end.
 fn verify_cmd(args: &[String], tel: &Telemetry) -> CliResult {
-    let mut input: Option<&str> = None;
     let mut mode = GuardMode::Oracle;
     let mut seed: Option<u64> = None;
     let mut inject: Vec<Fault> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--guard" => {
-                mode = iter
-                    .next()
-                    .ok_or("--guard requires validate or oracle")?
-                    .parse()?;
-            }
-            "--seed" => {
-                seed = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--seed requires an integer")?,
-                );
-            }
-            "--inject" => {
-                inject.push(parse_fault(
-                    iter.next().ok_or("--inject requires <stage>:<fault>")?,
-                )?);
-            }
-            other if input.is_none() && !other.starts_with('-') => input = Some(other),
-            other => return Err(CliError::from(format!("unexpected argument `{other}`"))),
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--guard" => mode = args.value("--guard", "validate or oracle")?.parse()?,
+            "--seed" => seed = Some(args.seed()?),
+            "--inject" => inject.push(parse_fault(args.value("--inject", "<stage>:<fault>")?)?),
+            other => args.positional(other)?,
         }
     }
-    let input = input.ok_or("verify needs an input .hmdl file")?;
+    let input = args.input.ok_or("verify needs an input .hmdl file")?;
     if mode == GuardMode::Off {
         return Err("verify needs --guard validate or --guard oracle".into());
     }
 
-    let mut spec = load_hmdl_with(input, tel)?;
+    let (mut spec, _) = load_hmdl(input, tel)?;
     let mut guard = GuardConfig {
         mode,
         inject,
@@ -769,19 +784,10 @@ fn verify_cmd(args: &[String], tel: &Telemetry) -> CliResult {
 /// worker panicked (the `engine/worker_panics` counter is always
 /// present, so metrics consumers can gate on it too).
 fn bench_serve_cmd(args: &[String], tel: &Telemetry) -> CliResult {
-    // The workload flags are shared with `serve-load`: one parser, one
-    // contract (crates/serve/src/client.rs).
-    let (flags, rest) = BenchFlags::parse(args)?;
+    let (machine, params, rest) = bench_flags(args)?;
     if let Some(extra) = rest.first() {
-        return Err(CliError::from(format!("unexpected argument `{extra}`")));
+        return Err(unexpected(extra));
     }
-    let BenchFlags {
-        machine,
-        jobs,
-        regions,
-        mean_ops,
-        seed,
-    } = flags;
 
     let mut spec = machine.spec();
     optimize_with_telemetry(&mut spec, &PipelineConfig::full(), tel);
@@ -790,13 +796,13 @@ fn bench_serve_cmd(args: &[String], tel: &Telemetry) -> CliResult {
             .map_err(|e| CliError::validation(e.to_string()))?,
     );
 
-    let config = mdes_workload::RegionConfig::new(regions)
-        .with_mean_ops(mean_ops)
-        .with_seed(seed);
+    let config = mdes_workload::RegionConfig::new(params.regions)
+        .with_mean_ops(params.mean_ops)
+        .with_seed(params.seed);
     let workload = mdes_workload::generate_compiled_regions(&compiled, &config);
 
     let engine = mdes_engine::Engine::new(compiled);
-    let outcome = engine.schedule_batch(&workload.blocks, jobs);
+    let outcome = engine.schedule_batch(&workload.blocks, params.jobs);
     outcome.publish(tel, "engine");
 
     println!(
@@ -826,6 +832,35 @@ fn bench_serve_cmd(args: &[String], tel: &Telemetry) -> CliResult {
         )));
     }
     Ok(())
+}
+
+/// Reads the workload flags `bench-serve` (in-process) and `serve-load`
+/// (over a socket) share, before either command's own: the bundled
+/// machine, the work parameters, and every token the shared set does not
+/// claim, in order.
+fn bench_flags(args: &[String]) -> CliResult<(mdes_machines::Machine, WorkParams, Vec<String>)> {
+    let mut machine = mdes_machines::Machine::Pa7100;
+    let mut params = WorkParams {
+        regions: 512,
+        mean_ops: 16,
+        seed: 0xC1D7A5,
+        jobs: 1,
+    };
+    let mut rest = Vec::new();
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--machine" => {
+                machine = mdes_machines::Machine::from_name(args.value("--machine", "a name")?)?;
+            }
+            "--jobs" => params.jobs = args.positive("--jobs")?,
+            "--regions" => params.regions = args.positive("--regions")?,
+            "--mean-ops" => params.mean_ops = args.positive("--mean-ops")?,
+            "--seed" => params.seed = args.seed()?,
+            other => rest.push(other.to_string()),
+        }
+    }
+    Ok((machine, params, rest))
 }
 
 /// Maps a reload/boot rejection onto the CLI exit-code ladder (the wire
@@ -863,52 +898,25 @@ fn machine_list(spec: &str) -> CliResult<Vec<mdes_machines::Machine>> {
 /// file; see `docs/serve.md` for the protocol.
 fn serve_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     let mut machines: Vec<mdes_machines::Machine> = Vec::new();
-    let mut input: Option<&str> = None;
     let mut addr: Option<BindAddr> = None;
     let mut config = ServeConfig::default();
-    let positive = |v: Option<&String>, flag: &str| -> CliResult<usize> {
-        v.and_then(|v| v.parse().ok())
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| CliError::from(format!("{flag} requires a positive integer")))
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--machine" => {
-                let spec = iter.next().ok_or("--machine requires a name")?;
-                machines = machine_list(spec)?;
-            }
-            "--socket" => {
-                addr = Some(BindAddr::Unix(
-                    iter.next().ok_or("--socket requires a path")?.into(),
-                ));
-            }
-            "--tcp" => {
-                addr = Some(BindAddr::Tcp(
-                    iter.next().ok_or("--tcp requires an address")?.clone(),
-                ));
-            }
-            "--workers" => config.workers = positive(iter.next(), "--workers")?,
-            "--queue" => config.queue_capacity = positive(iter.next(), "--queue")?,
-            "--read-timeout-ms" => {
-                config.read_timeout_ms = positive(iter.next(), "--read-timeout-ms")? as u64;
-            }
-            "--deadline-ms" => {
-                config.default_deadline_ms = Some(positive(iter.next(), "--deadline-ms")? as u64);
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--machine" => machines = machine_list(args.value("--machine", "a name")?)?,
+            "--socket" => addr = Some(BindAddr::Unix(args.value("--socket", "a path")?.into())),
+            "--tcp" => addr = Some(BindAddr::Tcp(args.value("--tcp", "an address")?.into())),
+            "--workers" => config.workers = args.positive("--workers")?,
+            "--queue" => config.queue_capacity = args.positive("--queue")?,
+            "--read-timeout-ms" => config.read_timeout_ms = args.positive("--read-timeout-ms")?,
+            "--deadline-ms" => config.default_deadline_ms = Some(args.positive("--deadline-ms")?),
             "--chaos" => config.chaos = true,
-            "--seed" => {
-                config.seed = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed requires an integer")?;
-            }
-            other if input.is_none() && !other.starts_with('-') => input = Some(other),
-            other => return Err(CliError::from(format!("unexpected argument `{other}`"))),
+            "--seed" => config.seed = args.seed()?,
+            other => args.positional(other)?,
         }
     }
 
-    let stores: Vec<(String, std::sync::Arc<ImageStore>)> = match (input, machines.is_empty()) {
+    let stores: Vec<(String, _)> = match (args.input, machines.is_empty()) {
         (Some(_), false) => {
             return Err("serve takes either --machine or an input file, not both".into())
         }
@@ -1017,7 +1025,7 @@ fn parse_reload_event(text: &str, expect_rejection: bool) -> CliResult<ReloadEve
 /// request was dropped, any answer was wrong, or any scripted reload
 /// misbehaved.
 fn serve_load_cmd(args: &[String], tel: &Telemetry) -> CliResult {
-    let (flags, rest) = BenchFlags::parse(args)?;
+    let (machine, params, rest) = bench_flags(args)?;
     let mut addr: Option<BindAddr> = None;
     let mut requests = 256usize;
     let mut connections = 2usize;
@@ -1028,47 +1036,28 @@ fn serve_load_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     let mut verify = true;
     let mut shutdown = false;
     let mut reloads: Vec<ReloadEvent> = Vec::new();
-    let positive = |v: Option<&String>, flag: &str| -> CliResult<usize> {
-        v.and_then(|v| v.parse().ok())
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| CliError::from(format!("{flag} requires a positive integer")))
-    };
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--socket" => {
-                addr = Some(BindAddr::Unix(
-                    iter.next().ok_or("--socket requires a path")?.into(),
-                ));
-            }
-            "--tcp" => {
-                addr = Some(BindAddr::Tcp(
-                    iter.next().ok_or("--tcp requires an address")?.clone(),
-                ));
-            }
-            "--requests" => requests = positive(iter.next(), "--requests")?,
-            "--connections" => connections = positive(iter.next(), "--connections")?,
-            "--pipeline" => pipeline = positive(iter.next(), "--pipeline")?,
-            "--machines" => {
-                let spec = iter.next().ok_or("--machines requires a,b,c or `all`")?;
-                spray = machine_list(spec)?;
-            }
-            "--deadline-ms" => {
-                deadline_ms = Some(positive(iter.next(), "--deadline-ms")? as u64);
-            }
-            "--max-retries" => max_retries = positive(iter.next(), "--max-retries")?,
+    let mut args = Args::new(&rest);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--socket" => addr = Some(BindAddr::Unix(args.value("--socket", "a path")?.into())),
+            "--tcp" => addr = Some(BindAddr::Tcp(args.value("--tcp", "an address")?.into())),
+            "--requests" => requests = args.positive("--requests")?,
+            "--connections" => connections = args.positive("--connections")?,
+            "--pipeline" => pipeline = args.positive("--pipeline")?,
+            "--machines" => spray = machine_list(args.value("--machines", "a,b,c or `all`")?)?,
+            "--deadline-ms" => deadline_ms = Some(args.positive("--deadline-ms")?),
+            "--max-retries" => max_retries = args.positive("--max-retries")?,
             "--no-verify" => verify = false,
             "--shutdown" => shutdown = true,
             "--reload-at" => reloads.push(parse_reload_event(
-                iter.next().ok_or("--reload-at requires <index>:<path>")?,
+                args.value("--reload-at", "<index>:<path>")?,
                 false,
             )?),
             "--reload-corrupt-at" => reloads.push(parse_reload_event(
-                iter.next()
-                    .ok_or("--reload-corrupt-at requires <index>:<path>")?,
+                args.value("--reload-corrupt-at", "<index>:<path>")?,
                 true,
             )?),
-            other => return Err(CliError::from(format!("unexpected argument `{other}`"))),
+            other => return Err(unexpected(other)),
         }
     }
     let addr = addr.ok_or("serve-load needs --socket <path> or --tcp <addr>")?;
@@ -1079,7 +1068,7 @@ fn serve_load_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     // promoted, so never serve).
     let mut known_sources = Vec::new();
     if verify {
-        known_sources.push(lmdes::write(&mdes_serve::compile_machine(flags.machine)));
+        known_sources.push(lmdes::write(&mdes_serve::compile_machine(machine)));
         for &machine in &spray {
             known_sources.push(lmdes::write(&mdes_serve::compile_machine(machine)));
         }
@@ -1094,7 +1083,7 @@ fn serve_load_cmd(args: &[String], tel: &Telemetry) -> CliResult {
         addr,
         connections,
         requests,
-        params: flags.params(),
+        params,
         pipeline,
         machines: spray.iter().map(|m| m.name().to_string()).collect(),
         deadline_ms,
@@ -1124,45 +1113,23 @@ fn perf_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     let mut baseline_path: Option<&str> = None;
     let mut max_regression = 0.25f64;
     let mut quiet = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--seed" => {
-                config.seed = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed requires an integer")?;
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--seed" => config.seed = args.seed()?,
             "--scale" => {
-                config.scale = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s: &f64| s > 0.0)
-                    .ok_or("--scale requires a positive number")?;
+                config.scale = args.number("--scale", "a positive number", |&s| s > 0.0)?
             }
-            "--filter" => {
-                config.filter = Some(iter.next().ok_or("--filter requires a substring")?.clone());
-            }
-            "--reps" => {
-                config.reps = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&r: &usize| r >= 1)
-                    .ok_or("--reps requires a positive integer")?;
-            }
-            "--json" => json_path = Some(iter.next().ok_or("--json requires a path")?),
-            "--baseline" => {
-                baseline_path = Some(iter.next().ok_or("--baseline requires a path")?);
-            }
+            "--filter" => config.filter = Some(args.value("--filter", "a substring")?.to_string()),
+            "--reps" => config.reps = args.positive("--reps")?,
+            "--json" => json_path = Some(args.value("--json", "a path")?),
+            "--baseline" => baseline_path = Some(args.value("--baseline", "a path")?),
             "--max-regression" => {
-                max_regression = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&t: &f64| t >= 0.0)
-                    .ok_or("--max-regression requires a non-negative number")?;
+                max_regression =
+                    args.number("--max-regression", "a non-negative number", |&t| t >= 0.0)?;
             }
             "--quiet" => quiet = true,
-            other => return Err(CliError::from(format!("unexpected argument `{other}`"))),
+            other => return Err(unexpected(other)),
         }
     }
 
@@ -1225,51 +1192,18 @@ fn oracle_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     let mut regions = 12usize;
     let mut max_ops = mdes_oracle::DEFAULT_MAX_OPS;
     let mut node_limit: Option<u64> = None;
-    let mut machine_filter: Option<String> = None;
+    let mut machine_filter: Option<&str> = None;
     let mut fleet_size: Option<usize> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed requires an integer")?;
-            }
-            "--regions" => {
-                regions = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or("--regions requires a positive integer")?;
-            }
-            "--max-ops" => {
-                max_ops = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or("--max-ops requires a positive integer")?;
-            }
-            "--node-limit" => {
-                node_limit = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n: &u64| n >= 1)
-                        .ok_or("--node-limit requires a positive integer")?,
-                );
-            }
-            "--machine" => {
-                machine_filter = Some(iter.next().ok_or("--machine requires a name")?.clone());
-            }
-            "--fleet" => {
-                fleet_size = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n: &usize| n >= 1)
-                        .ok_or("--fleet requires a positive integer")?,
-                );
-            }
-            other => return Err(CliError::from(format!("unexpected argument `{other}`"))),
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--seed" => seed = args.seed()?,
+            "--regions" => regions = args.positive("--regions")?,
+            "--max-ops" => max_ops = args.positive("--max-ops")?,
+            "--node-limit" => node_limit = Some(args.positive("--node-limit")?),
+            "--machine" => machine_filter = Some(args.value("--machine", "a name")?),
+            "--fleet" => fleet_size = Some(args.positive("--fleet")?),
+            other => return Err(unexpected(other)),
         }
     }
 
@@ -1295,7 +1229,7 @@ fn oracle_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     // deeper proofs (the crate default is mdes_oracle::DEFAULT_NODE_LIMIT).
     let node_limit = node_limit.unwrap_or(2_000_000);
 
-    let machines = match &machine_filter {
+    let machines = match machine_filter {
         Some(name) => vec![mdes_machines::find_bundled(mdes_machines::bundled(), name)?],
         None => mdes_machines::bundled(),
     };
@@ -1426,25 +1360,18 @@ fn oracle_fleet_cmd(
 }
 
 fn schedule_cmd(args: &[String], tel: &Telemetry) -> CliResult {
-    let mut input: Option<&str> = None;
     let mut total_ops = 10_000usize;
     let mut do_optimize = true;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--ops" => {
-                total_ops = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--ops requires a positive integer")?;
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--ops" => total_ops = args.positive("--ops")?,
             "--no-optimize" => do_optimize = false,
-            other if input.is_none() && !other.starts_with('-') => input = Some(other),
-            other => return Err(CliError::from(format!("unexpected argument `{other}`"))),
+            other => args.positional(other)?,
         }
     }
-    let input = input.ok_or("schedule needs an input .hmdl file")?;
-    let mut spec = load_hmdl_with(input, tel)?;
+    let input = args.input.ok_or("schedule needs an input .hmdl file")?;
+    let (mut spec, _) = load_hmdl(input, tel)?;
     if do_optimize {
         optimize_with_telemetry(&mut spec, &PipelineConfig::full(), tel);
     }
@@ -1473,19 +1400,17 @@ fn schedule_cmd(args: &[String], tel: &Telemetry) -> CliResult {
 }
 
 fn dot_cmd(args: &[String]) -> CliResult {
-    let mut input: Option<&str> = None;
     let mut class: Option<&str> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--class" => class = Some(iter.next().ok_or("--class requires a name")?),
-            other if input.is_none() => input = Some(other),
-            other => return Err(CliError::from(format!("unexpected argument `{other}`"))),
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--class" => class = Some(args.value("--class", "a name")?),
+            other => args.positional(other)?,
         }
     }
-    let input = input.ok_or("dot needs an input .hmdl file")?;
+    let input = args.input.ok_or("dot needs an input .hmdl file")?;
     let class = class.ok_or("dot needs --class NAME")?;
-    let spec = load_hmdl(input)?;
+    let (spec, _) = load_hmdl(input, &Telemetry::disabled())?;
     match mdes_core::dot::class_constraint(&spec, class) {
         Some(dot) => {
             print!("{dot}");
@@ -1504,39 +1429,20 @@ fn dot_cmd(args: &[String]) -> CliResult {
 /// (3), consistent with `mdesc check`; with `--json` the report goes to
 /// stdout as one JSON array and the summary lines move to stderr.
 fn lint_cmd(args: &[String], tel: &Telemetry) -> CliResult {
-    let mut input: Option<&str> = None;
     let mut machine: Option<&str> = None;
     let mut fleet_size: Option<usize> = None;
     let mut seed = 42u64;
     let mut defects = false;
     let mut json = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--machine" => {
-                machine = Some(
-                    iter.next()
-                        .ok_or("--machine requires a name (or `all`)")?
-                        .as_str(),
-                );
-            }
-            "--fleet" => {
-                fleet_size = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--fleet requires a positive integer")?,
-                );
-            }
-            "--seed" => {
-                seed = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed requires an integer")?;
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--machine" => machine = Some(args.value("--machine", "a name (or `all`)")?),
+            "--fleet" => fleet_size = Some(args.positive("--fleet")?),
+            "--seed" => seed = args.seed()?,
             "--defects" => defects = true,
             "--json" => json = true,
-            other if input.is_none() && !other.starts_with('-') => input = Some(other),
-            other => return Err(CliError::from(format!("unexpected argument `{other}`"))),
+            other => args.positional(other)?,
         }
     }
     if defects && fleet_size.is_none() {
@@ -1548,10 +1454,8 @@ fn lint_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     // must cover.
     let mut planted: Vec<(String, mdes_workload::PlantedDefect)> = Vec::new();
 
-    if let Some(path) = input {
-        let source =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        let spec = load_hmdl_with(path, tel)?;
+    if let Some(path) = args.input {
+        let (spec, source) = load_hmdl(path, tel)?;
         let mut analysis = mdes_analyze::analyze_spec_with_telemetry(&spec, tel);
         mdes_analyze::anchor_spans(&mut analysis.diagnostics, &source);
         reports.push((path.to_string(), analysis));
@@ -1649,30 +1553,23 @@ fn diff_cmd(args: &[String]) -> CliResult {
         [a, b] => (a, b),
         _ => return Err("diff needs exactly two .hmdl files".into()),
     };
-    let old = load_hmdl(old_path)?;
-    let new = load_hmdl(new_path)?;
+    let (old, _) = load_hmdl(old_path, &Telemetry::disabled())?;
+    let (new, _) = load_hmdl(new_path, &Telemetry::disabled())?;
     print!("{}", analysis::diff(&old, &new));
     Ok(())
 }
 
 fn chart_cmd(args: &[String]) -> CliResult {
-    let mut input: Option<&str> = None;
     let mut total_ops = 24usize;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--ops" => {
-                total_ops = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--ops requires a positive integer")?;
-            }
-            other if input.is_none() && !other.starts_with('-') => input = Some(other),
-            other => return Err(CliError::from(format!("unexpected argument `{other}`"))),
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--ops" => total_ops = args.positive("--ops")?,
+            other => args.positional(other)?,
         }
     }
-    let input = input.ok_or("chart needs an input .hmdl file")?;
-    let mut spec = load_hmdl(input)?;
+    let input = args.input.ok_or("chart needs an input .hmdl file")?;
+    let (mut spec, _) = load_hmdl(input, &Telemetry::disabled())?;
     optimize(&mut spec, &PipelineConfig::full());
     let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector)
         .map_err(|e| CliError::validation(e.to_string()))?;
@@ -1692,8 +1589,9 @@ fn chart_cmd(args: &[String]) -> CliResult {
         mdes_sched::occupancy_chart(&spec, &compiled, block, &schedule)
     );
     println!();
+    let utilization = mdes_sched::resource_utilization(&compiled, &schedule);
     for (id, name) in spec.resources().iter() {
-        let util = mdes_sched::resource_utilization(&compiled, &schedule)[id.index()];
+        let util = utilization[id.index()];
         if util > 0.0 {
             println!("{name:>12}: {:>5.1}% busy", util * 100.0);
         }
@@ -1702,7 +1600,7 @@ fn chart_cmd(args: &[String]) -> CliResult {
 }
 
 fn bundled_cmd(args: &[String]) -> CliResult {
-    let name = args.first().ok_or("bundled needs a machine name")?;
+    let name = Args::new(args).only_input("bundled needs a machine name")?;
     let (_, source) = mdes_machines::find_bundled(mdes_machines::bundled_sources(), name)?;
     print!("{source}");
     Ok(())

@@ -784,3 +784,355 @@ fn optimize_jobs_flag_is_deterministic_at_the_cli_level() {
     assert_eq!(stdout(&one), stdout(&eight));
     assert_eq!(stdout(&one), stdout(&serial));
 }
+
+/// The flag contract of every command, pinned: each row is an argument
+/// list (split on spaces) and the exact `error:` line it prints on
+/// stderr; every row exits 1, the usage code, with nothing on stdout.
+/// Every row fails while its arguments are read, before any input is
+/// opened, so no row starts a daemon, connects to one or runs the perf
+/// suite.  `bench-serve` and `serve-load` read the shared bench flags
+/// before anything else, so a bad shared flag wins over an earlier
+/// unknown or bad flag of the command's own.
+#[test]
+fn flag_errors_keep_their_exit_codes_and_messages() {
+    const STRICT: &str = "unknown guard mode `strict` (expected off, validate or oracle)";
+    const VAX: &str = "unknown machine `vax` (PA7100, Pentium, SuperSPARC, K5)";
+    let rows: &[(&str, &str)] = &[
+        // Global flags, stripped from anywhere in the argument list.
+        ("--metrics", "--metrics requires a path"),
+        ("check in.hmdl --metrics", "--metrics requires a path"),
+        // compile
+        ("compile", "compile needs an input .hmdl file"),
+        ("compile in.hmdl -o", "-o requires a path"),
+        (
+            "compile --guard",
+            "--guard requires off, validate or oracle",
+        ),
+        ("compile --guard strict", STRICT),
+        ("compile --encoding", "bad --encoding None"),
+        ("compile --encoding dense", "bad --encoding Some(\"dense\")"),
+        ("compile --direction", "bad --direction None"),
+        ("compile --direction up", "bad --direction Some(\"up\")"),
+        ("compile in.hmdl --bogus", "unexpected argument `--bogus`"),
+        (
+            "compile in.hmdl other.hmdl",
+            "unexpected argument `other.hmdl`",
+        ),
+        // optimize
+        ("optimize", "optimize needs an input .hmdl file"),
+        ("optimize in.hmdl -o", "-o requires a path"),
+        (
+            "optimize --guard",
+            "--guard requires off, validate or oracle",
+        ),
+        ("optimize --ops", "--ops requires a positive integer"),
+        ("optimize --ops many", "--ops requires a positive integer"),
+        ("optimize --jobs", "--jobs requires a positive integer"),
+        ("optimize --jobs x", "--jobs requires a positive integer"),
+        ("optimize --jobs 0", "--jobs requires a positive integer"),
+        ("optimize --encoding", "bad --encoding None"),
+        ("optimize --direction up", "bad --direction Some(\"up\")"),
+        ("optimize in.hmdl --bogus", "unexpected argument `--bogus`"),
+        // verify
+        ("verify", "verify needs an input .hmdl file"),
+        ("verify --guard", "--guard requires validate or oracle"),
+        ("verify --guard strict", STRICT),
+        (
+            "verify in.hmdl --guard off",
+            "verify needs --guard validate or --guard oracle",
+        ),
+        ("verify --seed", "--seed requires an integer"),
+        ("verify --seed x", "--seed requires an integer"),
+        ("verify --inject", "--inject requires <stage>:<fault>"),
+        (
+            "verify --inject nonsense",
+            "--inject wants <stage>:<fault>, got `nonsense`",
+        ),
+        ("verify in.hmdl --bogus", "unexpected argument `--bogus`"),
+        // dump
+        ("dump", "dump needs an input file"),
+        ("dump in.hmdl --class", "--class requires a name"),
+        ("dump in.hmdl --bogus", "unexpected argument `--bogus`"),
+        // stats, fmt, check, bundled, diff
+        ("stats", "stats needs an input .hmdl file"),
+        ("fmt", "fmt needs an input .hmdl file"),
+        ("check", "check needs an input .hmdl file"),
+        ("bundled", "bundled needs a machine name"),
+        ("diff old.hmdl", "diff needs exactly two .hmdl files"),
+        // bench-serve: the shared bench flags, and none of its own.
+        ("bench-serve --machine", "--machine requires a name"),
+        ("bench-serve --machine vax", VAX),
+        ("bench-serve --jobs", "--jobs requires a positive integer"),
+        ("bench-serve --jobs 0", "--jobs requires a positive integer"),
+        (
+            "bench-serve --regions 0",
+            "--regions requires a positive integer",
+        ),
+        (
+            "bench-serve --regions x",
+            "--regions requires a positive integer",
+        ),
+        (
+            "bench-serve --mean-ops",
+            "--mean-ops requires a positive integer",
+        ),
+        (
+            "bench-serve --mean-ops 0",
+            "--mean-ops requires a positive integer",
+        ),
+        ("bench-serve --seed", "--seed requires an integer"),
+        ("bench-serve --seed x", "--seed requires an integer"),
+        ("bench-serve --bogus", "unexpected argument `--bogus`"),
+        (
+            "bench-serve --bogus --jobs 0",
+            "--jobs requires a positive integer",
+        ),
+        // serve
+        ("serve --machine", "--machine requires a name"),
+        ("serve --machine vax", VAX),
+        ("serve --machine ,", "--machine requires at least one name"),
+        ("serve --machine k5,k5", "machine `k5` listed twice"),
+        ("serve --socket", "--socket requires a path"),
+        ("serve --tcp", "--tcp requires an address"),
+        ("serve --workers", "--workers requires a positive integer"),
+        ("serve --workers 0", "--workers requires a positive integer"),
+        ("serve --workers x", "--workers requires a positive integer"),
+        ("serve --queue 0", "--queue requires a positive integer"),
+        (
+            "serve --read-timeout-ms 0",
+            "--read-timeout-ms requires a positive integer",
+        ),
+        (
+            "serve --read-timeout-ms x",
+            "--read-timeout-ms requires a positive integer",
+        ),
+        (
+            "serve --deadline-ms",
+            "--deadline-ms requires a positive integer",
+        ),
+        (
+            "serve --deadline-ms 0",
+            "--deadline-ms requires a positive integer",
+        ),
+        ("serve --seed x", "--seed requires an integer"),
+        ("serve --bogus", "unexpected argument `--bogus`"),
+        ("serve a.hmdl b.hmdl", "unexpected argument `b.hmdl`"),
+        (
+            "serve --machine k5 in.hmdl",
+            "serve takes either --machine or an input file, not both",
+        ),
+        // serve-load: the shared bench flags first, then its own.
+        ("serve-load --machine vax", VAX),
+        (
+            "serve-load --regions 0",
+            "--regions requires a positive integer",
+        ),
+        ("serve-load --jobs", "--jobs requires a positive integer"),
+        (
+            "serve-load --jobs 2 --requests 3",
+            "serve-load needs --socket <path> or --tcp <addr>",
+        ),
+        (
+            "serve-load --requests 0 --jobs 0",
+            "--jobs requires a positive integer",
+        ),
+        ("serve-load --socket", "--socket requires a path"),
+        (
+            "serve-load --socket --machine k5",
+            "--socket requires a path",
+        ),
+        ("serve-load --tcp", "--tcp requires an address"),
+        (
+            "serve-load --requests",
+            "--requests requires a positive integer",
+        ),
+        (
+            "serve-load --requests 0",
+            "--requests requires a positive integer",
+        ),
+        (
+            "serve-load --connections 0",
+            "--connections requires a positive integer",
+        ),
+        (
+            "serve-load --pipeline 0",
+            "--pipeline requires a positive integer",
+        ),
+        (
+            "serve-load --pipeline x",
+            "--pipeline requires a positive integer",
+        ),
+        (
+            "serve-load --machines",
+            "--machines requires a,b,c or `all`",
+        ),
+        ("serve-load --machines vax", VAX),
+        (
+            "serve-load --deadline-ms 0",
+            "--deadline-ms requires a positive integer",
+        ),
+        (
+            "serve-load --max-retries 0",
+            "--max-retries requires a positive integer",
+        ),
+        (
+            "serve-load --reload-at",
+            "--reload-at requires <index>:<path>",
+        ),
+        (
+            "serve-load --reload-at x",
+            "reload event wants <index>[@<machine>]:<path>, got `x`",
+        ),
+        ("serve-load --reload-at a:x", "bad reload index in `a:x`"),
+        ("serve-load --reload-at 0@vax:x", VAX),
+        (
+            "serve-load --reload-corrupt-at",
+            "--reload-corrupt-at requires <index>:<path>",
+        ),
+        ("serve-load --bogus", "unexpected argument `--bogus`"),
+        // perf
+        ("perf --seed", "--seed requires an integer"),
+        ("perf --scale", "--scale requires a positive number"),
+        ("perf --scale 0", "--scale requires a positive number"),
+        ("perf --scale x", "--scale requires a positive number"),
+        ("perf --filter", "--filter requires a substring"),
+        ("perf --reps", "--reps requires a positive integer"),
+        ("perf --reps 0", "--reps requires a positive integer"),
+        ("perf --json", "--json requires a path"),
+        ("perf --baseline", "--baseline requires a path"),
+        (
+            "perf --max-regression",
+            "--max-regression requires a non-negative number",
+        ),
+        (
+            "perf --max-regression -1",
+            "--max-regression requires a non-negative number",
+        ),
+        (
+            "perf --max-regression x",
+            "--max-regression requires a non-negative number",
+        ),
+        ("perf --bogus", "unexpected argument `--bogus`"),
+        // oracle
+        ("oracle --seed x", "--seed requires an integer"),
+        ("oracle --regions", "--regions requires a positive integer"),
+        (
+            "oracle --regions 0",
+            "--regions requires a positive integer",
+        ),
+        (
+            "oracle --max-ops 0",
+            "--max-ops requires a positive integer",
+        ),
+        (
+            "oracle --max-ops x",
+            "--max-ops requires a positive integer",
+        ),
+        (
+            "oracle --node-limit",
+            "--node-limit requires a positive integer",
+        ),
+        (
+            "oracle --node-limit 0",
+            "--node-limit requires a positive integer",
+        ),
+        ("oracle --machine", "--machine requires a name"),
+        ("oracle --fleet", "--fleet requires a positive integer"),
+        ("oracle --fleet 0", "--fleet requires a positive integer"),
+        ("oracle --fleet x", "--fleet requires a positive integer"),
+        (
+            "oracle --machine k5 --fleet 2",
+            "oracle takes either --machine or --fleet, not both",
+        ),
+        ("oracle --bogus", "unexpected argument `--bogus`"),
+        // schedule
+        ("schedule", "schedule needs an input .hmdl file"),
+        ("schedule --ops", "--ops requires a positive integer"),
+        ("schedule --ops x", "--ops requires a positive integer"),
+        ("schedule in.hmdl --bogus", "unexpected argument `--bogus`"),
+        // dot
+        ("dot", "dot needs an input .hmdl file"),
+        ("dot in.hmdl", "dot needs --class NAME"),
+        ("dot in.hmdl --class", "--class requires a name"),
+        ("dot in.hmdl --bogus", "unexpected argument `--bogus`"),
+        // lint
+        (
+            "lint",
+            "lint needs an input .hmdl file, --machine NAME|all, or --fleet N",
+        ),
+        ("lint --machine", "--machine requires a name (or `all`)"),
+        ("lint --fleet", "--fleet requires a positive integer"),
+        ("lint --fleet x", "--fleet requires a positive integer"),
+        ("lint --seed", "--seed requires an integer"),
+        (
+            "lint --defects",
+            "--defects needs --fleet N (defects are planted into fleet machines)",
+        ),
+        ("lint --bogus", "unexpected argument `--bogus`"),
+        // chart
+        ("chart", "chart needs an input .hmdl file"),
+        ("chart --ops", "--ops requires a positive integer"),
+        ("chart --ops x", "--ops requires a positive integer"),
+        ("chart in.hmdl --bogus", "unexpected argument `--bogus`"),
+    ];
+    for &(args, message) in rows {
+        let out = mdesc(&args.split(' ').collect::<Vec<_>>());
+        assert_eq!(out.status.code(), Some(1), "{args}: {}", stderr(&out));
+        assert_eq!(stderr(&out), format!("error: {message}\n"), "{args}");
+        assert!(stdout(&out).is_empty(), "{args}: {}", stdout(&out));
+    }
+}
+
+/// Runs each `(args, error)` row against a real description written to
+/// `IN`: every row must exit 1 with exactly that `error:` line.
+fn assert_rows_fail(tag: &str, rows: &[(&str, &str)]) {
+    let dir = temp_dir(tag);
+    let hmdl = dir.join("demo.hmdl");
+    std::fs::write(&hmdl, DEMO).unwrap();
+    let input = hmdl.to_str().unwrap();
+    for &(args, message) in rows {
+        let args: Vec<&str> = args
+            .split(' ')
+            .map(|a| if a == "IN" { input } else { a })
+            .collect();
+        let out = mdesc(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert_eq!(stderr(&out), format!("error: {message}\n"), "{args:?}");
+        assert!(stdout(&out).is_empty(), "{args:?}: {}", stdout(&out));
+    }
+}
+
+#[test]
+fn count_flags_that_promise_a_positive_integer_reject_zero() {
+    assert_rows_fail(
+        "zerocounts",
+        &[
+            ("optimize IN --ops 0", "--ops requires a positive integer"),
+            ("schedule IN --ops 0", "--ops requires a positive integer"),
+            ("chart IN --ops 0", "--ops requires a positive integer"),
+            ("lint --fleet 0", "--fleet requires a positive integer"),
+        ],
+    );
+}
+
+/// A token starting with `-` is never a command's input, and a token
+/// no flag or input claims is an unexpected argument.
+#[test]
+fn stray_arguments_are_unexpected_on_every_command() {
+    assert_rows_fail(
+        "stray",
+        &[
+            ("check IN --bogus", "unexpected argument `--bogus`"),
+            ("check --bogus IN", "unexpected argument `--bogus`"),
+            ("fmt IN extra", "unexpected argument `extra`"),
+            ("stats IN --bogus", "unexpected argument `--bogus`"),
+            ("bundled k5 extra", "unexpected argument `extra`"),
+            ("bundled --bogus", "unexpected argument `--bogus`"),
+            ("dump --oops", "unexpected argument `--oops`"),
+            (
+                "dot --bogus IN --class load",
+                "unexpected argument `--bogus`",
+            ),
+        ],
+    );
+}

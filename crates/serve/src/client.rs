@@ -1,5 +1,4 @@
-//! The closed-loop client: load generator, correctness checker, and the
-//! flag parser shared with `mdesc bench-serve`.
+//! The closed-loop client: load generator and correctness checker.
 //!
 //! The client is the other half of the chaos harness.  Every `schedule`
 //! request it sends is derived from a per-request seed, and the daemon's
@@ -17,7 +16,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mdes_core::CompiledMdes;
-use mdes_machines::Machine;
 use mdes_sched::{CheckStats, ListScheduler, SchedScratch};
 use mdes_telemetry::json::Json;
 use mdes_telemetry::latency::nearest_rank;
@@ -27,81 +25,6 @@ use mdes_workload::{generate_compiled_regions, RegionConfig};
 use crate::image::{compile_source, content_hash};
 use crate::proto::{obj, parse_reply, Reply, WorkParams};
 use crate::server::{BindAddr, Stream};
-
-/// The workload flags shared by `mdesc bench-serve` (in-process) and
-/// `mdesc serve-load` (over a socket): one parser, one contract.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BenchFlags {
-    /// The bundled machine to schedule for.
-    pub machine: Machine,
-    /// Engine workers per batch/request.
-    pub jobs: usize,
-    /// Regions per batch/request.
-    pub regions: usize,
-    /// Mean operations per region.
-    pub mean_ops: usize,
-    /// Base workload seed.
-    pub seed: u64,
-}
-
-impl Default for BenchFlags {
-    fn default() -> BenchFlags {
-        BenchFlags {
-            machine: Machine::Pa7100,
-            jobs: 1,
-            regions: 512,
-            mean_ops: 16,
-            seed: 0xC1D7A5,
-        }
-    }
-}
-
-impl BenchFlags {
-    /// Parses the shared flags out of `args`, returning the flags plus
-    /// every argument the shared set does not claim (callers decide
-    /// whether leftovers are their own flags or errors).
-    pub fn parse(args: &[String]) -> Result<(BenchFlags, Vec<String>), String> {
-        let mut flags = BenchFlags::default();
-        let mut rest = Vec::new();
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--machine" => {
-                    let name = iter.next().ok_or("--machine requires a name")?;
-                    flags.machine = Machine::from_name(name)?;
-                }
-                "--jobs" => flags.jobs = positive(iter.next(), "--jobs")?,
-                "--regions" => flags.regions = positive(iter.next(), "--regions")?,
-                "--mean-ops" => flags.mean_ops = positive(iter.next(), "--mean-ops")?,
-                "--seed" => {
-                    flags.seed = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--seed requires an integer")?;
-                }
-                other => rest.push(other.to_string()),
-            }
-        }
-        Ok((flags, rest))
-    }
-
-    /// The per-request work parameters these flags describe.
-    pub fn params(&self) -> WorkParams {
-        WorkParams {
-            regions: self.regions,
-            mean_ops: self.mean_ops,
-            seed: self.seed,
-            jobs: self.jobs,
-        }
-    }
-}
-
-fn positive(value: Option<&String>, flag: &str) -> Result<usize, String> {
-    value
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .ok_or_else(|| format!("{flag} requires a positive integer"))
-}
 
 /// A scripted mid-run reload.
 #[derive(Clone, Debug)]
@@ -784,36 +707,6 @@ fn check_answer(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn shared_flags_parse_and_return_leftovers() {
-        let (flags, rest) = BenchFlags::parse(&strings(&[
-            "--machine",
-            "k5",
-            "--regions",
-            "64",
-            "--connect",
-            "/tmp/x.sock",
-            "--seed",
-            "9",
-        ]))
-        .unwrap();
-        assert_eq!(flags.machine, Machine::K5);
-        assert_eq!(flags.regions, 64);
-        assert_eq!(flags.seed, 9);
-        assert_eq!(rest, strings(&["--connect", "/tmp/x.sock"]));
-    }
-
-    #[test]
-    fn shared_flags_reject_bad_values() {
-        assert!(BenchFlags::parse(&strings(&["--machine", "vax"])).is_err());
-        assert!(BenchFlags::parse(&strings(&["--regions", "0"])).is_err());
-        assert!(BenchFlags::parse(&strings(&["--jobs"])).is_err());
-    }
 
     #[test]
     fn schedule_lines_round_trip_through_the_frame_parser() {

@@ -31,8 +31,7 @@
 //!   daemon-wide sums.
 //! * [`client`] — the closed-loop load client (serial v1 or windowed
 //!   pipelined v2, optionally spraying requests across shards) that
-//!   doubles as the chaos harness's correctness oracle, plus the bench
-//!   flag parser shared with `mdesc bench-serve`.
+//!   doubles as the chaos harness's correctness oracle.
 //!
 //! ## Invariants (enforced by the test suites in `crates/serve/tests`)
 //!
@@ -58,7 +57,7 @@ pub mod proto;
 pub mod queue;
 pub mod server;
 
-pub use client::{run_load, BenchFlags, ClientReport, LoadOptions, ReloadEvent};
+pub use client::{run_load, ClientReport, LoadOptions, ReloadEvent};
 pub use image::{
     compile_machine, compile_source, content_hash, ImageStore, ReloadError, ReloadOutcome,
     ServeImage,
