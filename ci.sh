@@ -20,8 +20,9 @@
 #                    path of an id-less round trip), pinned replies
 #                    (`run_work` answers byte-identical to recorded
 #                    digests), the CLI's end-to-end suite (every
-#                    `mdesc` command, the bundled-name lookup
-#                    included), a type-check of the end-to-end benchmark
+#                    `mdesc` command, the bundled-name lookup and
+#                    the static paper tables and figures included),
+#                    a type-check of the end-to-end benchmark
 #                    crate against the current public API, formatting
 #   ./ci.sh --full   everything above plus the release-profile workspace
 #                    suites, the bench-serve concurrency smokes, the
@@ -36,7 +37,8 @@
 #                    and fleet fuzz (docs/oracle.md), the
 #                    static-analysis lint smoke and defect-recall gate
 #                    (docs/analysis.md), the paper-results gate
-#                    (results/ regenerates byte-identically), the
+#                    (`mdesc tables` and `mdesc figures` regenerate
+#                    results/ byte-identically), the
 #                    workspace clippy gate (which holds the CLI's
 #                    non-test code unwrap/expect-free) plus
 #                    the panic-free lang/opt gate, and the perf
@@ -173,7 +175,8 @@ cargo test -q -p mdes-serve --lib --test allocations --test pinned_replies
 
 # The CLI suite runs the `mdesc` binary, one command per test, the
 # case-insensitive bundled-name lookup that `bundled`, `lint --machine`
-# and `oracle --machine` share included; about 0.3 s warm.
+# and `oracle --machine` share included, and the static paper tables
+# and figures held to their slices of results/; about 0.7 s warm.
 cargo test -q -p mdes-tools --test cli
 
 # The end-to-end benchmark is its own Cargo workspace with its own lock
@@ -355,15 +358,15 @@ expect '^lint: recall 32/32 planted defect(s) reported$' "$LINT_DEFECTS"
 
 # Paper-results gate: the committed tables and figures are the paper
 # reproduction, and every scheduler, checker and workload change must
-# leave them byte-identical.  The runs are seed-deterministic and take
-# about 5 s; they cover every table and ablation, the automaton (A),
-# backward (D) and modulo (E) ones included.
-cargo build --release -p mdes-bench
-./target/release/paper_tables all --ops 40000 >"$ART/tables.txt"
+# leave them byte-identical.  `mdesc tables` and `mdesc figures` print
+# them; the runs are seed-deterministic and take about 5 s; they cover
+# every table and ablation, the automaton (A), backward (D) and modulo
+# (E) ones included.
+./target/release/mdesc tables all --ops 40000 >"$ART/tables.txt"
 cmp "$ART/tables.txt" results/tables.txt
-./target/release/paper_figures all >"$ART/figures.txt"
+./target/release/mdesc figures all >"$ART/figures.txt"
 cmp "$ART/figures.txt" results/figures.txt
-./target/release/paper_figures fig2-csv >"$ART/fig2.csv"
+./target/release/mdesc figures fig2-csv >"$ART/fig2.csv"
 cmp "$ART/fig2.csv" results/fig2.csv
 
 # The whole workspace (every target, tests included) must be clean

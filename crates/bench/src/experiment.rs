@@ -234,7 +234,9 @@ pub fn measure_only(
     measure(&compiled)
 }
 
-/// The default workload size used by the shipped experiment binaries.
+/// The calibrated workload of `machine` at `total_ops` operations, which
+/// every scheduling table and figure runs (`mdesc tables --ops N` and
+/// `mdesc figures --ops N` set `total_ops`; 40,000 by default).
 pub fn default_workload(machine: Machine, total_ops: usize) -> WorkloadConfig {
     WorkloadConfig::paper_default(machine).with_total_ops(total_ops)
 }

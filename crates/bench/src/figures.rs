@@ -17,6 +17,36 @@ use mdes_workload::generate;
 use crate::experiment::{default_workload, prepare_spec, Rep, Stage};
 use crate::paper;
 
+/// Renders one figure; Figure 2 from a workload of the given length.
+type Figure = fn(usize) -> String;
+
+/// Every figure with its renderer, in the order `all` prints them, then
+/// `fig2-csv`, which `all` leaves out.
+const FIGURES: [(&str, Figure); 7] = [
+    ("fig1", |_| fig1()),
+    ("fig2", fig2),
+    ("fig3", |_| fig3()),
+    ("fig4", |_| fig4()),
+    ("fig5", |_| fig5()),
+    ("fig6", |_| fig6()),
+    ("fig2-csv", fig2_csv),
+];
+
+/// The name of every figure: Figures 1–6 in the order `all` prints them,
+/// then `fig2-csv`, Figure 2's distribution as CSV, which `all` leaves
+/// out.
+pub const NAMES: [&str; FIGURES.len()] = crate::names(&FIGURES);
+
+/// The figures `all` prints: every name but the last.
+pub const ALL: &[&str] = NAMES.split_at(NAMES.len() - 1).0;
+
+/// Renders the figure `name`, one of [`NAMES`], from a `total_ops`
+/// workload where it has one; `None` for any other name.
+pub fn render(name: &str, total_ops: usize) -> Option<String> {
+    let (_, figure) = FIGURES.iter().find(|(n, _)| *n == name)?;
+    Some(figure(total_ops))
+}
+
 /// Figure 1: the six reservation tables of the SuperSPARC integer load.
 pub fn fig1() -> String {
     let spec = prepare_spec(Machine::SuperSparc, Rep::OrTree, Stage::Original);

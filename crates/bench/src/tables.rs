@@ -14,9 +14,12 @@ use mdes_core::stats::percent_reduced;
 use mdes_core::{CheckStats, CompiledMdes, UsageEncoding};
 use mdes_machines::Machine;
 use mdes_sched::ListScheduler;
+use mdes_telemetry::Telemetry;
 use mdes_workload::generate;
 
-use crate::experiment::{default_workload, measure_only, prepare_spec, run, Rep, Stage};
+use crate::experiment::{
+    default_workload, measure_only, prepare_spec, run, run_with_telemetry, Rep, Stage,
+};
 use crate::paper;
 use crate::report::{f2, paper_bytes, paper_ref, pct, TextTable};
 
@@ -30,6 +33,65 @@ pub struct TableConfig {
 impl Default for TableConfig {
     fn default() -> TableConfig {
         TableConfig { total_ops: 40_000 }
+    }
+}
+
+/// Renders one table at a workload size.
+type Table = fn(&TableConfig) -> String;
+
+/// Every table and ablation with its renderer, in the order `all` prints
+/// them.
+const TABLES: [(&str, Table); 22] = [
+    ("t1", |config| table_breakdown(Machine::SuperSparc, config)),
+    ("t2", |config| table_breakdown(Machine::Pa7100, config)),
+    ("t3", |config| table_breakdown(Machine::Pentium, config)),
+    ("t4", |config| table_breakdown(Machine::K5, config)),
+    ("t5", table5),
+    ("t6", |_| table6()),
+    ("t7", |_| table7()),
+    ("t8", table8),
+    ("t9", |_| table9()),
+    ("t10", table10),
+    ("t11", |_| table11()),
+    ("t12", table12),
+    ("t13", table13),
+    ("t14", |_| table14()),
+    ("t15", table15),
+    ("ablation-fsa", |_| ablation_fsa()),
+    ("ablation-ed", ablation_ed),
+    ("ablation-accuracy", ablation_accuracy),
+    ("ablation-backward", ablation_backward),
+    ("ablation-opsched", ablation_opsched),
+    ("ablation-ilp", ablation_ilp),
+    ("ablation-nextgen", ablation_nextgen),
+];
+
+/// The name of every table and ablation, in the order `all` prints them.
+pub const NAMES: [&str; TABLES.len()] = crate::names(&TABLES);
+
+/// Renders the table or ablation `name`, one of [`NAMES`], at `config`'s
+/// workload size; `None` for any other name.
+pub fn render(name: &str, config: &TableConfig) -> Option<String> {
+    let (_, table) = TABLES.iter().find(|(n, _)| *n == name)?;
+    Some(table(config))
+}
+
+/// Runs the full pipeline (AND/OR representation, every transformation,
+/// bit-vector encoding) and the list scheduler on every machine at
+/// `config`'s workload size, recording into `tel` each machine's
+/// per-stage breakdown under its name (`PA7100/pipeline/redundancy`,
+/// `K5/sched/list/attempts`).
+pub fn record_telemetry(config: &TableConfig, tel: &Telemetry) {
+    for machine in Machine::all() {
+        let workload = default_workload(machine, config.total_ops);
+        run_with_telemetry(
+            machine,
+            Rep::AndOr,
+            Stage::Full,
+            UsageEncoding::BitVector,
+            &workload,
+            tel,
+        );
     }
 }
 

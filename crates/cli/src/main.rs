@@ -113,13 +113,14 @@ impl MetricsOpts {
             return Ok(());
         }
         let report = tel.report();
+        // An empty report means the command records nothing (`fmt`,
+        // `figures`) or failed before anything ran (e.g. `--metrics`
+        // swallowed the subcommand as its path): a file would litter a
+        // surprising path, and a table would be a bare header.
+        if report.is_empty() {
+            return Ok(());
+        }
         if let Some(path) = &self.json_path {
-            // An empty report means the command failed before anything ran
-            // (e.g. `--metrics` swallowed the subcommand as its path);
-            // writing it would litter a useless file at a surprising path.
-            if report.spans.is_empty() && report.counters.is_empty() && report.gauges.is_empty() {
-                return Ok(());
-            }
             std::fs::write(path, report.to_json())
                 .map_err(|e| format!("cannot write metrics to `{path}`: {e}"))?;
         }
@@ -265,6 +266,8 @@ fn dispatch(args: &[String], tel: &Telemetry) -> CliResult {
         "lint" => lint_cmd(rest, tel),
         "diff" => diff_cmd(rest),
         "chart" => chart_cmd(rest),
+        "tables" => tables_cmd(rest, tel),
+        "figures" => figures_cmd(rest),
         "--help" | "-h" | "help" => {
             println!("{}", usage());
             Ok(())
@@ -341,6 +344,13 @@ fn usage() -> String {
      \x20         (see docs/analysis.md)\n\
      \x20 diff    <old.hmdl> <new.hmdl>               structural diff of two revisions\n\
      \x20 chart   <in.hmdl> [--ops N]                 schedule a block and show the RU map\n\
+     \x20 tables  [NAME|all]... [--ops N]\n\
+     \x20         print the paper's tables and ablations, each NAME or all of them,\n\
+     \x20         from an N-operation workload per machine (default 40000); an\n\
+     \x20         unknown NAME lists the names.  With --metrics or --metrics-summary,\n\
+     \x20         also record the full pipeline's telemetry on every machine\n\
+     \x20 figures [NAME|all]... [--ops N]\n\
+     \x20         print the paper's figures the same way\n\
      \n\
      exit codes:\n\
      \x20 1 usage, I/O and other general errors\n\
@@ -872,9 +882,11 @@ fn reload_error(err: mdes_serve::ReloadError) -> CliError {
     }
 }
 
-/// Parses a `--machine`/`--machines` operand: a comma-separated list of
-/// bundled machine names, or `all` for every bundled machine.
-fn machine_list(spec: &str) -> CliResult<Vec<mdes_machines::Machine>> {
+/// Reads the value of `flag` (`--machine` or `--machines`): a
+/// comma-separated list of bundled machine names, or `all` for every
+/// bundled machine.
+fn machine_list(args: &mut Args, flag: &str, what: &str) -> CliResult<Vec<mdes_machines::Machine>> {
+    let spec = args.value(flag, what)?;
     if spec.eq_ignore_ascii_case("all") {
         return Ok(mdes_machines::Machine::all().into_iter().collect());
     }
@@ -887,7 +899,7 @@ fn machine_list(spec: &str) -> CliResult<Vec<mdes_machines::Machine>> {
         machines.push(machine);
     }
     if machines.is_empty() {
-        return Err(CliError::from("--machine requires at least one name"));
+        return Err(CliError::from(format!("{flag} requires at least one name")));
     }
     Ok(machines)
 }
@@ -903,7 +915,7 @@ fn serve_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     let mut args = Args::new(args);
     while let Some(arg) = args.next() {
         match arg {
-            "--machine" => machines = machine_list(args.value("--machine", "a name")?)?,
+            "--machine" => machines = machine_list(&mut args, "--machine", "a name")?,
             "--socket" => addr = Some(BindAddr::Unix(args.value("--socket", "a path")?.into())),
             "--tcp" => addr = Some(BindAddr::Tcp(args.value("--tcp", "an address")?.into())),
             "--workers" => config.workers = args.positive("--workers")?,
@@ -1044,7 +1056,7 @@ fn serve_load_cmd(args: &[String], tel: &Telemetry) -> CliResult {
             "--requests" => requests = args.positive("--requests")?,
             "--connections" => connections = args.positive("--connections")?,
             "--pipeline" => pipeline = args.positive("--pipeline")?,
-            "--machines" => spray = machine_list(args.value("--machines", "a,b,c or `all`")?)?,
+            "--machines" => spray = machine_list(&mut args, "--machines", "a,b,c or `all`")?,
             "--deadline-ms" => deadline_ms = Some(args.positive("--deadline-ms")?),
             "--max-retries" => max_retries = args.positive("--max-retries")?,
             "--no-verify" => verify = false,
@@ -1597,6 +1609,73 @@ fn chart_cmd(args: &[String]) -> CliResult {
         }
     }
     Ok(())
+}
+
+/// Prints the paper's tables and ablations, each one named or all of
+/// them, from a `--ops`-operation workload per machine.  Under
+/// `--metrics` or `--metrics-summary` it also records the full
+/// pipeline's per-stage telemetry on every machine.
+fn tables_cmd(args: &[String], tel: &Telemetry) -> CliResult {
+    use mdes_bench::tables;
+    let (names, total_ops) = paper_args(args, "table", &tables::NAMES, &tables::NAMES)?;
+    let config = tables::TableConfig { total_ops };
+    for text in names
+        .iter()
+        .filter_map(|name| tables::render(name, &config))
+    {
+        println!("{text}");
+    }
+    if tel.is_enabled() {
+        tables::record_telemetry(&config, tel);
+    }
+    Ok(())
+}
+
+/// Prints the paper's figures, each one named or all of them; Figure 2
+/// comes from a `--ops`-operation workload.
+fn figures_cmd(args: &[String]) -> CliResult {
+    use mdes_bench::figures;
+    let (names, total_ops) = paper_args(args, "figure", &figures::NAMES, figures::ALL)?;
+    for text in names
+        .iter()
+        .filter_map(|name| figures::render(name, total_ops))
+    {
+        println!("{text}");
+    }
+    Ok(())
+}
+
+/// Reads the arguments of `tables` and `figures`: the names asked for,
+/// in order, each one of `names` or `all` for every name in `all`
+/// (`all` when none is given), and `--ops` (default 40000).
+fn paper_args<'a>(
+    args: &'a [String],
+    kind: &str,
+    names: &[&'a str],
+    all: &[&'a str],
+) -> CliResult<(Vec<&'a str>, usize)> {
+    let mut chosen = Vec::new();
+    let mut total_ops = 40_000;
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--ops" => total_ops = args.positive("--ops")?,
+            "all" => chosen.extend_from_slice(all),
+            name if names.contains(&name) => chosen.push(name),
+            other if other.starts_with('-') => return Err(unexpected(other)),
+            other => {
+                return Err(format!(
+                    "unknown {kind} `{other}` (one of: all, {})",
+                    names.join(", ")
+                )
+                .into())
+            }
+        }
+    }
+    if chosen.is_empty() {
+        chosen.extend_from_slice(all);
+    }
+    Ok((chosen, total_ops))
 }
 
 fn bundled_cmd(args: &[String]) -> CliResult {

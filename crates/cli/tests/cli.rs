@@ -508,6 +508,78 @@ fn metrics_flags_are_global_and_off_by_default() {
     assert!(report.span("pipeline/redundancy").is_some());
 }
 
+/// A command that records nothing writes neither a metrics file nor a
+/// summary table.
+#[test]
+fn an_empty_report_reaches_neither_sink() {
+    let dir = temp_dir("metricsempty");
+    let hmdl = dir.join("demo.hmdl");
+    std::fs::write(&hmdl, DEMO).unwrap();
+    let json_path = dir.join("fmt.json");
+    for args in [
+        vec!["--metrics-summary", "fmt", hmdl.to_str().unwrap()],
+        vec!["--metrics-summary", "figures", "fig1"],
+        vec![
+            "--metrics",
+            json_path.to_str().unwrap(),
+            "fmt",
+            hmdl.to_str().unwrap(),
+        ],
+    ] {
+        let out = mdesc(&args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        assert!(!stdout(&out).is_empty(), "{args:?}");
+        assert_eq!(stderr(&out), "", "{args:?}");
+    }
+    assert!(!json_path.exists());
+}
+
+/// The committed paper result `name` under `results/`.
+fn committed_result(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../results")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap()
+}
+
+/// The static tables and figures print exactly their slice of the
+/// committed results, and `--metrics` on `tables` records the full
+/// pipeline on every machine.
+#[test]
+fn tables_and_figures_print_slices_of_the_committed_results() {
+    for (args, committed) in [
+        (["tables", "t6", "t7"], "tables.txt"),
+        (["figures", "fig3", "fig4"], "figures.txt"),
+    ] {
+        let out = mdesc(&args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        let text = stdout(&out);
+        assert!(text.len() > 100, "{args:?}: {text}");
+        assert!(
+            committed_result(committed).contains(&text),
+            "{args:?} is not a slice of results/{committed}:\n{text}"
+        );
+    }
+
+    let dir = temp_dir("tablesmetrics");
+    let json_path = dir.join("m.json");
+    let out = mdesc(&[
+        "--metrics",
+        json_path.to_str().unwrap(),
+        "tables",
+        "t6",
+        "--ops",
+        "500",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let report =
+        mdes_telemetry::Report::from_json(&std::fs::read_to_string(&json_path).unwrap()).unwrap();
+    assert!(report.span("PA7100/pipeline/redundancy").is_some());
+    assert!(report
+        .counter("K5/sched/list/attempts")
+        .is_some_and(|n| n > 0));
+}
+
 #[test]
 fn unknown_command_and_missing_args_fail_cleanly() {
     assert!(!mdesc(&["frobnicate"]).status.success());
@@ -797,6 +869,11 @@ fn optimize_jobs_flag_is_deterministic_at_the_cli_level() {
 fn flag_errors_keep_their_exit_codes_and_messages() {
     const STRICT: &str = "unknown guard mode `strict` (expected off, validate or oracle)";
     const VAX: &str = "unknown machine `vax` (PA7100, Pentium, SuperSPARC, K5)";
+    const TABLES: &str = "unknown table `t99` (one of: all, t1, t2, t3, t4, t5, t6, t7, \
+        t8, t9, t10, t11, t12, t13, t14, t15, ablation-fsa, ablation-ed, ablation-accuracy, \
+        ablation-backward, ablation-opsched, ablation-ilp, ablation-nextgen)";
+    const FIGURES: &str =
+        "unknown figure `fig9` (one of: all, fig1, fig2, fig3, fig4, fig5, fig6, fig2-csv)";
     let rows: &[(&str, &str)] = &[
         // Global flags, stripped from anywhere in the argument list.
         ("--metrics", "--metrics requires a path"),
@@ -968,6 +1045,10 @@ fn flag_errors_keep_their_exit_codes_and_messages() {
         ),
         ("serve-load --machines vax", VAX),
         (
+            "serve-load --machines ,",
+            "--machines requires at least one name",
+        ),
+        (
             "serve-load --deadline-ms 0",
             "--deadline-ms requires a positive integer",
         ),
@@ -1074,6 +1155,15 @@ fn flag_errors_keep_their_exit_codes_and_messages() {
         ("chart --ops", "--ops requires a positive integer"),
         ("chart --ops x", "--ops requires a positive integer"),
         ("chart in.hmdl --bogus", "unexpected argument `--bogus`"),
+        // tables, figures
+        ("tables --ops", "--ops requires a positive integer"),
+        ("tables --ops 0", "--ops requires a positive integer"),
+        ("tables --ops x", "--ops requires a positive integer"),
+        ("tables t99", TABLES),
+        ("tables t5 t99", TABLES),
+        ("tables --bogus", "unexpected argument `--bogus`"),
+        ("figures --ops 0", "--ops requires a positive integer"),
+        ("figures fig9", FIGURES),
     ];
     for &(args, message) in rows {
         let out = mdesc(&args.split(' ').collect::<Vec<_>>());

@@ -320,6 +320,14 @@ pub struct Report {
 }
 
 impl Report {
+    /// Whether nothing was recorded: no span, counter, gauge or event.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+            && self.counters.is_empty()
+            && self.gauges.is_empty()
+            && self.events.is_empty()
+    }
+
     /// The span at exactly `path`, if present.
     pub fn span(&self, path: &str) -> Option<&SpanEntry> {
         self.spans.iter().find(|s| s.path == path)
@@ -701,6 +709,22 @@ mod tests {
             tel.gauge_set("size", 1.0);
         }
         assert_eq!(tel.report(), Report::default());
+    }
+
+    #[test]
+    fn a_report_is_empty_until_anything_is_recorded() {
+        assert!(Telemetry::new().report().is_empty());
+        let record: [fn(&Telemetry); 4] = [
+            |tel| drop(tel.span("phase")),
+            |tel| tel.counter_add("hits", 0),
+            |tel| tel.gauge_set("size", 0.0),
+            |tel| tel.event("guard/incident", &[]),
+        ];
+        for record in record {
+            let tel = Telemetry::new();
+            record(&tel);
+            assert!(!tel.report().is_empty());
+        }
     }
 
     #[test]
