@@ -10,7 +10,10 @@
 #                    pinned streams), the shared counting allocator's
 #                    own suite
 #                    (mdes-telemetry), the perf baseline's byte-for-byte
-#                    round trip, the exact-scheduler oracle's suites,
+#                    round trip and the perf registry's tests (it names
+#                    every baseline bench in the baseline's order, and a
+#                    filtered run measures only its bench), the
+#                    exact-scheduler oracle's suites,
 #                    the guard's suites (the image-vetting policy tests
 #                    and the LMDES fault codes), the automaton's suite,
 #                    the engine pool's suites, the daemon's unit
@@ -132,12 +135,16 @@ cargo test -q -p mdes-workload
 # with the crate's (under half a second warm).  The committed perf
 # baseline must parse and re-emit byte for byte, so an edit to
 # BENCH_8.json the report format cannot carry fails here, not only in
-# the --full perf gate (a few hundredths of a second).  The
-# exact-scheduler oracle's suites take about 0.3 s warm: branch and
-# bound against hand-built traps, the differential harness, and the
-# modulo II sandwich.
+# the --full perf gate; and the perf suite's one bench registry must
+# name every BENCH_8.json bench in BENCH_8.json's order (listing it sets
+# no bench up), so a dropped or renamed bench fails here, not only as
+# MISSING in the gate, while a run filtered to `rumap/word_ops` must
+# measure exactly that bench with every derived figure at 0 (a few
+# hundredths of a second together).  The exact-scheduler oracle's
+# suites take about 0.3 s warm: branch and bound against hand-built
+# traps, the differential harness, and the modulo II sandwich.
 cargo test -q -p mdes-telemetry
-cargo test -q -p mdes-perf --lib json
+cargo test -q -p mdes-perf --lib -- json registry
 cargo test -q -p mdes-oracle
 
 # The guard's suites take about 0.6 s warm, its integration tests

@@ -26,6 +26,8 @@
 //! # Example
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use mdes_core::{CompiledMdes, UsageEncoding};
 //! use mdes_automata::Automaton;
 //!
@@ -34,8 +36,8 @@
 //!     or_tree UseAlu = first_of({ ALU @ 0 });
 //!     class alu { constraint = UseAlu; latency = 1; }
 //! ").unwrap();
-//! let mdes = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-//! let mut fsa = Automaton::new(&mdes);
+//! let mdes = Arc::new(CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap());
+//! let mut fsa = Automaton::new(Arc::clone(&mdes));
 //! let alu = mdes.class_by_name("alu").unwrap();
 //!
 //! let s0 = Automaton::START;
@@ -49,16 +51,18 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use mdes_core::{CheckStats, Checker, ClassId, CompiledMdes, RuMap};
 
 /// A state id in the automaton.
 pub type StateId = u32;
 
-/// The lazily constructed conflict-detection automaton.
+/// The lazily constructed conflict-detection automaton.  It shares the
+/// description it walks, so it can outlive the scope that compiled it.
 #[derive(Clone, Debug)]
-pub struct Automaton<'a> {
-    mdes: &'a CompiledMdes,
+pub struct Automaton {
+    mdes: Arc<CompiledMdes>,
     /// Occupancy window per state: `window[k]` is the occupancy of
     /// absolute cycle `current + min_check_time + k`.
     windows: Vec<Vec<u64>>,
@@ -73,12 +77,12 @@ pub struct Automaton<'a> {
     selection: Vec<u32>,
 }
 
-impl<'a> Automaton<'a> {
+impl Automaton {
     /// The empty-machine start state.
     pub const START: StateId = 0;
 
     /// Creates an automaton over `mdes` containing only the start state.
-    pub fn new(mdes: &'a CompiledMdes) -> Automaton<'a> {
+    pub fn new(mdes: Arc<CompiledMdes>) -> Automaton {
         let len = (mdes.max_check_time() - mdes.min_check_time() + 1).max(1) as usize;
         let empty = vec![0u64; len];
         let mut index = HashMap::new();
@@ -97,11 +101,6 @@ impl<'a> Automaton<'a> {
     /// Number of materialized states.
     pub fn num_states(&self) -> usize {
         self.windows.len()
-    }
-
-    /// Number of cached transitions (issue + advance).
-    pub fn num_transitions(&self) -> usize {
-        self.issue_cache.len() + self.advance_cache.len()
     }
 
     /// Estimated table bytes under the paper's 4-byte-word model: one
@@ -151,9 +150,14 @@ impl<'a> Automaton<'a> {
             ru.reserve(cycle, word);
         }
         self.selection.clear();
-        Checker::new(self.mdes)
-            .try_reserve_into(&mut ru, class, 0, &mut self.stats, &mut self.selection)
-            .then(|| self.intern((min..=max).map(|cycle| ru.word(cycle)).collect()))
+        let accepted = Checker::new(&self.mdes).try_reserve_into(
+            &mut ru,
+            class,
+            0,
+            &mut self.stats,
+            &mut self.selection,
+        );
+        accepted.then(|| self.intern((min..=max).map(|cycle| ru.word(cycle)).collect()))
     }
 
     fn intern(&mut self, window: Vec<u64>) -> StateId {
@@ -237,9 +241,9 @@ mod tests {
     use super::*;
     use mdes_core::{CheckStats, Checker, RuMap, UsageEncoding};
 
-    fn compile(src: &str) -> CompiledMdes {
+    fn compile(src: &str) -> Arc<CompiledMdes> {
         let spec = mdes_lang::compile(src).unwrap();
-        CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap()
+        Arc::new(CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap())
     }
 
     const TWO_ISSUE: &str = "
@@ -256,7 +260,7 @@ mod tests {
     #[test]
     fn issue_respects_resource_limits() {
         let mdes = compile(TWO_ISSUE);
-        let mut fsa = Automaton::new(&mdes);
+        let mut fsa = Automaton::new(Arc::clone(&mdes));
         let load = mdes.class_by_name("load").unwrap();
         let alu = mdes.class_by_name("alu").unwrap();
 
@@ -274,7 +278,7 @@ mod tests {
     #[test]
     fn transitions_are_cached_and_states_interned() {
         let mdes = compile(TWO_ISSUE);
-        let mut fsa = Automaton::new(&mdes);
+        let mut fsa = Automaton::new(Arc::clone(&mdes));
         let alu = mdes.class_by_name("alu").unwrap();
         let a = fsa.issue(Automaton::START, alu).unwrap();
         let b = fsa.issue(Automaton::START, alu).unwrap();
@@ -289,7 +293,7 @@ mod tests {
         // require identical accept/reject decisions.
         let mdes = compile(TWO_ISSUE);
         let checker = Checker::new(&mdes);
-        let mut fsa = Automaton::new(&mdes);
+        let mut fsa = Automaton::new(Arc::clone(&mdes));
         let load = mdes.class_by_name("load").unwrap();
         let alu = mdes.class_by_name("alu").unwrap();
 
@@ -317,7 +321,7 @@ mod tests {
     #[test]
     fn full_enumeration_reaches_closure_on_small_machine() {
         let mdes = compile(TWO_ISSUE);
-        let mut fsa = Automaton::new(&mdes);
+        let mut fsa = Automaton::new(Arc::clone(&mdes));
         assert!(fsa.build_full(10_000));
         // Window spans 2 cycles with 3 resources; closure is modest.
         assert!(fsa.num_states() > 3);
@@ -329,7 +333,7 @@ mod tests {
     fn enumeration_cap_is_honored() {
         let spec = mdes_machines::Machine::K5.spec();
         let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-        let mut fsa = Automaton::new(&compiled);
+        let mut fsa = Automaton::new(Arc::new(compiled));
         let closed = fsa.build_full(500);
         assert!(!closed, "K5 automaton should blow past 500 states");
         assert!(fsa.num_states() >= 500);
@@ -338,7 +342,7 @@ mod tests {
     #[test]
     fn pack_in_order_counts_cycles_and_transitions() {
         let mdes = compile(TWO_ISSUE);
-        let mut fsa = Automaton::new(&mdes);
+        let mut fsa = Automaton::new(Arc::clone(&mdes));
         let alu = mdes.class_by_name("alu").unwrap();
         // Four ALU ops on two decoders: 2 per cycle over 2 cycles.  Six
         // transitions: four accepting issues, one rejected issue, one
@@ -351,14 +355,14 @@ mod tests {
     #[test]
     fn pack_of_nothing_is_zero_cycles() {
         let mdes = compile(TWO_ISSUE);
-        let mut fsa = Automaton::new(&mdes);
+        let mut fsa = Automaton::new(Arc::clone(&mdes));
         assert_eq!(fsa.pack_in_order(&[]), (0, 0));
     }
 
     #[test]
     fn start_state_is_reusable_after_heavy_traffic() {
         let mdes = compile(TWO_ISSUE);
-        let mut fsa = Automaton::new(&mdes);
+        let mut fsa = Automaton::new(Arc::clone(&mdes));
         let alu = mdes.class_by_name("alu").unwrap();
         let mut state = Automaton::START;
         for _ in 0..50 {

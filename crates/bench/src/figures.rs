@@ -93,17 +93,7 @@ fn fig2_histogram(total_ops: usize) -> mdes_core::stats::Histogram {
 /// Figure 2: distribution of options checked per scheduling attempt for
 /// the SuperSPARC (traditional OR-tree representation, as in the paper).
 pub fn fig2(total_ops: usize) -> String {
-    let machine = Machine::SuperSparc;
-    let spec = prepare_spec(machine, Rep::OrTree, Stage::Original);
-    let compiled = CompiledMdes::compile(&spec, UsageEncoding::Scalar).unwrap();
-    let scheduler = ListScheduler::new(&compiled);
-    let workload = generate(machine, &spec, &default_workload(machine, total_ops));
-    let mut stats = CheckStats::new();
-    for block in &workload.blocks {
-        scheduler.schedule(block, &mut stats);
-    }
-
-    let hist = &stats.options_per_attempt;
+    let hist = &fig2_histogram(total_ops);
     let mut out = String::new();
     let _ = writeln!(
         out,

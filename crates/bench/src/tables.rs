@@ -18,7 +18,7 @@ use mdes_telemetry::Telemetry;
 use mdes_workload::generate;
 
 use crate::experiment::{
-    default_workload, measure_only, prepare_spec, run, run_with_telemetry, Rep, Stage,
+    default_workload, measure_only, prepare_spec, run, run_on, run_with_telemetry, Rep, Stage,
 };
 use crate::paper;
 use crate::report::{f2, paper_bytes, paper_ref, pct, TextTable};
@@ -667,7 +667,7 @@ pub fn ablation_fsa() -> String {
     let states = |machine: Machine, stage: Stage| -> (String, usize) {
         let spec = prepare_spec(machine, Rep::AndOr, stage);
         let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-        let mut fsa = mdes_automata::Automaton::new(&compiled);
+        let mut fsa = mdes_automata::Automaton::new(std::sync::Arc::new(compiled));
         let closed = fsa.build_full(CAP);
         let label = if closed {
             fsa.num_states().to_string()
@@ -924,21 +924,18 @@ pub fn ablation_ilp(config: &TableConfig) -> String {
         let workload_config = default_workload(machine, config.total_ops / 2).with_ilp_scale(scale);
         let workload = generate(machine, &authored, &workload_config);
 
-        let run_with = |spec: &mdes_core::MdesSpec, encoding: UsageEncoding| {
-            let compiled = CompiledMdes::compile(spec, encoding).unwrap();
-            let scheduler = ListScheduler::new(&compiled);
-            let mut stats = CheckStats::new();
-            for block in &workload.blocks {
-                scheduler.schedule(block, &mut stats);
-            }
-            stats
-        };
-        let unopt = run_with(&mdes_opt::expand_to_or(&authored).0, UsageEncoding::Scalar);
-        let full = {
-            let mut optimized = authored.clone();
-            mdes_opt::optimize(&mut optimized, &mdes_opt::PipelineConfig::full());
-            run_with(&optimized, UsageEncoding::BitVector)
-        };
+        let unopt = run_on(
+            &mdes_opt::expand_to_or(&authored).0,
+            &workload,
+            UsageEncoding::Scalar,
+        )
+        .stats;
+        let full = run_on(
+            &mdes_opt::optimized(&authored),
+            &workload,
+            UsageEncoding::BitVector,
+        )
+        .stats;
         table.row([
             format!("{scale:.0}x"),
             format!(
@@ -970,48 +967,40 @@ pub fn ablation_nextgen(config: &TableConfig) -> String {
     let authored = mdes_machines::pentium_pro();
     let workload = generate_uniform(&authored, &uniform_config(config.total_ops / 2));
 
-    let run_with = |spec: &mdes_core::MdesSpec, encoding: UsageEncoding| {
-        let compiled = CompiledMdes::compile(spec, encoding).unwrap();
-        let scheduler = ListScheduler::new(&compiled);
-        let mut stats = CheckStats::new();
-        for block in &workload.blocks {
-            scheduler.schedule(block, &mut stats);
-        }
-        let memory = mdes_core::size::measure(&compiled);
-        (stats, memory)
-    };
-
-    let (unopt_stats, unopt_mem) =
-        run_with(&mdes_opt::expand_to_or(&authored).0, UsageEncoding::Scalar);
-    let (andor_stats, andor_mem) = {
-        let mut optimized = authored.clone();
-        mdes_opt::optimize(&mut optimized, &mdes_opt::PipelineConfig::full());
-        run_with(&optimized, UsageEncoding::BitVector)
-    };
+    let unopt = run_on(
+        &mdes_opt::expand_to_or(&authored).0,
+        &workload,
+        UsageEncoding::Scalar,
+    );
+    let andor = run_on(
+        &mdes_opt::optimized(&authored),
+        &workload,
+        UsageEncoding::BitVector,
+    );
 
     let mut table = TextTable::new(["Representation", "Bytes", "Opt/Att", "Chk/Att"]);
     table.row([
         "unoptimized OR".to_string(),
-        unopt_mem.total().to_string(),
-        f2(unopt_stats.options_per_attempt_avg()),
-        f2(unopt_stats.checks_per_attempt()),
+        unopt.memory.total().to_string(),
+        f2(unopt.stats.options_per_attempt_avg()),
+        f2(unopt.stats.checks_per_attempt()),
     ]);
     table.row([
         "fully optimized AND/OR".to_string(),
-        andor_mem.total().to_string(),
-        f2(andor_stats.options_per_attempt_avg()),
-        f2(andor_stats.checks_per_attempt()),
+        andor.memory.total().to_string(),
+        f2(andor.stats.options_per_attempt_avg()),
+        f2(andor.stats.checks_per_attempt()),
     ]);
     table.row([
         "reduction".to_string(),
         pct(percent_reduced(
-            unopt_mem.total() as f64,
-            andor_mem.total() as f64,
+            unopt.memory.total() as f64,
+            andor.memory.total() as f64,
         )),
         String::new(),
         pct(percent_reduced(
-            unopt_stats.checks_per_attempt(),
-            andor_stats.checks_per_attempt(),
+            unopt.stats.checks_per_attempt(),
+            andor.stats.checks_per_attempt(),
         )),
     ]);
     format!(

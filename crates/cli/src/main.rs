@@ -1165,14 +1165,11 @@ fn perf_cmd(args: &[String], tel: &Telemetry) -> CliResult {
         .map_err(|e| format!("cannot read baseline `{baseline_path}`: {e}"))?;
     let baseline = mdes_perf::Report::from_json(&text)
         .map_err(|e| format!("bad baseline `{baseline_path}`: {e}"))?;
-    let floor = mdes_perf::batch_scaling_floor();
-    let ceiling = mdes_perf::ORACLE_GAP_CEILING;
-    let outcome = mdes_perf::compare(&report, &baseline, max_regression, floor, ceiling);
+    let outcome = mdes_perf::compare(&report, &baseline, max_regression);
     print!("\n{}", mdes_perf::report::render_deltas(&outcome));
-    println!(
-        "batch_scaling floor on this host: {floor:.2}x (hardware-aware, see docs/performance.md)"
-    );
-    println!("oracle_gap ceiling: {ceiling:.2} (absolute bound, see docs/oracle.md)");
+    for figure in &report.figures {
+        println!("{} bound: {}", figure.name, figure.bound);
+    }
     if outcome.passed() {
         println!("perf gate: PASS");
         Ok(())

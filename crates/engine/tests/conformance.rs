@@ -72,10 +72,10 @@ fn random_spec(rng: &mut Pcg32) -> MdesSpec {
 /// same options at the same time.
 fn conform(spec: &MdesSpec, seed: u64, steps: usize) -> usize {
     let scalar = CompiledMdes::compile(spec, UsageEncoding::Scalar).unwrap();
-    let bitvec = CompiledMdes::compile(spec, UsageEncoding::BitVector).unwrap();
+    let bitvec = Arc::new(CompiledMdes::compile(spec, UsageEncoding::BitVector).unwrap());
     let scalar_checker = Checker::new(&scalar);
     let bitvec_checker = Checker::new(&bitvec);
-    let mut fsa = Automaton::new(&bitvec);
+    let mut fsa = Automaton::new(Arc::clone(&bitvec));
 
     let classes: Vec<ClassId> = (0..scalar.classes().len())
         .map(ClassId::from_index)

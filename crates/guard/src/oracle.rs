@@ -17,7 +17,7 @@
 //! including a minimized failing probe when the checker level caught it.
 
 use mdes_core::compile::{CompiledMdes, UsageEncoding};
-use mdes_core::probe::{self, ProbeOp};
+use mdes_core::probe;
 use mdes_core::spec::MdesSpec;
 use mdes_sched::replay;
 
@@ -137,11 +137,4 @@ pub fn differential_check(
     }
 
     None
-}
-
-/// Re-runs a recorded probe script against two compiled specs — the
-/// reproduction path for a stored incident (same seed ⇒ same sequences ⇒
-/// same divergence).
-pub fn replay_probe(a: &CompiledMdes, b: &CompiledMdes, ops: &[ProbeOp]) -> bool {
-    probe::run_sequence(a, ops) == probe::run_sequence(b, ops)
 }

@@ -19,29 +19,24 @@
 //! silently dropped bench is how perf coverage rots); a new bench not
 //! yet in the baseline is reported but passes.
 //!
-//! On top of the per-bench comparison, the gate enforces a **floor** on
-//! the report's derived `batch_scaling` figure (the engine's measured
-//! parallel speedup at 4 workers): unlike a timing, a speedup ratio is
-//! compared against an absolute bound, not against the baseline, so a
-//! run whose w4 batch does not beat the floor fails even if the
-//! baseline was just as bad.  The floor is hardware-aware — see
-//! [`crate::batch_scaling_floor_for`].
+//! On top of the per-bench comparison, the gate holds each of the
+//! report's derived figures to its [`Bound`]:
 //!
-//! Symmetrically the gate enforces a **ceiling** on the derived
-//! `oracle_gap` figure (list-scheduler cycles ÷ exact branch-and-bound
-//! oracle cycles on the seeded small regions): the list scheduler may
-//! not drift more than [`crate::ORACLE_GAP_CEILING`] above
-//! provably-optimal length, no matter what the baseline measured.
+//! * a **floor** (`batch_scaling`, the engine's measured parallel
+//!   speedup at 4 workers) or a **ceiling** (`oracle_gap`, list-scheduler
+//!   cycles ÷ exact branch-and-bound oracle cycles on the seeded small
+//!   regions) is an absolute bound, not a delta against the baseline, so
+//!   a run past it fails even if the baseline was just as bad.  The
+//!   floor is hardware-aware — see [`crate::batch_scaling_floor_for`];
+//! * a **latency** (`serve_p50_us`/`serve_p99_us`, the daemon's
+//!   closed-loop request latency from the `serve/load/*` family) is
+//!   wall-clock like any timing, so it is compared against the
+//!   *baseline's* figure under the same timing tolerance.
 //!
-//! Finally the gate compares the derived serve-latency percentiles
-//! (`serve_p50_us`/`serve_p99_us`, the daemon's closed-loop request
-//! latency from the `serve/load/*` family) against the *baseline's*
-//! figures under the same timing tolerance — latencies are wall-clock
-//! like any timing, so they get the relative gate, not an absolute
-//! bound.  Skipped when either side reads 0 (family filtered out, or a
-//! pre-serve baseline).
+//! A figure reading 0 is skipped (its benches were filtered out of the
+//! run), and so is a latency whose baseline reads 0.
 
-use crate::Report;
+use crate::{Bound, Report};
 
 /// How one bench moved against the baseline.
 #[derive(Clone, Debug, PartialEq)]
@@ -72,13 +67,11 @@ pub enum DeltaKind {
     Missing,
     /// In this run but not in the baseline yet.
     New,
-    /// A derived gauge (e.g. `batch_scaling`) is below its required
-    /// floor.  For gauge deltas the `*_ns_per_op` fields carry the floor
-    /// and the measured value instead of timings.
+    /// A derived figure is below its [`Bound::Floor`].  For figure
+    /// deltas the `*_ns_per_op` fields carry the bound (or the
+    /// baseline's figure) and the measured value instead of timings.
     BelowFloor,
-    /// A derived gauge (e.g. `oracle_gap`) is above its allowed
-    /// ceiling.  As with [`DeltaKind::BelowFloor`], the `*_ns_per_op`
-    /// fields carry the ceiling and the measured value.
+    /// A derived figure is above its [`Bound::Ceiling`].
     AboveCeiling,
 }
 
@@ -108,22 +101,10 @@ impl CompareOutcome {
 }
 
 /// Compares `current` against `baseline` with `max_regression` timing
-/// tolerance (0.25 = fail beyond 25% slower per work unit) and fails
-/// the run when its `batch_scaling` figure is below
-/// `batch_scaling_floor` (pass [`crate::batch_scaling_floor`] for the
-/// current host's bound) or its `oracle_gap` figure is above
-/// `oracle_gap_ceiling` (pass [`crate::ORACLE_GAP_CEILING`]).  Each
-/// gauge check is skipped when its benches were filtered out of the run
-/// (the figure reads 0).  The serve-latency percentiles are compared
-/// against the baseline's under `max_regression`, skipped when either
-/// side reads 0.
-pub fn compare(
-    current: &Report,
-    baseline: &Report,
-    max_regression: f64,
-    batch_scaling_floor: f64,
-    oracle_gap_ceiling: f64,
-) -> CompareOutcome {
+/// tolerance (0.25 = fail beyond 25% slower per work unit), and holds
+/// each of `current`'s derived figures to its bound (see the module
+/// docs).
+pub fn compare(current: &Report, baseline: &Report, max_regression: f64) -> CompareOutcome {
     let mut deltas = Vec::new();
     for base in &baseline.benches {
         let delta = match current.bench(&base.name) {
@@ -171,58 +152,33 @@ pub fn compare(
             });
         }
     }
-    if current.batch_scaling > 0.0 && batch_scaling_floor > 0.0 {
-        deltas.push(Delta {
-            name: "batch_scaling (floor)".to_string(),
-            baseline_ns_per_op: batch_scaling_floor,
-            current_ns_per_op: current.batch_scaling,
-            ratio: current.batch_scaling / batch_scaling_floor - 1.0,
-            kind: if current.batch_scaling < batch_scaling_floor {
-                DeltaKind::BelowFloor
-            } else {
-                DeltaKind::Ok
-            },
-        });
-    }
-    if current.oracle_gap > 0.0 && oracle_gap_ceiling > 0.0 {
-        deltas.push(Delta {
-            name: "oracle_gap (ceiling)".to_string(),
-            baseline_ns_per_op: oracle_gap_ceiling,
-            current_ns_per_op: current.oracle_gap,
-            ratio: current.oracle_gap / oracle_gap_ceiling - 1.0,
-            kind: if current.oracle_gap > oracle_gap_ceiling {
-                DeltaKind::AboveCeiling
-            } else {
-                DeltaKind::Ok
-            },
-        });
-    }
-    for (name, now_us, base_us) in [
-        (
-            "serve_p50_us (latency)",
-            current.serve_p50_us,
-            baseline.serve_p50_us,
-        ),
-        (
-            "serve_p99_us (latency)",
-            current.serve_p99_us,
-            baseline.serve_p99_us,
-        ),
-    ] {
-        if now_us <= 0.0 || base_us <= 0.0 {
+    for figure in &current.figures {
+        let value = figure.value;
+        let (label, limit, failed, failure) = match figure.bound {
+            Bound::Floor(floor) => ("floor", floor, value < floor, DeltaKind::BelowFloor),
+            Bound::Ceiling(ceiling) => {
+                let above = value > ceiling;
+                ("ceiling", ceiling, above, DeltaKind::AboveCeiling)
+            }
+            Bound::Latency => {
+                let base = baseline
+                    .figures
+                    .iter()
+                    .find(|base| base.name == figure.name)
+                    .map_or(0.0, |base| base.value);
+                let slower = value / base - 1.0 > max_regression;
+                ("latency", base, slower, DeltaKind::Regressed)
+            }
+        };
+        if value <= 0.0 || limit <= 0.0 {
             continue;
         }
-        let ratio = now_us / base_us - 1.0;
         deltas.push(Delta {
-            name: name.to_string(),
-            baseline_ns_per_op: base_us,
-            current_ns_per_op: now_us,
-            ratio,
-            kind: if ratio > max_regression {
-                DeltaKind::Regressed
-            } else {
-                DeltaKind::Ok
-            },
+            name: format!("{} ({label})", figure.name),
+            baseline_ns_per_op: limit,
+            current_ns_per_op: value,
+            ratio: value / limit - 1.0,
+            kind: if failed { failure } else { DeltaKind::Ok },
         });
     }
     CompareOutcome {
@@ -234,7 +190,7 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Sample;
+    use crate::{Figure, Sample};
 
     fn report(benches: &[(&str, u64, u128)]) -> Report {
         Report {
@@ -251,17 +207,24 @@ mod tests {
                     min_ns: median_ns,
                 })
                 .collect(),
-            batch_scaling: 0.0,
-            oracle_gap: 0.0,
-            serve_p50_us: 0.0,
-            serve_p99_us: 0.0,
+            figures: Vec::new(),
         }
+    }
+
+    /// `report` with one bench `a` and the given derived figures.
+    fn with_figures(figures: &[(&'static str, f64, Bound)]) -> Report {
+        let mut r = report(&[("a", 100, 1000)]);
+        r.figures = figures
+            .iter()
+            .map(|&(name, value, bound)| Figure { name, value, bound })
+            .collect();
+        r
     }
 
     #[test]
     fn identical_reports_pass() {
         let r = report(&[("a", 100, 1000), ("b", 5, 700)]);
-        let outcome = compare(&r, &r, 0.25, 0.0, 0.0);
+        let outcome = compare(&r, &r, 0.25);
         assert!(outcome.passed());
         assert!(outcome.deltas.iter().all(|d| d.kind == DeltaKind::Ok));
     }
@@ -271,8 +234,8 @@ mod tests {
         let base = report(&[("a", 100, 1000)]);
         let slower_ok = report(&[("a", 100, 1200)]);
         let slower_bad = report(&[("a", 100, 1300)]);
-        assert!(compare(&slower_ok, &base, 0.25, 0.0, 0.0).passed());
-        let outcome = compare(&slower_bad, &base, 0.25, 0.0, 0.0);
+        assert!(compare(&slower_ok, &base, 0.25).passed());
+        let outcome = compare(&slower_bad, &base, 0.25);
         assert!(!outcome.passed());
         assert_eq!(
             outcome.failures().next().unwrap().kind,
@@ -284,14 +247,14 @@ mod tests {
     fn speedups_always_pass() {
         let base = report(&[("a", 100, 1000)]);
         let faster = report(&[("a", 100, 10)]);
-        assert!(compare(&faster, &base, 0.0, 0.0, 0.0).passed());
+        assert!(compare(&faster, &base, 0.0).passed());
     }
 
     #[test]
     fn op_count_drift_fails_even_when_faster() {
         let base = report(&[("a", 100, 1000)]);
         let drifted = report(&[("a", 99, 10)]);
-        let outcome = compare(&drifted, &base, 0.25, 0.0, 0.0);
+        let outcome = compare(&drifted, &base, 0.25);
         assert!(!outcome.passed());
         assert_eq!(
             outcome.failures().next().unwrap().kind,
@@ -303,7 +266,7 @@ mod tests {
     fn missing_bench_fails_new_bench_passes() {
         let base = report(&[("a", 100, 1000)]);
         let renamed = report(&[("b", 100, 1000)]);
-        let outcome = compare(&renamed, &base, 0.25, 0.0, 0.0);
+        let outcome = compare(&renamed, &base, 0.25);
         assert!(!outcome.passed());
         let kinds: Vec<DeltaKind> = outcome.deltas.iter().map(|d| d.kind).collect();
         assert_eq!(kinds, vec![DeltaKind::Missing, DeltaKind::New]);
@@ -312,31 +275,28 @@ mod tests {
     #[test]
     fn batch_scaling_below_floor_fails_above_passes() {
         let base = report(&[("a", 100, 1000)]);
-        let mut now = report(&[("a", 100, 1000)]);
-        now.batch_scaling = 0.7;
-        let outcome = compare(&now, &base, 0.25, 0.9, 0.0);
+        let now = with_figures(&[("batch_scaling", 0.7, Bound::Floor(0.9))]);
+        let outcome = compare(&now, &base, 0.25);
         assert!(!outcome.passed());
-        assert_eq!(
-            outcome.failures().next().unwrap().kind,
-            DeltaKind::BelowFloor
-        );
-        now.batch_scaling = 3.4;
-        assert!(compare(&now, &base, 0.25, 3.0, 0.0).passed());
+        let failure = outcome.failures().next().unwrap();
+        assert_eq!(failure.kind, DeltaKind::BelowFloor);
+        assert_eq!(failure.name, "batch_scaling (floor)");
+        let now = with_figures(&[("batch_scaling", 3.4, Bound::Floor(3.0))]);
+        assert!(compare(&now, &base, 0.25).passed());
     }
 
     #[test]
     fn oracle_gap_above_ceiling_fails_below_passes() {
         let base = report(&[("a", 100, 1000)]);
-        let mut now = report(&[("a", 100, 1000)]);
-        now.oracle_gap = 1.3;
-        let outcome = compare(&now, &base, 0.25, 0.0, crate::ORACLE_GAP_CEILING);
+        let ceiling = Bound::Ceiling(crate::ORACLE_GAP_CEILING);
+        let now = with_figures(&[("oracle_gap", 1.3, ceiling)]);
+        let outcome = compare(&now, &base, 0.25);
         assert!(!outcome.passed());
-        assert_eq!(
-            outcome.failures().next().unwrap().kind,
-            DeltaKind::AboveCeiling
-        );
-        now.oracle_gap = 1.05;
-        assert!(compare(&now, &base, 0.25, 0.0, crate::ORACLE_GAP_CEILING).passed());
+        let failure = outcome.failures().next().unwrap();
+        assert_eq!(failure.kind, DeltaKind::AboveCeiling);
+        assert_eq!(failure.name, "oracle_gap (ceiling)");
+        let now = with_figures(&[("oracle_gap", 1.05, ceiling)]);
+        assert!(compare(&now, &base, 0.25).passed());
     }
 
     #[test]
@@ -344,8 +304,11 @@ mod tests {
         // oracle_gap stays 0 when the oracle family did not run;
         // a filtered run must not trip the ceiling.
         let base = report(&[("a", 100, 1000)]);
-        let now = report(&[("a", 100, 1000)]);
-        assert!(compare(&now, &base, 0.25, 0.0, crate::ORACLE_GAP_CEILING).passed());
+        let ceiling = Bound::Ceiling(crate::ORACLE_GAP_CEILING);
+        let now = with_figures(&[("oracle_gap", 0.0, ceiling)]);
+        let outcome = compare(&now, &base, 0.25);
+        assert!(outcome.passed());
+        assert_eq!(outcome.deltas.len(), 1);
     }
 
     #[test]
@@ -353,8 +316,10 @@ mod tests {
         // batch_scaling stays 0 when the engine benches did not run; a
         // filtered run must not trip the floor.
         let base = report(&[("a", 100, 1000)]);
-        let now = report(&[("a", 100, 1000)]);
-        assert!(compare(&now, &base, 0.25, 3.0, 0.0).passed());
+        let now = with_figures(&[("batch_scaling", 0.0, Bound::Floor(3.0))]);
+        let outcome = compare(&now, &base, 0.25);
+        assert!(outcome.passed());
+        assert_eq!(outcome.deltas.len(), 1);
     }
 
     #[test]
@@ -367,14 +332,17 @@ mod tests {
 
     #[test]
     fn serve_latency_regression_fails_within_tolerance_passes() {
-        let mut base = report(&[("a", 100, 1000)]);
-        base.serve_p50_us = 800.0;
-        base.serve_p99_us = 2000.0;
-        let mut now = base.clone();
-        now.serve_p99_us = 2400.0; // +20%: inside a 25% tolerance
-        assert!(compare(&now, &base, 0.25, 0.0, 0.0).passed());
-        now.serve_p99_us = 2600.0; // +30%: out
-        let outcome = compare(&now, &base, 0.25, 0.0, 0.0);
+        let latency = |p50, p99| {
+            with_figures(&[
+                ("serve_p50_us", p50, Bound::Latency),
+                ("serve_p99_us", p99, Bound::Latency),
+            ])
+        };
+        let base = latency(800.0, 2000.0);
+        // +20%: inside a 25% tolerance
+        assert!(compare(&latency(800.0, 2400.0), &base, 0.25).passed());
+        // +30%: out
+        let outcome = compare(&latency(800.0, 2600.0), &base, 0.25);
         assert!(!outcome.passed());
         let failure = outcome.failures().next().unwrap();
         assert_eq!(failure.kind, DeltaKind::Regressed);
@@ -385,16 +353,18 @@ mod tests {
     fn serve_latency_is_skipped_when_either_side_reads_zero() {
         // A filtered run (current 0) or a pre-serve baseline (baseline
         // 0) must not trip the latency gate.
-        let mut base = report(&[("a", 100, 1000)]);
-        let mut now = report(&[("a", 100, 1000)]);
-        now.serve_p50_us = 900.0;
-        now.serve_p99_us = 9000.0;
-        assert!(compare(&now, &base, 0.25, 0.0, 0.0).passed());
-        base.serve_p50_us = 100.0;
-        base.serve_p99_us = 100.0;
-        now.serve_p50_us = 0.0;
-        now.serve_p99_us = 0.0;
-        assert!(compare(&now, &base, 0.25, 0.0, 0.0).passed());
+        let latency = |us| {
+            with_figures(&[
+                ("serve_p50_us", us, Bound::Latency),
+                ("serve_p99_us", us, Bound::Latency),
+            ])
+        };
+        let outcome = compare(&latency(9000.0), &latency(0.0), 0.25);
+        assert!(outcome.passed());
+        assert_eq!(outcome.deltas.len(), 1);
+        let outcome = compare(&latency(0.0), &latency(100.0), 0.25);
+        assert!(outcome.passed());
+        assert_eq!(outcome.deltas.len(), 1);
     }
 
     #[test]
@@ -403,6 +373,6 @@ mod tests {
         let base = report(&[("a", 100, 1000)]);
         let mut scaled = report(&[("a", 100, 10_000)]);
         scaled.benches[0].iters = 100;
-        assert!(compare(&scaled, &base, 0.01, 0.0, 0.0).passed());
+        assert!(compare(&scaled, &base, 0.01).passed());
     }
 }

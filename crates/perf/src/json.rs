@@ -14,19 +14,9 @@ pub fn to_json(report: &Report) -> String {
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": {},\n", report.schema));
     out.push_str(&format!("  \"seed\": {},\n", report.seed));
-    out.push_str(&format!(
-        "  \"batch_scaling\": {:.3},\n",
-        report.batch_scaling
-    ));
-    out.push_str(&format!("  \"oracle_gap\": {:.3},\n", report.oracle_gap));
-    out.push_str(&format!(
-        "  \"serve_p50_us\": {:.3},\n",
-        report.serve_p50_us
-    ));
-    out.push_str(&format!(
-        "  \"serve_p99_us\": {:.3},\n",
-        report.serve_p99_us
-    ));
+    for figure in &report.figures {
+        out.push_str(&format!("  \"{}\": {:.3},\n", figure.name, figure.value));
+    }
     out.push_str("  \"benches\": [\n");
     for (i, s) in report.benches.iter().enumerate() {
         out.push_str(&format!(
@@ -81,14 +71,17 @@ impl Report {
                 min_ns: field(entry, "min_ns", Json::as_u64)?.into(),
             });
         }
+        // The suite's figure list, read off no benches, names every
+        // figure (all at 0) with its bound.
+        let mut figures = crate::suite::figures(&[]);
+        for figure in &mut figures {
+            figure.value = field(&top, figure.name, Json::as_f64)?;
+        }
         Ok(Report {
             schema,
             seed: field(&top, "seed", Json::as_u64)?,
             benches,
-            batch_scaling: field(&top, "batch_scaling", Json::as_f64)?,
-            oracle_gap: field(&top, "oracle_gap", Json::as_f64)?,
-            serve_p50_us: field(&top, "serve_p50_us", Json::as_f64)?,
-            serve_p99_us: field(&top, "serve_p99_us", Json::as_f64)?,
+            figures,
         })
     }
 }
@@ -119,6 +112,10 @@ mod tests {
     }
 
     fn report() -> Report {
+        let mut figures = crate::suite::figures(&[]);
+        for (figure, value) in figures.iter_mut().zip([3.2, 1.04, 850.0, 2400.0]) {
+            figure.value = value;
+        }
         Report {
             schema: 6,
             seed: 42,
@@ -126,10 +123,7 @@ mod tests {
                 sample("rumap/word_ops", 8192, 1_000_000),
                 sample("checker/arena/wide", 2048, 50_000),
             ],
-            batch_scaling: 3.2,
-            oracle_gap: 1.04,
-            serve_p50_us: 850.0,
-            serve_p99_us: 2400.0,
+            figures,
         }
     }
 

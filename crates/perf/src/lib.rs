@@ -15,17 +15,19 @@
 //!   box is additive, so min-of-K is the robust speed estimator) with a
 //!   tolerance on top (25% by default).
 //!
-//! [`run_all`] executes the suite and returns a [`Report`];
-//! [`report::render_table`] prints it for humans, [`Report::to_json`] /
-//! [`Report::from_json`] round-trip the machine-readable form committed
-//! as `BENCH_8.json`, and [`compare::compare`] implements the regression
-//! gate used by `mdesc perf --baseline` — including the hardware-aware
+//! The suite is one list of benches, each a name, an iteration count and
+//! a set-up that returns the closure [`measure`] times; [`run_all`] walks
+//! it and reads the report's derived [`Figure`]s off what it measured.
+//! [`report::render_table`] prints a [`Report`] for humans,
+//! [`Report::to_json`] / [`Report::from_json`] round-trip the
+//! machine-readable form committed as `BENCH_8.json`, and
+//! [`compare::compare`] implements the regression gate used by `mdesc
+//! perf --baseline`: per-bench op counts and timings against the
+//! baseline, and each figure against its [`Bound`] — the hardware-aware
 //! [`batch_scaling_floor`] on the engine's parallel speedup, the
-//! [`ORACLE_GAP_CEILING`] on the list scheduler's measured optimality
-//! gap against the exact branch-and-bound oracle, and the serve-latency
-//! percentiles ([`Report::serve_p50_us`] / [`Report::serve_p99_us`])
-//! from the closed-loop `serve/load` family, compared against the
-//! baseline like any timing.
+//! [`ORACLE_GAP_CEILING`] on the list scheduler's measured optimality gap
+//! against the exact branch-and-bound oracle, and the baseline itself for
+//! the closed-loop serve latency percentiles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +37,7 @@ pub mod json;
 pub mod report;
 mod suite;
 
+use std::fmt;
 use std::time::Instant;
 
 pub use compare::{compare, CompareOutcome, Delta, DeltaKind};
@@ -67,12 +70,6 @@ impl Default for BenchConfig {
 }
 
 impl BenchConfig {
-    /// A config with everything default but the seed.
-    pub fn with_seed(mut self, seed: u64) -> BenchConfig {
-        self.seed = seed;
-        self
-    }
-
     fn iters(&self, base: u64) -> u64 {
         ((base as f64 * self.scale).round() as u64).max(1)
     }
@@ -142,39 +139,51 @@ pub struct Report {
     pub seed: u64,
     /// Per-bench measurements, in suite order.
     pub benches: Vec<Sample>,
-    /// `engine/batch/w1` ÷ `engine/batch/w4` fastest-repetition time:
-    /// the measured parallel speedup of `Engine::schedule_batch` at 4
-    /// workers on the seeded workload (same deterministic work on both
-    /// sides, so total time is directly comparable).  Values above 1
-    /// mean adding workers helps; the gate floor is hardware-aware
-    /// ([`batch_scaling_floor`]).  0 when either side was filtered out
-    /// of the run.
-    pub batch_scaling: f64,
-    /// Aggregate optimality gap from the `oracle/bnb/*` family: total
-    /// list-scheduler cycles ÷ total provably-minimal oracle cycles over
-    /// the seeded small-region streams on every bundled machine.  1.0
-    /// would mean the list scheduler is exactly optimal on this
-    /// workload; the gate rejects values above [`ORACLE_GAP_CEILING`].
-    /// Unlike a timing this is a *quality* figure — deterministic for a
-    /// given seed — so it is compared against an absolute ceiling, not
-    /// against the baseline.  0 when the oracle family was filtered out
-    /// of the run.
-    pub oracle_gap: f64,
-    /// p50 request latency (microseconds) of the `serve/load/k5`
-    /// closed-loop run, fastest repetition: the end-to-end serve path —
-    /// frame parse, shard routing, admission, engine, reply render —
-    /// under pipelined load with every answer verified.  Compared
-    /// against the baseline with the run's timing tolerance, so a serve
-    /// latency regression fails CI like any other bench.  0 when the
-    /// serve/load family was filtered out of the run.
-    pub serve_p50_us: f64,
-    /// p99 request latency of the same run — the tail the daemon's
-    /// backpressure and deadline machinery exist to protect.  Gated
-    /// like [`Report::serve_p50_us`].
-    pub serve_p99_us: f64,
+    /// The derived figures, in report order: `batch_scaling`,
+    /// `oracle_gap`, `serve_p50_us` and `serve_p99_us`.
+    pub figures: Vec<Figure>,
 }
 
-/// Ceiling on [`Report::oracle_gap`] enforced by the gate: the list
+/// One derived figure: a value read off a run's benches rather than
+/// timed itself, and the bound the gate holds it to.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Figure {
+    /// The figure's key in the JSON report, its `perf/<name>` gauge, and
+    /// the stem of its gate delta (`oracle_gap (ceiling)`).
+    pub name: &'static str,
+    /// The measured value; 0 when the filter left out the benches it is
+    /// read off, which the gate then skips.
+    pub value: f64,
+    /// What the gate holds the value to.
+    pub bound: Bound,
+}
+
+/// What the gate holds a derived figure to.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub enum Bound {
+    /// At least this much, whatever the baseline measured: a delta
+    /// named `<figure> (floor)`, `BELOW FLOOR` when short of it.
+    Floor(f64),
+    /// At most this much, whatever the baseline measured: a delta named
+    /// `<figure> (ceiling)`, `ABOVE CEILING` when over it.
+    Ceiling(f64),
+    /// A wall-clock figure gated like a timing: at most the baseline's
+    /// value plus the run's tolerance, a delta named `<figure>
+    /// (latency)`, skipped when the baseline's reads 0.
+    Latency,
+}
+
+impl fmt::Display for Bound {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Bound::Floor(floor) => write!(f, "at least {floor:.2}"),
+            Bound::Ceiling(ceiling) => write!(f, "at most {ceiling:.2}"),
+            Bound::Latency => write!(f, "within the timing tolerance of the baseline"),
+        }
+    }
+}
+
+/// Ceiling on the `oracle_gap` figure enforced by the gate: the list
 /// scheduler may emit at most 15% more cycles than the exact oracle over
 /// the seeded small regions on the bundled machines.  The measured gap
 /// on those streams sits around 1.01–1.05 (list scheduling with greedy
@@ -222,8 +231,7 @@ impl Report {
 
     /// Publishes the report into a telemetry registry: one
     /// `perf/<bench>/ns_per_op` and `perf/<bench>/ops` gauge pair per
-    /// bench, plus the derived figures (`perf/batch_scaling`,
-    /// `perf/oracle_gap`, `perf/serve_p50_us`, `perf/serve_p99_us`).
+    /// bench, and one `perf/<figure>` gauge per derived figure.
     pub fn publish(&self, tel: &mdes_telemetry::Telemetry) {
         for sample in &self.benches {
             tel.gauge_set(
@@ -232,10 +240,9 @@ impl Report {
             );
             tel.gauge_set(&format!("perf/{}/ops", sample.name), sample.ops as f64);
         }
-        tel.gauge_set("perf/batch_scaling", self.batch_scaling);
-        tel.gauge_set("perf/oracle_gap", self.oracle_gap);
-        tel.gauge_set("perf/serve_p50_us", self.serve_p50_us);
-        tel.gauge_set("perf/serve_p99_us", self.serve_p99_us);
+        for figure in &self.figures {
+            tel.gauge_set(&format!("perf/{}", figure.name), figure.value);
+        }
     }
 }
 
@@ -278,44 +285,29 @@ pub fn measure<F: FnMut() -> u64>(name: &str, iters: u64, reps: usize, mut work:
     }
 }
 
-/// Runs the whole suite under `config`.
+/// Runs every bench `config` selects, in suite order: each one's set-up,
+/// then [`measure`] on the closure it returns, which is dropped (with
+/// any daemon it owns) before the next bench starts.  The derived
+/// figures are then read off what the benches measured.
 pub fn run_all(config: &BenchConfig) -> Report {
-    let mut benches = Vec::new();
-    suite::run(config, &mut benches);
-    // The oracle family doubles as the source of the derived quality
-    // figure: the aggregate list-scheduler gap over every measured
-    // machine.
-    let oracle_gap = suite::oracle_differential(config, &mut benches);
-    // The serve/load family likewise yields the gated end-to-end serve
-    // latency percentiles (from the K5 run's fastest repetition).
-    let (serve_p50_us, serve_p99_us) = suite::serve_load(config, &mut benches);
-
-    // w1 and w4 schedule the identical seeded batch (the op counts are
-    // asserted equal by the engine's determinism contract), so total
-    // time divides directly into a parallel speedup.  Fastest repetition
-    // on each side, for the same noise-robustness reason the gate uses
-    // min-of-K.
-    let w1 = benches
-        .iter()
-        .find(|s| s.name == suite::BATCH_W1_BENCH)
-        .map(|s| s.min_ns);
-    let w4 = benches
-        .iter()
-        .find(|s| s.name == suite::BATCH_W4_BENCH)
-        .map(|s| s.min_ns);
-    let batch_scaling = match (w1, w4) {
-        (Some(serial), Some(wide)) if wide > 0 => serial as f64 / wide as f64,
-        _ => 0.0,
-    };
-
+    let mut runs = Vec::new();
+    for bench in suite::registry() {
+        if !config.matches(&bench.name) {
+            continue;
+        }
+        let mut iteration = (bench.setup)(config.seed);
+        let mut seen = suite::Seen::default();
+        let sample = measure(&bench.name, config.iters(bench.iters), config.reps, || {
+            iteration(&mut seen)
+        });
+        runs.push((sample, seen));
+    }
+    let figures = suite::figures(&runs);
     Report {
         schema: 6,
         seed: config.seed,
-        benches,
-        batch_scaling,
-        oracle_gap,
-        serve_p50_us,
-        serve_p99_us,
+        benches: runs.into_iter().map(|(sample, _)| sample).collect(),
+        figures,
     }
 }
 
@@ -359,6 +351,33 @@ mod tests {
         };
         assert!(config.matches("checker/arena/wide"));
         assert!(!config.matches("rumap/word_ops"));
+    }
+
+    #[test]
+    fn registry_runs_only_the_benches_the_filter_selects() {
+        let config = BenchConfig {
+            filter: Some("rumap/word_ops".into()),
+            scale: 0.01,
+            reps: 1,
+            ..BenchConfig::default()
+        };
+        let report = run_all(&config);
+        let benches: Vec<(&str, u64, u64, u64)> = report
+            .benches
+            .iter()
+            .map(|s| (s.name.as_str(), s.iters, s.reps, s.ops))
+            .collect();
+        assert_eq!(benches, [("rumap/word_ops", 2, 1, 4608)]);
+        let figures: Vec<(&str, f64)> = report.figures.iter().map(|f| (f.name, f.value)).collect();
+        assert_eq!(
+            figures,
+            [
+                ("batch_scaling", 0.0),
+                ("oracle_gap", 0.0),
+                ("serve_p50_us", 0.0),
+                ("serve_p99_us", 0.0)
+            ]
+        );
     }
 
     #[test]

@@ -34,18 +34,13 @@ pub fn render_table(report: &Report) -> String {
             s.ns_per_op()
         ));
     }
-    out.push_str(&format!(
-        "\nseed {:#x} · batch scaling (engine w1 ÷ w4): {:.2}x\n",
-        report.seed, report.batch_scaling
-    ));
-    out.push_str(&format!(
-        "oracle_gap (list ÷ oracle cycles): {:.3}\n",
-        report.oracle_gap
-    ));
-    out.push_str(&format!(
-        "serve latency (closed-loop pipelined, k5): p50 {:.0}us · p99 {:.0}us\n",
-        report.serve_p50_us, report.serve_p99_us
-    ));
+    out.push_str(&format!("\nseed {:#x}\n", report.seed));
+    for figure in &report.figures {
+        out.push_str(&format!(
+            "{}: {:.3} ({})\n",
+            figure.name, figure.value, figure.bound
+        ));
+    }
     out
 }
 
@@ -105,10 +100,11 @@ fn format_ns(ns: u128) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compare, Sample};
+    use crate::{compare, Bound, Figure, Sample};
 
     #[test]
     fn table_lists_every_bench_and_the_derived_figures() {
+        let figure = |name, value, bound| Figure { name, value, bound };
         let report = Report {
             schema: 6,
             seed: 7,
@@ -120,18 +116,20 @@ mod tests {
                 median_ns: 12_345,
                 min_ns: 12_000,
             }],
-            batch_scaling: 3.12,
-            oracle_gap: 1.042,
-            serve_p50_us: 850.0,
-            serve_p99_us: 2412.0,
+            figures: vec![
+                figure("batch_scaling", 3.12, Bound::Floor(0.85)),
+                figure("oracle_gap", 1.042, Bound::Ceiling(1.15)),
+                figure("serve_p50_us", 850.0, Bound::Latency),
+                figure("serve_p99_us", 2412.0, Bound::Latency),
+            ],
         };
         let table = render_table(&report);
         assert!(table.contains("rumap/word_ops"));
         assert!(table.contains("12.35us"));
-        assert!(table.contains("3.12x"));
-        assert!(table.contains("1.042"));
-        assert!(table.contains("p50 850us"));
-        assert!(table.contains("p99 2412us"));
+        assert!(table.contains("batch_scaling: 3.120 (at least 0.85)"));
+        assert!(table.contains("oracle_gap: 1.042 (at most 1.15)"));
+        assert!(table.contains("serve_p50_us: 850.000 (within the timing tolerance"));
+        assert!(table.contains("serve_p99_us: 2412.000 (within the timing tolerance"));
     }
 
     #[test]
@@ -147,12 +145,9 @@ mod tests {
                 median_ns: ns,
                 min_ns: ns,
             }],
-            batch_scaling: 0.0,
-            oracle_gap: 0.0,
-            serve_p50_us: 0.0,
-            serve_p99_us: 0.0,
+            figures: Vec::new(),
         };
-        let outcome = compare(&mk(2000), &mk(1000), 0.25, 0.0, 0.0);
+        let outcome = compare(&mk(2000), &mk(1000), 0.25);
         let rendered = render_deltas(&outcome);
         assert!(rendered.contains("REGRESSED"));
         assert!(rendered.contains("+100.0%"));

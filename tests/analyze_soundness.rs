@@ -16,6 +16,7 @@
 //! byte-identical across runs — CI diffs it.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use mdes::analyze::{analyze_spec, render_text};
 use mdes::automata::Automaton;
@@ -96,9 +97,9 @@ fn replay_checker(
 /// selection (taken from the table side — the automaton's transitions
 /// are built from the same checker) must avoid the dead set.
 fn replay_automaton(label: &str, spec: &MdesSpec, seed: u64, dead: &BTreeSet<(usize, usize)>) {
-    let compiled = CompiledMdes::compile(spec, UsageEncoding::BitVector).unwrap();
+    let compiled = Arc::new(CompiledMdes::compile(spec, UsageEncoding::BitVector).unwrap());
     let checker = Checker::new(&compiled);
-    let mut fsa = Automaton::new(&compiled);
+    let mut fsa = Automaton::new(Arc::clone(&compiled));
     let num_classes = compiled.classes().len();
     let mut ru = RuMap::new();
     let mut stats = CheckStats::new();

@@ -4,6 +4,8 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use common::{arb_spec_plan, build_spec};
 use mdes::automata::Automaton;
 use mdes::core::{CheckStats, Checker, ClassId, CompiledMdes, RuMap, UsageEncoding};
@@ -13,12 +15,12 @@ use proptest::prelude::*;
 
 /// Drives both detectors through a pseudorandom issue/advance script and
 /// asserts identical decisions.
-fn agree(compiled: &CompiledMdes, seed: u64, steps: usize) {
+fn agree(compiled: Arc<CompiledMdes>, seed: u64, steps: usize) {
     let classes: Vec<ClassId> = (0..compiled.classes().len())
         .map(ClassId::from_index)
         .collect();
-    let checker = Checker::new(compiled);
-    let mut fsa = Automaton::new(compiled);
+    let checker = Checker::new(&compiled);
+    let mut fsa = Automaton::new(Arc::clone(&compiled));
     let mut ru = RuMap::new();
     let mut stats = CheckStats::new();
     let mut rng = Pcg32::new(seed, 99);
@@ -52,7 +54,7 @@ fn fsa_agrees_with_checker_on_all_bundled_machines() {
     for machine in Machine::all() {
         let spec = machine.spec();
         let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-        agree(&compiled, 7, 400);
+        agree(Arc::new(compiled), 7, 400);
     }
 }
 
@@ -62,7 +64,7 @@ fn fsa_agrees_on_optimized_machines() {
         let mut spec = machine.spec();
         mdes::opt::optimize(&mut spec, &mdes::opt::PipelineConfig::full());
         let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-        agree(&compiled, 11, 400);
+        agree(Arc::new(compiled), 11, 400);
     }
 }
 
@@ -93,7 +95,7 @@ fn pack_with_tables(compiled: &CompiledMdes, classes: &[ClassId]) -> i32 {
 fn fsa_packing_matches_table_packing_on_every_machine() {
     for machine in Machine::all() {
         let spec = machine.spec();
-        let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
+        let compiled = Arc::new(CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap());
         let classes: Vec<ClassId> = (0..compiled.classes().len())
             .map(ClassId::from_index)
             .collect();
@@ -103,7 +105,7 @@ fn fsa_packing_matches_table_packing_on_every_machine() {
             .map(|_| classes[rng.gen_range(classes.len() as u32) as usize])
             .collect();
 
-        let mut fsa = Automaton::new(&compiled);
+        let mut fsa = Automaton::new(Arc::clone(&compiled));
         let (fsa_cycles, _) = fsa.pack_in_order(&stream);
         let table_cycles = pack_with_tables(&compiled, &stream);
         assert_eq!(fsa_cycles, table_cycles, "{}", machine.name());
@@ -117,7 +119,7 @@ proptest! {
     fn fsa_agrees_on_random_machines(plan in arb_spec_plan(), seed in 0u64..1_000) {
         let spec = build_spec(&plan);
         let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-        agree(&compiled, seed, 200);
+        agree(Arc::new(compiled), seed, 200);
     }
 
     #[test]
@@ -126,12 +128,12 @@ proptest! {
         picks in prop::collection::vec(0usize..8, 1..40),
     ) {
         let spec = build_spec(&plan);
-        let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
+        let compiled = Arc::new(CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap());
         let stream: Vec<ClassId> = picks
             .into_iter()
             .map(|p| ClassId::from_index(p % compiled.classes().len()))
             .collect();
-        let mut fsa = Automaton::new(&compiled);
+        let mut fsa = Automaton::new(Arc::clone(&compiled));
         let (fsa_cycles, _) = fsa.pack_in_order(&stream);
         prop_assert_eq!(fsa_cycles, pack_with_tables(&compiled, &stream));
     }
