@@ -279,3 +279,50 @@ fn incidents_reproduce_from_their_seed() {
     assert_eq!(report.incidents.len(), 1);
     assert_eq!(report.incidents[0].seed, 999);
 }
+
+#[test]
+fn behavioural_faults_after_factor_are_caught_on_bundled_descriptions() {
+    // Each behavioural fault kind planted in each bundled description's
+    // fully optimized form.  An exact search over the issue automata
+    // (ROADMAP item 5) calls exactly these four plantings equivalent to
+    // the unfaulted description, so a sound guard must pass them; every
+    // other planting changes behaviour and must be rolled back.
+    let equivalent = [
+        "pentium drop-usage: factor: dropped usage r4@0 from option 0",
+        "k5 reorder-priority: factor: reversed option priorities of or-tree 0",
+        "pentiumpro drop-usage: factor: dropped usage r7@0 from option 6",
+        "superspark_approx reorder-priority: factor: reversed option priorities of or-tree 0",
+    ];
+    let kinds = [
+        FaultKind::DropUsage,
+        FaultKind::ReorderPriority,
+        FaultKind::ShiftTime,
+        FaultKind::OverPack,
+    ];
+    let mut passed = Vec::new();
+    let mut rejected = 0;
+    for (name, base) in mdes_machines::bundled() {
+        for kind in kinds {
+            let mut spec = base.clone();
+            let guard = GuardConfig::oracle(42).with_fault(StageId::Factor, kind);
+            let report = optimize_guarded(
+                &mut spec,
+                &PipelineConfig::full(),
+                &guard,
+                &Telemetry::disabled(),
+            );
+            assert_eq!(report.injected.len(), 1, "{name} {kind}: no site");
+            if report.clean() {
+                passed.push(format!("{name} {kind}: {}", report.injected[0]));
+                continue;
+            }
+            assert_eq!(report.incidents.len(), 1, "{name} {kind}");
+            assert_eq!(report.incidents[0].stage, "factor", "{name} {kind}");
+            assert!(report.has_oracle_incident(), "{name} {kind}");
+            assert_eq!(report.stages_rolled_back, 1, "{name} {kind}");
+            rejected += 1;
+        }
+    }
+    assert_eq!(passed, equivalent);
+    assert_eq!(rejected, 20);
+}
