@@ -122,10 +122,9 @@ cargo test -q
 # recurrence bound whose allocations do not grow with its II).  The
 # workload generators' suites take about 0.6 s warm: their unit tests,
 # the allocation gate (one allocation per generated region), the pinned
-# streams (every operation each generator emits, and the scheduler's
-# replay blocks, held to digests) and the doc example.  Together they
-# guard the layouts the benchmark's memory figures depend on, and the
-# streams its totals do.
+# streams (every operation each generator emits, held to digests) and
+# the doc example.  Together they guard the layouts the benchmark's
+# memory figures depend on, and the streams its totals do.
 cargo test -q -p mdes-lang
 cargo test -q -p mdes-core -p mdes-sched
 cargo test -q -p mdes-workload
@@ -149,10 +148,12 @@ cargo test -q -p mdes-oracle
 
 # The guard's suites take about 0.6 s warm, its integration tests
 # included: the vetting policy tests decode hand-written LMDES images
-# through `lmdes::read`, the path a reload takes, and the fault-code
-# tests pin each corruption class to its MD10x code.  The automaton's
-# suite (about 0.3 s) builds its transitions through the checker's one
-# reservation call and must agree with it.
+# through `lmdes::read`, the path a reload takes, the fault-code tests
+# pin each corruption class to its MD10x code, and the 24-fault matrix
+# (four behavioural fault kinds planted after factoring on the six
+# bundled descriptions) pins which plantings the oracle rejects.  The
+# automaton's suite (about 0.3 s) builds its transitions through the
+# checker's one reservation call and must agree with it.
 cargo test -q -p mdes-guard
 cargo test -q -p mdes-automata
 

@@ -421,7 +421,7 @@ fn compile_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     let mut expand_or = false;
     let mut encoding = UsageEncoding::BitVector;
     let mut direction = Direction::Forward;
-    let mut guard = GuardMode::Off;
+    let mut guard = GuardConfig::default();
 
     let mut args = Args::new(args);
     while let Some(arg) = args.next() {
@@ -429,7 +429,7 @@ fn compile_cmd(args: &[String], tel: &Telemetry) -> CliResult {
             "-o" => output = Some(args.value("-o", "a path")?),
             "--no-optimize" => do_optimize = false,
             "--expand-or" => expand_or = true,
-            "--guard" => guard = args.value("--guard", "off, validate or oracle")?.parse()?,
+            "--guard" => guard.mode = args.value("--guard", "off, validate or oracle")?.parse()?,
             "--encoding" => encoding = parse_encoding(args.next())?,
             "--direction" => direction = parse_direction(args.next())?,
             other => args.positional(other)?,
@@ -446,7 +446,7 @@ fn compile_cmd(args: &[String], tel: &Telemetry) -> CliResult {
             direction,
             ..PipelineConfig::full()
         };
-        optimize_with_guard(&mut spec, &config, guard, tel)?;
+        guard_outcome(&optimize_guarded(&mut spec, &config, &guard, tel))?;
     }
 
     let compiled = CompiledMdes::compile_with_telemetry(&spec, encoding, tel)
@@ -595,12 +595,12 @@ fn optimize_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     let mut jobs: Option<usize> = None;
     let mut encoding = UsageEncoding::BitVector;
     let mut direction = Direction::Forward;
-    let mut guard = GuardMode::Off;
+    let mut guard = GuardConfig::default();
     let mut args = Args::new(args);
     while let Some(arg) = args.next() {
         match arg {
             "-o" => output = Some(args.value("-o", "a path")?),
-            "--guard" => guard = args.value("--guard", "off, validate or oracle")?.parse()?,
+            "--guard" => guard.mode = args.value("--guard", "off, validate or oracle")?.parse()?,
             "--ops" => total_ops = args.positive("--ops")?,
             "--jobs" => jobs = Some(args.positive("--jobs")?),
             "--encoding" => encoding = parse_encoding(args.next())?,
@@ -616,7 +616,7 @@ fn optimize_cmd(args: &[String], tel: &Telemetry) -> CliResult {
         direction,
         ..PipelineConfig::full()
     };
-    optimize_with_guard(&mut spec, &config, guard, tel)?;
+    guard_outcome(&optimize_guarded(&mut spec, &config, &guard, tel))?;
     let compiled = std::sync::Arc::new(
         CompiledMdes::compile_with_telemetry(&spec, encoding, tel)
             .map_err(|e| CliError::validation(e.to_string()))?,
@@ -672,29 +672,6 @@ fn schedule_blocks(
     }
     outcome.stats.publish(tel, "sched/list");
     Ok(outcome)
-}
-
-/// Runs the optimization pipeline under the requested guard mode.
-///
-/// `off` runs the plain pipeline.  Otherwise every stage is wrapped with
-/// the structural validator — and, under `oracle`, the differential query
-/// oracle — and a non-clean run fails with the guard exit codes.
-fn optimize_with_guard(
-    spec: &mut MdesSpec,
-    config: &PipelineConfig,
-    guard: GuardMode,
-    tel: &Telemetry,
-) -> CliResult {
-    if guard == GuardMode::Off {
-        optimize_with_telemetry(spec, config, tel);
-        return Ok(());
-    }
-    let guard_config = GuardConfig {
-        mode: guard,
-        ..GuardConfig::default()
-    };
-    let report = optimize_guarded(spec, config, &guard_config, tel);
-    guard_outcome(&report)
 }
 
 /// Prints a guarded run's incidents to stderr and maps them onto the

@@ -663,6 +663,24 @@ fn verify_clean_run_exits_0_and_reports_on_stdout() {
 }
 
 #[test]
+fn verify_runs_a_branch_only_description_clean() {
+    // No non-branch class means no region sample: the guard checks the
+    // description with its probes alone, and must not panic.
+    let dir = temp_dir("verifybranch");
+    let hmdl = dir.join("branch.hmdl");
+    std::fs::write(
+        &hmdl,
+        "resource BR;
+         or_tree B = first_of({ BR @ 0 });
+         class br { constraint = B; latency = 1; flags = branch; }",
+    )
+    .unwrap();
+    let out = mdesc(&["verify", hmdl.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(stdout(&out).contains("guard clean"), "{}", stdout(&out));
+}
+
+#[test]
 fn injected_oracle_fault_exits_4_with_the_incident_on_stderr() {
     let dir = temp_dir("exit4");
     let hmdl = dir.join("demo.hmdl");

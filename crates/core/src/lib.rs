@@ -27,10 +27,10 @@
 //! * the [`collision`] module implementing forbidden-latency /
 //!   collision-vector theory that justifies the usage-time transformation;
 //! * the [`probe`] module — a deterministic, seeded query-sequence engine
-//!   used by the pipeline guard to differentially compare two
-//!   descriptions' observable behaviour;
+//!   whose outcome traces the pipeline guard records on its input and
+//!   requires every stage's output to reproduce;
 //! * [`rng::Pcg32`], the one seeded generator behind every probe
-//!   sequence, replay block and synthetic workload;
+//!   sequence and synthetic workload;
 //! * the [`size`] memory model reproducing the paper's byte accounting;
 //! * [`pretty`] renderers for reservation tables and constraint trees.
 //!

@@ -173,35 +173,6 @@ pub fn run_sequence(mdes: &CompiledMdes, ops: &[ProbeOp]) -> Vec<bool> {
     trace
 }
 
-/// Where two descriptions first disagreed.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct Divergence {
-    /// Index of the diverging sequence.
-    pub sequence: usize,
-    /// Index of the first op whose outcome differed.
-    pub op_index: usize,
-}
-
-/// Replays every sequence against both descriptions and returns the first
-/// point of disagreement, or `None` if the traces are identical.
-pub fn find_divergence(
-    a: &CompiledMdes,
-    b: &CompiledMdes,
-    sequences: &[Vec<ProbeOp>],
-) -> Option<Divergence> {
-    for (s, ops) in sequences.iter().enumerate() {
-        let ta = run_sequence(a, ops);
-        let tb = run_sequence(b, ops);
-        if let Some(i) = ta.iter().zip(&tb).position(|(x, y)| x != y) {
-            return Some(Divergence {
-                sequence: s,
-                op_index: i,
-            });
-        }
-    }
-    None
-}
-
 /// Shrinks a diverging sequence to a (locally) minimal one that still
 /// distinguishes `a` from `b`: truncate past the first divergence, then
 /// greedily drop every op whose removal preserves the disagreement.
@@ -289,7 +260,9 @@ mod tests {
         let spec = two_alu_spec();
         let mdes = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
         let sequences = generate_sequences(&ProbeConfig::default(), spec.num_classes());
-        assert!(find_divergence(&mdes, &mdes, &sequences).is_none());
+        for ops in &sequences {
+            assert_eq!(run_sequence(&mdes, ops), run_sequence(&mdes, ops));
+        }
     }
 
     #[test]
@@ -303,10 +276,13 @@ mod tests {
         let a = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
         let b = CompiledMdes::compile(&broken, UsageEncoding::BitVector).unwrap();
         let sequences = generate_sequences(&ProbeConfig::default(), spec.num_classes());
-        let div = find_divergence(&a, &b, &sequences).expect("must diverge");
-        let minimized = minimize_sequence(&a, &b, &sequences[div.sequence]);
+        let diverging = sequences
+            .iter()
+            .find(|ops| run_sequence(&a, ops) != run_sequence(&b, ops))
+            .expect("must diverge");
+        let minimized = minimize_sequence(&a, &b, diverging);
         assert!(!minimized.is_empty());
-        assert!(minimized.len() <= sequences[div.sequence].len());
+        assert!(minimized.len() <= diverging.len());
         assert_ne!(run_sequence(&a, &minimized), run_sequence(&b, &minimized));
         // Two back-to-back reserves at one cycle is the canonical witness.
         assert!(

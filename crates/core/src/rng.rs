@@ -1,14 +1,14 @@
 //! A small deterministic PCG32 generator.
 //!
-//! Workload streams, probe sequences and replay blocks must be
+//! Workload streams and probe sequences must be
 //! bit-reproducible across platforms and releases (every experiment table
 //! and every guard incident is derived from them), so the workspace
 //! embeds its own 40-line PCG32 instead of depending on an external RNG
 //! whose stream might change between major versions.
 //!
-//! Every method is `#[inline]`: the hot callers (the workload and
-//! replay-block generators) live in other crates, and without the hint
-//! each draw would be an out-of-line call.
+//! Every method is `#[inline]`: the hot callers (the workload
+//! generators) live in another crate, and without the hint each draw
+//! would be an out-of-line call.
 
 /// PCG-XSH-RR 64/32 (O'Neill 2014).
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -7,17 +7,18 @@
 //!
 //! 1. a **structural validator** — the candidate spec must satisfy every
 //!    [`MdesSpec`](mdes_core::spec::MdesSpec) invariant;
-//! 2. a **differential query oracle** — deterministic seeded probe
-//!    sequences and replay blocks run against the pre- and post-stage
-//!    descriptions through the checker and the list scheduler, and every
-//!    observable outcome must match.
+//! 2. a **behavioural oracle** ([`oracle`]) — one seeded sample of probe
+//!    sequences and [`RegionGenerator`](mdes_workload::RegionGenerator)
+//!    regions is drawn per run, the input's checker traces and issue
+//!    cycles are recorded once, and each stage's output must reproduce
+//!    that record exactly.
 //!
 //! When a stage's output is rejected, the guard **rolls the stage back**
-//! (the spec snapshot taken before the stage is restored), records a
-//! structured [`GuardIncident`] — stage name, seed, and a minimized
-//! failing probe — into the telemetry stream, and continues with the
-//! remaining stages: graceful degradation instead of a corrupted
-//! description.
+//! (the spec and the stage's report, as they stood before the stage, are
+//! restored), records a structured [`GuardIncident`] — stage name, seed,
+//! and a minimized failing probe — into the telemetry stream, and
+//! continues with the remaining stages: graceful degradation instead of
+//! a corrupted description.
 //!
 //! Because the oracle only *reads* the spec, a guarded run whose stages
 //! all pass produces byte-identical output to an unguarded run.
@@ -53,19 +54,19 @@ pub mod image;
 pub mod inject;
 pub mod oracle;
 
-use mdes_core::probe::ProbeConfig;
+use mdes_core::compile::{CompiledMdes, UsageEncoding};
 use mdes_core::spec::MdesSpec;
 use mdes_opt::pipeline::{
     optimize_with_telemetry, run_stage, stage_plan, PipelineConfig, PipelineReport, StageId,
 };
-use mdes_sched::replay::ReplayConfig;
 use mdes_telemetry::Telemetry;
 use std::fmt;
 use std::str::FromStr;
 
 pub use image::{vet_image, ImageVetting, MAX_CHECK_TIME, MAX_LATENCY};
 pub use inject::{apply_fault, corrupt_image, Fault, FaultKind, ImageFault};
-pub use oracle::{differential_check, IncidentKind, OracleFailure};
+pub use oracle::IncidentKind;
+use oracle::{OracleFailure, Reference};
 
 /// How much checking a guarded run performs per stage.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
@@ -75,7 +76,7 @@ pub enum GuardMode {
     Off,
     /// Structural validation only (cheap).
     Validate,
-    /// Structural validation plus the differential query oracle.
+    /// Structural validation plus the behavioural oracle.
     Oracle,
 }
 
@@ -116,8 +117,9 @@ impl FromStr for GuardMode {
 pub struct GuardConfig {
     /// Checking level.
     pub mode: GuardMode,
-    /// Master seed for probe sequences and replay blocks.  An incident
-    /// records this seed; re-running with it reproduces the divergence.
+    /// Master seed for the oracle's probe sequences and regions.  An
+    /// incident records this seed; re-running with it reproduces the
+    /// divergence.
     pub seed: u64,
     /// Fault-injection hooks: corrupt the named stages' output before the
     /// guard checks them.  Test-only; empty in production runs.
@@ -125,8 +127,8 @@ pub struct GuardConfig {
     /// Run the [`mdes_analyze`] static pass on the input spec before any
     /// stage.  A fatal diagnostic (unsatisfiable class, latency-window
     /// overflow) refuses the pipeline the same way invalid input does —
-    /// there is no point differentially probing a description that can
-    /// never schedule.  Ignored under [`GuardMode::Off`].
+    /// there is no point sampling the behaviour of a description that
+    /// can never schedule.  Ignored under [`GuardMode::Off`].
     pub analyze: bool,
 }
 
@@ -164,23 +166,6 @@ impl GuardConfig {
         self.inject.push(Fault { stage, kind });
         self
     }
-
-    /// The probe engine's default sizes, under this configuration's seed.
-    pub fn probe_config(&self) -> ProbeConfig {
-        ProbeConfig {
-            seed: self.seed,
-            ..ProbeConfig::default()
-        }
-    }
-
-    /// The schedule replay's default sizes, under this configuration's
-    /// seed.
-    pub fn replay_config(&self) -> ReplayConfig {
-        ReplayConfig {
-            seed: self.seed,
-            ..ReplayConfig::default()
-        }
-    }
 }
 
 /// One rejected (and rolled-back) stage.
@@ -217,7 +202,8 @@ impl fmt::Display for GuardIncident {
 /// The result of a guarded pipeline run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct GuardedReport {
-    /// Per-stage transformation reports (for stages that were kept).
+    /// Per-stage transformation reports, for stages that were kept: a
+    /// rolled-back stage's entry is restored with its spec.
     pub pipeline: PipelineReport,
     /// Every rejected stage, in pipeline order.
     pub incidents: Vec<GuardIncident>,
@@ -271,18 +257,25 @@ fn record_incident(tel: &Telemetry, incident: &GuardIncident) {
     tel.event("guard/incident", &fields);
 }
 
-/// Checks one stage's output against its pre-stage snapshot.
-fn check_stage(pre: &MdesSpec, post: &MdesSpec, guard: &GuardConfig) -> Option<OracleFailure> {
-    if let Err(err) = post.validate() {
-        return Some(OracleFailure {
-            kind: IncidentKind::Validation,
-            detail: format!("structural validation failed: {err}"),
-            probe: None,
-        });
-    }
-    match guard.mode {
-        GuardMode::Off | GuardMode::Validate => None,
-        GuardMode::Oracle => differential_check(pre, post, guard),
+/// Checks one stage's output, `post`, made from the snapshot `pre`: it
+/// must validate and, under the oracle, reproduce `reference`.
+fn check_stage(
+    pre: &MdesSpec,
+    post: &MdesSpec,
+    reference: Option<&Reference>,
+) -> Option<OracleFailure> {
+    let invalid = |err| OracleFailure {
+        kind: IncidentKind::Validation,
+        detail: format!("structural validation failed: {err}"),
+        probe: None,
+    };
+    let Some(reference) = reference else {
+        return post.validate().err().map(invalid);
+    };
+    // Compiling validates first, with the same error.
+    match CompiledMdes::compile(post, UsageEncoding::BitVector) {
+        Ok(compiled) => reference.check(pre, &compiled),
+        Err(err) => Some(invalid(err)),
     }
 }
 
@@ -291,8 +284,9 @@ fn check_stage(pre: &MdesSpec, post: &MdesSpec, guard: &GuardConfig) -> Option<O
 /// With [`GuardMode::Off`] and no injected faults this is exactly
 /// [`mdes_opt::pipeline::optimize_with_telemetry`].  Otherwise each stage
 /// runs against a snapshot boundary: its output is validated (and, in
-/// [`GuardMode::Oracle`], differentially probed) before being accepted;
-/// rejected stages are rolled back and recorded, and the run continues.
+/// [`GuardMode::Oracle`], observed against the input's record) before
+/// being accepted; a rejected stage's spec and report are rolled back,
+/// the incident is recorded, and the run continues.
 pub fn optimize_guarded(
     spec: &mut MdesSpec,
     pipeline: &PipelineConfig,
@@ -310,9 +304,16 @@ pub fn optimize_guarded(
     let _guard_span = tel.span("guard");
 
     // An invalid *input* is not a stage bug: record it and refuse to run
-    // the pipeline on it at all (there is nothing to roll back to).
-    if guard.mode != GuardMode::Off {
-        if let Err(err) = spec.validate() {
+    // the pipeline on it at all (there is nothing to roll back to).  The
+    // oracle compiles the input, which validates it first.
+    let input = match guard.mode {
+        GuardMode::Off => Ok(None),
+        GuardMode::Validate => spec.validate().map(|()| None),
+        GuardMode::Oracle => CompiledMdes::compile(spec, UsageEncoding::BitVector).map(Some),
+    };
+    let input = match input {
+        Ok(input) => input,
+        Err(err) => {
             let incident = GuardIncident {
                 stage: "input".to_string(),
                 seed: guard.seed,
@@ -324,7 +325,7 @@ pub fn optimize_guarded(
             report.incidents.push(incident);
             return report;
         }
-    }
+    };
 
     // Static analysis sits between validation and the oracle: a spec
     // with a fatal diagnostic is structurally fine but provably unable
@@ -345,9 +346,10 @@ pub fn optimize_guarded(
         }
     }
 
+    let reference = input.map(|input| Reference::record(&input, guard.seed));
     let _pipeline_span = tel.span("pipeline");
     for stage in stage_plan(pipeline) {
-        let snapshot = spec.clone();
+        let snapshot = (spec.clone(), report.pipeline.clone());
         run_stage(spec, stage, pipeline, &mut report.pipeline, tel);
         report.stages_run += 1;
         tel.counter_add("guard/stages", 1);
@@ -361,8 +363,8 @@ pub fn optimize_guarded(
         if guard.mode == GuardMode::Off {
             continue;
         }
-        if let Some(failure) = check_stage(&snapshot, spec, guard) {
-            *spec = snapshot;
+        if let Some(failure) = check_stage(&snapshot.0, spec, reference.as_ref()) {
+            (*spec, report.pipeline) = snapshot;
             report.stages_rolled_back += 1;
             tel.counter_add("guard/rollbacks", 1);
             let incident = GuardIncident {

@@ -1,27 +1,34 @@
-//! The differential query oracle for one stage boundary.
+//! The behavioural oracle: one sample and one record per guarded run.
 //!
-//! Given the spec as it stood *before* a stage and the candidate spec the
-//! stage produced, the oracle decides whether the two are observably
-//! equivalent:
+//! An `oracle`-mode run compiles its validated input once and draws one
+//! seeded sample from it:
 //!
-//! 1. **structural validation** — the candidate must satisfy every
-//!    [`MdesSpec`] invariant (the existing [`MdesError`] taxonomy);
-//! 2. **checker probes** — seeded reserve/release/conflict-query
-//!    sequences replay against both compiled forms and their outcome
-//!    traces must match ([`mdes_core::probe`]);
-//! 3. **schedule replay** — seeded basic blocks are list-scheduled
-//!    against both forms and must produce identical issue cycles
-//!    ([`mdes_sched::replay`]).
+//! 1. **checker probes** — reserve/release/conflict-query sequences
+//!    ([`mdes_core::probe`]), answered by the checker as outcome traces;
+//! 2. **schedules** — a [`RegionGenerator`] stream, list-scheduled,
+//!    answered as per-operation issue cycles.
 //!
-//! Any disagreement yields an [`OracleFailure`] describing what diverged,
-//! including a minimized failing probe when the checker level caught it.
+//! Both depend only on the class list and the class flags, which every
+//! stage keeps, so one sample serves the whole run.  [`Reference`]
+//! records the input's answers once; each stage's output is then
+//! compiled and observed once, and must reproduce that record exactly.
+//! Since every accepted stage reproduces it, the record is also what the
+//! pre-stage description answers, so a mismatch is a divergence across
+//! that one stage.  Only a rejection compiles the pre-stage snapshot, to
+//! minimize the failing probe.
+//!
+//! A description whose every class is a branch has no region stream
+//! (the generator needs a body class), so its sample is the probes
+//! alone.
 
 use mdes_core::compile::{CompiledMdes, UsageEncoding};
-use mdes_core::probe;
+use mdes_core::probe::{self, ProbeConfig, ProbeOp};
 use mdes_core::spec::MdesSpec;
-use mdes_sched::replay;
+use mdes_sched::{Block, CheckStats, ListScheduler, SchedScratch};
+use mdes_workload::{generate_compiled_regions, RegionConfig};
 
-use crate::GuardConfig;
+/// Regions in the schedule sample, of [`RegionConfig::new`]'s mean size.
+const REGIONS: usize = 8;
 
 /// Which guard check rejected a stage's output.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -35,7 +42,7 @@ pub enum IncidentKind {
     Analysis,
     /// A checker-level probe sequence diverged.
     OracleProbe,
-    /// A replayed basic block scheduled differently.
+    /// A sampled region scheduled differently.
     OracleSchedule,
 }
 
@@ -59,7 +66,7 @@ impl std::fmt::Display for IncidentKind {
 
 /// A rejected stage output: what diverged and the evidence.
 #[derive(Clone, Debug, PartialEq)]
-pub struct OracleFailure {
+pub(crate) struct OracleFailure {
     /// Which check failed.
     pub kind: IncidentKind,
     /// Human-readable description of the divergence.
@@ -69,72 +76,107 @@ pub struct OracleFailure {
     pub probe: Option<String>,
 }
 
-/// Runs checks 2 and 3 (the behavioural oracle) on an already
-/// structurally-valid candidate.  `None` means observably equivalent.
-pub fn differential_check(
-    pre: &MdesSpec,
-    post: &MdesSpec,
-    config: &GuardConfig,
-) -> Option<OracleFailure> {
-    if pre.num_classes() != post.num_classes() {
-        return Some(OracleFailure {
-            kind: IncidentKind::Validation,
-            detail: format!(
-                "stage changed the class count: {} -> {}",
-                pre.num_classes(),
-                post.num_classes()
-            ),
-            probe: None,
-        });
-    }
-    let compiled_pre = match CompiledMdes::compile(pre, UsageEncoding::BitVector) {
-        Ok(c) => c,
-        Err(err) => {
-            return Some(OracleFailure {
-                kind: IncidentKind::Validation,
-                detail: format!("pre-stage spec failed to compile: {err}"),
-                probe: None,
-            })
-        }
-    };
-    let compiled_post = match CompiledMdes::compile(post, UsageEncoding::BitVector) {
-        Ok(c) => c,
-        Err(err) => {
-            return Some(OracleFailure {
-                kind: IncidentKind::Validation,
-                detail: format!("post-stage spec failed to compile: {err}"),
-                probe: None,
-            })
-        }
-    };
+/// The input's answers to the run's one sample.
+#[derive(Debug)]
+pub(crate) struct Reference {
+    sequences: Vec<Vec<ProbeOp>>,
+    regions: Vec<Block>,
+    traces: Vec<Vec<bool>>,
+    cycles: Vec<Vec<i32>>,
+}
 
-    let sequences = probe::generate_sequences(&config.probe_config(), pre.num_classes());
-    if let Some(div) = probe::find_divergence(&compiled_pre, &compiled_post, &sequences) {
-        let minimized =
-            probe::minimize_sequence(&compiled_pre, &compiled_post, &sequences[div.sequence]);
-        return Some(OracleFailure {
-            kind: IncidentKind::OracleProbe,
-            detail: format!(
-                "probe sequence {} diverged at op {} ({} op{} after minimization)",
-                div.sequence,
-                div.op_index,
-                minimized.len(),
-                if minimized.len() == 1 { "" } else { "s" }
-            ),
-            probe: Some(probe::render_sequence(&minimized)),
-        });
+impl Reference {
+    /// Draws the sample for `seed` and records `input`'s answers.
+    pub(crate) fn record(input: &CompiledMdes, seed: u64) -> Reference {
+        let probes = ProbeConfig {
+            seed,
+            ..ProbeConfig::default()
+        };
+        let regions = if input.classes().iter().any(|class| !class.flags.branch) {
+            generate_compiled_regions(input, &RegionConfig::new(REGIONS).with_seed(seed)).blocks
+        } else {
+            Vec::new()
+        };
+        let mut reference = Reference {
+            sequences: probe::generate_sequences(&probes, input.classes().len()),
+            regions,
+            traces: Vec::new(),
+            cycles: Vec::new(),
+        };
+        reference.traces = reference.traces(input).collect();
+        reference.cycles = reference.cycles(input).collect();
+        reference
     }
 
-    let blocks = replay::replay_blocks(pre.num_classes(), &config.replay_config());
-    if let Some((block, before, after)) =
-        replay::find_schedule_divergence(&compiled_pre, &compiled_post, &blocks)
-    {
-        return Some(OracleFailure {
+    /// Observes `post`, the compiled output of the stage that turned
+    /// `pre` into it, against the record.  `None` means it reproduced
+    /// every answer.
+    pub(crate) fn check(&self, pre: &MdesSpec, post: &CompiledMdes) -> Option<OracleFailure> {
+        if post.classes().len() != pre.num_classes() {
+            return Some(OracleFailure {
+                kind: IncidentKind::Validation,
+                detail: format!(
+                    "stage changed the class count: {} -> {}",
+                    pre.num_classes(),
+                    post.classes().len()
+                ),
+                probe: None,
+            });
+        }
+
+        let diverged = self.traces(post).zip(&self.traces).enumerate().find_map(
+            |(sequence, (observed, recorded))| {
+                let op = observed.iter().zip(recorded).position(|(x, y)| x != y)?;
+                Some((sequence, op))
+            },
+        );
+        if let Some((sequence, op)) = diverged {
+            let ops = &self.sequences[sequence];
+            // The snapshot is the validated input or an accepted stage's
+            // output, so it compiles.
+            let minimized = match CompiledMdes::compile(pre, UsageEncoding::BitVector) {
+                Ok(pre) => probe::minimize_sequence(&pre, post, ops),
+                Err(_) => ops[..=op].to_vec(),
+            };
+            return Some(OracleFailure {
+                kind: IncidentKind::OracleProbe,
+                detail: format!(
+                    "probe sequence {sequence} diverged at op {op} ({} op{} after minimization)",
+                    minimized.len(),
+                    if minimized.len() == 1 { "" } else { "s" }
+                ),
+                probe: Some(probe::render_sequence(&minimized)),
+            });
+        }
+
+        let (region, (after, before)) = self
+            .cycles(post)
+            .zip(&self.cycles)
+            .enumerate()
+            .find(|(_, (observed, recorded))| observed != *recorded)?;
+        Some(OracleFailure {
             kind: IncidentKind::OracleSchedule,
-            detail: format!("replay block {block} scheduled differently: {before:?} vs {after:?}"),
+            detail: format!("region {region} scheduled differently: {before:?} vs {after:?}"),
             probe: None,
-        });
+        })
     }
 
-    None
+    /// `mdes`'s outcome trace for each probe sequence, in order.
+    fn traces<'a>(&'a self, mdes: &'a CompiledMdes) -> impl Iterator<Item = Vec<bool>> + 'a {
+        self.sequences
+            .iter()
+            .map(|ops| probe::run_sequence(mdes, ops))
+    }
+
+    /// `mdes`'s list-scheduled issue cycles for each region, in order.
+    fn cycles<'a>(&'a self, mdes: &'a CompiledMdes) -> impl Iterator<Item = Vec<i32>> + 'a {
+        let scheduler = ListScheduler::new(mdes);
+        let mut scratch = SchedScratch::new();
+        let mut stats = CheckStats::new();
+        self.regions.iter().map(move |block| {
+            scheduler
+                .schedule_in_scratch(block, &mut scratch, &mut stats)
+                .cycles()
+        })
+    }
 }

@@ -5,10 +5,11 @@
 
 use mdes_core::compile::{CompiledMdes, UsageEncoding};
 use mdes_core::lmdes;
+use mdes_core::probe::{generate_sequences, run_sequence, ProbeConfig};
 use mdes_core::spec::MdesSpec;
 use mdes_guard::{optimize_guarded, FaultKind, GuardConfig, GuardMode, IncidentKind};
 use mdes_machines::Machine;
-use mdes_opt::pipeline::{optimize, PipelineConfig, StageId};
+use mdes_opt::pipeline::{optimize, PipelineConfig, PipelineReport, StageId};
 use mdes_telemetry::Telemetry;
 
 /// A machine with enough structure for every corruption class to have an
@@ -48,6 +49,18 @@ fn run_injected(
     (report, tel.report(), spec)
 }
 
+/// Whether `report` holds an entry for `stage`.
+fn has_report(report: &PipelineReport, stage: StageId) -> bool {
+    match stage {
+        StageId::Redundancy => report.redundancy.is_some(),
+        StageId::Dominance => report.dominance.is_some(),
+        StageId::TimeShift => report.timeshift.is_some(),
+        StageId::SortZero => report.sortzero.is_some(),
+        StageId::TreeSort => report.treesort.is_some(),
+        StageId::Factor => report.factor.is_some(),
+    }
+}
+
 /// Asserts the common detection + rollback + continue contract for one
 /// corruption class injected at `stage`.
 fn assert_detected_and_recovered(stage: StageId, kind: FaultKind) {
@@ -71,6 +84,17 @@ fn assert_detected_and_recovered(stage: StageId, kind: FaultKind) {
 
     // Rollback-then-continue: the remaining stages still ran …
     assert_eq!(report.stages_run, 6, "{kind}: pipeline stopped early");
+    // … and only the kept stages' reports survive the rollback.
+    for other in StageId::all() {
+        assert_eq!(
+            has_report(&report.pipeline, other),
+            other != stage,
+            "{kind}: report entry for {other}"
+        );
+    }
+    if stage == StageId::Factor {
+        assert_eq!(report.pipeline.cleanup, None, "{kind}: cleanup report kept");
+    }
     // … and the surviving spec is exactly what the pipeline produces when
     // the corrupted stage is skipped outright (the rollback semantics).
     assert!(spec.validate().is_ok(), "{kind}: rolled-back spec invalid");
@@ -79,16 +103,22 @@ fn assert_detected_and_recovered(stage: StageId, kind: FaultKind) {
     // that stage being applied with the corruption kept: i.e. the guard
     // actually discarded the damage.  Verify behaviourally — the guarded
     // spec must answer probes exactly like the never-corrupted input.
-    let probes = mdes_core::probe::generate_sequences(
-        &GuardConfig::oracle(1234).probe_config(),
+    let probes = generate_sequences(
+        &ProbeConfig {
+            seed: 1234,
+            ..ProbeConfig::default()
+        },
         spec.num_classes(),
     );
     let healthy = CompiledMdes::compile(&fixture(), UsageEncoding::BitVector).unwrap();
     let survived = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-    assert!(
-        mdes_core::probe::find_divergence(&healthy, &survived, &probes).is_none(),
-        "{kind}: surviving spec is not behaviourally equivalent to the input"
-    );
+    for ops in &probes {
+        assert_eq!(
+            run_sequence(&healthy, ops),
+            run_sequence(&survived, ops),
+            "{kind}: surviving spec is not behaviourally equivalent to the input"
+        );
+    }
 
     // The incident surfaced in the telemetry JSON.
     assert_eq!(tel.counter("guard/incidents"), Some(1));
@@ -325,4 +355,46 @@ fn behavioural_faults_after_factor_are_caught_on_bundled_descriptions() {
     }
     assert_eq!(passed, equivalent);
     assert_eq!(rejected, 20);
+}
+
+#[test]
+fn a_branch_only_description_is_sampled_by_probes_alone() {
+    // A region needs a non-branch body class, so a description whose
+    // only class is a branch gets no schedule sample; the probes still
+    // cover it, and the guard must neither panic nor lose detection.
+    let source = "
+        resource Dec[2];
+        resource BR;
+        or_tree AnyDec = first_of(
+            { Dec[0] @ 0, BR @ 1 },
+            { Dec[0] @ 0, BR @ 1 },
+            { Dec[1] @ 0, BR @ 1 });
+        class branch { constraint = AnyDec; latency = 1; flags = branch; }
+    ";
+    let base = mdes_lang::compile(source).unwrap();
+    let mut plain = base.clone();
+    optimize(&mut plain, &PipelineConfig::full());
+
+    let mut guarded = base.clone();
+    let report = optimize_guarded(
+        &mut guarded,
+        &PipelineConfig::full(),
+        &GuardConfig::oracle(42),
+        &Telemetry::disabled(),
+    );
+    assert!(report.clean(), "{:?}", report.incidents);
+    assert_eq!(report.stages_run, 6);
+    assert_eq!(guarded, plain);
+
+    let mut faulty = base;
+    let guard = GuardConfig::oracle(42).with_fault(StageId::Redundancy, FaultKind::DropUsage);
+    let report = optimize_guarded(
+        &mut faulty,
+        &PipelineConfig::full(),
+        &guard,
+        &Telemetry::disabled(),
+    );
+    assert_eq!(report.incidents.len(), 1, "{:?}", report.incidents);
+    assert_eq!(report.incidents[0].kind, IncidentKind::OracleProbe);
+    assert_eq!(faulty, plain);
 }

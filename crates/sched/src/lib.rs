@@ -12,8 +12,6 @@
 //! * [`modulo`] — iterative modulo scheduling (Rau \[12\]), exercising the
 //!   unscheduling capability that distinguishes reservation tables from
 //!   finite-state automata (Section 10);
-//! * [`replay`] — deterministic seeded block replay backing the pipeline
-//!   guard's schedule-level differential oracle;
 //! * [`simulate`] — an in-order issue simulator that measures the
 //!   "unexpected execution cycles" of scheduling with an inaccurate
 //!   description (the paper's introduction).
@@ -73,7 +71,6 @@ pub mod depgraph;
 pub mod list;
 pub mod modulo;
 pub mod operation;
-pub mod replay;
 pub mod simulate;
 
 pub use chart::{occupancy_chart, resource_utilization};
@@ -82,5 +79,4 @@ pub use list::{selection_bounds, ListScheduler, SchedScratch, Schedule};
 pub use mdes_core::CheckStats;
 pub use modulo::{LoopBlock, ModuloSchedule, ModuloScheduler};
 pub use operation::{Block, Op, Reg};
-pub use replay::{find_schedule_divergence, replay_blocks, replay_cycles, ReplayConfig};
 pub use simulate::{order_of_schedule, simulate_in_order, SimResult};

@@ -153,6 +153,43 @@ fn corrupt_images_are_rejected_and_the_old_image_keeps_serving() {
 }
 
 #[test]
+fn a_branch_only_reload_is_refused_and_the_connection_keeps_serving() {
+    // The guarded pipeline runs such a description clean on probes
+    // alone; vetting then refuses it, since no region can be built.
+    let (handle, addr) = start(Machine::K5, "branchonly", ServeConfig::default());
+    let mut conn = TestConn::open(&addr);
+    let source = plant(
+        "branch-only",
+        b"resource BR;
+          or_tree B = first_of({ BR @ 0 });
+          class br { constraint = B; latency = 1; flags = branch; }",
+    );
+    let reply = conn.round_trip(&format!(
+        "{{\"id\": 1, \"verb\": \"reload\", \"path\": {}}}",
+        Json::Str(source.display().to_string()).render()
+    ));
+    assert!(!reply.ok, "a branch-only description must be refused");
+    assert_eq!(reply.error_num(), Some(3));
+    let message = reply
+        .body
+        .get("error")
+        .and_then(|error| error.get("message"))
+        .and_then(Json::as_str)
+        .unwrap_or_default();
+    assert!(
+        message.contains("no schedulable non-branch class"),
+        "{message}"
+    );
+
+    // The same connection is still read and answered.
+    let reply = conn.round_trip("{\"id\": 2, \"verb\": \"query\"}");
+    assert_eq!(reply.result_u64("epoch"), Some(0));
+    let _ = std::fs::remove_file(source);
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
 fn identical_reloads_are_noops_and_round_trips_hit_the_cache() {
     let (handle, addr) = start(Machine::K5, "cache", ServeConfig::default());
     let k5 = plant("k5", &image_bytes(Machine::K5));

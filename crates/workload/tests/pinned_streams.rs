@@ -4,7 +4,7 @@
 //! a source register that creates no dependence fails here (a schedule
 //! digest cannot see the last).
 //!
-//! The streams are the four generators' outputs:
+//! The streams are the three generators' outputs:
 //! - `RegionGenerator` over the four paper machines, 64 regions for each
 //!   of three seeds at mean sizes 1, 8, 16 and 40, with the default
 //!   uniform operand shape and with each machine's paper shape;
@@ -12,8 +12,7 @@
 //!   operations, at ILP scales 1 and 3;
 //! - `generate_uniform` over each machine's classes, with the default
 //!   16-register shape and with a 5-register one, smaller than the pool
-//!   of recent destinations;
-//! - `mdes_sched::replay_blocks` at several class counts and shapes.
+//!   of recent destinations.
 //!
 //! The digests were recorded on the generators that shifted the pool of
 //! recent destinations on every write and built each operation through
@@ -21,7 +20,7 @@
 
 use mdes_core::{CompiledMdes, UsageEncoding};
 use mdes_machines::Machine;
-use mdes_sched::{replay_blocks, Block, ReplayConfig};
+use mdes_sched::Block;
 use mdes_workload::{
     generate, generate_compiled_regions, generate_uniform, uniform_config, RegionConfig,
     WorkloadConfig,
@@ -77,12 +76,6 @@ const PINNED: &[(&str, u64)] = &[
     ("generate/k5/ilp3", 0xf8c13888e4cacb71),
     ("uniform/k5/r16", 0xeff6246e209979b6),
     ("uniform/k5/r5", 0x67c82b2d85ce308b),
-    ("replay/default/c1", 0xdd3471809b3d3f85),
-    ("replay/default/c7", 0x14cf16535f106f47),
-    ("replay/default/c23", 0xa401239708e45c19),
-    ("replay/wide/c1", 0x5fdd0331060a5dd8),
-    ("replay/wide/c7", 0xb03193f4811f5a9a),
-    ("replay/wide/c23", 0x4fe460f13a3df7c6),
 ];
 
 const SEEDS: [u64; 3] = [1, 0x0D16, 0xC1D7A5];
@@ -166,21 +159,6 @@ fn digests() -> Vec<(String, u64)> {
             out.push((
                 format!("uniform/{name}/{label}"),
                 digest(&generate_uniform(&spec, &config).blocks),
-            ));
-        }
-    }
-
-    let wide = ReplayConfig {
-        seed: 0x0D16,
-        blocks: 24,
-        ops_per_block: 40,
-        dep_percent: 80,
-    };
-    for (label, config) in [("default", ReplayConfig::default()), ("wide", wide)] {
-        for classes in [1, 7, 23] {
-            out.push((
-                format!("replay/{label}/c{classes}"),
-                digest(&replay_blocks(classes, &config)),
             ));
         }
     }
