@@ -22,7 +22,10 @@
 #                    and memory gates (worker path, and the connection
 #                    path of an id-less round trip), pinned replies
 #                    (`run_work` answers byte-identical to recorded
-#                    digests), the CLI's end-to-end suite (every
+#                    digests), the hot-reload suite (about 1.5 s warm:
+#                    admission-time image capture, rejected reloads
+#                    leave the old image serving, the content cache),
+#                    the CLI's end-to-end suite (every
 #                    `mdesc` command, the bundled-name lookup and
 #                    the static paper tables and figures included),
 #                    a type-check of the end-to-end benchmark
@@ -178,13 +181,18 @@ cargo test -q -p mdes-engine
 # beyond parsing the frame.  The pinned replies (about 1 s) hold
 # `run_work`'s answers for the four served machines, both work verbs,
 # four request shapes and two seeds to digests recorded on the request
-# path that held a request's whole workload.
-cargo test -q -p mdes-serve --lib --test allocations --test pinned_replies
+# path that held a request's whole workload.  The hot-reload suite
+# (about 1.5 s warm) runs reloads against live daemons: requests keep
+# the image they were admitted under, corrupt images and a branch-only
+# source are refused while the old image keeps serving, identical bytes
+# are a no-op, and a verified client sees no surprise across reloads.
+cargo test -q -p mdes-serve --lib --test allocations --test pinned_replies --test reload
 
 # The CLI suite runs the `mdesc` binary, one command per test, the
 # case-insensitive bundled-name lookup that `bundled`, `lint --machine`
-# and `oracle --machine` share included, and the static paper tables
-# and figures held to their slices of results/; about 0.7 s warm.
+# and `oracle --machine` share included, `verify` and a live daemon's
+# reload held to the same verdict on four sources, and the static paper
+# tables and figures held to their slices of results/; about 0.7 s warm.
 cargo test -q -p mdes-tools --test cli
 
 # The end-to-end benchmark is its own Cargo workspace with its own lock

@@ -722,44 +722,43 @@ fn parse_fault(text: &str) -> CliResult<Fault> {
     Ok(Fault { stage, kind })
 }
 
-/// Runs the stage-guarded pipeline over a description and fails on any
-/// incident.  With `--inject`, a deliberate fault is planted after the
-/// named stage so the guard's detection can be demonstrated end to end.
+/// Runs the stage-guarded pipeline over a description, then the serving
+/// policy on its image, and fails as a daemon reload would.  With
+/// `--inject`, a deliberate fault is planted after the named stage so the
+/// guard's detection can be demonstrated end to end.
 fn verify_cmd(args: &[String], tel: &Telemetry) -> CliResult {
-    let mut mode = GuardMode::Oracle;
-    let mut seed: Option<u64> = None;
-    let mut inject: Vec<Fault> = Vec::new();
+    let mut guard = GuardConfig {
+        mode: GuardMode::Oracle,
+        ..GuardConfig::default()
+    };
     let mut args = Args::new(args);
     while let Some(arg) = args.next() {
         match arg {
-            "--guard" => mode = args.value("--guard", "validate or oracle")?.parse()?,
-            "--seed" => seed = Some(args.seed()?),
-            "--inject" => inject.push(parse_fault(args.value("--inject", "<stage>:<fault>")?)?),
+            "--guard" => guard.mode = args.value("--guard", "validate or oracle")?.parse()?,
+            "--seed" => guard.seed = args.seed()?,
+            "--inject" => guard
+                .inject
+                .push(parse_fault(args.value("--inject", "<stage>:<fault>")?)?),
             other => args.positional(other)?,
         }
     }
     let input = args.input.ok_or("verify needs an input .hmdl file")?;
-    if mode == GuardMode::Off {
+    if guard.mode == GuardMode::Off {
         return Err("verify needs --guard validate or --guard oracle".into());
     }
 
     let (mut spec, _) = load_hmdl(input, tel)?;
-    let mut guard = GuardConfig {
-        mode,
-        inject,
-        ..GuardConfig::default()
-    };
-    if let Some(seed) = seed {
-        guard.seed = seed;
-    }
     let report = optimize_guarded(&mut spec, &PipelineConfig::full(), &guard, tel);
     for injected in &report.injected {
         eprintln!("injected: {injected}");
     }
     guard_outcome(&report)?;
+    if let Some(image) = &report.image {
+        mdes_guard::serving_policy(image).map_err(CliError::validation)?;
+    }
     println!(
-        "{input}: guard clean ({} stages run in {mode} mode, seed {})",
-        report.stages_run, guard.seed
+        "{input}: guard clean ({} stages run in {} mode, seed {})",
+        report.stages_run, guard.mode, guard.seed
     );
     Ok(())
 }
@@ -1306,8 +1305,12 @@ fn oracle_fleet_cmd(
             incidents += guarded.incidents.len();
         }
 
-        let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector)
-            .map_err(|e| CliError::validation(format!("{}: {e}", machine.name)))?;
+        // The guard's image is the spec it left; a refused input has none.
+        let compiled = match guarded.image {
+            Some(image) => image,
+            None => CompiledMdes::compile(&spec, UsageEncoding::BitVector)
+                .map_err(|e| CliError::validation(format!("{}: {e}", machine.name)))?,
+        };
         let config = mdes_workload::RegionConfig::small(regions).with_seed(seed);
         let blocks = mdes_workload::generate_compiled_regions(&compiled, &config).blocks;
         let oracle = mdes_oracle::OracleScheduler::new(&compiled)

@@ -662,22 +662,103 @@ fn verify_clean_run_exits_0_and_reports_on_stdout() {
     assert!(text.contains("oracle mode"), "{text}");
 }
 
+/// A description whose only class is a branch: no region can be built
+/// from it, so the guard samples it with probes alone, and the serving
+/// policy refuses it.
+const BRANCH_ONLY: &str = "resource BR;
+     or_tree B = first_of({ BR @ 0 });
+     class br { constraint = B; latency = 1; flags = branch; }";
+
 #[test]
-fn verify_runs_a_branch_only_description_clean() {
-    // No non-branch class means no region sample: the guard checks the
-    // description with its probes alone, and must not panic.
+fn verify_refuses_a_branch_only_description_that_compiles_clean() {
+    // The guard samples it by probes alone and must not panic; `verify`
+    // then gives a reload's verdict, which the serving policy refuses.
     let dir = temp_dir("verifybranch");
     let hmdl = dir.join("branch.hmdl");
-    std::fs::write(
-        &hmdl,
-        "resource BR;
-         or_tree B = first_of({ BR @ 0 });
-         class br { constraint = B; latency = 1; flags = branch; }",
-    )
-    .unwrap();
+    std::fs::write(&hmdl, BRANCH_ONLY).unwrap();
     let out = mdesc(&["verify", hmdl.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(3), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("no schedulable non-branch class"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+
+    let image = dir.join("branch.lmdes");
+    let out = mdesc(&[
+        "compile",
+        hmdl.to_str().unwrap(),
+        "--guard",
+        "oracle",
+        "-o",
+        image.to_str().unwrap(),
+    ]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    assert!(stdout(&out).contains("guard clean"), "{}", stdout(&out));
+    assert!(image.exists());
+}
+
+#[test]
+fn verify_and_a_daemon_reload_give_the_same_verdict() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let dir = temp_dir("verifyreload");
+    let config = mdes_serve::ServeConfig::default();
+    let seed = config.seed.to_string();
+    let k5 = mdes_machines::Machine::K5;
+    let store =
+        mdes_serve::ImageStore::new(mdes_serve::compile_machine(k5), k5.name(), config.seed);
+    let socket = dir.join("daemon.sock");
+    let daemon = mdes_serve::serve(
+        mdes_serve::BindAddr::Unix(socket.clone()),
+        std::sync::Arc::new(store),
+        config,
+    )
+    .expect("daemon binds");
+    let mut conn = UnixStream::connect(&socket).expect("connect");
+    let mut replies = BufReader::new(conn.try_clone().expect("clone"));
+
+    let cases = [
+        ("k5", k5.source(), 0),
+        ("branch-only", BRANCH_ONLY, 3),
+        (
+            // MD001: both AND branches demand ALU@0.
+            "unsatisfiable",
+            "resource ALU;
+             or_tree A = first_of({ ALU @ 0 });
+             or_tree B = first_of({ ALU @ 0 });
+             and_or_tree Both = all_of(A, B);
+             class stuck { constraint = Both; }",
+            3,
+        ),
+        (
+            // MD008: above MAX_LATENCY (4096).
+            "latency",
+            "resource ALU;
+             or_tree A = first_of({ ALU @ 0 });
+             class slow { constraint = A; latency = 5000; }",
+            3,
+        ),
+    ];
+    for (id, (name, source, code)) in cases.into_iter().enumerate() {
+        let path = dir.join(format!("{name}.hmdl"));
+        std::fs::write(&path, source).unwrap();
+        let path = path.to_str().unwrap();
+        let out = mdesc(&["verify", path, "--seed", &seed]);
+        assert_eq!(out.status.code(), Some(code), "{name}: {}", stderr(&out));
+
+        let path = mdes_telemetry::json::Json::Str(path.to_string()).render();
+        let frame = format!("{{\"id\": {id}, \"verb\": \"reload\", \"path\": {path}}}\n");
+        conn.write_all(frame.as_bytes()).expect("send");
+        let mut line = String::new();
+        replies.read_line(&mut line).expect("reply");
+        let reply = mdes_serve::proto::parse_reply(line.trim_end()).expect("a reply line");
+        let reloaded = if reply.ok { Some(0) } else { reply.error_num() };
+        assert_eq!(reloaded, Some(code as u64), "{name}: {line}");
+    }
+    daemon.shutdown();
+    daemon.join();
 }
 
 #[test]

@@ -5,38 +5,32 @@
 //! to *promote* one.  A reloaded LMDES image has already passed
 //! [`mdes_core::lmdes::read`], so every index is in range — but decoding
 //! says nothing about whether the description is safe to schedule
-//! against.  [`vet_image`] closes that gap with three layers, each
+//! against.  [`vet_image`] closes that gap with two layers, each
 //! catching a failure class the previous one cannot:
 //!
-//! 1. **Serving-policy bounds** — pure structural checks the decoder
-//!    deliberately leaves to policy: resource masks inside the declared
-//!    pool, check times inside the declared `[min, max]` window and under
-//!    [`MAX_CHECK_TIME`] (an unbounded time makes the RU map's window
-//!    allocation proportional to it — an over-allocation attack),
-//!    latencies under [`MAX_LATENCY`], and no class whose every option
-//!    list is empty (an unsatisfiable class makes a list scheduler spin
-//!    forever: the reservation fails at every cycle, so the op never
-//!    places and the daemon hangs).
-//! 2. **Probe smoke** — deterministic seeded reserve/query/release
-//!    sequences replayed through the checker under `catch_unwind`, so a
-//!    description that panics the checker is rejected instead of killing
-//!    the worker that first touches it.
-//! 3. **Schedule smoke** — a small seeded region stream generated *from
-//!    the compiled image itself* ([`mdes_workload::
-//!    generate_compiled_regions`]), list-scheduled, and re-verified
-//!    against the dependence graph.  This exercises the full serving path
-//!    (dep graph, scheduler, verifier) end to end before any client
-//!    request does.
+//! 1. **Serving-policy bounds** ([`serving_policy`]) — pure structural
+//!    checks the decoder deliberately leaves to policy: resource masks
+//!    inside the declared pool, check times inside the declared
+//!    `[min, max]` window and under [`MAX_CHECK_TIME`] (an unbounded time
+//!    makes the RU map's window allocation proportional to it — an
+//!    over-allocation attack), latencies under [`MAX_LATENCY`], at least
+//!    one non-branch class, and no class whose every option list is
+//!    empty (an unsatisfiable class makes a list scheduler spin forever:
+//!    the reservation fails at every cycle, so the op never places and
+//!    the daemon hangs).
+//! 2. **A small seeded sample** — the stage oracle's sample type, drawn
+//!    from the image: a description that panics the checker or the
+//!    scheduler, or schedules a region that fails to verify, is rejected
+//!    instead of killing the worker that first touches it.
 //!
-//! A description that passes all three is promoted; any failure returns a
+//! A description that passes both is promoted; any failure returns a
 //! diagnostic and the caller keeps serving the old image.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use mdes_core::probe::{self, ProbeConfig};
+use mdes_core::probe::ProbeConfig;
 use mdes_core::{ClassId, CompiledMdes};
-use mdes_sched::{CheckStats, DepGraph, ListScheduler, SchedScratch};
-use mdes_workload::{generate_compiled_regions, RegionConfig};
+use mdes_workload::RegionConfig;
+
+use crate::oracle::Sample;
 
 // The serving-policy bounds are owned by the static analyzer (its MD008
 // window-overflow diagnostic enforces the same contract over specs);
@@ -57,17 +51,31 @@ pub struct ImageVetting {
 /// seed)`.  On `Err`, the returned string says which layer rejected it
 /// and why; the caller must keep its previous description.
 pub fn vet_image(mdes: &CompiledMdes, seed: u64) -> Result<ImageVetting, String> {
-    structural_check(mdes)?;
-    let probe_sequences = probe_smoke(mdes, seed)?;
-    let scheduled_blocks = schedule_smoke(mdes, seed)?;
+    serving_policy(mdes)?;
+    let probes = ProbeConfig {
+        seed,
+        sequences: 12,
+        ops_per_sequence: 24,
+        window: 4,
+    };
+    let regions = RegionConfig::new(8)
+        .with_seed(seed ^ 0x5EED_1A6E)
+        .with_mean_ops(6);
+    let sample = Sample::draw(mdes, &probes, &regions);
+    sample
+        .traces(mdes)
+        .and_then(|_| sample.cycles(mdes))
+        .map_err(|why| format!("vetting sample: {why}"))?;
     Ok(ImageVetting {
-        probe_sequences,
-        scheduled_blocks,
+        probe_sequences: sample.sequences.len(),
+        scheduled_blocks: sample.regions.len(),
     })
 }
 
-/// Layer 1: serving-policy bounds over the decoded structure.
-fn structural_check(mdes: &CompiledMdes) -> Result<(), String> {
+/// [`vet_image`]'s serving-policy layer: all of vetting that an HMDL
+/// reload and `mdesc verify` run on the guarded pipeline's image, which
+/// the guard's own, larger sample has already observed.
+pub fn serving_policy(mdes: &CompiledMdes) -> Result<(), String> {
     if mdes.classes().is_empty() {
         return Err("image has no operation classes".into());
     }
@@ -137,52 +145,6 @@ fn structural_check(mdes: &CompiledMdes) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Layer 2: replay seeded probe sequences, converting a checker panic
-/// into a rejection.
-fn probe_smoke(mdes: &CompiledMdes, seed: u64) -> Result<usize, String> {
-    let config = ProbeConfig {
-        seed,
-        sequences: 12,
-        ops_per_sequence: 24,
-        window: 4,
-    };
-    let sequences = probe::generate_sequences(&config, mdes.classes().len());
-    let count = sequences.len();
-    catch_unwind(AssertUnwindSafe(|| {
-        for ops in &sequences {
-            probe::run_sequence(mdes, ops);
-        }
-    }))
-    .map_err(|_| "probe smoke panicked inside the checker; description rejected".to_string())?;
-    Ok(count)
-}
-
-/// Layer 3: schedule a small seeded region stream end to end and verify
-/// every schedule against its dependence graph.
-fn schedule_smoke(mdes: &CompiledMdes, seed: u64) -> Result<usize, String> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<usize, String> {
-        let config = RegionConfig::new(8)
-            .with_seed(seed ^ 0x5EED_1A6E)
-            .with_mean_ops(6);
-        let workload = generate_compiled_regions(mdes, &config);
-        let scheduler = ListScheduler::new(mdes);
-        let mut scratch = SchedScratch::new();
-        let mut stats = CheckStats::new();
-        for (index, block) in workload.blocks.iter().enumerate() {
-            let graph = DepGraph::build(block, mdes);
-            let schedule =
-                scheduler.schedule_with_graph_reusing(block, &graph, &mut scratch, &mut stats);
-            schedule
-                .verify(&graph, mdes)
-                .map_err(|why| format!("schedule smoke: region {index} failed to verify: {why}"))?;
-        }
-        Ok(workload.blocks.len())
-    }));
-    outcome.map_err(|_| {
-        "schedule smoke panicked inside the scheduler; description rejected".to_string()
-    })?
 }
 
 #[cfg(test)]

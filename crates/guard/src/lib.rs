@@ -9,9 +9,13 @@
 //!    [`MdesSpec`](mdes_core::spec::MdesSpec) invariant;
 //! 2. a **behavioural oracle** ([`oracle`]) — one seeded sample of probe
 //!    sequences and [`RegionGenerator`](mdes_workload::RegionGenerator)
-//!    regions is drawn per run, the input's checker traces and issue
-//!    cycles are recorded once, and each stage's output must reproduce
-//!    that record exactly.
+//!    regions is drawn per run, the input's checker traces and verified
+//!    issue cycles are recorded once, and each stage's output must
+//!    reproduce that record exactly.
+//!
+//! The input is first validated and statically analysed ([`mdes_analyze`]).
+//! The report keeps a refusing diagnostic and the image of the last
+//! description accepted, which a daemon reload and `mdesc verify` reuse.
 //!
 //! When a stage's output is rejected, the guard **rolls the stage back**
 //! (the spec and the stage's report, as they stood before the stage, are
@@ -54,6 +58,7 @@ pub mod image;
 pub mod inject;
 pub mod oracle;
 
+use mdes_analyze::Diagnostic;
 use mdes_core::compile::{CompiledMdes, UsageEncoding};
 use mdes_core::spec::MdesSpec;
 use mdes_opt::pipeline::{
@@ -63,10 +68,10 @@ use mdes_telemetry::Telemetry;
 use std::fmt;
 use std::str::FromStr;
 
-pub use image::{vet_image, ImageVetting, MAX_CHECK_TIME, MAX_LATENCY};
+pub use image::{serving_policy, vet_image, ImageVetting, MAX_CHECK_TIME, MAX_LATENCY};
 pub use inject::{apply_fault, corrupt_image, Fault, FaultKind, ImageFault};
 pub use oracle::IncidentKind;
-use oracle::{OracleFailure, Reference};
+use oracle::Reference;
 
 /// How much checking a guarded run performs per stage.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
@@ -74,9 +79,9 @@ pub enum GuardMode {
     /// No per-stage checks: identical to the plain pipeline.
     #[default]
     Off,
-    /// Structural validation only (cheap).
+    /// Input analysis and structural validation only (cheap).
     Validate,
-    /// Structural validation plus the behavioural oracle.
+    /// Analysis and validation plus the behavioural oracle.
     Oracle,
 }
 
@@ -124,12 +129,6 @@ pub struct GuardConfig {
     /// Fault-injection hooks: corrupt the named stages' output before the
     /// guard checks them.  Test-only; empty in production runs.
     pub inject: Vec<Fault>,
-    /// Run the [`mdes_analyze`] static pass on the input spec before any
-    /// stage.  A fatal diagnostic (unsatisfiable class, latency-window
-    /// overflow) refuses the pipeline the same way invalid input does —
-    /// there is no point sampling the behaviour of a description that
-    /// can never schedule.  Ignored under [`GuardMode::Off`].
-    pub analyze: bool,
 }
 
 impl Default for GuardConfig {
@@ -138,7 +137,6 @@ impl Default for GuardConfig {
             mode: GuardMode::Off,
             seed: 0x4d44_4553, // "MDES"
             inject: Vec::new(),
-            analyze: true,
         }
     }
 }
@@ -185,6 +183,19 @@ pub struct GuardIncident {
     pub probe: Option<String>,
 }
 
+impl GuardIncident {
+    /// An incident with no probe as evidence.
+    fn new(stage: &str, seed: u64, kind: IncidentKind, detail: String) -> GuardIncident {
+        GuardIncident {
+            stage: stage.to_string(),
+            seed,
+            kind,
+            detail,
+            probe: None,
+        }
+    }
+}
+
 impl fmt::Display for GuardIncident {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -213,6 +224,12 @@ pub struct GuardedReport {
     pub stages_rolled_back: usize,
     /// Descriptions of injected faults that found an applicable site.
     pub injected: Vec<String>,
+    /// The input's first fatal static-analysis diagnostic, when it
+    /// refused the run (with no span: the guard sees no source).
+    pub fatal: Option<Diagnostic>,
+    /// The bit-vector image of the last description accepted, which is
+    /// the spec the run leaves; `None` when unchecked or refused.
+    pub image: Option<CompiledMdes>,
 }
 
 impl GuardedReport {
@@ -230,63 +247,89 @@ impl GuardedReport {
 
     /// True if any incident is a behavioural-oracle mismatch.
     pub fn has_oracle_incident(&self) -> bool {
-        self.incidents.iter().any(|i| {
-            matches!(
-                i.kind,
-                IncidentKind::OracleProbe | IncidentKind::OracleSchedule
-            )
-        })
+        self.incidents.iter().any(|i| i.kind.is_oracle())
+    }
+
+    /// Records `incident` into `tel`, as counters plus a structured
+    /// `guard/incident` event, and into the report.
+    fn record(&mut self, tel: &Telemetry, incident: GuardIncident) {
+        tel.counter_add("guard/incidents", 1);
+        tel.counter_add(&format!("guard/incidents/{}", incident.stage), 1);
+        let seed = incident.seed.to_string();
+        let mut fields: Vec<(&str, &str)> = vec![
+            ("stage", incident.stage.as_str()),
+            ("seed", seed.as_str()),
+            ("kind", incident.kind.name()),
+            ("detail", incident.detail.as_str()),
+        ];
+        if let Some(probe) = &incident.probe {
+            fields.push(("probe", probe.as_str()));
+        }
+        tel.event("guard/incident", &fields);
+        self.incidents.push(incident);
     }
 }
 
-/// Records `incident` into `tel` as counters plus a structured
-/// `guard/incident` event.
-fn record_incident(tel: &Telemetry, incident: &GuardIncident) {
-    tel.counter_add("guard/incidents", 1);
-    tel.counter_add(&format!("guard/incidents/{}", incident.stage), 1);
-    let seed = incident.seed.to_string();
-    let mut fields: Vec<(&str, &str)> = vec![
-        ("stage", incident.stage.as_str()),
-        ("seed", seed.as_str()),
-        ("kind", incident.kind.name()),
-        ("detail", incident.detail.as_str()),
-    ];
-    if let Some(probe) = &incident.probe {
-        fields.push(("probe", probe.as_str()));
+/// Admits the input: it must compile (which validates it) and carry no
+/// fatal diagnostic (an unsatisfiable class would make the sample spin);
+/// under the oracle, the sample records it.  `Ok` leaves its image in `report`.
+fn admit_input(
+    spec: &MdesSpec,
+    guard: &GuardConfig,
+    tel: &Telemetry,
+    report: &mut GuardedReport,
+) -> Result<Option<Reference>, GuardIncident> {
+    let refuse = |stage, kind, detail| GuardIncident::new(stage, guard.seed, kind, detail);
+    let input = CompiledMdes::compile(spec, UsageEncoding::BitVector).map_err(|err| {
+        let detail = format!("input spec failed validation: {err}");
+        refuse("input", IncidentKind::Validation, detail)
+    })?;
+    let analysis = mdes_analyze::analyze_spec_with_telemetry(spec, tel);
+    if let Some(diag) = analysis.first_fatal() {
+        report.fatal = Some(diag.clone());
+        let detail = format!("static analysis found {}: {}", diag.code, diag.message);
+        return Err(refuse("analyze", IncidentKind::Analysis, detail));
     }
-    tel.event("guard/incident", &fields);
+    let reference = match guard.mode {
+        GuardMode::Oracle => Some(Reference::record(&input, guard.seed).map_err(|why| {
+            let detail = format!("input spec failed its sample: {why}");
+            refuse("input", IncidentKind::Validation, detail)
+        })?),
+        _ => None,
+    };
+    report.image = Some(input);
+    Ok(reference)
 }
 
-/// Checks one stage's output, `post`, made from the snapshot `pre`: it
-/// must validate and, under the oracle, reproduce `reference`.
+/// Checks `stage`'s output, `post`, made from the snapshot `pre`: it must
+/// compile (which validates it) and, under the oracle, reproduce
+/// `reference`.  `Ok` is the accepted output's image.
 fn check_stage(
+    stage: &str,
+    guard: &GuardConfig,
     pre: &MdesSpec,
     post: &MdesSpec,
     reference: Option<&Reference>,
-) -> Option<OracleFailure> {
-    let invalid = |err| OracleFailure {
-        kind: IncidentKind::Validation,
-        detail: format!("structural validation failed: {err}"),
-        probe: None,
-    };
-    let Some(reference) = reference else {
-        return post.validate().err().map(invalid);
-    };
-    // Compiling validates first, with the same error.
-    match CompiledMdes::compile(post, UsageEncoding::BitVector) {
-        Ok(compiled) => reference.check(pre, &compiled),
-        Err(err) => Some(invalid(err)),
+) -> Result<CompiledMdes, GuardIncident> {
+    let image = CompiledMdes::compile(post, UsageEncoding::BitVector).map_err(|err| {
+        let detail = format!("structural validation failed: {err}");
+        GuardIncident::new(stage, guard.seed, IncidentKind::Validation, detail)
+    })?;
+    if let Some(reference) = reference {
+        reference.check(stage, pre, &image)?;
     }
+    Ok(image)
 }
 
 /// Runs the configured pipeline on `spec` under the guard.
 ///
 /// With [`GuardMode::Off`] and no injected faults this is exactly
-/// [`mdes_opt::pipeline::optimize_with_telemetry`].  Otherwise each stage
-/// runs against a snapshot boundary: its output is validated (and, in
-/// [`GuardMode::Oracle`], observed against the input's record) before
-/// being accepted; a rejected stage's spec and report are rolled back,
-/// the incident is recorded, and the run continues.
+/// [`mdes_opt::pipeline::optimize_with_telemetry`].  Otherwise, once the
+/// input is admitted, each stage runs against a snapshot boundary: its
+/// output is validated (and, in [`GuardMode::Oracle`], observed against
+/// the input's record) before being accepted; a rejected stage's spec
+/// and report are rolled back, the incident is recorded, and the run
+/// continues.
 pub fn optimize_guarded(
     spec: &mut MdesSpec,
     pipeline: &PipelineConfig,
@@ -302,51 +345,17 @@ pub fn optimize_guarded(
 
     let mut report = GuardedReport::default();
     let _guard_span = tel.span("guard");
-
-    // An invalid *input* is not a stage bug: record it and refuse to run
-    // the pipeline on it at all (there is nothing to roll back to).  The
-    // oracle compiles the input, which validates it first.
-    let input = match guard.mode {
-        GuardMode::Off => Ok(None),
-        GuardMode::Validate => spec.validate().map(|()| None),
-        GuardMode::Oracle => CompiledMdes::compile(spec, UsageEncoding::BitVector).map(Some),
-    };
-    let input = match input {
-        Ok(input) => input,
-        Err(err) => {
-            let incident = GuardIncident {
-                stage: "input".to_string(),
-                seed: guard.seed,
-                kind: IncidentKind::Validation,
-                detail: format!("input spec failed validation: {err}"),
-                probe: None,
-            };
-            record_incident(tel, &incident);
-            report.incidents.push(incident);
-            return report;
-        }
-    };
-
-    // Static analysis sits between validation and the oracle: a spec
-    // with a fatal diagnostic is structurally fine but provably unable
-    // to do its job, so refuse to optimize it (nothing to roll back to).
-    if guard.mode != GuardMode::Off && guard.analyze {
-        let analysis = mdes_analyze::analyze_spec_with_telemetry(spec, tel);
-        if let Some(diag) = analysis.first_fatal() {
-            let incident = GuardIncident {
-                stage: "analyze".to_string(),
-                seed: guard.seed,
-                kind: IncidentKind::Analysis,
-                detail: format!("static analysis found {}: {}", diag.code, diag.message),
-                probe: None,
-            };
-            record_incident(tel, &incident);
-            report.incidents.push(incident);
-            return report;
+    let mut reference = None;
+    if guard.mode != GuardMode::Off {
+        match admit_input(spec, guard, tel, &mut report) {
+            Ok(record) => reference = record,
+            Err(incident) => {
+                report.record(tel, incident);
+                return report;
+            }
         }
     }
 
-    let reference = input.map(|input| Reference::record(&input, guard.seed));
     let _pipeline_span = tel.span("pipeline");
     for stage in stage_plan(pipeline) {
         let snapshot = (spec.clone(), report.pipeline.clone());
@@ -363,19 +372,14 @@ pub fn optimize_guarded(
         if guard.mode == GuardMode::Off {
             continue;
         }
-        if let Some(failure) = check_stage(&snapshot.0, spec, reference.as_ref()) {
-            (*spec, report.pipeline) = snapshot;
-            report.stages_rolled_back += 1;
-            tel.counter_add("guard/rollbacks", 1);
-            let incident = GuardIncident {
-                stage: stage.name().to_string(),
-                seed: guard.seed,
-                kind: failure.kind,
-                detail: failure.detail,
-                probe: failure.probe,
-            };
-            record_incident(tel, &incident);
-            report.incidents.push(incident);
+        match check_stage(stage.name(), guard, &snapshot.0, spec, reference.as_ref()) {
+            Ok(image) => report.image = Some(image),
+            Err(incident) => {
+                (*spec, report.pipeline) = snapshot;
+                report.stages_rolled_back += 1;
+                tel.counter_add("guard/rollbacks", 1);
+                report.record(tel, incident);
+            }
         }
     }
     report
@@ -468,23 +472,9 @@ mod tests {
         assert_eq!(report.incidents[0].stage, "analyze");
         assert_eq!(report.incidents[0].kind, IncidentKind::Analysis);
         assert!(report.incidents[0].detail.contains("MD001"));
+        assert_eq!(report.fatal.as_ref().map(|diag| diag.code), Some("MD001"));
+        assert_eq!(report.image, None);
         assert_eq!(report.stages_run, 0);
-
-        // Opting out of the analyze stage restores the old behaviour: the
-        // pipeline runs (the oracle itself cannot observe the defect —
-        // the class fails to schedule identically before and after).
-        let mut opted_out = spec.clone();
-        let report = optimize_guarded(
-            &mut opted_out,
-            &PipelineConfig::full(),
-            &GuardConfig {
-                analyze: false,
-                ..GuardConfig::validate_only()
-            },
-            &Telemetry::disabled(),
-        );
-        assert!(report.clean());
-        assert!(report.stages_run > 0);
     }
 
     #[test]

@@ -398,3 +398,33 @@ fn a_branch_only_description_is_sampled_by_probes_alone() {
     assert_eq!(report.incidents[0].kind, IncidentKind::OracleProbe);
     assert_eq!(faulty, plain);
 }
+
+#[test]
+fn the_returned_image_is_the_compiled_spec_the_guard_leaves() {
+    // A caller that admits the guard's output promotes this image, so it
+    // must be exactly what compiling the surviving spec gives: on clean
+    // runs, and after a rollback, where it is the last accepted stage's.
+    let fleet = mdes_workload::fleet(42, 16)
+        .into_iter()
+        .map(|machine| (machine.name, machine.spec));
+    for (name, mut spec) in mdes_machines::bundled().into_iter().chain(fleet) {
+        let report = optimize_guarded(
+            &mut spec,
+            &PipelineConfig::full(),
+            &GuardConfig::oracle(42),
+            &Telemetry::disabled(),
+        );
+        assert!(report.clean(), "{name}: {:?}", report.incidents);
+        let image = report.image.expect("a clean run returns its image");
+        let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
+        assert!(image == compiled, "{name}: the image is not the spec's");
+    }
+
+    let (report, _, spec) = run_injected(StageId::Dominance, FaultKind::ReorderPriority);
+    assert_eq!(report.stages_rolled_back, 1);
+    let image = report
+        .image
+        .expect("a rolled-back run still returns an image");
+    let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
+    assert!(image == compiled, "the image is not the rolled-back spec's");
+}

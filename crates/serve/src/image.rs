@@ -22,8 +22,8 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use mdes_core::{lmdes, CompiledMdes, UsageEncoding};
-use mdes_guard::{vet_image, GuardConfig};
+use mdes_core::{lmdes, CompiledMdes};
+use mdes_guard::{optimize_guarded, serving_policy, vet_image, GuardConfig, GuardIncident};
 use mdes_machines::Machine;
 use mdes_opt::pipeline::PipelineConfig;
 use mdes_telemetry::Telemetry;
@@ -115,57 +115,63 @@ pub enum ReloadOutcome {
 
 /// Compiles and vets reload source bytes — an LMDES binary image
 /// (sniffed by magic) or HMDL source text — without touching any store
-/// state.  Pure in `(bytes, seed)`.
+/// state.  Pure in `(bytes, seed)`.  An image gets the full [`vet_image`];
+/// source gets one oracle-mode guarded run, whose analysis, sample and
+/// image serve, and then the serving policy on that image.
 pub fn compile_source(bytes: &[u8], seed: u64) -> Result<Arc<CompiledMdes>, ReloadError> {
-    let mdes = if bytes.starts_with(lmdes::MAGIC) {
-        lmdes::read(bytes)
-            .map_err(|e| ReloadError::Parse(format!("bad LMDES image [{}]: {e}", e.code())))?
-    } else {
-        let source = std::str::from_utf8(bytes)
-            .map_err(|_| ReloadError::Parse("source is neither LMDES nor UTF-8 HMDL".into()))?;
-        let mut spec = mdes_lang::compile(source)
-            .map_err(|e| ReloadError::Parse(format!("bad HMDL source: {e}")))?;
-        // A parsed description with a fatal diagnostic (unsatisfiable
-        // class, latency-window overflow) must never be promoted: reject
-        // before spending oracle time, anchored to the source line.
-        let mut analysis = mdes_analyze::analyze_spec(&spec);
-        if analysis.has_fatal() {
-            mdes_analyze::anchor_spans(&mut analysis.diagnostics, source);
-            let diag = analysis.first_fatal().expect("has_fatal");
-            let at = diag
-                .span
-                .map(|(line, col)| format!(" at line {line}:{col}"))
-                .unwrap_or_default();
-            return Err(ReloadError::Validation(format!(
-                "static analysis rejected the description [{}]{at}: {}",
-                diag.code, diag.message
-            )));
-        }
-        // The analysis above already vetted this spec; the guard need not repeat it.
-        let guard = GuardConfig {
-            analyze: false,
-            ..GuardConfig::oracle(seed)
-        };
-        let report = mdes_guard::optimize_guarded(
-            &mut spec,
-            &PipelineConfig::full(),
-            &guard,
-            &Telemetry::disabled(),
-        );
-        if let Some(incident) = report.incidents.first() {
-            // The guard already rolled the bad stage back, but a reload
-            // that trips the oracle is a reload of something broken —
-            // refuse promotion and keep serving the old image.
-            return Err(ReloadError::Oracle(format!(
-                "differential oracle rejected stage `{}`: {}",
-                incident.stage, incident.detail
-            )));
-        }
-        CompiledMdes::compile(&spec, UsageEncoding::BitVector)
-            .map_err(|e| ReloadError::Validation(e.to_string()))?
-    };
-    vet_image(&mdes, seed).map_err(ReloadError::Validation)?;
+    if bytes.starts_with(lmdes::MAGIC) {
+        let mdes = lmdes::read(bytes)
+            .map_err(|e| ReloadError::Parse(format!("bad LMDES image [{}]: {e}", e.code())))?;
+        vet_image(&mdes, seed).map_err(ReloadError::Validation)?;
+        return Ok(Arc::new(mdes));
+    }
+    let source = std::str::from_utf8(bytes)
+        .map_err(|_| ReloadError::Parse("source is neither LMDES nor UTF-8 HMDL".into()))?;
+    let mut spec = mdes_lang::compile(source)
+        .map_err(|e| ReloadError::Parse(format!("bad HMDL source: {e}")))?;
+    let report = optimize_guarded(
+        &mut spec,
+        &PipelineConfig::full(),
+        &GuardConfig::oracle(seed),
+        &Telemetry::disabled(),
+    );
+    if let Some(mut diag) = report.fatal {
+        // A fatal diagnostic is never promoted; the rejection names the line.
+        mdes_analyze::anchor_spans(std::slice::from_mut(&mut diag), source);
+        let at = diag
+            .span
+            .map(|(line, col)| format!(" at line {line}:{col}"))
+            .unwrap_or_default();
+        return Err(ReloadError::Validation(format!(
+            "static analysis rejected the description [{}]{at}: {}",
+            diag.code, diag.message
+        )));
+    }
+    if let Some(refusal) = refusal(&report.incidents) {
+        return Err(refusal);
+    }
+    let mdes = report
+        .image
+        .expect("a clean oracle-mode run keeps the image it accepted");
+    serving_policy(&mdes).map_err(ReloadError::Validation)?;
     Ok(Arc::new(mdes))
+}
+
+/// A reload's answer to guard incidents, by the rule `mdesc verify`
+/// exits by: any behavioural mismatch is an oracle rejection, and
+/// otherwise the input or a stage output failed to compile or to sample,
+/// a validation one.  The guard rolled a bad stage back, but a reload
+/// that trips it is of something broken: the old image keeps serving.
+fn refusal(incidents: &[GuardIncident]) -> Option<ReloadError> {
+    match incidents.iter().find(|i| i.kind.is_oracle()) {
+        Some(i) => Some(ReloadError::Oracle(format!(
+            "differential oracle rejected stage `{}`: {}",
+            i.stage, i.detail
+        ))),
+        None => incidents.first().map(|i| {
+            ReloadError::Validation(format!("guard rejected stage `{}`: {}", i.stage, i.detail))
+        }),
+    }
 }
 
 /// Loads a bundled machine the way the daemon boots it: `build.rs`
@@ -273,7 +279,9 @@ impl ImageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdes_guard::{corrupt_image, ImageFault};
+    use mdes_core::UsageEncoding;
+    use mdes_guard::{corrupt_image, FaultKind, ImageFault};
+    use mdes_opt::pipeline::StageId;
 
     fn store(machine: Machine) -> ImageStore {
         let mdes = CompiledMdes::compile(&machine.spec(), UsageEncoding::BitVector).unwrap();
@@ -299,6 +307,49 @@ mod tests {
                 machine.name()
             );
         }
+    }
+
+    /// A reload cannot change a reply hash: each served machine's bundled
+    /// HMDL, reloaded, promotes exactly its boot image.
+    #[test]
+    fn reloading_a_served_machines_source_rebuilds_its_boot_image() {
+        for machine in Machine::all() {
+            let reloaded = compile_source(machine.source().as_bytes(), 11)
+                .unwrap_or_else(|e| panic!("{}: {e:?}", machine.name()));
+            assert!(
+                lmdes::write(&reloaded) == lmdes::write(&compile_machine(machine)),
+                "{}: the reloaded image differs from the boot image",
+                machine.name()
+            );
+        }
+    }
+
+    /// A guard refusal answers with the code `mdesc verify` exits with:
+    /// a stage output that fails to compile is a validation rejection,
+    /// and a behavioural mismatch an oracle one wherever it falls.
+    #[test]
+    fn guard_refusals_answer_with_verifys_codes() {
+        let code = |faults: &[(StageId, FaultKind)]| {
+            let guard = faults
+                .iter()
+                .fold(GuardConfig::oracle(11), |guard, &(stage, kind)| {
+                    guard.with_fault(stage, kind)
+                });
+            let mut spec = Machine::Pa7100.spec();
+            let report = optimize_guarded(
+                &mut spec,
+                &PipelineConfig::full(),
+                &guard,
+                &Telemetry::disabled(),
+            );
+            refusal(&report.incidents).map(|e| e.code())
+        };
+        let clear = (StageId::Dominance, FaultKind::ClearUsages);
+        let drop = (StageId::Factor, FaultKind::DropUsage);
+        assert_eq!(code(&[]), None);
+        assert_eq!(code(&[clear]), Some(ErrorCode::Validation));
+        assert_eq!(code(&[drop]), Some(ErrorCode::Oracle));
+        assert_eq!(code(&[clear, drop]), Some(ErrorCode::Oracle));
     }
 
     #[test]
