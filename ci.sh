@@ -28,6 +28,10 @@
 #                    the CLI's end-to-end suite (every
 #                    `mdesc` command, the bundled-name lookup and
 #                    the static paper tables and figures included),
+#                    the experiment harness's own suites (the Section 4
+#                    invariant over every grid cell of the four
+#                    machines, and every table and figure rendered
+#                    from a small grid),
 #                    a type-check of the end-to-end benchmark
 #                    crate against the current public API, formatting
 #   ./ci.sh --full   everything above plus the release-profile workspace
@@ -194,6 +198,12 @@ cargo test -q -p mdes-serve --lib --test allocations --test pinned_replies --tes
 # reload held to the same verdict on four sources, and the static paper
 # tables and figures held to their slices of results/; about 0.7 s warm.
 cargo test -q -p mdes-tools --test cli
+
+# The experiment harness's own suites take about 3 s warm: one grid
+# schedules all 16 (representation, stage, encoding) cells of each of
+# the four machines and must find one schedule per machine (Section 4),
+# and every table, ablation and figure renders from a small grid.
+cargo test -q -p mdes-bench
 
 # The end-to-end benchmark is its own Cargo workspace with its own lock
 # file, so nothing above compiles it.  Type-checking it takes seconds
@@ -375,9 +385,10 @@ expect '^lint: recall 32/32 planted defect(s) reported$' "$LINT_DEFECTS"
 # Paper-results gate: the committed tables and figures are the paper
 # reproduction, and every scheduler, checker and workload change must
 # leave them byte-identical.  `mdesc tables` and `mdesc figures` print
-# them; the runs are seed-deterministic and take about 5 s; they cover
+# them; the runs are seed-deterministic and take about 2 s; they cover
 # every table and ablation, the automaton (A), backward (D) and modulo
-# (E) ones included.
+# (E) ones included, and each command reads its cells from one grid,
+# which asserts one schedule per machine over every cell it schedules.
 ./target/release/mdesc tables all --ops 40000 >"$ART/tables.txt"
 cmp "$ART/tables.txt" results/tables.txt
 ./target/release/mdesc figures all >"$ART/figures.txt"

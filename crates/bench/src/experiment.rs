@@ -1,14 +1,18 @@
-//! The experiment runner shared by every table and figure.
+//! The experiment grid every table and figure reads.
 //!
-//! One experiment = (machine, representation, transformation stage, usage
-//! encoding).  The runner prepares the spec exactly as the paper does —
-//! the OR-tree baseline is produced by the "MDES preprocessor" expansion
-//! of Section 4, then the selected transformations are applied to each
-//! representation independently — compiles it, schedules the machine's
-//! calibrated synthetic workload, and returns the statistics and memory
-//! measurements the tables report.
+//! One experiment cell = (machine, representation, transformation stage,
+//! usage encoding).  A cell's spec is prepared exactly as the paper does
+//! — the OR-tree baseline is produced by the "MDES preprocessor"
+//! expansion of Section 4, then the selected transformations are applied
+//! to each representation independently — compiled, and scheduled over
+//! the machine's calibrated synthetic workload for the statistics and
+//! memory measurements the tables report.  A [`Grid`] holds one workload
+//! per machine and computes each cell at most once, so `mdesc tables`
+//! and `mdesc figures` each read every cell they print from one grid,
+//! which asserts Section 4's "exact same schedule" over every cell it
+//! schedules.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use mdes_core::size::{measure, MemoryReport};
@@ -18,7 +22,6 @@ use mdes_engine::Engine;
 use mdes_machines::Machine;
 use mdes_opt::expand::expand_to_or;
 use mdes_opt::pipeline::{optimize, optimize_with_telemetry, PipelineConfig};
-use mdes_sched::Schedule;
 use mdes_telemetry::Telemetry;
 use mdes_workload::{generate, Workload, WorkloadConfig};
 
@@ -121,86 +124,55 @@ pub struct RunResult {
     /// same machine iff the exact same schedule was produced (the paper's
     /// Section-4 invariant).
     pub schedule_hash: u64,
+    /// Scheduling attempts per class id, summed over the workload (the
+    /// breakdown of Tables 1–4).
+    pub class_attempts: Vec<u64>,
 }
 
-/// Runs one experiment cell.
-pub fn run(
-    machine: Machine,
-    rep: Rep,
-    stage: Stage,
-    encoding: UsageEncoding,
-    workload_config: &WorkloadConfig,
-) -> RunResult {
-    let spec = prepare_spec(machine, rep, stage);
-    let workload = generate(machine, &spec, workload_config);
-    run_on(&spec, &workload, encoding)
-}
-
-/// Runs the scheduler over a prepared spec and workload.
+/// Runs the scheduler over a spec and workload outside the [`Grid`].
 pub fn run_on(spec: &MdesSpec, workload: &Workload, encoding: UsageEncoding) -> RunResult {
-    run_on_jobs(spec, workload, encoding, 1)
-}
-
-/// [`run_on`] with the workload's blocks served by `jobs` engine workers
-/// sharing one `Arc`'d compiled description.  The engine's determinism
-/// contract means the result — stats, memory, and schedule hash — is
-/// identical for every worker count, so the tables can be regenerated on
-/// any `--jobs` setting without changing a byte.
-pub fn run_on_jobs(
-    spec: &MdesSpec,
-    workload: &Workload,
-    encoding: UsageEncoding,
-    jobs: usize,
-) -> RunResult {
     let compiled = CompiledMdes::compile(spec, encoding).expect("experiment spec must compile");
-    run_compiled(compiled, workload, jobs)
+    run_compiled(Arc::new(compiled), workload)
 }
 
-/// Schedules `workload` on `compiled` through the engine with `jobs`
-/// workers, and measures the description.
-fn run_compiled(compiled: CompiledMdes, workload: &Workload, jobs: usize) -> RunResult {
-    let compiled = Arc::new(compiled);
-    let outcome = Engine::new(Arc::clone(&compiled)).schedule_batch(&workload.blocks, jobs);
+/// Schedules `workload` on `compiled` through the engine, and measures
+/// the description.
+fn run_compiled(compiled: Arc<CompiledMdes>, workload: &Workload) -> RunResult {
+    let outcome = Engine::new(Arc::clone(&compiled)).schedule_batch(&workload.blocks, 1);
     assert!(
         outcome.is_clean(),
         "{} worker panic(s) while regenerating tables",
         outcome.worker_panics()
     );
-    let hash = outcome
-        .schedules
-        .iter()
-        .flatten()
-        .fold(FNV_OFFSET, fold_cycles);
+    let mut hash = FNV_OFFSET;
+    let mut class_attempts = vec![0; compiled.classes().len()];
+    for (schedule, block) in outcome.schedules.iter().flatten().zip(&workload.blocks) {
+        for (i, op) in block.ops.iter().enumerate() {
+            hash = (hash ^ schedule.cycle(i) as u32 as u64).wrapping_mul(0x100000001b3);
+            class_attempts[op.class.index()] += u64::from(schedule.attempts(i));
+        }
+    }
     RunResult {
         stats: outcome.stats,
         memory: measure(&compiled),
         schedule_hash: hash,
+        class_attempts,
     }
 }
 
 /// FNV-1a offset basis: the [`RunResult::schedule_hash`] of no schedules.
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 
-/// Folds `schedule`'s issue cycles, in operation order, into the FNV-1a
-/// `hash`.
-fn fold_cycles(hash: u64, schedule: &Schedule) -> u64 {
-    (0..schedule.len()).fold(hash, |hash, i| {
-        (hash ^ schedule.cycle(i) as u32 as u64).wrapping_mul(0x100000001b3)
-    })
-}
-
-/// [`run`] with the full flow instrumented into `tel`, grouped under a
-/// span named for the machine: per-stage pipeline spans
+/// Runs one cell with the full flow instrumented into `tel`, grouped
+/// under a span named for the machine: per-stage pipeline spans
 /// (`<machine>/pipeline/redundancy`, …), compile-phase spans, and the
 /// workload's scheduler query counters published under
 /// `<machine>/sched/list/…` — the same JSON schema the CLI's `--metrics`
 /// flag produces.
 pub fn run_with_telemetry(
     machine: Machine,
-    rep: Rep,
-    stage: Stage,
-    encoding: UsageEncoding,
-    workload_config: &WorkloadConfig,
+    (rep, stage, encoding): Cell,
+    workload: &Workload,
     tel: &Telemetry,
 ) -> RunResult {
     let _machine_span = tel.span(machine.name());
@@ -208,30 +180,16 @@ pub fn run_with_telemetry(
     if let Some(config) = stage.pipeline() {
         optimize_with_telemetry(&mut spec, &config, tel);
     }
-    let workload = generate(machine, &spec, workload_config);
-
     let compiled = CompiledMdes::compile_with_telemetry(&spec, encoding, tel)
         .expect("experiment spec must compile");
     let result = {
         let _sched_span = tel.span("sched/list");
-        run_compiled(compiled, &workload, 1)
+        run_compiled(Arc::new(compiled), workload)
     };
     result
         .stats
         .publish(tel, &format!("{}/sched/list", machine.name()));
     result
-}
-
-/// Memory-only measurement (for the size tables, which need no workload).
-pub fn measure_only(
-    machine: Machine,
-    rep: Rep,
-    stage: Stage,
-    encoding: UsageEncoding,
-) -> MemoryReport {
-    let spec = prepare_spec(machine, rep, stage);
-    let compiled = CompiledMdes::compile(&spec, encoding).expect("experiment spec must compile");
-    measure(&compiled)
 }
 
 /// The calibrated workload of `machine` at `total_ops` operations, which
@@ -241,6 +199,144 @@ pub fn default_workload(machine: Machine, total_ops: usize) -> WorkloadConfig {
     WorkloadConfig::paper_default(machine).with_total_ops(total_ops)
 }
 
+/// One experiment cell of a machine: a representation, a stage and an
+/// encoding.
+pub type Cell = (Rep, Stage, UsageEncoding);
+
+/// The paper's unoptimized baseline: the description as written,
+/// expanded to OR-trees, with scalar usages.
+pub const UNOPT_OR: Cell = (Rep::OrTree, Stage::Original, UsageEncoding::Scalar);
+/// The description as written in AND/OR-trees, with scalar usages.
+pub const ORIGINAL_ANDOR: Cell = (Rep::AndOr, Stage::Original, UsageEncoding::Scalar);
+/// Every transformation on OR-trees, with bit-vector usages.
+pub const FULL_OR: Cell = (Rep::OrTree, Stage::Full, UsageEncoding::BitVector);
+/// Every transformation on AND/OR-trees, with bit-vector usages.
+pub const FULL_ANDOR: Cell = (Rep::AndOr, Stage::Full, UsageEncoding::BitVector);
+
+/// The paper's experiments at one workload size: for each machine, its
+/// default workload and every [`Cell`].
+///
+/// The grid generates a machine's workload once and prepares, compiles
+/// and schedules each cell at most once, on demand; both encodings of a
+/// stage share one spec.  Every spec keeps the as-written class ids, so
+/// one stream serves every cell, and every cell scheduled for a machine
+/// gives the same schedule (Section 4): the grid asserts both, in every
+/// build profile.
+pub struct Grid {
+    total_ops: usize,
+    machines: BTreeMap<Machine, Cells>,
+}
+
+/// One machine's share of a [`Grid`].
+#[derive(Default)]
+struct Cells {
+    /// The description as written, whose class ids every spec keeps.
+    authored: MdesSpec,
+    workload: Option<Workload>,
+    specs: HashMap<(Rep, Stage), MdesSpec>,
+    images: HashMap<Cell, Arc<CompiledMdes>>,
+    runs: HashMap<Cell, RunResult>,
+    /// The schedule hash of the first cell scheduled, which every later
+    /// one must match.
+    schedule_hash: Option<u64>,
+}
+
+impl Grid {
+    /// An empty grid whose workloads have `total_ops` operations per
+    /// machine.
+    pub fn new(total_ops: usize) -> Grid {
+        Grid {
+            total_ops,
+            machines: BTreeMap::new(),
+        }
+    }
+
+    /// Operations per machine workload.
+    pub fn total_ops(&self) -> usize {
+        self.total_ops
+    }
+
+    fn cells(&mut self, machine: Machine) -> &mut Cells {
+        self.machines.entry(machine).or_insert_with(|| Cells {
+            authored: machine.spec(),
+            ..Cells::default()
+        })
+    }
+
+    /// `machine`'s default workload at the grid's size.
+    pub fn workload(&mut self, machine: Machine) -> &Workload {
+        let config = default_workload(machine, self.total_ops);
+        let cells = self.cells(machine);
+        cells
+            .workload
+            .get_or_insert_with(|| generate(machine, &cells.authored, &config))
+    }
+
+    /// The spec of `machine` in `rep` at `stage`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec's class ids are not the authored ones.
+    pub fn spec(&mut self, machine: Machine, rep: Rep, stage: Stage) -> &MdesSpec {
+        let cells = self.cells(machine);
+        cells.specs.entry((rep, stage)).or_insert_with(|| {
+            let spec = prepare_spec(machine, rep, stage);
+            assert!(
+                class_names(&spec).eq(class_names(&cells.authored)),
+                "{} {rep:?} {stage:?}: class ids differ from the authored ones",
+                machine.name()
+            );
+            spec
+        })
+    }
+
+    /// The compiled image of `machine`'s `cell`.
+    pub fn image(&mut self, machine: Machine, cell: Cell) -> Arc<CompiledMdes> {
+        if let Some(image) = self.cells(machine).images.get(&cell) {
+            return Arc::clone(image);
+        }
+        let (rep, stage, encoding) = cell;
+        let compiled = CompiledMdes::compile(self.spec(machine, rep, stage), encoding);
+        let image = Arc::new(compiled.expect("grid spec must compile"));
+        self.cells(machine).images.insert(cell, Arc::clone(&image));
+        image
+    }
+
+    /// The memory footprint of the image of `machine`'s `cell`.
+    pub fn memory(&mut self, machine: Machine, cell: Cell) -> MemoryReport {
+        measure(&self.image(machine, cell))
+    }
+
+    /// The measurements of `machine`'s `cell` over its workload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell's schedules differ from those of a cell of
+    /// `machine` scheduled before it.
+    pub fn cell(&mut self, machine: Machine, cell: Cell) -> RunResult {
+        if let Some(run) = self.cells(machine).runs.get(&cell) {
+            return run.clone();
+        }
+        let image = self.image(machine, cell);
+        let run = run_compiled(image, self.workload(machine));
+        let cells = self.cells(machine);
+        let first = *cells.schedule_hash.get_or_insert(run.schedule_hash);
+        assert_eq!(
+            run.schedule_hash,
+            first,
+            "{} {cell:?}: the schedules differ from the machine's other cells (Section 4)",
+            machine.name()
+        );
+        cells.runs.insert(cell, run.clone());
+        run
+    }
+}
+
+/// The class names of `spec`, in class-id order.
+fn class_names(spec: &MdesSpec) -> impl Iterator<Item = &str> {
+    spec.class_ids().map(|id| spec.class(id).name.as_str())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,42 +344,32 @@ mod tests {
     #[test]
     fn schedules_identical_across_reps_stages_and_encodings() {
         // The paper's core invariant (Section 4): every transformation
-        // and both representations produce the exact same schedule.
-        let machine = Machine::SuperSparc;
-        let config = default_workload(machine, 1_500);
-        let mut hashes = Vec::new();
-        for rep in Rep::both() {
-            for stage in [Stage::Original, Stage::Cleaned, Stage::Shifted, Stage::Full] {
-                for encoding in [UsageEncoding::Scalar, UsageEncoding::BitVector] {
-                    let result = run(machine, rep, stage, encoding, &config);
-                    hashes.push(result.schedule_hash);
+        // and both representations produce the exact same schedule, on
+        // every machine.
+        let mut grid = Grid::new(1_500);
+        for machine in Machine::all() {
+            let mut hashes = Vec::new();
+            for rep in Rep::both() {
+                for stage in [Stage::Original, Stage::Cleaned, Stage::Shifted, Stage::Full] {
+                    for encoding in [UsageEncoding::Scalar, UsageEncoding::BitVector] {
+                        hashes.push(grid.cell(machine, (rep, stage, encoding)).schedule_hash);
+                    }
                 }
             }
+            assert!(
+                hashes.iter().all(|&h| h == hashes[0]),
+                "{}: schedules diverged: {hashes:?}",
+                machine.name()
+            );
         }
-        assert!(
-            hashes.iter().all(|&h| h == hashes[0]),
-            "schedules diverged: {hashes:?}"
-        );
     }
 
     #[test]
     fn and_or_reduces_checks_on_flexible_machines() {
         let machine = Machine::K5;
-        let config = default_workload(machine, 1_000);
-        let or = run(
-            machine,
-            Rep::OrTree,
-            Stage::Original,
-            UsageEncoding::Scalar,
-            &config,
-        );
-        let andor = run(
-            machine,
-            Rep::AndOr,
-            Stage::Original,
-            UsageEncoding::Scalar,
-            &config,
-        );
+        let mut grid = Grid::new(1_000);
+        let or = grid.cell(machine, UNOPT_OR);
+        let andor = grid.cell(machine, ORIGINAL_ANDOR);
         assert!(
             andor.stats.checks_per_attempt() < or.stats.checks_per_attempt() / 2.0,
             "AND/OR {} vs OR {}",
@@ -295,51 +381,33 @@ mod tests {
 
     #[test]
     fn and_or_shrinks_flexible_machines_but_grows_pentium() {
-        let k5_or = measure_only(
-            Machine::K5,
-            Rep::OrTree,
-            Stage::Original,
-            UsageEncoding::Scalar,
-        );
-        let k5_andor = measure_only(
-            Machine::K5,
-            Rep::AndOr,
-            Stage::Original,
-            UsageEncoding::Scalar,
-        );
+        let mut grid = Grid::new(1_000);
+        let mut original = |machine, rep| {
+            grid.memory(machine, (rep, Stage::Original, UsageEncoding::Scalar))
+                .total()
+        };
+        let k5_or = original(Machine::K5, Rep::OrTree);
+        let k5_andor = original(Machine::K5, Rep::AndOr);
         assert!(
-            (k5_andor.total() as f64) < k5_or.total() as f64 / 20.0,
-            "K5: AND/OR {} vs OR {}",
-            k5_andor.total(),
-            k5_or.total()
+            (k5_andor as f64) < k5_or as f64 / 20.0,
+            "K5: AND/OR {k5_andor} vs OR {k5_or}"
         );
 
-        let p_or = measure_only(
-            Machine::Pentium,
-            Rep::OrTree,
-            Stage::Original,
-            UsageEncoding::Scalar,
-        );
-        let p_andor = measure_only(
-            Machine::Pentium,
-            Rep::AndOr,
-            Stage::Original,
-            UsageEncoding::Scalar,
-        );
+        let p_or = original(Machine::Pentium, Rep::OrTree);
+        let p_andor = original(Machine::Pentium, Rep::AndOr);
         assert!(
-            p_andor.total() > p_or.total(),
-            "Pentium AND/OR must be slightly larger ({} vs {})",
-            p_andor.total(),
-            p_or.total()
+            p_andor > p_or,
+            "Pentium AND/OR must be slightly larger ({p_andor} vs {p_or})"
         );
     }
 
     #[test]
     fn pipeline_stages_monotonically_shrink_or_hold_size() {
+        let mut grid = Grid::new(1_000);
         for machine in Machine::all() {
             for rep in Rep::both() {
-                let original = measure_only(machine, rep, Stage::Original, UsageEncoding::Scalar);
-                let cleaned = measure_only(machine, rep, Stage::Cleaned, UsageEncoding::Scalar);
+                let original = grid.memory(machine, (rep, Stage::Original, UsageEncoding::Scalar));
+                let cleaned = grid.memory(machine, (rep, Stage::Cleaned, UsageEncoding::Scalar));
                 assert!(
                     cleaned.total() <= original.total(),
                     "{} {:?}: cleanup grew the MDES",
@@ -353,23 +421,10 @@ mod tests {
     #[test]
     fn telemetry_run_matches_plain_run() {
         let machine = Machine::Pa7100;
-        let config = default_workload(machine, 500);
+        let mut grid = Grid::new(500);
         let tel = Telemetry::new();
-        let instrumented = run_with_telemetry(
-            machine,
-            Rep::AndOr,
-            Stage::Full,
-            UsageEncoding::BitVector,
-            &config,
-            &tel,
-        );
-        let plain = run(
-            machine,
-            Rep::AndOr,
-            Stage::Full,
-            UsageEncoding::BitVector,
-            &config,
-        );
+        let instrumented = run_with_telemetry(machine, FULL_ANDOR, grid.workload(machine), &tel);
+        let plain = grid.cell(machine, FULL_ANDOR);
         assert_eq!(instrumented.schedule_hash, plain.schedule_hash);
         let report = tel.report();
         assert!(report.span("PA7100/pipeline/redundancy").is_some());
@@ -382,14 +437,9 @@ mod tests {
 
     #[test]
     fn time_shift_reduces_checks_per_option_to_near_one() {
-        let machine = Machine::SuperSparc;
-        let config = default_workload(machine, 1_500);
-        let shifted = run(
-            machine,
-            Rep::OrTree,
-            Stage::Shifted,
-            UsageEncoding::BitVector,
-            &config,
+        let shifted = Grid::new(1_500).cell(
+            Machine::SuperSparc,
+            (Rep::OrTree, Stage::Shifted, UsageEncoding::BitVector),
         );
         let ratio = shifted.stats.checks_per_option();
         assert!(

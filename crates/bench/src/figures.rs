@@ -1,34 +1,32 @@
 //! Generators for every figure of the paper.
 //!
 //! Figures 1 and 3–6 are structural illustrations rendered directly from
-//! the actual machine-description data (ASCII reservation tables and
+//! the grid's machine-description specs (ASCII reservation tables and
 //! trees); Figure 2 is the measured distribution of options checked per
-//! scheduling attempt.
+//! scheduling attempt in one grid cell.
 
 use std::fmt::Write as _;
 
 use mdes_core::pretty;
 use mdes_core::spec::Constraint;
-use mdes_core::{CheckStats, CompiledMdes, UsageEncoding};
+use mdes_core::stats::Histogram;
 use mdes_machines::Machine;
-use mdes_sched::ListScheduler;
-use mdes_workload::generate;
 
-use crate::experiment::{default_workload, prepare_spec, Rep, Stage};
+use crate::experiment::{Grid, Rep, Stage, UNOPT_OR};
 use crate::paper;
 
-/// Renders one figure; Figure 2 from a workload of the given length.
-type Figure = fn(usize) -> String;
+/// Renders one figure from the grid's cells and specs.
+type Figure = fn(&mut Grid) -> String;
 
 /// Every figure with its renderer, in the order `all` prints them, then
 /// `fig2-csv`, which `all` leaves out.
 const FIGURES: [(&str, Figure); 7] = [
-    ("fig1", |_| fig1()),
+    ("fig1", fig1),
     ("fig2", fig2),
-    ("fig3", |_| fig3()),
-    ("fig4", |_| fig4()),
-    ("fig5", |_| fig5()),
-    ("fig6", |_| fig6()),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
     ("fig2-csv", fig2_csv),
 ];
 
@@ -40,16 +38,16 @@ pub const NAMES: [&str; FIGURES.len()] = crate::names(&FIGURES);
 /// The figures `all` prints: every name but the last.
 pub const ALL: &[&str] = NAMES.split_at(NAMES.len() - 1).0;
 
-/// Renders the figure `name`, one of [`NAMES`], from a `total_ops`
-/// workload where it has one; `None` for any other name.
-pub fn render(name: &str, total_ops: usize) -> Option<String> {
+/// Renders the figure `name`, one of [`NAMES`], from `grid`; `None` for
+/// any other name.
+pub fn render(name: &str, grid: &mut Grid) -> Option<String> {
     let (_, figure) = FIGURES.iter().find(|(n, _)| *n == name)?;
-    Some(figure(total_ops))
+    Some(figure(grid))
 }
 
 /// Figure 1: the six reservation tables of the SuperSPARC integer load.
-pub fn fig1() -> String {
-    let spec = prepare_spec(Machine::SuperSparc, Rep::OrTree, Stage::Original);
+pub fn fig1(grid: &mut Grid) -> String {
+    let spec = grid.spec(Machine::SuperSparc, Rep::OrTree, Stage::Original);
     let load = spec.class_by_name("load").expect("load class");
     let Constraint::Or(tree) = spec.class(load).constraint else {
         unreachable!("expanded spec is all OR");
@@ -57,14 +55,14 @@ pub fn fig1() -> String {
     format!(
         "Figure 1: the six reservation tables of the SuperSPARC integer load\n\
          (decoder at cycle -1, memory unit at 0, write port at +1)\n\n{}",
-        pretty::or_tree(&spec, tree)
+        pretty::or_tree(spec, tree)
     )
 }
 
 /// Figure 2's raw distribution as CSV (`options,count,percent`) for
 /// external plotting.
-pub fn fig2_csv(total_ops: usize) -> String {
-    let hist = fig2_histogram(total_ops);
+pub fn fig2_csv(grid: &mut Grid) -> String {
+    let hist = fig2_histogram(grid);
     let mut out = String::from("options,count,percent\n");
     for (options, count) in hist.iter() {
         let _ = writeln!(
@@ -76,24 +74,18 @@ pub fn fig2_csv(total_ops: usize) -> String {
     out
 }
 
-/// Runs the Figure-2 experiment and returns the histogram.
-fn fig2_histogram(total_ops: usize) -> mdes_core::stats::Histogram {
-    let machine = Machine::SuperSparc;
-    let spec = prepare_spec(machine, Rep::OrTree, Stage::Original);
-    let compiled = CompiledMdes::compile(&spec, UsageEncoding::Scalar).unwrap();
-    let scheduler = ListScheduler::new(&compiled);
-    let workload = generate(machine, &spec, &default_workload(machine, total_ops));
-    let mut stats = CheckStats::new();
-    for block in &workload.blocks {
-        scheduler.schedule(block, &mut stats);
-    }
-    stats.options_per_attempt
+/// The options checked per attempt on the SuperSPARC with the
+/// traditional OR-tree representation, as in the paper.
+fn fig2_histogram(grid: &mut Grid) -> Histogram {
+    grid.cell(Machine::SuperSparc, UNOPT_OR)
+        .stats
+        .options_per_attempt
 }
 
 /// Figure 2: distribution of options checked per scheduling attempt for
 /// the SuperSPARC (traditional OR-tree representation, as in the paper).
-pub fn fig2(total_ops: usize) -> String {
-    let hist = &fig2_histogram(total_ops);
+pub fn fig2(grid: &mut Grid) -> String {
+    let hist = &fig2_histogram(grid);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -131,14 +123,15 @@ pub fn fig2(total_ops: usize) -> String {
 }
 
 /// Figure 3: the OR-tree vs AND/OR-tree modeling of the integer load.
-pub fn fig3() -> String {
-    let andor_spec = Machine::SuperSparc.spec();
+pub fn fig3(grid: &mut Grid) -> String {
+    let andor_spec = grid.spec(Machine::SuperSparc, Rep::AndOr, Stage::Original);
     let load = andor_spec.class_by_name("load").unwrap();
     let Constraint::AndOr(andor) = andor_spec.class(load).constraint else {
         unreachable!("SuperSPARC load is AND/OR");
     };
+    let andor_text = pretty::and_or_tree(andor_spec, andor);
 
-    let or_spec = prepare_spec(Machine::SuperSparc, Rep::OrTree, Stage::Original);
+    let or_spec = grid.spec(Machine::SuperSparc, Rep::OrTree, Stage::Original);
     let load_or = or_spec.class_by_name("load").unwrap();
     let Constraint::Or(or) = or_spec.class(load_or).constraint else {
         unreachable!("expanded spec is all OR");
@@ -147,18 +140,17 @@ pub fn fig3() -> String {
     format!(
         "Figure 3: two methods of modeling the SuperSPARC integer load\n\n\
          a) traditional OR-tree ({} options):\n{}\n\
-         b) proposed AND/OR-tree (1 x 2 x 3 combinations):\n{}",
+         b) proposed AND/OR-tree (1 x 2 x 3 combinations):\n{andor_text}",
         or_spec.or_tree(or).options.len(),
-        pretty::or_tree(&or_spec, or),
-        pretty::and_or_tree(&andor_spec, andor)
+        pretty::or_tree(or_spec, or),
     )
 }
 
 /// Figure 4: OR-tree sharing across AND/OR-trees after redundancy
 /// elimination (the load and the 2-source IALU share decoder and
 /// write-port trees).
-pub fn fig4() -> String {
-    let spec = prepare_spec(Machine::SuperSparc, Rep::AndOr, Stage::Cleaned);
+pub fn fig4(grid: &mut Grid) -> String {
+    let spec = grid.spec(Machine::SuperSparc, Rep::AndOr, Stage::Cleaned);
     let shares = spec.or_tree_share_counts();
     let mut out = String::new();
     let _ = writeln!(
@@ -182,8 +174,8 @@ pub fn fig4() -> String {
 
 /// Figure 5: the integer-load OR-tree after the usage-time
 /// transformation — every usage lands at time zero.
-pub fn fig5() -> String {
-    let spec = prepare_spec(Machine::SuperSparc, Rep::OrTree, Stage::Shifted);
+pub fn fig5(grid: &mut Grid) -> String {
+    let spec = grid.spec(Machine::SuperSparc, Rep::OrTree, Stage::Shifted);
     let load = spec.class_by_name("load").unwrap();
     let Constraint::Or(tree) = spec.class(load).constraint else {
         unreachable!("expanded spec is all OR");
@@ -192,13 +184,13 @@ pub fn fig5() -> String {
         "Figure 5: SuperSPARC integer-load OR-tree after transforming resource\n\
          usage times (decoder/memory/write-port usages concentrated at time 0,\n\
          making one bit-vector word per option)\n\n{}",
-        pretty::or_tree(&spec, tree)
+        pretty::or_tree(spec, tree)
     )
 }
 
 /// Figure 6: ordering the sub-OR-trees of an AND/OR-tree for early
 /// conflict detection.
-pub fn fig6() -> String {
+pub fn fig6(grid: &mut Grid) -> String {
     let describe = |spec: &mdes_core::MdesSpec, label: &str| -> String {
         let load = spec.class_by_name("load").unwrap();
         let Constraint::AndOr(andor) = spec.class(load).constraint else {
@@ -223,12 +215,16 @@ pub fn fig6() -> String {
         }
         out
     };
-    let before = prepare_spec(Machine::SuperSparc, Rep::AndOr, Stage::Shifted);
-    let after = prepare_spec(Machine::SuperSparc, Rep::AndOr, Stage::Full);
+    let before = describe(
+        grid.spec(Machine::SuperSparc, Rep::AndOr, Stage::Shifted),
+        "a) order as specified (after time shift)",
+    );
+    let after = describe(
+        grid.spec(Machine::SuperSparc, Rep::AndOr, Stage::Full),
+        "b) after conflict-detection ordering",
+    );
     format!(
-        "Figure 6: optimizing the OR-tree order of the SuperSPARC load AND/OR-tree\n\n{}\n{}",
-        describe(&before, "a) order as specified (after time shift)"),
-        describe(&after, "b) after conflict-detection ordering")
+        "Figure 6: optimizing the OR-tree order of the SuperSPARC load AND/OR-tree\n\n{before}\n{after}"
     )
 }
 
@@ -238,7 +234,7 @@ mod tests {
 
     #[test]
     fn fig1_renders_six_options() {
-        let text = fig1();
+        let text = fig1(&mut Grid::new(1_500));
         assert!(text.contains("Option 6:"));
         assert!(!text.contains("Option 7:"));
         assert!(text.contains("M"));
@@ -246,14 +242,14 @@ mod tests {
 
     #[test]
     fn fig2_reports_peaks() {
-        let text = fig2(1_500);
+        let text = fig2(&mut Grid::new(1_500));
         assert!(text.contains("48 options"));
         assert!(text.contains("ours:"));
     }
 
     #[test]
     fn fig2_csv_is_plottable() {
-        let csv = fig2_csv(1_000);
+        let csv = fig2_csv(&mut Grid::new(1_000));
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some("options,count,percent"));
         let first = lines.next().unwrap();
@@ -266,27 +262,27 @@ mod tests {
 
     #[test]
     fn fig3_contrasts_representations() {
-        let text = fig3();
+        let text = fig3(&mut Grid::new(1_500));
         assert!(text.contains("a) traditional OR-tree (6 options)"));
         assert!(text.contains("AND/OR-tree"));
     }
 
     #[test]
     fn fig4_lists_shared_trees() {
-        let text = fig4();
+        let text = fig4(&mut Grid::new(1_500));
         assert!(text.contains("shared by"));
     }
 
     #[test]
     fn fig5_concentrates_usages_at_zero() {
-        let text = fig5();
+        let text = fig5(&mut Grid::new(1_500));
         // After shifting, the rendered load grid has only cycle-0 rows.
         assert!(!text.contains("    -1 |"), "{text}");
     }
 
     #[test]
     fn fig6_shows_reordering() {
-        let text = fig6();
+        let text = fig6(&mut Grid::new(1_500));
         assert!(text.contains("a) order as specified"));
         assert!(text.contains("b) after conflict-detection ordering"));
     }

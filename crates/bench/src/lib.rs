@@ -1,16 +1,18 @@
 //! The experiment harness: regenerates every table and figure of the
 //! paper's evaluation.
 //!
-//! * [`experiment`] — the (machine × representation × stage × encoding)
-//!   runner shared by all experiments;
+//! * [`experiment`] — the grid of (machine × representation × stage ×
+//!   encoding) cells every table and figure reads, each cell computed
+//!   once, with Section 4's one schedule per machine asserted across it;
 //! * [`tables`] — Tables 1–15 plus seven ablations (A–G);
 //! * [`figures`] — Figures 1–6, and Figure 2's distribution as CSV;
 //! * [`paper`] — reference values transcribed from the paper;
 //! * [`report`] — plain-text table rendering.
 //!
 //! `mdesc tables [NAME|all]... [--ops N]` and `mdesc figures
-//! [NAME|all]... [--ops N]` print them; [`tables::NAMES`] and
-//! [`figures::NAMES`] list the names each takes.
+//! [NAME|all]... [--ops N]` print them, each from one
+//! [`experiment::Grid`]; [`tables::NAMES`] and [`figures::NAMES`] list
+//! the names each takes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! Generators for every table of the paper's evaluation.
 //!
-//! Each function runs the corresponding experiment and renders a
+//! Each function reads its cells from the [`Grid`] and renders a
 //! plain-text table with the paper's reference values side by side
 //! ("paper" columns; "—" where the scanned source is illegible).
 //! Absolute agreement is not expected — the workload is a calibrated
@@ -18,46 +18,34 @@ use mdes_telemetry::Telemetry;
 use mdes_workload::generate;
 
 use crate::experiment::{
-    default_workload, measure_only, prepare_spec, run, run_on, run_with_telemetry, Rep, Stage,
+    default_workload, run_on, run_with_telemetry, Grid, Rep, Stage, FULL_ANDOR, FULL_OR,
+    ORIGINAL_ANDOR, UNOPT_OR,
 };
 use crate::paper;
 use crate::report::{f2, paper_bytes, paper_ref, pct, TextTable};
 
-/// Workload size for every scheduling table.
-#[derive(Copy, Clone, Debug)]
-pub struct TableConfig {
-    /// Operations per machine stream.
-    pub total_ops: usize,
-}
-
-impl Default for TableConfig {
-    fn default() -> TableConfig {
-        TableConfig { total_ops: 40_000 }
-    }
-}
-
-/// Renders one table at a workload size.
-type Table = fn(&TableConfig) -> String;
+/// Renders one table from the grid's cells.
+type Table = fn(&mut Grid) -> String;
 
 /// Every table and ablation with its renderer, in the order `all` prints
 /// them.
 const TABLES: [(&str, Table); 22] = [
-    ("t1", |config| table_breakdown(Machine::SuperSparc, config)),
-    ("t2", |config| table_breakdown(Machine::Pa7100, config)),
-    ("t3", |config| table_breakdown(Machine::Pentium, config)),
-    ("t4", |config| table_breakdown(Machine::K5, config)),
+    ("t1", |grid| table_breakdown(grid, Machine::SuperSparc)),
+    ("t2", |grid| table_breakdown(grid, Machine::Pa7100)),
+    ("t3", |grid| table_breakdown(grid, Machine::Pentium)),
+    ("t4", |grid| table_breakdown(grid, Machine::K5)),
     ("t5", table5),
-    ("t6", |_| table6()),
-    ("t7", |_| table7()),
+    ("t6", table6),
+    ("t7", table7),
     ("t8", table8),
-    ("t9", |_| table9()),
+    ("t9", table9),
     ("t10", table10),
-    ("t11", |_| table11()),
+    ("t11", table11),
     ("t12", table12),
     ("t13", table13),
-    ("t14", |_| table14()),
+    ("t14", table14),
     ("t15", table15),
-    ("ablation-fsa", |_| ablation_fsa()),
+    ("ablation-fsa", ablation_fsa),
     ("ablation-ed", ablation_ed),
     ("ablation-accuracy", ablation_accuracy),
     ("ablation-backward", ablation_backward),
@@ -69,68 +57,40 @@ const TABLES: [(&str, Table); 22] = [
 /// The name of every table and ablation, in the order `all` prints them.
 pub const NAMES: [&str; TABLES.len()] = crate::names(&TABLES);
 
-/// Renders the table or ablation `name`, one of [`NAMES`], at `config`'s
-/// workload size; `None` for any other name.
-pub fn render(name: &str, config: &TableConfig) -> Option<String> {
+/// Renders the table or ablation `name`, one of [`NAMES`], from `grid`;
+/// `None` for any other name.
+pub fn render(name: &str, grid: &mut Grid) -> Option<String> {
     let (_, table) = TABLES.iter().find(|(n, _)| *n == name)?;
-    Some(table(config))
+    Some(table(grid))
 }
 
 /// Runs the full pipeline (AND/OR representation, every transformation,
-/// bit-vector encoding) and the list scheduler on every machine at
-/// `config`'s workload size, recording into `tel` each machine's
-/// per-stage breakdown under its name (`PA7100/pipeline/redundancy`,
+/// bit-vector encoding) and the list scheduler on every machine's
+/// workload in `grid`, recording into `tel` each machine's per-stage
+/// breakdown under its name (`PA7100/pipeline/redundancy`,
 /// `K5/sched/list/attempts`).
-pub fn record_telemetry(config: &TableConfig, tel: &Telemetry) {
+pub fn record_telemetry(grid: &mut Grid, tel: &Telemetry) {
     for machine in Machine::all() {
-        let workload = default_workload(machine, config.total_ops);
-        run_with_telemetry(
-            machine,
-            Rep::AndOr,
-            Stage::Full,
-            UsageEncoding::BitVector,
-            &workload,
-            tel,
-        );
+        run_with_telemetry(machine, FULL_ANDOR, grid.workload(machine), tel);
     }
-}
-
-/// Per-class scheduling attempts, grouped by option count — the engine
-/// behind Tables 1–4.
-fn attempt_breakdown(
-    machine: Machine,
-    config: &TableConfig,
-) -> BTreeMap<usize, (f64, Vec<String>)> {
-    // Use the authored AND/OR spec: option counts are the cross products.
-    let spec = machine.spec();
-    let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-    let scheduler = ListScheduler::new(&compiled);
-    let workload = generate(machine, &spec, &default_workload(machine, config.total_ops));
-
-    let mut per_class_attempts = vec![0u64; spec.num_classes()];
-    let mut stats = CheckStats::new();
-    for block in &workload.blocks {
-        let schedule = scheduler.schedule(block, &mut stats);
-        for (i, op) in block.ops.iter().enumerate() {
-            per_class_attempts[op.class.index()] += u64::from(schedule.attempts(i));
-        }
-    }
-    let total: u64 = per_class_attempts.iter().sum();
-
-    let mut groups: BTreeMap<usize, (f64, Vec<String>)> = BTreeMap::new();
-    for id in spec.class_ids() {
-        let count = spec.class_option_count(id);
-        let share = per_class_attempts[id.index()] as f64 / total as f64 * 100.0;
-        let entry = groups.entry(count).or_insert((0.0, Vec::new()));
-        entry.0 += share;
-        entry.1.push(spec.class(id).name.clone());
-    }
-    groups
 }
 
 /// Tables 1–4: option breakdown and scheduling characteristics.
-pub fn table_breakdown(machine: Machine, config: &TableConfig) -> String {
-    let groups = attempt_breakdown(machine, config);
+pub fn table_breakdown(grid: &mut Grid, machine: Machine) -> String {
+    // Option counts are those of the description as written; attempts
+    // follow from the schedule, which every cell of a machine shares.
+    let attempts = grid.cell(machine, ORIGINAL_ANDOR).class_attempts;
+    let total: u64 = attempts.iter().sum();
+    let spec = grid.spec(machine, Rep::AndOr, Stage::Original);
+    let mut groups: BTreeMap<usize, (f64, Vec<&str>)> = BTreeMap::new();
+    for id in spec.class_ids() {
+        let share = attempts[id.index()] as f64 / total as f64 * 100.0;
+        let entry = groups
+            .entry(spec.class_option_count(id))
+            .or_insert((0.0, Vec::new()));
+        entry.0 += share;
+        entry.1.push(&spec.class(id).name);
+    }
     let reference: &[(usize, f64)] = match machine {
         Machine::SuperSparc => paper::TABLE1,
         Machine::Pa7100 => paper::TABLE2,
@@ -170,7 +130,7 @@ pub fn table_breakdown(machine: Machine, config: &TableConfig) -> String {
 }
 
 /// Table 5: original scheduling characteristics of all machines.
-pub fn table5(config: &TableConfig) -> String {
+pub fn table5(grid: &mut Grid) -> String {
     let mut table = TextTable::new([
         "MDES",
         "Ops",
@@ -188,38 +148,24 @@ pub fn table5(config: &TableConfig) -> String {
     ]);
     for machine in Machine::all() {
         let i = paper::idx(machine);
-        let workload = default_workload(machine, config.total_ops);
-        let or = run(
-            machine,
-            Rep::OrTree,
-            Stage::Original,
-            UsageEncoding::Scalar,
-            &workload,
-        );
-        let andor = run(
-            machine,
-            Rep::AndOr,
-            Stage::Original,
-            UsageEncoding::Scalar,
-            &workload,
-        );
-        assert_eq!(or.schedule_hash, andor.schedule_hash, "schedules diverged");
+        let or = grid.cell(machine, UNOPT_OR).stats;
+        let andor = grid.cell(machine, ORIGINAL_ANDOR).stats;
         table.row([
             machine.name().to_string(),
-            or.stats.operations.to_string(),
-            f2(or.stats.attempts_per_op()),
+            or.operations.to_string(),
+            f2(or.attempts_per_op()),
             paper_ref(paper::TABLE5_ATTEMPTS[i]),
-            f2(or.stats.options_per_attempt_avg()),
+            f2(or.options_per_attempt_avg()),
             paper_ref(paper::TABLE5_OR_OPTIONS[i]),
-            f2(or.stats.checks_per_attempt()),
+            f2(or.checks_per_attempt()),
             paper_ref(paper::TABLE5_OR_CHECKS[i]),
-            f2(andor.stats.options_per_attempt_avg()),
+            f2(andor.options_per_attempt_avg()),
             paper_ref(paper::TABLE5_ANDOR_OPTIONS[i]),
-            f2(andor.stats.checks_per_attempt()),
+            f2(andor.checks_per_attempt()),
             paper_ref(paper::TABLE5_ANDOR_CHECKS[i]),
             pct(percent_reduced(
-                or.stats.checks_per_attempt(),
-                andor.stats.checks_per_attempt(),
+                or.checks_per_attempt(),
+                andor.checks_per_attempt(),
             )),
         ]);
     }
@@ -229,43 +175,59 @@ pub fn table5(config: &TableConfig) -> String {
     )
 }
 
-/// Renders one size-comparison table over two (rep, stage, encoding)
-/// cells.
-#[allow(clippy::too_many_arguments)]
+/// Table `{number}a` (OR-tree) over Table `{number}b` (AND/OR-tree), the
+/// half of each representation drawn by `half`.
+fn halves(number: u8, caption: &str, mut half: impl FnMut(Rep) -> TextTable) -> String {
+    let tables = Rep::both().map(|rep| {
+        let letter = if rep == Rep::OrTree { 'a' } else { 'b' };
+        format!(
+            "Table {number}{letter}: {caption} [{}]\n{}",
+            rep.label(),
+            half(rep).render()
+        )
+    });
+    tables.join("\n")
+}
+
+/// A size table's halves: each machine's bytes at the `before` and
+/// `after` (stage, encoding) cells beside the paper's, which
+/// `reference[rep]` gives as (before, after).
 fn size_table(
-    title: &str,
-    before: (Rep, Stage, UsageEncoding),
-    after: (Rep, Stage, UsageEncoding),
-    paper_before: Option<&[Option<usize>; 4]>,
-    paper_after: &[Option<usize>; 4],
-    rep_label: &str,
+    grid: &mut Grid,
+    number: u8,
+    caption: &str,
+    [before, after]: [(Stage, UsageEncoding); 2],
+    reference: [[&[Option<usize>; 4]; 2]; 2],
 ) -> String {
-    let mut table = TextTable::new([
-        "MDES",
-        "Before (B)",
-        "paper",
-        "After (B)",
-        "paper",
-        "Reduction",
-    ]);
-    for machine in Machine::all() {
-        let i = paper::idx(machine);
-        let b = measure_only(machine, before.0, before.1, before.2).total();
-        let a = measure_only(machine, after.0, after.1, after.2).total();
-        table.row([
-            machine.name().to_string(),
-            b.to_string(),
-            paper_before.map_or("—".into(), |p| paper_bytes(p[i])),
-            a.to_string(),
-            paper_bytes(paper_after[i]),
-            pct(percent_reduced(b as f64, a as f64)),
+    halves(number, caption, |rep| {
+        let [paper_before, paper_after] = reference[rep as usize];
+        let mut table = TextTable::new([
+            "MDES",
+            "Before (B)",
+            "paper",
+            "After (B)",
+            "paper",
+            "Reduction",
         ]);
-    }
-    format!("{title} [{rep_label}]\n{}", table.render())
+        for machine in Machine::all() {
+            let i = paper::idx(machine);
+            let b = grid.memory(machine, (rep, before.0, before.1)).total();
+            let a = grid.memory(machine, (rep, after.0, after.1)).total();
+            table.row([
+                machine.name().to_string(),
+                b.to_string(),
+                paper_bytes(paper_before[i]),
+                a.to_string(),
+                paper_bytes(paper_after[i]),
+                pct(percent_reduced(b as f64, a as f64)),
+            ]);
+        }
+        table
+    })
 }
 
 /// Table 6: original memory requirements of both representations.
-pub fn table6() -> String {
+pub fn table6(grid: &mut Grid) -> String {
     let mut table = TextTable::new([
         "MDES",
         "Trees",
@@ -279,8 +241,8 @@ pub fn table6() -> String {
     ]);
     for machine in Machine::all() {
         let i = paper::idx(machine);
-        let or = measure_only(machine, Rep::OrTree, Stage::Original, UsageEncoding::Scalar);
-        let andor = measure_only(machine, Rep::AndOr, Stage::Original, UsageEncoding::Scalar);
+        let or = grid.memory(machine, UNOPT_OR);
+        let andor = grid.memory(machine, ORIGINAL_ANDOR);
         table.row([
             machine.name().to_string(),
             andor.num_trees.to_string(),
@@ -300,54 +262,40 @@ pub fn table6() -> String {
 }
 
 /// Table 7: memory after eliminating redundant and unused information.
-pub fn table7() -> String {
-    let or = size_table(
-        "Table 7a: size after redundancy elimination",
-        (Rep::OrTree, Stage::Original, UsageEncoding::Scalar),
-        (Rep::OrTree, Stage::Cleaned, UsageEncoding::Scalar),
-        Some(&paper::TABLE6_OR_BYTES),
-        &paper::TABLE7_OR_BYTES,
-        "OR-tree",
-    );
-    let andor = size_table(
-        "Table 7b: size after redundancy elimination",
-        (Rep::AndOr, Stage::Original, UsageEncoding::Scalar),
-        (Rep::AndOr, Stage::Cleaned, UsageEncoding::Scalar),
-        Some(&paper::TABLE6_ANDOR_BYTES),
-        &paper::TABLE7_ANDOR_BYTES,
-        "AND/OR-tree",
-    );
-    format!("{or}\n{andor}")
+pub fn table7(grid: &mut Grid) -> String {
+    size_table(
+        grid,
+        7,
+        "size after redundancy elimination",
+        [
+            (Stage::Original, UsageEncoding::Scalar),
+            (Stage::Cleaned, UsageEncoding::Scalar),
+        ],
+        [
+            [&paper::TABLE6_OR_BYTES, &paper::TABLE7_OR_BYTES],
+            [&paper::TABLE6_ANDOR_BYTES, &paper::TABLE7_ANDOR_BYTES],
+        ],
+    )
 }
 
 /// Table 8: PA7100 scheduling characteristics after removing the
 /// duplicated memory-operation option.
-pub fn table8(config: &TableConfig) -> String {
-    let machine = Machine::Pa7100;
-    let workload = default_workload(machine, config.total_ops);
+pub fn table8(grid: &mut Grid) -> String {
     let mut table = TextTable::new(["Configuration", "Opt/Att", "Chk/Att"]);
     for (label, stage) in [
         ("original", Stage::Original),
         ("deduplicated", Stage::Cleaned),
     ] {
-        let or = run(
-            machine,
-            Rep::OrTree,
-            stage,
-            UsageEncoding::Scalar,
-            &workload,
-        );
-        let andor = run(machine, Rep::AndOr, stage, UsageEncoding::Scalar, &workload);
-        table.row([
-            format!("OR-tree, {label}"),
-            f2(or.stats.options_per_attempt_avg()),
-            f2(or.stats.checks_per_attempt()),
-        ]);
-        table.row([
-            format!("AND/OR-tree, {label}"),
-            f2(andor.stats.options_per_attempt_avg()),
-            f2(andor.stats.checks_per_attempt()),
-        ]);
+        for rep in Rep::both() {
+            let stats = grid
+                .cell(Machine::Pa7100, (rep, stage, UsageEncoding::Scalar))
+                .stats;
+            table.row([
+                format!("{}, {label}", rep.label()),
+                f2(stats.options_per_attempt_avg()),
+                f2(stats.checks_per_attempt()),
+            ]);
+        }
     }
     format!(
         "Table 8: PA7100 after removing unnecessary memory-op options\n{}",
@@ -356,100 +304,67 @@ pub fn table8(config: &TableConfig) -> String {
 }
 
 /// Table 9: memory before/after the bit-vector encoding.
-pub fn table9() -> String {
-    let or = size_table(
-        "Table 9a: size with bit-vector encoding",
-        (Rep::OrTree, Stage::Cleaned, UsageEncoding::Scalar),
-        (Rep::OrTree, Stage::Cleaned, UsageEncoding::BitVector),
-        Some(&paper::TABLE7_OR_BYTES),
-        &paper::TABLE9_OR_BYTES,
-        "OR-tree",
-    );
-    let andor = size_table(
-        "Table 9b: size with bit-vector encoding",
-        (Rep::AndOr, Stage::Cleaned, UsageEncoding::Scalar),
-        (Rep::AndOr, Stage::Cleaned, UsageEncoding::BitVector),
-        Some(&paper::TABLE7_ANDOR_BYTES),
-        &paper::TABLE9_ANDOR_BYTES,
-        "AND/OR-tree",
-    );
-    format!("{or}\n{andor}")
-}
-
-/// Renders one checks-comparison table over two experiment cells.
-fn checks_table(
-    title: &str,
-    rep: Rep,
-    before: (Stage, UsageEncoding),
-    after: (Stage, UsageEncoding),
-    paper_after: &[Option<f64>; 4],
-    config: &TableConfig,
-) -> String {
-    let mut table = TextTable::new(["MDES", "Before", "After", "paper", "Reduction"]);
-    for machine in Machine::all() {
-        let i = paper::idx(machine);
-        let workload = default_workload(machine, config.total_ops);
-        let b = run(machine, rep, before.0, before.1, &workload);
-        let a = run(machine, rep, after.0, after.1, &workload);
-        table.row([
-            machine.name().to_string(),
-            f2(b.stats.checks_per_attempt()),
-            f2(a.stats.checks_per_attempt()),
-            paper_ref(paper_after[i]),
-            pct(percent_reduced(
-                b.stats.checks_per_attempt(),
-                a.stats.checks_per_attempt(),
-            )),
-        ]);
-    }
-    format!("{title} [{}]\n{}", rep.label(), table.render())
+pub fn table9(grid: &mut Grid) -> String {
+    size_table(
+        grid,
+        9,
+        "size with bit-vector encoding",
+        [
+            (Stage::Cleaned, UsageEncoding::Scalar),
+            (Stage::Cleaned, UsageEncoding::BitVector),
+        ],
+        [
+            [&paper::TABLE7_OR_BYTES, &paper::TABLE9_OR_BYTES],
+            [&paper::TABLE7_ANDOR_BYTES, &paper::TABLE9_ANDOR_BYTES],
+        ],
+    )
 }
 
 /// Table 10: checks before/after the bit-vector encoding.
-pub fn table10(config: &TableConfig) -> String {
-    let or = checks_table(
-        "Table 10a: checks/attempt with bit-vector encoding",
-        Rep::OrTree,
-        (Stage::Cleaned, UsageEncoding::Scalar),
-        (Stage::Cleaned, UsageEncoding::BitVector),
-        &paper::TABLE10_OR_CHECKS,
-        config,
-    );
-    let andor = checks_table(
-        "Table 10b: checks/attempt with bit-vector encoding",
-        Rep::AndOr,
-        (Stage::Cleaned, UsageEncoding::Scalar),
-        (Stage::Cleaned, UsageEncoding::BitVector),
-        &paper::TABLE10_ANDOR_CHECKS,
-        config,
-    );
-    format!("{or}\n{andor}")
+pub fn table10(grid: &mut Grid) -> String {
+    let reference = [&paper::TABLE10_OR_CHECKS, &paper::TABLE10_ANDOR_CHECKS];
+    halves(10, "checks/attempt with bit-vector encoding", |rep| {
+        let mut table = TextTable::new(["MDES", "Before", "After", "paper", "Reduction"]);
+        for machine in Machine::all() {
+            let mut checks = |encoding| {
+                grid.cell(machine, (rep, Stage::Cleaned, encoding))
+                    .stats
+                    .checks_per_attempt()
+            };
+            let b = checks(UsageEncoding::Scalar);
+            let a = checks(UsageEncoding::BitVector);
+            table.row([
+                machine.name().to_string(),
+                f2(b),
+                f2(a),
+                paper_ref(reference[rep as usize][paper::idx(machine)]),
+                pct(percent_reduced(b, a)),
+            ]);
+        }
+        table
+    })
 }
 
 /// Table 11: memory before/after the usage-time transformation.
-pub fn table11() -> String {
-    let or = size_table(
-        "Table 11a: size after usage-time shifting",
-        (Rep::OrTree, Stage::Cleaned, UsageEncoding::BitVector),
-        (Rep::OrTree, Stage::Shifted, UsageEncoding::BitVector),
-        Some(&paper::TABLE9_OR_BYTES),
-        &paper::TABLE11_OR_BYTES,
-        "OR-tree",
-    );
-    let andor = size_table(
-        "Table 11b: size after usage-time shifting",
-        (Rep::AndOr, Stage::Cleaned, UsageEncoding::BitVector),
-        (Rep::AndOr, Stage::Shifted, UsageEncoding::BitVector),
-        Some(&paper::TABLE9_ANDOR_BYTES),
-        &paper::TABLE11_ANDOR_BYTES,
-        "AND/OR-tree",
-    );
-    format!("{or}\n{andor}")
+pub fn table11(grid: &mut Grid) -> String {
+    size_table(
+        grid,
+        11,
+        "size after usage-time shifting",
+        [
+            (Stage::Cleaned, UsageEncoding::BitVector),
+            (Stage::Shifted, UsageEncoding::BitVector),
+        ],
+        [
+            [&paper::TABLE9_OR_BYTES, &paper::TABLE11_OR_BYTES],
+            [&paper::TABLE9_ANDOR_BYTES, &paper::TABLE11_ANDOR_BYTES],
+        ],
+    )
 }
 
 /// Table 12: checks after usage-time shifting + zero-first ordering,
 /// including the checks-per-option ratio (ideal 1.0).
-pub fn table12(config: &TableConfig) -> String {
+pub fn table12(grid: &mut Grid) -> String {
     let mut out = String::new();
     for (rep, paper_checks, paper_cpo) in [
         (
@@ -474,31 +389,22 @@ pub fn table12(config: &TableConfig) -> String {
         ]);
         for machine in Machine::all() {
             let i = paper::idx(machine);
-            let workload = default_workload(machine, config.total_ops);
-            let b = run(
-                machine,
-                rep,
-                Stage::Cleaned,
-                UsageEncoding::BitVector,
-                &workload,
-            );
-            let a = run(
-                machine,
-                rep,
-                Stage::Shifted,
-                UsageEncoding::BitVector,
-                &workload,
-            );
+            let b = grid
+                .cell(machine, (rep, Stage::Cleaned, UsageEncoding::BitVector))
+                .stats;
+            let a = grid
+                .cell(machine, (rep, Stage::Shifted, UsageEncoding::BitVector))
+                .stats;
             table.row([
                 machine.name().to_string(),
-                f2(b.stats.checks_per_attempt()),
-                f2(a.stats.checks_per_attempt()),
+                f2(b.checks_per_attempt()),
+                f2(a.checks_per_attempt()),
                 paper_ref(paper_checks[i]),
                 pct(percent_reduced(
-                    b.stats.checks_per_attempt(),
-                    a.stats.checks_per_attempt(),
+                    b.checks_per_attempt(),
+                    a.checks_per_attempt(),
                 )),
-                f2(a.stats.checks_per_option()),
+                f2(a.checks_per_option()),
                 paper_ref(paper_cpo[i]),
             ]);
         }
@@ -512,7 +418,7 @@ pub fn table12(config: &TableConfig) -> String {
 }
 
 /// Table 13: AND/OR-tree conflict-detection optimizations.
-pub fn table13(config: &TableConfig) -> String {
+pub fn table13(grid: &mut Grid) -> String {
     let mut table = TextTable::new([
         "MDES",
         "Opt/Att before",
@@ -526,30 +432,22 @@ pub fn table13(config: &TableConfig) -> String {
     ]);
     for machine in Machine::all() {
         let i = paper::idx(machine);
-        let workload = default_workload(machine, config.total_ops);
-        let b = run(
-            machine,
-            Rep::AndOr,
-            Stage::Shifted,
-            UsageEncoding::BitVector,
-            &workload,
-        );
-        let a = run(
-            machine,
-            Rep::AndOr,
-            Stage::Full,
-            UsageEncoding::BitVector,
-            &workload,
-        );
+        let b = grid
+            .cell(
+                machine,
+                (Rep::AndOr, Stage::Shifted, UsageEncoding::BitVector),
+            )
+            .stats;
+        let a = grid.cell(machine, FULL_ANDOR).stats;
         table.row([
             machine.name().to_string(),
-            f2(b.stats.options_per_attempt_avg()),
+            f2(b.options_per_attempt_avg()),
             paper_ref(paper::TABLE13_OPTIONS_BEFORE[i]),
-            f2(a.stats.options_per_attempt_avg()),
+            f2(a.options_per_attempt_avg()),
             paper_ref(paper::TABLE13_OPTIONS_AFTER[i]),
-            f2(b.stats.checks_per_attempt()),
+            f2(b.checks_per_attempt()),
             paper_ref(paper::TABLE13_CHECKS_BEFORE[i]),
-            f2(a.stats.checks_per_attempt()),
+            f2(a.checks_per_attempt()),
             paper_ref(paper::TABLE13_CHECKS_AFTER[i]),
         ]);
     }
@@ -560,7 +458,7 @@ pub fn table13(config: &TableConfig) -> String {
 }
 
 /// Table 14: aggregate effect of all transformations on size.
-pub fn table14() -> String {
+pub fn table14(grid: &mut Grid) -> String {
     let mut table = TextTable::new([
         "MDES",
         "Unopt OR (B)",
@@ -574,19 +472,19 @@ pub fn table14() -> String {
     ]);
     for machine in Machine::all() {
         let i = paper::idx(machine);
-        let unopt = measure_only(machine, Rep::OrTree, Stage::Original, UsageEncoding::Scalar);
-        let or = measure_only(machine, Rep::OrTree, Stage::Full, UsageEncoding::BitVector);
-        let andor = measure_only(machine, Rep::AndOr, Stage::Full, UsageEncoding::BitVector);
+        let unopt = grid.memory(machine, UNOPT_OR).total();
+        let or = grid.memory(machine, FULL_OR).total();
+        let andor = grid.memory(machine, FULL_ANDOR).total();
         table.row([
             machine.name().to_string(),
-            unopt.total().to_string(),
+            unopt.to_string(),
             paper_bytes(paper::TABLE6_OR_BYTES[i]),
-            or.total().to_string(),
+            or.to_string(),
             paper_bytes(paper::TABLE14_OR_BYTES[i]),
-            pct(percent_reduced(unopt.total() as f64, or.total() as f64)),
-            andor.total().to_string(),
+            pct(percent_reduced(unopt as f64, or as f64)),
+            andor.to_string(),
             paper_bytes(paper::TABLE14_ANDOR_BYTES[i]),
-            pct(percent_reduced(unopt.total() as f64, andor.total() as f64)),
+            pct(percent_reduced(unopt as f64, andor as f64)),
         ]);
     }
     format!(
@@ -596,50 +494,24 @@ pub fn table14() -> String {
 }
 
 /// Table 15: aggregate effect of all transformations on checks/attempt.
-pub fn table15(config: &TableConfig) -> String {
+pub fn table15(grid: &mut Grid) -> String {
     let mut table = TextTable::new([
         "MDES", "Unopt OR", "paper", "Full OR", "paper", "Red.", "Full A/O", "paper", "Red.",
     ]);
     for machine in Machine::all() {
         let i = paper::idx(machine);
-        let workload = default_workload(machine, config.total_ops);
-        let unopt = run(
-            machine,
-            Rep::OrTree,
-            Stage::Original,
-            UsageEncoding::Scalar,
-            &workload,
-        );
-        let or = run(
-            machine,
-            Rep::OrTree,
-            Stage::Full,
-            UsageEncoding::BitVector,
-            &workload,
-        );
-        let andor = run(
-            machine,
-            Rep::AndOr,
-            Stage::Full,
-            UsageEncoding::BitVector,
-            &workload,
-        );
+        let mut checks = |cell| grid.cell(machine, cell).stats.checks_per_attempt();
+        let (unopt, or, andor) = (checks(UNOPT_OR), checks(FULL_OR), checks(FULL_ANDOR));
         table.row([
             machine.name().to_string(),
-            f2(unopt.stats.checks_per_attempt()),
+            f2(unopt),
             paper_ref(paper::TABLE15_UNOPT[i]),
-            f2(or.stats.checks_per_attempt()),
+            f2(or),
             paper_ref(paper::TABLE15_OR[i]),
-            pct(percent_reduced(
-                unopt.stats.checks_per_attempt(),
-                or.stats.checks_per_attempt(),
-            )),
-            f2(andor.stats.checks_per_attempt()),
+            pct(percent_reduced(unopt, or)),
+            f2(andor),
             paper_ref(paper::TABLE15_ANDOR[i]),
-            pct(percent_reduced(
-                unopt.stats.checks_per_attempt(),
-                andor.stats.checks_per_attempt(),
-            )),
+            pct(percent_reduced(unopt, andor)),
         ]);
     }
     format!(
@@ -655,7 +527,7 @@ pub fn table15(config: &TableConfig) -> String {
 /// optimized one (time shifting shrinks the window, which helps the FSA
 /// too).  FSA checks per attempt are O(1) by construction; the transition
 /// table is the cost, and it has no unschedule operation.
-pub fn ablation_fsa() -> String {
+pub fn ablation_fsa(grid: &mut Grid) -> String {
     let mut table = TextTable::new([
         "MDES",
         "A/O bytes (full opt)",
@@ -664,10 +536,9 @@ pub fn ablation_fsa() -> String {
         "FSA table bytes (opt)",
     ]);
     const CAP: usize = 50_000;
-    let states = |machine: Machine, stage: Stage| -> (String, usize) {
-        let spec = prepare_spec(machine, Rep::AndOr, stage);
-        let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-        let mut fsa = mdes_automata::Automaton::new(std::sync::Arc::new(compiled));
+    let states = |grid: &mut Grid, machine: Machine, stage: Stage| -> (String, usize) {
+        let image = grid.image(machine, (Rep::AndOr, stage, UsageEncoding::BitVector));
+        let mut fsa = mdes_automata::Automaton::new(image);
         let closed = fsa.build_full(CAP);
         let label = if closed {
             fsa.num_states().to_string()
@@ -677,11 +548,9 @@ pub fn ablation_fsa() -> String {
         (label, fsa.table_bytes())
     };
     for machine in Machine::all() {
-        let spec = prepare_spec(machine, Rep::AndOr, Stage::Full);
-        let compiled = CompiledMdes::compile(&spec, UsageEncoding::BitVector).unwrap();
-        let mdes_bytes = mdes_core::size::measure(&compiled).total();
-        let (orig_states, _) = states(machine, Stage::Original);
-        let (opt_states, opt_bytes) = states(machine, Stage::Full);
+        let mdes_bytes = grid.memory(machine, FULL_ANDOR).total();
+        let (orig_states, _) = states(grid, machine, Stage::Original);
+        let (opt_states, opt_bytes) = states(grid, machine, Stage::Full);
         table.row([
             machine.name().to_string(),
             mdes_bytes.to_string(),
@@ -707,19 +576,17 @@ pub fn ablation_fsa() -> String {
 /// are then executed by the in-order issue simulator on the *accurate*
 /// machine.  The approximation promises shorter schedules but pays
 /// "unexpected execution cycles" at run time.
-pub fn ablation_accuracy(config: &TableConfig) -> String {
+pub fn ablation_accuracy(grid: &mut Grid) -> String {
     use mdes_sched::{order_of_schedule, simulate_in_order};
 
     let machine = Machine::SuperSparc;
-    let accurate_spec = machine.spec();
-    let approx_spec = mdes_machines::approximate_superspark();
-    let accurate = CompiledMdes::compile(&accurate_spec, UsageEncoding::BitVector).unwrap();
-    let approx = CompiledMdes::compile(&approx_spec, UsageEncoding::BitVector).unwrap();
-    let workload = generate(
-        machine,
-        &accurate_spec,
-        &default_workload(machine, config.total_ops),
-    );
+    let accurate = grid.image(machine, ORIGINAL_ANDOR);
+    let approx = CompiledMdes::compile(
+        &mdes_machines::approximate_superspark(),
+        UsageEncoding::BitVector,
+    )
+    .unwrap();
+    let workload = grid.workload(machine);
 
     let mut table = TextTable::new([
         "Scheduler MDES",
@@ -729,7 +596,7 @@ pub fn ablation_accuracy(config: &TableConfig) -> String {
         "IPC",
     ]);
     let mut baseline_cycles = 0i64;
-    for (label, scheduler_mdes) in [("accurate", &accurate), ("approximate", &approx)] {
+    for (label, scheduler_mdes) in [("accurate", &*accurate), ("approximate", &approx)] {
         let scheduler = ListScheduler::new(scheduler_mdes);
         let mut stats = CheckStats::new();
         let mut planned = 0i64;
@@ -784,7 +651,7 @@ pub fn ablation_accuracy(config: &TableConfig) -> String {
 /// types of schedulers by adjusting the heuristic for picking the
 /// resource usage time shift constants and for the sorting of the
 /// resulting usage checks").
-pub fn ablation_backward(config: &TableConfig) -> String {
+pub fn ablation_backward(grid: &mut Grid) -> String {
     use mdes_opt::pipeline::PipelineConfig;
     use mdes_opt::timeshift::Direction;
 
@@ -796,7 +663,7 @@ pub fn ablation_backward(config: &TableConfig) -> String {
     ]);
     for machine in Machine::all() {
         let spec = machine.spec();
-        let workload = generate(machine, &spec, &default_workload(machine, config.total_ops));
+        let workload = grid.workload(machine);
 
         let run_backward = |direction: Direction| -> f64 {
             let mut tuned = spec.clone();
@@ -837,7 +704,7 @@ pub fn ablation_backward(config: &TableConfig) -> String {
 /// modulo scheduling … and the benefit of this paper's AND/OR-tree
 /// representation and MDES transformations should only increase as more
 /// scheduling attempts are required").
-pub fn ablation_opsched(config: &TableConfig) -> String {
+pub fn ablation_opsched(grid: &mut Grid) -> String {
     use mdes_sched::{LoopBlock, ModuloScheduler};
 
     let mut table = TextTable::new([
@@ -856,7 +723,7 @@ pub fn ablation_opsched(config: &TableConfig) -> String {
         let workload = generate(
             machine,
             &authored,
-            &default_workload(machine, (config.total_ops / 4).max(400)),
+            &default_workload(machine, (grid.total_ops() / 4).max(400)),
         );
         let loops: Vec<LoopBlock> = mdes_workload::as_loop_bodies(&workload);
         let total_ops: usize = loops.iter().map(|l| l.body.len()).sum();
@@ -909,7 +776,7 @@ pub fn ablation_opsched(config: &TableConfig) -> String {
 /// application of more ILP optimizations to the assembly code").
 /// Longer blocks (superblock/hyperblock formation) raise contention and
 /// attempts per operation; the AND/OR check reduction grows with them.
-pub fn ablation_ilp(config: &TableConfig) -> String {
+pub fn ablation_ilp(grid: &mut Grid) -> String {
     let machine = Machine::SuperSparc;
     let mut table = TextTable::new([
         "ILP scale",
@@ -921,7 +788,7 @@ pub fn ablation_ilp(config: &TableConfig) -> String {
     ]);
     for scale in [1.0f64, 2.0, 4.0] {
         let authored = machine.spec();
-        let workload_config = default_workload(machine, config.total_ops / 2).with_ilp_scale(scale);
+        let workload_config = default_workload(machine, grid.total_ops() / 2).with_ilp_scale(scale);
         let workload = generate(machine, &authored, &workload_config);
 
         let unopt = run_on(
@@ -961,11 +828,11 @@ pub fn ablation_ilp(config: &TableConfig) -> String {
 /// Ablation G: the paper's Section-9 prediction for "the latest
 /// generation of microprocessors, such as the Intel Pentium Pro" — a
 /// speculative P6-style description, measured like Tables 6 and 15.
-pub fn ablation_nextgen(config: &TableConfig) -> String {
+pub fn ablation_nextgen(grid: &mut Grid) -> String {
     use mdes_workload::{generate_uniform, uniform_config};
 
     let authored = mdes_machines::pentium_pro();
-    let workload = generate_uniform(&authored, &uniform_config(config.total_ops / 2));
+    let workload = generate_uniform(&authored, &uniform_config(grid.total_ops() / 2));
 
     let unopt = run_on(
         &mdes_opt::expand_to_or(&authored).0,
@@ -1012,7 +879,7 @@ pub fn ablation_nextgen(config: &TableConfig) -> String {
 
 /// Ablation B: the conservative Eichenberger–Davidson-style minimizer
 /// compared with the paper's usage-time transformation.
-pub fn ablation_ed(config: &TableConfig) -> String {
+pub fn ablation_ed(grid: &mut Grid) -> String {
     let mut table = TextTable::new([
         "MDES",
         "Cleaned Chk/Opt",
@@ -1022,26 +889,16 @@ pub fn ablation_ed(config: &TableConfig) -> String {
         "Shifted bytes",
     ]);
     for machine in Machine::all() {
-        let workload = default_workload(machine, config.total_ops);
-        let cleaned = run(
+        let cleaned = grid.cell(
             machine,
-            Rep::OrTree,
-            Stage::Cleaned,
-            UsageEncoding::BitVector,
-            &workload,
+            (Rep::OrTree, Stage::Cleaned, UsageEncoding::BitVector),
         );
-
-        let mut ed_spec = prepare_spec(machine, Rep::OrTree, Stage::Cleaned);
+        let mut ed_spec = grid.spec(machine, Rep::OrTree, Stage::Cleaned).clone();
         mdes_opt::minimize_usages(&mut ed_spec);
-        let ed_workload = generate(machine, &ed_spec, &workload);
-        let ed = crate::experiment::run_on(&ed_spec, &ed_workload, UsageEncoding::BitVector);
-
-        let shifted = run(
+        let ed = run_on(&ed_spec, grid.workload(machine), UsageEncoding::BitVector);
+        let shifted = grid.cell(
             machine,
-            Rep::OrTree,
-            Stage::Shifted,
-            UsageEncoding::BitVector,
-            &workload,
+            (Rep::OrTree, Stage::Shifted, UsageEncoding::BitVector),
         );
         table.row([
             machine.name().to_string(),
@@ -1062,13 +919,13 @@ pub fn ablation_ed(config: &TableConfig) -> String {
 mod tests {
     use super::*;
 
-    fn small() -> TableConfig {
-        TableConfig { total_ops: 1_200 }
+    fn small() -> Grid {
+        Grid::new(1_200)
     }
 
     #[test]
     fn breakdown_tables_cover_paper_option_counts() {
-        let text = table_breakdown(Machine::SuperSparc, &small());
+        let text = table_breakdown(&mut small(), Machine::SuperSparc);
         for count in ["1", "3", "6", "12", "24", "36", "48", "72"] {
             assert!(
                 text.lines().any(|l| l.trim_start().starts_with(count)),
@@ -1079,7 +936,7 @@ mod tests {
 
     #[test]
     fn table5_reports_all_machines_and_reductions() {
-        let text = table5(&small());
+        let text = table5(&mut small());
         for name in ["PA7100", "Pentium", "SuperSPARC", "K5"] {
             assert!(text.contains(name));
         }
@@ -1087,7 +944,7 @@ mod tests {
 
     #[test]
     fn table6_shows_pentium_anomaly_and_k5_collapse() {
-        let text = table6();
+        let text = table6(&mut small());
         // Pentium row must show a negative reduction, K5 a huge one.
         let pentium = text.lines().find(|l| l.contains("Pentium")).unwrap();
         assert!(pentium.contains('-'), "Pentium should grow: {pentium}");
@@ -1097,7 +954,9 @@ mod tests {
 
     #[test]
     fn size_tables_render() {
-        for text in [table7(), table9(), table11(), table14()] {
+        let mut grid = small();
+        for table in [table7, table9, table11, table14] {
+            let text = table(&mut grid);
             assert!(text.contains("SuperSPARC"));
             assert!(text.contains('%'));
         }
@@ -1105,7 +964,7 @@ mod tests {
 
     #[test]
     fn ablation_accuracy_shows_unexpected_cycles() {
-        let text = ablation_accuracy(&small());
+        let text = ablation_accuracy(&mut small());
         // The accurate schedule's in-order simulation matches its plan.
         let accurate = text
             .lines()
@@ -1124,7 +983,7 @@ mod tests {
 
     #[test]
     fn ablation_backward_renders_all_machines() {
-        let text = ablation_backward(&small());
+        let text = ablation_backward(&mut small());
         for name in ["PA7100", "Pentium", "SuperSPARC", "K5"] {
             assert!(text.contains(name));
         }
@@ -1132,7 +991,7 @@ mod tests {
 
     #[test]
     fn ablation_opsched_preserves_the_reduction() {
-        let text = ablation_opsched(&small());
+        let text = ablation_opsched(&mut small());
         let k5 = text.lines().find(|l| l.contains("K5")).unwrap();
         let cells: Vec<&str> = k5.split_whitespace().collect();
         let reduction: f64 = cells.last().unwrap().trim_end_matches('%').parse().unwrap();
@@ -1141,7 +1000,7 @@ mod tests {
 
     #[test]
     fn ablation_fsa_reports_both_state_counts() {
-        let text = ablation_fsa();
+        let text = ablation_fsa(&mut small());
         let k5 = text.lines().find(|l| l.contains("K5")).unwrap();
         let cells: Vec<&str> = k5.split_whitespace().collect();
         // The original K5 automaton (wide decode window) needs thousands

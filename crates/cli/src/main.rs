@@ -24,6 +24,7 @@ mod analysis;
 use std::process::ExitCode;
 use std::str::FromStr;
 
+use mdes_bench::experiment::Grid;
 use mdes_core::size::measure;
 use mdes_core::{lmdes, CompiledMdes, MdesSpec, UsageEncoding};
 use mdes_guard::{optimize_guarded, Fault, FaultKind, GuardConfig, GuardMode, GuardedReport};
@@ -1589,21 +1590,21 @@ fn chart_cmd(args: &[String]) -> CliResult {
 }
 
 /// Prints the paper's tables and ablations, each one named or all of
-/// them, from a `--ops`-operation workload per machine.  Under
+/// them, from one grid of `--ops`-operation workloads.  Under
 /// `--metrics` or `--metrics-summary` it also records the full
 /// pipeline's per-stage telemetry on every machine.
 fn tables_cmd(args: &[String], tel: &Telemetry) -> CliResult {
     use mdes_bench::tables;
     let (names, total_ops) = paper_args(args, "table", &tables::NAMES, &tables::NAMES)?;
-    let config = tables::TableConfig { total_ops };
+    let mut grid = Grid::new(total_ops);
     for text in names
         .iter()
-        .filter_map(|name| tables::render(name, &config))
+        .filter_map(|name| tables::render(name, &mut grid))
     {
         println!("{text}");
     }
     if tel.is_enabled() {
-        tables::record_telemetry(&config, tel);
+        tables::record_telemetry(&mut grid, tel);
     }
     Ok(())
 }
@@ -1613,9 +1614,10 @@ fn tables_cmd(args: &[String], tel: &Telemetry) -> CliResult {
 fn figures_cmd(args: &[String]) -> CliResult {
     use mdes_bench::figures;
     let (names, total_ops) = paper_args(args, "figure", &figures::NAMES, figures::ALL)?;
+    let mut grid = Grid::new(total_ops);
     for text in names
         .iter()
-        .filter_map(|name| figures::render(name, total_ops))
+        .filter_map(|name| figures::render(name, &mut grid))
     {
         println!("{text}");
     }

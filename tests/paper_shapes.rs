@@ -14,20 +14,24 @@
 //! * the SuperSPARC Figure-2 distribution is bimodal: a large peak at
 //!   one option checked and a second mass at 48.
 
-use mdes::core::{CheckStats, CompiledMdes, UsageEncoding};
+use mdes::core::UsageEncoding;
 use mdes::machines::Machine;
-use mdes::sched::ListScheduler;
-use mdes::workload::generate;
-use mdes_bench::experiment::{default_workload, prepare_spec, run, Rep, Stage};
+use mdes_bench::experiment::{Grid, Rep, Stage};
 
 const OPS: usize = 4_000;
 
 #[test]
 fn and_or_collapses_flexible_machine_sizes() {
-    use mdes_bench::experiment::measure_only;
+    let mut grid = Grid::new(OPS);
     for machine in [Machine::SuperSparc, Machine::K5] {
-        let or = measure_only(machine, Rep::OrTree, Stage::Original, UsageEncoding::Scalar);
-        let andor = measure_only(machine, Rep::AndOr, Stage::Original, UsageEncoding::Scalar);
+        let or = grid.memory(
+            machine,
+            (Rep::OrTree, Stage::Original, UsageEncoding::Scalar),
+        );
+        let andor = grid.memory(
+            machine,
+            (Rep::AndOr, Stage::Original, UsageEncoding::Scalar),
+        );
         let factor = or.total() as f64 / andor.total() as f64;
         let expected = if machine == Machine::K5 { 50.0 } else { 8.0 };
         assert!(
@@ -41,45 +45,38 @@ fn and_or_collapses_flexible_machine_sizes() {
 
 #[test]
 fn pentium_gets_no_benefit_and_small_size_overhead() {
-    use mdes_bench::experiment::measure_only;
+    let mut grid = Grid::new(OPS);
     let machine = Machine::Pentium;
-    let config = default_workload(machine, OPS);
-    let or = run(
+    let or = grid.cell(
         machine,
-        Rep::OrTree,
-        Stage::Original,
-        UsageEncoding::Scalar,
-        &config,
+        (Rep::OrTree, Stage::Original, UsageEncoding::Scalar),
     );
-    let andor = run(
+    let andor = grid.cell(
         machine,
-        Rep::AndOr,
-        Stage::Original,
-        UsageEncoding::Scalar,
-        &config,
+        (Rep::AndOr, Stage::Original, UsageEncoding::Scalar),
     );
     assert_eq!(
         or.stats.resource_checks, andor.stats.resource_checks,
         "Pentium checks must be identical (0.0% reduction, Table 5)"
     );
-    let or_bytes = measure_only(machine, Rep::OrTree, Stage::Original, UsageEncoding::Scalar);
-    let andor_bytes = measure_only(machine, Rep::AndOr, Stage::Original, UsageEncoding::Scalar);
+    let or_bytes = grid.memory(
+        machine,
+        (Rep::OrTree, Stage::Original, UsageEncoding::Scalar),
+    );
+    let andor_bytes = grid.memory(
+        machine,
+        (Rep::AndOr, Stage::Original, UsageEncoding::Scalar),
+    );
     assert!(andor_bytes.total() > or_bytes.total());
     assert!(andor_bytes.total() < or_bytes.total() * 2);
 }
 
 #[test]
 fn checks_per_option_approach_one_after_section_7() {
+    let mut grid = Grid::new(OPS);
     for machine in Machine::all() {
-        let config = default_workload(machine, OPS);
         for rep in Rep::both() {
-            let result = run(
-                machine,
-                rep,
-                Stage::Shifted,
-                UsageEncoding::BitVector,
-                &config,
-            );
+            let result = grid.cell(machine, (rep, Stage::Shifted, UsageEncoding::BitVector));
             let ratio = result.stats.checks_per_option();
             assert!(
                 (0.99..1.45).contains(&ratio),
@@ -93,22 +90,13 @@ fn checks_per_option_approach_one_after_section_7() {
 
 #[test]
 fn aggregate_check_reduction_is_about_an_order_of_magnitude() {
+    let mut grid = Grid::new(OPS);
     for machine in [Machine::SuperSparc, Machine::K5] {
-        let config = default_workload(machine, OPS);
-        let unopt = run(
+        let unopt = grid.cell(
             machine,
-            Rep::OrTree,
-            Stage::Original,
-            UsageEncoding::Scalar,
-            &config,
+            (Rep::OrTree, Stage::Original, UsageEncoding::Scalar),
         );
-        let full = run(
-            machine,
-            Rep::AndOr,
-            Stage::Full,
-            UsageEncoding::BitVector,
-            &config,
-        );
+        let full = grid.cell(machine, (Rep::AndOr, Stage::Full, UsageEncoding::BitVector));
         let factor = unopt.stats.checks_per_attempt() / full.stats.checks_per_attempt();
         assert!(
             factor > 4.0,
@@ -120,22 +108,13 @@ fn aggregate_check_reduction_is_about_an_order_of_magnitude() {
 
 #[test]
 fn conflict_detection_ordering_helps_flexible_machines_only() {
+    let mut grid = Grid::new(OPS);
     for machine in Machine::all() {
-        let config = default_workload(machine, OPS);
-        let before = run(
+        let before = grid.cell(
             machine,
-            Rep::AndOr,
-            Stage::Shifted,
-            UsageEncoding::BitVector,
-            &config,
+            (Rep::AndOr, Stage::Shifted, UsageEncoding::BitVector),
         );
-        let after = run(
-            machine,
-            Rep::AndOr,
-            Stage::Full,
-            UsageEncoding::BitVector,
-            &config,
-        );
+        let after = grid.cell(machine, (Rep::AndOr, Stage::Full, UsageEncoding::BitVector));
         let b = before.stats.options_per_attempt_avg();
         let a = after.stats.options_per_attempt_avg();
         if machine.is_flexible() {
@@ -153,14 +132,12 @@ fn conflict_detection_ordering_helps_flexible_machines_only() {
 #[test]
 fn figure2_distribution_is_bimodal_for_superspark_or_rep() {
     let machine = Machine::SuperSparc;
-    let spec = prepare_spec(machine, Rep::OrTree, Stage::Original);
-    let compiled = CompiledMdes::compile(&spec, UsageEncoding::Scalar).unwrap();
-    let scheduler = ListScheduler::new(&compiled);
-    let workload = generate(machine, &spec, &default_workload(machine, OPS));
-    let mut stats = CheckStats::new();
-    for block in &workload.blocks {
-        scheduler.schedule(block, &mut stats);
-    }
+    let stats = Grid::new(OPS)
+        .cell(
+            machine,
+            (Rep::OrTree, Stage::Original, UsageEncoding::Scalar),
+        )
+        .stats;
     let hist = &stats.options_per_attempt;
     let at_one = hist.fraction(1) * 100.0;
     let mid_mass = hist.fraction_range(24, 72) * 100.0;
@@ -179,11 +156,11 @@ fn redundancy_elimination_benefits_the_and_or_representation_more() {
     // Section 4/5: "the AND/OR-tree representation for the SuperSPARC
     // and K5 machine descriptions benefited more from eliminating
     // redundant information than the OR-tree representation."
-    use mdes_bench::experiment::measure_only;
+    let mut grid = Grid::new(OPS);
     for machine in [Machine::SuperSparc, Machine::K5] {
-        let reduction = |rep: Rep| {
-            let before = measure_only(machine, rep, Stage::Original, UsageEncoding::Scalar);
-            let after = measure_only(machine, rep, Stage::Cleaned, UsageEncoding::Scalar);
+        let mut reduction = |rep: Rep| {
+            let before = grid.memory(machine, (rep, Stage::Original, UsageEncoding::Scalar));
+            let after = grid.memory(machine, (rep, Stage::Cleaned, UsageEncoding::Scalar));
             (before.total() - after.total()) as f64 / before.total() as f64
         };
         assert!(
@@ -200,14 +177,11 @@ fn redundancy_elimination_benefits_the_and_or_representation_more() {
 fn attempt_rates_are_in_the_papers_regime() {
     // Paper Table 5: 1.47..=2.05 attempts per op.  Allow a generous band;
     // the key property is that a meaningful share of attempts fail.
+    let mut grid = Grid::new(OPS);
     for machine in Machine::all() {
-        let config = default_workload(machine, OPS);
-        let result = run(
+        let result = grid.cell(
             machine,
-            Rep::AndOr,
-            Stage::Original,
-            UsageEncoding::Scalar,
-            &config,
+            (Rep::AndOr, Stage::Original, UsageEncoding::Scalar),
         );
         let rate = result.stats.attempts_per_op();
         assert!(

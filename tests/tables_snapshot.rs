@@ -1,39 +1,47 @@
-//! Snapshot stability of the regenerated paper tables under the parallel
-//! driver: the engine's worker count must never change a rendered byte,
-//! so `results/tables.txt` stays reproducible on any `--jobs` setting.
+//! The experiment grid against fresh computations: a cell the grid
+//! caches must equal the same cell computed from scratch, and the
+//! rendered tables must regenerate byte for byte.
 
 use mdes::core::UsageEncoding;
 use mdes::machines::Machine;
-use mdes_bench::experiment::{default_workload, prepare_spec, run_on, run_on_jobs, Rep, Stage};
-use mdes_bench::tables::{table5, TableConfig};
+use mdes_bench::experiment::{default_workload, prepare_spec, run_on, Grid, Rep, Stage};
+use mdes_bench::tables::table5;
 use mdes_workload::generate;
 
 #[test]
-fn run_on_jobs_is_worker_count_invariant() {
+fn grid_cells_equal_fresh_computations() {
+    // Every cell of one machine, asked of one grid, against a
+    // from-scratch prepare → generate → schedule of the same cell; a
+    // cache key that lost a coordinate would hand one cell another's
+    // measurements.
     let machine = Machine::Pa7100;
-    let spec = prepare_spec(machine, Rep::AndOr, Stage::Full);
-    let workload = generate(machine, &spec, &default_workload(machine, 1_200));
-
-    let serial = run_on(&spec, &workload, UsageEncoding::BitVector);
-    for jobs in [2, 4] {
-        let parallel = run_on_jobs(&spec, &workload, UsageEncoding::BitVector, jobs);
-        assert_eq!(parallel.schedule_hash, serial.schedule_hash, "{jobs} jobs");
-        assert_eq!(parallel.stats, serial.stats, "{jobs} jobs");
-        assert_eq!(
-            parallel.memory.total(),
-            serial.memory.total(),
-            "{jobs} jobs"
-        );
+    let mut grid = Grid::new(1_200);
+    for rep in Rep::both() {
+        for stage in [Stage::Original, Stage::Cleaned, Stage::Shifted, Stage::Full] {
+            for encoding in [UsageEncoding::Scalar, UsageEncoding::BitVector] {
+                let spec = prepare_spec(machine, rep, stage);
+                let workload = generate(machine, &spec, &default_workload(machine, 1_200));
+                let fresh = run_on(&spec, &workload, encoding);
+                let cached = grid.cell(machine, (rep, stage, encoding));
+                let cell = format!("{rep:?} {stage:?} {encoding:?}");
+                assert_eq!(cached.stats, fresh.stats, "{cell}");
+                assert_eq!(cached.memory, fresh.memory, "{cell}");
+                assert_eq!(
+                    grid.memory(machine, (rep, stage, encoding)),
+                    fresh.memory,
+                    "{cell}"
+                );
+            }
+        }
     }
 }
 
 #[test]
 fn table_rendering_is_byte_stable_across_regenerations() {
-    // Two independent regenerations (each internally served by run_on,
-    // which now routes through the engine) must render the same bytes.
-    let config = TableConfig { total_ops: 1_200 };
-    let first = table5(&config);
-    let second = table5(&config);
+    // Two independent regenerations, each from its own grid, must render
+    // the same bytes.
+    let first = table5(&mut Grid::new(1_200));
+    let second = table5(&mut Grid::new(1_200));
     assert_eq!(first, second);
     assert!(first.contains("MDES"), "unexpected table header:\n{first}");
 }
